@@ -458,6 +458,122 @@ func BenchmarkObserverReadScaling(b *testing.B) {
 	}
 }
 
+// startSaturatedEnsemble boots the ensemble of a benchmark whose
+// sessions saturate every core. Its heartbeat/election pair is 50 ms /
+// 1 s: with the 5 ms / 50 ms pair the unit tests use, a scheduler stall
+// under 16 busy sessions on two cores outlasts the election timeout and
+// the ensemble deposes its own leader mid-measurement.
+func startSaturatedEnsemble(b *testing.B, cfg coord.EnsembleConfig) *coord.Ensemble {
+	b.Helper()
+	cfg.HeartbeatInterval = 50 * time.Millisecond
+	cfg.ElectionTimeout = time.Second
+	ens, err := coord.StartEnsemble(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(ens.Stop)
+	return ens
+}
+
+// guardEpoch records the ensemble's epoch before a timed section and
+// returns the check to run after it: a moved epoch means an election
+// happened inside the measurement, and the number must not be
+// published.
+func guardEpoch(b *testing.B, sess *coord.Session) (check func()) {
+	b.Helper()
+	epoch := func() uint64 {
+		st, err := sess.Status()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return st.Epoch
+	}
+	before := epoch()
+	return func() {
+		b.Helper()
+		if after := epoch(); after != before {
+			b.Fatalf("leader election during the timed section (epoch %d -> %d); result discarded", before, after)
+		}
+	}
+}
+
+// benchLeaderWrites is the timed body the write-pipeline benchmarks
+// share: one leader-pinned session per entry of dirs (so the leader
+// write pipeline itself is measured, not follower-forwarding hops),
+// each creating opsPerClient znodes under its directory per b.N
+// iteration, all sessions concurrently. It reports writes/s.
+func benchLeaderWrites(b *testing.B, ens *coord.Ensemble, dirs []string, opsPerClient int, payload []byte) {
+	b.Helper()
+	leaderIdx := 0
+	for i, s := range ens.Servers {
+		if s.IsLeader() {
+			leaderIdx = i
+		}
+	}
+	sessions := make([]*coord.Session, len(dirs))
+	paths := make([][]string, len(dirs))
+	made := make(map[string]bool)
+	for c, dir := range dirs {
+		sess, err := ens.Connect(leaderIdx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { sess.Close() })
+		sessions[c] = sess
+		if !made[dir] {
+			if _, err := sess.Create(dir, nil, znode.ModePersistent); err != nil {
+				b.Fatal(err)
+			}
+			made[dir] = true
+		}
+		// Pre-format every path so the timed section measures the
+		// write pipeline, not fmt.Sprintf.
+		paths[c] = make([]string, b.N*opsPerClient)
+		for i := range paths[c] {
+			paths[c][i] = fmt.Sprintf("%s/c%d-%d", dir, c, i)
+		}
+	}
+	check := guardEpoch(b, sessions[0])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		errs := make([]error, len(dirs))
+		for c := range dirs {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for _, p := range paths[c][i*opsPerClient : (i+1)*opsPerClient] {
+					if _, err := sessions[c].Create(p, payload, znode.ModePersistent); err != nil {
+						errs[c] = err
+						return
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	check()
+	total := float64(b.N) * float64(len(dirs)) * float64(opsPerClient)
+	b.ReportMetric(total/b.Elapsed().Seconds(), "writes/s")
+}
+
+// sameDir returns n copies of dir: n sessions writing into one
+// directory.
+func sameDir(dir string, n int) []string {
+	dirs := make([]string, n)
+	for i := range dirs {
+		dirs[i] = dir
+	}
+	return dirs
+}
+
 // BenchmarkGroupCommit measures coordination write throughput under
 // injected network latency as concurrent sessions grow, comparing the
 // group-commit pipeline (DESIGN.md §9) against the serialized
@@ -484,82 +600,17 @@ func BenchmarkGroupCommit(b *testing.B) {
 		for _, clients := range []int{1, 4, 16} {
 			mode, clients := mode, clients
 			b.Run(fmt.Sprintf("%s/clients=%d", mode.name, clients), func(b *testing.B) {
-				net := &transport.Latency{
-					Inner: transport.NewInProc(),
-					Delay: func() time.Duration { return netRTT },
-				}
-				ens, err := coord.StartEnsemble(coord.EnsembleConfig{
-					Servers:           3,
-					Net:               net,
+				ens := startSaturatedEnsemble(b, coord.EnsembleConfig{
+					Servers: 3,
+					Net: &transport.Latency{
+						Inner: transport.NewInProc(),
+						Delay: func() time.Duration { return netRTT },
+					},
 					AddrPrefix:        fmt.Sprintf("gcommit-%s-%d-%d", mode.name, clients, rand.Int()),
-					HeartbeatInterval: 5 * time.Millisecond,
-					ElectionTimeout:   50 * time.Millisecond,
 					MaxBatchTxns:      mode.batch,
 					MaxInflightFrames: mode.window,
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Cleanup(ens.Stop)
-				// Pin every session to the leader's server so both modes
-				// measure the leader write pipeline itself rather than
-				// follower-forwarding hops.
-				leaderIdx := 0
-				for i, s := range ens.Servers {
-					if s.IsLeader() {
-						leaderIdx = i
-					}
-				}
-				sessions := make([]*coord.Session, clients)
-				for c := 0; c < clients; c++ {
-					sess, err := ens.Connect(leaderIdx)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.Cleanup(func() { sess.Close() })
-					sessions[c] = sess
-				}
-				if _, err := sessions[0].Create("/gc", nil, znode.ModePersistent); err != nil {
-					b.Fatal(err)
-				}
-				// Pre-format every path so the timed section measures
-				// the write pipeline, not fmt.Sprintf.
-				paths := make([][]string, clients)
-				for c := 0; c < clients; c++ {
-					paths[c] = make([]string, b.N*opsPerClient)
-					for i := 0; i < b.N; i++ {
-						for j := 0; j < opsPerClient; j++ {
-							paths[c][i*opsPerClient+j] = fmt.Sprintf("/gc/i%d-c%d-%d", i, c, j)
-						}
-					}
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var wg sync.WaitGroup
-					errs := make([]error, clients)
-					for c := 0; c < clients; c++ {
-						wg.Add(1)
-						go func(c int) {
-							defer wg.Done()
-							for j := 0; j < opsPerClient; j++ {
-								p := paths[c][i*opsPerClient+j]
-								if _, err := sessions[c].Create(p, nil, znode.ModePersistent); err != nil {
-									errs[c] = err
-									return
-								}
-							}
-						}(c)
-					}
-					wg.Wait()
-					for _, err := range errs {
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				total := float64(b.N) * float64(clients) * opsPerClient
-				b.ReportMetric(total/b.Elapsed().Seconds(), "writes/s")
+				benchLeaderWrites(b, ens, sameDir("/gc", clients), opsPerClient, nil)
 			})
 		}
 	}
@@ -567,14 +618,14 @@ func BenchmarkGroupCommit(b *testing.B) {
 
 // BenchmarkDurableGroupCommit measures what durability costs the
 // group-commit pipeline (DESIGN.md §11): the same 3-server ensemble
-// and concurrent-session workload as BenchmarkGroupCommit, in-memory
-// versus backed by the storage engine, where every acknowledgement
-// waits on an fsync. Because the fsync rides whole group-commit
-// frames — a follower syncs once per propose window, the leader's
-// sync loop covers every frame appended since the previous fsync —
-// one sync amortizes across the batch, and durable throughput at 16
-// sessions must stay within a small factor (the acceptance bar is
-// ≥25%) of the in-memory path rather than collapsing to one fsync
+// and concurrent-session workload as BenchmarkGroupCommit, on
+// zab.MemStorage versus on the storage engine, where every
+// acknowledgement waits on an fsync. Because the fsync rides whole
+// group-commit frames — a follower syncs once per propose window, the
+// leader's sync loop covers every frame appended since the previous
+// fsync — one sync amortizes across the batch, and durable throughput
+// at 16 sessions must stay within a small factor (the acceptance bar
+// is ≥25%) of the in-memory path rather than collapsing to one fsync
 // per write.
 func BenchmarkDurableGroupCommit(b *testing.B) {
 	const (
@@ -585,183 +636,49 @@ func BenchmarkDurableGroupCommit(b *testing.B) {
 		for _, clients := range []int{1, 16} {
 			mode, clients := mode, clients
 			b.Run(fmt.Sprintf("%s/clients=%d", mode, clients), func(b *testing.B) {
-				net := &transport.Latency{
-					Inner: transport.NewInProc(),
-					Delay: func() time.Duration { return netRTT },
-				}
 				cfg := coord.EnsembleConfig{
-					Servers:           3,
-					Net:               net,
-					AddrPrefix:        fmt.Sprintf("dgc-%s-%d-%d", mode, clients, rand.Int()),
-					HeartbeatInterval: 5 * time.Millisecond,
-					ElectionTimeout:   50 * time.Millisecond,
+					Servers: 3,
+					Net: &transport.Latency{
+						Inner: transport.NewInProc(),
+						Delay: func() time.Duration { return netRTT },
+					},
+					AddrPrefix: fmt.Sprintf("dgc-%s-%d-%d", mode, clients, rand.Int()),
 				}
 				if mode == "durable" {
 					cfg.DataDir = b.TempDir()
 				}
-				ens, err := coord.StartEnsemble(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Cleanup(ens.Stop)
-				leaderIdx := 0
-				for i, s := range ens.Servers {
-					if s.IsLeader() {
-						leaderIdx = i
-					}
-				}
-				sessions := make([]*coord.Session, clients)
-				for c := 0; c < clients; c++ {
-					sess, err := ens.Connect(leaderIdx)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.Cleanup(func() { sess.Close() })
-					sessions[c] = sess
-				}
-				if _, err := sessions[0].Create("/dgc", nil, znode.ModePersistent); err != nil {
-					b.Fatal(err)
-				}
-				// Pre-format every path so the timed section measures
-				// the write pipeline, not fmt.Sprintf.
-				paths := make([][]string, clients)
-				for c := 0; c < clients; c++ {
-					paths[c] = make([]string, b.N*opsPerClient)
-					for i := 0; i < b.N; i++ {
-						for j := 0; j < opsPerClient; j++ {
-							paths[c][i*opsPerClient+j] = fmt.Sprintf("/dgc/i%d-c%d-%d", i, c, j)
-						}
-					}
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var wg sync.WaitGroup
-					errs := make([]error, clients)
-					for c := 0; c < clients; c++ {
-						wg.Add(1)
-						go func(c int) {
-							defer wg.Done()
-							for j := 0; j < opsPerClient; j++ {
-								p := paths[c][i*opsPerClient+j]
-								if _, err := sessions[c].Create(p, nil, znode.ModePersistent); err != nil {
-									errs[c] = err
-									return
-								}
-							}
-						}(c)
-					}
-					wg.Wait()
-					for _, err := range errs {
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				total := float64(b.N) * float64(clients) * opsPerClient
-				b.ReportMetric(total/b.Elapsed().Seconds(), "writes/s")
+				ens := startSaturatedEnsemble(b, cfg)
+				benchLeaderWrites(b, ens, sameDir("/dgc", clients), opsPerClient, nil)
 			})
 		}
 	}
 }
 
-// BenchmarkApplyPipeline measures the decoupled apply pipeline
+// BenchmarkApplyPipeline measures the commit→apply decoupling
 // (DESIGN.md §16) with the network taken out of the picture: a
 // 3-server ensemble over the raw in-process transport (no injected
-// RTT), 16 leader-pinned sessions creating nodes spread over 16
-// disjoint top-level subtrees — the stripe-parallel best case. The
-// workers=1 run is the serialized-apply ablation: the commit→apply
-// queue still decouples the state machine from the node mutex, but
-// every transaction applies on one goroutine; workers=default lets
-// path-disjoint transactions of each committed frame execute
-// concurrently. The spread between the two is the scheduling win and
-// scales with GOMAXPROCS (on a single-core runner they converge — the
-// pipeline then only buys commit/apply overlap, which is what
-// BenchmarkGroupCommit exercises under RTT).
+// RTT), 16 leader-pinned sessions creating 256-byte nodes, each in its
+// own top-level subtree. With no round trip to hide behind, throughput
+// is set by how well the proposer, the senders and the apply loop
+// overlap off the node mutex — what BenchmarkGroupCommit shows under
+// RTT, this shows CPU-bound.
 func BenchmarkApplyPipeline(b *testing.B) {
 	const (
 		clients      = 16
 		opsPerClient = 25
 	)
-	payload := make([]byte, 256)
-	for _, mode := range []struct {
-		name    string
-		workers int
-	}{
-		{"serialized", 1},
-		{"parallel", 0}, // zero = GOMAXPROCS-sized pool
-	} {
-		mode := mode
-		b.Run(fmt.Sprintf("%s/clients=%d", mode.name, clients), func(b *testing.B) {
-			ens, err := coord.StartEnsemble(coord.EnsembleConfig{
-				Servers:           3,
-				Net:               transport.NewInProc(),
-				AddrPrefix:        fmt.Sprintf("apipe-%s-%d", mode.name, rand.Int()),
-				HeartbeatInterval: 5 * time.Millisecond,
-				ElectionTimeout:   50 * time.Millisecond,
-				ApplyWorkers:      mode.workers,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(ens.Stop)
-			leaderIdx := 0
-			for i, s := range ens.Servers {
-				if s.IsLeader() {
-					leaderIdx = i
-				}
-			}
-			sessions := make([]*coord.Session, clients)
-			for c := 0; c < clients; c++ {
-				sess, err := ens.Connect(leaderIdx)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Cleanup(func() { sess.Close() })
-				sessions[c] = sess
-			}
-			// One subtree per session keeps every concurrent create on
-			// its own znode stripe (and its own session), so whole
-			// frames schedule as single waves.
-			paths := make([][]string, clients)
-			for c := 0; c < clients; c++ {
-				if _, err := sessions[c].Create(fmt.Sprintf("/ap%d", c), nil, znode.ModePersistent); err != nil {
-					b.Fatal(err)
-				}
-				paths[c] = make([]string, b.N*opsPerClient)
-				for i := 0; i < b.N*opsPerClient; i++ {
-					paths[c][i] = fmt.Sprintf("/ap%d/n%d", c, i)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				errs := make([]error, clients)
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func(c int) {
-						defer wg.Done()
-						for j := 0; j < opsPerClient; j++ {
-							p := paths[c][i*opsPerClient+j]
-							if _, err := sessions[c].Create(p, payload, znode.ModePersistent); err != nil {
-								errs[c] = err
-								return
-							}
-						}
-					}(c)
-				}
-				wg.Wait()
-				for _, err := range errs {
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			total := float64(b.N) * float64(clients) * opsPerClient
-			b.ReportMetric(total/b.Elapsed().Seconds(), "writes/s")
+	b.Run(fmt.Sprintf("nonet/clients=%d", clients), func(b *testing.B) {
+		ens := startSaturatedEnsemble(b, coord.EnsembleConfig{
+			Servers:    3,
+			Net:        transport.NewInProc(),
+			AddrPrefix: fmt.Sprintf("apipe-%d", rand.Int()),
 		})
-	}
+		dirs := make([]string, clients)
+		for c := range dirs {
+			dirs[c] = fmt.Sprintf("/ap%d", c)
+		}
+		benchLeaderWrites(b, ens, dirs, opsPerClient, make([]byte, 256))
+	})
 }
 
 // BenchmarkAsyncPipeline measures the client-side half of the write
@@ -779,21 +696,14 @@ func BenchmarkAsyncPipeline(b *testing.B) {
 		pipeline = 48 // outstanding futures before a Wait
 	)
 	setup := func(b *testing.B, tag string) *coord.Session {
-		net := &transport.Latency{
-			Inner: transport.NewInProc(),
-			Delay: func() time.Duration { return netRTT },
-		}
-		ens, err := coord.StartEnsemble(coord.EnsembleConfig{
-			Servers:           1,
-			Net:               net,
-			AddrPrefix:        fmt.Sprintf("apipe-%s-%d", tag, rand.Int()),
-			HeartbeatInterval: 5 * time.Millisecond,
-			ElectionTimeout:   50 * time.Millisecond,
+		ens := startSaturatedEnsemble(b, coord.EnsembleConfig{
+			Servers: 1,
+			Net: &transport.Latency{
+				Inner: transport.NewInProc(),
+				Delay: func() time.Duration { return netRTT },
+			},
+			AddrPrefix: fmt.Sprintf("apipe-%s-%d", tag, rand.Int()),
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(ens.Stop)
 		sess, err := ens.Connect(-1)
 		if err != nil {
 			b.Fatal(err)
@@ -816,6 +726,7 @@ func BenchmarkAsyncPipeline(b *testing.B) {
 	b.Run("sync", func(b *testing.B) {
 		sess := setup(b, "sync")
 		paths := prePaths("/ap/s", b.N)
+		check := guardEpoch(b, sess)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -823,12 +734,15 @@ func BenchmarkAsyncPipeline(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		b.StopTimer()
+		check()
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "writes/s")
 	})
 	b.Run("pipelined", func(b *testing.B) {
 		sess := setup(b, "pipe")
 		pl := coord.NewPipeline(context.Background(), sess)
 		paths := prePaths("/ap/p", b.N)
+		check := guardEpoch(b, sess)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -842,6 +756,8 @@ func BenchmarkAsyncPipeline(b *testing.B) {
 		if err := pl.Wait(); err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
+		check()
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "writes/s")
 	})
 }

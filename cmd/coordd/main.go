@@ -12,14 +12,9 @@
 // segmented write-ahead log plus fuzzy snapshots under DIR make every
 // acknowledged write survive kill -9 of the whole ensemble — the
 // paper's §IV-I full-restart tolerance ("it can tolerate the failure
-// of all servers by restarting them later") with zero loss, not just
-// to the last periodic checkpoint. -sync-every N relaxes the fsync
-// cadence (the durability ablation; see DESIGN.md §11).
-//
-// The older -checkpoint FILE flag remains as a deprecated fallback:
-// it persists the applied state every -checkpoint-interval, so a full
-// restart can lose the writes acknowledged since the last save. It is
-// ignored when -data-dir is set.
+// of all servers by restarting them later") with zero loss. Without
+// it the member keeps its log in memory and a restarted process
+// rejoins empty, catching up from the leader.
 //
 // With -shards K the process hosts this machine's member of K
 // INDEPENDENT ensembles — the sharded coordination service that
@@ -31,8 +26,8 @@
 //	coordd -id 1 -peers 1=h1:7101,2=h2:7102,3=h3:7103 -client h1:7201 -shards 4
 //
 // serves shard 0 peers on 7101 and clients on 7201, shard 1 on
-// 7111/7211, shard 2 on 7121/7221, shard 3 on 7131/7231. Checkpoint
-// files get a ".s<shard>" suffix.
+// 7111/7211, shard 2 on 7121/7221, shard 3 on 7131/7231; each shard's
+// data lives under DIR/s<shard>.
 //
 // With -observer the process joins the ensemble as a NON-VOTING
 // observer replica instead: it tails the leader's committed log (over
@@ -43,16 +38,13 @@
 //
 //	coordd -observer -id 101 -peers 1=h1:7101,2=h2:7102,3=h3:7103 -client h4:7204
 //
-// Observers are diskless by design (-data-dir/-checkpoint are
-// rejected): a restarted observer rebuilds itself from a leader
-// snapshot.
+// Observers are diskless by design (-data-dir is rejected): a
+// restarted observer rebuilds itself from a leader snapshot.
 package main
 
 import (
-	"encoding/binary"
 	"flag"
 	"fmt"
-	"hash/crc32"
 	"log"
 	"net"
 	"os"
@@ -61,23 +53,17 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/coord"
 	"repro/internal/coord/observer"
 	"repro/internal/transport"
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 func main() {
 	id := flag.Uint64("id", 0, "this server's ensemble ID (must appear in -peers)")
 	peersFlag := flag.String("peers", "", "comma-separated id=host:port peer list")
 	clientAddr := flag.String("client", "", "host:port for client sessions")
 	dataDir := flag.String("data-dir", "", "directory for the durable storage engine (WAL + snapshots); every acked write survives restart")
-	syncEvery := flag.Int("sync-every", 1, "fsync cadence ablation: 1 = fsync before every ack, N>1 = one fsync per N sync windows (relaxed)")
-	checkpoint := flag.String("checkpoint", "", "deprecated: path for periodic lossy checkpoints (ignored with -data-dir)")
-	interval := flag.Duration("checkpoint-interval", 30*time.Second, "checkpoint period")
 	shards := flag.Int("shards", 1, "number of independent ensembles this process serves a member of")
 	stride := flag.Int("shard-stride", 10, "port offset between consecutive shards")
 	observerMode := flag.Bool("observer", false, "join as a non-voting observer replica: -peers lists the voters, -id must be disjoint from theirs")
@@ -100,19 +86,15 @@ func main() {
 	if *shards < 1 {
 		log.Fatalf("coordd: -shards must be >= 1, got %d", *shards)
 	}
-	if *observerMode && (*dataDir != "" || *checkpoint != "") {
-		log.Fatal("coordd: observers are diskless; -data-dir/-checkpoint do not apply in -observer mode")
+	if *observerMode && *dataDir != "" {
+		log.Fatal("coordd: observers are diskless; -data-dir does not apply in -observer mode")
 	}
 	if *observerMode {
 		runObservers(*id, peers, *clientAddr, *shards, *stride)
 		return
 	}
-	if *dataDir != "" && *checkpoint != "" {
-		log.Printf("coordd: -checkpoint is deprecated and ignored with -data-dir; the storage engine subsumes it")
-		*checkpoint = ""
-	}
 
-	servers := make([]*shardServer, 0, *shards)
+	servers := make([]*coord.Server, 0, *shards)
 	for s := 0; s < *shards; s++ {
 		shardPeers := make(map[uint64]string, len(peers))
 		for pid, addr := range peers {
@@ -132,23 +114,12 @@ func main() {
 			ClientAddr: shardClient,
 			Net:        transport.TCP{},
 			DataDir:    shardDataDir(*dataDir, s, *shards),
-			SyncEvery:  *syncEvery,
-		}
-		ckpt := checkpointPath(*checkpoint, s, *shards)
-		if ckpt != "" {
-			if snap, zxid, err := loadCheckpoint(ckpt); err == nil {
-				cfg.Checkpoint = snap
-				cfg.CheckpointZxid = zxid
-				log.Printf("coordd: shard %d restored checkpoint at zxid %x", s, zxid)
-			} else if !os.IsNotExist(err) {
-				log.Fatalf("coordd: reading checkpoint %s: %v", ckpt, err)
-			}
 		}
 		srv, err := coord.NewServer(cfg)
 		if err != nil {
 			log.Fatalf("coordd: shard %d: %v", s, err)
 		}
-		servers = append(servers, &shardServer{srv: srv, ckpt: ckpt})
+		servers = append(servers, srv)
 		if cfg.DataDir != "" {
 			log.Printf("coordd: shard %d server %d up (durable, data-dir=%s), peers=%v, clients on %s",
 				s, *id, cfg.DataDir, shardPeers, shardClient)
@@ -159,21 +130,10 @@ func main() {
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-
-	ticker := time.NewTicker(*interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			saveAll(servers, "checkpoint")
-		case sig := <-stop:
-			log.Printf("coordd: %v, shutting down", sig)
-			saveAll(servers, "final checkpoint")
-			for _, ss := range servers {
-				ss.srv.Stop()
-			}
-			return
-		}
+	sig := <-stop
+	log.Printf("coordd: %v, shutting down", sig)
+	for _, srv := range servers {
+		srv.Stop()
 	}
 }
 
@@ -219,32 +179,6 @@ func runObservers(id uint64, voters map[uint64]string, clientAddr string, shards
 	}
 }
 
-// shardServer pairs one ensemble member with its checkpoint path.
-type shardServer struct {
-	srv  *coord.Server
-	ckpt string
-}
-
-func saveAll(servers []*shardServer, what string) {
-	for s, ss := range servers {
-		if ss.ckpt == "" {
-			continue
-		}
-		if err := saveCheckpoint(ss.ckpt, ss.srv); err != nil {
-			log.Printf("coordd: shard %d %s failed: %v", s, what, err)
-		}
-	}
-}
-
-// checkpointPath namespaces the checkpoint file per shard; a
-// single-shard deployment keeps the bare path for compatibility.
-func checkpointPath(base string, shard, shards int) string {
-	if base == "" || shards == 1 {
-		return base
-	}
-	return fmt.Sprintf("%s.s%d", base, shard)
-}
-
 // shardDataDir namespaces the storage engine directory per shard; a
 // single-shard deployment uses the bare directory.
 func shardDataDir(base string, shard, shards int) string {
@@ -287,72 +221,4 @@ func parsePeers(s string) (map[uint64]string, error) {
 		peers[id] = kv[1]
 	}
 	return peers, nil
-}
-
-// checkpointMagic guards the checkpoint header ("CKP2" — version 2,
-// the checksummed layout).
-const checkpointMagic uint32 = 0x434b5032
-
-// Checkpoint file layout: 4-byte magic, 8-byte big-endian zxid,
-// 4-byte CRC-32C of the snapshot, then the snapshot. The write path
-// fsyncs both the file and its directory before and after the rename:
-// WriteFile+Rename alone leaves the "durable" checkpoint itself at the
-// mercy of a power failure (the rename can land while the data blocks
-// have not, yielding a present-but-torn file).
-func saveCheckpoint(path string, srv *coord.Server) error {
-	snap, zxid := srv.Checkpoint()
-	buf := make([]byte, 16+len(snap))
-	binary.BigEndian.PutUint32(buf, checkpointMagic)
-	binary.BigEndian.PutUint64(buf[4:], zxid)
-	binary.BigEndian.PutUint32(buf[12:], crc32.Checksum(snap, crcTable))
-	copy(buf[16:], snap)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	return syncDir(filepath.Dir(path))
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
-// loadCheckpoint validates the magic and checksum before handing the
-// snapshot to the server: a corrupt or legacy-format file is rejected
-// instead of priming the replicated state machine with garbage.
-func loadCheckpoint(path string) ([]byte, uint64, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(buf) < 16 || binary.BigEndian.Uint32(buf) != checkpointMagic {
-		return nil, 0, fmt.Errorf("checkpoint %s: missing or unrecognized header (corrupt, or a pre-checksum legacy file); refusing to load", path)
-	}
-	zxid := binary.BigEndian.Uint64(buf[4:])
-	crc := binary.BigEndian.Uint32(buf[12:])
-	snap := buf[16:]
-	if crc32.Checksum(snap, crcTable) != crc {
-		return nil, 0, fmt.Errorf("checkpoint %s: checksum mismatch; refusing to load", path)
-	}
-	return snap, zxid, nil
 }

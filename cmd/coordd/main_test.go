@@ -1,9 +1,7 @@
 package main
 
 import (
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -12,91 +10,57 @@ import (
 	"repro/internal/transport"
 )
 
-// TestCheckpointRoundtripAndCorruptionRejected pins the repaired
-// checkpoint path: a saved checkpoint round-trips through
-// loadCheckpoint, while a corrupt payload and a pre-checksum legacy
-// file are both rejected instead of priming the server with garbage.
-func TestCheckpointRoundtripAndCorruptionRejected(t *testing.T) {
+// TestRestartFromShardDataDir pins what a coordd restart relies on: a
+// server stopped and started again over the same per-shard data
+// directory serves every znode it acknowledged.
+func TestRestartFromShardDataDir(t *testing.T) {
 	net := transport.NewInProc()
-	srv, err := coord.NewServer(coord.ServerConfig{
+	cfg := coord.ServerConfig{
 		ID:                1,
-		PeerAddrs:         map[uint64]string{1: "ckpt-p1"},
-		ClientAddr:        "ckpt-c1",
+		PeerAddrs:         map[uint64]string{1: "restart-p1"},
+		ClientAddr:        "restart-c1",
 		Net:               net,
 		HeartbeatInterval: 5 * time.Millisecond,
 		ElectionTimeout:   30 * time.Millisecond,
-	})
+		DataDir:           shardDataDir(t.TempDir(), 1, 2),
+	}
+	srv, err := coord.NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Stop()
-	sess, err := coord.Connect(net, []string{"ckpt-c1"})
+	sess, err := coord.Connect(net, []string{cfg.ClientAddr})
 	if err != nil {
+		srv.Stop()
 		t.Fatal(err)
 	}
-	defer sess.Close()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, err := sess.Create("/ckpt-node", []byte("v"), znode.ModePersistent); err == nil {
+		if _, err := sess.Create("/kept", []byte("v"), znode.ModePersistent); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
+			srv.Stop()
 			t.Fatal("single-server ensemble never accepted a write")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	sess.Close()
+	srv.Stop()
 
-	path := filepath.Join(t.TempDir(), "checkpoint")
-	if err := saveCheckpoint(path, srv); err != nil {
-		t.Fatal(err)
-	}
-	snap, zxid, err := loadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if zxid == 0 || len(snap) == 0 {
-		t.Fatalf("roundtrip gave zxid=%x snap=%d bytes", zxid, len(snap))
-	}
-	// The restored checkpoint must actually prime a server.
-	srv2, err := coord.NewServer(coord.ServerConfig{
-		ID:                1,
-		PeerAddrs:         map[uint64]string{1: "ckpt2-p1"},
-		ClientAddr:        "ckpt2-c1",
-		Net:               net,
-		HeartbeatInterval: 5 * time.Millisecond,
-		ElectionTimeout:   30 * time.Millisecond,
-		Checkpoint:        snap,
-		CheckpointZxid:    zxid,
-	})
+	srv2, err := coord.NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv2.Stop()
-	if _, ok := srv2.Tree().Exists("/ckpt-node"); !ok {
-		t.Fatal("restored server lost the checkpointed znode")
-	}
-
-	// Bit-flip inside the snapshot payload: checksum must catch it.
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[len(buf)-3] ^= 0x20
-	bad := path + ".corrupt"
-	if err := os.WriteFile(bad, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := loadCheckpoint(bad); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("corrupt checkpoint load: %v", err)
-	}
-
-	// A legacy (pre-magic) file: 8-byte zxid then snapshot, no header.
-	legacy := path + ".legacy"
-	if err := os.WriteFile(legacy, append(make([]byte, 8), snap...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := loadCheckpoint(legacy); err == nil {
-		t.Fatal("legacy unchecksummed checkpoint was accepted")
+	// The recovered tail applies once the restarted member re-elects
+	// itself and commits its epoch barrier.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if _, ok := srv2.Tree().Exists("/kept"); ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("restarted server lost an acknowledged znode")
+		}
 	}
 }
 

@@ -301,11 +301,10 @@ func observerFeedStatus(st coord.Status) string {
 // applyStatus renders the apply-pipeline health of a status reply;
 // empty when the pipeline is idle (the common, healthy case).
 func applyStatus(st coord.Status) string {
-	if st.ApplyLagTxns == 0 && st.ApplyQueueFrames == 0 && st.ApplyWorkersBusy == 0 {
+	if st.ApplyLagTxns == 0 && st.ApplyQueueFrames == 0 {
 		return ""
 	}
-	return fmt.Sprintf(" apply.lag_txns=%d apply.queue_frames=%d apply.workers_busy=%d",
-		st.ApplyLagTxns, st.ApplyQueueFrames, st.ApplyWorkersBusy)
+	return fmt.Sprintf(" apply.lag_txns=%d apply.queue_frames=%d", st.ApplyLagTxns, st.ApplyQueueFrames)
 }
 
 // storageStatus renders the durable-storage fields of a status reply;

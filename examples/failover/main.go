@@ -8,26 +8,32 @@
 //
 // The example writes files, kills 2 of 5 coordination servers (leader
 // first), verifies everything is still there, keeps writing, and then
-// demonstrates a full-ensemble restart from a durable checkpoint.
+// demonstrates a full-ensemble restart from the members' data
+// directories.
 package main
 
 import (
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/coord"
-	"repro/internal/transport"
 	"repro/internal/vfs"
 )
 
 func main() {
+	dataDir, err := os.MkdirTemp("", "dufs-failover-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dataDir)
 	c, err := cluster.Start(cluster.Config{
 		Name:         "failover",
 		CoordServers: 5,
 		Backends:     2,
 		Kind:         cluster.MemFS,
+		CoordDataDir: dataDir,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -46,15 +52,10 @@ func main() {
 	fmt.Println("wrote 10 files on a healthy 5-server ensemble")
 
 	// Kill the leader and one follower: a minority of five.
-	leader := c.Ensemble.Leader()
-	fmt.Printf("killing leader (server %d) and one follower\n", leader.ID())
-	leader.Stop()
-	for _, srv := range c.Ensemble.Servers {
-		if srv != leader && !srv.IsLeader() {
-			srv.Stop()
-			break
-		}
-	}
+	victim := c.LeaderIndex(0)
+	fmt.Printf("killing leader (server %d) and one follower\n", c.Ensemble.Servers[victim].ID())
+	c.Ensemble.StopServer(victim)
+	c.Ensemble.StopServer((victim + 1) % len(c.Ensemble.Servers))
 	if err := c.Ensemble.WaitLeader(10 * time.Second); err != nil {
 		log.Fatalf("no new leader: %v", err)
 	}
@@ -84,42 +85,25 @@ func main() {
 	}
 	fmt.Println("wrote 5 more files on the degraded ensemble")
 
-	// Full restart: checkpoint the namespace, stop everything, boot a
-	// fresh ensemble from the checkpoint (paper: ZooKeeper "can
-	// tolerate the failure of all servers by restarting them later").
-	snap, zxid := c.Ensemble.Leader().Checkpoint()
-	fmt.Printf("checkpoint taken at zxid %x (%d bytes)\n", zxid, len(snap))
-
-	net := transport.NewInProc()
-	peers := map[uint64]string{1: "r-p1", 2: "r-p2", 3: "r-p3"}
-	var servers []*coord.Server
-	var clientAddrs []string
-	for id := uint64(1); id <= 3; id++ {
-		addr := fmt.Sprintf("r-c%d", id)
-		srv, err := coord.NewServer(coord.ServerConfig{
-			ID: id, PeerAddrs: peers, ClientAddr: addr, Net: net,
-			Checkpoint: snap, CheckpointZxid: zxid,
-		})
-		if err != nil {
-			log.Fatal(err)
+	// Full restart: stop every member, then start them all again from
+	// their data directories (paper: ZooKeeper "can tolerate the failure
+	// of all servers by restarting them later").
+	if err := c.RestartCoord(); err != nil {
+		log.Fatal(err)
+	}
+	after, err := c.NewClient(1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, name := range []string{"/pre-9", "/post-4"} {
+		if _, err := after.FS.Stat(name); err != nil {
+			log.Fatalf("file %s lost across the full restart: %v", name, err)
 		}
-		defer srv.Stop()
-		servers = append(servers, srv)
-		clientAddrs = append(clientAddrs, addr)
 	}
-	restarted := &coord.Ensemble{Servers: servers, ClientAddrs: clientAddrs}
-	if err := restarted.WaitLeader(10 * time.Second); err != nil {
-		log.Fatal(err)
-	}
-	sess, err := coord.Connect(net, clientAddrs)
+	st, err := after.Session.Status()
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sess.Close()
-	st, err := sess.Status()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("restarted ensemble serves %d znodes from the checkpoint\n", st.Znodes)
+	fmt.Printf("restarted ensemble serves %d znodes from its data directories\n", st.Znodes)
 	fmt.Println("failover example OK")
 }

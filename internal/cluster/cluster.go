@@ -87,9 +87,6 @@ type Config struct {
 	// writes survive member crashes and whole-cluster cold restarts
 	// (RestartCoord). Empty keeps coordination state in memory.
 	CoordDataDir string
-	// CoordSyncEvery is the fsync-cadence ablation forwarded to the
-	// storage engine (see coord.ServerConfig.SyncEvery).
-	CoordSyncEvery int
 	// CoordWrapStorage, when non-nil, wraps coordination member
 	// (shard, member)'s durable storage engine — the slow-disk
 	// injection seam the chaos scenarios use (see
@@ -175,7 +172,6 @@ func Start(cfg Config) (*Cluster, error) {
 			HeartbeatInterval: cfg.HeartbeatInterval,
 			ElectionTimeout:   cfg.ElectionTimeout,
 			MaxLogEntries:     cfg.CoordMaxLogEntries,
-			SyncEvery:         cfg.CoordSyncEvery,
 		}
 		if cfg.CoordDataDir != "" {
 			ecfg.DataDir = filepath.Join(cfg.CoordDataDir, fmt.Sprintf("shard%d", s))

@@ -470,7 +470,6 @@ func RunScenario(ctx context.Context, sc Scenario, scale float64) (*ScenarioResu
 		res.Apply = map[string]float64{
 			"lag_txns":     float64(reg.Gauge("zab.apply.lag").Value()),
 			"queue_frames": float64(reg.Gauge("zab.apply.queue_depth").Value()),
-			"workers_busy": float64(reg.Gauge("zab.apply.workers_busy").Value()),
 		}
 	}
 

@@ -3,8 +3,10 @@ package coord
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/coord/znode"
+	"repro/internal/transport"
 )
 
 // writeAllocBudget is the end-to-end allocation ceiling for one write
@@ -23,7 +25,20 @@ func TestWriteAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	e := startTestEnsemble(t, 1)
+	// The default MaxLogEntries, not startTestEnsemble's 256: at 256 a
+	// fuzzy snapshot of the whole tree fires every ~200 writes, and its
+	// walk would be billed to the write path this test pins.
+	e, err := StartEnsemble(EnsembleConfig{
+		Servers:           1,
+		Net:               transport.NewInProc(),
+		AddrPrefix:        "allocprobe",
+		HeartbeatInterval: 5 * time.Millisecond,
+		ElectionTimeout:   30 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Stop)
 	s := connect(t, e, 0)
 	if _, err := s.Create("/ap", nil, znode.ModePersistent); err != nil {
 		t.Fatal(err)

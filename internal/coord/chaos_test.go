@@ -3,6 +3,7 @@ package coord
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -71,8 +72,8 @@ func TestChaosAcknowledgedWritesSurvive(t *testing.T) {
 			case <-time.After(40 * time.Millisecond):
 			}
 			// Kill one random server (a minority of 5 even with the
-			// restart lag), wait, resurrect it. Checkpoints are not
-			// carried over: the node rejoins empty and must sync.
+			// restart lag), wait, resurrect it. Nothing is carried
+			// over: the node rejoins empty and must sync.
 			id := uint64(rng.Intn(servers) + 1)
 			mu.Lock()
 			victim := live[id]
@@ -182,7 +183,8 @@ func TestChaosLeaderFailoverMidBatch(t *testing.T) {
 	}
 	// mk reports failure with Errorf, not Fatal: it is also called from
 	// the chaos goroutine, where FailNow would kill the wrong goroutine.
-	mk := func(id uint64, checkpoint []byte, checkpointZxid uint64) *Server {
+	dataDir := t.TempDir()
+	mk := func(id uint64) *Server {
 		srv, err := NewServer(ServerConfig{
 			ID: id, PeerAddrs: peers,
 			ClientAddr:        fmt.Sprintf("midbatch-c%d", id),
@@ -190,8 +192,7 @@ func TestChaosLeaderFailoverMidBatch(t *testing.T) {
 			HeartbeatInterval: 5 * time.Millisecond,
 			ElectionTimeout:   30 * time.Millisecond,
 			MaxLogEntries:     128,
-			Checkpoint:        checkpoint,
-			CheckpointZxid:    checkpointZxid,
+			DataDir:           filepath.Join(dataDir, fmt.Sprintf("node%d", id)),
 		})
 		if err != nil {
 			t.Errorf("server %d: %v", id, err)
@@ -203,7 +204,7 @@ func TestChaosLeaderFailoverMidBatch(t *testing.T) {
 	live := make(map[uint64]*Server, servers)
 	var clientAddrs []string
 	for i := 1; i <= servers; i++ {
-		srv := mk(uint64(i), nil, 0)
+		srv := mk(uint64(i))
 		if srv == nil {
 			t.FailNow()
 		}
@@ -252,17 +253,14 @@ func TestChaosLeaderFailoverMidBatch(t *testing.T) {
 				continue
 			}
 			victim.Stop()
-			// The victim rejoins from its durable checkpoint (§IV-I), as
-			// a production deployment would. Rejoining EMPTY instead
-			// would make it a zero-tip voter during the very election
-			// its death triggers, able to hand the quorum to a lagging
-			// candidate that never held an acked frame — a genuine state
-			// loss this model cannot survive without durability (see
-			// DESIGN.md §9.4). A killed leader has applied everything it
-			// acknowledged, so its checkpoint carries every acked write.
-			snap, snapZxid := victim.Checkpoint()
+			// The victim rejoins from its data directory (§IV-I), as a
+			// production deployment would. Rejoining EMPTY instead would
+			// make it a zero-tip voter during the very election its death
+			// triggers, able to hand the quorum to a lagging candidate
+			// that never held an acked frame — a genuine state loss no
+			// protocol survives without durability (see DESIGN.md §9.4).
 			time.Sleep(40 * time.Millisecond)
-			reborn := mk(victimID, snap, snapZxid)
+			reborn := mk(victimID)
 			if reborn == nil {
 				return // mk already flagged the failure
 			}

@@ -813,13 +813,11 @@ type Status struct {
 	Ranges []RangeStatus
 
 	// Apply-pipeline observability: how many committed transactions
-	// await application, how many frames sit in the commit→apply
-	// queue, and how many pool workers are executing right now. All
-	// zero on observers (they apply inline) and on servers predating
-	// the decoupled pipeline.
+	// await application and how many frames sit in the commit→apply
+	// queue. Both zero on observers (they apply inline) and on servers
+	// predating the decoupled pipeline.
 	ApplyLagTxns     uint64
 	ApplyQueueFrames uint64
-	ApplyWorkersBusy uint64
 }
 
 // RangeStatus is one migration marker in a server's status report.
@@ -885,10 +883,9 @@ func (s *Session) Status() (Status, error) {
 			})
 		}
 	}
-	if r.Err() == nil && r.Remaining() >= 24 {
+	if r.Err() == nil && r.Remaining() >= 16 {
 		st.ApplyLagTxns = r.Uint64()
 		st.ApplyQueueFrames = r.Uint64()
-		st.ApplyWorkersBusy = r.Uint64()
 	}
 	if err := r.Err(); err != nil {
 		return Status{}, fmt.Errorf("coord: malformed status reply: %w", err)

@@ -338,18 +338,20 @@ func TestQuorumFailover(t *testing.T) {
 	}
 }
 
-func TestCheckpointRestartPreservesNamespace(t *testing.T) {
+func TestFullRestartPreservesNamespace(t *testing.T) {
 	// Paper §IV-I: "it can tolerate the failure of all servers by
-	// restarting them later" thanks to periodic disk checkpoints.
-	net := transport.NewInProc()
+	// restarting them later" — every member comes back from its data
+	// directory.
 	e, err := StartEnsemble(EnsembleConfig{
-		Servers: 3, Net: net, AddrPrefix: "ckpt",
+		Servers: 3, Net: transport.NewInProc(), AddrPrefix: "fullrestart",
 		HeartbeatInterval: 5 * time.Millisecond,
 		ElectionTimeout:   30 * time.Millisecond,
+		DataDir:           t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer e.Stop()
 	s, err := e.Connect(-1)
 	if err != nil {
 		t.Fatal(err)
@@ -359,38 +361,21 @@ func TestCheckpointRestartPreservesNamespace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap, zxid := e.Leader().Checkpoint()
 	s.Close()
-	e.Stop()
 
-	// Restart the whole ensemble from the checkpoint.
-	peers := map[uint64]string{1: "ckpt2-p1", 2: "ckpt2-p2", 3: "ckpt2-p3"}
-	var servers []*Server
-	var clientAddrs []string
-	for id := uint64(1); id <= 3; id++ {
-		addr := fmt.Sprintf("ckpt2-c%d", id)
-		srv, err := NewServer(ServerConfig{
-			ID: id, PeerAddrs: peers, ClientAddr: addr, Net: net,
-			HeartbeatInterval: 5 * time.Millisecond,
-			ElectionTimeout:   30 * time.Millisecond,
-			Checkpoint:        snap, CheckpointZxid: zxid,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Stop()
-		servers = append(servers, srv)
-		clientAddrs = append(clientAddrs, addr)
-	}
-	e2 := &Ensemble{Servers: servers, ClientAddrs: clientAddrs, net: net}
-	if err := e2.WaitLeader(5 * time.Second); err != nil {
+	if err := e.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := e2.Connect(-1)
+	s2, err := e.Connect(-1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
+	// The sync barrier orders the reads after the recovered tail has
+	// re-committed under the new epoch.
+	if err := s2.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 10; i++ {
 		if _, ok, err := s2.Exists(fmt.Sprintf("/p%d", i)); err != nil || !ok {
 			t.Fatalf("node /p%d missing after full restart (err=%v)", i, err)

@@ -29,19 +29,12 @@ type EnsembleConfig struct {
 	// Group-commit tunables (zero = defaults; see ServerConfig).
 	MaxBatchTxns      int
 	MaxInflightFrames int
-	// Apply-pipeline tunables (zero = defaults; see ServerConfig):
-	// commit→apply queue bound and parallel-apply pool size (1 forces
-	// the serialized-apply ablation).
-	MaxApplyQueueFrames int
-	ApplyWorkers        int
 
 	// DataDir, when non-empty, gives every member a durable storage
 	// engine under DataDir/node<id>, so members — or the whole
 	// ensemble — can be stopped and restarted from disk without losing
 	// an acknowledged write (StopServer / StartServer / Restart).
 	DataDir string
-	// SyncEvery is the fsync-cadence ablation (see ServerConfig).
-	SyncEvery int
 	// WrapStorage, when non-nil, wraps member id's durable storage
 	// engine (see ServerConfig.WrapStorage). The hook is recorded in the
 	// member's config, so a restarted member is re-wrapped — fault
@@ -84,18 +77,15 @@ func StartEnsemble(cfg EnsembleConfig) (*Ensemble, error) {
 	for i := 1; i <= cfg.Servers; i++ {
 		clientAddr := addrFor(uint64(i), "client")
 		scfg := ServerConfig{
-			ID:                  uint64(i),
-			PeerAddrs:           peers,
-			ClientAddr:          clientAddr,
-			Net:                 cfg.Net,
-			HeartbeatInterval:   cfg.HeartbeatInterval,
-			ElectionTimeout:     cfg.ElectionTimeout,
-			MaxLogEntries:       cfg.MaxLogEntries,
-			MaxBatchTxns:        cfg.MaxBatchTxns,
-			MaxInflightFrames:   cfg.MaxInflightFrames,
-			MaxApplyQueueFrames: cfg.MaxApplyQueueFrames,
-			ApplyWorkers:        cfg.ApplyWorkers,
-			SyncEvery:           cfg.SyncEvery,
+			ID:                uint64(i),
+			PeerAddrs:         peers,
+			ClientAddr:        clientAddr,
+			Net:               cfg.Net,
+			HeartbeatInterval: cfg.HeartbeatInterval,
+			ElectionTimeout:   cfg.ElectionTimeout,
+			MaxLogEntries:     cfg.MaxLogEntries,
+			MaxBatchTxns:      cfg.MaxBatchTxns,
+			MaxInflightFrames: cfg.MaxInflightFrames,
 		}
 		if cfg.DataDir != "" {
 			scfg.DataDir = filepath.Join(cfg.DataDir, fmt.Sprintf("node%d", i))

@@ -112,7 +112,7 @@ func (s *stateMachine) rangeStates() []rangeState {
 //	rangeMoved:   lo u64, hi u64, dest u32, epoch u64
 //	wipeRange:    lo u64, hi u64
 //	importRange:  final bool, entry stream, then (if final) manifest
-func (s *stateMachine) applyMigration(ctx *applyCtx, op uint8, session uint64, r *wire.Reader, zxid uint64) []byte {
+func (s *stateMachine) applyMigration(op uint8, session uint64, r *wire.Reader, zxid uint64) []byte {
 	switch op {
 	case opFenceRange:
 		lo, hi := r.Uint64(), r.Uint64()
@@ -180,14 +180,14 @@ func (s *stateMachine) applyMigration(ctx *applyCtx, op uint8, session uint64, r
 			sort.Slice(s.ranges, func(i, j int) bool { return s.ranges[i].rng.Lo < s.ranges[j].rng.Lo })
 		}
 		s.mu.Unlock()
-		deleted := s.wipeRange(ctx, rng, session, zxid)
+		deleted := s.wipeRange(rng, session, zxid)
 		return okResult(func(w *wire.Writer) { w.Uint32(uint32(deleted)) })
 	case opWipeRange:
 		lo, hi := r.Uint64(), r.Uint64()
 		if err := r.Err(); err != nil {
 			return errResult(err)
 		}
-		deleted := s.wipeRange(ctx, placement.Range{Lo: lo, Hi: hi}, session, zxid)
+		deleted := s.wipeRange(placement.Range{Lo: lo, Hi: hi}, session, zxid)
 		return okResult(func(w *wire.Writer) { w.Uint32(uint32(deleted)) })
 	case opImportRange:
 		lo, hi := r.Uint64(), r.Uint64()
@@ -220,13 +220,13 @@ func (s *stateMachine) applyMigration(ctx *applyCtx, op uint8, session uint64, r
 			if !e.Stub {
 				imported++
 				if s.notify != nil {
-					ctx.note(opCreate, e.Path, session, true)
+					s.notify(opCreate, e.Path, session, true)
 				}
 			}
 		}
 		reconciled := 0
 		if final {
-			reconciled = s.reconcileRange(ctx, rng, entries, manifest, session, zxid)
+			reconciled = s.reconcileRange(rng, entries, manifest, session, zxid)
 			// This shard is becoming the range's owner: a stale moved
 			// marker left by an earlier migration away from here would
 			// bounce clients off their own data, so the final import
@@ -271,13 +271,13 @@ func (s *stateMachine) collectRange(rng placement.Range) []string {
 // that still have children (an in-range node keeping out-of-range
 // children survives as a stub, exactly like the router's cross-shard
 // directory stubs). Deterministic: the input is walk-ordered, reversed.
-func (s *stateMachine) deleteSkippingNonEmpty(ctx *applyCtx, paths []string, session uint64, zxid uint64) int {
+func (s *stateMachine) deleteSkippingNonEmpty(paths []string, session uint64, zxid uint64) int {
 	deleted := 0
 	for i := len(paths) - 1; i >= 0; i-- {
 		if err := s.tree.Delete(paths[i], -1, zxid); err == nil {
 			deleted++
 			if s.notify != nil {
-				ctx.note(opDelete, paths[i], session, true)
+				s.notify(opDelete, paths[i], session, true)
 			}
 		}
 	}
@@ -286,8 +286,8 @@ func (s *stateMachine) deleteSkippingNonEmpty(ctx *applyCtx, paths []string, ses
 
 // wipeRange drops this shard's copy of every in-range node (moved
 // source, or aborted destination).
-func (s *stateMachine) wipeRange(ctx *applyCtx, rng placement.Range, session uint64, zxid uint64) int {
-	return s.deleteSkippingNonEmpty(ctx, s.collectRange(rng), session, zxid)
+func (s *stateMachine) wipeRange(rng placement.Range, session uint64, zxid uint64) int {
+	return s.deleteSkippingNonEmpty(s.collectRange(rng), session, zxid)
 }
 
 // reconcileRange completes a final delta import: any in-range node
@@ -296,7 +296,7 @@ func (s *stateMachine) wipeRange(ctx *applyCtx, rng placement.Range, session uin
 // deleted here too. The import transaction carries the migration
 // range explicitly, so reconciliation covers the whole range even
 // when the final delta ships no entries at all.
-func (s *stateMachine) reconcileRange(ctx *applyCtx, rng placement.Range, entries []RangeEntry, manifest []string, session uint64, zxid uint64) int {
+func (s *stateMachine) reconcileRange(rng placement.Range, entries []RangeEntry, manifest []string, session uint64, zxid uint64) int {
 	live := make(map[string]bool, len(manifest))
 	for _, p := range manifest {
 		live[p] = true
@@ -310,7 +310,7 @@ func (s *stateMachine) reconcileRange(ctx *applyCtx, rng placement.Range, entrie
 			stale = append(stale, p)
 		}
 	}
-	return s.deleteSkippingNonEmpty(ctx, stale, session, zxid)
+	return s.deleteSkippingNonEmpty(stale, session, zxid)
 }
 
 // exportRange captures the shard's in-range nodes changed since a

@@ -156,8 +156,7 @@ func (o *ObserverState) ServeRead(req []byte, info func() ReplicaInfo) (resp []b
 			w.Uint32(0) // observers track no feed of their own
 			w.Uint32(0) // migration markers live on voters
 			// Apply-pipeline health: observers apply inline off the log
-			// tailer, so lag/queue/busy are structurally zero.
-			w.Uint64(0)
+			// tailer, so lag and queue depth are structurally zero.
 			w.Uint64(0)
 			w.Uint64(0)
 		}), true, nil

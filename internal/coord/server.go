@@ -39,35 +39,15 @@ type ServerConfig struct {
 	// one-txn-per-quorum-round-trip cycle (the ablation baseline).
 	MaxBatchTxns      int
 	MaxInflightFrames int
-	// MaxApplyQueueFrames bounds the commit→apply queue (zero =
-	// default); a full queue backpressures the proposer.
-	MaxApplyQueueFrames int
-	// ApplyWorkers sizes the parallel-apply pool: path-disjoint
-	// transactions of one committed batch execute concurrently on it.
-	// 0 picks a default from GOMAXPROCS; 1 (or negative) forces
-	// strictly serial apply — the ablation baseline.
-	ApplyWorkers int
-
-	// Checkpoint, when non-nil, primes the server from a durable
-	// snapshot produced by Server.Checkpoint (paper §IV-I: ZooKeeper
-	// tolerates the failure of all servers by restarting from disk).
-	// Deprecated in favour of DataDir; ignored when the data directory
-	// holds any recovered state.
-	Checkpoint     []byte
-	CheckpointZxid uint64
 
 	// DataDir, when non-empty, attaches the durable storage engine
 	// (internal/coord/storage): a segmented write-ahead log plus fuzzy
 	// snapshots under this directory make every acknowledged write
 	// survive even a whole-ensemble crash — the server recovers from
 	// the newest snapshot plus the log tail on start. Empty keeps the
-	// original in-memory behaviour.
+	// member's log and snapshots in memory (zab.MemStorage): a stopped
+	// member then restarts empty and catches up from the leader.
 	DataDir string
-	// SyncEvery relaxes the engine's fsync cadence (the durability
-	// ablation): 0 or 1 fsyncs before every acknowledgement; N>1
-	// performs one real fsync per N sync windows, trading crash
-	// durability for throughput. Only meaningful with DataDir.
-	SyncEvery int
 	// WrapStorage, when non-nil, wraps the durable storage engine
 	// before it is handed to the replication layer — the fault-injection
 	// seam the chaos scenarios use to slow one voter's disk
@@ -99,36 +79,24 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	dispatch := newWatchDispatcher(watches)
 	sm.notify = dispatch.dispatch
 	reg := metrics.NewRegistry()
-	workers := cfg.ApplyWorkers
-	if workers == 0 {
-		workers = defaultApplyWorkers()
-	}
-	sm.startParallelApply(workers, reg.Gauge("zab.apply.workers_busy"))
 	var eng *storage.Engine
 	if cfg.DataDir != "" {
 		var err error
-		eng, err = storage.Open(storage.Options{
-			Dir:       cfg.DataDir,
-			SyncEvery: cfg.SyncEvery,
-			Metrics:   reg,
-		})
+		eng, err = storage.Open(storage.Options{Dir: cfg.DataDir, Metrics: reg})
 		if err != nil {
 			return nil, fmt.Errorf("coord: storage engine: %w", err)
 		}
 	}
 	zcfg := zab.Config{
-		ID:                  cfg.ID,
-		Peers:               cfg.PeerAddrs,
-		Net:                 cfg.Net,
-		HeartbeatInterval:   cfg.HeartbeatInterval,
-		ElectionTimeout:     cfg.ElectionTimeout,
-		MaxLogEntries:       cfg.MaxLogEntries,
-		MaxBatchTxns:        cfg.MaxBatchTxns,
-		MaxInflightFrames:   cfg.MaxInflightFrames,
-		MaxApplyQueueFrames: cfg.MaxApplyQueueFrames,
-		Metrics:             reg,
-		InitialSnapshot:     cfg.Checkpoint,
-		InitialZxid:         cfg.CheckpointZxid,
+		ID:                cfg.ID,
+		Peers:             cfg.PeerAddrs,
+		Net:               cfg.Net,
+		HeartbeatInterval: cfg.HeartbeatInterval,
+		ElectionTimeout:   cfg.ElectionTimeout,
+		MaxLogEntries:     cfg.MaxLogEntries,
+		MaxBatchTxns:      cfg.MaxBatchTxns,
+		MaxInflightFrames: cfg.MaxInflightFrames,
+		Metrics:           reg,
 	}
 	if eng != nil {
 		var st zab.Storage = eng
@@ -169,7 +137,6 @@ func (s *Server) Stop() {
 		s.clientLn.Close()
 	}
 	s.node.Stop()
-	s.sm.stopParallelApply()
 	s.dispatch.close()
 	if s.eng != nil {
 		s.eng.Close()
@@ -192,8 +159,7 @@ func (s *Server) Tree() *znode.Tree { return s.sm.treeRef() }
 // Metrics returns the server's metrics registry.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
-// gaugeU64 reads a gauge for wire encoding, clamping transient
-// negatives (a worker decrementing busy mid-read) to zero.
+// gaugeU64 reads a gauge for wire encoding, clamping negatives to zero.
 func gaugeU64(reg *metrics.Registry, name string) uint64 {
 	v := reg.Gauge(name).Value()
 	if v < 0 {
@@ -214,11 +180,6 @@ func (s *Server) CommitZxid() uint64 { return s.node.CommitZxid() }
 // state machine has applied; reads served here reflect exactly the
 // history up to it.
 func (s *Server) LastApplied() uint64 { return s.node.LastApplied() }
-
-// Checkpoint serializes the applied state for durable storage.
-func (s *Server) Checkpoint() (snap []byte, zxid uint64) {
-	return s.node.Checkpoint()
-}
 
 // handleClient implements the client protocol. Reads are served from
 // the local replica (the source of Fig 7d's read scaling); writes are
@@ -309,11 +270,10 @@ func (s *Server) handleClient(req []byte) ([]byte, error) {
 				w.Bool(rs.moved)
 			}
 			// Apply-pipeline health (appended last, same forward
-			// compatibility): commit-to-apply lag in txns, frames queued
-			// between the commit and apply sides, and busy pool workers.
+			// compatibility): commit-to-apply lag in txns and frames queued
+			// between the commit and apply sides.
 			w.Uint64(gaugeU64(s.reg, "zab.apply.lag"))
 			w.Uint64(gaugeU64(s.reg, "zab.apply.queue_depth"))
-			w.Uint64(gaugeU64(s.reg, "zab.apply.workers_busy"))
 		}), nil
 	case opGetWatch:
 		session := r.Uint64()

@@ -26,23 +26,15 @@ import (
 // exact-once semantics per session, the same guarantee a ZooKeeper
 // server gives reconnecting clients.
 type stateMachine struct {
-	// mu guards tree pointer swaps, the session table and the
-	// migration markers. Writers of those are rare (session churn,
-	// migration barriers, restore); the per-txn hot-path readers
-	// (bounceWrite/bounceRead, treeRef) take it shared so
-	// path-disjoint transactions scheduled concurrently never
-	// serialize here.
+	// mu guards tree pointer swaps, the session table, the retry
+	// windows and the migration markers. The apply goroutine is their
+	// only writer besides a snapshot restore; the read handlers
+	// (bounceRead, treeRef) take it shared.
 	mu          sync.RWMutex
 	tree        *znode.Tree
 	sessions    map[uint64]bool
 	nextSession uint64
-
-	// dedup is the per-session retry window, sharded by session ID so
-	// concurrently applied transactions from different sessions never
-	// contend on one lock. A session's own transactions are never
-	// scheduled concurrently (the apply scheduler serializes on
-	// session), so per-session ordering within a shard is free.
-	dedup [dedupShardCount]dedupShard
+	dedup       map[uint64]*dedupWindow
 
 	// ranges holds the migration fence/moved markers for this shard,
 	// sorted by range start. Replicated state: the markers are planted
@@ -62,52 +54,6 @@ type stateMachine struct {
 	// commit order. The server uses it to fire watches and clean up
 	// session queues; it is server-local, not replicated state.
 	notify func(op uint8, path string, session uint64, ok bool)
-
-	// serialCtx is Apply's notification scratch (single apply
-	// goroutine); parallel batches use per-slot contexts owned by the
-	// scheduler in apply_parallel.go.
-	serialCtx applyCtx
-
-	// pool, when non-nil, executes path-disjoint transactions of one
-	// batch concurrently (apply_parallel.go). nil means strictly
-	// serial apply — the replay/ablation path.
-	pool *applyPool
-
-	// Scheduler scratch, touched only by the single apply goroutine.
-	classScratch []txnClass
-	ctxScratch   []applyCtx
-	waveScratch  []int
-}
-
-// applyCtx carries one transaction's application-side effects that
-// must be emitted in commit order rather than execution order: the
-// notify records a concurrently executed transaction would otherwise
-// fire mid-wave. Serial applies flush immediately, so behavior there
-// is unchanged.
-type applyCtx struct {
-	recs []notifyRec
-}
-
-type notifyRec struct {
-	op      uint8
-	path    string
-	session uint64
-	ok      bool
-}
-
-func (c *applyCtx) note(op uint8, path string, session uint64, ok bool) {
-	c.recs = append(c.recs, notifyRec{op: op, path: path, session: session, ok: ok})
-}
-
-// flushNotify delivers a transaction's buffered notifications in the
-// order they were recorded and resets the context for reuse.
-func (s *stateMachine) flushNotify(ctx *applyCtx) {
-	if s.notify != nil {
-		for _, n := range ctx.recs {
-			s.notify(n.op, n.path, n.session, n.ok)
-		}
-	}
-	ctx.recs = ctx.recs[:0]
 }
 
 // dedupWindow remembers a session's most recent write results, keyed
@@ -141,60 +87,34 @@ func (w *dedupWindow) store(seq uint64, result []byte) {
 	}
 }
 
-// dedupShardCount spreads session retry windows over independent
-// locks. Session IDs are sequential, so modulo keeps adjacent sessions
-// on distinct shards. Power of two.
-const dedupShardCount = 16
-
-type dedupShard struct {
-	mu   sync.Mutex
-	wins map[uint64]*dedupWindow
-}
-
-func (s *stateMachine) dedupShardFor(session uint64) *dedupShard {
-	return &s.dedup[session%dedupShardCount]
-}
-
 // dedupLookup returns the cached result of a retried (session, seq)
 // write, if the window remembers it.
 func (s *stateMachine) dedupLookup(session, seq uint64) ([]byte, bool) {
-	sh := s.dedupShardFor(session)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if w, ok := sh.wins[session]; ok {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if w, ok := s.dedup[session]; ok {
 		return w.lookup(seq)
 	}
 	return nil, false
 }
 
 func (s *stateMachine) dedupStore(session, seq uint64, result []byte) {
-	sh := s.dedupShardFor(session)
-	sh.mu.Lock()
-	w, ok := sh.wins[session]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	w, ok := s.dedup[session]
 	if !ok {
 		w = &dedupWindow{results: make(map[uint64][]byte)}
-		sh.wins[session] = w
+		s.dedup[session] = w
 	}
 	w.store(seq, result)
-	sh.mu.Unlock()
-}
-
-func (s *stateMachine) dedupDrop(session uint64) {
-	sh := s.dedupShardFor(session)
-	sh.mu.Lock()
-	delete(sh.wins, session)
-	sh.mu.Unlock()
 }
 
 func newStateMachine() *stateMachine {
-	s := &stateMachine{
+	return &stateMachine{
 		tree:     znode.New(),
 		sessions: make(map[uint64]bool),
+		dedup:    make(map[uint64]*dedupWindow),
 	}
-	for i := range s.dedup {
-		s.dedup[i].wins = make(map[uint64]*dedupWindow)
-	}
-	return s
 }
 
 // Transaction layouts (after the op byte):
@@ -365,35 +285,19 @@ func errResult(err error) []byte {
 // frame (frames apply strictly in order from one goroutine), so the
 // container is a reusable scratch — only the per-txn result buffers
 // are retained (by the dedup window and the waiters).
-//
-// With a worker pool attached, path-disjoint transactions of the batch
-// execute concurrently (apply_parallel.go); the results, dedup effects
-// and notifications are identical to the serial order by construction.
 func (s *stateMachine) ApplyBatch(txns [][]byte, firstZxid uint64) [][]byte {
 	if cap(s.batchScratch) < len(txns) {
 		s.batchScratch = make([][]byte, len(txns))
 	}
 	results := s.batchScratch[:len(txns)]
-	if s.pool == nil || len(txns) < 2 {
-		for i, txn := range txns {
-			results[i] = s.Apply(txn, firstZxid+uint64(i))
-		}
-		return results
+	for i, txn := range txns {
+		results[i] = s.Apply(txn, firstZxid+uint64(i))
 	}
-	s.applyBatchParallel(txns, firstZxid, results)
 	return results
 }
 
-// Apply implements zab.StateMachine (the strictly serial path).
+// Apply implements zab.StateMachine.
 func (s *stateMachine) Apply(txn []byte, zxid uint64) []byte {
-	result := s.applyTxn(&s.serialCtx, txn, zxid)
-	s.flushNotify(&s.serialCtx)
-	return result
-}
-
-// applyTxn applies one transaction, buffering its notifications on ctx
-// for the caller to flush in commit order.
-func (s *stateMachine) applyTxn(ctx *applyCtx, txn []byte, zxid uint64) []byte {
 	var r wire.Reader
 	r.Reset(txn)
 	op := r.Uint8()
@@ -419,14 +323,14 @@ func (s *stateMachine) applyTxn(ctx *applyCtx, txn []byte, zxid uint64) []byte {
 			return cached // retry of an already-applied write
 		}
 	}
-	result := s.applyWrite(ctx, op, session, &r, zxid)
+	result := s.applyWrite(op, session, &r, zxid)
 	if session != 0 && seq != 0 {
 		s.dedupStore(session, seq, result)
 	}
 	return result
 }
 
-func (s *stateMachine) applyWrite(ctx *applyCtx, op uint8, session uint64, r *wire.Reader, zxid uint64) []byte {
+func (s *stateMachine) applyWrite(op uint8, session uint64, r *wire.Reader, zxid uint64) []byte {
 	switch op {
 	case opCreate:
 		path := r.String()
@@ -443,7 +347,7 @@ func (s *stateMachine) applyWrite(ctx *applyCtx, op uint8, session uint64, r *wi
 		}
 		created, err := s.tree.Create(path, data, mode, session, zxid, now)
 		if s.notify != nil {
-			ctx.note(opCreate, created, session, err == nil)
+			s.notify(opCreate, created, session, err == nil)
 		}
 		if err != nil {
 			return errResult(err)
@@ -460,7 +364,7 @@ func (s *stateMachine) applyWrite(ctx *applyCtx, op uint8, session uint64, r *wi
 		}
 		derr := s.tree.Delete(path, version, zxid)
 		if s.notify != nil {
-			ctx.note(opDelete, path, session, derr == nil)
+			s.notify(opDelete, path, session, derr == nil)
 		}
 		if derr != nil {
 			return errResult(derr)
@@ -479,7 +383,7 @@ func (s *stateMachine) applyWrite(ctx *applyCtx, op uint8, session uint64, r *wi
 		}
 		stat, err := s.tree.Set(path, data, version, zxid, now)
 		if s.notify != nil {
-			ctx.note(opSet, path, session, err == nil)
+			s.notify(opSet, path, session, err == nil)
 		}
 		if err != nil {
 			return errResult(err)
@@ -506,11 +410,11 @@ func (s *stateMachine) applyWrite(ctx *applyCtx, op uint8, session uint64, r *wi
 			for i, op := range ops {
 				switch op.Kind {
 				case znode.MultiCreate:
-					ctx.note(opCreate, results[i].Created, session, true)
+					s.notify(opCreate, results[i].Created, session, true)
 				case znode.MultiSet:
-					ctx.note(opSet, op.Path, session, true)
+					s.notify(opSet, op.Path, session, true)
 				case znode.MultiDelete:
-					ctx.note(opDelete, op.Path, session, true)
+					s.notify(opDelete, op.Path, session, true)
 				}
 			}
 		}
@@ -521,14 +425,14 @@ func (s *stateMachine) applyWrite(ctx *applyCtx, op uint8, session uint64, r *wi
 	case opCloseSession:
 		s.mu.Lock()
 		delete(s.sessions, session)
+		delete(s.dedup, session)
 		s.mu.Unlock()
-		s.dedupDrop(session)
 		deleted := s.tree.ExpireSession(session, zxid)
 		if s.notify != nil {
 			for _, p := range deleted {
-				ctx.note(opDelete, p, session, true)
+				s.notify(opDelete, p, session, true)
 			}
-			ctx.note(opCloseSession, "", session, true)
+			s.notify(opCloseSession, "", session, true)
 		}
 		return okResult(func(w *wire.Writer) { w.Uint32(uint32(len(deleted))) })
 	case opSync:
@@ -537,7 +441,7 @@ func (s *stateMachine) applyWrite(ctx *applyCtx, op uint8, session uint64, r *wi
 		// write committed before the sync — ZooKeeper's sync().
 		return okResult(nil)
 	case opFenceRange, opUnfenceRange, opRangeMoved, opWipeRange, opImportRange:
-		return s.applyMigration(ctx, op, session, r, zxid)
+		return s.applyMigration(op, session, r, zxid)
 	default:
 		return errResult(fmt.Errorf("unknown transaction op %d", op))
 	}
@@ -573,31 +477,20 @@ func (s *stateMachine) SnapshotTo(out io.Writer) error {
 	for _, id := range sessionIDs {
 		enc.Uint64(id)
 	}
-	// Gather the sharded retry windows back into one sorted section so
-	// the snapshot encoding is independent of the shard layout (and
-	// byte-identical to the pre-sharding format).
-	var dedupIDs []uint64
-	for i := range s.dedup {
-		sh := &s.dedup[i]
-		sh.mu.Lock()
-		for id := range sh.wins {
-			dedupIDs = append(dedupIDs, id)
-		}
-		sh.mu.Unlock()
+	dedupIDs := make([]uint64, 0, len(s.dedup))
+	for id := range s.dedup {
+		dedupIDs = append(dedupIDs, id)
 	}
 	slices.Sort(dedupIDs)
 	enc.Uint32(uint32(len(dedupIDs)))
 	for _, id := range dedupIDs {
-		sh := s.dedupShardFor(id)
-		sh.mu.Lock()
-		win := sh.wins[id]
+		win := s.dedup[id]
 		enc.Uint64(id)
 		enc.Uint32(uint32(len(win.order)))
 		for _, seq := range win.order {
 			enc.Uint64(seq)
 			enc.Bytes32(win.results[seq])
 		}
-		sh.mu.Unlock()
 	}
 	enc.Uint32(uint32(len(s.ranges)))
 	for _, rs := range s.ranges {
@@ -646,10 +539,7 @@ func (s *stateMachine) RestoreFrom(rd io.Reader, _ uint64) error {
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("coord: corrupt snapshot dedup header: %w", err)
 	}
-	var dedup [dedupShardCount]dedupShard
-	for i := range dedup {
-		dedup[i].wins = make(map[uint64]*dedupWindow)
-	}
+	dedup := make(map[uint64]*dedupWindow, nDedup)
 	for i := uint32(0); i < nDedup; i++ {
 		id := r.Uint64()
 		nEntries := r.Uint32()
@@ -665,7 +555,7 @@ func (s *stateMachine) RestoreFrom(rd io.Reader, _ uint64) error {
 			}
 			win.store(seq, result)
 		}
-		dedup[id%dedupShardCount].wins[id] = win
+		dedup[id] = win
 	}
 	nRanges := r.Uint32()
 	if err := r.Err(); err != nil {
@@ -716,14 +606,9 @@ func (s *stateMachine) RestoreFrom(rd io.Reader, _ uint64) error {
 	s.mu.Lock()
 	s.nextSession = next
 	s.sessions = sessions
+	s.dedup = dedup
 	s.ranges = ranges
 	s.tree = tree
 	s.mu.Unlock()
-	for i := range s.dedup {
-		sh := &s.dedup[i]
-		sh.mu.Lock()
-		sh.wins = dedup[i].wins
-		sh.mu.Unlock()
-	}
 	return nil
 }

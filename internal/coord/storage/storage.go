@@ -82,13 +82,6 @@ type Options struct {
 	// SegmentSize is the preallocated size of each log segment.
 	// Defaults to 8 MiB.
 	SegmentSize int64
-	// SyncEvery relaxes the fsync cadence (the durability ablation,
-	// ZooKeeper's forceSync=no): 0 or 1 performs a real fsync on every
-	// Sync call — the full guarantee; N>1 performs one real fsync per
-	// N Sync calls and reports the rest durable optimistically, so a
-	// power loss may drop the acknowledged writes of up to N-1 sync
-	// windows.
-	SyncEvery int
 	// SnapChunkSize bounds the buffer the engine uses to stream
 	// snapshots to and from disk — the peak snapshot-path memory is
 	// O(SnapChunkSize) regardless of snapshot size. Defaults to 256 KiB.
@@ -134,7 +127,6 @@ type Engine struct {
 	lastDurable  uint64 // zxid horizon covered by a completed fsync
 	replayTip    uint64 // recovery-time frame ordering check
 	unsyncedTxns int64  // transactions appended since the last fsync
-	sinceFsync   int    // Sync calls since the last real fsync
 
 	syncing  bool // an fsync is in flight outside the lock
 	syncCond *sync.Cond
@@ -391,9 +383,9 @@ func (e *Engine) HardState() (epoch, grantedEpoch uint64) {
 }
 
 // SaveHardState implements zab.Storage: the record is appended and
-// fsynced before returning, regardless of SyncEvery — a forgotten vote
-// can elect two leaders, so the ablation never relaxes it. The fsync
-// also hardens any frames appended ahead of it in the same segment.
+// fsynced before returning — a forgotten vote can elect two leaders.
+// The fsync also hardens any frames appended ahead of it in the same
+// segment.
 func (e *Engine) SaveHardState(epoch, grantedEpoch uint64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -425,25 +417,27 @@ func (e *Engine) SaveHardState(epoch, grantedEpoch uint64) error {
 	return nil
 }
 
-// Snapshot implements zab.Storage by reading the snapshot file back on
-// demand — the engine never pins a serialized copy of the state in
-// memory for its whole lifetime. Open proved the file intact, so a
-// failure here is a live disk fault and poisons the engine rather than
-// presenting an empty store as healthy.
+// Snapshot implements zab.Storage by draining SnapshotStream — the
+// engine never pins a serialized copy of the state in memory for its
+// whole lifetime. Open proved the file intact, so a failure here is a
+// live disk fault and poisons the engine rather than presenting an
+// empty store as healthy.
 func (e *Engine) Snapshot() (data []byte, zxid uint64, ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.hasSnap {
+	rc, zxid, ok := e.SnapshotStream()
+	if !ok {
 		return nil, 0, false
 	}
-	data, err := readSnapshot(e.snapPath(e.snapZxid), e.snapZxid)
+	defer rc.Close()
+	data, err := io.ReadAll(rc)
 	if err != nil {
+		e.mu.Lock()
 		if e.failed == nil {
 			e.failed = err
 		}
+		e.mu.Unlock()
 		return nil, 0, false
 	}
-	return data, e.snapZxid, true
+	return data, zxid, true
 }
 
 // SnapshotStream implements zab.StreamStorage: a checksum-validating
@@ -631,17 +625,6 @@ func (e *Engine) Sync() error {
 		mark := e.lastAppended
 		if mark <= e.lastDurable {
 			return nil
-		}
-		if e.opt.SyncEvery > 1 {
-			e.sinceFsync++
-			if e.sinceFsync < e.opt.SyncEvery {
-				// Relaxed mode (the ablation): report durable without the
-				// fsync; a power loss here loses this window.
-				e.lastDurable = mark
-				e.gDurable.Set(int64(mark))
-				return nil
-			}
-			e.sinceFsync = 0
 		}
 		if e.syncing {
 			e.syncCond.Wait()
@@ -966,28 +949,6 @@ func (e *Engine) verifySnapshot(path string, wantZxid uint64) error {
 			return fmt.Errorf("%w; refusing startup", err)
 		}
 	}
-}
-
-func readSnapshot(path string, wantZxid uint64) ([]byte, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("storage: %w", err)
-	}
-	r := wire.NewReader(buf)
-	magic := r.Uint32()
-	zxid := r.Uint64()
-	crc := r.Uint32()
-	data := r.BytesCopy32()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("storage: %s: truncated snapshot: %w; refusing startup", path, err)
-	}
-	if magic != snapMagic || zxid != wantZxid {
-		return nil, fmt.Errorf("storage: %s: bad snapshot header; refusing startup", path)
-	}
-	if crc32.Checksum(data, crcTable) != crc {
-		return nil, fmt.Errorf("storage: %s: snapshot checksum mismatch; refusing startup", path)
-	}
-	return data, nil
 }
 
 // --- introspection ----------------------------------------------------

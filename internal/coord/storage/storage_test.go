@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -34,7 +35,7 @@ func frame(zxid uint64, txns ...string) zab.Frame {
 	return f
 }
 
-func appendSynced(t *testing.T, e *Engine, frames ...zab.Frame) {
+func appendSynced(t *testing.T, e zab.Storage, frames ...zab.Frame) {
 	t.Helper()
 	if err := e.Append(frames); err != nil {
 		t.Fatal(err)
@@ -84,44 +85,184 @@ func recordOffsets(t *testing.T, path string) []int64 {
 	return offs
 }
 
-// TestRecovery is the table-driven sweep over the recovery edge
-// cases: each case prepares a data directory, optionally corrupts it,
-// and states what Open must do — recover a precise state, truncate a
-// torn tail, or refuse to start.
+// storeKind is one zab.Storage implementation under the shared
+// contract, with its notion of a restart: an Engine is closed and
+// reopened over its directory; a MemStorage simply outlives the node
+// that wrote it.
+type storeKind struct {
+	name   string
+	open   func(t *testing.T) zab.Storage
+	reopen func(t *testing.T, s zab.Storage) zab.Storage
+}
+
+var storeKinds = []storeKind{
+	{
+		name: "engine",
+		open: func(t *testing.T) zab.Storage { return openT(t, t.TempDir()) },
+		reopen: func(t *testing.T, s zab.Storage) zab.Storage {
+			e := s.(*Engine)
+			e.Close()
+			return openT(t, e.opt.Dir)
+		},
+	},
+	{
+		name:   "mem",
+		open:   func(t *testing.T) zab.Storage { return new(zab.MemStorage) },
+		reopen: func(t *testing.T, s zab.Storage) zab.Storage { return s },
+	},
+}
+
+// TestStorageContract runs the store-agnostic half of the zab.Storage
+// contract over every implementation: what a node may rely on after a
+// restart, whichever store it runs on.
+func TestStorageContract(t *testing.T) {
+	cases := []struct {
+		name string
+		// prepare drives a fresh store; the checks below run against it
+		// after a restart.
+		prepare   func(t *testing.T, s zab.Storage)
+		wantTxns  []string // recovered frame payloads, in order
+		wantSnap  uint64   // recovered snapshot zxid (0 = none)
+		wantState string   // recovered snapshot body
+		wantEpoch uint64
+		wantVote  uint64
+		wantTip   uint64 // durable horizon after the restart
+	}{
+		{
+			name:    "fresh store",
+			prepare: func(t *testing.T, s zab.Storage) {},
+		},
+		{
+			name: "appended and synced frames are durable",
+			prepare: func(t *testing.T, s zab.Storage) {
+				appendSynced(t, s, frame(0x100000001, "a", "b"), frame(0x100000003, "c"))
+				if d := s.LastDurableZxid(); d != 0x100000003 {
+					t.Fatalf("durable horizon after Sync = %x, want %x", d, uint64(0x100000003))
+				}
+			},
+			wantTxns: []string{"a", "b", "c"},
+			wantTip:  0x100000003,
+		},
+		{
+			name: "hard state survives",
+			prepare: func(t *testing.T, s zab.Storage) {
+				if err := s.SaveHardState(7, 9); err != nil {
+					t.Fatal(err)
+				}
+			},
+			wantEpoch: 7,
+			wantVote:  9,
+		},
+		{
+			name: "snapshot newer than log",
+			prepare: func(t *testing.T, s zab.Storage) {
+				appendSynced(t, s, frame(0x100000001, "old-1"), frame(0x100000002, "old-2"))
+				if err := s.SaveSnapshot([]byte("state@5"), 0x100000005); err != nil {
+					t.Fatal(err)
+				}
+			},
+			// The log frames are all covered by the snapshot: none replay.
+			wantSnap:  0x100000005,
+			wantState: "state@5",
+			wantTip:   0x100000005,
+		},
+		{
+			name: "snapshot plus log tail",
+			prepare: func(t *testing.T, s zab.Storage) {
+				appendSynced(t, s, frame(0x100000001, "covered"))
+				if err := s.SaveSnapshot([]byte("state@1"), 0x100000001); err != nil {
+					t.Fatal(err)
+				}
+				appendSynced(t, s, frame(0x100000002, "tail-1"), frame(0x100000003, "tail-2"))
+			},
+			wantSnap:  0x100000001,
+			wantState: "state@1",
+			wantTxns:  []string{"tail-1", "tail-2"},
+			wantTip:   0x100000003,
+		},
+		{
+			// Installing a snapshot BELOW the append horizon (a divergent
+			// tail being discarded) must pull the durable horizon down to
+			// exactly the snapshot — a stale-high horizon would let the
+			// node acknowledge pulled frames it never synced.
+			name: "install snapshot resets the log and lowers the durable horizon",
+			prepare: func(t *testing.T, s zab.Storage) {
+				appendSynced(t, s, frame(0x500000063, "divergent-1"), frame(0x500000064, "divergent-2"))
+				if err := s.InstallSnapshot([]byte("leader state"), 0x500000032); err != nil {
+					t.Fatal(err)
+				}
+				if d := s.LastDurableZxid(); d != 0x500000032 {
+					t.Fatalf("durable horizon after install = %x, want %x", d, uint64(0x500000032))
+				}
+				appendSynced(t, s, frame(0x500000033, "pulled"))
+				if d := s.LastDurableZxid(); d != 0x500000033 {
+					t.Fatalf("durable horizon after sync = %x, want %x", d, uint64(0x500000033))
+				}
+			},
+			wantSnap:  0x500000032,
+			wantState: "leader state",
+			wantTxns:  []string{"pulled"},
+			wantTip:   0x500000033,
+		},
+	}
+	for _, kind := range storeKinds {
+		for _, tc := range cases {
+			t.Run(kind.name+"/"+tc.name, func(t *testing.T) {
+				s := kind.open(t)
+				tc.prepare(t, s)
+				s = kind.reopen(t, s)
+
+				tail := s.Frames()
+				if got := txnsOf(tail); !slices.Equal(got, tc.wantTxns) {
+					t.Fatalf("recovered txns %v, want %v", got, tc.wantTxns)
+				}
+				data, snapZxid, hasSnap := s.Snapshot()
+				if (tc.wantSnap != 0) != hasSnap || snapZxid != tc.wantSnap || string(data) != tc.wantState {
+					t.Fatalf("snapshot = (%q, %x, %v), want (%q, %x)", data, snapZxid, hasSnap, tc.wantState, tc.wantSnap)
+				}
+				if epoch, vote := s.HardState(); epoch != tc.wantEpoch || vote != tc.wantVote {
+					t.Fatalf("hard state = (%d, %d), want (%d, %d)", epoch, vote, tc.wantEpoch, tc.wantVote)
+				}
+				if d := s.LastDurableZxid(); d != tc.wantTip {
+					t.Fatalf("durable horizon = %x, want %x", d, tc.wantTip)
+				}
+
+				// Frames hands the tail over: the caller owns the slice, and
+				// scribbling on it must not reach what the store recovers next.
+				for i := range tail {
+					tail[i] = frame(0xdead, "scribble")
+				}
+				// Whatever was recovered must remain appendable.
+				next := tc.wantTip + 1
+				if next == 1 {
+					next = 0x100000001
+				}
+				appendSynced(t, s, frame(next, "post-recovery"))
+				s = kind.reopen(t, s)
+				want := append(slices.Clone(tc.wantTxns), "post-recovery")
+				if got := txnsOf(s.Frames()); !slices.Equal(got, want) {
+					t.Fatalf("after a second restart recovered %v, want %v", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestRecovery is the table-driven sweep over the engine's on-disk
+// recovery edge cases: each case prepares a data directory, optionally
+// corrupts it, and states what Open must do — recover a precise state,
+// truncate a torn tail, or refuse to start. What every zab.Storage
+// must recover from an undamaged store is TestStorageContract's.
 func TestRecovery(t *testing.T) {
 	cases := []struct {
 		name string
 		// prepare writes engine state and returns nothing; corrupt
 		// mutates the files afterwards.
-		prepare   func(t *testing.T, dir string)
-		corrupt   func(t *testing.T, dir string)
-		wantErr   string   // non-empty: Open must fail and mention this
-		wantTxns  []string // recovered frame payloads, in order
-		wantSnap  uint64   // recovered snapshot zxid (0 = none)
-		wantEpoch uint64
+		prepare  func(t *testing.T, dir string)
+		corrupt  func(t *testing.T, dir string)
+		wantErr  string   // non-empty: Open must fail and mention this
+		wantTxns []string // recovered frame payloads, in order
 	}{
-		{
-			name:    "empty data dir",
-			prepare: func(t *testing.T, dir string) {},
-		},
-		{
-			name: "plain log",
-			prepare: func(t *testing.T, dir string) {
-				e := openT(t, dir)
-				appendSynced(t, e, frame(0x100000001, "a", "b"), frame(0x100000003, "c"))
-			},
-			wantTxns: []string{"a", "b", "c"},
-		},
-		{
-			name: "hard state survives",
-			prepare: func(t *testing.T, dir string) {
-				e := openT(t, dir)
-				if err := e.SaveHardState(7, 9); err != nil {
-					t.Fatal(err)
-				}
-			},
-			wantEpoch: 7,
-		},
 		{
 			name: "torn tail record is truncated",
 			prepare: func(t *testing.T, dir string) {
@@ -200,31 +341,6 @@ func TestRecovery(t *testing.T) {
 			wantErr: "past the log end",
 		},
 		{
-			name: "snapshot newer than log",
-			prepare: func(t *testing.T, dir string) {
-				e := openT(t, dir)
-				appendSynced(t, e, frame(0x100000001, "old-1"), frame(0x100000002, "old-2"))
-				if err := e.SaveSnapshot([]byte("state@5"), 0x100000005); err != nil {
-					t.Fatal(err)
-				}
-			},
-			wantSnap: 0x100000005,
-			// The log frames are all covered by the snapshot: none replay.
-		},
-		{
-			name: "snapshot plus log tail",
-			prepare: func(t *testing.T, dir string) {
-				e := openT(t, dir)
-				appendSynced(t, e, frame(0x100000001, "covered"))
-				if err := e.SaveSnapshot([]byte("state@1"), 0x100000001); err != nil {
-					t.Fatal(err)
-				}
-				appendSynced(t, e, frame(0x100000002, "tail-1"), frame(0x100000003, "tail-2"))
-			},
-			wantSnap: 0x100000001,
-			wantTxns: []string{"tail-1", "tail-2"},
-		},
-		{
 			name: "corrupt snapshot refuses startup",
 			prepare: func(t *testing.T, dir string) {
 				e := openT(t, dir)
@@ -244,19 +360,6 @@ func TestRecovery(t *testing.T) {
 				}
 			},
 			wantErr: "snapshot",
-		},
-		{
-			name: "install snapshot resets divergent log",
-			prepare: func(t *testing.T, dir string) {
-				e := openT(t, dir)
-				appendSynced(t, e, frame(0x100000001, "divergent-1"), frame(0x100000002, "divergent-2"))
-				if err := e.InstallSnapshot([]byte("leader state"), 0x200000003); err != nil {
-					t.Fatal(err)
-				}
-				appendSynced(t, e, frame(0x200000004, "fresh"))
-			},
-			wantSnap: 0x200000003,
-			wantTxns: []string{"fresh"},
 		},
 	}
 	for _, tc := range cases {
@@ -282,21 +385,13 @@ func TestRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer e.Close()
-			got := txnsOf(e.Frames())
-			if len(got) != len(tc.wantTxns) {
+			if got := txnsOf(e.Frames()); !slices.Equal(got, tc.wantTxns) {
 				t.Fatalf("recovered txns %v, want %v", got, tc.wantTxns)
 			}
-			for i := range got {
-				if got[i] != tc.wantTxns[i] {
-					t.Fatalf("recovered txns %v, want %v", got, tc.wantTxns)
-				}
-			}
-			_, snapZxid, hasSnap := e.Snapshot()
-			if (tc.wantSnap != 0) != hasSnap || snapZxid != tc.wantSnap {
-				t.Fatalf("snapshot = (%x, %v), want %x", snapZxid, hasSnap, tc.wantSnap)
-			}
-			if epoch, _ := e.HardState(); epoch != tc.wantEpoch {
-				t.Fatalf("epoch = %d, want %d", epoch, tc.wantEpoch)
+			// The engine's Frames is single-shot: the tail is handed over
+			// and released, not pinned for the engine's lifetime.
+			if again := e.Frames(); len(again) != 0 {
+				t.Fatalf("second Frames call returned %d frames, want the tail released", len(again))
 			}
 			// Whatever was recovered must remain appendable.
 			next := e.LastDurableZxid() + 1
@@ -305,23 +400,6 @@ func TestRecovery(t *testing.T) {
 			}
 			appendSynced(t, e, frame(next, "post-recovery"))
 		})
-	}
-}
-
-// TestSnapshotContentRoundtrip pins that recovered snapshot bytes are
-// exactly what was saved.
-func TestSnapshotContentRoundtrip(t *testing.T) {
-	dir := t.TempDir()
-	e := openT(t, dir)
-	want := []byte("the full serialized tree")
-	if err := e.SaveSnapshot(want, 0x100000007); err != nil {
-		t.Fatal(err)
-	}
-	e.Close()
-	e2 := openT(t, dir)
-	data, zxid, ok := e2.Snapshot()
-	if !ok || zxid != 0x100000007 || string(data) != string(want) {
-		t.Fatalf("recovered snapshot (%q, %x, %v)", data, zxid, ok)
 	}
 }
 
@@ -423,37 +501,16 @@ func TestGroupSyncRiders(t *testing.T) {
 	}
 }
 
-// TestSyncEveryRelaxed: with SyncEvery=N the durable horizon still
-// advances on every Sync (the ablation trades real durability for
-// throughput, not liveness).
-func TestSyncEveryRelaxed(t *testing.T) {
-	dir := t.TempDir()
-	e := openT(t, dir, func(o *Options) { o.SyncEvery = 8 })
-	for i := 0; i < 20; i++ {
-		z := 0x100000001 + uint64(i)
-		appendSynced(t, e, frame(z, "r"))
-		if d := e.LastDurableZxid(); d != z {
-			t.Fatalf("relaxed durable horizon %x, want %x", d, z)
-		}
-	}
-}
-
-// TestInstallSnapshotResetsDurableHorizon: installing a snapshot
-// BELOW the current append horizon (a divergent tail being discarded)
-// must pull lastAppended/lastDurable down to exactly the snapshot —
-// a stale-high horizon would make the next Sync a no-op and let
-// never-fsynced pulled frames be acknowledged.
-func TestInstallSnapshotResetsDurableHorizon(t *testing.T) {
-	dir := t.TempDir()
-	e := openT(t, dir)
+// TestAppendAloneIsNotDurable is the engine's half of the
+// install-snapshot row in TestStorageContract: once the horizon has
+// been pulled down to the installed snapshot, a pulled frame must need
+// (and get) a real sync — Append on its own never moves the horizon.
+func TestAppendAloneIsNotDurable(t *testing.T) {
+	e := openT(t, t.TempDir())
 	appendSynced(t, e, frame(0x500000064, "divergent"))
 	if err := e.InstallSnapshot([]byte("s"), 0x500000032); err != nil {
 		t.Fatal(err)
 	}
-	if d := e.LastDurableZxid(); d != 0x500000032 {
-		t.Fatalf("durable horizon after install = %x, want %x", d, uint64(0x500000032))
-	}
-	// A pulled tail past the snapshot must need (and get) a real sync.
 	if err := e.Append([]zab.Frame{frame(0x500000033, "pulled")}); err != nil {
 		t.Fatal(err)
 	}

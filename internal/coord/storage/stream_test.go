@@ -111,11 +111,11 @@ func TestBlobAndStreamSnapshotFilesIdentical(t *testing.T) {
 	if err := es.SaveSnapshotFrom(bytes.NewReader(body), 42); err != nil {
 		t.Fatal(err)
 	}
-	fb, err := readSnapshot(eb.snapPath(42), 42)
+	fb, err := os.ReadFile(eb.snapPath(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := readSnapshot(es.snapPath(42), 42)
+	fs, err := os.ReadFile(es.snapPath(42))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,8 @@ import "sync"
 // watchDispatcher takes watch firing off the apply critical path: the
 // state machine's notify callback only appends to a FIFO here, and a
 // dedicated goroutine delivers the events to the watch table. Arrival
-// order is preserved end to end — the apply side flushes notifications
-// in commit order, the queue is drained in order by one consumer — so
+// order is preserved end to end — the apply side notifies in commit
+// order, the queue is drained in order by one consumer — so
 // sessions still observe their events in commit order; the apply loop
 // just no longer waits for watch-table locks or parked-poll wakeups.
 type watchDispatcher struct {
@@ -20,6 +20,14 @@ type watchDispatcher struct {
 	processed uint64
 	closed    bool
 	wg        sync.WaitGroup
+}
+
+// notifyRec is one queued state-machine notification.
+type notifyRec struct {
+	op      uint8
+	path    string
+	session uint64
+	ok      bool
 }
 
 func newWatchDispatcher(watches *watchTable) *watchDispatcher {

@@ -31,7 +31,7 @@ func TestLeaderKillsPreserveAckedTxns(t *testing.T) {
 			e.peers[uint64(i)] = fmt.Sprintf("scr%d-%d", round, i)
 		}
 		for i := 1; i <= 5; i++ {
-			e.startNode(t, uint64(i), nil, 0)
+			e.startNode(t, uint64(i), new(MemStorage))
 		}
 
 		var mu sync.Mutex

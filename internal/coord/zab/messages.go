@@ -17,27 +17,7 @@ const (
 	msgObserverPoll
 )
 
-// entry is one replicated log record: a group-commit FRAME holding one
-// or more transactions. Zxid is the zxid of the FIRST transaction;
-// transaction i carries zxid Zxid+i, so every transaction keeps its
-// own identity while the frame replicates, commits and recovers as a
-// single unit (all-or-nothing). Txn bytes are opaque to this package;
-// Noop entries are leader barriers that never reach the state machine.
-type entry struct {
-	Zxid uint64
-	Noop bool
-	Txns [][]byte
-}
-
-// last returns the zxid of the frame's final transaction.
-func (e entry) last() uint64 {
-	if n := len(e.Txns); n > 1 {
-		return e.Zxid + uint64(n-1)
-	}
-	return e.Zxid
-}
-
-func encodeEntry(w *wire.Writer, e entry) {
+func encodeEntry(w *wire.Writer, e Frame) {
 	w.Uint64(e.Zxid)
 	w.Bool(e.Noop)
 	w.Uint32(uint32(len(e.Txns)))
@@ -46,8 +26,8 @@ func encodeEntry(w *wire.Writer, e entry) {
 	}
 }
 
-func decodeEntry(r *wire.Reader) entry {
-	e := entry{
+func decodeEntry(r *wire.Reader) Frame {
+	e := Frame{
 		Zxid: r.Uint64(),
 		Noop: r.Bool(),
 	}
@@ -76,7 +56,7 @@ type proposeReq struct {
 	Epoch    uint64
 	LeaderID uint64
 	PrevZxid uint64
-	Entries  []entry
+	Entries  []Frame
 	Commit   uint64 // leader's commit zxid, piggybacked
 }
 
@@ -115,7 +95,7 @@ func decodeProposeReq(r *wire.Reader) proposeReq {
 		r.Fail(fmt.Errorf("zab: propose claims %d entries in %d bytes", n, r.Remaining()))
 		return m
 	}
-	m.Entries = make([]entry, 0, n)
+	m.Entries = make([]Frame, 0, n)
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		m.Entries = append(m.Entries, decodeEntry(r))
 	}
@@ -262,7 +242,7 @@ type syncResp struct {
 	HasSnapshot bool
 	SnapZxid    uint64
 	Snapshot    []byte
-	Entries     []entry
+	Entries     []Frame
 	Commit      uint64
 	Epoch       uint64
 	LeaderID    uint64
@@ -298,7 +278,7 @@ func decodeSyncResp(b []byte) (syncResp, error) {
 	if int(n) > r.Remaining()/13 {
 		return m, fmt.Errorf("zab: sync response claims %d entries in %d bytes", n, r.Remaining())
 	}
-	m.Entries = make([]entry, 0, n)
+	m.Entries = make([]Frame, 0, n)
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		m.Entries = append(m.Entries, decodeEntry(r))
 	}
@@ -340,7 +320,7 @@ type observerPollResp struct {
 	HasSnapshot bool
 	SnapZxid    uint64
 	Snapshot    []byte
-	Entries     []entry
+	Entries     []Frame
 	Commit      uint64
 	Epoch       uint64
 	LeaderID    uint64
@@ -378,7 +358,7 @@ func decodeObserverPollResp(b []byte) (observerPollResp, error) {
 	if int(n) > r.Remaining()/13 {
 		return m, fmt.Errorf("zab: observer poll response claims %d entries in %d bytes", n, r.Remaining())
 	}
-	m.Entries = make([]entry, 0, n)
+	m.Entries = make([]Frame, 0, n)
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		m.Entries = append(m.Entries, decodeEntry(r))
 	}

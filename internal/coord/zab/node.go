@@ -15,9 +15,9 @@
 // a one-transaction-per-quorum-round-trip lockstep:
 //
 //   - Client proposals land in a queue. A proposer goroutine drains
-//     it and coalesces the pending transactions into one FRAME (an
-//     entry holding up to MaxBatchTxns transactions / MaxBatchBytes
-//     bytes) that replicates, commits and recovers as a single unit.
+//     it and coalesces the pending transactions into one FRAME (up to
+//     MaxBatchTxns transactions / maxBatchBytes bytes) that
+//     replicates, commits and recovers as a single unit.
 //   - One sender goroutine per follower streams frames with a
 //     cumulative-ack protocol: each round trip carries every frame
 //     that queued up behind the previous one, so the leader keeps
@@ -34,15 +34,16 @@
 //   - Leader election is a Raft-style vote (epoch + last-zxid
 //     up-to-dateness check) rather than ZooKeeper's fast leader
 //     election; the elected-leader safety property is the same.
-//   - Durability is pluggable: without a Storage the log lives purely
-//     in memory (acknowledgement = quorum replication, the original
-//     model); with one (internal/coord/storage) every frame is
-//     persisted and fsynced before it is acknowledged — follower acks
-//     sync their window first, the leader's own quorum vote is capped
-//     at its durable horizon by a group-fsync loop — votes survive
-//     restart, and NewNode recovers from the newest fuzzy snapshot
-//     plus the log tail, giving ZooKeeper's §IV-I guarantee that the
-//     service "can tolerate the failure of all servers".
+//   - Every node runs on a Storage: each frame is persisted and synced
+//     before it is acknowledged — follower acks sync their window
+//     first, the leader's own quorum vote is capped at its durable
+//     horizon by a group-sync loop — votes survive restart, and
+//     NewNode recovers from the newest fuzzy snapshot plus the log
+//     tail. What that survives is the store's choice: the default
+//     MemStorage keeps it on the heap (acknowledgement = quorum
+//     replication); internal/coord/storage puts it on disk, giving
+//     ZooKeeper's §IV-I guarantee that the service "can tolerate the
+//     failure of all servers".
 package zab
 
 import (
@@ -75,7 +76,7 @@ type StateMachine interface {
 	Restore(snap []byte, snapZxid uint64) error
 }
 
-// BatchStateMachine is an optional StateMachine extension: a state
+// BatchStateMachine is a StateMachine extension: a state
 // machine that can apply a whole group-commit frame in one call —
 // transaction i of txns carries zxid firstZxid+i — returning one
 // result per transaction. Implementations can amortize per-apply
@@ -89,11 +90,11 @@ type BatchStateMachine interface {
 	ApplyBatch(txns [][]byte, firstZxid uint64) [][]byte
 }
 
-// StreamingStateMachine is an optional StateMachine extension: a state
-// machine whose snapshots move as streams, so checkpointing never
-// materializes the full serialized state in memory. Paired with a
-// StreamStorage it gives the node O(chunk) snapshot memory end to end;
-// the blob methods must stay byte-compatible with the streamed form.
+// StreamingStateMachine is a StateMachine extension: a state machine
+// whose snapshots move as streams, so snapshotting never materializes
+// the full serialized state in memory. Paired with a StreamStorage it
+// gives the node O(chunk) snapshot memory end to end; the blob methods
+// must stay byte-compatible with the streamed form.
 type StreamingStateMachine interface {
 	StateMachine
 	// SnapshotTo serializes the full state at the current applied point
@@ -104,6 +105,49 @@ type StreamingStateMachine interface {
 	// validating stream reports corruption) and must leave the state
 	// untouched on error.
 	RestoreFrom(r io.Reader, snapZxid uint64) error
+}
+
+// machine is the state-machine contract the node and observer bodies
+// run against: batch apply plus both snapshot forms. liftMachine
+// resolves it once, at construction.
+type machine interface {
+	BatchStateMachine
+	StreamingStateMachine
+}
+
+// liftMachine returns sm itself when it already applies batches and
+// streams snapshots, and otherwise derives those from the three plain
+// methods.
+func liftMachine(sm StateMachine) machine {
+	if m, ok := sm.(machine); ok {
+		return m
+	}
+	return plainMachine{sm}
+}
+
+// plainMachine gives a three-method StateMachine the batch and stream
+// forms: N ordered Apply calls, and snapshots buffered whole.
+type plainMachine struct{ StateMachine }
+
+func (p plainMachine) ApplyBatch(txns [][]byte, firstZxid uint64) [][]byte {
+	results := make([][]byte, len(txns))
+	for i, txn := range txns {
+		results[i] = p.Apply(txn, firstZxid+uint64(i))
+	}
+	return results
+}
+
+func (p plainMachine) SnapshotTo(w io.Writer) error {
+	_, err := w.Write(p.Snapshot())
+	return err
+}
+
+func (p plainMachine) RestoreFrom(r io.Reader, snapZxid uint64) error {
+	snap, err := io.ReadAll(r)
+	if err != nil {
+		return err
+	}
+	return p.Restore(snap, snapZxid)
 }
 
 // Config describes one ensemble member.
@@ -131,21 +175,11 @@ type Config struct {
 	// into one group-commit frame. 1 disables batching (every
 	// transaction is its own frame). Defaults to 128.
 	MaxBatchTxns int
-	// MaxBatchBytes bounds a frame's total transaction payload.
-	// Defaults to 1 MiB.
-	MaxBatchBytes int
 	// MaxInflightFrames bounds how many proposed-but-uncommitted
 	// frames the leader keeps in flight (the pipelining window). 1
 	// reduces the pipeline to the lockstep propose→commit cycle.
 	// Defaults to 16.
 	MaxInflightFrames int
-	// MaxApplyQueueFrames bounds the commit→apply queue: how many
-	// committed frames may sit between the commit horizon and the
-	// apply loop before the leader's proposer stops admitting new
-	// frames (backpressure, so a slow state machine cannot grow the
-	// log without bound). Followers cap their queue at the same bound
-	// and pull the remainder as the apply loop drains. Defaults to 256.
-	MaxApplyQueueFrames int
 	// MaxClockSkew bounds the clock drift assumed between ensemble
 	// members for the leader read lease: a quorum of heartbeat acks
 	// gathered at time T lets the leader serve lease reads until
@@ -163,16 +197,8 @@ type Config struct {
 	// the batch-size distribution ("zab.proposer.batch_txns") and the
 	// observer-feed gauges ("zab.observer.{count,lag_txns,lag_ms}").
 	Metrics *metrics.Registry
-	// InitialSnapshot, when non-nil, primes the node from a durable
-	// checkpoint: the state machine is restored before Start and the
-	// log begins at InitialZxid. Deprecated in favour of Storage; it
-	// is ignored when Storage holds any recovered state.
-	InitialSnapshot []byte
-	InitialZxid     uint64
-	// Storage, when non-nil, makes the node durable: frames are
-	// persisted and fsynced before acknowledgement, votes and epochs
-	// survive restart, and NewNode recovers from the newest snapshot
-	// plus the log tail. Nil keeps the original in-memory behaviour.
+	// Storage is where the node keeps its log, votes and snapshots, and
+	// what NewNode recovers from. Nil means a fresh MemStorage.
 	Storage Storage
 }
 
@@ -214,6 +240,17 @@ func putProposeTimer(t *time.Timer) {
 	proposeTimers.Put(t)
 }
 
+// maxBatchBytes bounds a frame's total transaction payload.
+const maxBatchBytes = 1 << 20
+
+// maxApplyQueueFrames bounds the commit→apply queue: how many committed
+// frames may sit between the commit horizon and the apply loop before
+// the leader's proposer stops admitting new frames (backpressure, so a
+// slow state machine cannot grow the log without bound). Followers cap
+// their queue at the same bound and pull the remainder as the apply
+// loop drains.
+const maxApplyQueueFrames = 256
+
 // maxFramesPerSend bounds how many frames one sender RPC carries; a
 // follower further behind than this catches up over several round
 // trips (or via the sync protocol once its position leaves the log).
@@ -235,8 +272,8 @@ type proposeOutcome struct {
 // Node is one member of the replicated ensemble.
 type Node struct {
 	cfg Config
-	sm  StateMachine
-	bsm BatchStateMachine // non-nil when sm supports batch apply
+	sm  machine
+	st  StreamStorage
 	rng *rand.Rand
 
 	mu           sync.Mutex
@@ -244,7 +281,7 @@ type Node struct {
 	epoch        uint64
 	grantedEpoch uint64 // highest epoch we granted a vote for
 	leaderID     uint64 // 0 when unknown
-	log          []entry
+	log          []Frame
 	snapZxid     uint64 // zxid covered by the latest state snapshot
 	commitZxid   uint64
 	lastApplied  uint64
@@ -262,11 +299,14 @@ type Node struct {
 	// batchScratch is drainBatchLocked's reusable output buffer,
 	// consumed within one proposer iteration under mu.
 	batchScratch []*pendingTxn
-	waiters      map[uint64]*pendingTxn // txn zxid -> waiter (leader only)
-	match        map[uint64]uint64      // peer -> cumulative acked zxid
-	stallSince   time.Time              // commit horizon stuck since
-	leaderCond   *sync.Cond             // work/window/role changes
-	tipsScratch  []uint64               // quorum-sort scratch, under mu
+	// appendScratch carries the proposer's one new frame to
+	// Storage.Append (which must not retain the slice), under mu.
+	appendScratch [1]Frame
+	waiters       map[uint64]*pendingTxn // txn zxid -> waiter (leader only)
+	match         map[uint64]uint64      // peer -> cumulative acked zxid
+	stallSince    time.Time              // commit horizon stuck since
+	leaderCond    *sync.Cond             // work/window/role changes
+	tipsScratch   []uint64               // quorum-sort scratch, under mu
 
 	// applyWaiters are follower-side (and forwarded-write) waits for
 	// the local state machine to reach a zxid; each registered channel
@@ -274,24 +314,24 @@ type Node struct {
 	applyWaiters map[uint64][]chan struct{}
 
 	// Commit→apply pipeline state. Committed frames are enqueued on
-	// applyQ (bounded by cfg.MaxApplyQueueFrames) and drained by the
+	// applyQ (bounded by maxApplyQueueFrames) and drained by the
 	// applyLoop goroutine, which runs the state machine outside mu.
 	//
 	// applyMu is the state-machine transition lock: it serializes
 	// applyLoop batches against snapshot installs (syncFromLeader),
-	// snapshot serialization (snapshotLoop, handleSync, Checkpoint,
+	// snapshot serialization (snapshotLoop, handleSync,
 	// handleObserverPoll). The global lock order is applyMu BEFORE mu —
 	// never acquire applyMu while holding mu. While applyMu is held,
 	// lastApplied can only be advanced by the holder.
 	applyMu       sync.Mutex
-	applyQ        []entry
+	applyQ        []Frame
 	applyCond     *sync.Cond // signalled when applyQ gains work or on stop
 	applyEnqueued uint64     // highest zxid moved from log to applyQ
 	applyLagTxns  int        // committed txns not yet applied (gauge feed)
 	applyGen      uint64     // bumped on snapshot install; applyLoop discards stale drains
 
-	// Durable-storage state (cfg.Storage != nil): the coverage of the
-	// newest durable snapshot — in-memory truncation may not outrun it,
+	// Durable-storage state: the coverage of the newest durable
+	// snapshot — in-memory truncation may not outrun it,
 	// because recovery is that snapshot plus the log tail — and the
 	// kick channel for the background fuzzy snapshotter.
 	durableSnapZxid uint64
@@ -345,14 +385,8 @@ func NewNode(cfg Config, sm StateMachine) (*Node, error) {
 	if cfg.MaxBatchTxns <= 0 {
 		cfg.MaxBatchTxns = 128
 	}
-	if cfg.MaxBatchBytes <= 0 {
-		cfg.MaxBatchBytes = 1 << 20
-	}
 	if cfg.MaxInflightFrames <= 0 {
 		cfg.MaxInflightFrames = 16
-	}
-	if cfg.MaxApplyQueueFrames <= 0 {
-		cfg.MaxApplyQueueFrames = 256
 	}
 	if cfg.MaxClockSkew <= 0 {
 		cfg.MaxClockSkew = cfg.ElectionTimeout / 10
@@ -365,7 +399,8 @@ func NewNode(cfg Config, sm StateMachine) (*Node, error) {
 	}
 	n := &Node{
 		cfg:          cfg,
-		sm:           sm,
+		sm:           liftMachine(sm),
+		st:           liftStorage(cfg.Storage),
 		rng:          rand.New(rand.NewSource(int64(cfg.ID))),
 		conns:        make(map[uint64]transport.Conn),
 		stopCh:       make(chan struct{}),
@@ -383,7 +418,6 @@ func NewNode(cfg Config, sm StateMachine) (*Node, error) {
 		gApplyLag:    cfg.Metrics.Gauge("zab.apply.lag"),
 		gApplyQueue:  cfg.Metrics.Gauge("zab.apply.queue_depth"),
 	}
-	n.bsm, _ = sm.(BatchStateMachine)
 	n.leaderCond = sync.NewCond(&n.mu)
 	n.applyCond = sync.NewCond(&n.mu)
 	n.snapReq = make(chan struct{}, 1)
@@ -395,85 +429,31 @@ func NewNode(cfg Config, sm StateMachine) (*Node, error) {
 	return n, nil
 }
 
-// recoverFromStorage primes the node from its durable store — newest
-// snapshot, log tail, persisted vote — falling back to the deprecated
-// InitialSnapshot checkpoint when the store is absent or empty.
+// recoverFromStorage primes the node from its store: persisted vote,
+// newest snapshot (streamed straight into the state machine), log tail.
 func (n *Node) recoverFromStorage() error {
-	st := n.cfg.Storage
-	var frames []Frame
-	recovered := false
-	if st != nil {
-		epoch, granted := st.HardState()
-		frames = st.Frames()
-		n.epoch, n.grantedEpoch = epoch, granted
-		z, restored, err := n.restoreSnapshotFromStorage(st)
-		if err != nil {
-			return err
-		}
-		if restored {
-			recovered = true
-			n.snapZxid = z
-			n.commitZxid = z
-			n.lastApplied = z
-			n.durableSnapZxid = z
-			if e := epochOf(z); e > n.epoch {
-				n.epoch = e
-			}
-		}
-		recovered = recovered || len(frames) > 0 || epoch != 0 || granted != 0
-	}
-	if !recovered && n.cfg.InitialSnapshot != nil {
-		if err := n.sm.Restore(n.cfg.InitialSnapshot, n.cfg.InitialZxid); err != nil {
-			return fmt.Errorf("zab: restoring initial snapshot: %w", err)
-		}
-		n.snapZxid = n.cfg.InitialZxid
-		n.commitZxid = n.cfg.InitialZxid
-		n.lastApplied = n.cfg.InitialZxid
-		n.epoch = epochOf(n.cfg.InitialZxid)
-	}
-	// Replay the durable log tail: the frames sit uncommitted until a
-	// quorum re-forms — an elected leader's epoch barrier commits them
-	// transitively, exactly as an inherited in-memory tail would.
-	for _, f := range frames {
-		n.log = append(n.log, entry{Zxid: f.Zxid, Noop: f.Noop, Txns: f.Txns})
-	}
-	if len(n.log) > 0 {
-		if e := epochOf(n.log[len(n.log)-1].last()); e > n.epoch {
-			n.epoch = e
-		}
-	}
-	return nil
-}
-
-// restoreSnapshotFromStorage loads the store's newest snapshot into the
-// state machine, streaming when both sides support it (the snapshot is
-// decoded straight off disk, O(chunk) memory) and falling back to the
-// blob interface otherwise.
-func (n *Node) restoreSnapshotFromStorage(st Storage) (zxid uint64, restored bool, err error) {
-	ss, stStream := st.(StreamStorage)
-	sms, smStream := n.sm.(StreamingStateMachine)
-	if stStream && smStream {
-		rc, z, ok := ss.SnapshotStream()
-		if !ok {
-			return 0, false, nil
-		}
-		err := sms.RestoreFrom(rc, z)
+	n.epoch, n.grantedEpoch = n.st.HardState()
+	if rc, z, ok := n.st.SnapshotStream(); ok {
+		err := n.sm.RestoreFrom(rc, z)
 		if cerr := rc.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			return 0, false, fmt.Errorf("zab: restoring durable snapshot: %w", err)
+			return fmt.Errorf("zab: restoring durable snapshot: %w", err)
 		}
-		return z, true, nil
+		n.snapZxid = z
+		n.commitZxid = z
+		n.lastApplied = z
+		n.durableSnapZxid = z
 	}
-	snap, z, ok := st.Snapshot()
-	if !ok {
-		return 0, false, nil
+	// The recovered tail sits uncommitted until a quorum re-forms — an
+	// elected leader's epoch barrier commits it transitively, exactly as
+	// an inherited in-memory tail would.
+	n.log = n.st.Frames()
+	if e := epochOf(n.lastZxidLocked()); e > n.epoch {
+		n.epoch = e
 	}
-	if err := n.sm.Restore(snap, z); err != nil {
-		return 0, false, fmt.Errorf("zab: restoring durable snapshot: %w", err)
-	}
-	return z, true, nil
+	return nil
 }
 
 func makeZxid(epoch uint64, seq uint32) uint64 { return epoch<<32 | uint64(seq) }
@@ -487,14 +467,11 @@ func (n *Node) Start() error {
 		return fmt.Errorf("zab: node %d: %w", n.cfg.ID, err)
 	}
 	n.listener = ln
-	n.wg.Add(3)
+	n.wg.Add(4)
 	go n.electionLoop()
 	go n.heartbeatLoop()
 	go n.applyLoop()
-	if n.cfg.Storage != nil {
-		n.wg.Add(1)
-		go n.snapshotLoop()
-	}
+	go n.snapshotLoop()
 	return nil
 }
 
@@ -593,24 +570,11 @@ func (n *Node) DebugString() string {
 		n.syncing, n.stopped, time.Since(n.lastContact).Round(time.Millisecond), n.electionDue)
 }
 
-// Checkpoint returns a durable snapshot of the applied state and the
-// zxid it covers, for the disk persistence layered above this package.
-// applyMu freezes the apply pipeline so the serialized state and the
-// reported zxid describe the same cut.
-func (n *Node) Checkpoint() (snap []byte, zxid uint64) {
-	n.applyMu.Lock()
-	defer n.applyMu.Unlock()
-	n.mu.Lock()
-	zxid = n.lastApplied
-	n.mu.Unlock()
-	return n.sm.Snapshot(), zxid
-}
-
 func (n *Node) lastZxidLocked() uint64 {
 	if len(n.log) == 0 {
 		return n.snapZxid
 	}
-	return n.log[len(n.log)-1].last()
+	return n.log[len(n.log)-1].Last()
 }
 
 func (n *Node) quorum() int { return len(n.cfg.Peers)/2 + 1 }
@@ -754,15 +718,15 @@ func (n *Node) adoptEpochLocked(epoch, leaderID uint64) {
 // asks to sync. The ack carries the follower's tip as a CUMULATIVE
 // acknowledgement: equal zxids imply equal logs (one leader per epoch,
 // one entry per zxid), so the leader may trust it as this follower's
-// replicated horizon. On a durable node the ack is additionally a
-// durability promise, so the whole window is fsynced — one sync per
-// window, amortizing every frame and transaction it carried — before
-// the ack is returned; the fsync happens outside the node mutex so
-// applies and reads proceed meanwhile.
+// replicated horizon. The ack is also a durability promise, so the
+// whole window is synced — one sync per window, amortizing every frame
+// and transaction it carried — before the ack is returned; the sync
+// happens outside the node mutex so applies and reads proceed
+// meanwhile.
 func (n *Node) handlePropose(m proposeReq) proposeResp {
 	resp, appended := n.handleProposeLocked(m)
-	if appended && resp.Ack && n.cfg.Storage != nil {
-		if err := n.cfg.Storage.Sync(); err != nil {
+	if appended && resp.Ack {
+		if err := n.st.Sync(); err != nil {
 			// Not durable: withhold both the ack and the sync request —
 			// a node whose disk is failing should fall out of the quorum,
 			// not churn the leader.
@@ -781,11 +745,11 @@ func (n *Node) handleProposeLocked(m proposeReq) (proposeResp, bool) {
 	n.adoptEpochLocked(m.Epoch, m.LeaderID)
 	prev := m.PrevZxid
 	tip := n.lastZxidLocked()
-	var novel []entry
+	var novel []Frame
 	for _, e := range m.Entries {
-		if e.last() <= tip {
+		if e.Last() <= tip {
 			// Already held (an overlap from a retransmitted window).
-			prev = e.last()
+			prev = e.Last()
 			continue
 		}
 		if prev != tip {
@@ -793,7 +757,7 @@ func (n *Node) handleProposeLocked(m proposeReq) (proposeResp, bool) {
 			return proposeResp{NeedSync: true, Epoch: n.epoch, LastZxid: n.lastZxidLocked()}, false
 		}
 		novel = append(novel, e)
-		tip = e.last()
+		tip = e.Last()
 		prev = tip
 	}
 	if len(m.Entries) == 0 && prev != tip {
@@ -805,26 +769,13 @@ func (n *Node) handleProposeLocked(m proposeReq) (proposeResp, bool) {
 		// Persist before extending the in-memory log, so the tip this
 		// node exposes (acks, votes) never exceeds what a restart could
 		// reconstruct once the trailing Sync lands.
-		if err := n.appendStorageLocked(novel); err != nil {
+		if err := n.st.Append(novel); err != nil {
 			return proposeResp{Epoch: n.epoch, LastZxid: n.lastZxidLocked()}, false
 		}
 		n.log = append(n.log, novel...)
 	}
 	n.advanceCommitLocked(m.Commit)
 	return proposeResp{Ack: true, Epoch: n.epoch, LastZxid: n.lastZxidLocked()}, len(novel) > 0
-}
-
-// appendStorageLocked writes frames to the durable log (no-op without
-// storage). Durability is deferred to the caller's Sync.
-func (n *Node) appendStorageLocked(entries []entry) error {
-	if n.cfg.Storage == nil {
-		return nil
-	}
-	frames := make([]Frame, len(entries))
-	for i, e := range entries {
-		frames[i] = Frame{Zxid: e.Zxid, Noop: e.Noop, Txns: e.Txns}
-	}
-	return n.cfg.Storage.Append(frames)
 }
 
 func (n *Node) handleCommit(epoch, zxid uint64) {
@@ -882,10 +833,8 @@ func (n *Node) handleRequestVote(m requestVoteReq) requestVoteResp {
 	// The vote must be durable before it is granted: a node that
 	// forgets a grant across a crash could vote twice in one epoch and
 	// elect two leaders.
-	if n.cfg.Storage != nil {
-		if err := n.cfg.Storage.SaveHardState(m.Epoch, m.Epoch); err != nil {
-			return requestVoteResp{Epoch: n.epoch}
-		}
+	if err := n.st.SaveHardState(m.Epoch, m.Epoch); err != nil {
+		return requestVoteResp{Epoch: n.epoch}
 	}
 	n.grantedEpoch = m.Epoch
 	n.epoch = m.Epoch
@@ -919,18 +868,17 @@ func (n *Node) advanceCommitLocked(commit uint64) {
 // in the log and the apply loop pulls it after draining (and the
 // proposer stops admitting new frames until then).
 func (n *Node) enqueueCommittedLocked() {
-	max := n.cfg.MaxApplyQueueFrames
-	if len(n.applyQ) >= max {
+	if len(n.applyQ) >= maxApplyQueueFrames {
 		return
 	}
 	i := sort.Search(len(n.log), func(i int) bool { return n.log[i].Zxid > n.applyEnqueued })
-	for ; i < len(n.log) && len(n.applyQ) < max; i++ {
+	for ; i < len(n.log) && len(n.applyQ) < maxApplyQueueFrames; i++ {
 		e := n.log[i]
-		if e.last() > n.commitZxid {
+		if e.Last() > n.commitZxid {
 			break
 		}
 		n.applyQ = append(n.applyQ, e)
-		n.applyEnqueued = e.last()
+		n.applyEnqueued = e.Last()
 		if e.Noop {
 			n.applyLagTxns++
 		} else {
@@ -957,7 +905,7 @@ const maxApplyRunTxns = 256
 // truncation all live here now.
 func (n *Node) applyLoop() {
 	defer n.wg.Done()
-	var frames []entry  // drained applyQ, reused across iterations
+	var frames []Frame  // drained applyQ, reused across iterations
 	var merged [][]byte // cross-frame coalescing scratch
 	for {
 		n.mu.Lock()
@@ -1005,7 +953,7 @@ func (n *Node) applyLoop() {
 			txns := e.Txns
 			total := len(e.Txns)
 			for j < len(frames) && !frames[j].Noop &&
-				frames[j].Zxid == frames[j-1].last()+1 &&
+				frames[j].Zxid == frames[j-1].Last()+1 &&
 				total+len(frames[j].Txns) <= maxApplyRunTxns {
 				total += len(frames[j].Txns)
 				j++
@@ -1017,20 +965,12 @@ func (n *Node) applyLoop() {
 				}
 				txns = merged
 			}
-			var results [][]byte
-			if n.bsm != nil {
-				results = n.bsm.ApplyBatch(txns, e.Zxid)
-			} else {
-				results = make([][]byte, len(txns))
-				for k, txn := range txns {
-					results[k] = n.sm.Apply(txn, e.Zxid+uint64(k))
-				}
-			}
+			results := n.sm.ApplyBatch(txns, e.Zxid)
 			n.mu.Lock()
 			off := 0
 			for k := i; k < j; k++ {
 				f := frames[k]
-				n.lastApplied = f.last()
+				n.lastApplied = f.Last()
 				for t := range f.Txns {
 					var res []byte
 					if off+t < len(results) {
@@ -1095,32 +1035,30 @@ func (n *Node) wakeAppliedLocked() {
 // slightly-lagging followers can still catch up from the log instead
 // of a full snapshot (which handleSync regenerates on demand).
 //
-// On a durable node the cut is additionally bounded by SNAPSHOT
-// COVERAGE, not the bare entry count: recovery is the newest durable
-// snapshot plus the log tail, so an in-memory frame may only be
-// dropped once a durable snapshot covers it (the same snapshot then
-// lets the storage engine reclaim the WAL segments behind it). When
-// coverage lags, the background fuzzy snapshotter is kicked and the
-// log is allowed to run past its bound until the snapshot lands.
+// The cut is additionally bounded by SNAPSHOT COVERAGE, not the bare
+// entry count: recovery is the newest durable snapshot plus the log
+// tail, so an in-memory frame may only be dropped once a durable
+// snapshot covers it (the same snapshot then lets the store reclaim
+// the log behind it). When coverage lags, the background fuzzy
+// snapshotter is kicked and the log is allowed to run past its bound
+// until the snapshot lands.
 func (n *Node) maybeTruncateLocked() {
 	if len(n.log) <= n.cfg.MaxLogEntries {
 		return
 	}
 	const margin = 64
 	cut := sort.Search(len(n.log), func(i int) bool { return n.log[i].Zxid > n.lastApplied })
-	if n.cfg.Storage != nil {
-		n.requestSnapshotLocked()
-		covered := sort.Search(len(n.log), func(i int) bool { return n.log[i].last() > n.durableSnapZxid })
-		if covered < cut {
-			cut = covered
-		}
+	n.requestSnapshotLocked()
+	covered := sort.Search(len(n.log), func(i int) bool { return n.log[i].Last() > n.durableSnapZxid })
+	if covered < cut {
+		cut = covered
 	}
 	if cut <= margin {
 		return
 	}
 	cut -= margin
-	n.snapZxid = n.log[cut-1].last()
-	n.log = append([]entry(nil), n.log[cut:]...)
+	n.snapZxid = n.log[cut-1].Last()
+	n.log = append([]Frame(nil), n.log[cut:]...)
 }
 
 // triggerSyncLocked schedules a pull-based catch-up from the leader.
@@ -1166,10 +1104,8 @@ func (n *Node) syncFromLeader(leader, from uint64) {
 		// Durable first: the snapshot replaces our whole log (divergent
 		// tail included), so InstallSnapshot resets the on-disk log the
 		// same way the in-memory one is reset below.
-		if n.cfg.Storage != nil {
-			if err := n.cfg.Storage.InstallSnapshot(resp.Snapshot, resp.SnapZxid); err != nil {
-				return
-			}
+		if err := n.st.InstallSnapshot(resp.Snapshot, resp.SnapZxid); err != nil {
+			return
 		}
 		if err := n.sm.Restore(resp.Snapshot, resp.SnapZxid); err != nil {
 			return
@@ -1196,19 +1132,19 @@ func (n *Node) syncFromLeader(leader, from uint64) {
 		// Our log moved while the sync was in flight; retry later.
 		return
 	}
-	var novel []entry
+	var novel []Frame
 	for _, e := range resp.Entries {
-		if e.last() <= n.lastZxidLocked() || e.last() <= n.snapZxid {
+		if e.Last() <= n.lastZxidLocked() || e.Last() <= n.snapZxid {
 			continue
 		}
 		novel = append(novel, e)
 		n.log = append(n.log, e)
 	}
-	if len(novel) > 0 && n.cfg.Storage != nil {
+	if len(novel) > 0 {
 		// Persist and harden the pulled tail before it can be claimed by
 		// a later ack or vote; the sync pull is rare, so the inline
 		// fsync under the lock is acceptable.
-		if n.appendStorageLocked(novel) != nil || n.cfg.Storage.Sync() != nil {
+		if n.st.Append(novel) != nil || n.st.Sync() != nil {
 			n.log = n.log[:len(n.log)-len(novel)]
 			return
 		}
@@ -1237,7 +1173,7 @@ func (n *Node) handleSync(m syncReq) (syncResp, error) {
 	}
 	if m.FromZxid > n.snapZxid {
 		for i, e := range n.log {
-			if e.last() == m.FromZxid {
+			if e.Last() == m.FromZxid {
 				resp.Entries = append(resp.Entries, n.log[i+1:]...)
 				n.mu.Unlock()
 				return resp, nil
@@ -1451,7 +1387,7 @@ func (n *Node) uncommittedFramesLocked() int {
 
 // proposerLoop is the group-commit heart: it drains the proposal
 // queue, coalesces pending transactions into one frame bounded by
-// MaxBatchTxns/MaxBatchBytes, appends it to the log and hands it to
+// MaxBatchTxns/maxBatchBytes, appends it to the log and hands it to
 // the per-follower senders — without waiting for the previous frame's
 // acks, up to MaxInflightFrames outstanding.
 func (n *Node) proposerLoop(gen uint64) {
@@ -1471,7 +1407,7 @@ func (n *Node) proposerLoop(gen uint64) {
 			(len(n.propQ) == 0 ||
 				(!n.propQ[0].noop &&
 					(n.uncommittedFramesLocked() >= n.cfg.MaxInflightFrames ||
-						len(n.applyQ) >= n.cfg.MaxApplyQueueFrames))) {
+						len(n.applyQ) >= maxApplyQueueFrames))) {
 			n.leaderCond.Wait()
 		}
 		if !n.leaderGenLocked(gen) {
@@ -1483,7 +1419,7 @@ func (n *Node) proposerLoop(gen uint64) {
 		n.dBatch.Observe(int64(len(batch)))
 
 		first := n.nextSeq + 1
-		e := entry{Zxid: makeZxid(n.epoch, first), Noop: batch[0].noop}
+		e := Frame{Zxid: makeZxid(n.epoch, first), Noop: batch[0].noop}
 		if !e.Noop {
 			e.Txns = make([][]byte, len(batch))
 			for i, p := range batch {
@@ -1493,7 +1429,8 @@ func (n *Node) proposerLoop(gen uint64) {
 		// Persist the frame before exposing it: once in the log it is
 		// streamed to followers and counted toward the leader's own
 		// (durable) tip. The fsync itself rides the leader sync loop.
-		if err := n.appendStorageLocked([]entry{e}); err != nil {
+		n.appendScratch[0] = e
+		if err := n.st.Append(n.appendScratch[:]); err != nil {
 			// The local disk is failing; this node can no longer lead.
 			for _, p := range batch {
 				p.ch <- proposeOutcome{err: err}
@@ -1516,9 +1453,9 @@ func (n *Node) proposerLoop(gen uint64) {
 		}
 		n.log = append(n.log, e)
 		n.gInflight.Set(int64(n.uncommittedFramesLocked()))
-		// A single-member "quorum" commits on append (durable nodes:
-		// once the sync loop's fsync covers it); otherwise the senders'
-		// acks advance the horizon.
+		// A single-member "quorum" commits once the store reports the
+		// frame durable (on append, or when the sync loop's fsync covers
+		// it); otherwise the senders' acks advance the horizon.
 		n.maybeAdvanceLeaderCommitLocked()
 		n.leaderCond.Broadcast()
 		n.mu.Unlock()
@@ -1542,7 +1479,7 @@ func (n *Node) drainBatchLocked() []*pendingTxn {
 			if p.noop || count >= n.cfg.MaxBatchTxns {
 				break
 			}
-			if count > 0 && bytes+len(p.txn) > n.cfg.MaxBatchBytes {
+			if count > 0 && bytes+len(p.txn) > maxBatchBytes {
 				break
 			}
 			count++
@@ -1583,11 +1520,11 @@ func (n *Node) maybeAdvanceLeaderCommitLocked() {
 	target := n.commitZxid
 	for i := len(n.log) - 1; i >= 0; i-- {
 		e := n.log[i]
-		if e.last() > q {
+		if e.Last() > q {
 			continue
 		}
 		if epochOf(e.Zxid) == n.epoch {
-			target = e.last()
+			target = e.Last()
 		}
 		break
 	}
@@ -1606,31 +1543,23 @@ func (n *Node) maybeAdvanceLeaderCommitLocked() {
 }
 
 // selfTipLocked is the leader's own contribution to the commit
-// quorum: its log tip, capped at the durable horizon when a storage
-// engine is attached — the leader's vote for a frame is subject to the
-// same fsync discipline as a follower's ack.
+// quorum: its log tip, capped at the durable horizon — the leader's
+// vote for a frame is subject to the same sync discipline as a
+// follower's ack.
 func (n *Node) selfTipLocked() uint64 {
-	tip := n.lastZxidLocked()
-	if n.cfg.Storage != nil {
-		if d := n.cfg.Storage.LastDurableZxid(); d < tip {
-			tip = d
-		}
-	}
-	return tip
+	return min(n.lastZxidLocked(), n.st.LastDurableZxid())
 }
 
-// leaderSyncLoop (durable leaders only) is the group-fsync heart of
-// the write path: whenever the log tip is ahead of the durable
+// leaderSyncLoop is the group-fsync heart of the write path: whenever the log tip is ahead of the durable
 // horizon it issues one Sync, which hardens every frame appended since
 // the previous one — frames keep arriving from the proposer while the
 // fsync is in flight and ride the next — then re-derives the commit
 // horizon with the leader's now-advanced durable tip.
 func (n *Node) leaderSyncLoop(gen uint64) {
 	defer n.wg.Done()
-	st := n.cfg.Storage
 	for {
 		n.mu.Lock()
-		for n.leaderGenLocked(gen) && n.lastZxidLocked() <= st.LastDurableZxid() {
+		for n.leaderGenLocked(gen) && n.lastZxidLocked() <= n.st.LastDurableZxid() {
 			n.leaderCond.Wait()
 		}
 		if !n.leaderGenLocked(gen) {
@@ -1638,7 +1567,7 @@ func (n *Node) leaderSyncLoop(gen uint64) {
 			return
 		}
 		n.mu.Unlock()
-		if err := st.Sync(); err != nil {
+		if err := n.st.Sync(); err != nil {
 			n.mu.Lock()
 			if n.leaderGenLocked(gen) {
 				n.failLeaderLocked(err)
@@ -1655,8 +1584,7 @@ func (n *Node) leaderSyncLoop(gen uint64) {
 	}
 }
 
-// snapshotLoop (durable nodes only) writes fuzzy snapshots in the
-// background: maybeTruncateLocked kicks it when the in-memory log
+// snapshotLoop writes fuzzy snapshots in the background: maybeTruncateLocked kicks it when the in-memory log
 // outgrows its bound, it captures a consistent (state, lastApplied)
 // cut under the lock, persists it OUTSIDE the lock alongside the live
 // log — writes keep flowing while the snapshot lands, which is what
@@ -1685,34 +1613,25 @@ func (n *Node) snapshotLoop() {
 			continue
 		}
 		n.mu.Unlock()
-		var err error
-		ss, stStream := n.cfg.Storage.(StreamStorage)
-		if sms, smStream := n.sm.(StreamingStateMachine); stStream && smStream {
-			// Stream the consistent cut straight into the store through a
-			// pipe: the producer serializes under applyMu (the same hold
-			// the blob path pays, since chunk writes land in the page
-			// cache), the consumer persists concurrently, and the final
-			// fsync+rename runs after the lock is released — with O(chunk)
-			// memory instead of the full serialized state.
-			pr, pw := io.Pipe()
-			done := make(chan error, 1)
-			go func() {
-				serr := ss.SaveSnapshotFrom(pr, z)
-				// Unblock the producer if the store bailed early.
-				pr.CloseWithError(serr)
-				done <- serr
-			}()
-			// The store's verdict is authoritative: a producer failure
-			// poisons the pipe, so the store reports it too, while a store
-			// that succeeds has already seen the full stream.
-			pw.CloseWithError(sms.SnapshotTo(pw))
-			n.applyMu.Unlock()
-			err = <-done
-		} else {
-			snap := n.sm.Snapshot()
-			n.applyMu.Unlock()
-			err = n.cfg.Storage.SaveSnapshot(snap, z)
-		}
+		// Stream the consistent cut straight into the store through a
+		// pipe: the producer serializes under applyMu (chunk writes land
+		// in the page cache), the consumer persists concurrently, and the
+		// final fsync+rename runs after the lock is released — with
+		// O(chunk) memory instead of the full serialized state.
+		pr, pw := io.Pipe()
+		done := make(chan error, 1)
+		go func() {
+			serr := n.st.SaveSnapshotFrom(pr, z)
+			// Unblock the producer if the store bailed early.
+			pr.CloseWithError(serr)
+			done <- serr
+		}()
+		// The store's verdict is authoritative: a producer failure
+		// poisons the pipe, so the store reports it too, while a store
+		// that succeeds has already seen the full stream.
+		pw.CloseWithError(n.sm.SnapshotTo(pw))
+		n.applyMu.Unlock()
+		err := <-done
 		n.mu.Lock()
 		n.snapInFlight = false
 		if err == nil && z > n.durableSnapZxid {
@@ -1824,13 +1743,13 @@ func (n *Node) senderLoop(gen, id, base uint64) {
 // entriesAfterLocked returns the run of log frames following the given
 // zxid, or nil (a position probe) when the position is not a frame
 // boundary we hold — the follower's own sync pull repairs that.
-func (n *Node) entriesAfterLocked(base uint64) []entry {
+func (n *Node) entriesAfterLocked(base uint64) []Frame {
 	start := -1
 	if base == n.snapZxid {
 		start = 0
 	} else {
-		i := sort.Search(len(n.log), func(i int) bool { return n.log[i].last() >= base })
-		if i < len(n.log) && n.log[i].last() == base {
+		i := sort.Search(len(n.log), func(i int) bool { return n.log[i].Last() >= base })
+		if i < len(n.log) && n.log[i].Last() == base {
 			start = i + 1
 		}
 	}
@@ -1898,11 +1817,9 @@ func (n *Node) runElection() {
 		next = n.grantedEpoch + 1
 	}
 	// Campaigning is a self-vote; persist it like any other grant.
-	if n.cfg.Storage != nil {
-		if err := n.cfg.Storage.SaveHardState(next, next); err != nil {
-			n.mu.Unlock()
-			return
-		}
+	if err := n.st.SaveHardState(next, next); err != nil {
+		n.mu.Unlock()
+		return
 	}
 	n.epoch = next
 	n.grantedEpoch = next
@@ -1992,12 +1909,9 @@ func (n *Node) becomeLeader(epoch uint64) {
 	n.leaderCond.Broadcast()
 	n.mu.Unlock()
 
-	n.wg.Add(1)
+	n.wg.Add(2)
 	go n.proposerLoop(gen)
-	if n.cfg.Storage != nil {
-		n.wg.Add(1)
-		go n.leaderSyncLoop(gen)
-	}
+	go n.leaderSyncLoop(gen)
 	for id := range n.cfg.Peers {
 		if id == n.cfg.ID {
 			continue

@@ -25,8 +25,7 @@ import (
 // transaction to the current leader.
 type Observer struct {
 	cfg ObserverConfig
-	sm  StateMachine
-	bsm BatchStateMachine
+	sm  machine
 
 	mu           sync.Mutex
 	epoch        uint64
@@ -82,12 +81,11 @@ func NewObserver(cfg ObserverConfig, sm StateMachine) (*Observer, error) {
 	}
 	o := &Observer{
 		cfg:          cfg,
-		sm:           sm,
+		sm:           liftMachine(sm),
 		conns:        make(map[uint64]transport.Conn),
 		applyWaiters: make(map[uint64][]chan struct{}),
 		stopCh:       make(chan struct{}),
 	}
-	o.bsm, _ = sm.(BatchStateMachine)
 	return o, nil
 }
 
@@ -327,19 +325,13 @@ func (o *Observer) pollOnce(target, from uint64) bool {
 	// from a raced poll — committed history is linear, so skipping is
 	// safe.
 	for _, e := range resp.Entries {
-		if e.last() <= o.lastApplied {
+		if e.Last() <= o.lastApplied {
 			continue
 		}
 		if !e.Noop {
-			if o.bsm != nil {
-				o.bsm.ApplyBatch(e.Txns, e.Zxid)
-			} else {
-				for j, txn := range e.Txns {
-					o.sm.Apply(txn, e.Zxid+uint64(j))
-				}
-			}
+			o.sm.ApplyBatch(e.Txns, e.Zxid)
 		}
-		o.lastApplied = e.last()
+		o.lastApplied = e.Last()
 		progress = true
 	}
 	if resp.Commit > o.leaderCommit {

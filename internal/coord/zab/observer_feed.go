@@ -116,22 +116,22 @@ func (n *Node) handleObserverPoll(m observerPollReq) observerPollResp {
 // committedEntriesAfterLocked collects the committed log suffix after
 // frame boundary `from`, reporting ok=false when `from` is not a
 // boundary this log recognizes (truncated away).
-func (n *Node) committedEntriesAfterLocked(from uint64) ([]entry, bool) {
+func (n *Node) committedEntriesAfterLocked(from uint64) ([]Frame, bool) {
 	start := -1
 	if from == n.snapZxid {
 		start = 0
 	} else if from > n.snapZxid {
-		i := sort.Search(len(n.log), func(i int) bool { return n.log[i].last() >= from })
-		if i < len(n.log) && n.log[i].last() == from {
+		i := sort.Search(len(n.log), func(i int) bool { return n.log[i].Last() >= from })
+		if i < len(n.log) && n.log[i].Last() == from {
 			start = i + 1
 		}
 	}
 	if start < 0 {
 		return nil, false
 	}
-	var out []entry
+	var out []Frame
 	for _, e := range n.log[start:] {
-		if e.last() > n.commitZxid || len(out) >= maxObserverFramesPerPoll {
+		if e.Last() > n.commitZxid || len(out) >= maxObserverFramesPerPoll {
 			break
 		}
 		out = append(out, e)
@@ -188,10 +188,10 @@ func (n *Node) observerLagTxnsLocked(applied uint64) uint64 {
 	}
 	var lag uint64
 	for _, e := range n.log {
-		if e.last() > n.commitZxid {
+		if e.Last() > n.commitZxid {
 			break
 		}
-		if e.last() <= applied || e.Noop {
+		if e.Last() <= applied || e.Noop {
 			continue
 		}
 		lag += uint64(len(e.Txns))

@@ -1,12 +1,20 @@
 package zab
 
-import "io"
+import (
+	"bytes"
+	"io"
+	"sort"
+	"sync"
+)
 
-// Frame is one durable log record: a replicated group-commit frame,
-// the unit in which transactions are proposed, acknowledged and
-// recovered. It mirrors the in-memory entry exactly — transaction i of
-// Txns carries zxid Zxid+i — so a log recovered from disk is
-// indistinguishable from one that never left memory.
+// Frame is one log record: a replicated group-commit frame holding one
+// or more transactions, the unit in which transactions are proposed,
+// acknowledged, persisted and recovered. Zxid is the zxid of the FIRST
+// transaction; transaction i of Txns carries zxid Zxid+i, so every
+// transaction keeps its own identity while the frame replicates,
+// commits and recovers as a single unit (all-or-nothing). Txn bytes
+// are opaque to this package; Noop frames are leader barriers that
+// never reach the state machine.
 type Frame struct {
 	Zxid uint64
 	Noop bool
@@ -21,17 +29,15 @@ func (f Frame) Last() uint64 {
 	return f.Zxid
 }
 
-// Storage is the durable state a node keeps under the replication
-// protocol. When Config.Storage is nil the node behaves exactly as the
-// original in-memory implementation: acknowledgements promise only
-// quorum replication, and a full-ensemble crash loses everything past
-// the last application-level checkpoint. With a Storage attached the
-// node upgrades its acknowledgement to ZooKeeper's contract — frames
-// are persisted and fsynced BEFORE they are acknowledged to the
+// Storage is the state a node keeps under the replication protocol.
+// Frames are persisted and synced BEFORE they are acknowledged to the
 // leader (and before the leader counts its own log tip toward the
 // commit quorum), votes and epochs survive restart, and NewNode
 // recovers the state machine from the newest snapshot plus the log
-// tail.
+// tail. What "persisted" is worth is the store's business: MemStorage
+// (the default) survives a node restart inside one process;
+// internal/coord/storage survives the crash of every server —
+// ZooKeeper's contract.
 //
 // Implementations must be safe for concurrent use: Append is always
 // called under the node's mutex, but Sync runs outside it and may be
@@ -59,7 +65,7 @@ type Storage interface {
 	// Append adds frames to the log. Durability is deferred to Sync so
 	// one fsync can cover a whole propose window (the group-commit
 	// amortization); implementations should make Append itself cheap
-	// (a buffered or page-cache write).
+	// (a buffered or page-cache write) and must not retain the slice.
 	Append(frames []Frame) error
 	// Sync makes every previously appended frame durable. Concurrent
 	// callers may share one fsync: a caller whose frames are already
@@ -75,18 +81,17 @@ type Storage interface {
 	SaveSnapshot(data []byte, zxid uint64) error
 	// InstallSnapshot durably records a snapshot received from the
 	// leader and RESETS the log: every local frame — including any
-	// divergent tail past zxid — is discarded. Used by the follower
-	// sync path when its position has left the leader's log.
+	// divergent tail past zxid — is discarded, and the durable horizon
+	// moves to exactly zxid. Used by the follower sync path when its
+	// position has left the leader's log.
 	InstallSnapshot(data []byte, zxid uint64) error
 }
 
-// StreamStorage is an optional Storage extension for stores that can
-// move snapshots as streams, so neither saving nor recovering a
-// snapshot ever needs the whole serialized state in memory at once.
-// When both the store and the state machine (StreamingStateMachine)
-// support streaming, the node snapshots through an io.Pipe and
-// recovers through SnapshotStream; otherwise it falls back to the blob
-// methods, which must remain byte-compatible.
+// StreamStorage is a Storage that moves snapshots as streams, so
+// neither saving nor recovering a snapshot ever needs the whole
+// serialized state in memory at once. It is the form the node runs
+// against: NewNode lifts a plain Storage to it by buffering, and the
+// blob methods must remain byte-compatible with the streamed ones.
 type StreamStorage interface {
 	Storage
 	// SaveSnapshotFrom is SaveSnapshot reading the snapshot body from r
@@ -101,4 +106,143 @@ type StreamStorage interface {
 	// error in place of EOF — a consumer that reads to EOF has read a
 	// proven-intact snapshot. The caller must Close it.
 	SnapshotStream() (snap io.ReadCloser, zxid uint64, ok bool)
+}
+
+// liftStorage resolves the storage contract once, at construction: nil
+// becomes a fresh MemStorage, and a store without the stream methods
+// gets them from blobStorage.
+func liftStorage(s Storage) StreamStorage {
+	if s == nil {
+		s = new(MemStorage)
+	}
+	if ss, ok := s.(StreamStorage); ok {
+		return ss
+	}
+	return blobStorage{s}
+}
+
+// blobStorage gives a plain Storage the stream methods by buffering
+// the whole snapshot — correct for any store, O(snapshot) memory.
+type blobStorage struct{ Storage }
+
+func (b blobStorage) SaveSnapshotFrom(r io.Reader, zxid uint64) error {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return err
+	}
+	return b.SaveSnapshot(data, zxid)
+}
+
+func (b blobStorage) InstallSnapshotFrom(r io.Reader, zxid uint64) error {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return err
+	}
+	return b.InstallSnapshot(data, zxid)
+}
+
+func (b blobStorage) SnapshotStream() (io.ReadCloser, uint64, bool) {
+	data, zxid, ok := b.Snapshot()
+	if !ok {
+		return nil, 0, false
+	}
+	return io.NopCloser(bytes.NewReader(data)), zxid, true
+}
+
+// MemStorage is the in-memory Storage a node runs on when its
+// configuration names no other: an appended frame is durable at once
+// (Sync has nothing to do), and the hard state, the newest snapshot
+// and the log tail past it live on the heap. It outlives the node that
+// writes it, so handing a stopped node's MemStorage to its replacement
+// is a restart with the disk intact — votes, snapshot and every
+// acknowledged frame recovered — without touching a filesystem. The
+// zero value is an empty store.
+type MemStorage struct {
+	mu       sync.Mutex
+	epoch    uint64
+	granted  uint64
+	snap     []byte
+	snapZxid uint64
+	hasSnap  bool
+	log      []Frame // frames past the snapshot, in zxid order
+	tip      uint64  // appended = durable horizon
+}
+
+// HardState implements Storage.
+func (m *MemStorage) HardState() (epoch, grantedEpoch uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.epoch, m.granted
+}
+
+// SaveHardState implements Storage.
+func (m *MemStorage) SaveHardState(epoch, grantedEpoch uint64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.epoch, m.granted = epoch, grantedEpoch
+	return nil
+}
+
+// Snapshot implements Storage.
+func (m *MemStorage) Snapshot() (data []byte, zxid uint64, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.snap, m.snapZxid, m.hasSnap
+}
+
+// Frames implements Storage: a copy of the log tail, so the caller's
+// log and the store's never share a backing array.
+func (m *MemStorage) Frames() []Frame {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]Frame(nil), m.log...)
+}
+
+// Append implements Storage.
+func (m *MemStorage) Append(frames []Frame) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.log = append(m.log, frames...)
+	if n := len(frames); n > 0 && frames[n-1].Last() > m.tip {
+		m.tip = frames[n-1].Last()
+	}
+	return nil
+}
+
+// Sync implements Storage: Append already made the frames durable.
+func (m *MemStorage) Sync() error { return nil }
+
+// LastDurableZxid implements Storage.
+func (m *MemStorage) LastDurableZxid() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.tip
+}
+
+// SaveSnapshot implements Storage: the snapshot (data is retained, not
+// copied) replaces the previous one and the frames it covers are
+// released.
+func (m *MemStorage) SaveSnapshot(data []byte, zxid uint64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.hasSnap && zxid <= m.snapZxid {
+		return nil
+	}
+	m.snap, m.snapZxid, m.hasSnap = data, zxid, true
+	covered := sort.Search(len(m.log), func(i int) bool { return m.log[i].Last() > zxid })
+	m.log = append([]Frame(nil), m.log[covered:]...)
+	if zxid > m.tip {
+		m.tip = zxid
+	}
+	return nil
+}
+
+// InstallSnapshot implements Storage.
+func (m *MemStorage) InstallSnapshot(data []byte, zxid uint64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.snap, m.snapZxid, m.hasSnap = data, zxid, true
+	m.log = nil
+	m.tip = zxid
+	return nil
 }

@@ -74,10 +74,11 @@ func (s *kvSM) snapshotState() ([]string, []uint64) {
 }
 
 type ensemble struct {
-	nodes map[uint64]*Node
-	sms   map[uint64]*kvSM
-	net   *transport.InProc
-	peers map[uint64]string
+	nodes  map[uint64]*Node
+	sms    map[uint64]*kvSM
+	stores map[uint64]*MemStorage // each member's store, kept across stops
+	net    *transport.InProc
+	peers  map[uint64]string
 }
 
 func newEnsemble(t *testing.T, n int) *ensemble {
@@ -92,15 +93,21 @@ func newEnsemble(t *testing.T, n int) *ensemble {
 		e.peers[uint64(i)] = fmt.Sprintf("zab-%d", i)
 	}
 	for i := 1; i <= n; i++ {
-		e.startNode(t, uint64(i), nil, 0)
+		e.startNode(t, uint64(i), new(MemStorage))
 	}
 	t.Cleanup(e.stopAll)
 	return e
 }
 
-func (e *ensemble) startNode(t *testing.T, id uint64, snap []byte, snapZxid uint64) {
+// startNode boots member id on st: a fresh store is a member that lost
+// its disk, the member's previous store is a restart with it intact.
+func (e *ensemble) startNode(t *testing.T, id uint64, st *MemStorage) {
 	t.Helper()
 	sm := &kvSM{}
+	if e.stores == nil {
+		e.stores = make(map[uint64]*MemStorage)
+	}
+	e.stores[id] = st
 	node, err := NewNode(Config{
 		ID:                id,
 		Peers:             e.peers,
@@ -108,8 +115,7 @@ func (e *ensemble) startNode(t *testing.T, id uint64, snap []byte, snapZxid uint
 		HeartbeatInterval: 5 * time.Millisecond,
 		ElectionTimeout:   30 * time.Millisecond,
 		MaxLogEntries:     128,
-		InitialSnapshot:   snap,
-		InitialZxid:       snapZxid,
+		Storage:           st,
 	}, sm)
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +364,7 @@ func TestLaggingFollowerCatchesUpViaSync(t *testing.T) {
 		proposeOK(t, leader, fmt.Sprintf("op-%d", i))
 	}
 	delete(e.nodes, victim)
-	e.startNode(t, victim, nil, 0)
+	e.startNode(t, victim, new(MemStorage))
 	waitConverged(t, e, ops, victim)
 	got, _ := e.sms[victim].snapshotState()
 	if got[0] != "op-0" || got[ops-1] != fmt.Sprintf("op-%d", ops-1) {
@@ -366,35 +372,40 @@ func TestLaggingFollowerCatchesUpViaSync(t *testing.T) {
 	}
 }
 
-func TestFullRestartFromCheckpoint(t *testing.T) {
+// TestFullRestartOnRetainedMemStorage stops every member of an
+// in-memory ensemble and restarts each on the MemStorage it left
+// behind — a whole-ensemble restart with the disks intact (paper
+// §IV-I). Every acknowledged write must be applied again on every
+// member, recovered from the stores alone: nothing else survives.
+func TestFullRestartOnRetainedMemStorage(t *testing.T) {
 	e := newEnsemble(t, 3)
 	leader := e.waitLeader(t)
-	for i := 0; i < 20; i++ {
+	// Enough writes to push the log past MaxLogEntries, so recovery is a
+	// snapshot plus a tail, not a bare log replay.
+	const ops = 300
+	for i := 0; i < ops; i++ {
 		proposeOK(t, leader, fmt.Sprintf("durable-%d", i))
 	}
-	waitConverged(t, e, 20, 1, 2, 3)
-	snap, zxid := leader.Checkpoint()
+	waitConverged(t, e, ops, 1, 2, 3)
 	e.stopAll()
+	if _, _, ok := e.stores[leader.ID()].Snapshot(); !ok {
+		t.Fatalf("no snapshot was saved in %d writes; the restart would exercise log replay only", ops)
+	}
 
-	// Boot a fresh ensemble from the checkpoint, like ZooKeeper
-	// restarting from its on-disk snapshot (paper §IV-I).
-	e2 := &ensemble{
-		nodes: make(map[uint64]*Node),
-		sms:   make(map[uint64]*kvSM),
-		net:   transport.NewInProc(),
-		peers: map[uint64]string{1: "r1", 2: "r2", 3: "r3"},
-	}
 	for id := uint64(1); id <= 3; id++ {
-		e2.startNode(t, id, snap, zxid)
+		e.startNode(t, id, e.stores[id])
 	}
-	defer e2.stopAll()
-	leader2 := e2.waitLeader(t)
-	applied, _ := e2.sms[leader2.ID()].snapshotState()
-	if len(applied) != 20 || applied[19] != "durable-19" {
-		t.Fatalf("restored state wrong: %d entries", len(applied))
-	}
+	leader2 := e.waitLeader(t)
 	proposeOK(t, leader2, "after-restart")
-	waitConverged(t, e2, 21, 1, 2, 3)
+	waitConverged(t, e, ops+1, 1, 2, 3)
+	for id, sm := range e.sms {
+		applied, _ := sm.snapshotState()
+		for i := 0; i < ops; i++ {
+			if applied[i] != fmt.Sprintf("durable-%d", i) {
+				t.Fatalf("node %d lost acked write %d across the restart: got %q", id, i, applied[i])
+			}
+		}
+	}
 }
 
 func TestProposeOnStoppedNode(t *testing.T) {
@@ -631,7 +642,7 @@ func TestProposeWindowCodec(t *testing.T) {
 		Epoch:    7,
 		LeaderID: 3,
 		PrevZxid: makeZxid(7, 4),
-		Entries: []entry{
+		Entries: []Frame{
 			{Zxid: makeZxid(7, 5), Txns: [][]byte{[]byte("a"), []byte("bb"), []byte("ccc")}},
 			{Zxid: makeZxid(7, 8), Noop: true},
 			{Zxid: makeZxid(7, 9), Txns: [][]byte{[]byte("d")}},
@@ -653,10 +664,10 @@ func TestProposeWindowCodec(t *testing.T) {
 	if len(got.Entries) != 3 {
 		t.Fatalf("entries = %d", len(got.Entries))
 	}
-	if got.Entries[0].last() != makeZxid(7, 7) {
-		t.Fatalf("frame 0 last = %x", got.Entries[0].last())
+	if got.Entries[0].Last() != makeZxid(7, 7) {
+		t.Fatalf("frame 0 last = %x", got.Entries[0].Last())
 	}
-	if !got.Entries[1].Noop || got.Entries[1].last() != makeZxid(7, 8) {
+	if !got.Entries[1].Noop || got.Entries[1].Last() != makeZxid(7, 8) {
 		t.Fatalf("noop frame decoded wrong: %+v", got.Entries[1])
 	}
 	if string(got.Entries[2].Txns[0]) != "d" {

@@ -150,39 +150,6 @@ func stripeFor(path string) int {
 	return int(h % stripeCount)
 }
 
-// StripeMaskForWrite computes the lock coverage a write at path (wire
-// form, possibly invalid — never validated here) would take, for
-// schedulers that run path-disjoint transactions concurrently.
-// structural marks creates and deletes, whose depth-1 form mutates the
-// root's child map and therefore locks every stripe. It returns
-// all=true when the write acquires every stripe (root or invalid path,
-// or structural depth-1); otherwise a one-bit mask of the stripe
-// guarding path's top-level subtree. The rule mirrors lockWrite and
-// multiLockSet exactly, so a scheduler serializing on overlapping
-// masks serializes whenever the tree's own locking would.
-func StripeMaskForWrite(path []byte, structural bool) (mask uint32, all bool) {
-	if len(path) < 2 || path[0] != '/' {
-		return 0, true
-	}
-	seg := path[1:]
-	depth1 := true
-	for i := 0; i < len(seg); i++ {
-		if seg[i] == '/' {
-			seg = seg[:i]
-			depth1 = false
-			break
-		}
-	}
-	if depth1 && structural {
-		return 0, true
-	}
-	h := uint32(2166136261)
-	for i := 0; i < len(seg); i++ {
-		h = (h ^ uint32(seg[i])) * 16777619
-	}
-	return 1 << (h % stripeCount), false
-}
-
 func (t *Tree) lockAll() {
 	for i := range t.stripes {
 		t.stripes[i].mu.Lock()
