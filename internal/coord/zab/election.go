@@ -1,0 +1,337 @@
+package zab
+
+import (
+	"sync"
+	"time"
+)
+
+func (n *Node) resetElectionTimer() {
+	n.lastContact = n.now()
+	n.electionDue = n.cfg.ElectionTimeout +
+		time.Duration(n.rng.Int63n(int64(n.cfg.ElectionTimeout)))
+}
+
+// adoptEpochLocked moves the node to follower state for a newer epoch.
+func (n *Node) adoptEpochLocked(epoch, leaderID uint64) {
+	if epoch > n.epoch {
+		n.epoch = epoch
+	}
+	if n.role == roleLeader {
+		n.failLeaderLocked(ErrNoLeader)
+	}
+	n.role = roleFollower
+	if leaderID != 0 {
+		n.leaderID = leaderID
+	}
+	n.resetElectionTimer()
+}
+
+func (n *Node) handleHeartbeat(m heartbeatReq) heartbeatResp {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if m.Epoch >= n.epoch {
+		n.adoptEpochLocked(m.Epoch, m.LeaderID)
+		n.advanceCommitLocked(m.Commit)
+		if m.Commit > n.lastZxidLocked() {
+			n.triggerSyncLocked()
+		}
+	}
+	return heartbeatResp{Epoch: n.epoch, LastZxid: n.lastZxidLocked()}
+}
+
+func (n *Node) handleRequestVote(m requestVoteReq) requestVoteResp {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if m.Epoch <= n.grantedEpoch || m.Epoch <= n.epoch {
+		return requestVoteResp{Epoch: n.epoch}
+	}
+	if m.LastZxid < n.lastZxidLocked() {
+		return requestVoteResp{Epoch: n.epoch}
+	}
+	// Leader stickiness: a follower whose election timer has not aged a
+	// full ElectionTimeout refuses to elect a replacement leader
+	// (without adopting the candidate's epoch — inflating our own epoch
+	// here would depose the leader through our next heartbeat ack).
+	// This is what makes the read lease sound: every member of a
+	// winning vote quorum either went a full election timeout without
+	// resetting its timer (so, by quorum intersection with the lease's
+	// heartbeat-ack quorum, the old lease expired before the new leader
+	// could commit anything) or was the old leader itself (which
+	// revokes its lease in the same critical section that grants the
+	// vote, below). The timer — not "heard a leader" — is the
+	// condition on purpose: it also keeps a just-restarted voter, whose
+	// pre-crash heartbeat ack may be funding a still-live lease, from
+	// voting inside that window. Election liveness is unaffected: a
+	// member only campaigns once its own timer passes the same bound,
+	// by which point its electorate has aged past it too.
+	if n.role == roleFollower && m.CandidateID != n.leaderID &&
+		n.now().Sub(n.lastContact) < n.cfg.ElectionTimeout {
+		return requestVoteResp{Epoch: n.epoch}
+	}
+	// The vote must be durable before it is granted: a node that
+	// forgets a grant across a crash could vote twice in one epoch and
+	// elect two leaders.
+	if err := n.st.SaveHardState(m.Epoch, m.Epoch); err != nil {
+		return requestVoteResp{Epoch: n.epoch}
+	}
+	n.grantedEpoch = m.Epoch
+	n.epoch = m.Epoch
+	if n.role == roleLeader {
+		n.failLeaderLocked(ErrNoLeader)
+	}
+	n.role = roleFollower
+	n.leaderID = 0 // unknown until the new leader heartbeats
+	n.resetElectionTimer()
+	return requestVoteResp{Granted: true, Epoch: n.epoch}
+}
+
+// failLeaderLocked fails every queued and in-flight proposal with err
+// and retires the current leadership generation, stopping the proposer
+// and sender goroutines. Writes that already replicated may still
+// commit under the next leader — the error only means THIS node can no
+// longer promise anything, the same contract a ZooKeeper connection
+// loss gives a client.
+func (n *Node) failLeaderLocked(err error) {
+	for _, p := range n.propQ {
+		p.ch <- proposeOutcome{err: err}
+	}
+	n.propQ = nil
+	for z, p := range n.waiters {
+		delete(n.waiters, z)
+		p.ch <- proposeOutcome{err: err}
+	}
+	n.leaderGen++
+	n.stallSince = time.Time{}
+	// Step-down revokes the read lease and retires the observer feed;
+	// both are leader-only state.
+	n.leaseUntil = time.Time{}
+	n.observers = make(map[uint64]*observerFeed)
+	n.gObsCount.Set(0)
+	n.gObsLagTxns.Set(0)
+	n.gObsLagMS.Set(0)
+	n.gQueue.Set(0)
+	n.gInflight.Set(0)
+	n.leaderCond.Broadcast()
+}
+
+// leaderGenLocked reports whether the node still leads under the given
+// leadership generation.
+func (n *Node) leaderGenLocked(gen uint64) bool {
+	return n.role == roleLeader && n.leaderGen == gen && !n.stopped
+}
+
+// --- background loops -------------------------------------------------
+
+func (n *Node) electionLoop() {
+	defer n.wg.Done()
+	ticker := time.NewTicker(n.cfg.HeartbeatInterval / 2)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-n.stopCh:
+			return
+		case <-ticker.C:
+		}
+		n.mu.Lock()
+		due := n.role != roleLeader && n.now().Sub(n.lastContact) > n.electionDue
+		n.mu.Unlock()
+		if due {
+			n.runElection()
+		}
+	}
+}
+
+func (n *Node) runElection() {
+	n.mu.Lock()
+	if n.stopped || n.role == roleLeader {
+		n.mu.Unlock()
+		return
+	}
+	next := n.epoch + 1
+	if n.grantedEpoch >= next {
+		next = n.grantedEpoch + 1
+	}
+	// Campaigning is a self-vote; persist it like any other grant.
+	if err := n.st.SaveHardState(next, next); err != nil {
+		n.mu.Unlock()
+		return
+	}
+	n.epoch = next
+	n.grantedEpoch = next
+	n.role = roleCandidate
+	n.leaderID = 0
+	n.resetElectionTimer()
+	req := requestVoteReq{Epoch: next, CandidateID: n.cfg.ID, LastZxid: n.lastZxidLocked()}
+	n.mu.Unlock()
+
+	payload := req.encode()
+	grants := make(chan bool, len(n.cfg.Peers))
+	outstanding := 0
+	for id := range n.cfg.Peers {
+		if id == n.cfg.ID {
+			continue
+		}
+		outstanding++
+		go func(id uint64) {
+			respB, err := n.callPeer(id, payload)
+			if err != nil {
+				grants <- false
+				return
+			}
+			resp, err := decodeRequestVoteResp(respB)
+			if err != nil {
+				grants <- false
+				return
+			}
+			if resp.Epoch > req.Epoch {
+				n.mu.Lock()
+				if resp.Epoch > n.epoch {
+					n.adoptEpochLocked(resp.Epoch, 0)
+				}
+				n.mu.Unlock()
+			}
+			grants <- resp.Granted
+		}(id)
+	}
+	votes := 1 // self
+	deadline := time.After(n.cfg.ElectionTimeout)
+	for i := 0; i < outstanding; i++ {
+		select {
+		case g := <-grants:
+			if g {
+				votes++
+			}
+		case <-deadline:
+			i = outstanding // abandon the round
+		case <-n.stopCh:
+			return
+		}
+		if votes >= n.quorum() {
+			break
+		}
+	}
+	if votes < n.quorum() {
+		return
+	}
+	n.becomeLeader(req.Epoch)
+}
+
+func (n *Node) becomeLeader(epoch uint64) {
+	n.mu.Lock()
+	if n.epoch != epoch || n.role != roleCandidate || n.stopped {
+		n.mu.Unlock()
+		return
+	}
+	n.role = roleLeader
+	n.leaderID = n.cfg.ID
+	n.nextSeq = 0
+	n.leaderGen++
+	n.match = make(map[uint64]uint64, len(n.cfg.Peers))
+	n.stallSince = time.Time{}
+	// Queue the epoch barrier at the HEAD of the proposal queue inside
+	// the same critical section that flips the role, so no client
+	// proposal can slot in ahead of it: the proposer's window
+	// exemption keys off the queue head, and a barrier stuck behind a
+	// client write would re-open the full-inherited-window livelock.
+	// The barrier commits every entry inherited from previous epochs
+	// under the new epoch (Raft §5.4.2 trick; Zab achieves the same
+	// with its NEWLEADER phase). Nobody waits on its outcome channel.
+	barrier := &pendingTxn{noop: true, ch: make(chan proposeOutcome, 1)}
+	n.propQ = append([]*pendingTxn{barrier}, n.propQ...)
+	n.gQueue.Set(int64(len(n.propQ)))
+	gen := n.leaderGen
+	tip := n.lastZxidLocked()
+	n.leaderCond.Broadcast()
+	n.mu.Unlock()
+
+	n.wg.Add(2)
+	go n.proposerLoop(gen)
+	go n.leaderSyncLoop(gen)
+	for id := range n.cfg.Peers {
+		if id == n.cfg.ID {
+			continue
+		}
+		n.wg.Add(1)
+		go n.senderLoop(gen, id, tip)
+	}
+}
+
+func (n *Node) heartbeatLoop() {
+	defer n.wg.Done()
+	ticker := time.NewTicker(n.cfg.HeartbeatInterval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-n.stopCh:
+			return
+		case <-ticker.C:
+		}
+		n.mu.Lock()
+		if n.role != roleLeader {
+			n.mu.Unlock()
+			continue
+		}
+		// Quorum-loss watchdog: a leader whose pipeline cannot commit
+		// (partitioned, too few live followers) steps down instead of
+		// wedging its clients, so a healthier member can win the next
+		// election and resolve the uncommitted tail via sync.
+		if n.commitZxid < n.lastZxidLocked() {
+			if n.stallSince.IsZero() {
+				n.stallSince = time.Now()
+			} else if time.Since(n.stallSince) > 2*n.cfg.ElectionTimeout {
+				n.failLeaderLocked(ErrNoQuorum)
+				n.role = roleFollower
+				n.leaderID = 0
+				n.resetElectionTimer()
+				n.mu.Unlock()
+				continue
+			}
+		} else {
+			n.stallSince = time.Time{}
+		}
+		req := heartbeatReq{Epoch: n.epoch, LeaderID: n.cfg.ID, Commit: n.commitZxid}
+		n.mu.Unlock()
+		payload := req.encode()
+		// Lease bookkeeping: the round timestamp is taken BEFORE any
+		// heartbeat is sent, so a quorum of acks proves the promise
+		// quorum was intact at `round` and the lease may extend to
+		// round + ElectionTimeout - MaxClockSkew.
+		round := n.now()
+		var ackMu sync.Mutex
+		acks := 1 // self
+		if acks >= n.quorum() {
+			n.extendLease(round, req.Epoch)
+		}
+		for id := range n.cfg.Peers {
+			if id == n.cfg.ID {
+				continue
+			}
+			go func(id uint64) {
+				respB, err := n.callPeer(id, payload)
+				if err != nil {
+					return
+				}
+				resp, err := decodeHeartbeatResp(respB)
+				if err != nil {
+					return
+				}
+				if resp.Epoch > req.Epoch {
+					n.mu.Lock()
+					if resp.Epoch > n.epoch {
+						n.adoptEpochLocked(resp.Epoch, 0)
+						n.leaderID = 0
+					}
+					n.mu.Unlock()
+					return
+				}
+				ackMu.Lock()
+				acks++
+				reached := acks == n.quorum()
+				ackMu.Unlock()
+				if reached {
+					n.extendLease(round, req.Epoch)
+				}
+			}(id)
+		}
+	}
+}
