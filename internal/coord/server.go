@@ -80,11 +80,16 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	sm.notify = dispatch.dispatch
 	reg := metrics.NewRegistry()
 	var eng *storage.Engine
+	var st zab.Storage // nil: the node keeps a zab.MemStorage
 	if cfg.DataDir != "" {
 		var err error
 		eng, err = storage.Open(storage.Options{Dir: cfg.DataDir, Metrics: reg})
 		if err != nil {
 			return nil, fmt.Errorf("coord: storage engine: %w", err)
+		}
+		st = eng
+		if cfg.WrapStorage != nil {
+			st = cfg.WrapStorage(st)
 		}
 	}
 	zcfg := zab.Config{
@@ -97,13 +102,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		MaxBatchTxns:      cfg.MaxBatchTxns,
 		MaxInflightFrames: cfg.MaxInflightFrames,
 		Metrics:           reg,
-	}
-	if eng != nil {
-		var st zab.Storage = eng
-		if cfg.WrapStorage != nil {
-			st = cfg.WrapStorage(st)
-		}
-		zcfg.Storage = st
+		Storage:           st,
 	}
 	node, err := zab.NewNode(zcfg, sm)
 	if err != nil {
@@ -158,15 +157,6 @@ func (s *Server) Tree() *znode.Tree { return s.sm.treeRef() }
 
 // Metrics returns the server's metrics registry.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
-
-// gaugeU64 reads a gauge for wire encoding, clamping negatives to zero.
-func gaugeU64(reg *metrics.Registry, name string) uint64 {
-	v := reg.Gauge(name).Value()
-	if v < 0 {
-		return 0
-	}
-	return uint64(v)
-}
 
 // DebugString reports the underlying replication state (diagnostics).
 func (s *Server) DebugString() string { return s.node.DebugString() }
@@ -272,8 +262,8 @@ func (s *Server) handleClient(req []byte) ([]byte, error) {
 			// Apply-pipeline health (appended last, same forward
 			// compatibility): commit-to-apply lag in txns and frames queued
 			// between the commit and apply sides.
-			w.Uint64(gaugeU64(s.reg, "zab.apply.lag"))
-			w.Uint64(gaugeU64(s.reg, "zab.apply.queue_depth"))
+			w.Uint64(uint64(s.reg.Gauge("zab.apply.lag").Value()))
+			w.Uint64(uint64(s.reg.Gauge("zab.apply.queue_depth").Value()))
 		}), nil
 	case opGetWatch:
 		session := r.Uint64()

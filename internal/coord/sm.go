@@ -162,12 +162,6 @@ func appendDeleteTxn(w *wire.Writer, path string, version int32, session, seq ui
 	w.Int32(version)
 }
 
-func encodeDeleteTxn(path string, version int32, session, seq uint64) []byte {
-	var w wire.Writer
-	appendDeleteTxn(&w, path, version, session, seq)
-	return w.Bytes()
-}
-
 func appendSetTxn(w *wire.Writer, path string, data []byte, version int32, session, seq uint64, nowNano int64) {
 	w.Grow(48 + len(path) + len(data))
 	w.Uint8(opSet)
@@ -224,12 +218,6 @@ func appendSyncTxn(w *wire.Writer, session, seq uint64) {
 	w.Uint8(opSync)
 	w.Uint64(session)
 	w.Uint64(seq)
-}
-
-func encodeSyncTxn(session, seq uint64) []byte {
-	var w wire.Writer
-	appendSyncTxn(&w, session, seq)
-	return w.Bytes()
 }
 
 // okResult builds a successful result with an optional payload writer.
