@@ -462,11 +462,15 @@ func BenchmarkObserverReadScaling(b *testing.B) {
 // sessions saturate every core. Its heartbeat/election pair is 50 ms /
 // 1 s: with the 5 ms / 50 ms pair the unit tests use, a scheduler stall
 // under 16 busy sessions on two cores outlasts the election timeout and
-// the ensemble deposes its own leader mid-measurement.
+// the ensemble deposes its own leader mid-measurement. MaxLogEntries is
+// 2^20 (as in bench/): at the default 8192 every member serializes its
+// whole tree every ~8k frames, and a long -benchtime would measure the
+// fuzzy snapshotter instead of the write pipeline.
 func startSaturatedEnsemble(b *testing.B, cfg coord.EnsembleConfig) *coord.Ensemble {
 	b.Helper()
 	cfg.HeartbeatInterval = 50 * time.Millisecond
 	cfg.ElectionTimeout = time.Second
+	cfg.MaxLogEntries = 1 << 20
 	ens, err := coord.StartEnsemble(cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -125,8 +125,17 @@ func liftStorage(s Storage) StreamStorage {
 // the whole snapshot — correct for any store, O(snapshot) memory.
 type blobStorage struct{ Storage }
 
+// slurp buffers r to EOF. A bytes.Buffer doubles as it grows, so a
+// snapshot of tens of megabytes is copied about twice on the way in;
+// io.ReadAll's append growth copies it several times over.
+func slurp(r io.Reader) ([]byte, error) {
+	var buf bytes.Buffer
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
 func (b blobStorage) SaveSnapshotFrom(r io.Reader, zxid uint64) error {
-	data, err := io.ReadAll(r)
+	data, err := slurp(r)
 	if err != nil {
 		return err
 	}
@@ -134,7 +143,7 @@ func (b blobStorage) SaveSnapshotFrom(r io.Reader, zxid uint64) error {
 }
 
 func (b blobStorage) InstallSnapshotFrom(r io.Reader, zxid uint64) error {
-	data, err := io.ReadAll(r)
+	data, err := slurp(r)
 	if err != nil {
 		return err
 	}
