@@ -578,51 +578,10 @@ func sameDir(dir string, n int) []string {
 	return dirs
 }
 
-// BenchmarkGroupCommit measures coordination write throughput under
-// injected network latency as concurrent sessions grow, comparing the
-// group-commit pipeline (DESIGN.md §9) against the serialized
-// one-txn-per-quorum-round-trip baseline (MaxBatchTxns=1,
-// MaxInflightFrames=1 — the pre-pipeline propose path). Serialized,
-// every znode write pays a full exclusive quorum round trip, so
-// throughput is flat in the session count; with group commit the
-// leader coalesces the writes queued behind each round trip into
-// multi-txn frames, so throughput scales with the concurrency — ≥4×
-// at 16 sessions is the acceptance bar.
-func BenchmarkGroupCommit(b *testing.B) {
-	const (
-		netRTT       = 500 * time.Microsecond
-		opsPerClient = 25
-	)
-	modes := []struct {
-		name          string
-		batch, window int
-	}{
-		{"serialized", 1, 1},
-		{"grouped", 0, 0}, // zero = the pipeline defaults
-	}
-	for _, mode := range modes {
-		for _, clients := range []int{1, 4, 16} {
-			mode, clients := mode, clients
-			b.Run(fmt.Sprintf("%s/clients=%d", mode.name, clients), func(b *testing.B) {
-				ens := startSaturatedEnsemble(b, coord.EnsembleConfig{
-					Servers: 3,
-					Net: &transport.Latency{
-						Inner: transport.NewInProc(),
-						Delay: func() time.Duration { return netRTT },
-					},
-					AddrPrefix:        fmt.Sprintf("gcommit-%s-%d-%d", mode.name, clients, rand.Int()),
-					MaxBatchTxns:      mode.batch,
-					MaxInflightFrames: mode.window,
-				})
-				benchLeaderWrites(b, ens, sameDir("/gc", clients), opsPerClient, nil)
-			})
-		}
-	}
-}
-
 // BenchmarkDurableGroupCommit measures what durability costs the
 // group-commit pipeline (DESIGN.md §11): the same 3-server ensemble
-// and concurrent-session workload as BenchmarkGroupCommit, on
+// and concurrent-session workload as internal/coord's
+// BenchmarkGroupCommit, on
 // zab.MemStorage versus on the storage engine, where every
 // acknowledgement waits on an fsync. Because the fsync rides whole
 // group-commit frames — a follower syncs once per propose window, the

@@ -25,7 +25,11 @@ import (
 // A session connects to one server; reads are answered by that server
 // from its local replica, writes are forwarded by the server through
 // the atomic broadcast. If the server dies, the session fails over to
-// the next address in its list.
+// the next address in its list, and its first read there waits behind a
+// sync barrier: an acknowledged write is committed, but the server that
+// acknowledged it may be the only one that knew so — a server that did
+// not serve the session's writes has not necessarily applied them
+// (ZooKeeper makes the same promise with the session's last-seen zxid).
 type Session struct {
 	net   transport.Network
 	addrs []string
@@ -42,6 +46,11 @@ type Session struct {
 	cur     int    // index into addrs of the current server
 	id      uint64
 	closed  bool
+
+	// readGen is the newest connection generation this session may read
+	// over: the server behind it is known to have applied every write
+	// the session was acknowledged (see callInOrder).
+	readGen atomic.Uint64
 
 	// eventGen remembers the connection generation of the last
 	// WaitEvents call, so a failover BETWEEN two parks (detected by a
@@ -82,6 +91,10 @@ func Connect(net transport.Network, addrs []string) (*Session, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("coord: malformed session reply: %w", err)
 	}
+	// Nothing was acknowledged before the session existed.
+	s.mu.Lock()
+	s.readGen.Store(s.connGen)
+	s.mu.Unlock()
 	return s, nil
 }
 
@@ -108,17 +121,11 @@ func (s *Session) Close() error {
 	return err
 }
 
-// getConn returns the live connection, dialing (with failover) if
-// necessary. It never holds the lock across a dial of more than one
-// candidate address.
-func (s *Session) getConn() (transport.Conn, error) {
-	c, _, err := s.getConnGen()
-	return c, err
-}
-
-// getConnGen is getConn plus the connection's generation number —
-// bumped on every fresh dial, so event consumers can detect that the
-// connection (and with it the server holding their watches) changed.
+// getConnGen returns the live connection, dialing (with failover) if
+// necessary, and its generation number — bumped on every fresh dial, so
+// readers and event consumers can detect that the connection (and with
+// it the server that applied their writes and holds their watches)
+// changed.
 func (s *Session) getConnGen() (transport.Conn, uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -207,7 +214,7 @@ func (s *Session) requestCtxOwned(ctx context.Context, msg []byte) (payload []by
 			}
 			return nil, retained, fmt.Errorf("coord: request failed after retries: %w", lastErr)
 		}
-		c, err := s.getConn()
+		c, gen, err := s.getConnGen()
 		if err != nil {
 			lastErr = err
 			if serr := sleepCtx(ctx, retryDelay(attempt)); serr != nil {
@@ -215,7 +222,7 @@ func (s *Session) requestCtxOwned(ctx context.Context, msg []byte) (payload []by
 			}
 			continue
 		}
-		resp, abandoned, err := s.call(ctx, c, msg)
+		resp, abandoned, err := s.callInOrder(ctx, c, gen, msg)
 		retained = retained || abandoned
 		if err != nil {
 			if ctx.Err() != nil {
@@ -248,6 +255,40 @@ func (s *Session) requestCtxOwned(ctx context.Context, msg []byte) (payload []by
 		}
 		return resp[len(resp)-r.Remaining():], retained, nil
 	}
+}
+
+// callInOrder is call behind the session's own history. A read over a
+// connection generation the session has not read over yet — a server it
+// failed over to — is preceded by a sync barrier through that server,
+// which returns once the server has applied everything committed before
+// it, every write this session was acknowledged included. A failed
+// barrier fails the read the same way, so the request engine retries
+// both. Writes need none: the broadcast orders them.
+func (s *Session) callInOrder(ctx context.Context, c transport.Conn, gen uint64, msg []byte) (payload []byte, abandoned bool, err error) {
+	if gen > s.readGen.Load() && len(msg) > 0 && readsReplica(msg[0]) {
+		var w wire.Writer
+		appendSyncTxn(&w, s.id, s.seq.Add(1))
+		if _, _, err := s.call(ctx, c, w.Bytes()); err != nil {
+			return nil, false, err
+		}
+		for { // generations only grow, whichever barrier finishes last
+			cur := s.readGen.Load()
+			if cur >= gen || s.readGen.CompareAndSwap(cur, gen) {
+				break
+			}
+		}
+	}
+	return s.call(ctx, c, msg)
+}
+
+// readsReplica reports whether a request is answered from the server's
+// local replica, outside the broadcast's order.
+func readsReplica(op uint8) bool {
+	switch op {
+	case opLeaseRead, opGetWatch, opExistsWatch, opChildrenWatch:
+		return true
+	}
+	return isTreeReadOp(op)
 }
 
 // call performs one transport round trip. Uncancellable contexts take

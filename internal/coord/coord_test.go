@@ -338,6 +338,37 @@ func TestQuorumFailover(t *testing.T) {
 	}
 }
 
+// TestReadYourWritesAcrossFailover stops the server that acknowledged a
+// session's write the moment the acknowledgement is in hand — the
+// leader, which may be the only member that knew the write committed,
+// or a follower, which learned so from the reply to its forward — and
+// reads the node back through the same session. The server the session
+// fails over to must have applied the write before it answers.
+func TestReadYourWritesAcrossFailover(t *testing.T) {
+	for round := 0; round < 8; round++ {
+		e := startTestEnsemble(t, 3)
+		if err := e.WaitLeader(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		at := 0
+		for i, srv := range e.Servers {
+			if srv.IsLeader() {
+				at = i
+			}
+		}
+		at = (at + round%2) % len(e.Servers) // odd rounds: a follower
+		s := connect(t, e, at)
+		path := fmt.Sprintf("/ryw%d", round)
+		if _, err := s.Create(path, nil, znode.ModePersistent); err != nil {
+			t.Fatal(err)
+		}
+		e.Servers[at].Stop()
+		if _, ok, err := s.Exists(path); err != nil || !ok {
+			t.Fatalf("round %d: acknowledged create of %s not visible after failover (exists=%v, err=%v)", round, path, ok, err)
+		}
+	}
+}
+
 func TestFullRestartPreservesNamespace(t *testing.T) {
 	// Paper §IV-I: "it can tolerate the failure of all servers by
 	// restarting them later" — every member comes back from its data

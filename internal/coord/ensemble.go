@@ -26,9 +26,6 @@ type EnsembleConfig struct {
 	HeartbeatInterval time.Duration
 	ElectionTimeout   time.Duration
 	MaxLogEntries     int
-	// Group-commit tunables (zero = defaults; see ServerConfig).
-	MaxBatchTxns      int
-	MaxInflightFrames int
 
 	// DataDir, when non-empty, gives every member a durable storage
 	// engine under DataDir/node<id>, so members — or the whole
@@ -84,8 +81,6 @@ func StartEnsemble(cfg EnsembleConfig) (*Ensemble, error) {
 			HeartbeatInterval: cfg.HeartbeatInterval,
 			ElectionTimeout:   cfg.ElectionTimeout,
 			MaxLogEntries:     cfg.MaxLogEntries,
-			MaxBatchTxns:      cfg.MaxBatchTxns,
-			MaxInflightFrames: cfg.MaxInflightFrames,
 		}
 		if cfg.DataDir != "" {
 			scfg.DataDir = filepath.Join(cfg.DataDir, fmt.Sprintf("node%d", i))

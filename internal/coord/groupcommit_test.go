@@ -1,0 +1,182 @@
+package coord
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/coord/zab"
+	"repro/internal/coord/znode"
+	"repro/internal/transport"
+)
+
+// leaderAndFollower returns the indices of the ensemble's leader and of
+// one follower.
+func leaderAndFollower(tb testing.TB, e *Ensemble) (leader, follower int) {
+	tb.Helper()
+	leader, follower = -1, -1
+	for i, s := range e.Servers {
+		if s.IsLeader() {
+			leader = i
+		} else {
+			follower = i
+		}
+	}
+	if leader < 0 || follower < 0 {
+		tb.Fatal("ensemble has no leader or no follower")
+	}
+	return leader, follower
+}
+
+// TestWriteRoundTrips pins the replication stream's message economy in
+// wall-clock time. With every call delayed by d, a write through the
+// leader costs the client call and one propose round trip (2d); a write
+// through a follower adds the forward (3d) and nothing else — the
+// forward reply doubles as the commit notice, so the session's server
+// does not wait out a fourth, leader→follower commit message.
+func TestWriteRoundTrips(t *testing.T) {
+	const d = 20 * time.Millisecond
+	ensembleSeq++
+	e, err := StartEnsemble(EnsembleConfig{
+		Servers:           3,
+		Net:               &transport.Latency{Inner: transport.NewInProc(), Delay: func() time.Duration { return d }},
+		AddrPrefix:        fmt.Sprintf("rtt%d", ensembleSeq),
+		HeartbeatInterval: 50 * time.Millisecond,
+		ElectionTimeout:   time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Stop)
+	leader, follower := leaderAndFollower(t, e)
+	for _, c := range []struct {
+		name   string
+		server int
+		bound  time.Duration
+	}{
+		{"leader", leader, d * 5 / 2},
+		{"follower", follower, d * 7 / 2},
+	} {
+		s := connect(t, e, c.server)
+		if _, err := s.Create("/"+c.name, nil, znode.ModePersistent); err != nil {
+			t.Fatal(err)
+		}
+		// The best of a few tries: the bound is about message count, and
+		// a scheduler hiccup only ever adds time.
+		best := time.Hour
+		for i := 0; i < 5; i++ {
+			start := time.Now()
+			if _, err := s.Create(fmt.Sprintf("/%s/n%d", c.name, i), nil, znode.ModePersistent); err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, time.Since(start))
+		}
+		t.Logf("create through the %s: %v (%.2f call delays)", c.name, best, float64(best)/float64(d))
+		if best >= c.bound {
+			t.Errorf("create through the %s took %v, want under %v", c.name, best, c.bound)
+		}
+	}
+}
+
+// BenchmarkGroupCommit measures coordination write throughput under
+// injected network latency as concurrent sessions grow, comparing the
+// group-commit pipeline (DESIGN.md §9) against the serialized
+// one-txn-per-quorum-round-trip baseline (zab.Config MaxBatchTxns=1,
+// MaxInflightFrames=1 — the pre-pipeline propose path, reached through
+// the ablateZab test hook). Serialized, every znode write pays a full
+// exclusive quorum round trip, so throughput is flat in the session
+// count; with group commit the leader coalesces the writes queued
+// behind each round trip into multi-txn frames, so throughput scales
+// with the concurrency — ≥4× at 16 sessions is the acceptance bar.
+// Sessions are pinned to the leader, so the leader's pipeline is what
+// is measured, not the forwarding hop.
+func BenchmarkGroupCommit(b *testing.B) {
+	const (
+		netRTT       = 500 * time.Microsecond
+		opsPerClient = 25
+	)
+	modes := []struct {
+		name          string
+		batch, window int
+	}{
+		{"serialized", 1, 1},
+		{"grouped", 0, 0}, // zero = the pipeline defaults
+	}
+	for _, mode := range modes {
+		for _, clients := range []int{1, 4, 16} {
+			b.Run(fmt.Sprintf("%s/clients=%d", mode.name, clients), func(b *testing.B) {
+				ablateZab = func(c *zab.Config) { c.MaxBatchTxns, c.MaxInflightFrames = mode.batch, mode.window }
+				b.Cleanup(func() { ablateZab = nil })
+				ensembleSeq++
+				// 50 ms / 1 s and MaxLogEntries 2^20, as every saturating
+				// benchmark (bench_test.go startSaturatedEnsemble): no
+				// self-inflicted election, no snapshot inside the timing.
+				e, err := StartEnsemble(EnsembleConfig{
+					Servers:           3,
+					Net:               &transport.Latency{Inner: transport.NewInProc(), Delay: func() time.Duration { return netRTT }},
+					AddrPrefix:        fmt.Sprintf("gcommit%d", ensembleSeq),
+					HeartbeatInterval: 50 * time.Millisecond,
+					ElectionTimeout:   time.Second,
+					MaxLogEntries:     1 << 20,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.Cleanup(e.Stop)
+				leader, _ := leaderAndFollower(b, e)
+				sessions := make([]*Session, clients)
+				for c := range sessions {
+					if sessions[c], err = e.Connect(leader); err != nil {
+						b.Fatal(err)
+					}
+					b.Cleanup(func() { sessions[c].Close() })
+				}
+				if _, err := sessions[0].Create("/gc", nil, znode.ModePersistent); err != nil {
+					b.Fatal(err)
+				}
+				// Pre-format every path so the timed section measures the
+				// write pipeline, not fmt.Sprintf.
+				paths := make([][]string, clients)
+				for c := range paths {
+					paths[c] = make([]string, b.N*opsPerClient)
+					for k := range paths[c] {
+						paths[c][k] = fmt.Sprintf("/gc/c%d-%d", c, k)
+					}
+				}
+				before, err := sessions[0].Status()
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					var wg sync.WaitGroup
+					errs := make([]error, clients)
+					for c := range sessions {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							for _, p := range paths[c][i*opsPerClient : (i+1)*opsPerClient] {
+								if _, errs[c] = sessions[c].Create(p, nil, znode.ModePersistent); errs[c] != nil {
+									return
+								}
+							}
+						}()
+					}
+					wg.Wait()
+					for _, err := range errs {
+						if err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.StopTimer()
+				if after, err := sessions[0].Status(); err != nil || after.Epoch != before.Epoch {
+					b.Fatalf("leader election during the timed section (epoch %d -> %d, %v); result discarded", before.Epoch, after.Epoch, err)
+				}
+				b.ReportMetric(float64(b.N*clients*opsPerClient)/b.Elapsed().Seconds(), "writes/s")
+			})
+		}
+	}
+}

@@ -33,12 +33,6 @@ type ServerConfig struct {
 	HeartbeatInterval time.Duration
 	ElectionTimeout   time.Duration
 	MaxLogEntries     int
-	// Group-commit tunables (zero = defaults): how many transactions
-	// the leader's proposer coalesces per frame and how many
-	// uncommitted frames it pipelines. 1/1 degrades to the serialized
-	// one-txn-per-quorum-round-trip cycle (the ablation baseline).
-	MaxBatchTxns      int
-	MaxInflightFrames int
 
 	// DataDir, when non-empty, attaches the durable storage engine
 	// (internal/coord/storage): a segmented write-ahead log plus fuzzy
@@ -68,6 +62,12 @@ type Server struct {
 	watches  *watchTable
 	dispatch *watchDispatcher
 }
+
+// ablateZab, when non-nil, edits the replication config of every server
+// NewServer builds. Only this package's tests set it: it is how the
+// group-commit ablation (BenchmarkGroupCommit) reaches zab's batch and
+// window bounds, which are not ServerConfig's business.
+var ablateZab func(*zab.Config)
 
 // NewServer builds and starts a coordination server.
 func NewServer(cfg ServerConfig) (*Server, error) {
@@ -99,10 +99,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		HeartbeatInterval: cfg.HeartbeatInterval,
 		ElectionTimeout:   cfg.ElectionTimeout,
 		MaxLogEntries:     cfg.MaxLogEntries,
-		MaxBatchTxns:      cfg.MaxBatchTxns,
-		MaxInflightFrames: cfg.MaxInflightFrames,
 		Metrics:           reg,
 		Storage:           st,
+	}
+	if ablateZab != nil {
+		ablateZab(&zcfg)
 	}
 	node, err := zab.NewNode(zcfg, sm)
 	if err != nil {

@@ -11,10 +11,21 @@ func (n *Node) resetElectionTimer() {
 		time.Duration(n.rng.Int63n(int64(n.cfg.ElectionTimeout)))
 }
 
+// setEpochLocked enters a new epoch. What the node verified against the
+// previous epoch's leader, and the commit horizon that leader
+// announced, say nothing about the new leader's log: both fall back to
+// the commit horizon, which every leader's log contains.
+func (n *Node) setEpochLocked(epoch uint64) {
+	n.epoch = epoch
+	n.verified = n.commitZxid
+	n.leaderCommit = n.commitZxid
+	n.gapBeats = 0
+}
+
 // adoptEpochLocked moves the node to follower state for a newer epoch.
 func (n *Node) adoptEpochLocked(epoch, leaderID uint64) {
 	if epoch > n.epoch {
-		n.epoch = epoch
+		n.setEpochLocked(epoch)
 	}
 	if n.role == roleLeader {
 		n.failLeaderLocked(ErrNoLeader)
@@ -26,13 +37,23 @@ func (n *Node) adoptEpochLocked(epoch, leaderID uint64) {
 	n.resetElectionTimer()
 }
 
+// gapBeatsBeforeSync is how many heartbeats in a row may announce a
+// commit horizon past a log tip that has not moved before the follower
+// stops waiting for the stream and pulls (a member that rejoined empty
+// while the ensemble is idle gets nothing on the stream). Frames the
+// leader committed are normally in flight, and a lost window costs the
+// stream a refusal and a back-off — up to three beats — to resend.
+const gapBeatsBeforeSync = 4
+
 func (n *Node) handleHeartbeat(m heartbeatReq) heartbeatResp {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if m.Epoch >= n.epoch {
 		n.adoptEpochLocked(m.Epoch, m.LeaderID)
-		n.advanceCommitLocked(m.Commit)
-		if m.Commit > n.lastZxidLocked() {
+		n.followCommitLocked(m.Commit)
+		if m.Commit <= n.lastZxidLocked() {
+			n.gapBeats = 0
+		} else if n.gapBeats++; n.gapBeats >= gapBeatsBeforeSync {
 			n.triggerSyncLocked()
 		}
 	}
@@ -75,7 +96,7 @@ func (n *Node) handleRequestVote(m requestVoteReq) requestVoteResp {
 		return requestVoteResp{Epoch: n.epoch}
 	}
 	n.grantedEpoch = m.Epoch
-	n.epoch = m.Epoch
+	n.setEpochLocked(m.Epoch)
 	if n.role == roleLeader {
 		n.failLeaderLocked(ErrNoLeader)
 	}
@@ -156,7 +177,7 @@ func (n *Node) runElection() {
 		n.mu.Unlock()
 		return
 	}
-	n.epoch = next
+	n.setEpochLocked(next)
 	n.grantedEpoch = next
 	n.role = roleCandidate
 	n.leaderID = 0
@@ -226,7 +247,7 @@ func (n *Node) becomeLeader(epoch uint64) {
 	n.leaderID = n.cfg.ID
 	n.nextSeq = 0
 	n.leaderGen++
-	n.match = make(map[uint64]uint64, len(n.cfg.Peers))
+	n.streams = make(map[uint64]*followerStream, len(n.cfg.Peers)-1)
 	n.stallSince = time.Time{}
 	// Queue the epoch barrier at the HEAD of the proposal queue inside
 	// the same critical section that flips the role, so no client
@@ -240,20 +261,22 @@ func (n *Node) becomeLeader(epoch uint64) {
 	n.propQ = append([]*pendingTxn{barrier}, n.propQ...)
 	n.gQueue.Set(int64(len(n.propQ)))
 	gen := n.leaderGen
+	// Every stream starts at our own tip: a follower that matches it
+	// attaches the barrier, any other answers NeedSync and syncs.
 	tip := n.lastZxidLocked()
-	n.leaderCond.Broadcast()
-	n.mu.Unlock()
-
-	n.wg.Add(2)
+	for id := range n.cfg.Peers {
+		if id != n.cfg.ID {
+			n.streams[id] = &followerStream{sent: tip, base: tip}
+		}
+	}
+	n.wg.Add(2 + len(n.streams))
 	go n.proposerLoop(gen)
 	go n.leaderSyncLoop(gen)
-	for id := range n.cfg.Peers {
-		if id == n.cfg.ID {
-			continue
-		}
-		n.wg.Add(1)
-		go n.senderLoop(gen, id, tip)
+	for id, s := range n.streams {
+		go n.senderLoop(gen, id, s)
 	}
+	n.leaderCond.Broadcast()
+	n.mu.Unlock()
 }
 
 func (n *Node) heartbeatLoop() {

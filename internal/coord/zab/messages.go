@@ -9,7 +9,6 @@ import (
 // Peer-to-peer message kinds. Every message starts with one kind byte.
 const (
 	msgPropose uint8 = iota + 1
-	msgCommit
 	msgHeartbeat
 	msgRequestVote
 	msgSync
@@ -46,12 +45,13 @@ func decodeEntry(r *wire.Reader) Frame {
 	return e
 }
 
-// proposeReq replicates a window of frames with a Raft-style
-// consistency check: the follower accepts only if it holds PrevZxid
-// (committed entries always count as held). A single request may carry
-// several frames — the per-follower sender coalesces everything that
-// queued up behind the previous round trip, which is what keeps the
-// pipe full under concurrent load.
+// proposeReq is one window of a follower's log stream: a run of frames
+// with a Raft-style consistency check — the follower accepts only if
+// it holds PrevZxid (committed entries always count as held). Several
+// windows may be in flight to one follower at once and each carries
+// the leader's commit horizon; a window without frames carries nothing
+// else (or, naming the leader's tip, probes a follower the leader lost
+// track of — see handlePropose).
 type proposeReq struct {
 	Epoch    uint64
 	LeaderID uint64
@@ -103,11 +103,12 @@ func decodeProposeReq(r *wire.Reader) proposeReq {
 	return m
 }
 
-// proposeResp acknowledges (or refuses) a propose window. LastZxid is
-// the follower's log tip after processing — a CUMULATIVE ack: the
-// leader trusts it as the follower's replicated horizon because an ack
-// is only sent once the follower's whole log is a verified prefix of
-// the leader's.
+// proposeResp acknowledges (or refuses) a propose window. With Ack set,
+// LastZxid is a CUMULATIVE ack: the highest zxid up to which the
+// follower's log is both a verified prefix of this leader's and
+// durable, so acks may return in any order and the leader keeps the
+// maximum. On a refusal LastZxid is the follower's log tip, the
+// position the leader rewinds the stream to.
 type proposeResp struct {
 	Ack      bool
 	NeedSync bool
@@ -129,22 +130,6 @@ func decodeProposeResp(b []byte) (proposeResp, error) {
 	r := wire.NewReader(b)
 	m := proposeResp{Ack: r.Bool(), NeedSync: r.Bool(), Epoch: r.Uint64(), LastZxid: r.Uint64()}
 	return m, r.Err()
-}
-
-// commitReq tells followers everything up to Zxid is durable on a
-// quorum and must be applied.
-type commitReq struct {
-	Epoch uint64
-	Zxid  uint64
-}
-
-func (m commitReq) encode() []byte {
-	var w wire.Writer
-	w.Grow(24)
-	w.Uint8(msgCommit)
-	w.Uint64(m.Epoch)
-	w.Uint64(m.Zxid)
-	return w.Bytes()
 }
 
 // heartbeat keeps followership alive and carries the commit horizon.
@@ -383,22 +368,28 @@ func (m forwardReq) encode() []byte {
 
 // forwardResp returns the state-machine result of the committed txn
 // and its zxid, so the forwarding server can wait for local apply
-// before answering its client (session read-your-writes).
+// before answering its client (session read-your-writes). Commit is
+// the end of the frame that carried the txn — a commit horizon, like
+// the one every other leader→follower message carries: the reply
+// exists because that frame committed, so the forwarding follower need
+// not wait for the stream to say so.
 type forwardResp struct {
 	Zxid   uint64
+	Commit uint64
 	Result []byte
 }
 
 func (m forwardResp) encode() []byte {
 	var w wire.Writer
-	w.Grow(16 + len(m.Result))
+	w.Grow(24 + len(m.Result))
 	w.Uint64(m.Zxid)
+	w.Uint64(m.Commit)
 	w.Bytes32(m.Result)
 	return w.Bytes()
 }
 
 func decodeForwardResp(b []byte) (forwardResp, error) {
 	r := wire.NewReader(b)
-	m := forwardResp{Zxid: r.Uint64(), Result: r.BytesCopy32()}
+	m := forwardResp{Zxid: r.Uint64(), Commit: r.Uint64(), Result: r.BytesCopy32()}
 	return m, r.Err()
 }

@@ -18,11 +18,12 @@
 //     it and coalesces the pending transactions into one FRAME (up to
 //     MaxBatchTxns transactions / maxBatchBytes bytes) that
 //     replicates, commits and recovers as a single unit.
-//   - One sender goroutine per follower streams frames with a
-//     cumulative-ack protocol: each round trip carries every frame
-//     that queued up behind the previous one, so the leader keeps
-//     proposing (up to MaxInflightFrames uncommitted frames) while
-//     earlier acks are still in flight.
+//   - One sender goroutine per follower streams frames as WINDOWS,
+//     several in flight at once, without waiting for earlier acks:
+//     acks are cumulative and may return in any order, every window
+//     carries the commit horizon (there is no separate commit
+//     message), and the leader keeps proposing (up to
+//     MaxInflightFrames uncommitted frames) meanwhile.
 //   - A frame's transactions commit together when a quorum holds the
 //     frame; each waiting proposer is woken with its own per-txn
 //     apply result. An unacknowledged frame either wholly commits or
@@ -247,11 +248,25 @@ type Node struct {
 	// appendScratch carries the proposer's one new frame to
 	// Storage.Append (which must not retain the slice), under mu.
 	appendScratch [1]Frame
-	waiters       map[uint64]*pendingTxn // txn zxid -> waiter (leader only)
-	match         map[uint64]uint64      // peer -> cumulative acked zxid
-	stallSince    time.Time              // commit horizon stuck since
-	leaderCond    *sync.Cond             // work/window/role changes
-	tipsScratch   []uint64               // quorum-sort scratch, under mu
+	waiters       map[uint64]*pendingTxn     // txn zxid -> waiter (leader only)
+	streams       map[uint64]*followerStream // peer -> its log stream (leader only)
+	stallSince    time.Time                  // commit horizon stuck since
+	leaderCond    *sync.Cond                 // work/window/role changes
+	tipsScratch   []uint64                   // quorum-sort scratch, under mu
+
+	// Follower-side commit discipline: verified is the highest zxid up
+	// to which this log is known to equal the log of the current epoch's
+	// leader, leaderCommit the highest commit horizon heard in this
+	// epoch; a follower commits min(leaderCommit, verified), never its
+	// bare tip (followCommitLocked). setEpochLocked resets both.
+	verified     uint64
+	leaderCommit uint64
+	// tipMoved, when non-nil, is closed the next time the log tip
+	// advances — what a parked early window waits on.
+	tipMoved chan struct{}
+	// gapBeats counts the heartbeats since the log tip last moved whose
+	// commit horizon lay past it (handleHeartbeat).
+	gapBeats int
 
 	// applyWaiters are follower-side (and forwarded-write) waits for
 	// the local state machine to reach a zxid; each registered channel
@@ -350,7 +365,6 @@ func NewNode(cfg Config, sm StateMachine) (*Node, error) {
 		conns:        make(map[uint64]transport.Conn),
 		stopCh:       make(chan struct{}),
 		waiters:      make(map[uint64]*pendingTxn),
-		match:        make(map[uint64]uint64),
 		applyWaiters: make(map[uint64][]chan struct{}),
 		now:          cfg.Clock,
 		observers:    make(map[uint64]*observerFeed),
@@ -541,6 +555,18 @@ func (n *Node) callPeer(id uint64, req []byte) ([]byte, error) {
 	return resp, nil
 }
 
+// callPeerAsync submits one RPC to a peer without waiting for the
+// reply; the caller drops the connection if the result is an error.
+func (n *Node) callPeerAsync(id uint64, req []byte) <-chan transport.CallResult {
+	c, err := n.getConn(id)
+	if err != nil {
+		done := make(chan transport.CallResult, 1)
+		done <- transport.CallResult{Err: err}
+		return done
+	}
+	return transport.CallAsync(c, req)
+}
+
 // --- request dispatch -------------------------------------------------
 
 func (n *Node) handle(req []byte) ([]byte, error) {
@@ -556,13 +582,6 @@ func (n *Node) handle(req []byte) ([]byte, error) {
 			return nil, err
 		}
 		return n.handlePropose(m).encode(), nil
-	case msgCommit:
-		epoch, zxid := r.Uint64(), r.Uint64()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		n.handleCommit(epoch, zxid)
-		return nil, nil
 	case msgHeartbeat:
 		m := heartbeatReq{Epoch: r.Uint64(), LeaderID: r.Uint64(), Commit: r.Uint64()}
 		if err := r.Err(); err != nil {
@@ -590,11 +609,11 @@ func (n *Node) handle(req []byte) ([]byte, error) {
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		result, zxid, err := n.propose(txn)
+		o, err := n.propose(txn)
 		if err != nil {
 			return nil, err
 		}
-		return forwardResp{Zxid: zxid, Result: result}.encode(), nil
+		return forwardResp{Zxid: o.zxid, Commit: o.frameLast, Result: o.result}.encode(), nil
 	case msgObserverPoll:
 		m := observerPollReq{ObserverID: r.Uint64(), FromZxid: r.Uint64(), AppliedZxid: r.Uint64()}
 		if err := r.Err(); err != nil {

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/transport"
 )
 
 // proposeTimeout bounds how long a proposal waits for commit+apply.
@@ -35,41 +37,71 @@ func putProposeTimer(t *time.Timer) {
 // maxBatchBytes bounds a frame's total transaction payload.
 const maxBatchBytes = 1 << 20
 
-// maxFramesPerSend bounds how many frames one sender RPC carries; a
-// follower further behind than this catches up over several round
-// trips (or via the sync protocol once its position leaves the log).
+// maxFramesPerSend bounds how many unacknowledged frames a follower's
+// stream keeps in flight, across all its windows; a follower further
+// behind than this catches up as the acks return (or via the sync
+// protocol once its position leaves the log).
 const maxFramesPerSend = 64
 
 // pendingTxn is one queued proposal waiting for its frame to commit.
 type pendingTxn struct {
-	txn  []byte
-	noop bool
-	ch   chan proposeOutcome // buffered(1); exactly one send ever happens
+	txn       []byte
+	noop      bool
+	frameLast uint64              // end of the frame that carries it, set by the proposer
+	ch        chan proposeOutcome // buffered(1); exactly one send ever happens
 }
 
+// proposeOutcome is a transaction's fate as its proposer learns of it:
+// its zxid and state-machine result, or err. frameLast, filled in for
+// the caller of propose, is the end of the frame that carried it —
+// frames commit whole, so it is a commit horizon.
 type proposeOutcome struct {
-	zxid   uint64
-	result []byte
-	err    error
+	zxid      uint64
+	frameLast uint64
+	result    []byte
+	err       error
 }
 
 // --- follower side ----------------------------------------------------
 
-// handlePropose processes one propose window: a run of consecutive
-// frames attaching at PrevZxid. Frames the follower already holds are
-// skipped (retransmits after a partial round trip); the first novel
-// frame must attach exactly at the log tip, otherwise the follower
-// asks to sync. The ack carries the follower's tip as a CUMULATIVE
-// acknowledgement: equal zxids imply equal logs (one leader per epoch,
-// one entry per zxid), so the leader may trust it as this follower's
-// replicated horizon. The ack is also a durability promise, so the
-// whole window is synced — one sync per window, amortizing every frame
-// and transaction it carried — before the ack is returned; the sync
-// happens outside the node mutex so applies and reads proceed
-// meanwhile.
+// handlePropose processes one window of the leader's log stream: a run
+// of consecutive frames attaching at PrevZxid, plus the leader's commit
+// horizon. The leader keeps several windows in flight and every
+// transport runs each request on its own goroutine, so windows arrive
+// in any order; the follower tells three kinds apart by where PrevZxid
+// falls against its own log:
+//
+//   - At or below the tip, on a frame boundary it holds: the window
+//     attaches or overlaps. Frames already held are skipped (a
+//     retransmit, or a window overtaken by its successor), the rest
+//     must attach exactly at the tip and are appended. A window with
+//     no frames is a late commit carrier and is simply acked.
+//   - Ahead of the tip, with frames, PrevZxid of the leader's own
+//     epoch: EARLY — its predecessor is still in flight. It parks until
+//     the append that closes the gap (the leader's window bounds how
+//     many can park) and, if that has not happened within one
+//     HeartbeatInterval, is refused with the tip so the leader rewinds.
+//     Reordering is never answered with a sync pull. A gap below an
+//     OLDER epoch's position is not waited out: it is what a follower
+//     lagging a newly elected leader sees first (the barrier, attaching
+//     at the leader's inherited tip), and pulling at once gets the
+//     barrier its quorum a park and a back-off sooner.
+//   - Anything else — a position this log does not hold, or an empty
+//     window naming one (the probe of a leader that lost track of this
+//     follower): the logs differ or the gap is not on the stream.
+//     NeedSync, and the follower pulls the missing state itself.
+//
+// The ack is CUMULATIVE and a durability promise: the appended frames
+// are synced — one sync per window, outside the node mutex — and the
+// position reported is capped at the store's durable horizon, because
+// with several handlers in flight this one may have verified frames
+// another handler appended and has not synced yet.
 func (n *Node) handlePropose(m proposeReq) proposeResp {
-	resp, appended := n.handleProposeLocked(m)
-	if appended && resp.Ack {
+	resp, appended := n.acceptWindow(m)
+	if !resp.Ack {
+		return resp
+	}
+	if appended {
 		if err := n.st.Sync(); err != nil {
 			// Not durable: withhold both the ack and the sync request —
 			// a node whose disk is failing should fall out of the quorum,
@@ -77,37 +109,70 @@ func (n *Node) handlePropose(m proposeReq) proposeResp {
 			return proposeResp{Epoch: resp.Epoch, LastZxid: resp.LastZxid}
 		}
 	}
+	resp.LastZxid = min(resp.LastZxid, n.st.LastDurableZxid())
 	return resp
 }
 
-func (n *Node) handleProposeLocked(m proposeReq) (proposeResp, bool) {
+// acceptWindow is handlePropose's part under the node mutex: it places
+// the window, parks it if early, appends its novel frames and follows
+// the commit horizon. appended reports whether the ack awaits a Sync.
+func (n *Node) acceptWindow(m proposeReq) (resp proposeResp, appended bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if m.Epoch < n.epoch {
+	var patience *time.Timer // armed when the window first parks
+	for {
+		if m.Epoch < n.epoch {
+			return proposeResp{Epoch: n.epoch, LastZxid: n.lastZxidLocked()}, false
+		}
+		n.adoptEpochLocked(m.Epoch, m.LeaderID)
+		if m.PrevZxid <= n.lastZxidLocked() {
+			break
+		}
+		if len(m.Entries) == 0 || epochOf(m.PrevZxid) != m.Epoch {
+			return n.needSyncLocked(), false
+		}
+		if patience == nil {
+			patience = time.NewTimer(n.cfg.HeartbeatInterval)
+			defer patience.Stop()
+		}
+		if n.tipMoved == nil {
+			n.tipMoved = make(chan struct{})
+		}
+		moved := n.tipMoved
+		n.mu.Unlock()
+		select {
+		case <-moved:
+			n.mu.Lock()
+			continue
+		case <-patience.C:
+		case <-n.stopCh:
+		}
+		n.mu.Lock()
 		return proposeResp{Epoch: n.epoch, LastZxid: n.lastZxidLocked()}, false
 	}
-	n.adoptEpochLocked(m.Epoch, m.LeaderID)
-	prev := m.PrevZxid
+	if !n.holdsLocked(m.PrevZxid) {
+		return n.needSyncLocked(), false
+	}
 	tip := n.lastZxidLocked()
+	prev := m.PrevZxid
 	var novel []Frame
 	for _, e := range m.Entries {
 		if e.Last() <= tip {
-			// Already held (an overlap from a retransmitted window).
+			// An overlap: a zxid names one frame, so holding its end means
+			// holding the leader's log up to it.
+			if !n.holdsLocked(e.Last()) {
+				return n.needSyncLocked(), false
+			}
 			prev = e.Last()
 			continue
 		}
 		if prev != tip {
-			n.triggerSyncLocked()
-			return proposeResp{NeedSync: true, Epoch: n.epoch, LastZxid: n.lastZxidLocked()}, false
+			// We hold frames past prev that the leader's log does not.
+			return n.needSyncLocked(), false
 		}
 		novel = append(novel, e)
 		tip = e.Last()
 		prev = tip
-	}
-	if len(m.Entries) == 0 && prev != tip {
-		// A probe from a leader that lost track of our position.
-		n.triggerSyncLocked()
-		return proposeResp{NeedSync: true, Epoch: n.epoch, LastZxid: tip}, false
 	}
 	if len(novel) > 0 {
 		// Persist before extending the in-memory log, so the tip this
@@ -117,19 +182,53 @@ func (n *Node) handleProposeLocked(m proposeReq) (proposeResp, bool) {
 			return proposeResp{Epoch: n.epoch, LastZxid: n.lastZxidLocked()}, false
 		}
 		n.log = append(n.log, novel...)
+		n.tipAdvancedLocked()
 	}
-	n.advanceCommitLocked(m.Commit)
-	return proposeResp{Ack: true, Epoch: n.epoch, LastZxid: n.lastZxidLocked()}, len(novel) > 0
+	n.verified = max(n.verified, prev)
+	n.followCommitLocked(m.Commit)
+	return proposeResp{Ack: true, Epoch: n.epoch, LastZxid: n.verified}, len(novel) > 0
 }
 
-func (n *Node) handleCommit(epoch, zxid uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if epoch < n.epoch {
-		return
+// needSyncLocked answers a window this log cannot take and starts the
+// pull that repairs it.
+func (n *Node) needSyncLocked() proposeResp {
+	n.triggerSyncLocked()
+	return proposeResp{NeedSync: true, Epoch: n.epoch, LastZxid: n.lastZxidLocked()}
+}
+
+// holdsLocked reports whether z, a frame end in the leader's log, is
+// one in this node's log too. Everything committed counts as held: the
+// committed prefix is the same on every member.
+func (n *Node) holdsLocked(z uint64) bool {
+	if z <= n.commitZxid || z == n.lastZxidLocked() {
+		return true
 	}
-	n.adoptEpochLocked(epoch, 0)
-	n.advanceCommitLocked(zxid)
+	i := sort.Search(len(n.log), func(i int) bool { return n.log[i].Last() >= z })
+	return i < len(n.log) && n.log[i].Last() == z
+}
+
+// tipAdvancedLocked records that the log tip moved: it releases the
+// early windows parked on it and restarts the heartbeat gap count.
+func (n *Node) tipAdvancedLocked() {
+	n.gapBeats = 0
+	if n.tipMoved != nil {
+		close(n.tipMoved)
+		n.tipMoved = nil
+	}
+}
+
+// followCommitLocked is every follower-side commit advance — window,
+// heartbeat, forward reply, sync pull. commit is a horizon announced
+// under the current epoch; the node commits it only as far as its log
+// is verified against that epoch's leader (Raft's min(leaderCommit,
+// index of last new entry)). The log tip is not a safe cap: a tail kept
+// from an older epoch may sit below a newer epoch's horizon without
+// being in the new leader's log. The announced horizon is remembered,
+// so a window that arrives after the notice that commits it applies at
+// once.
+func (n *Node) followCommitLocked(commit uint64) {
+	n.leaderCommit = max(n.leaderCommit, commit)
+	n.advanceCommitLocked(min(n.leaderCommit, n.verified))
 }
 
 // advanceCommitLocked raises the commit horizon (bounded by what we
@@ -235,7 +334,10 @@ func (n *Node) syncFromLeader(leader, from uint64) {
 			return
 		}
 	}
-	n.advanceCommitLocked(resp.Commit)
+	// The whole log is now the leader's, as of the reply.
+	n.verified = n.lastZxidLocked()
+	n.tipAdvancedLocked()
+	n.followCommitLocked(resp.Commit)
 	// advanceCommitLocked returns early when the horizon didn't move,
 	// but an install may have rewound applyEnqueued below an unchanged
 	// commitZxid — re-enqueue explicitly so the gap replays.
@@ -308,56 +410,66 @@ func (n *Node) handleSync(m syncReq) (syncResp, error) {
 // coalesced by the leader's proposer into group-commit frames instead
 // of queueing on a serialized quorum round trip.
 func (n *Node) Propose(txn []byte) ([]byte, error) {
-	result, zxid, err := n.propose(txn)
+	p, err := n.propose(txn)
 	if err != nil {
 		return nil, err
 	}
-	if err := n.waitApplied(zxid); err != nil {
+	if err := n.waitApplied(p.zxid); err != nil {
 		return nil, err
 	}
-	return result, nil
+	return p.result, nil
 }
 
-func (n *Node) propose(txn []byte) ([]byte, uint64, error) {
+func (n *Node) propose(txn []byte) (proposeOutcome, error) {
 	n.mu.Lock()
 	if n.stopped {
 		n.mu.Unlock()
-		return nil, 0, ErrStopped
+		return proposeOutcome{}, ErrStopped
 	}
 	isLeader := n.role == roleLeader
 	leader := n.leaderID
 	n.mu.Unlock()
 
-	if !isLeader {
-		if leader == 0 || leader == n.cfg.ID {
-			return nil, 0, ErrNoLeader
-		}
-		respB, err := n.callPeer(leader, forwardReq{Txn: txn}.encode())
-		if err != nil {
-			return nil, 0, err
-		}
-		resp, err := decodeForwardResp(respB)
-		if err != nil {
-			return nil, 0, err
-		}
-		return resp.Result, resp.Zxid, nil
+	if isLeader {
+		return n.proposeAsLeader(txn, false)
 	}
-	return n.proposeAsLeader(txn, false)
+	if leader == 0 || leader == n.cfg.ID {
+		return proposeOutcome{}, ErrNoLeader
+	}
+	respB, err := n.callPeer(leader, forwardReq{Txn: txn}.encode())
+	if err != nil {
+		return proposeOutcome{}, err
+	}
+	resp, err := decodeForwardResp(respB)
+	if err != nil {
+		return proposeOutcome{}, err
+	}
+	// The reply is a commit notice: it exists because the frame ending
+	// at resp.Commit committed. Taking it as one (when it comes from
+	// this node's current epoch — an older one says nothing about the
+	// log verified since, a newer one is a leader not yet adopted)
+	// spares the session the wait for the stream's next message.
+	n.mu.Lock()
+	if n.role != roleLeader && epochOf(resp.Commit) == n.epoch {
+		n.followCommitLocked(resp.Commit)
+	}
+	n.mu.Unlock()
+	return proposeOutcome{zxid: resp.Zxid, frameLast: resp.Commit, result: resp.Result}, nil
 }
 
 // proposeAsLeader enqueues one transaction for the proposer goroutine
 // and waits for its frame to commit and apply, returning the per-txn
 // state-machine result.
-func (n *Node) proposeAsLeader(txn []byte, noop bool) ([]byte, uint64, error) {
+func (n *Node) proposeAsLeader(txn []byte, noop bool) (proposeOutcome, error) {
 	p := &pendingTxn{txn: txn, noop: noop, ch: make(chan proposeOutcome, 1)}
 	n.mu.Lock()
 	if n.stopped {
 		n.mu.Unlock()
-		return nil, 0, ErrStopped
+		return proposeOutcome{}, ErrStopped
 	}
 	if n.role != roleLeader {
 		n.mu.Unlock()
-		return nil, 0, ErrNoLeader
+		return proposeOutcome{}, ErrNoLeader
 	}
 	n.propQ = append(n.propQ, p)
 	n.gQueue.Set(int64(len(n.propQ)))
@@ -368,17 +480,15 @@ func (n *Node) proposeAsLeader(txn []byte, noop bool) ([]byte, uint64, error) {
 	defer putProposeTimer(timer)
 	select {
 	case o := <-p.ch:
-		if o.err != nil {
-			return nil, 0, o.err
-		}
-		return o.result, o.zxid, nil
+		o.frameLast = p.frameLast
+		return o, o.err
 	case <-n.stopCh:
-		return nil, 0, ErrStopped
+		return proposeOutcome{}, ErrStopped
 	case <-timer.C:
 		// The transaction stays queued/in flight; it may still commit
 		// (the session layer's retry dedup absorbs that), but this
 		// caller stops waiting.
-		return nil, 0, fmt.Errorf("zab: proposal not committed within %v", proposeTimeout)
+		return proposeOutcome{}, fmt.Errorf("zab: proposal not committed within %v", proposeTimeout)
 	}
 }
 
@@ -451,6 +561,7 @@ func (n *Node) proposerLoop(gen uint64) {
 			n.waiters[e.Zxid] = batch[0]
 		} else {
 			for i, p := range batch {
+				p.frameLast = e.Last()
 				n.waiters[e.Zxid+uint64(i)] = p
 			}
 			n.nextSeq += uint32(len(batch))
@@ -510,10 +621,8 @@ func (n *Node) maybeAdvanceLeaderCommitLocked() {
 		return
 	}
 	tips := append(n.tipsScratch[:0], n.selfTipLocked())
-	for id := range n.cfg.Peers {
-		if id != n.cfg.ID {
-			tips = append(tips, n.match[id])
-		}
+	for _, s := range n.streams {
+		tips = append(tips, s.match)
 	}
 	slices.Sort(tips) // ascending; allocation-free, unlike sort.Slice
 	n.tipsScratch = tips
@@ -535,15 +644,11 @@ func (n *Node) maybeAdvanceLeaderCommitLocked() {
 	if target <= n.commitZxid {
 		return
 	}
-	epoch := n.epoch
+	// advanceCommitLocked wakes the senders: each follower's stream
+	// carries the new horizon on its next window, an empty one if it has
+	// no frames to send.
 	n.advanceCommitLocked(target)
 	n.gInflight.Set(int64(n.uncommittedFramesLocked()))
-	// Let followers apply promptly instead of waiting for the next
-	// piggybacked horizon. A single-node ensemble has nobody to tell —
-	// skip the encode, this runs once per commit advance.
-	if len(n.cfg.Peers) > 1 {
-		n.broadcastAsync(commitReq{Epoch: epoch, Zxid: n.commitZxid}.encode())
-	}
 }
 
 // selfTipLocked is the leader's own contribution to the commit
@@ -588,95 +693,192 @@ func (n *Node) leaderSyncLoop(gen uint64) {
 	}
 }
 
-// senderLoop streams the log to one follower: each RPC carries every
-// frame past the follower's acked horizon (capped at maxFramesPerSend),
-// so frames proposed while the previous round trip was in flight ride
-// the next one — the pipelining that keeps the pipe full. Acks are
-// cumulative; a follower that answers NeedSync pulls the missing state
-// itself while the sender backs off.
-func (n *Node) senderLoop(gen, id, base uint64) {
+// followerStream is the leader's side of one follower's log stream,
+// guarded by n.mu.
+type followerStream struct {
+	match uint64 // cumulative ack: verified and durable on the follower
+	sent  uint64 // highest zxid handed to a window
+	base  uint64 // the follower's last reported position; where a failed stream rewinds to
+
+	commit  uint64 // highest commit horizon an issued window carried
+	frames  int    // frames in flight, bounded by maxFramesPerSend
+	windows int    // windows in flight
+	empty   bool   // one of them has no frames (at most one does)
+	failed  bool   // a window was refused or lost: drain, rewind, back off
+}
+
+// window is what the leader remembers of one in-flight proposeReq; done
+// delivers the follower's reply.
+type window struct {
+	epoch  uint64
+	prev   uint64
+	frames int
+	probe  bool // names the leader's tip, not a position on the stream
+	done   <-chan transport.CallResult
+}
+
+// senderLoop streams the log to one follower as windows: it issues the
+// next one as soon as there are frames past s.sent (or a commit horizon
+// the follower has not been sent), without waiting for the acks of the
+// windows before it — up to maxFramesPerSend frames in flight. Each
+// window completes on its own goroutine (awaitWindow); acks are
+// cumulative and may return in any order. A refused or failed window
+// stops the issuing, lets the flight drain, rewinds s.sent to the
+// position the follower reported and backs off one heartbeat; a
+// follower that answered NeedSync pulls the missing state itself
+// meanwhile.
+func (n *Node) senderLoop(gen, id uint64, s *followerStream) {
 	defer n.wg.Done()
 	for {
 		n.mu.Lock()
-		for n.leaderGenLocked(gen) && base >= n.lastZxidLocked() {
-			n.leaderCond.Wait()
+		var req proposeReq
+		var w window
+		for ok := false; n.leaderGenLocked(gen); n.leaderCond.Wait() {
+			if s.failed {
+				ok = s.windows == 0 // drained: time to rewind
+			} else {
+				req, w, ok = n.nextWindowLocked(s)
+			}
+			if ok {
+				break
+			}
 		}
 		if !n.leaderGenLocked(gen) {
 			n.mu.Unlock()
 			return
 		}
-		req := proposeReq{
-			Epoch:    n.epoch,
-			LeaderID: n.cfg.ID,
-			PrevZxid: base,
-			Entries:  n.entriesAfterLocked(base),
-			Commit:   n.commitZxid,
-		}
-		if len(req.Entries) == 0 {
-			// base is not a position we can stream from (truncated away,
-			// or a divergent tail the follower kept across a failover).
-			// Probe with OUR tip: a follower that matches it is caught
-			// up; any other answers NeedSync and starts its own sync
-			// pull. Probing with base instead would be acked by a
-			// divergent follower forever, wedging it silently.
-			req.PrevZxid = n.lastZxidLocked()
+		if s.failed {
+			s.failed, s.sent, s.commit = false, s.base, 0
+			n.mu.Unlock()
+			if !n.sleepInterruptible(n.cfg.HeartbeatInterval) {
+				return
+			}
+			continue
 		}
 		n.mu.Unlock()
 
-		respB, err := n.callPeer(id, req.encode())
-		if err != nil {
-			if !n.sleepInterruptible(n.cfg.HeartbeatInterval) {
-				return
-			}
-			continue
-		}
-		resp, derr := decodeProposeResp(respB)
-		if derr != nil {
-			if !n.sleepInterruptible(n.cfg.HeartbeatInterval) {
-				return
-			}
-			continue
-		}
-		if resp.Epoch > req.Epoch {
-			n.mu.Lock()
-			if resp.Epoch > n.epoch {
-				n.adoptEpochLocked(resp.Epoch, 0)
-				n.leaderID = 0
-			}
-			n.mu.Unlock()
-			return
-		}
-		progressed := resp.LastZxid != base || len(req.Entries) > 0
-		base = resp.LastZxid
-		if resp.Ack {
-			n.mu.Lock()
-			if n.leaderGenLocked(gen) && resp.LastZxid > n.match[id] {
-				n.match[id] = resp.LastZxid
-				n.maybeAdvanceLeaderCommitLocked()
-			}
-			n.mu.Unlock()
-			if !progressed {
-				// An acked probe of a position we cannot stream from
-				// (the follower holds a divergent tail and is syncing);
-				// don't spin on it.
-				if !n.sleepInterruptible(n.cfg.HeartbeatInterval) {
-					return
-				}
-			}
-			continue
-		}
-		// The follower is lagging or divergent and is syncing from us;
-		// probe again after a beat.
-		if !n.sleepInterruptible(n.cfg.HeartbeatInterval) {
-			return
-		}
+		// On a connection that pipelines natively the window is on the
+		// wire, in stream order, before the next one is built.
+		w.done = n.callPeerAsync(id, req.encode())
+		n.wg.Add(1)
+		go n.awaitWindow(gen, id, s, w)
 	}
 }
 
-// entriesAfterLocked returns the run of log frames following the given
-// zxid, or nil (a position probe) when the position is not a frame
-// boundary we hold — the follower's own sync pull repairs that.
-func (n *Node) entriesAfterLocked(base uint64) []Frame {
+// wantsFramesLocked reports whether a stream has frames to send and
+// room in its flight for them; wantsCommitLocked whether the commit
+// horizon has moved past what any of its windows carried, and the one
+// empty window a stream may have in flight is not out.
+func (n *Node) wantsFramesLocked(s *followerStream) bool {
+	return s.sent < n.lastZxidLocked() && s.frames < maxFramesPerSend
+}
+
+func (n *Node) wantsCommitLocked(s *followerStream) bool {
+	return n.commitZxid > s.commit && !s.empty
+}
+
+// nextWindowLocked builds the next window for a stream and books it as
+// in flight; ok is false when there is nothing to send.
+func (n *Node) nextWindowLocked(s *followerStream) (req proposeReq, w window, ok bool) {
+	req = proposeReq{Epoch: n.epoch, LeaderID: n.cfg.ID, Commit: n.commitZxid}
+	probe := false
+	switch {
+	case n.wantsFramesLocked(s):
+		req.PrevZxid = s.sent
+		req.Entries = n.entriesAfterLocked(s.sent, maxFramesPerSend-s.frames)
+		if len(req.Entries) == 0 {
+			// s.sent is not a position we can stream from (truncated
+			// away, or a divergent tail the follower kept across a
+			// failover). Probe with OUR tip: a follower that holds it is
+			// caught up; any other answers NeedSync and starts its own
+			// sync pull. Probing with s.sent instead would be acked by a
+			// divergent follower forever, wedging it silently.
+			if s.empty {
+				return req, w, false
+			}
+			req.PrevZxid, probe = n.lastZxidLocked(), true
+		}
+	case n.wantsCommitLocked(s):
+		// Nothing to send but the horizon. The window names the acked
+		// position, which the follower is known to hold, so it can
+		// never be taken for a probe — whatever it overtakes.
+		req.PrevZxid = s.match
+	default:
+		return req, w, false
+	}
+	w = window{epoch: req.Epoch, prev: req.PrevZxid, frames: len(req.Entries), probe: probe}
+	if w.frames > 0 {
+		s.sent = req.Entries[w.frames-1].Last()
+	} else {
+		s.empty = true
+	}
+	s.frames += w.frames
+	s.windows++
+	s.commit = max(s.commit, req.Commit)
+	return req, w, true
+}
+
+// awaitWindow completes one in-flight window: it books it out of the
+// stream and folds the follower's answer into the stream's state.
+func (n *Node) awaitWindow(gen, id uint64, s *followerStream, w window) {
+	defer n.wg.Done()
+	var resp proposeResp
+	res := <-w.done
+	err := res.Err
+	if err != nil {
+		n.dropConn(id)
+	} else {
+		resp, err = decodeProposeResp(res.Payload)
+	}
+
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	s.windows--
+	s.frames -= w.frames
+	if w.frames == 0 {
+		s.empty = false
+	}
+	if !n.leaderGenLocked(gen) {
+		return
+	}
+	switch {
+	case err != nil:
+		s.failed = true
+	case resp.Epoch > w.epoch:
+		if resp.Epoch > n.epoch {
+			n.adoptEpochLocked(resp.Epoch, 0)
+			n.leaderID = 0
+		}
+	case resp.Ack:
+		s.base = max(s.base, resp.LastZxid)
+		if w.probe {
+			// The follower holds our tip of then: stream on from there.
+			s.sent = w.prev
+		}
+		if resp.LastZxid > s.match {
+			s.match = resp.LastZxid
+			n.maybeAdvanceLeaderCommitLocked()
+		}
+	default:
+		// Refused: the follower is missing a window, or lagging or
+		// divergent and syncing from us.
+		s.failed = true
+		s.base = resp.LastZxid
+	}
+	// Only this stream's sender cares that a window came home, and only
+	// if that leaves it something to do; waking the proposer and the
+	// other loops on every completion costs a sequential write a third
+	// of its latency in spurious wake-ups.
+	if s.failed && s.windows == 0 || !s.failed && (n.wantsFramesLocked(s) || n.wantsCommitLocked(s)) {
+		n.leaderCond.Broadcast()
+	}
+}
+
+// entriesAfterLocked returns the run of at most limit log frames
+// following the given zxid, or nil (a position probe) when the position
+// is not a frame boundary we hold — the follower's own sync pull
+// repairs that.
+func (n *Node) entriesAfterLocked(base uint64, limit int) []Frame {
 	start := -1
 	if base == n.snapZxid {
 		start = 0
@@ -689,10 +891,7 @@ func (n *Node) entriesAfterLocked(base uint64) []Frame {
 	if start < 0 {
 		return nil
 	}
-	end := len(n.log)
-	if end-start > maxFramesPerSend {
-		end = start + maxFramesPerSend
-	}
+	end := min(len(n.log), start+limit)
 	return n.log[start:end:end]
 }
 
@@ -703,17 +902,5 @@ func (n *Node) sleepInterruptible(d time.Duration) bool {
 		return false
 	case <-time.After(d):
 		return true
-	}
-}
-
-// broadcastAsync fires one payload at every peer without waiting.
-func (n *Node) broadcastAsync(payload []byte) {
-	for id := range n.cfg.Peers {
-		if id == n.cfg.ID {
-			continue
-		}
-		go func(id uint64) {
-			_, _ = n.callPeer(id, payload)
-		}(id)
 	}
 }

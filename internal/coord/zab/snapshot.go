@@ -27,9 +27,7 @@ func (n *Node) recoverFromStorage() error {
 	// elected leader's epoch barrier commits it transitively, exactly as
 	// an inherited in-memory tail would.
 	n.log = n.st.Frames()
-	if e := epochOf(n.lastZxidLocked()); e > n.epoch {
-		n.epoch = e
-	}
+	n.setEpochLocked(max(n.epoch, epochOf(n.lastZxidLocked())))
 	return nil
 }
 
