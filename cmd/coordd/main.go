@@ -30,16 +30,17 @@
 // data lives under DIR/s<shard>.
 //
 // With -observer the process joins the ensemble as a NON-VOTING
-// observer replica instead: it tails the leader's committed log (over
-// the same -peers addresses, which stay the voters'), serves reads
-// from its local replica, and proxies writes to the leader. Observers
-// never vote and never slow the write quorum — they are pure read
-// capacity. Pick an -id disjoint from the voters' (convention: 101+):
+// observer replica instead: the same server, streamed the log by the
+// leader like a follower, serving the whole client protocol from its
+// local replica and forwarding writes. Observers never vote and never
+// slow the write quorum — they are pure read capacity. -peers lists the
+// voters plus the observer's own entry (convention: IDs 101+), which
+// appears in no voter's -peers:
 //
-//	coordd -observer -id 101 -peers 1=h1:7101,2=h2:7102,3=h3:7103 -client h4:7204
+//	coordd -observer -id 101 -peers 1=h1:7101,2=h2:7102,3=h3:7103,101=h4:7104 -client h4:7204
 //
-// Observers are diskless by design (-data-dir is rejected): a
-// restarted observer rebuilds itself from a leader snapshot.
+// Observers keep their replica in memory (-data-dir is rejected): a
+// restarted observer catches up from the leader.
 package main
 
 import (
@@ -55,7 +56,6 @@ import (
 	"syscall"
 
 	"repro/internal/coord"
-	"repro/internal/coord/observer"
 	"repro/internal/transport"
 )
 
@@ -66,18 +66,14 @@ func main() {
 	dataDir := flag.String("data-dir", "", "directory for the durable storage engine (WAL + snapshots); every acked write survives restart")
 	shards := flag.Int("shards", 1, "number of independent ensembles this process serves a member of")
 	stride := flag.Int("shard-stride", 10, "port offset between consecutive shards")
-	observerMode := flag.Bool("observer", false, "join as a non-voting observer replica: -peers lists the voters, -id must be disjoint from theirs")
+	observerMode := flag.Bool("observer", false, "join as a non-voting observer replica: -peers lists the voters plus this server's own id=host:port")
 	flag.Parse()
 
 	peers, err := parsePeers(*peersFlag)
 	if err != nil {
 		log.Fatalf("coordd: %v", err)
 	}
-	if *observerMode {
-		if *id == 0 || peers[*id] != "" {
-			log.Fatalf("coordd: observer -id %d must be nonzero and disjoint from the voter IDs in -peers", *id)
-		}
-	} else if *id == 0 || peers[*id] == "" {
+	if *id == 0 || peers[*id] == "" {
 		log.Fatalf("coordd: -id %d not present in -peers", *id)
 	}
 	if *clientAddr == "" {
@@ -87,11 +83,7 @@ func main() {
 		log.Fatalf("coordd: -shards must be >= 1, got %d", *shards)
 	}
 	if *observerMode && *dataDir != "" {
-		log.Fatal("coordd: observers are diskless; -data-dir does not apply in -observer mode")
-	}
-	if *observerMode {
-		runObservers(*id, peers, *clientAddr, *shards, *stride)
-		return
+		log.Fatal("coordd: observers keep their replica in memory; -data-dir does not apply in -observer mode")
 	}
 
 	servers := make([]*coord.Server, 0, *shards)
@@ -111,6 +103,7 @@ func main() {
 		cfg := coord.ServerConfig{
 			ID:         *id,
 			PeerAddrs:  shardPeers,
+			Observer:   *observerMode,
 			ClientAddr: shardClient,
 			Net:        transport.TCP{},
 			DataDir:    shardDataDir(*dataDir, s, *shards),
@@ -120,56 +113,15 @@ func main() {
 			log.Fatalf("coordd: shard %d: %v", s, err)
 		}
 		servers = append(servers, srv)
+		mode := ""
 		if cfg.DataDir != "" {
-			log.Printf("coordd: shard %d server %d up (durable, data-dir=%s), peers=%v, clients on %s",
-				s, *id, cfg.DataDir, shardPeers, shardClient)
-		} else {
-			log.Printf("coordd: shard %d server %d up, peers=%v, clients on %s", s, *id, shardPeers, shardClient)
+			mode = fmt.Sprintf(" (durable, data-dir=%s)", cfg.DataDir)
+		} else if cfg.Observer {
+			mode = " (non-voting observer)"
 		}
+		log.Printf("coordd: shard %d server %d up%s, peers=%v, clients on %s", s, *id, mode, shardPeers, shardClient)
 	}
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	sig := <-stop
-	log.Printf("coordd: %v, shutting down", sig)
-	for _, srv := range servers {
-		srv.Stop()
-	}
-}
-
-// runObservers boots one non-voting observer replica per shard (same
-// per-shard port derivation as voter mode) and blocks until a
-// shutdown signal. Observers keep no durable state, so shutdown is
-// just closing the listeners — a restart rebuilds from a leader
-// snapshot.
-func runObservers(id uint64, voters map[uint64]string, clientAddr string, shards, stride int) {
-	var servers []*observer.Server
-	for s := 0; s < shards; s++ {
-		shardVoters := make(map[uint64]string, len(voters))
-		for pid, addr := range voters {
-			a, err := offsetAddr(addr, s*stride)
-			if err != nil {
-				log.Fatalf("coordd: shard %d voter %d: %v", s, pid, err)
-			}
-			shardVoters[pid] = a
-		}
-		shardClient, err := offsetAddr(clientAddr, s*stride)
-		if err != nil {
-			log.Fatalf("coordd: shard %d client addr: %v", s, err)
-		}
-		srv, err := observer.NewServer(observer.Config{
-			ID:         id,
-			Voters:     shardVoters,
-			ClientAddr: shardClient,
-			Net:        transport.TCP{},
-		})
-		if err != nil {
-			log.Fatalf("coordd: shard %d observer: %v", s, err)
-		}
-		servers = append(servers, srv)
-		log.Printf("coordd: shard %d observer %d up (non-voting), tailing voters=%v, clients on %s",
-			s, id, shardVoters, shardClient)
-	}
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	sig := <-stop

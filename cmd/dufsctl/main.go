@@ -277,8 +277,10 @@ func status(c *cluster.Cluster, sess coord.Client, shards, observers int) error 
 				fmt.Printf("shard %d observer %d: down\n", s, i)
 				continue
 			}
+			reg := obs.Metrics()
 			fmt.Printf("shard %d observer %d: id=%d applied=%x lag_txns=%d znodes=%d snapshot_installs=%d\n",
-				s, i, obs.ID(), obs.LastApplied(), obs.LagTxns(), obs.Znodes(), obs.SnapshotInstalls())
+				s, i, obs.ID(), obs.LastApplied(), reg.Gauge("zab.observer.lag_txns").Value(),
+				obs.Tree().Count(), reg.Counter("zab.snapshot_installs").Value())
 		}
 	}
 	return nil

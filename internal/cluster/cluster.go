@@ -16,7 +16,6 @@ import (
 	"repro/internal/backend/memfs"
 	"repro/internal/backend/pvfs"
 	"repro/internal/coord"
-	"repro/internal/coord/observer"
 	"repro/internal/coord/shard"
 	"repro/internal/coord/zab"
 	"repro/internal/core"
@@ -68,8 +67,8 @@ type Config struct {
 	PVFSDelay   func(op uint8) time.Duration
 
 	// CoordObservers is the size of each shard's non-voting observer
-	// tier (default 0): log-shipped replicas that serve reads but never
-	// vote, so they scale read throughput without slowing writes. Use
+	// tier (default 0): replicas streamed the log like followers that
+	// serve reads but never vote, so they scale read throughput without slowing writes. Use
 	// ConnectCoordRead to open a policy-routed read handle over them.
 	CoordObservers int
 
@@ -371,32 +370,33 @@ func (c *Cluster) LustreInstances() []*lustre.Instance { return c.lustres }
 // survives StopObserver so the slot can be revived in place — the
 // kill-and-restart path of the chaos matrix.
 type observerSlot struct {
-	cfg observer.Config
-	srv *observer.Server // nil while stopped
+	cfg coord.ServerConfig
+	srv *coord.Server // nil while stopped
 }
 
-// observerBaseID keeps observer feed IDs disjoint from voter IDs
+// observerBaseID keeps observer IDs disjoint from voter IDs
 // (voters are 1..CoordServers; no practical ensemble reaches 100).
 const observerBaseID = 100
 
 // AddObserver boots one more observer replica on shard s and returns
-// its 0-based index within the tier. The observer starts catching up
-// (snapshot first, then streamed frames) immediately.
+// its 0-based index within the tier. The observer joins the leader and
+// starts catching up (snapshot first, then streamed frames) at once.
 func (c *Cluster) AddObserver(s int) (int, error) {
 	idx := len(c.observers[s])
-	slot := &observerSlot{cfg: observer.Config{
-		ID:         uint64(observerBaseID + idx + 1),
-		Voters:     c.Ensembles[s].PeerAddrs(),
-		ClientAddr: fmt.Sprintf("%s-coord%d-obs-client-%d", c.cfg.Name, s, idx+1),
-		Net:        c.net,
-	}}
-	srv, err := observer.NewServer(slot.cfg)
-	if err != nil {
-		return 0, err
-	}
-	slot.srv = srv
-	c.observers[s] = append(c.observers[s], slot)
-	return idx, nil
+	id := uint64(observerBaseID + idx + 1)
+	peers := c.Ensembles[s].PeerAddrs()
+	peers[id] = fmt.Sprintf("%s-coord%d-obs-peer-%d", c.cfg.Name, s, idx+1)
+	c.observers[s] = append(c.observers[s], &observerSlot{cfg: coord.ServerConfig{
+		ID:                id,
+		PeerAddrs:         peers,
+		Observer:          true,
+		ClientAddr:        fmt.Sprintf("%s-coord%d-obs-client-%d", c.cfg.Name, s, idx+1),
+		Net:               c.net,
+		HeartbeatInterval: c.cfg.HeartbeatInterval,
+		ElectionTimeout:   c.cfg.ElectionTimeout,
+		MaxLogEntries:     c.cfg.CoordMaxLogEntries,
+	}})
+	return idx, c.StartObserver(s, idx)
 }
 
 // StopObserver kills observer (s, idx), keeping its slot for
@@ -409,15 +409,15 @@ func (c *Cluster) StopObserver(s, idx int) {
 	}
 }
 
-// StartObserver revives observer (s, idx) at its original address.
-// The replica restarts empty and rebuilds itself from a leader
-// snapshot — observers are diskless by design.
+// StartObserver revives observer (s, idx) at its original addresses.
+// The replica keeps its state in memory, so it restarts empty and
+// catches up from the leader like any restarted in-memory member.
 func (c *Cluster) StartObserver(s, idx int) error {
 	slot := c.observers[s][idx]
 	if slot.srv != nil {
 		return fmt.Errorf("cluster: observer %d/%d already running", s, idx)
 	}
-	srv, err := observer.NewServer(slot.cfg)
+	srv, err := coord.NewServer(slot.cfg)
 	if err != nil {
 		return err
 	}
@@ -427,14 +427,23 @@ func (c *Cluster) StartObserver(s, idx int) error {
 
 // Observer returns the running observer server (s, idx), or nil while
 // the slot is stopped.
-func (c *Cluster) Observer(s, idx int) *observer.Server {
+func (c *Cluster) Observer(s, idx int) *coord.Server {
 	return c.observers[s][idx].srv
 }
 
 // ObserverAddr returns observer (s, idx)'s client address — what a
-// fault injector blocks to partition the observer from its readers.
+// fault injector blocks to partition the observer from its readers
+// (observerPeerAddr is the one that cuts it off the log stream).
 func (c *Cluster) ObserverAddr(s, idx int) string {
 	return c.observers[s][idx].cfg.ClientAddr
+}
+
+// observerPeerAddr returns the address the leader streams the log to
+// observer (s, idx) at. Replication is push, so blocking it stalls the
+// replica while its own outbound calls (forwards, joins) still land.
+func (c *Cluster) observerPeerAddr(s, idx int) string {
+	cfg := c.observers[s][idx].cfg
+	return cfg.PeerAddrs[cfg.ID]
 }
 
 // ObserverAddrs lists shard s's observer client addresses (stopped
@@ -480,12 +489,9 @@ func (c *Cluster) Stop() {
 	for _, inst := range c.pvfses {
 		inst.Stop()
 	}
-	for _, tier := range c.observers {
-		for _, slot := range tier {
-			if slot.srv != nil {
-				slot.srv.Stop()
-				slot.srv = nil
-			}
+	for s, tier := range c.observers {
+		for idx := range tier {
+			c.StopObserver(s, idx)
 		}
 	}
 	for _, ens := range c.Ensembles {

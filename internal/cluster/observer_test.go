@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/coord"
 	"repro/internal/coord/znode"
+	"repro/internal/transport"
 )
 
 func startObserverCluster(t *testing.T, observers, maxLogEntries int) *Cluster {
@@ -14,6 +15,7 @@ func startObserverCluster(t *testing.T, observers, maxLogEntries int) *Cluster {
 	seq++
 	c, err := Start(Config{
 		Name:               fmt.Sprintf("obs%d", seq),
+		Net:                transport.NewFaults(transport.NewInProc()),
 		CoordServers:       3,
 		Backends:           1,
 		Kind:               MemFS,
@@ -48,14 +50,15 @@ func waitObserverCaughtUp(t *testing.T, c *Cluster, idx int) {
 
 // TestObserverSyncBarrierReadYourWrites exercises ZooKeeper's
 // sync-then-read recipe against a deliberately lagging observer: a
-// write lands on the leader while the observer's tail is paused, and a
-// Sync issued through the observer must not return until the observer's
+// write lands on the leader while the observer's peer address is
+// blocked (the leader's log stream cannot reach it; its own outbound
+// calls still land), and a Sync issued through the observer must not return until the observer's
 // own replica reflects that write — so the read that follows it sees
 // the data even though the replica was seconds behind when Sync was
 // called.
 func TestObserverSyncBarrierReadYourWrites(t *testing.T) {
 	c := startObserverCluster(t, 1, 0)
-	obs := c.Observer(0, 0)
+	fnet := c.net.(*transport.Faults)
 	waitObserverCaughtUp(t, c, 0)
 
 	leaderSess, err := c.Ensemble.Connect(c.LeaderIndex(0))
@@ -70,22 +73,22 @@ func TestObserverSyncBarrierReadYourWrites(t *testing.T) {
 	defer obsSess.Close()
 
 	// Inject replication delay, then write behind the observer's back.
-	obs.SetPaused(true)
+	fnet.Block(c.observerPeerAddr(0, 0))
 	if _, err := leaderSess.Create("/barrier", []byte("v1"), znode.ModePersistent); err != nil {
 		t.Fatal(err)
 	}
-	// The paused replica must not see the write yet.
+	// The cut-off replica must not see the write yet.
 	if _, ok, err := obsSess.Exists("/barrier"); err != nil {
 		t.Fatal(err)
 	} else if ok {
-		t.Fatal("paused observer already sees the write; pause hook is not delaying replication")
+		t.Fatal("cut-off observer already sees the write; the block is not delaying replication")
 	}
 
 	// Heal the delay only after the barrier is already in flight.
 	healed := make(chan struct{})
 	go func() {
 		time.Sleep(150 * time.Millisecond)
-		obs.SetPaused(false)
+		fnet.Unblock(c.observerPeerAddr(0, 0))
 		close(healed)
 	}()
 	start := time.Now()
@@ -169,7 +172,7 @@ func TestObserverSnapshotRejoinAfterRestart(t *testing.T) {
 	}
 	waitObserverCaughtUp(t, c, 0)
 	obs := c.Observer(0, 0)
-	if got := obs.SnapshotInstalls(); got < 1 {
+	if got := obs.Metrics().Counter("zab.snapshot_installs").Value(); got < 1 {
 		t.Fatalf("restarted observer caught up with %d snapshot installs, want >= 1 (log should have truncated past its tail)", got)
 	}
 
@@ -266,8 +269,8 @@ func TestObserverStatusReportsLag(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer leaderSess.Close()
-	// The leader evicts silent observers and lag is sampled per poll;
-	// allow a few rounds for both feeds to register.
+	// Both observers joined before they caught up; the retry only rides
+	// out a leader change.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		lst, err := leaderSess.Status()
@@ -291,5 +294,67 @@ func TestObserverStatusReportsLag(t *testing.T) {
 			t.Fatalf("leader never listed both observers: %+v", lst.Observers)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestObserverServesWatches checks what running observers as plain
+// servers bought: a session connected only to an observer registers
+// data, exists and child watches there, and each fires on a write made
+// through a voter once the observer's replica applies it.
+func TestObserverServesWatches(t *testing.T) {
+	c := startObserverCluster(t, 1, 0)
+	waitObserverCaughtUp(t, c, 0)
+
+	voterSess, err := c.Ensemble.Connect(c.LeaderIndex(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer voterSess.Close()
+	obsSess, err := coord.Connect(c.net, []string{c.ObserverAddr(0, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer obsSess.Close()
+
+	if _, err := obsSess.Create("/w", []byte("v0"), znode.ModePersistent); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := obsSess.GetW("/w"); err != nil {
+		t.Fatalf("GetW on observer: %v", err)
+	}
+	if _, ok, err := obsSess.ExistsW("/w/absent"); err != nil || ok {
+		t.Fatalf("ExistsW on observer = %v, %v", ok, err)
+	}
+	if _, err := obsSess.ChildrenW("/w"); err != nil {
+		t.Fatalf("ChildrenW on observer: %v", err)
+	}
+
+	if _, err := voterSess.Set("/w", []byte("v1"), -1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := voterSess.Create("/w/absent", nil, znode.ModePersistent); err != nil {
+		t.Fatal(err)
+	}
+
+	want := map[string]bool{"data /w": false, "data /w/absent": false, "children /w": false}
+	deadline := time.Now().Add(5 * time.Second)
+	for pending := len(want); pending > 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("watches through the observer did not all fire: %v", want)
+		}
+		evs, err := obsSess.WaitEvents(t.Context(), 200*time.Millisecond)
+		if err != nil {
+			t.Fatalf("WaitEvents on observer: %v", err)
+		}
+		for _, ev := range evs {
+			key := "data " + ev.Path
+			if ev.Type == coord.EventChildrenChanged {
+				key = "children " + ev.Path
+			}
+			if fired, ok := want[key]; ok && !fired {
+				want[key] = true
+				pending--
+			}
+		}
 	}
 }

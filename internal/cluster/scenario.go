@@ -53,8 +53,8 @@ const (
 	// current owner.
 	FaultMigrate FaultKind = "migrate"
 	// FaultObserverPartition cuts one observer replica off mid-load:
-	// its client address is blocked (readers can't reach it) and its
-	// log tail is stalled (it stops replicating). Victim is the
+	// its client address is blocked (readers can't reach it) and so is
+	// its peer address (the leader's log stream can't). Victim is the
 	// 0-based observer index. Reads routed observer-first must fail
 	// over to the voters inside the SLO; after the heal the observer
 	// catches back up — through a snapshot install when the leader has
@@ -490,7 +490,7 @@ func RunScenario(ctx context.Context, sc Scenario, scale float64) (*ScenarioResu
 		if got := obs.LastApplied(); got < target {
 			res.Violations = append(res.Violations, fmt.Sprintf("observer %d stuck at zxid %x, leader committed %x", idx, got, target))
 		}
-		logf("observer %d caught up to %x (snapshot installs: %d)", idx, obs.LastApplied(), obs.SnapshotInstalls())
+		logf("observer %d caught up to %x (snapshot installs: %d)", idx, obs.LastApplied(), obs.Metrics().Counter("zab.snapshot_installs").Value())
 	}
 
 	vs, err := cl.ConnectCoord(-1)
@@ -651,22 +651,13 @@ func runFault(ctx context.Context, cl *Cluster, fnet *transport.Faults, chaos *D
 		if idx < 0 {
 			idx = 0
 		}
-		addr := cl.ObserverAddr(f.Shard, idx)
-		obs := cl.Observer(f.Shard, idx)
-		// Readers can't reach it, and it stops replicating: the
-		// observer is dark on both planes. (Its tail is pull-based over
-		// outbound connections, so the replication stall is injected at
-		// the tail loop rather than the transport.)
-		fnet.Block(addr)
-		if obs != nil {
-			obs.SetPaused(true)
-		}
-		logf("observer-partition: observer %d dark (%s)", idx, addr)
+		// Readers can't reach it and neither can the leader's log stream:
+		// the observer is dark on both planes.
+		addrs := []string{cl.ObserverAddr(f.Shard, idx), cl.observerPeerAddr(f.Shard, idx)}
+		fnet.Block(addrs...)
+		logf("observer-partition: observer %d dark (%v)", idx, addrs)
 		sleepUntil(ctx, start.Add(f.At+f.Duration))
-		fnet.Unblock(addr)
-		if obs != nil {
-			obs.SetPaused(false)
-		}
+		fnet.Unblock(addrs...)
 		logf("observer-partition: observer %d healed", idx)
 	case FaultRestartAll:
 		mu.Lock()

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/coord/zab"
 	"repro/internal/coord/znode"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -838,12 +839,11 @@ type Status struct {
 	FsyncBatchTxns  uint64
 
 	// Observer-tier observability. IsObserver marks a non-voting
-	// replica (it tails the committed log and never appears in quorum
-	// math); AppliedZxid is the member's replication tip; LagTxns is
-	// how far it trails the leader's commit horizon (always 0 on a
-	// voter reporting about itself). Observers lists the per-observer
-	// replication lag the leader-side feed tracks — populated only in
-	// the current leader's status.
+	// replica (streamed the log like a follower, counted in no quorum);
+	// AppliedZxid is the member's applied tip; LagTxns is how far that
+	// trails the leader's commit horizon (always 0 on a voter reporting
+	// about itself). Observers lists the lag of each observer the leader
+	// streams to — populated only in the current leader's status.
 	IsObserver  bool
 	AppliedZxid uint64
 	LagTxns     uint64
@@ -855,8 +855,7 @@ type Status struct {
 
 	// Apply-pipeline observability: how many committed transactions
 	// await application and how many frames sit in the commit→apply
-	// queue. Both zero on observers (they apply inline) and on servers
-	// predating the decoupled pipeline.
+	// queue. Both zero on servers predating the decoupled pipeline.
 	ApplyLagTxns     uint64
 	ApplyQueueFrames uint64
 }
@@ -871,13 +870,8 @@ type RangeStatus struct {
 }
 
 // ObserverStatus is one observer replica's replication state as
-// reported by the leader it polls.
-type ObserverStatus struct {
-	ID          uint64
-	AppliedZxid uint64
-	LagTxns     uint64
-	LagMS       uint64
-}
+// reported by the leader that streams to it.
+type ObserverStatus = zab.ObserverLag
 
 // Status queries the connected server.
 func (s *Session) Status() (Status, error) {
@@ -901,28 +895,33 @@ func (s *Session) Status() (Status, error) {
 	st.IsObserver = r.Bool()
 	st.AppliedZxid = r.Uint64()
 	st.LagTxns = r.Uint64()
+	// An observer entry costs 32 bytes and a range entry 29: a count the
+	// remaining bytes cannot hold is rejected before anything is
+	// allocated for it.
 	n := r.Uint32()
-	if r.Err() == nil && int(n) <= r.Remaining() {
-		for i := uint32(0); i < n; i++ {
-			st.Observers = append(st.Observers, ObserverStatus{
-				ID:          r.Uint64(),
-				AppliedZxid: r.Uint64(),
-				LagTxns:     r.Uint64(),
-				LagMS:       r.Uint64(),
-			})
-		}
+	if r.Err() == nil && int(n) > r.Remaining()/32 {
+		r.Fail(fmt.Errorf("%d observers in %d bytes", n, r.Remaining()))
+	}
+	for i := uint32(0); i < n && r.Err() == nil; i++ {
+		st.Observers = append(st.Observers, ObserverStatus{
+			ID:          r.Uint64(),
+			AppliedZxid: r.Uint64(),
+			LagTxns:     r.Uint64(),
+			LagMS:       r.Uint64(),
+		})
 	}
 	rn := r.Uint32()
-	if r.Err() == nil && int(rn) <= r.Remaining() {
-		for i := uint32(0); i < rn; i++ {
-			st.Ranges = append(st.Ranges, RangeStatus{
-				Lo:    r.Uint64(),
-				Hi:    r.Uint64(),
-				Dest:  int(r.Uint32()),
-				Epoch: r.Uint64(),
-				Moved: r.Bool(),
-			})
-		}
+	if r.Err() == nil && int(rn) > r.Remaining()/29 {
+		r.Fail(fmt.Errorf("%d ranges in %d bytes", rn, r.Remaining()))
+	}
+	for i := uint32(0); i < rn && r.Err() == nil; i++ {
+		st.Ranges = append(st.Ranges, RangeStatus{
+			Lo:    r.Uint64(),
+			Hi:    r.Uint64(),
+			Dest:  int(r.Uint32()),
+			Epoch: r.Uint64(),
+			Moved: r.Bool(),
+		})
 	}
 	if r.Err() == nil && r.Remaining() >= 16 {
 		st.ApplyLagTxns = r.Uint64()

@@ -2,6 +2,7 @@ package coord
 
 import (
 	"fmt"
+	"maps"
 	"path/filepath"
 	"time"
 
@@ -178,11 +179,7 @@ func (e *Ensemble) PeerAddrs() map[uint64]string {
 	if len(e.cfgs) == 0 {
 		return nil
 	}
-	out := make(map[uint64]string, len(e.cfgs[0].PeerAddrs))
-	for id, addr := range e.cfgs[0].PeerAddrs {
-		out[id] = addr
-	}
-	return out
+	return maps.Clone(e.cfgs[0].PeerAddrs)
 }
 
 // Connect opens a session against the ensemble. preferred selects the

@@ -22,8 +22,13 @@ const maxEventWait = 60 * time.Second
 type ServerConfig struct {
 	// ID is this server's ensemble identity (key of PeerAddrs).
 	ID uint64
-	// PeerAddrs maps every ensemble member to its peer-traffic address.
+	// PeerAddrs maps every voting member to its peer-traffic address;
+	// an observer lists the voters plus itself.
 	PeerAddrs map[uint64]string
+	// Observer makes this server a non-voting replica (zab.Config.Observer):
+	// it serves the whole client protocol from its own copy of the tree
+	// and forwards writes, but is counted in no quorum.
+	Observer bool
 	// ClientAddr is where this server accepts client sessions.
 	ClientAddr string
 	// Net is the transport for both peer and client traffic.
@@ -95,6 +100,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	zcfg := zab.Config{
 		ID:                cfg.ID,
 		Peers:             cfg.PeerAddrs,
+		Observer:          cfg.Observer,
 		Net:               cfg.Net,
 		HeartbeatInterval: cfg.HeartbeatInterval,
 		ElectionTimeout:   cfg.ElectionTimeout,
@@ -181,6 +187,11 @@ func (s *Server) handleClient(req []byte) ([]byte, error) {
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
+	if s.cfg.Observer && (op == opRangeExport || op == opRangeState) {
+		// Migration control traffic belongs on voter sessions: an export
+		// must pair with the voter-side applied zxid it was cut at.
+		return errResult(fmt.Errorf("observer replica cannot serve migration op %d", op)), nil
+	}
 	switch op {
 	case opGet, opExists, opChildren, opChildrenData:
 		if bounce := s.readBounce(op, *r); bounce != nil {
@@ -234,13 +245,17 @@ func (s *Server) handleClient(req []byte) ([]byte, error) {
 			w.Uint64(segs)
 			w.Uint64(batch)
 			// Observer-tier fields (appended so old clients that stop
-			// reading here stay compatible). A voting server reports the
-			// per-observer replication lag its leader-side feed tracks;
-			// an observer replica reports its own tip instead (see
-			// ObserverState.ServeRead).
-			w.Bool(false) // this member votes
+			// reading here stay compatible): whether this member is one,
+			// its applied tip, how far that trails the leader's commit
+			// horizon (an observer's own figure; a voter reports 0), and,
+			// on the leader, the lag of each observer it streams to.
+			var lag uint64
+			if s.cfg.Observer {
+				lag = uint64(s.reg.Gauge("zab.observer.lag_txns").Value())
+			}
+			w.Bool(s.cfg.Observer)
 			w.Uint64(s.node.LastApplied())
-			w.Uint64(0) // voters don't trail themselves
+			w.Uint64(lag)
 			lags := s.node.ObserverLags()
 			w.Uint32(uint32(len(lags)))
 			for _, l := range lags {
@@ -447,4 +462,64 @@ func (s *stateMachine) treeRef() *znode.Tree {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.tree
+}
+
+// serveTreeRead answers one plain read op (opGet/opExists/opChildren/
+// opChildrenData) from the local tree replica.
+func serveTreeRead(op uint8, r *wire.Reader, t *znode.Tree) ([]byte, error) {
+	path := r.String()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	switch op {
+	case opGet:
+		data, stat, err := t.Get(path)
+		if err != nil {
+			return errResult(err), nil
+		}
+		return okResult(func(w *wire.Writer) {
+			w.Bytes32(data)
+			encodeStat(w, stat)
+		}), nil
+	case opExists:
+		stat, ok := t.Exists(path)
+		return okResult(func(w *wire.Writer) {
+			w.Bool(ok)
+			encodeStat(w, stat)
+		}), nil
+	case opChildren:
+		kids, err := t.Children(path)
+		if err != nil {
+			return errResult(err), nil
+		}
+		return okResult(func(w *wire.Writer) { w.StringSlice(kids) }), nil
+	case opChildrenData:
+		self, children, err := t.ChildrenData(path)
+		if err != nil {
+			return errResult(err), nil
+		}
+		return okResult(func(w *wire.Writer) {
+			w.Uint32(uint32(len(children) + 1))
+			w.String(".")
+			w.Bytes32(self.Data)
+			encodeStat(w, self.Stat)
+			for _, c := range children {
+				w.String(c.Name)
+				w.Bytes32(c.Data)
+				encodeStat(w, c.Stat)
+			}
+		}), nil
+	default:
+		return nil, fmt.Errorf("coord: op %d is not a tree read", op)
+	}
+}
+
+// isTreeReadOp reports whether op is one of the plain read operations
+// serveTreeRead can answer (the only ops a lease read may wrap).
+func isTreeReadOp(op uint8) bool {
+	switch op {
+	case opGet, opExists, opChildren, opChildrenData:
+		return true
+	}
+	return false
 }

@@ -63,7 +63,7 @@ func (n *Node) handleHeartbeat(m heartbeatReq) heartbeatResp {
 func (n *Node) handleRequestVote(m requestVoteReq) requestVoteResp {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if m.Epoch <= n.grantedEpoch || m.Epoch <= n.epoch {
+	if n.cfg.Observer || m.Epoch <= n.grantedEpoch || m.Epoch <= n.epoch {
 		return requestVoteResp{Epoch: n.epoch}
 	}
 	if m.LastZxid < n.lastZxidLocked() {
@@ -123,10 +123,13 @@ func (n *Node) failLeaderLocked(err error) {
 	}
 	n.leaderGen++
 	n.stallSince = time.Time{}
-	// Step-down revokes the read lease and retires the observer feed;
-	// both are leader-only state.
+	// Step-down revokes the read lease and drops the observers' streams
+	// (their contact timers bring them to the next leader); both are
+	// leader-only state.
 	n.leaseUntil = time.Time{}
-	n.observers = make(map[uint64]*observerFeed)
+	for id := range n.learners {
+		n.dropLearnerLocked(id)
+	}
 	n.gObsCount.Set(0)
 	n.gObsLagTxns.Set(0)
 	n.gObsLagMS.Set(0)
@@ -155,8 +158,15 @@ func (n *Node) electionLoop() {
 		}
 		n.mu.Lock()
 		due := n.role != roleLeader && n.now().Sub(n.lastContact) > n.electionDue
+		if n.cfg.Observer {
+			n.gObsLagTxns.Set(int64(n.leaderCommit - min(n.leaderCommit, n.lastApplied)))
+		}
 		n.mu.Unlock()
-		if due {
+		if due && n.cfg.Observer {
+			// Silence means the stream is gone, not that a leader is
+			// needed: an observer looks for the leader and joins it again.
+			n.joinLeader()
+		} else if due {
 			n.runElection()
 		}
 	}
@@ -313,6 +323,7 @@ func (n *Node) heartbeatLoop() {
 			n.stallSince = time.Time{}
 		}
 		req := heartbeatReq{Epoch: n.epoch, LeaderID: n.cfg.ID, Commit: n.commitZxid}
+		n.beatLearnersLocked(req)
 		n.mu.Unlock()
 		payload := req.encode()
 		// Lease bookkeeping: the round timestamp is taken BEFORE any

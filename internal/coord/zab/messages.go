@@ -13,7 +13,7 @@ const (
 	msgRequestVote
 	msgSync
 	msgForward
-	msgObserverPoll
+	msgJoin
 )
 
 func encodeEntry(w *wire.Writer, e Frame) {
@@ -273,83 +273,43 @@ func decodeSyncResp(b []byte) (syncResp, error) {
 	return m, r.Err()
 }
 
-// observerPollReq is a non-voting observer pulling the committed log
-// suffix from the leader. FromZxid is the observer's replication tip
-// (always equal to its applied horizon — observers apply everything
-// they receive, they hold no uncommitted tail) and AppliedZxid rides
-// along so the leader's observer feed can track per-replica lag.
-type observerPollReq struct {
-	ObserverID  uint64
-	FromZxid    uint64
-	AppliedZxid uint64
+// joinReq is an observer announcing itself: it names the identity and
+// the peer address the leader should stream the log to.
+type joinReq struct {
+	ID   uint64
+	Addr string
 }
 
-func (m observerPollReq) encode() []byte {
+func (m joinReq) encode() []byte {
 	var w wire.Writer
-	w.Grow(32)
-	w.Uint8(msgObserverPoll)
-	w.Uint64(m.ObserverID)
-	w.Uint64(m.FromZxid)
-	w.Uint64(m.AppliedZxid)
+	w.Grow(16 + len(m.Addr))
+	w.Uint8(msgJoin)
+	w.Uint64(m.ID)
+	w.String(m.Addr)
 	return w.Bytes()
 }
 
-// observerPollResp ships the committed entries after FromZxid — the
-// same snapshot-or-suffix shape as syncResp, but capped at the commit
-// horizon: an observer never holds an uncommitted (potentially
-// divergent) tail, so snapshot installation is the only truncation it
-// ever needs. Redirect is set by a non-leader, pointing the observer
-// at LeaderID instead.
-type observerPollResp struct {
-	Redirect    bool
-	HasSnapshot bool
-	SnapZxid    uint64
-	Snapshot    []byte
-	Entries     []Frame
-	Commit      uint64
-	Epoch       uint64
-	LeaderID    uint64
+// joinResp is the answer to a joinReq. The leader sets Joined: the
+// observer now has a stream. Any other member names the leader it
+// follows (0 if none), for the observer to try next.
+type joinResp struct {
+	Joined   bool
+	Epoch    uint64
+	LeaderID uint64
 }
 
-func (m observerPollResp) encode() []byte {
+func (m joinResp) encode() []byte {
 	var w wire.Writer
-	w.Grow(64 + len(m.Snapshot))
-	w.Bool(m.Redirect)
-	w.Bool(m.HasSnapshot)
-	w.Uint64(m.SnapZxid)
-	w.Bytes32(m.Snapshot)
-	w.Uint32(uint32(len(m.Entries)))
-	for _, e := range m.Entries {
-		encodeEntry(&w, e)
-	}
-	w.Uint64(m.Commit)
+	w.Grow(24)
+	w.Bool(m.Joined)
 	w.Uint64(m.Epoch)
 	w.Uint64(m.LeaderID)
 	return w.Bytes()
 }
 
-func decodeObserverPollResp(b []byte) (observerPollResp, error) {
+func decodeJoinResp(b []byte) (joinResp, error) {
 	r := wire.NewReader(b)
-	m := observerPollResp{
-		Redirect:    r.Bool(),
-		HasSnapshot: r.Bool(),
-		SnapZxid:    r.Uint64(),
-		Snapshot:    r.BytesCopy32(),
-	}
-	n := r.Uint32()
-	if r.Err() != nil {
-		return m, r.Err()
-	}
-	if int(n) > r.Remaining()/13 {
-		return m, fmt.Errorf("zab: observer poll response claims %d entries in %d bytes", n, r.Remaining())
-	}
-	m.Entries = make([]Frame, 0, n)
-	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		m.Entries = append(m.Entries, decodeEntry(r))
-	}
-	m.Commit = r.Uint64()
-	m.Epoch = r.Uint64()
-	m.LeaderID = r.Uint64()
+	m := joinResp{Joined: r.Bool(), Epoch: r.Uint64(), LeaderID: r.Uint64()}
 	return m, r.Err()
 }
 

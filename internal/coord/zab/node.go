@@ -45,6 +45,16 @@
 //     replication); internal/coord/storage puts it on disk, giving
 //     ZooKeeper's §IV-I guarantee that the service "can tolerate the
 //     failure of all servers".
+//
+// # Observers
+//
+// An observer (Config.Observer) is a Node that does not vote. It joins
+// the leader (learner.go), which streams it the log exactly as it does
+// a follower, and it runs the follower code unchanged: windows, the
+// verified-match cap, sync pulls, the apply loop, forwarded writes. The
+// differences are all in who counts: the leader keeps observer streams
+// apart from the voters', so their acks commit nothing and fund no
+// lease, and an observer neither campaigns nor grants a vote.
 package zab
 
 import (
@@ -106,8 +116,7 @@ type StreamingStateMachine interface {
 	RestoreFrom(r io.Reader, snapZxid uint64) error
 }
 
-// machine is the state-machine contract the node and observer bodies
-// run against: batch apply plus both snapshot forms. liftMachine
+// machine is the state-machine contract the node body runs against: batch apply plus both snapshot forms. liftMachine
 // resolves it once, at construction.
 type machine interface {
 	BatchStateMachine
@@ -153,9 +162,14 @@ func (p plainMachine) RestoreFrom(r io.Reader, snapZxid uint64) error {
 type Config struct {
 	// ID is this server's identity; it must be a key of Peers.
 	ID uint64
-	// Peers maps every ensemble member ID to its transport address,
-	// including this server.
+	// Peers maps every voting member's ID to its transport address,
+	// including this server. An observer lists the voters plus itself;
+	// no voter lists an observer.
 	Peers map[uint64]string
+	// Observer makes this member a non-voting replica: it joins the
+	// leader for a log stream and serves its state like a follower, but
+	// never campaigns, never grants a vote and is counted in no quorum.
+	Observer bool
 	// Net is the transport to use (TCP or in-process).
 	Net transport.Network
 
@@ -193,8 +207,12 @@ type Config struct {
 	Clock func() time.Time
 	// Metrics, when non-nil, receives the leader's proposer gauges
 	// ("zab.proposer.queue_depth", "zab.proposer.inflight_frames"),
-	// the batch-size distribution ("zab.proposer.batch_txns") and the
-	// observer-feed gauges ("zab.observer.{count,lag_txns,lag_ms}").
+	// the batch-size distribution ("zab.proposer.batch_txns"), the
+	// observer gauges ("zab.observer.{count,lag_txns,lag_ms}": on the
+	// leader, its observer streams' count and worst lag; on an observer,
+	// lag_txns is its own distance from the leader's commit horizon) and
+	// the "zab.snapshot_installs" counter of snapshots pulled from a
+	// leader.
 	Metrics *metrics.Registry
 	// Storage is where the node keeps its log, votes and snapshots, and
 	// what NewNode recovers from. Nil means a fresh MemStorage.
@@ -279,8 +297,8 @@ type Node struct {
 	//
 	// applyMu is the state-machine transition lock: it serializes
 	// applyLoop batches against snapshot installs (syncFromLeader),
-	// snapshot serialization (snapshotLoop, handleSync,
-	// handleObserverPoll). The global lock order is applyMu BEFORE mu —
+	// snapshot serialization (snapshotLoop, handleSync). The global lock
+	// order is applyMu BEFORE mu —
 	// never acquire applyMu while holding mu. While applyMu is held,
 	// lastApplied can only be advanced by the holder.
 	applyMu       sync.Mutex
@@ -300,24 +318,28 @@ type Node struct {
 
 	// Read-lease state: the instant (on this node's clock) until which
 	// a quorum of heartbeat acks guarantees no rival leader can have
-	// committed a write, and the leader-side observer feed — the
-	// non-voting replicas tailing this node's committed log, tracked
-	// for lag but excluded from every quorum computation.
+	// committed a write.
 	now        func() time.Time
 	leaseUntil time.Time
-	observers  map[uint64]*observerFeed
 
-	gQueue      *metrics.Gauge
-	gInflight   *metrics.Gauge
-	dBatch      *metrics.Distribution
-	gObsCount   *metrics.Gauge
-	gObsLagTxns *metrics.Gauge
-	gObsLagMS   *metrics.Gauge
-	gApplyLag   *metrics.Gauge
-	gApplyQueue *metrics.Gauge
+	// learners are the leader's streams to the observers that joined it
+	// (nil while there are none): served like n.streams, read for lag,
+	// and left out of every quorum count.
+	learners map[uint64]*followerStream
 
-	connMu sync.Mutex
-	conns  map[uint64]transport.Conn
+	gQueue        *metrics.Gauge
+	gInflight     *metrics.Gauge
+	dBatch        *metrics.Distribution
+	gObsCount     *metrics.Gauge
+	gObsLagTxns   *metrics.Gauge
+	gObsLagMS     *metrics.Gauge
+	gApplyLag     *metrics.Gauge
+	gApplyQueue   *metrics.Gauge
+	cSnapInstalls *metrics.Counter
+
+	connMu       sync.Mutex
+	conns        map[uint64]transport.Conn
+	learnerAddrs map[uint64]string // where the joined observers listen
 
 	listener io.Closer
 	stopCh   chan struct{}
@@ -367,15 +389,17 @@ func NewNode(cfg Config, sm StateMachine) (*Node, error) {
 		waiters:      make(map[uint64]*pendingTxn),
 		applyWaiters: make(map[uint64][]chan struct{}),
 		now:          cfg.Clock,
-		observers:    make(map[uint64]*observerFeed),
-		gQueue:       cfg.Metrics.Gauge("zab.proposer.queue_depth"),
-		gInflight:    cfg.Metrics.Gauge("zab.proposer.inflight_frames"),
-		dBatch:       cfg.Metrics.Distribution("zab.proposer.batch_txns"),
-		gObsCount:    cfg.Metrics.Gauge("zab.observer.count"),
-		gObsLagTxns:  cfg.Metrics.Gauge("zab.observer.lag_txns"),
-		gObsLagMS:    cfg.Metrics.Gauge("zab.observer.lag_ms"),
-		gApplyLag:    cfg.Metrics.Gauge("zab.apply.lag"),
-		gApplyQueue:  cfg.Metrics.Gauge("zab.apply.queue_depth"),
+		learnerAddrs: make(map[uint64]string),
+
+		gQueue:        cfg.Metrics.Gauge("zab.proposer.queue_depth"),
+		gInflight:     cfg.Metrics.Gauge("zab.proposer.inflight_frames"),
+		dBatch:        cfg.Metrics.Distribution("zab.proposer.batch_txns"),
+		gObsCount:     cfg.Metrics.Gauge("zab.observer.count"),
+		gObsLagTxns:   cfg.Metrics.Gauge("zab.observer.lag_txns"),
+		gObsLagMS:     cfg.Metrics.Gauge("zab.observer.lag_ms"),
+		gApplyLag:     cfg.Metrics.Gauge("zab.apply.lag"),
+		gApplyQueue:   cfg.Metrics.Gauge("zab.apply.queue_depth"),
+		cSnapInstalls: cfg.Metrics.Counter("zab.snapshot_installs"),
 	}
 	n.leaderCond = sync.NewCond(&n.mu)
 	n.applyCond = sync.NewCond(&n.mu)
@@ -384,7 +408,12 @@ func NewNode(cfg Config, sm StateMachine) (*Node, error) {
 		return nil, err
 	}
 	n.applyEnqueued = n.lastApplied
-	n.resetElectionTimer()
+	// A voter waits out a full timeout before its first campaign (it may
+	// be inside a lease its pre-crash ack funded); an observer's timer is
+	// left expired, so it looks for the leader at once.
+	if !cfg.Observer {
+		n.resetElectionTimer()
+	}
 	return n, nil
 }
 
@@ -515,17 +544,29 @@ func (n *Node) quorum() int { return len(n.cfg.Peers)/2 + 1 }
 
 func (n *Node) getConn(id uint64) (transport.Conn, error) {
 	n.connMu.Lock()
-	defer n.connMu.Unlock()
-	if c, ok := n.conns[id]; ok {
+	c, cached := n.conns[id]
+	addr, ok := n.cfg.Peers[id]
+	if !ok {
+		addr, ok = n.learnerAddrs[id]
+	}
+	n.connMu.Unlock()
+	if cached {
 		return c, nil
 	}
-	addr, ok := n.cfg.Peers[id]
 	if !ok {
 		return nil, fmt.Errorf("zab: unknown peer %d", id)
 	}
+	// Dial outside connMu: against a dead host it takes seconds, and
+	// connMu is taken under the node mutex (handleJoin, dropLearnerLocked).
 	c, err := n.cfg.Net.Dial(addr)
 	if err != nil {
 		return nil, err
+	}
+	n.connMu.Lock()
+	defer n.connMu.Unlock()
+	if won, ok := n.conns[id]; ok {
+		c.Close() // a concurrent dial got there first
+		return won, nil
 	}
 	n.conns[id] = c
 	return c, nil
@@ -614,12 +655,12 @@ func (n *Node) handle(req []byte) ([]byte, error) {
 			return nil, err
 		}
 		return forwardResp{Zxid: o.zxid, Commit: o.frameLast, Result: o.result}.encode(), nil
-	case msgObserverPoll:
-		m := observerPollReq{ObserverID: r.Uint64(), FromZxid: r.Uint64(), AppliedZxid: r.Uint64()}
+	case msgJoin:
+		m := joinReq{ID: r.Uint64(), Addr: r.String()}
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		return n.handleObserverPoll(m).encode(), nil
+		return n.handleJoin(m)
 	default:
 		return nil, fmt.Errorf("zab: unknown message kind %d", kind)
 	}

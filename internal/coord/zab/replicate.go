@@ -312,6 +312,7 @@ func (n *Node) syncFromLeader(leader, from uint64) {
 		n.applyGen++
 		n.gApplyQueue.Set(0)
 		n.gApplyLag.Set(0)
+		n.cSnapInstalls.Inc()
 		n.wakeAppliedLocked()
 	} else if n.lastZxidLocked() != from {
 		// Our log moved while the sync was in flight; retry later.
@@ -693,8 +694,8 @@ func (n *Node) leaderSyncLoop(gen uint64) {
 	}
 }
 
-// followerStream is the leader's side of one follower's log stream,
-// guarded by n.mu.
+// followerStream is the leader's side of one follower's or observer's
+// log stream, guarded by n.mu.
 type followerStream struct {
 	match uint64 // cumulative ack: verified and durable on the follower
 	sent  uint64 // highest zxid handed to a window
@@ -705,6 +706,18 @@ type followerStream struct {
 	windows int    // windows in flight
 	empty   bool   // one of them has no frames (at most one does)
 	failed  bool   // a window was refused or lost: drain, rewind, back off
+
+	// Observer streams only (learner.go).
+	attach      bool      // opened mid-term: the first window probes our tip
+	dropped     bool      // the leader gave the observer up; the sender exits
+	downSince   time.Time // heartbeats have failed since; zero while they land
+	behindSince time.Time // match has trailed the commit horizon since
+}
+
+// streamLiveLocked reports whether a stream started under the given
+// leadership generation is still to be served.
+func (n *Node) streamLiveLocked(gen uint64, s *followerStream) bool {
+	return !s.dropped && n.leaderGenLocked(gen)
 }
 
 // window is what the leader remembers of one in-flight proposeReq; done
@@ -733,7 +746,7 @@ func (n *Node) senderLoop(gen, id uint64, s *followerStream) {
 		n.mu.Lock()
 		var req proposeReq
 		var w window
-		for ok := false; n.leaderGenLocked(gen); n.leaderCond.Wait() {
+		for ok := false; n.streamLiveLocked(gen, s); n.leaderCond.Wait() {
 			if s.failed {
 				ok = s.windows == 0 // drained: time to rewind
 			} else {
@@ -743,7 +756,7 @@ func (n *Node) senderLoop(gen, id uint64, s *followerStream) {
 				break
 			}
 		}
-		if !n.leaderGenLocked(gen) {
+		if !n.streamLiveLocked(gen, s) {
 			n.mu.Unlock()
 			return
 		}
@@ -783,6 +796,14 @@ func (n *Node) nextWindowLocked(s *followerStream) (req proposeReq, w window, ok
 	req = proposeReq{Epoch: n.epoch, LeaderID: n.cfg.ID, Commit: n.commitZxid}
 	probe := false
 	switch {
+	case s.attach:
+		// An observer joined mid-term, so no epoch barrier is about to
+		// attach at our tip and tell us where it stands: probe instead.
+		// One that holds the tip is caught up (and now knows its log is
+		// ours); any other answers NeedSync and pulls. Nothing else is in
+		// flight: attach is only set on a stream just opened.
+		s.attach = false
+		req.PrevZxid, probe = n.lastZxidLocked(), true
 	case n.wantsFramesLocked(s):
 		req.PrevZxid = s.sent
 		req.Entries = n.entriesAfterLocked(s.sent, maxFramesPerSend-s.frames)
@@ -838,7 +859,7 @@ func (n *Node) awaitWindow(gen, id uint64, s *followerStream, w window) {
 	if w.frames == 0 {
 		s.empty = false
 	}
-	if !n.leaderGenLocked(gen) {
+	if !n.streamLiveLocked(gen, s) {
 		return
 	}
 	switch {
