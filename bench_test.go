@@ -727,102 +727,19 @@ func BenchmarkAsyncPipeline(b *testing.B) {
 
 // --- Batched-API round-trip benchmarks (DESIGN.md §8) ------------------
 
-// rpcCountingClient wraps a coord.Client and counts the calls that
+// rpcCountingClient is a Do decorator that counts the operations that
 // cross the network, so the round-trip benchmarks can report rpcs/op
-// alongside wall-clock time. Both the context-aware primaries (which
-// the DUFS hot paths call) and the synchronous wrappers route through
-// the counter; the async submissions count one RPC per future. Atomic
-// is pure client-side math and stays uncounted.
+// alongside wall-clock time. Every typed and asynchronous form reaches
+// it through coord.Wrap, one Do each. Atomic is pure client-side math
+// and stays uncounted.
 type rpcCountingClient struct {
-	coord.Client
+	coord.Doer
 	calls atomic.Int64
 }
 
-func (c *rpcCountingClient) CreateCtx(ctx context.Context, path string, data []byte, mode znode.CreateMode) (string, error) {
+func (c *rpcCountingClient) Do(ctx context.Context, op coord.Op) (coord.Result, error) {
 	c.calls.Add(1)
-	return c.Client.CreateCtx(ctx, path, data, mode)
-}
-
-func (c *rpcCountingClient) Create(path string, data []byte, mode znode.CreateMode) (string, error) {
-	return c.CreateCtx(context.Background(), path, data, mode)
-}
-
-func (c *rpcCountingClient) GetCtx(ctx context.Context, path string) ([]byte, znode.Stat, error) {
-	c.calls.Add(1)
-	return c.Client.GetCtx(ctx, path)
-}
-
-func (c *rpcCountingClient) Get(path string) ([]byte, znode.Stat, error) {
-	return c.GetCtx(context.Background(), path)
-}
-
-func (c *rpcCountingClient) SetCtx(ctx context.Context, path string, data []byte, version int32) (znode.Stat, error) {
-	c.calls.Add(1)
-	return c.Client.SetCtx(ctx, path, data, version)
-}
-
-func (c *rpcCountingClient) Set(path string, data []byte, version int32) (znode.Stat, error) {
-	return c.SetCtx(context.Background(), path, data, version)
-}
-
-func (c *rpcCountingClient) DeleteCtx(ctx context.Context, path string, version int32) error {
-	c.calls.Add(1)
-	return c.Client.DeleteCtx(ctx, path, version)
-}
-
-func (c *rpcCountingClient) Delete(path string, version int32) error {
-	return c.DeleteCtx(context.Background(), path, version)
-}
-
-func (c *rpcCountingClient) ExistsCtx(ctx context.Context, path string) (znode.Stat, bool, error) {
-	c.calls.Add(1)
-	return c.Client.ExistsCtx(ctx, path)
-}
-
-func (c *rpcCountingClient) Exists(path string) (znode.Stat, bool, error) {
-	return c.ExistsCtx(context.Background(), path)
-}
-
-func (c *rpcCountingClient) ChildrenCtx(ctx context.Context, path string) ([]string, error) {
-	c.calls.Add(1)
-	return c.Client.ChildrenCtx(ctx, path)
-}
-
-func (c *rpcCountingClient) Children(path string) ([]string, error) {
-	return c.ChildrenCtx(context.Background(), path)
-}
-
-func (c *rpcCountingClient) MultiCtx(ctx context.Context, ops []coord.Op) ([]coord.OpResult, error) {
-	c.calls.Add(1)
-	return c.Client.MultiCtx(ctx, ops)
-}
-
-func (c *rpcCountingClient) Multi(ops []coord.Op) ([]coord.OpResult, error) {
-	return c.MultiCtx(context.Background(), ops)
-}
-
-func (c *rpcCountingClient) ChildrenDataCtx(ctx context.Context, path string) ([]coord.ChildEntry, error) {
-	c.calls.Add(1)
-	return c.Client.ChildrenDataCtx(ctx, path)
-}
-
-func (c *rpcCountingClient) ChildrenData(path string) ([]coord.ChildEntry, error) {
-	return c.ChildrenDataCtx(context.Background(), path)
-}
-
-func (c *rpcCountingClient) Begin(ctx context.Context, op coord.Op) *coord.Future {
-	c.calls.Add(1)
-	return c.Client.Begin(ctx, op)
-}
-
-func (c *rpcCountingClient) BeginMulti(ctx context.Context, ops []coord.Op) *coord.Future {
-	c.calls.Add(1)
-	return c.Client.BeginMulti(ctx, ops)
-}
-
-func (c *rpcCountingClient) BeginChildrenData(ctx context.Context, path string) *coord.Future {
-	c.calls.Add(1)
-	return c.Client.BeginChildrenData(ctx, path)
+	return c.Doer.Do(ctx, op)
 }
 
 // startLatencyDUFS boots a single-server ensemble behind an injected
@@ -850,8 +767,8 @@ func startLatencyDUFS(b *testing.B, name string, rtt time.Duration) (*core.DUFS,
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { sess.Close() })
-	counter := &rpcCountingClient{Client: sess}
-	fs, err := core.New(core.Config{Session: counter, Backends: []vfs.FileSystem{memfs.New()}})
+	counter := &rpcCountingClient{Doer: sess}
+	fs, err := core.New(core.Config{Session: coord.Wrap(counter), Backends: []vfs.FileSystem{memfs.New()}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -896,7 +813,7 @@ func BenchmarkReaddirFanout(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("entries=%d/per-op", entries), func(b *testing.B) {
 			_, counter := setup(b, "perop")
-			sess := counter
+			sess := coord.Wrap(counter)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// The pre-batching Readdir: type-check the directory,
@@ -959,7 +876,7 @@ func BenchmarkMultiRename(b *testing.B) {
 			b.Fatal(err)
 		}
 		h.Close()
-		sess := counter
+		sess := coord.Wrap(counter)
 		counter.calls.Store(0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -212,12 +212,13 @@ func TestLeaseReadWirePath(t *testing.T) {
 
 	// The leader holds a heartbeat-funded lease within one round; retry
 	// briefly to ride out a just-elected leader.
+	leased := coord.Op{Kind: coord.OpGet, Path: "/leased", Lease: true}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		data, _, err := leaderSess.LeaseGetCtx(t.Context(), "/leased")
+		res, err := leaderSess.Do(t.Context(), leased)
 		if err == nil {
-			if string(data) != "fast" {
-				t.Fatalf("lease read = %q, want %q", data, "fast")
+			if string(res.Data) != "fast" {
+				t.Fatalf("lease read = %q, want %q", res.Data, "fast")
 			}
 			break
 		}
@@ -232,7 +233,7 @@ func TestLeaseReadWirePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer obsSess.Close()
-	if _, _, err := obsSess.LeaseGetCtx(t.Context(), "/leased"); err != coord.ErrNoLease {
+	if _, err := obsSess.Do(t.Context(), leased); err != coord.ErrNoLease {
 		t.Fatalf("lease read on observer = %v, want ErrNoLease", err)
 	}
 }

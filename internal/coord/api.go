@@ -240,12 +240,12 @@ func decodeStat[R wire.Source](r R) znode.Stat {
 	}
 }
 
-// OpKind selects the operation type of one element of a Multi batch.
+// OpKind selects what an Op does.
 type OpKind uint8
 
-// Multi operation kinds. They mirror znode.MultiKind one-to-one; the
-// duplication keeps the client API free of state-machine imports for
-// callers that only build batches.
+// The batchable kinds mirror znode.MultiKind one-to-one (the duplication
+// keeps the client API free of state-machine imports for callers that
+// only build batches); they are the only kinds a Multi batch may carry.
 const (
 	OpCheck OpKind = OpKind(znode.MultiCheck)
 	// OpCreate creates a znode (like Client.Create).
@@ -254,20 +254,73 @@ const (
 	OpSet OpKind = OpKind(znode.MultiSet)
 	// OpDelete removes a childless znode (like Client.Delete).
 	OpDelete OpKind = OpKind(znode.MultiDelete)
-	// OpSync is the visibility barrier (Client.Sync) as an async
-	// submission. It is only meaningful to Begin — a Multi batch cannot
-	// carry it — which is why its value sits far outside the
-	// znode.MultiKind range.
+)
+
+// The remaining kinds are meaningful to Do (and so to Begin) only, which
+// is why their values sit far outside the znode.MultiKind range.
+const (
+	// OpGet reads a znode's data and stat.
+	OpGet OpKind = 128 + iota
+	// OpExists reads a znode's stat and whether it exists.
+	OpExists
+	// OpChildren lists a znode's child names.
+	OpChildren
+	// OpChildrenData lists a znode and its children with data and stats.
+	OpChildrenData
+	// OpMulti applies Op.Ops as one batch.
+	OpMulti
+	// OpSync is the visibility barrier (Client.Sync).
 	OpSync OpKind = 255
 )
 
-// Op is one element of a Multi batch.
+// Op is one coordination operation: what Doer.Do executes, and one
+// element of a Multi batch when its kind is batchable.
 type Op struct {
 	Kind    OpKind
 	Path    string
 	Data    []byte           // create, set
 	Mode    znode.CreateMode // create
 	Version int32            // check, set, delete (-1 disables the check)
+	Ops     []Op             // multi: the batch
+
+	// Watch and Lease modify the read kinds; the write kinds ignore
+	// them. Watch (get, exists, children) leaves a one-shot watch behind
+	// a successful read, delivered through WaitEvents. Lease serves the
+	// read under the leader's read lease: the answer is linearizable
+	// with no quorum round trip, but only the leader — while its
+	// quorum-funded, clock-skew-bounded lease is live — will serve it;
+	// any other member returns ErrNoLease without touching its replica.
+	Watch bool
+	Lease bool
+}
+
+// Result is the by-value outcome of one Op; each kind fills the fields
+// named for it and leaves the rest zero.
+type Result struct {
+	Created  string       // create: the created path
+	Stat     znode.Stat   // get, set, exists
+	Data     []byte       // get
+	Exists   bool         // exists
+	Children []string     // children
+	Entries  []ChildEntry // childrenData
+	Results  []OpResult   // multi, check: per-op outcomes, also on abort
+}
+
+// checkBatch refuses a Multi batch the state machine would only abort
+// after replicating it: an empty one, or one carrying a kind that is
+// not batchable.
+func checkBatch(ops []Op) error {
+	if len(ops) == 0 {
+		return errors.New("coord: empty multi")
+	}
+	for _, op := range ops {
+		switch op.Kind {
+		case OpCheck, OpCreate, OpSet, OpDelete:
+		default:
+			return fmt.Errorf("coord: a multi batch cannot carry op kind %d", op.Kind)
+		}
+	}
+	return nil
 }
 
 // CheckOp guards the batch: it fails (aborting the whole transaction)

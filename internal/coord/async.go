@@ -2,12 +2,8 @@ package coord
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"time"
 
 	"repro/internal/coord/znode"
-	"repro/internal/wire"
 )
 
 // The asynchronous submission layer (DESIGN.md §10).
@@ -16,11 +12,13 @@ import (
 // Future immediately and keeps the request in flight alongside every
 // other outstanding submission on the same session, multiplexed over
 // the one transport connection (the TCP transport tags each request
-// frame with a call ID; responses complete the matching future). One
+// frame with a call ID; responses complete the matching caller). One
 // goroutine can therefore keep dozens of writes in the leader's
 // group-commit pipeline — the client-side half of the server-side
 // batching PR 3 built, and the design λFS argues is what lets a
-// metadata service exploit server parallelism.
+// metadata service exploit server parallelism. The blocking Do is the
+// primitive and Begin is `go Do` (Forms.Begin, the one place a Future
+// is made).
 //
 // Ordering: futures are INDEPENDENT. Two Begin calls race exactly like
 // two synchronous calls from two goroutines — the service serializes
@@ -29,21 +27,20 @@ import (
 // synchronous API keeps its stronger property trivially: a goroutine
 // issuing sync calls observes each result before the next submission.
 
-// asyncWindow bounds a session's concurrently in-flight asynchronous
-// submissions. It must stay well below the server's per-session
-// retry-dedup window (dedupWindowSize) so a post-failover replay of
-// any in-flight write is always recognised as a duplicate.
+// asyncWindow bounds a session's concurrently in-flight replicated
+// writes. It must stay well below the server's per-session retry-dedup
+// window (dedupWindowSize) so a post-failover replay of any in-flight
+// write is always recognised as a duplicate. Session.Do takes the slot,
+// so the bound holds for every form and through every wrapper.
 const asyncWindow = 64
 
 // Future is the pending result of an asynchronous submission. All
 // accessors block until the operation completes; Done exposes the
 // completion signal for select loops.
 type Future struct {
-	done    chan struct{}
-	op      OpResult
-	multi   []OpResult
-	entries []ChildEntry
-	err     error
+	done chan struct{}
+	res  Result
+	err  error
 }
 
 // Done is closed when the future resolves.
@@ -59,176 +56,21 @@ func (f *Future) Err() error {
 // (create path, set stat) — for futures minted by Begin.
 func (f *Future) Result() (OpResult, error) {
 	<-f.done
-	return f.op, f.err
+	return OpResult{Err: f.err, Created: f.res.Created, Stat: f.res.Stat}, f.err
 }
 
 // Results blocks until completion and returns the per-op outcomes of
 // a BeginMulti future, with Multi's abort semantics.
 func (f *Future) Results() ([]OpResult, error) {
 	<-f.done
-	return f.multi, f.err
+	return f.res.Results, f.err
 }
 
 // Entries blocks until completion and returns a BeginChildrenData
 // future's listing.
 func (f *Future) Entries() ([]ChildEntry, error) {
 	<-f.done
-	return f.entries, f.err
-}
-
-// FutureOp resolves a future from fn, run asynchronously. It is the
-// composition hook for Client implementations that wrap other clients
-// (the shard router layers its routing semantics over the per-shard
-// sessions' native submissions this way).
-func FutureOp(fn func() (OpResult, error)) *Future {
-	f := &Future{done: make(chan struct{})}
-	go func() {
-		defer close(f.done)
-		f.op, f.err = fn()
-	}()
-	return f
-}
-
-// FutureMulti is FutureOp for batch results.
-func FutureMulti(fn func() ([]OpResult, error)) *Future {
-	f := &Future{done: make(chan struct{})}
-	go func() {
-		defer close(f.done)
-		f.multi, f.err = fn()
-	}()
-	return f
-}
-
-// FutureEntries is FutureOp for listing results.
-func FutureEntries(fn func() ([]ChildEntry, error)) *Future {
-	f := &Future{done: make(chan struct{})}
-	go func() {
-		defer close(f.done)
-		f.entries, f.err = fn()
-	}()
-	return f
-}
-
-// resolvedFuture returns an already-failed future (malformed ops).
-func resolvedFuture(err error) *Future {
-	f := &Future{done: make(chan struct{}), err: err}
-	f.op.Err = err
-	close(f.done)
-	return f
-}
-
-// Begin submits one operation asynchronously and returns its future.
-// The write sequence number is allocated at submission, so a future's
-// retry after failover deduplicates exactly like a synchronous
-// retry's. A context cancelled while the operation is in flight
-// resolves the future with ctx.Err() immediately; the abandoned
-// request drains harmlessly (its tagged response is dropped) and the
-// session remains fully usable.
-func (s *Session) Begin(ctx context.Context, op Op) *Future {
-	w, decode, err := s.encodeAsyncOp(op)
-	if err != nil {
-		return resolvedFuture(err)
-	}
-	return FutureOp(func() (OpResult, error) {
-		select {
-		case s.window <- struct{}{}:
-		case <-ctx.Done():
-			wire.PutWriter(w) // never sent — safe to recycle here
-			return OpResult{Err: ctx.Err()}, ctx.Err()
-		}
-		defer func() { <-s.window }()
-		payload, err := s.requestPooled(ctx, w)
-		if err != nil {
-			return OpResult{Err: err}, err
-		}
-		return decode(payload)
-	})
-}
-
-// encodeAsyncOp translates one Op into its wire transaction — encoded
-// in a pooled scratch writer the eventual sender releases — and the
-// reply decoder. Checks ride as single-op Multi transactions (the
-// protocol has no standalone check); OpSync maps to the sync barrier.
-func (s *Session) encodeAsyncOp(op Op) (w *wire.Writer, decode func([]byte) (OpResult, error), err error) {
-	w = wire.GetWriter()
-	switch op.Kind {
-	case OpCreate:
-		appendCreateTxn(w, op.Path, op.Data, op.Mode, s.id, s.seq.Add(1), time.Now().UnixNano())
-		decode = func(payload []byte) (OpResult, error) {
-			created, err := decodeCreateReply(payload)
-			return OpResult{Err: err, Created: created}, err
-		}
-	case OpSet:
-		appendSetTxn(w, op.Path, op.Data, op.Version, s.id, s.seq.Add(1), time.Now().UnixNano())
-		decode = func(payload []byte) (OpResult, error) {
-			stat, err := decodeSetReply(payload)
-			return OpResult{Err: err, Stat: stat}, err
-		}
-	case OpDelete:
-		appendDeleteTxn(w, op.Path, op.Version, s.id, s.seq.Add(1))
-		decode = func([]byte) (OpResult, error) { return OpResult{}, nil }
-	case OpCheck:
-		appendMultiTxn(w, []Op{op}, s.id, s.seq.Add(1), time.Now().UnixNano())
-		decode = func(payload []byte) (OpResult, error) {
-			results, err := decodeMultiReply(payload)
-			if len(results) == 1 {
-				return results[0], err
-			}
-			return OpResult{Err: err}, err
-		}
-	case OpSync:
-		appendSyncTxn(w, s.id, s.seq.Add(1))
-		decode = func([]byte) (OpResult, error) { return OpResult{}, nil }
-	default:
-		wire.PutWriter(w)
-		return nil, nil, fmt.Errorf("coord: unknown async op kind %d", op.Kind)
-	}
-	return w, decode, nil
-}
-
-// BeginMulti submits a whole atomic batch asynchronously.
-func (s *Session) BeginMulti(ctx context.Context, ops []Op) *Future {
-	if len(ops) == 0 {
-		return resolvedFuture(errors.New("coord: empty multi"))
-	}
-	w := wire.GetWriter()
-	appendMultiTxn(w, ops, s.id, s.seq.Add(1), time.Now().UnixNano())
-	return FutureMulti(func() ([]OpResult, error) {
-		select {
-		case s.window <- struct{}{}:
-		case <-ctx.Done():
-			wire.PutWriter(w) // never sent — safe to recycle here
-			return nil, ctx.Err()
-		}
-		defer func() { <-s.window }()
-		payload, err := s.requestPooled(ctx, w)
-		if err != nil {
-			return nil, err
-		}
-		return decodeMultiReply(payload)
-	})
-}
-
-// BeginChildrenData submits a whole-directory listing asynchronously —
-// the read half of the pipelined subtree walks (core's BFS rename).
-func (s *Session) BeginChildrenData(ctx context.Context, path string) *Future {
-	w := wire.GetWriter()
-	w.Uint8(opChildrenData)
-	w.String(path)
-	return FutureEntries(func() ([]ChildEntry, error) {
-		select {
-		case s.window <- struct{}{}:
-		case <-ctx.Done():
-			wire.PutWriter(w) // never sent — safe to recycle here
-			return nil, ctx.Err()
-		}
-		defer func() { <-s.window }()
-		payload, err := s.requestPooled(ctx, w)
-		if err != nil {
-			return nil, err
-		}
-		return decodeChildrenDataReply(payload)
-	})
+	return f.res.Entries, f.err
 }
 
 // Pipeline batches asynchronous submissions behind one tiny API: queue

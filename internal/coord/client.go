@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/coord/zab"
-	"repro/internal/coord/znode"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -17,11 +16,11 @@ import (
 // Session is a client connection to the coordination service,
 // equivalent to a ZooKeeper handle. The paper's DUFS programs against
 // the synchronous API ("The synchronous ZooKeeper API were used for
-// this purpose", §IV-D); this session keeps that surface and rebuilds
-// it over a context-aware core (the *Ctx methods) plus an
-// asynchronous submission layer (Begin / Pipeline, async.go) that
-// keeps many tagged requests in flight over the one connection —
-// matching how real ZooKeeper clients pipeline their outbound queue.
+// this purpose", §IV-D); this session keeps that surface — the embedded
+// Forms derive it, and the asynchronous Begin / Pipeline forms, from the
+// one blocking Do — and concurrent Do calls keep many tagged requests in
+// flight over the one connection, matching how real ZooKeeper clients
+// pipeline their outbound queue.
 //
 // A session connects to one server; reads are answered by that server
 // from its local replica, writes are forwarded by the server through
@@ -32,11 +31,13 @@ import (
 // not serve the session's writes has not necessarily applied them
 // (ZooKeeper makes the same promise with the session's last-seen zxid).
 type Session struct {
+	Forms // every typed form, over Do
+
 	net   transport.Network
 	addrs []string
 	seq   atomic.Uint64 // per-session write sequence, for exact-once retries
 
-	// window bounds concurrently in-flight async submissions; it must
+	// window bounds concurrently in-flight replicated writes; it must
 	// stay well under the server's per-session retry-dedup window so a
 	// reconnect replay can always be recognised.
 	window chan struct{}
@@ -83,6 +84,7 @@ func Connect(net transport.Network, addrs []string) (*Session, error) {
 		addrs:  append([]string(nil), addrs...),
 		window: make(chan struct{}, asyncWindow),
 	}
+	s.Forms = Forms{s}
 	resp, err := s.request(encodeNewSessionTxn())
 	if err != nil {
 		return nil, fmt.Errorf("coord: establishing session: %w", err)
@@ -338,282 +340,160 @@ func retryDelay(attempt int) time.Duration {
 	return d
 }
 
-// CreateCtx creates a znode and returns the created path (which
-// differs from the requested path for sequential modes). The context
-// bounds the whole operation including failover retries.
-func (s *Session) CreateCtx(ctx context.Context, path string, data []byte, mode znode.CreateMode) (string, error) {
-	// Write requests ride pooled writers too: nothing on the client
-	// retains the message (the server copies before the replication
-	// layer keeps anything), so the buffer is free at reply time.
+// Do implements Doer: encode the op, send it through the request
+// engine, decode the reply — on the caller's goroutine, with no
+// allocation beyond the result. A replicated write holds one of the
+// session's asyncWindow slots while it is in flight; reads take none.
+func (s *Session) Do(ctx context.Context, op Op) (Result, error) {
+	// Requests ride pooled writers: nothing on the client retains the
+	// message (the server copies before the replication layer keeps
+	// anything), so the buffer is free at reply time.
 	w := wire.GetWriter()
-	appendCreateTxn(w, path, data, mode, s.id, s.seq.Add(1), time.Now().UnixNano())
-	payload, err := s.requestPooled(ctx, w)
+	write, err := s.encode(w, op)
 	if err != nil {
-		return "", err
+		wire.PutWriter(w)
+		return Result{}, err
 	}
-	return decodeCreateReply(payload)
-}
-
-// Create creates a znode with the background context.
-func (s *Session) Create(path string, data []byte, mode znode.CreateMode) (string, error) {
-	return s.CreateCtx(context.Background(), path, data, mode)
-}
-
-func decodeCreateReply(payload []byte) (string, error) {
-	r := wire.NewReader(payload)
-	created := r.String()
-	if err := r.Err(); err != nil {
-		return "", fmt.Errorf("coord: malformed create reply: %w", err)
+	if write {
+		// The write's sequence number is already allocated, so a retry
+		// after failover deduplicates however long it waited here.
+		select {
+		case s.window <- struct{}{}:
+		case <-ctx.Done():
+			wire.PutWriter(w) // never sent — safe to recycle here
+			return Result{}, ctx.Err()
+		}
 	}
-	return created, nil
-}
-
-// GetCtx returns the znode's data and stat.
-func (s *Session) GetCtx(ctx context.Context, path string) ([]byte, znode.Stat, error) {
-	w := wire.GetWriter()
-	w.Uint8(opGet)
-	w.String(path)
 	payload, err := s.requestPooled(ctx, w)
+	if write {
+		<-s.window
+	}
 	if err != nil {
-		return nil, znode.Stat{}, err
+		return Result{}, err
 	}
-	return decodeGetReply(payload)
+	return decodeReply(op.Kind, payload)
 }
 
-// Get returns the znode's data and stat with the background context.
-func (s *Session) Get(path string) ([]byte, znode.Stat, error) {
-	return s.GetCtx(context.Background(), path)
-}
-
-func decodeGetReply(payload []byte) ([]byte, znode.Stat, error) {
-	r := wire.NewReader(payload)
-	data := r.BytesCopy32()
-	stat := decodeStat(r)
-	if err := r.Err(); err != nil {
-		return nil, znode.Stat{}, fmt.Errorf("coord: malformed get reply: %w", err)
+// encode appends op's request to w and reports whether it is a
+// replicated write (which carries the session id and a fresh sequence
+// number for exact-once retries). Checks ride as single-op Multi
+// transactions — the protocol has no standalone check.
+func (s *Session) encode(w *wire.Writer, op Op) (write bool, err error) {
+	var plain, watched uint8
+	switch op.Kind {
+	case OpCreate:
+		appendCreateTxn(w, op.Path, op.Data, op.Mode, s.id, s.seq.Add(1), time.Now().UnixNano())
+		return true, nil
+	case OpSet:
+		appendSetTxn(w, op.Path, op.Data, op.Version, s.id, s.seq.Add(1), time.Now().UnixNano())
+		return true, nil
+	case OpDelete:
+		appendDeleteTxn(w, op.Path, op.Version, s.id, s.seq.Add(1))
+		return true, nil
+	case OpSync:
+		appendSyncTxn(w, s.id, s.seq.Add(1))
+		return true, nil
+	case OpCheck, OpMulti:
+		ops := op.Ops
+		if op.Kind == OpCheck {
+			ops = []Op{op}
+		}
+		if err := checkBatch(ops); err != nil {
+			return false, err
+		}
+		appendMultiTxn(w, ops, s.id, s.seq.Add(1), time.Now().UnixNano())
+		return true, nil
+	case OpGet:
+		plain, watched = opGet, opGetWatch
+	case OpExists:
+		plain, watched = opExists, opExistsWatch
+	case OpChildren:
+		plain, watched = opChildren, opChildrenWatch
+	case OpChildrenData:
+		plain = opChildrenData
+	default:
+		return false, fmt.Errorf("coord: unknown op kind %d", op.Kind)
 	}
-	return data, stat, nil
-}
-
-// SetCtx replaces the znode's data; version -1 disables the optimistic
-// concurrency check.
-func (s *Session) SetCtx(ctx context.Context, path string, data []byte, version int32) (znode.Stat, error) {
-	w := wire.GetWriter()
-	appendSetTxn(w, path, data, version, s.id, s.seq.Add(1), time.Now().UnixNano())
-	payload, err := s.requestPooled(ctx, w)
-	if err != nil {
-		return znode.Stat{}, err
+	switch {
+	case op.Watch && (op.Lease || watched == 0):
+		return false, fmt.Errorf("coord: op kind %d has no such watch form", op.Kind)
+	case op.Watch:
+		w.Uint8(watched)
+		w.Uint64(s.id)
+	case op.Lease:
+		w.Uint8(opLeaseRead)
+		w.Uint8(plain)
+	default:
+		w.Uint8(plain)
 	}
-	return decodeSetReply(payload)
+	w.String(op.Path)
+	return false, nil
 }
 
-// Set replaces the znode's data with the background context.
-func (s *Session) Set(path string, data []byte, version int32) (znode.Stat, error) {
-	return s.SetCtx(context.Background(), path, data, version)
-}
-
-func decodeSetReply(payload []byte) (znode.Stat, error) {
-	r := wire.NewReader(payload)
-	stat := decodeStat(r)
-	if err := r.Err(); err != nil {
-		return znode.Stat{}, fmt.Errorf("coord: malformed set reply: %w", err)
-	}
-	return stat, nil
-}
-
-// DeleteCtx removes a childless znode; version -1 disables the check.
-func (s *Session) DeleteCtx(ctx context.Context, path string, version int32) error {
-	w := wire.GetWriter()
-	appendDeleteTxn(w, path, version, s.id, s.seq.Add(1))
-	_, err := s.requestPooled(ctx, w)
-	return err
-}
-
-// Delete removes a childless znode with the background context.
-func (s *Session) Delete(path string, version int32) error {
-	return s.DeleteCtx(context.Background(), path, version)
-}
-
-// ExistsCtx returns the stat and whether the znode exists.
-func (s *Session) ExistsCtx(ctx context.Context, path string) (znode.Stat, bool, error) {
-	w := wire.GetWriter()
-	w.Uint8(opExists)
-	w.String(path)
-	payload, err := s.requestPooled(ctx, w)
-	if err != nil {
-		return znode.Stat{}, false, err
-	}
-	return decodeExistsReply(payload)
-}
-
-// Exists returns the stat and existence with the background context.
-func (s *Session) Exists(path string) (znode.Stat, bool, error) {
-	return s.ExistsCtx(context.Background(), path)
-}
-
-func decodeExistsReply(payload []byte) (znode.Stat, bool, error) {
-	r := wire.NewReader(payload)
-	ok := r.Bool()
-	stat := decodeStat(r)
-	if err := r.Err(); err != nil {
-		return znode.Stat{}, false, fmt.Errorf("coord: malformed exists reply: %w", err)
-	}
-	return stat, ok, nil
-}
-
-// ChildrenCtx returns the sorted child names of the znode.
-func (s *Session) ChildrenCtx(ctx context.Context, path string) ([]string, error) {
-	w := wire.GetWriter()
-	w.Uint8(opChildren)
-	w.String(path)
-	payload, err := s.requestPooled(ctx, w)
-	if err != nil {
-		return nil, err
-	}
-	return decodeChildrenReply(payload)
-}
-
-// Children returns the sorted child names with the background context.
-func (s *Session) Children(path string) ([]string, error) {
-	return s.ChildrenCtx(context.Background(), path)
-}
-
-func decodeChildrenReply(payload []byte) ([]string, error) {
-	r := wire.NewReader(payload)
-	kids := r.StringSlice()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("coord: malformed children reply: %w", err)
-	}
-	return kids, nil
-}
-
-// LeaseGetCtx is GetCtx served under the leader's read lease: the
-// answer is linearizable (no stale reads, no quorum round trip) but
-// only the leader — while its quorum-funded, clock-skew-bounded lease
-// is live — will serve it. Any other member, or a deposed/expired
-// leader, returns ErrNoLease without touching its replica; the caller
-// (the read router) then re-locates the leader or falls back to
-// Sync-then-read.
-func (s *Session) LeaseGetCtx(ctx context.Context, path string) ([]byte, znode.Stat, error) {
-	w := wire.GetWriter()
-	w.Uint8(opLeaseRead)
-	w.Uint8(opGet)
-	w.String(path)
-	payload, err := s.requestPooled(ctx, w)
-	if err != nil {
-		return nil, znode.Stat{}, err
-	}
-	return decodeGetReply(payload)
-}
-
-// LeaseExistsCtx is ExistsCtx under the leader's read lease (see
-// LeaseGetCtx for the contract).
-func (s *Session) LeaseExistsCtx(ctx context.Context, path string) (znode.Stat, bool, error) {
-	w := wire.GetWriter()
-	w.Uint8(opLeaseRead)
-	w.Uint8(opExists)
-	w.String(path)
-	payload, err := s.requestPooled(ctx, w)
-	if err != nil {
-		return znode.Stat{}, false, err
-	}
-	return decodeExistsReply(payload)
-}
-
-// LeaseChildrenCtx is ChildrenCtx under the leader's read lease (see
-// LeaseGetCtx for the contract).
-func (s *Session) LeaseChildrenCtx(ctx context.Context, path string) ([]string, error) {
-	w := wire.GetWriter()
-	w.Uint8(opLeaseRead)
-	w.Uint8(opChildren)
-	w.String(path)
-	payload, err := s.requestPooled(ctx, w)
-	if err != nil {
-		return nil, err
-	}
-	return decodeChildrenReply(payload)
-}
-
-// LeaseChildrenDataCtx is ChildrenDataCtx under the leader's read
-// lease (see LeaseGetCtx for the contract).
-func (s *Session) LeaseChildrenDataCtx(ctx context.Context, path string) ([]ChildEntry, error) {
-	w := wire.GetWriter()
-	w.Uint8(opLeaseRead)
-	w.Uint8(opChildrenData)
-	w.String(path)
-	payload, err := s.requestPooled(ctx, w)
-	if err != nil {
-		return nil, err
-	}
-	return decodeChildrenDataReply(payload)
-}
-
-// MultiCtx applies the batch as one atomic transaction: a single
-// proposal through the atomic broadcast, applied all-or-nothing by
-// every replica. On success every result's Err is nil. On an aborted
-// batch MultiCtx returns the per-op results — the failing op carries
-// its error, the others ErrRolledBack — plus the failing op's error as
-// the returned error, so callers can treat Multi like any other
+// decodeReply reads the reply payload of an op of the given kind. An
+// aborted batch is both a result and an error: the per-op outcomes —
+// the failing op carries its error, the others ErrRolledBack — plus the
+// failing op's error, so callers can treat Multi like any other
 // mutation.
-func (s *Session) MultiCtx(ctx context.Context, ops []Op) ([]OpResult, error) {
-	if len(ops) == 0 {
-		return nil, errors.New("coord: empty multi")
-	}
-	w := wire.GetWriter()
-	appendMultiTxn(w, ops, s.id, s.seq.Add(1), time.Now().UnixNano())
-	payload, err := s.requestPooled(ctx, w)
-	if err != nil {
-		return nil, err
-	}
-	return decodeMultiReply(payload)
-}
-
-// Multi applies the batch with the background context.
-func (s *Session) Multi(ops []Op) ([]OpResult, error) {
-	return s.MultiCtx(context.Background(), ops)
-}
-
-func decodeMultiReply(payload []byte) ([]OpResult, error) {
-	r := wire.NewReader(payload)
-	results, committed, derr := decodeMultiResults(r)
-	if derr != nil {
-		return nil, fmt.Errorf("coord: malformed multi reply: %w", derr)
-	}
-	if !committed {
-		for _, res := range results {
-			if res.Err != nil && !errors.Is(res.Err, ErrRolledBack) {
-				return results, res.Err
+//
+// Each case makes its own reader: one that reaches decodeStat's generic
+// dispatch escapes to the heap, and the replies without a Stat (create
+// above all, whose allocation count TestWriteAllocBudget pins) should
+// not pay for that.
+func decodeReply(kind OpKind, payload []byte) (Result, error) {
+	var res Result
+	var malformed, abort error
+	switch kind {
+	case OpCreate:
+		r := wire.NewReader(payload)
+		res.Created = r.String()
+		malformed = r.Err()
+	case OpSet:
+		r := wire.NewReader(payload)
+		res.Stat = decodeStat(r)
+		malformed = r.Err()
+	case OpGet:
+		r := wire.NewReader(payload)
+		res.Data = r.BytesCopy32()
+		res.Stat = decodeStat(r)
+		malformed = r.Err()
+	case OpExists:
+		r := wire.NewReader(payload)
+		res.Exists = r.Bool()
+		res.Stat = decodeStat(r)
+		malformed = r.Err()
+	case OpChildren:
+		r := wire.NewReader(payload)
+		res.Children = r.StringSlice()
+		malformed = r.Err()
+	case OpChildrenData:
+		res.Entries, malformed = decodeEntries(wire.NewReader(payload))
+	case OpCheck, OpMulti:
+		var committed bool
+		res.Results, committed, malformed = decodeMultiResults(wire.NewReader(payload))
+		if malformed == nil && !committed {
+			abort = ErrRolledBack
+			for _, one := range res.Results {
+				if one.Err != nil && !errors.Is(one.Err, ErrRolledBack) {
+					abort = one.Err
+					break
+				}
 			}
 		}
-		return results, ErrRolledBack
 	}
-	return results, nil
-}
-
-// ChildrenDataCtx returns the znode itself (as the first entry, named
-// ".") and every child with its data and stat — a whole readdir in one
-// round trip, served from the session's local replica like Children.
-func (s *Session) ChildrenDataCtx(ctx context.Context, path string) ([]ChildEntry, error) {
-	w := wire.GetWriter()
-	w.Uint8(opChildrenData)
-	w.String(path)
-	payload, err := s.requestPooled(ctx, w)
-	if err != nil {
-		return nil, err
+	if malformed != nil {
+		return Result{}, fmt.Errorf("coord: malformed reply to op kind %d: %w", kind, malformed)
 	}
-	return decodeChildrenDataReply(payload)
+	return res, abort
 }
 
-// ChildrenData returns the whole listing with the background context.
-func (s *Session) ChildrenData(path string) ([]ChildEntry, error) {
-	return s.ChildrenDataCtx(context.Background(), path)
-}
-
-func decodeChildrenDataReply(payload []byte) ([]ChildEntry, error) {
-	r := wire.NewReader(payload)
+func decodeEntries(r *wire.Reader) ([]ChildEntry, error) {
 	n := r.Uint32()
-	if r.Err() != nil || int(n) > r.Remaining() {
-		return nil, fmt.Errorf("coord: malformed childrendata reply")
+	if r.Err() == nil && int(n) > r.Remaining() {
+		r.Fail(fmt.Errorf("%d entries in %d bytes", n, r.Remaining()))
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	entries := make([]ChildEntry, 0, n)
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
@@ -623,80 +503,17 @@ func decodeChildrenDataReply(payload []byte) ([]ChildEntry, error) {
 			Stat: decodeStat(r),
 		})
 	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("coord: malformed childrendata reply: %w", err)
-	}
-	return entries, nil
+	return entries, r.Err()
 }
 
 // Atomic implements Client: a session talks to exactly one ensemble,
 // so every batch is atomic.
 func (s *Session) Atomic(paths ...string) bool { return true }
 
-// GetW is Get plus a one-shot data watch: the next create/delete/set
-// on the path (as applied by the session's server) queues an Event
-// retrievable with PollEvents. A failed GetW leaves no watch.
-func (s *Session) GetW(path string) ([]byte, znode.Stat, error) {
-	w := wire.GetWriter()
-	w.Uint8(opGetWatch)
-	w.Uint64(s.id)
-	w.String(path)
-	payload, err := s.requestPooled(context.Background(), w)
-	if err != nil {
-		return nil, znode.Stat{}, err
-	}
-	r := wire.NewReader(payload)
-	data := r.BytesCopy32()
-	stat := decodeStat(r)
-	if err := r.Err(); err != nil {
-		return nil, znode.Stat{}, fmt.Errorf("coord: malformed getw reply: %w", err)
-	}
-	return data, stat, nil
-}
-
-// ExistsW is Exists plus a one-shot watch; it fires on creation of a
-// currently-absent node as well, matching ZooKeeper.
-func (s *Session) ExistsW(path string) (znode.Stat, bool, error) {
-	w := wire.GetWriter()
-	w.Uint8(opExistsWatch)
-	w.Uint64(s.id)
-	w.String(path)
-	payload, err := s.requestPooled(context.Background(), w)
-	if err != nil {
-		return znode.Stat{}, false, err
-	}
-	r := wire.NewReader(payload)
-	ok := r.Bool()
-	stat := decodeStat(r)
-	if err := r.Err(); err != nil {
-		return znode.Stat{}, false, fmt.Errorf("coord: malformed existsw reply: %w", err)
-	}
-	return stat, ok, nil
-}
-
-// ChildrenW is Children plus a one-shot child watch (fires when an
-// entry is added to or removed from the directory, or the directory
-// itself is deleted).
-func (s *Session) ChildrenW(path string) ([]string, error) {
-	w := wire.GetWriter()
-	w.Uint8(opChildrenWatch)
-	w.Uint64(s.id)
-	w.String(path)
-	payload, err := s.requestPooled(context.Background(), w)
-	if err != nil {
-		return nil, err
-	}
-	r := wire.NewReader(payload)
-	kids := r.StringSlice()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("coord: malformed childrenw reply: %w", err)
-	}
-	return kids, nil
-}
-
-// PollEvents drains the session's fired watches on its server.
-// Delivery is pull-based (the transport is request/response); watches
-// are one-shot and server-local, as in ZooKeeper.
+// PollEvents drains the session's fired watches on its server without
+// blocking — the pull beside WaitEvents, for tools and tests; it is not
+// part of Client. Watches are one-shot and server-local, as in
+// ZooKeeper.
 func (s *Session) PollEvents() ([]Event, error) {
 	w := wire.GetWriter()
 	w.Uint8(opPollEvents)
@@ -795,31 +612,6 @@ func (s *Session) WaitEvents(ctx context.Context, maxWait time.Duration) ([]Even
 		// on the SAME connection until our own deadline (covers capped
 		// server waits).
 	}
-}
-
-// WaitEvent blocks until an event arrives or the timeout expires —
-// the synchronous wrapper over WaitEvents. Unlike the pre-push
-// implementation it issues no polling RPCs: the single request parks
-// on the server.
-func (s *Session) WaitEvent(timeout time.Duration) ([]Event, error) {
-	return s.WaitEvents(context.Background(), timeout)
-}
-
-// SyncCtx is ZooKeeper's sync(): a no-op barrier through the atomic
-// broadcast. When it returns, the session's server has applied every
-// write committed before the call, so subsequent local reads observe
-// them — the cross-client visibility guarantee DUFS needs after
-// another client's mutation.
-func (s *Session) SyncCtx(ctx context.Context) error {
-	w := wire.GetWriter()
-	appendSyncTxn(w, s.id, s.seq.Add(1))
-	_, err := s.requestPooled(ctx, w)
-	return err
-}
-
-// Sync is the barrier with the background context.
-func (s *Session) Sync() error {
-	return s.SyncCtx(context.Background())
 }
 
 // Status reports a server's view of the ensemble, for tools and tests.

@@ -7,32 +7,62 @@ import (
 	"repro/internal/coord/znode"
 )
 
-// Client is the coordination-service API DUFS programs against: the
-// ZooKeeper-style operation set of a Session — single znode reads and
-// writes, one-shot watches, the Sync barrier — plus the batched
-// primitives that collapse DUFS's hot paths into single round trips
-// (Multi, ChildrenData), an ASYNCHRONOUS submission layer (Begin,
-// BeginMulti, BeginChildrenData) that keeps many tagged operations in
-// flight over one connection, and a PUSH-shaped event wait
-// (WaitEvents) that parks on the server until a watch fires. The
-// interface is abstracted so that callers cannot tell one ensemble
-// from many.
+// Doer is what a coordination client IMPLEMENTS: identity, lifetime,
+// the one blocking operation primitive, the event wait and a status
+// report. Everything else callers see on a Client is derived from Do,
+// once, by Forms (forms.go) — so an implementation, a decorator or a
+// test double is a Do plus whatever real logic it has. *Session,
+// *ReadRouter and *shard.Router are the three implementations; each
+// embeds Forms over itself.
+type Doer interface {
+	// ID returns the 64-bit session identifier minted by the
+	// replicated state machine; DUFS uses it as the client half of new
+	// FIDs.
+	ID() uint64
+	// Close terminates the session(s), expiring ephemeral nodes.
+	Close() error
+	// Atomic reports whether a Multi touching exactly these paths
+	// executes as a single atomic transaction. Always true for a
+	// Session; true on a Router iff every path routes to one shard.
+	Atomic(paths ...string) bool
+	// Do executes one operation and blocks until its outcome is known;
+	// ctx bounds the whole call including failover retries, and a ctx
+	// cancelled mid-flight returns ctx.Err() without disturbing the
+	// session. It is the blocking primitive: the asynchronous forms are
+	// `go Do`, so concurrent Do calls on one client are the pipelining
+	// (they share its connection) and are mutually UNORDERED. A session
+	// holds at most asyncWindow replicated writes in flight, whichever
+	// form submitted them; reads are not bounded.
+	//
+	// An aborted batch (OpMulti, OpCheck) returns both: Result.Results
+	// with the failing op's error on its own entry and ErrRolledBack on
+	// every other, and the failing op's error.
+	Do(ctx context.Context, op Op) (Result, error)
+	// WaitEvents parks on the service until a watch fires, maxWait
+	// expires (nil, nil), or ctx ends. It is push delivery: an idle
+	// caller issues no polling traffic — one parked request per
+	// maxWait window. An error return means events may have been
+	// missed (failover); re-register watches.
+	WaitEvents(ctx context.Context, maxWait time.Duration) ([]Event, error)
+	// Status reports the service's view of itself, for tools and
+	// tests.
+	Status() (Status, error)
+}
+
+// Client is the coordination-service API DUFS programs against: a Doer
+// plus the typed forms of its operations — the ZooKeeper-style set of a
+// Session (single znode reads and writes, one-shot watches, the Sync
+// barrier), the batched primitives that collapse DUFS's hot paths into
+// single round trips (Multi, ChildrenData), and the ASYNCHRONOUS
+// submissions (Begin, BeginMulti, BeginChildrenData) that keep many
+// operations in flight over one connection. The interface is abstracted
+// so that callers cannot tell one ensemble from many.
 //
-// Every operation comes in two forms: a context-aware primary
-// (CreateCtx, GetCtx, …) whose context bounds the whole call including
-// failover retries, and the original synchronous signature, kept as a
-// thin wrapper over the primary with the background context so the
-// paper-faithful call sites keep compiling unchanged.
-//
-// Two implementations exist:
-//
-//   - *Session — a connection to a single ensemble (the paper's
-//     configuration, §IV-D); every Multi is atomic and Atomic always
-//     reports true;
-//   - *shard.Router — a client-side fan-out over N independent
-//     ensembles that partitions the znode namespace by
-//     consistent-hashing each node's parent-directory path
-//     (DESIGN.md §7, §8).
+// Every operation comes in two typed forms: a context-aware one
+// (CreateCtx, GetCtx, …) whose context bounds the whole call, and the
+// paper's synchronous signature (§IV-D), the same call with the
+// background context. Both are Forms methods over Do; no implementation
+// writes them out.
 //
 // The guarantees callers may rely on are those of a single session:
 // a client always observes its own writes, and Sync establishes a
@@ -48,12 +78,7 @@ import (
 // cross-shard rename) when it reports false. DESIGN.md §8 states the
 // full atomicity contract.
 type Client interface {
-	// ID returns the 64-bit session identifier minted by the
-	// replicated state machine; DUFS uses it as the client half of new
-	// FIDs.
-	ID() uint64
-	// Close terminates the session(s), expiring ephemeral nodes.
-	Close() error
+	Doer
 
 	// CreateCtx creates a znode, returning the created path (which
 	// differs from the requested path for sequential modes).
@@ -69,46 +94,39 @@ type Client interface {
 	ExistsCtx(ctx context.Context, path string) (znode.Stat, bool, error)
 	// ChildrenCtx returns the sorted child names of a znode.
 	ChildrenCtx(ctx context.Context, path string) ([]string, error)
+	// MultiCtx applies the batch of check/create/set/delete operations
+	// as one transaction: all-or-nothing when Atomic(paths...) holds
+	// for the batch's paths, per-shard all-or-nothing otherwise (each
+	// sub-batch commits or aborts independently, in first-appearance
+	// order — see shard.Router for the exact contract). On abort the
+	// failing op's result carries its error, every other op carries
+	// ErrRolledBack, and the failing op's error is also returned.
+	MultiCtx(ctx context.Context, ops []Op) ([]OpResult, error)
+	// ChildrenDataCtx returns the znode itself (first entry, named ".")
+	// and every child with its data and stat, in one round trip — the
+	// N+1-free readdir. Entries after "." are sorted by name.
+	ChildrenDataCtx(ctx context.Context, path string) ([]ChildEntry, error)
+	// SyncCtx is the cross-client visibility barrier (ZooKeeper
+	// sync()).
+	SyncCtx(ctx context.Context) error
 
-	// Create/Get/Set/Delete/Exists/Children are the synchronous
-	// wrappers: the *Ctx primaries with the background context.
+	// The context-free forms: the *Ctx forms with the background
+	// context.
 	Create(path string, data []byte, mode znode.CreateMode) (string, error)
 	Get(path string) ([]byte, znode.Stat, error)
 	Set(path string, data []byte, version int32) (znode.Stat, error)
 	Delete(path string, version int32) error
 	Exists(path string) (znode.Stat, bool, error)
 	Children(path string) ([]string, error)
-
-	// MultiCtx applies the batch of check/create/set/delete operations
-	// as one transaction: all-or-nothing when Atomic(paths...) holds
-	// for the batch's paths, per-shard all-or-nothing otherwise (each
-	// sub-batch commits or aborts independently, in first-appearance
-	// order — see shard.Router.Multi for the exact contract). On abort
-	// the failing op's result carries its error, every other op carries
-	// ErrRolledBack, and the failing op's error is also returned.
-	MultiCtx(ctx context.Context, ops []Op) ([]OpResult, error)
-	// Multi is MultiCtx with the background context.
 	Multi(ops []Op) ([]OpResult, error)
-	// ChildrenDataCtx returns the znode itself (first entry, named ".")
-	// and every child with its data and stat, in one round trip — the
-	// N+1-free readdir. Entries after "." are sorted by name.
-	ChildrenDataCtx(ctx context.Context, path string) ([]ChildEntry, error)
-	// ChildrenData is ChildrenDataCtx with the background context.
 	ChildrenData(path string) ([]ChildEntry, error)
-	// Atomic reports whether a Multi touching exactly these paths
-	// executes as a single atomic transaction. Always true for a
-	// Session; true on a Router iff every path routes to one shard.
-	Atomic(paths ...string) bool
+	Sync() error
 
-	// Begin submits one operation asynchronously: it returns
-	// immediately with a Future and keeps the request in flight
-	// alongside every other outstanding submission, multiplexed over
-	// the session's connection. Supported kinds: OpCreate, OpSet,
-	// OpDelete, OpCheck, OpSync. Futures are mutually unordered. A
-	// context cancelled mid-flight resolves the future with ctx.Err()
-	// without disturbing the session.
+	// Begin submits one operation of any kind asynchronously: it
+	// returns immediately with a Future resolved by Do on its own
+	// goroutine. Futures are mutually unordered.
 	Begin(ctx context.Context, op Op) *Future
-	// BeginMulti is Begin for a whole atomic batch (results via
+	// BeginMulti is Begin for a whole batch (results via
 	// Future.Results).
 	BeginMulti(ctx context.Context, ops []Op) *Future
 	// BeginChildrenData is Begin for a whole-directory listing
@@ -116,30 +134,15 @@ type Client interface {
 	BeginChildrenData(ctx context.Context, path string) *Future
 
 	// GetW, ExistsW and ChildrenW are their unwatched counterparts
-	// plus a one-shot watch delivered through WaitEvents/PollEvents.
+	// plus a one-shot watch delivered through WaitEvents.
 	GetW(path string) ([]byte, znode.Stat, error)
 	ExistsW(path string) (znode.Stat, bool, error)
 	ChildrenW(path string) ([]string, error)
-	// WaitEvents parks on the service until a watch fires, maxWait
-	// expires (nil, nil), or ctx ends. It is push delivery: an idle
-	// caller issues no polling traffic — one parked request per
-	// maxWait window. An error return means events may have been
-	// missed (failover); re-register watches.
-	WaitEvents(ctx context.Context, maxWait time.Duration) ([]Event, error)
-	// PollEvents drains fired watches without blocking (pull; tools
-	// and tests).
-	PollEvents() ([]Event, error)
-	// WaitEvent is the synchronous WaitEvents wrapper.
+	// WaitEvent is WaitEvents with the background context.
 	WaitEvent(timeout time.Duration) ([]Event, error)
-
-	// SyncCtx is the cross-client visibility barrier (ZooKeeper
-	// sync()).
-	SyncCtx(ctx context.Context) error
-	// Sync is SyncCtx with the background context.
-	Sync() error
-	// Status reports the service's view of itself, for tools and
-	// tests.
-	Status() (Status, error)
 }
 
-var _ Client = (*Session)(nil)
+var (
+	_ Client = (*Session)(nil)
+	_ Client = (*ReadRouter)(nil)
+)

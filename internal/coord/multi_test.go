@@ -358,3 +358,32 @@ func TestMultiFiresWatches(t *testing.T) {
 		t.Fatalf("committed multi never fired the child watch: %+v", evs)
 	}
 }
+
+// TestMultiRefusesNonBatchKinds: a batch carrying a kind the state
+// machine cannot apply is refused by the client before it is encoded.
+// The parent replicated it through quorum and WAL first and let znode
+// abort it with "unknown multi op kind 255".
+func TestMultiRefusesNonBatchKinds(t *testing.T) {
+	e := startTestEnsemble(t, 1)
+	s := connect(t, e, -1)
+	before, err := s.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []OpKind{OpSync, OpGet, OpExists, OpChildren, OpChildrenData, OpMulti} {
+		batch := []Op{CreateOp("/late", nil, znode.ModePersistent), {Kind: kind, Path: "/"}}
+		if results, err := s.MultiCtx(t.Context(), batch); err == nil || results != nil {
+			t.Fatalf("multi carrying kind %d = %+v, %v; want it refused", kind, results, err)
+		}
+		if err := s.BeginMulti(t.Context(), batch).Err(); err == nil {
+			t.Fatalf("async multi carrying kind %d accepted", kind)
+		}
+	}
+	after, err := s.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.AppliedZxid != before.AppliedZxid {
+		t.Fatalf("a refused batch was replicated: applied zxid %x -> %x", before.AppliedZxid, after.AppliedZxid)
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/coord/znode"
 	"repro/internal/transport"
 )
 
@@ -118,9 +117,11 @@ type endpoint struct {
 // ReadRouter is a policy-routed read frontend over one coordination
 // ensemble plus its observer tier. The embedded Session is the
 // primary voter session: writes, watches, Sync and session identity
-// all flow through it unchanged — only the read methods re-route.
+// all flow through it unchanged — Do re-routes only the unwatched
+// reads, whichever form (blocking or Begin) submitted them.
 type ReadRouter struct {
 	*Session
+	Forms     // every typed form, over this router's Do
 	cfg       RouterConfig
 	endpoints []*endpoint // voters first, then observers
 	rr        atomic.Uint64
@@ -150,6 +151,7 @@ func NewReadRouter(cfg RouterConfig) (*ReadRouter, error) {
 		return nil, err
 	}
 	r := &ReadRouter{Session: primary, cfg: cfg, stopCh: make(chan struct{})}
+	r.Forms = Forms{r}
 	for _, a := range cfg.Voters {
 		r.endpoints = append(r.endpoints, &endpoint{addr: a})
 	}
@@ -319,18 +321,21 @@ func (r *ReadRouter) candidates() []*endpoint {
 	return append(preferred, fallback...)
 }
 
-// readFn is one read operation bound to its arguments and result
-// slots, ready to run against any session.
-type readFn func(ctx context.Context, s *Session) error
-
-// read routes one read according to the policy. plain runs the read
-// against an arbitrary replica; lease runs its lease-guarded variant
-// (leader policy only).
-func (r *ReadRouter) read(ctx context.Context, plain, lease readFn) error {
-	if r.cfg.Policy == ReadLeader {
-		return r.leaderRead(ctx, plain, lease)
+// Do implements Doer: a plain read is placed by the policy; everything
+// else — writes, Sync, a read whose caller chose the lease itself, and
+// watched reads, whose watch must live on the server WaitEvents parks
+// on — is the primary session's.
+func (r *ReadRouter) Do(ctx context.Context, op Op) (Result, error) {
+	switch op.Kind {
+	case OpGet, OpExists, OpChildren, OpChildrenData:
+		if !op.Watch && !op.Lease {
+			if r.cfg.Policy == ReadLeader {
+				return r.leaderRead(ctx, op)
+			}
+			return r.spreadRead(ctx, op)
+		}
 	}
-	return r.spreadRead(ctx, plain)
+	return r.Session.Do(ctx, op)
 }
 
 // spreadRead walks the candidate list, giving each endpoint one
@@ -339,11 +344,11 @@ func (r *ReadRouter) read(ctx context.Context, plain, lease readFn) error {
 // partitioned observer into a ~attemptTimeout blip instead of a stuck
 // client: the sub-context expires, the parent is still live, and the
 // next candidate (eventually a voter) takes the read.
-func (r *ReadRouter) spreadRead(ctx context.Context, plain readFn) error {
+func (r *ReadRouter) spreadRead(ctx context.Context, op Op) (Result, error) {
 	var lastErr error
 	for _, ep := range r.candidates() {
 		if ctx.Err() != nil {
-			return ctx.Err()
+			return Result{}, ctx.Err()
 		}
 		sess, err := ep.session(r.cfg.Net)
 		if err != nil {
@@ -352,19 +357,19 @@ func (r *ReadRouter) spreadRead(ctx context.Context, plain readFn) error {
 			continue
 		}
 		attempt, cancel := context.WithTimeout(ctx, attemptTimeout)
-		err = plain(attempt, sess)
+		res, err := sess.Do(attempt, op)
 		cancel()
 		if err == nil {
 			r.count(ep.observer, false)
-			return nil
+			return res, nil
 		}
 		if ctx.Err() != nil {
-			return err
+			return Result{}, err
 		}
 		if isReplicaRefusal(err) {
 			// A definite application-level answer (no such node, bad
 			// path...) is the read's real result, not a routing failure.
-			return err
+			return Result{}, err
 		}
 		lastErr = err
 		ep.record(false, false, 0, 0)
@@ -374,23 +379,23 @@ func (r *ReadRouter) spreadRead(ctx context.Context, plain readFn) error {
 	}
 	// Last resort: the primary voter session, which retries and fails
 	// over internally until the caller's deadline.
-	if err := plain(ctx, r.Session); err != nil {
-		if lastErr != nil && !errors.Is(err, context.DeadlineExceeded) {
-			return err
+	res, err := r.Session.Do(ctx, op)
+	if err != nil {
+		if lastErr != nil && errors.Is(err, context.DeadlineExceeded) {
+			return Result{}, fmt.Errorf("coord: read failed on every replica: %w", lastErr)
 		}
-		if lastErr != nil {
-			return fmt.Errorf("coord: read failed on every replica: %w", lastErr)
-		}
-		return err
+		return Result{}, err
 	}
 	r.count(false, false)
-	return nil
+	return res, nil
 }
 
 // leaderRead places the read on the current leader under its read
 // lease; if no lease read lands, it demotes to the linearizable slow
 // path — a sync barrier through the broadcast, then a voter read.
-func (r *ReadRouter) leaderRead(ctx context.Context, plain, lease readFn) error {
+func (r *ReadRouter) leaderRead(ctx context.Context, op Op) (Result, error) {
+	leased := op
+	leased.Lease = true
 	for attempt := 0; attempt < 2; attempt++ {
 		ep := r.leaderEndpoint()
 		if ep == nil {
@@ -403,20 +408,20 @@ func (r *ReadRouter) leaderRead(ctx context.Context, plain, lease readFn) error 
 			continue
 		}
 		actx, cancel := context.WithTimeout(ctx, attemptTimeout)
-		err = lease(actx, sess)
+		res, err := sess.Do(actx, leased)
 		cancel()
 		switch {
 		case err == nil:
 			r.count(false, true)
-			return nil
+			return res, nil
 		case errors.Is(err, ErrNoLease):
 			// Leadership (or just the lease) moved; re-probe and retry
 			// once before paying for the barrier.
 			r.probeAll()
 		case ctx.Err() != nil:
-			return err
+			return Result{}, err
 		case isReplicaRefusal(err):
-			return err
+			return Result{}, err
 		default:
 			ep.record(false, false, 0, 0)
 		}
@@ -425,13 +430,14 @@ func (r *ReadRouter) leaderRead(ctx context.Context, plain, lease readFn) error 
 		c.Fallback.Add(1)
 	}
 	if err := r.Session.SyncCtx(ctx); err != nil {
-		return err
+		return Result{}, err
 	}
-	if err := plain(ctx, r.Session); err != nil {
-		return err
+	res, err := r.Session.Do(ctx, op)
+	if err != nil {
+		return Result{}, err
 	}
 	r.count(false, false)
-	return nil
+	return res, nil
 }
 
 func (r *ReadRouter) leaderEndpoint() *endpoint {
@@ -477,101 +483,4 @@ func isReplicaRefusal(err error) bool {
 		return true
 	}
 	return false
-}
-
-// GetCtx routes a Get through the read policy.
-func (r *ReadRouter) GetCtx(ctx context.Context, path string) (data []byte, stat znode.Stat, err error) {
-	err = r.read(ctx,
-		func(ctx context.Context, s *Session) error {
-			var e error
-			data, stat, e = s.GetCtx(ctx, path)
-			return e
-		},
-		func(ctx context.Context, s *Session) error {
-			var e error
-			data, stat, e = s.LeaseGetCtx(ctx, path)
-			return e
-		})
-	return data, stat, err
-}
-
-// Get routes a Get with the background context.
-func (r *ReadRouter) Get(path string) ([]byte, znode.Stat, error) {
-	return r.GetCtx(context.Background(), path)
-}
-
-// ExistsCtx routes an Exists through the read policy.
-func (r *ReadRouter) ExistsCtx(ctx context.Context, path string) (stat znode.Stat, ok bool, err error) {
-	err = r.read(ctx,
-		func(ctx context.Context, s *Session) error {
-			var e error
-			stat, ok, e = s.ExistsCtx(ctx, path)
-			return e
-		},
-		func(ctx context.Context, s *Session) error {
-			var e error
-			stat, ok, e = s.LeaseExistsCtx(ctx, path)
-			return e
-		})
-	return stat, ok, err
-}
-
-// Exists routes an Exists with the background context.
-func (r *ReadRouter) Exists(path string) (znode.Stat, bool, error) {
-	return r.ExistsCtx(context.Background(), path)
-}
-
-// ChildrenCtx routes a Children listing through the read policy.
-func (r *ReadRouter) ChildrenCtx(ctx context.Context, path string) (kids []string, err error) {
-	err = r.read(ctx,
-		func(ctx context.Context, s *Session) error {
-			var e error
-			kids, e = s.ChildrenCtx(ctx, path)
-			return e
-		},
-		func(ctx context.Context, s *Session) error {
-			var e error
-			kids, e = s.LeaseChildrenCtx(ctx, path)
-			return e
-		})
-	return kids, err
-}
-
-// Children routes a Children listing with the background context.
-func (r *ReadRouter) Children(path string) ([]string, error) {
-	return r.ChildrenCtx(context.Background(), path)
-}
-
-// ChildrenDataCtx routes a full readdir through the read policy.
-func (r *ReadRouter) ChildrenDataCtx(ctx context.Context, path string) (entries []ChildEntry, err error) {
-	err = r.read(ctx,
-		func(ctx context.Context, s *Session) error {
-			var e error
-			entries, e = s.ChildrenDataCtx(ctx, path)
-			return e
-		},
-		func(ctx context.Context, s *Session) error {
-			var e error
-			entries, e = s.LeaseChildrenDataCtx(ctx, path)
-			return e
-		})
-	return entries, err
-}
-
-// ChildrenData routes a full readdir with the background context.
-func (r *ReadRouter) ChildrenData(path string) ([]ChildEntry, error) {
-	return r.ChildrenDataCtx(context.Background(), path)
-}
-
-// BeginChildrenData overrides the embedded session's async listing so
-// pipelined readdirs route like the synchronous ones (the load
-// generator's readdir path). The router's failover machinery needs a
-// goroutine per call anyway, so the async shape is a plain wrapper.
-func (r *ReadRouter) BeginChildrenData(ctx context.Context, path string) *Future {
-	f := &Future{done: make(chan struct{})}
-	go func() {
-		defer close(f.done)
-		f.entries, f.err = r.ChildrenDataCtx(ctx, path)
-	}()
-	return f
 }

@@ -51,10 +51,14 @@ import (
 	"repro/internal/placement"
 )
 
-// Router fans one coord.Client API out over N ensembles. It is safe
-// for concurrent use if and only if the underlying sessions are (both
-// implementations in this repository are).
+// Router fans one coord.Client API out over N ensembles: its Do routes
+// each op kind by the rules below, the embedded Forms derive every typed
+// and asynchronous form from that. It is safe for concurrent use if and
+// only if the underlying sessions are (both implementations in this
+// repository are).
 type Router struct {
+	coord.Forms // every typed form, over Do
+
 	sessions []coord.Client
 
 	// table is the epoch-versioned placement map (ring + migration
@@ -72,7 +76,6 @@ type Router struct {
 	evbuf      []coord.Event
 	everr      error // pending stream error (shard failover: watches lost)
 	evnotify   chan struct{}
-	streaming  bool
 	streamStop context.CancelFunc
 	streamOnce sync.Once
 }
@@ -96,6 +99,7 @@ func New(sessions []coord.Client) (*Router, error) {
 		sessions: append([]coord.Client(nil), sessions...),
 		evnotify: make(chan struct{}, 1),
 	}
+	r.Forms = coord.Forms{Doer: r}
 	r.table.Store(tbl)
 	return r, nil
 }
@@ -265,7 +269,7 @@ func (r *Router) chaseEpoch(ctx context.Context, epoch uint64) error {
 	}
 }
 
-// ID implements coord.Client. Shard 0's ensemble mints the identifier;
+// ID implements coord.Doer. Shard 0's ensemble mints the identifier;
 // it is unique among all routers sharing that ensemble, which is what
 // FID generation needs.
 func (r *Router) ID() uint64 { return r.sessions[0].ID() }
@@ -273,10 +277,9 @@ func (r *Router) ID() uint64 { return r.sessions[0].ID() }
 // eachShard runs fn once per shard, concurrently, and returns the
 // per-shard errors as a parallel slice. It remains the fan-out
 // primitive for the rare control-plane operations with no async form
-// (Close, Status, the pre-stream PollEvents sweep); the hot fan-outs
-// moved onto the async layer — Sync submits Begin(OpSync) futures and
-// event fan-in rides the WaitEvents stream. Multi deliberately does
-// NOT use it — split batches execute per-shard sub-transactions
+// (Close, Status); the hot fan-outs moved onto the async layer — Sync
+// submits Begin(OpSync) futures and event fan-in rides the WaitEvents
+// stream. Multi deliberately does NOT use it — split batches execute per-shard sub-transactions
 // sequentially in first-appearance order (DESIGN.md §8.2), and that
 // ordering contract is load-bearing for callers that sequence
 // dependent ops across shards.
@@ -298,7 +301,7 @@ func (r *Router) eachShard(fn func(i int, s coord.Client) error) []error {
 	return errs
 }
 
-// Close implements coord.Client: it stops the event fan-in stream and
+// Close implements coord.Doer: it stops the event fan-in stream and
 // closes every per-shard session in parallel, expiring each shard's
 // ephemerals, and returns the first error.
 func (r *Router) Close() error {
@@ -315,11 +318,46 @@ func (r *Router) Close() error {
 	return nil
 }
 
-// CreateCtx implements coord.Client. The node is created on its
-// authoritative shard; if that shard is missing the ancestor chain
-// (ErrNoParent) the chain is materialised as stubs and the create is
-// retried once.
-func (r *Router) CreateCtx(ctx context.Context, path string, data []byte, mode znode.CreateMode) (string, error) {
+// Do implements coord.Doer: each kind is routed by its rule below and
+// runs through the typed forms of the owning shard's session, so the
+// per-session guarantees (exact-once retries, the in-flight write
+// window) hold for every form of every op. The router places no lease
+// reads and the protocol has no watched listing-with-data.
+func (r *Router) Do(ctx context.Context, op coord.Op) (res coord.Result, err error) {
+	if op.Lease || op.Watch && op.Kind == coord.OpChildrenData {
+		return res, fmt.Errorf("shard: op kind %d does not take that modifier", op.Kind)
+	}
+	switch op.Kind {
+	case coord.OpCreate:
+		res.Created, err = r.create(ctx, op.Path, op.Data, op.Mode)
+	case coord.OpSet:
+		res.Stat, err = r.set(ctx, op.Path, op.Data, op.Version)
+	case coord.OpDelete:
+		err = r.delete(ctx, op.Path, op.Version)
+	case coord.OpGet:
+		res.Data, res.Stat, err = r.get(ctx, op.Path, op.Watch)
+	case coord.OpExists:
+		res.Stat, res.Exists, err = r.exists(ctx, op.Path, op.Watch)
+	case coord.OpChildren:
+		res.Children, err = r.children(ctx, op.Path, op.Watch)
+	case coord.OpChildrenData:
+		res.Entries, err = r.childrenData(ctx, op.Path)
+	case coord.OpCheck:
+		res.Results, err = r.multi(ctx, []coord.Op{op})
+	case coord.OpMulti:
+		res.Results, err = r.multi(ctx, op.Ops)
+	case coord.OpSync:
+		err = r.sync(ctx)
+	default:
+		err = fmt.Errorf("shard: unknown op kind %d", op.Kind)
+	}
+	return res, err
+}
+
+// create runs on the node's authoritative shard; if that shard is
+// missing the ancestor chain (ErrNoParent) the chain is materialised as
+// stubs and the create is retried once.
+func (r *Router) create(ctx context.Context, path string, data []byte, mode znode.CreateMode) (string, error) {
 	var created string
 	err := r.chase(ctx, func() error {
 		s := r.owner(path)
@@ -336,11 +374,6 @@ func (r *Router) CreateCtx(ctx context.Context, path string, data []byte, mode z
 		return err
 	})
 	return created, err
-}
-
-// Create implements coord.Client with the background context.
-func (r *Router) Create(path string, data []byte, mode znode.CreateMode) (string, error) {
-	return r.CreateCtx(context.Background(), path, data, mode)
 }
 
 // ensureAncestors copies the authoritative data of each missing
@@ -382,25 +415,25 @@ func (r *Router) ensureChain(ctx context.Context, s coord.Client, path string) e
 	return nil
 }
 
-// GetCtx implements coord.Client, reading the authoritative copy.
-func (r *Router) GetCtx(ctx context.Context, path string) ([]byte, znode.Stat, error) {
+// get reads the authoritative copy; a watch registers on that shard,
+// where every mutation of the node lands.
+func (r *Router) get(ctx context.Context, path string, watch bool) ([]byte, znode.Stat, error) {
 	var data []byte
 	var stat znode.Stat
 	err := r.chase(ctx, func() error {
 		var err error
-		data, stat, err = r.owner(path).GetCtx(ctx, path)
+		if watch {
+			data, stat, err = r.owner(path).GetW(path)
+		} else {
+			data, stat, err = r.owner(path).GetCtx(ctx, path)
+		}
 		return err
 	})
 	return data, stat, err
 }
 
-// Get implements coord.Client with the background context.
-func (r *Router) Get(path string) ([]byte, znode.Stat, error) {
-	return r.GetCtx(context.Background(), path)
-}
-
-// SetCtx implements coord.Client, writing the authoritative copy.
-func (r *Router) SetCtx(ctx context.Context, path string, data []byte, version int32) (znode.Stat, error) {
+// set writes the authoritative copy.
+func (r *Router) set(ctx context.Context, path string, data []byte, version int32) (znode.Stat, error) {
 	var stat znode.Stat
 	err := r.chase(ctx, func() error {
 		var err error
@@ -410,32 +443,25 @@ func (r *Router) SetCtx(ctx context.Context, path string, data []byte, version i
 	return stat, err
 }
 
-// Set implements coord.Client with the background context.
-func (r *Router) Set(path string, data []byte, version int32) (znode.Stat, error) {
-	return r.SetCtx(context.Background(), path, data, version)
-}
-
-// ExistsCtx implements coord.Client against the authoritative copy.
-func (r *Router) ExistsCtx(ctx context.Context, path string) (znode.Stat, bool, error) {
+// exists consults the authoritative copy, where a watch registers too.
+func (r *Router) exists(ctx context.Context, path string, watch bool) (znode.Stat, bool, error) {
 	var stat znode.Stat
 	var ok bool
 	err := r.chase(ctx, func() error {
 		var err error
-		stat, ok, err = r.owner(path).ExistsCtx(ctx, path)
+		if watch {
+			stat, ok, err = r.owner(path).ExistsW(path)
+		} else {
+			stat, ok, err = r.owner(path).ExistsCtx(ctx, path)
+		}
 		return err
 	})
 	return stat, ok, err
 }
 
-// Exists implements coord.Client with the background context.
-func (r *Router) Exists(path string) (znode.Stat, bool, error) {
-	return r.ExistsCtx(context.Background(), path)
-}
-
-// DeleteCtx implements coord.Client. A single ensemble refuses to
-// delete a node with children; with the children on a different shard
-// than the node itself the router has to enforce that check
-// explicitly:
+// delete: a single ensemble refuses to delete a node with children;
+// with the children on a different shard than the node itself the
+// router has to enforce that check explicitly:
 //
 //  1. the children shard is consulted — any child means ErrNotEmpty;
 //  2. the authoritative copy is deleted (honouring version);
@@ -444,7 +470,7 @@ func (r *Router) Exists(path string) (znode.Stat, bool, error) {
 // A create racing between steps 1 and 2 can slip in, the same
 // lost-update window the paper accepts for rename (§IV-A); DESIGN.md
 // §7.3 discusses why DUFS tolerates it.
-func (r *Router) DeleteCtx(ctx context.Context, path string, version int32) error {
+func (r *Router) delete(ctx context.Context, path string, version int32) error {
 	return r.chase(ctx, func() error {
 		owner := r.ShardFor(path)
 		kidShard := r.shardForChildren(path)
@@ -469,12 +495,7 @@ func (r *Router) DeleteCtx(ctx context.Context, path string, version int32) erro
 	})
 }
 
-// Delete implements coord.Client with the background context.
-func (r *Router) Delete(path string, version int32) error {
-	return r.DeleteCtx(context.Background(), path, version)
-}
-
-// Atomic implements coord.Client: a Multi over exactly these paths is
+// Atomic implements coord.Doer: a Multi over exactly these paths is
 // atomic iff every path's authoritative znode lives on one shard.
 // Callers that need all-or-nothing semantics (DUFS's same-directory
 // rename) consult this before building a batch and fall back to an
@@ -492,20 +513,29 @@ func (r *Router) Atomic(paths ...string) bool {
 	return true
 }
 
-// MultiCtx implements coord.Client. When every op routes to one shard
-// the batch is forwarded whole and is exactly as atomic as a single
-// ensemble's multi. Otherwise the batch SPLITS: ops are grouped by
-// shard (preserving their relative order) and the per-shard
-// sub-transactions execute sequentially, in order of each shard's
-// first appearance in the batch. Each sub-transaction is atomic on its
-// shard, but the split batch as a whole is NOT: when sub-transaction k
-// fails, sub-transactions before it stay committed, k's ops report
-// their own outcome, and the ops of every later sub-transaction report
-// ErrRolledBack without being attempted. Callers needing true
-// atomicity must check Atomic first (DESIGN.md §8.2).
-func (r *Router) MultiCtx(ctx context.Context, ops []coord.Op) ([]coord.OpResult, error) {
+// multi: when every op routes to one shard the batch is forwarded whole
+// and is exactly as atomic as a single ensemble's multi. Otherwise the
+// batch SPLITS: ops are grouped by shard (preserving their relative
+// order) and the per-shard sub-transactions execute sequentially, in
+// order of each shard's first appearance in the batch. Each
+// sub-transaction is atomic on its shard, but the split batch as a whole
+// is NOT: when sub-transaction k fails, sub-transactions before it stay
+// committed, k's ops report their own outcome, and the ops of every
+// later sub-transaction report ErrRolledBack without being attempted.
+// Callers needing true atomicity must check Atomic first (DESIGN.md
+// §8.2).
+func (r *Router) multi(ctx context.Context, ops []coord.Op) ([]coord.OpResult, error) {
 	if len(ops) == 0 {
 		return nil, errors.New("shard: empty multi")
+	}
+	// Refused here, not by whichever shard's session meets it: by then
+	// an earlier sub-transaction of a split batch would have committed.
+	for _, op := range ops {
+		switch op.Kind {
+		case coord.OpCheck, coord.OpCreate, coord.OpSet, coord.OpDelete:
+		default:
+			return nil, fmt.Errorf("shard: a multi batch cannot carry op kind %d", op.Kind)
+		}
 	}
 	return r.dispatchMulti(ctx, ops, 0)
 }
@@ -596,16 +626,11 @@ func (r *Router) multiOnShard(ctx context.Context, shard int, ops []coord.Op, de
 	return results, err
 }
 
-// Multi implements coord.Client with the background context.
-func (r *Router) Multi(ops []coord.Op) ([]coord.OpResult, error) {
-	return r.MultiCtx(context.Background(), ops)
-}
-
 // execMultiOnShard runs one atomic sub-transaction on a single shard.
 // It carries over every per-op responsibility the router's single-op
 // methods have: missing ancestor stubs are materialised for create
 // ops (the ErrNoParent recovery Create performs), and delete ops get
-// Router.Delete's cross-shard treatment — a node whose children live
+// Router.delete's cross-shard treatment — a node whose children live
 // on a DIFFERENT shard is checked for children there first (the
 // executing shard's state machine cannot see them), and its stub on
 // the children shard is removed after commit so a deleted directory
@@ -649,7 +674,7 @@ func (r *Router) execMultiOnShard(ctx context.Context, shard int, ops []coord.Op
 		}
 		if c.err == nil {
 			if len(c.kids) > 0 {
-				// Same race window as Router.Delete steps 1-2 (DESIGN.md
+				// Same race window as Router.delete steps 1-2 (DESIGN.md
 				// §7.3); the batch is refused before anything executes.
 				return abortedResults(len(ops), c.op, coord.ErrNotEmpty), coord.ErrNotEmpty
 			}
@@ -672,7 +697,7 @@ func (r *Router) execMultiOnShard(ctx context.Context, shard int, ops []coord.Op
 		// Stub removal is best-effort, after the fact: the transaction
 		// has committed, so a failed cleanup (shard down) cannot be
 		// surfaced as a batch failure. A leaked stub is the same
-		// accepted window as Router.Delete's step 3 (DESIGN.md §7.3).
+		// accepted window as Router.delete's step 3 (DESIGN.md §7.3).
 		for _, i := range stubbed {
 			op := ops[i]
 			_ = r.sessions[r.shardForChildren(op.Path)].DeleteCtx(ctx, op.Path, -1)
@@ -692,16 +717,15 @@ func abortedResults(n, failing int, err error) []coord.OpResult {
 	return out
 }
 
-// ChildrenDataCtx implements coord.Client as a single call on the
-// children shard, like Children. A directory that exists but has never
-// hosted a child on that shard has no stub there; the authoritative
-// copy disambiguates "empty" from "does not exist" and supplies the
-// "." entry. On a sharded deployment the "." entry of a stubbed
-// directory is the stub's copy of the data, which can lag the
-// authoritative copy after a Set — callers reading immutable fields
-// from it (DUFS's entry kind) are unaffected; callers needing the
+// childrenData is a single call on the children shard, like children. A
+// directory that exists but has never hosted a child on that shard has
+// no stub there; the authoritative copy disambiguates "empty" from "does
+// not exist" and supplies the "." entry. On a sharded deployment the "."
+// entry of a stubbed directory is the stub's copy of the data, which can
+// lag the authoritative copy after a Set — callers reading immutable
+// fields from it (DUFS's entry kind) are unaffected; callers needing the
 // latest data must Get the path itself.
-func (r *Router) ChildrenDataCtx(ctx context.Context, path string) ([]coord.ChildEntry, error) {
+func (r *Router) childrenData(ctx context.Context, path string) ([]coord.ChildEntry, error) {
 	var entries []coord.ChildEntry
 	err := r.chase(ctx, func() error {
 		var err error
@@ -717,85 +741,40 @@ func (r *Router) ChildrenDataCtx(ctx context.Context, path string) ([]coord.Chil
 	return entries, err
 }
 
-// ChildrenData implements coord.Client with the background context.
-func (r *Router) ChildrenData(path string) ([]coord.ChildEntry, error) {
-	return r.ChildrenDataCtx(context.Background(), path)
-}
-
-// ChildrenCtx implements coord.Client as a single-shard call on the
-// children shard. A directory that exists but has never hosted a
-// child on that shard has no stub there; the authoritative copy
-// disambiguates "empty" from "does not exist".
-func (r *Router) ChildrenCtx(ctx context.Context, path string) ([]string, error) {
+// children is a single-shard call on the children shard, where a child
+// watch registers too: every entry add/remove lands there. A directory
+// that exists but has never hosted a child on that shard has no stub
+// there; the authoritative copy disambiguates "empty" from "does not
+// exist". A watched listing of such a directory materialises the stub
+// first, so the watch is real: a later first child both lands on and
+// fires from that shard (client caches depend on this — a silently
+// absent watch would never invalidate).
+func (r *Router) children(ctx context.Context, path string, watch bool) ([]string, error) {
 	var kids []string
 	err := r.chase(ctx, func() error {
-		var err error
-		kids, err = r.sessions[r.shardForChildren(path)].ChildrenCtx(ctx, path)
-		if errors.Is(err, coord.ErrNoNode) {
-			if _, ok, eerr := r.ExistsCtx(ctx, path); eerr == nil && ok {
-				kids = nil
-				return nil
-			}
-		}
-		return err
-	})
-	return kids, err
-}
-
-// Children implements coord.Client with the background context.
-func (r *Router) Children(path string) ([]string, error) {
-	return r.ChildrenCtx(context.Background(), path)
-}
-
-// GetW implements coord.Client; the watch registers on the
-// authoritative shard, where every mutation of the node lands.
-func (r *Router) GetW(path string) ([]byte, znode.Stat, error) {
-	var data []byte
-	var stat znode.Stat
-	err := r.chase(context.Background(), func() error {
-		var err error
-		data, stat, err = r.owner(path).GetW(path)
-		return err
-	})
-	return data, stat, err
-}
-
-// ExistsW implements coord.Client on the authoritative shard.
-func (r *Router) ExistsW(path string) (znode.Stat, bool, error) {
-	var stat znode.Stat
-	var ok bool
-	err := r.chase(context.Background(), func() error {
-		var err error
-		stat, ok, err = r.owner(path).ExistsW(path)
-		return err
-	})
-	return stat, ok, err
-}
-
-// ChildrenW implements coord.Client; the child watch registers on the
-// children shard, where every entry add/remove lands. An existing
-// directory with no stub on its children shard gets the stub
-// materialised first, so the watch is real: a later first child both
-// lands on and fires from that shard (client caches depend on this —
-// a silently absent watch would never invalidate).
-func (r *Router) ChildrenW(path string) ([]string, error) {
-	var kids []string
-	err := r.chase(context.Background(), func() error {
 		s := r.sessions[r.shardForChildren(path)]
-		var err error
-		kids, err = s.ChildrenW(path)
+		list := func() (err error) {
+			if watch {
+				kids, err = s.ChildrenW(path)
+			} else {
+				kids, err = s.ChildrenCtx(ctx, path)
+			}
+			return err
+		}
+		err := list()
 		if !errors.Is(err, coord.ErrNoNode) {
 			return err
 		}
-		if _, ok, eerr := r.Exists(path); eerr != nil || !ok {
+		if _, ok, eerr := r.exists(ctx, path, false); eerr != nil || !ok {
 			return err
 		}
-		if cerr := r.ensureChain(context.Background(), s, path); cerr != nil {
-			kids = nil
+		if !watch {
+			return nil
+		}
+		if cerr := r.ensureChain(ctx, s, path); cerr != nil {
 			return cerr
 		}
-		kids, err = s.ChildrenW(path)
-		return err
+		return list()
 	})
 	return kids, err
 }
@@ -809,14 +788,12 @@ const streamWait = 30 * time.Second
 // shard keeps a WaitEvents long-poll parked on its ensemble and pushes
 // fired watches into the router's buffer. From that point the router's
 // event delivery is fully push-shaped — no timer ever sweeps the
-// shards — and PollEvents drains the local buffer only (the forwarders
-// are the sole server-side consumers, so events are never claimed
-// twice).
+// shards, and the forwarders are the sole server-side consumers, so
+// events are never claimed twice.
 func (r *Router) startStream() {
 	r.streamOnce.Do(func() {
 		ctx, cancel := context.WithCancel(context.Background())
 		r.evmu.Lock()
-		r.streaming = true
 		r.streamStop = cancel
 		r.evmu.Unlock()
 		for _, s := range r.sessions {
@@ -888,7 +865,7 @@ func (r *Router) drainBuffer() ([]coord.Event, error) {
 	return nil, err
 }
 
-// WaitEvents implements coord.Client: it blocks on the merged
+// WaitEvents implements coord.Doer: it blocks on the merged
 // per-shard event stream until something fires, maxWait expires, or
 // ctx ends. The first call starts the per-shard forwarders; event
 // fan-in is push all the way from each shard's commit to this caller.
@@ -912,56 +889,13 @@ func (r *Router) WaitEvents(ctx context.Context, maxWait time.Duration) ([]coord
 	}
 }
 
-// WaitEvent implements coord.Client, blocking on the merged stream.
-func (r *Router) WaitEvent(timeout time.Duration) ([]coord.Event, error) {
-	return r.WaitEvents(context.Background(), timeout)
-}
-
-// PollEvents implements coord.Client. Once the push stream is running
-// it drains the router's local buffer (the forwarders own the
-// server-side queues); before that it sweeps every shard in parallel
-// and concatenates, the pull path tools use. Fired watches are
-// one-shot and already consumed server-side by a successful drain, so
-// events collected before one shard errors must reach the caller: an
-// error is only reported when no events were drained at all, otherwise
-// the events are returned and the failed shard is retried on the next
-// poll.
-func (r *Router) PollEvents() ([]coord.Event, error) {
-	r.evmu.Lock()
-	streaming := r.streaming
-	r.evmu.Unlock()
-	if streaming {
-		return r.drainBuffer()
-	}
-	perShard := make([][]coord.Event, len(r.sessions))
-	errs := r.eachShard(func(i int, s coord.Client) error {
-		evs, err := s.PollEvents()
-		perShard[i] = evs
-		return err
-	})
-	var out []coord.Event
-	for _, evs := range perShard {
-		out = append(out, evs...)
-	}
-	if len(out) > 0 {
-		return out, nil
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return nil, nil
-}
-
-// SyncCtx implements coord.Client by running the barrier on every
-// shard, so a subsequent read of ANY path observes all previously
-// committed writes, whichever ensemble they landed on. The barriers
-// are independent per-ensemble no-ops with no cross-shard ordering
-// requirement, so they are submitted through the async layer — one
-// goroutine-free fan-out costing one quorum round trip instead of
+// sync runs the barrier on every shard, so a subsequent read of ANY
+// path observes all previously committed writes, whichever ensemble
+// they landed on. The barriers are independent per-ensemble no-ops with
+// no cross-shard ordering requirement, so they are submitted through
+// the async layer — a fan-out costing one quorum round trip instead of
 // Shards().
-func (r *Router) SyncCtx(ctx context.Context) error {
+func (r *Router) sync(ctx context.Context) error {
 	if len(r.sessions) == 1 {
 		return r.sessions[0].SyncCtx(ctx)
 	}
@@ -978,80 +912,7 @@ func (r *Router) SyncCtx(ctx context.Context) error {
 	return first
 }
 
-// Sync implements coord.Client with the background context.
-func (r *Router) Sync() error {
-	return r.SyncCtx(context.Background())
-}
-
-// Begin implements coord.Client: the operation is routed exactly as
-// its synchronous counterpart — creates get the ErrNoParent stub
-// recovery, deletes the cross-shard emptiness contract, OpSync the
-// all-shard barrier — and submitted through the owning session's
-// pipelined connection. Set and check ops route straight to the owner
-// session's native submission; the compound kinds compose their
-// routing logic asynchronously via FutureOp.
-func (r *Router) Begin(ctx context.Context, op coord.Op) *coord.Future {
-	switch op.Kind {
-	case coord.OpSet, coord.OpCheck:
-		// Fast path when no migration marker is in play; a bounce falls
-		// back to the chase loop so async writers survive a live
-		// migration exactly like synchronous ones.
-		f := r.owner(op.Path).Begin(ctx, op)
-		return coord.FutureOp(func() (coord.OpResult, error) {
-			res, err := f.Result()
-			var mv *coord.MovedError
-			if !errors.As(err, &mv) && !errors.Is(err, coord.ErrFenced) {
-				return res, err
-			}
-			cerr := r.chase(ctx, func() error {
-				var err error
-				res, err = r.owner(op.Path).Begin(ctx, op).Result()
-				return err
-			})
-			return res, cerr
-		})
-	case coord.OpCreate:
-		return coord.FutureOp(func() (coord.OpResult, error) {
-			created, err := r.CreateCtx(ctx, op.Path, op.Data, op.Mode)
-			return coord.OpResult{Err: err, Created: created}, err
-		})
-	case coord.OpDelete:
-		return coord.FutureOp(func() (coord.OpResult, error) {
-			err := r.DeleteCtx(ctx, op.Path, op.Version)
-			return coord.OpResult{Err: err}, err
-		})
-	case coord.OpSync:
-		return coord.FutureOp(func() (coord.OpResult, error) {
-			err := r.SyncCtx(ctx)
-			return coord.OpResult{Err: err}, err
-		})
-	default:
-		return coord.FutureOp(func() (coord.OpResult, error) {
-			err := fmt.Errorf("shard: unknown async op kind %d", op.Kind)
-			return coord.OpResult{Err: err}, err
-		})
-	}
-}
-
-// BeginMulti implements coord.Client with MultiCtx's split-batch
-// contract, run asynchronously.
-func (r *Router) BeginMulti(ctx context.Context, ops []coord.Op) *coord.Future {
-	return coord.FutureMulti(func() ([]coord.OpResult, error) {
-		return r.MultiCtx(ctx, ops)
-	})
-}
-
-// BeginChildrenData implements coord.Client: a single-shard listing on
-// the children shard, submitted through that session's pipeline.
-func (r *Router) BeginChildrenData(ctx context.Context, path string) *coord.Future {
-	// The stub-miss fallback (authoritative "." synthesis) needs
-	// routing logic, so compose it asynchronously.
-	return coord.FutureEntries(func() ([]coord.ChildEntry, error) {
-		return r.ChildrenDataCtx(ctx, path)
-	})
-}
-
-// Status implements coord.Client. Identity fields (server, leader,
+// Status implements coord.Doer. Identity fields (server, leader,
 // epoch) describe shard 0; Znodes is the aggregate count across all
 // shards, which is the number tools actually want from a sharded
 // deployment. All shards are queried in parallel.

@@ -693,3 +693,44 @@ func TestRouterAsyncBeginRoutes(t *testing.T) {
 		t.Fatalf("shard-wide children = %d, want 7", total)
 	}
 }
+
+// TestRouterMultiRefusesNonBatchKinds: the router refuses a batch
+// carrying a non-batch kind before routing any of it — no shard
+// replicates a piece, and an earlier sub-transaction of what would be a
+// split batch does not commit. The parent sent it to the shards, which
+// replicated it before znode aborted it.
+func TestRouterMultiRefusesNonBatchKinds(t *testing.T) {
+	r, _, direct := startSharded(t, 2, 1)
+	a, b := crossShardDirs(t, r)
+	for _, dir := range []string{a, b} {
+		if _, err := r.Create(dir, nil, znode.ModePersistent); err != nil {
+			t.Fatal(err)
+		}
+	}
+	applied := func() (zxids [2]uint64) {
+		for i, s := range direct {
+			st, err := s.Status()
+			if err != nil {
+				t.Fatal(err)
+			}
+			zxids[i] = st.AppliedZxid
+		}
+		return zxids
+	}
+	before := applied()
+	for _, kind := range []coord.OpKind{coord.OpSync, coord.OpGet, coord.OpMulti} {
+		batch := []coord.Op{
+			coord.CreateOp(a+"/first", nil, znode.ModePersistent),
+			{Kind: kind, Path: b + "/second"},
+		}
+		if results, err := r.Multi(batch); err == nil || results != nil {
+			t.Fatalf("multi carrying kind %d = %+v, %v; want it refused", kind, results, err)
+		}
+	}
+	if after := applied(); after != before {
+		t.Fatalf("a refused batch was replicated: applied zxids %x -> %x", before, after)
+	}
+	if _, ok, err := r.Exists(a + "/first"); err != nil || ok {
+		t.Fatalf("the sub-transaction ahead of the refused op committed: %v, %v", ok, err)
+	}
+}

@@ -86,12 +86,12 @@ func TestSnapshotStreamingRoundtrip(t *testing.T) {
 	// re-execute (the tree would report ErrNodeExists on a re-run).
 	now := time.Now().UnixNano()
 	res := restored.Apply(encodeCreateTxn("/app/a", []byte("alpha"), znode.ModePersistent, 1, 2, now), 0x100000099)
-	created, err := decodeCreateReply(resultPayload(t, res))
+	reply, err := decodeReply(OpCreate, resultPayload(t, res))
 	if err != nil {
 		t.Fatalf("replayed create on restored machine: %v", err)
 	}
-	if created != "/app/a" {
-		t.Fatalf("replayed create returned %q", created)
+	if reply.Created != "/app/a" {
+		t.Fatalf("replayed create returned %q", reply.Created)
 	}
 }
 

@@ -6,163 +6,25 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/coord"
-	"repro/internal/coord/znode"
 	"repro/internal/vfs"
 )
 
-// countingClient wraps a coord.Client and counts every RPC-bearing
-// call — the test double the batched-API contract is asserted against.
-// Atomic is not counted (it is pure client-side routing math and never
-// leaves the process).
+// countingClient is a Do decorator that counts every operation that
+// leaves the process — the test double the batched-API contract is
+// asserted against. Every typed and asynchronous form reaches it through
+// coord.Wrap, one Do each; Atomic is not counted (it is pure client-side
+// routing math).
 type countingClient struct {
-	inner coord.Client
+	coord.Doer
 	calls atomic.Int64
 }
 
-func (c *countingClient) rpc() { c.calls.Add(1) }
-
-func (c *countingClient) ID() uint64   { return c.inner.ID() }
-func (c *countingClient) Close() error { return c.inner.Close() }
-
-func (c *countingClient) CreateCtx(ctx context.Context, path string, data []byte, mode znode.CreateMode) (string, error) {
-	c.rpc()
-	return c.inner.CreateCtx(ctx, path, data, mode)
+func (c *countingClient) Do(ctx context.Context, op coord.Op) (coord.Result, error) {
+	c.calls.Add(1)
+	return c.Doer.Do(ctx, op)
 }
-
-func (c *countingClient) Create(path string, data []byte, mode znode.CreateMode) (string, error) {
-	return c.CreateCtx(context.Background(), path, data, mode)
-}
-
-func (c *countingClient) GetCtx(ctx context.Context, path string) ([]byte, znode.Stat, error) {
-	c.rpc()
-	return c.inner.GetCtx(ctx, path)
-}
-
-func (c *countingClient) Get(path string) ([]byte, znode.Stat, error) {
-	return c.GetCtx(context.Background(), path)
-}
-
-func (c *countingClient) SetCtx(ctx context.Context, path string, data []byte, version int32) (znode.Stat, error) {
-	c.rpc()
-	return c.inner.SetCtx(ctx, path, data, version)
-}
-
-func (c *countingClient) Set(path string, data []byte, version int32) (znode.Stat, error) {
-	return c.SetCtx(context.Background(), path, data, version)
-}
-
-func (c *countingClient) DeleteCtx(ctx context.Context, path string, version int32) error {
-	c.rpc()
-	return c.inner.DeleteCtx(ctx, path, version)
-}
-
-func (c *countingClient) Delete(path string, version int32) error {
-	return c.DeleteCtx(context.Background(), path, version)
-}
-
-func (c *countingClient) ExistsCtx(ctx context.Context, path string) (znode.Stat, bool, error) {
-	c.rpc()
-	return c.inner.ExistsCtx(ctx, path)
-}
-
-func (c *countingClient) Exists(path string) (znode.Stat, bool, error) {
-	return c.ExistsCtx(context.Background(), path)
-}
-
-func (c *countingClient) ChildrenCtx(ctx context.Context, path string) ([]string, error) {
-	c.rpc()
-	return c.inner.ChildrenCtx(ctx, path)
-}
-
-func (c *countingClient) Children(path string) ([]string, error) {
-	return c.ChildrenCtx(context.Background(), path)
-}
-
-func (c *countingClient) MultiCtx(ctx context.Context, ops []coord.Op) ([]coord.OpResult, error) {
-	c.rpc()
-	return c.inner.MultiCtx(ctx, ops)
-}
-
-func (c *countingClient) Multi(ops []coord.Op) ([]coord.OpResult, error) {
-	return c.MultiCtx(context.Background(), ops)
-}
-
-func (c *countingClient) ChildrenDataCtx(ctx context.Context, path string) ([]coord.ChildEntry, error) {
-	c.rpc()
-	return c.inner.ChildrenDataCtx(ctx, path)
-}
-
-func (c *countingClient) ChildrenData(path string) ([]coord.ChildEntry, error) {
-	return c.ChildrenDataCtx(context.Background(), path)
-}
-
-// The async submissions count one RPC each, like their synchronous
-// counterparts — a future is one tagged request on the wire.
-func (c *countingClient) Begin(ctx context.Context, op coord.Op) *coord.Future {
-	c.rpc()
-	return c.inner.Begin(ctx, op)
-}
-
-func (c *countingClient) BeginMulti(ctx context.Context, ops []coord.Op) *coord.Future {
-	c.rpc()
-	return c.inner.BeginMulti(ctx, ops)
-}
-
-func (c *countingClient) BeginChildrenData(ctx context.Context, path string) *coord.Future {
-	c.rpc()
-	return c.inner.BeginChildrenData(ctx, path)
-}
-
-func (c *countingClient) WaitEvents(ctx context.Context, maxWait time.Duration) ([]coord.Event, error) {
-	c.rpc()
-	return c.inner.WaitEvents(ctx, maxWait)
-}
-
-func (c *countingClient) Atomic(paths ...string) bool { return c.inner.Atomic(paths...) }
-
-func (c *countingClient) GetW(path string) ([]byte, znode.Stat, error) {
-	c.rpc()
-	return c.inner.GetW(path)
-}
-
-func (c *countingClient) ExistsW(path string) (znode.Stat, bool, error) {
-	c.rpc()
-	return c.inner.ExistsW(path)
-}
-
-func (c *countingClient) ChildrenW(path string) ([]string, error) {
-	c.rpc()
-	return c.inner.ChildrenW(path)
-}
-
-func (c *countingClient) PollEvents() ([]coord.Event, error) {
-	c.rpc()
-	return c.inner.PollEvents()
-}
-
-func (c *countingClient) WaitEvent(timeout time.Duration) ([]coord.Event, error) {
-	c.rpc()
-	return c.inner.WaitEvent(timeout)
-}
-
-func (c *countingClient) SyncCtx(ctx context.Context) error {
-	c.rpc()
-	return c.inner.SyncCtx(ctx)
-}
-
-func (c *countingClient) Sync() error {
-	return c.SyncCtx(context.Background())
-}
-
-func (c *countingClient) Status() (coord.Status, error) {
-	c.rpc()
-	return c.inner.Status()
-}
-
-var _ coord.Client = (*countingClient)(nil)
 
 // mountCounting builds a DUFS over a counting session against env.
 func mountCounting(t *testing.T, env *testEnv) (*DUFS, *countingClient) {
@@ -172,8 +34,8 @@ func mountCounting(t *testing.T, env *testEnv) (*DUFS, *countingClient) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sess.Close() })
-	cc := &countingClient{inner: sess}
-	d, err := New(Config{Session: cc, Backends: env.backends})
+	cc := &countingClient{Doer: sess}
+	d, err := New(Config{Session: coord.Wrap(cc), Backends: env.backends})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,27 +201,23 @@ func TestRenameDirBatchesLeafChildren(t *testing.T) {
 	}
 }
 
-// multiRaceClient deletes the rename source through a second client
-// immediately before the first Multi executes — the concurrent-unlink
-// race against a replacing rename.
+// multiRaceClient is a Do decorator that deletes the rename source
+// through a second client immediately before the first Multi executes —
+// the concurrent-unlink race against a replacing rename.
 type multiRaceClient struct {
-	coord.Client
+	coord.Doer
 	victim string
 	rival  *DUFS
 	fired  atomic.Bool
 }
 
-func (c *multiRaceClient) MultiCtx(ctx context.Context, ops []coord.Op) ([]coord.OpResult, error) {
-	if !c.fired.Swap(true) {
+func (c *multiRaceClient) Do(ctx context.Context, op coord.Op) (coord.Result, error) {
+	if op.Kind == coord.OpMulti && !c.fired.Swap(true) {
 		if err := c.rival.Unlink(c.victim); err != nil {
-			return nil, err
+			return coord.Result{}, err
 		}
 	}
-	return c.Client.MultiCtx(ctx, ops)
-}
-
-func (c *multiRaceClient) Multi(ops []coord.Op) ([]coord.OpResult, error) {
-	return c.MultiCtx(context.Background(), ops)
+	return c.Doer.Do(ctx, op)
 }
 
 // TestFailedReplacingRenameLeavesDestinationIntact locks in the POSIX
@@ -386,8 +244,8 @@ func TestFailedReplacingRenameLeavesDestinationIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sess.Close() })
-	rc := &multiRaceClient{Client: sess, victim: "/rr/src", rival: rival}
-	d, err := New(Config{Session: rc, Backends: env.backends})
+	rc := &multiRaceClient{Doer: sess, victim: "/rr/src", rival: rival}
+	d, err := New(Config{Session: coord.Wrap(rc), Backends: env.backends})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,43 +260,26 @@ func TestFailedReplacingRenameLeavesDestinationIntact(t *testing.T) {
 	}
 }
 
-// raceClient injects an Open/Create race: the first coordination-level
-// Create of the victim path is preceded by a competing client creating
-// the same name, so the caller's Create loses with ErrNodeExists.
+// raceClient is a Do decorator that injects an Open/Create race: the
+// first coordination-level create of the victim path, in whichever form
+// DUFS submits it, is preceded by a competing client creating the same
+// name, so the caller's create loses with ErrNodeExists.
 type raceClient struct {
-	coord.Client
+	coord.Doer
 	victim string
 	rival  *DUFS
 	fired  atomic.Bool
 	hits   atomic.Int64
 }
 
-func (c *raceClient) CreateCtx(ctx context.Context, path string, data []byte, mode znode.CreateMode) (string, error) {
-	if path == c.victim && !c.fired.Swap(true) {
-		if err := vfs.WriteFile(c.rival, "/race/f", []byte("winner")); err != nil {
-			return "", err
-		}
-		c.hits.Add(1)
-	}
-	return c.Client.CreateCtx(ctx, path, data, mode)
-}
-
-func (c *raceClient) Create(path string, data []byte, mode znode.CreateMode) (string, error) {
-	return c.CreateCtx(context.Background(), path, data, mode)
-}
-
-// Begin is where DUFS.Create's namespace write now enters; inject the
-// same race before forwarding.
-func (c *raceClient) Begin(ctx context.Context, op coord.Op) *coord.Future {
+func (c *raceClient) Do(ctx context.Context, op coord.Op) (coord.Result, error) {
 	if op.Kind == coord.OpCreate && op.Path == c.victim && !c.fired.Swap(true) {
 		if err := vfs.WriteFile(c.rival, "/race/f", []byte("winner")); err != nil {
-			return coord.FutureOp(func() (coord.OpResult, error) {
-				return coord.OpResult{Err: err}, err
-			})
+			return coord.Result{}, err
 		}
 		c.hits.Add(1)
 	}
-	return c.Client.Begin(ctx, op)
+	return c.Doer.Do(ctx, op)
 }
 
 // TestOpenCreateRaceFallsBackToLookup reproduces the satellite bug:
@@ -457,8 +298,8 @@ func TestOpenCreateRaceFallsBackToLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sess.Close() })
-	rc := &raceClient{Client: sess, victim: "/dufs/race/f", rival: rival}
-	loser, err := New(Config{Session: rc, Backends: env.backends})
+	rc := &raceClient{Doer: sess, victim: "/dufs/race/f", rival: rival}
+	loser, err := New(Config{Session: coord.Wrap(rc), Backends: env.backends})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,34 +169,30 @@ func TestCachedFileStatsNeverCached(t *testing.T) {
 	}
 }
 
-// eventCountingClient counts the event-delivery RPCs a session issues:
-// polls (the pull API the push redesign retired from the hot path) and
-// parked waits (the long-poll stream). Everything else forwards.
+// eventCountingClient is a Do decorator that tells the two kinds of
+// traffic a mount can issue apart: operations (Do) and parked event
+// waits (WaitEvents — the long-poll stream, which the timed WaitEvent
+// form is too).
 type eventCountingClient struct {
-	coord.Client
-	polls atomic.Int64
+	coord.Doer
+	ops   atomic.Int64
 	waits atomic.Int64
 }
 
-func (c *eventCountingClient) PollEvents() ([]coord.Event, error) {
-	c.polls.Add(1)
-	return c.Client.PollEvents()
-}
-
-func (c *eventCountingClient) WaitEvent(timeout time.Duration) ([]coord.Event, error) {
-	c.polls.Add(1)
-	return c.Client.WaitEvent(timeout)
+func (c *eventCountingClient) Do(ctx context.Context, op coord.Op) (coord.Result, error) {
+	c.ops.Add(1)
+	return c.Doer.Do(ctx, op)
 }
 
 func (c *eventCountingClient) WaitEvents(ctx context.Context, maxWait time.Duration) ([]coord.Event, error) {
 	c.waits.Add(1)
-	return c.Client.WaitEvents(ctx, maxWait)
+	return c.Doer.WaitEvents(ctx, maxWait)
 }
 
 // TestCachedIdleMountIssuesNoPollingRPCs is the push-delivery
 // acceptance check: an idle Cached mount keeps exactly one long-poll
-// PARKED on the server and issues ZERO event-polling RPCs — where the
-// ticker loop this replaced polled ~500 times a second.
+// PARKED on the server and issues ZERO other RPCs — where the ticker
+// loop this replaced polled ~500 times a second.
 func TestCachedIdleMountIssuesNoPollingRPCs(t *testing.T) {
 	env := newEnv(t, 1, 1)
 	sess, err := env.ens.Connect(-1)
@@ -204,8 +200,8 @@ func TestCachedIdleMountIssuesNoPollingRPCs(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sess.Close() })
-	ec := &eventCountingClient{Client: sess}
-	d, err := New(Config{Session: ec, Backends: env.backends, ZRoot: "/idle"})
+	ec := &eventCountingClient{Doer: sess}
+	d, err := New(Config{Session: coord.Wrap(ec), Backends: env.backends, ZRoot: "/idle"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,12 +215,12 @@ func TestCachedIdleMountIssuesNoPollingRPCs(t *testing.T) {
 	if _, err := c.Stat("/d"); err != nil {
 		t.Fatal(err)
 	}
-	ec.polls.Store(0)
+	ec.ops.Store(0)
 	ec.waits.Store(0)
 	time.Sleep(400 * time.Millisecond)
 
-	if got := ec.polls.Load(); got != 0 {
-		t.Fatalf("idle mount issued %d event-polling RPCs, want 0", got)
+	if got := ec.ops.Load(); got != 0 {
+		t.Fatalf("idle mount issued %d coordination RPCs, want 0", got)
 	}
 	// One parked long-poll (the stream) is the entire idle cost; a
 	// second may appear if the loop happened to re-park.
@@ -251,8 +247,5 @@ func TestCachedIdleMountIssuesNoPollingRPCs(t *testing.T) {
 			t.Fatalf("push stream never invalidated the cached stat; still %o", fi.Mode&vfs.PermMask)
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-	if got := ec.polls.Load(); got != 0 {
-		t.Fatalf("event delivery used %d polling RPCs, want 0 (push only)", got)
 	}
 }

@@ -12,19 +12,19 @@ import (
 	"repro/internal/backend/memfs"
 	"repro/internal/coord"
 	"repro/internal/coord/shard"
-	"repro/internal/coord/znode"
 	"repro/internal/transport"
 	"repro/internal/vfs"
 )
 
 var errInjectedCrash = errors.New("injected client crash")
 
-// crashClient wraps a coord.Client and, once armed, lets `allow` more
-// mutations through before failing every subsequent one — simulating
-// a DUFS client that dies mid-protocol (chaos_test.go style, but at
-// the client rather than the server).
+// crashClient is a Do decorator that, once armed, lets `allow` more
+// mutations through before failing every subsequent one — simulating a
+// DUFS client that dies mid-protocol (chaos_test.go style, but at the
+// client rather than the server). A dead client cannot put new
+// proposals on the wire in any form, blocking or asynchronous.
 type crashClient struct {
-	coord.Client
+	coord.Doer
 	mu    sync.Mutex
 	armed bool
 	allow int
@@ -50,68 +50,14 @@ func (c *crashClient) mutate() error {
 	return errInjectedCrash
 }
 
-func (c *crashClient) CreateCtx(ctx context.Context, path string, data []byte, mode znode.CreateMode) (string, error) {
-	if err := c.mutate(); err != nil {
-		return "", err
-	}
-	return c.Client.CreateCtx(ctx, path, data, mode)
-}
-
-func (c *crashClient) Create(path string, data []byte, mode znode.CreateMode) (string, error) {
-	return c.CreateCtx(context.Background(), path, data, mode)
-}
-
-func (c *crashClient) SetCtx(ctx context.Context, path string, data []byte, version int32) (znode.Stat, error) {
-	if err := c.mutate(); err != nil {
-		return znode.Stat{}, err
-	}
-	return c.Client.SetCtx(ctx, path, data, version)
-}
-
-func (c *crashClient) Set(path string, data []byte, version int32) (znode.Stat, error) {
-	return c.SetCtx(context.Background(), path, data, version)
-}
-
-func (c *crashClient) DeleteCtx(ctx context.Context, path string, version int32) error {
-	if err := c.mutate(); err != nil {
-		return err
-	}
-	return c.Client.DeleteCtx(ctx, path, version)
-}
-
-func (c *crashClient) Delete(path string, version int32) error {
-	return c.DeleteCtx(context.Background(), path, version)
-}
-
-func (c *crashClient) MultiCtx(ctx context.Context, ops []coord.Op) ([]coord.OpResult, error) {
-	if err := c.mutate(); err != nil {
-		return nil, err
-	}
-	return c.Client.MultiCtx(ctx, ops)
-}
-
-func (c *crashClient) Multi(ops []coord.Op) ([]coord.OpResult, error) {
-	return c.MultiCtx(context.Background(), ops)
-}
-
-// The async submissions crash exactly like their synchronous
-// counterparts: a dead client cannot put new proposals on the wire.
-func (c *crashClient) Begin(ctx context.Context, op coord.Op) *coord.Future {
-	if op.Kind != coord.OpCheck && op.Kind != coord.OpSync {
+func (c *crashClient) Do(ctx context.Context, op coord.Op) (coord.Result, error) {
+	switch op.Kind {
+	case coord.OpCreate, coord.OpSet, coord.OpDelete, coord.OpMulti:
 		if err := c.mutate(); err != nil {
-			return coord.FutureOp(func() (coord.OpResult, error) {
-				return coord.OpResult{Err: err}, err
-			})
+			return coord.Result{}, err
 		}
 	}
-	return c.Client.Begin(ctx, op)
-}
-
-func (c *crashClient) BeginMulti(ctx context.Context, ops []coord.Op) *coord.Future {
-	if err := c.mutate(); err != nil {
-		return coord.FutureMulti(func() ([]coord.OpResult, error) { return nil, err })
-	}
-	return c.Client.BeginMulti(ctx, ops)
+	return c.Doer.Do(ctx, op)
 }
 
 // shardedEnv boots two single-server ensembles and returns a router
@@ -210,9 +156,9 @@ func dirOf(p string) string {
 // log drains.
 func TestCrossShardRenameCrashRollForward(t *testing.T) {
 	env := newShardedEnv(t)
-	crash := &crashClient{Client: env.router()}
-	d1 := env.mount(crash)
-	src, dst := crossShardPaths(t, crash.Client.(*shard.Router), "/dufs")
+	crash := &crashClient{Doer: env.router()}
+	d1 := env.mount(coord.Wrap(crash))
+	src, dst := crossShardPaths(t, crash.Doer.(*shard.Router), "/dufs")
 
 	for _, dir := range []string{dirOf(src), dirOf(dst)} {
 		if err := d1.Mkdir(dir, 0o755); err != nil {
@@ -257,9 +203,9 @@ func TestCrossShardRenameCrashRollForward(t *testing.T) {
 // intent and leave src untouched.
 func TestCrossShardRenameCrashRollBack(t *testing.T) {
 	env := newShardedEnv(t)
-	crash := &crashClient{Client: env.router()}
-	d1 := env.mount(crash)
-	src, dst := crossShardPaths(t, crash.Client.(*shard.Router), "/dufs")
+	crash := &crashClient{Doer: env.router()}
+	d1 := env.mount(coord.Wrap(crash))
+	src, dst := crossShardPaths(t, crash.Doer.(*shard.Router), "/dufs")
 
 	for _, dir := range []string{dirOf(src), dirOf(dst)} {
 		if err := d1.Mkdir(dir, 0o755); err != nil {
@@ -301,9 +247,9 @@ func TestCrossShardRenameCrashRollBack(t *testing.T) {
 // error for errors.Is.
 func TestRenameIntentLeakIsSurfaced(t *testing.T) {
 	env := newShardedEnv(t)
-	crash := &crashClient{Client: env.router()}
-	d1 := env.mount(crash)
-	src, dst := crossShardPaths(t, crash.Client.(*shard.Router), "/dufs")
+	crash := &crashClient{Doer: env.router()}
+	d1 := env.mount(coord.Wrap(crash))
+	src, dst := crossShardPaths(t, crash.Doer.(*shard.Router), "/dufs")
 
 	for _, dir := range []string{dirOf(src), dirOf(dst)} {
 		if err := d1.Mkdir(dir, 0o755); err != nil {
