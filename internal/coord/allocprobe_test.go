@@ -12,10 +12,12 @@ import (
 // writeAllocBudget is the end-to-end allocation ceiling for one write
 // on a single-node ensemble: client encode (pooled writer), propose,
 // group-commit apply, reply decode. The mechanical-sympathy pass
-// landed at 10 allocations per write (seed: 22); the budget leaves
-// headroom for toolchain drift while still catching a regression that
-// reintroduces a per-write allocation source (an unpooled buffer, a
-// hot-path closure, a queue that bleeds capacity).
+// landed at 10 allocations per write (seed: 22); the reply's zxid
+// trailer costs one more (12 today) — the one copy of the state-machine
+// result the dedup window also holds. The budget leaves headroom for
+// toolchain drift while still catching a regression that reintroduces a
+// per-write allocation source (an unpooled buffer, a hot-path closure, a
+// queue that bleeds capacity).
 const writeAllocBudget = 14
 
 // TestWriteAllocBudget pins the write path's allocation count. It

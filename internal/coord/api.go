@@ -81,7 +81,23 @@ const (
 	// permanent (refresh placement, go to the shard in the detail).
 	codeFenced
 	codeMoved
+	// codeBehind refuses a request whose last-seen stamp this replica
+	// could not reach within stampWait: nothing was served, and the
+	// session takes the request to its next address.
+	codeBehind
 )
+
+// proposes reports whether a client op is a replicated transaction: the
+// request bytes are the transaction, ordered by the broadcast. Every
+// other op is answered by the contacted replica from its own state.
+func proposes(op uint8) bool {
+	switch op {
+	case opCreate, opDelete, opSet, opMulti, opNewSession, opCloseSession, opSync,
+		opFenceRange, opUnfenceRange, opRangeMoved, opWipeRange, opImportRange:
+		return true
+	}
+	return false
+}
 
 // Error values surfaced to DUFS. They intentionally mirror the znode
 // package errors; the mapping crosses the wire as a status code.
@@ -106,6 +122,9 @@ var (
 	// within the delta-ship window (or on abort), so the caller retries
 	// the same shard after a short backoff.
 	ErrFenced = errors.New("coord: range fenced for migration, retry")
+	// errBehind is codeBehind on the client: the session handles it by
+	// moving on, so callers only meet it wrapped in a deadline error.
+	errBehind = errors.New("coord: replica has not applied the session's last-seen zxid")
 )
 
 // MovedError is the moved-partition redirect: the addressed range was
@@ -169,6 +188,8 @@ func codeForError(err error) uint8 {
 		return codeNoLease
 	case errors.Is(err, ErrFenced):
 		return codeFenced
+	case errors.Is(err, errBehind):
+		return codeBehind
 	default:
 		var mv *MovedError
 		if errors.As(err, &mv) {
@@ -202,6 +223,8 @@ func errorForCode(code uint8, detail string) error {
 		return ErrFenced
 	case codeMoved:
 		return parseMovedDetail(detail)
+	case codeBehind:
+		return errBehind
 	default:
 		if detail == "" {
 			detail = "unknown coordination error"
@@ -292,6 +315,13 @@ type Op struct {
 	// any other member returns ErrNoLease without touching its replica.
 	Watch bool
 	Lease bool
+
+	// Zxid is a last-seen stamp the caller brings from elsewhere (another
+	// session's Result.Zxid): the replica that serves a read has applied
+	// at least this much history first. A Session raises it to the highest
+	// zxid its own replies carried, so most callers leave it zero; the
+	// write kinds ignore it — the broadcast orders them.
+	Zxid uint64
 }
 
 // Result is the by-value outcome of one Op; each kind fills the fields
@@ -304,6 +334,10 @@ type Result struct {
 	Children []string     // children
 	Entries  []ChildEntry // childrenData
 	Results  []OpResult   // multi, check: per-op outcomes, also on abort
+
+	// Zxid is the reply's stamp: the zxid a write was ordered at, or the
+	// history the serving replica had applied when it answered a read.
+	Zxid uint64
 }
 
 // checkBatch refuses a Multi batch the state machine would only abort

@@ -1,7 +1,9 @@
 package coord
 
 import (
+	"cmp"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -19,17 +21,22 @@ import (
 // this purpose", §IV-D); this session keeps that surface — the embedded
 // Forms derive it, and the asynchronous Begin / Pipeline forms, from the
 // one blocking Do — and concurrent Do calls keep many tagged requests in
-// flight over the one connection, matching how real ZooKeeper clients
+// flight over one connection, matching how real ZooKeeper clients
 // pipeline their outbound queue.
 //
-// A session connects to one server; reads are answered by that server
-// from its local replica, writes are forwarded by the server through
-// the atomic broadcast. If the server dies, the session fails over to
-// the next address in its list, and its first read there waits behind a
-// sync barrier: an acknowledged write is committed, but the server that
-// acknowledged it may be the only one that knew so — a server that did
-// not serve the session's writes has not necessarily applied them
-// (ZooKeeper makes the same promise with the session's last-seen zxid).
+// A session has a HOME server — the first address that accepted it —
+// which answers its reads from the local replica, holds its watches and
+// parks its event waits. Replicated writes go straight to the LEADER
+// over a second connection once the session has found it (DESIGN.md
+// §10.5); until then, and whenever that path fails, home forwards them.
+// If home dies the session fails over to the next address in its list.
+//
+// One rule orders what the session sees across all of that (DESIGN.md
+// §10.4): every reply carries a zxid, the session keeps the highest it
+// has seen, every read carries it, and a replica answers only once it
+// has applied that much — ZooKeeper's last-seen-zxid contract. So the
+// session reads its own writes and never reads backwards, whichever
+// replica acknowledged the write and whichever answers the read.
 type Session struct {
 	Forms // every typed form, over Do
 
@@ -42,17 +49,30 @@ type Session struct {
 	// reconnect replay can always be recognised.
 	window chan struct{}
 
+	// seen is the session's stamp: the highest zxid a reply has carried.
+	seen atomic.Uint64
+
 	mu      sync.Mutex
-	conn    transport.Conn
-	connGen uint64 // bumped on every fresh dial; watch-loss detection
-	cur     int    // index into addrs of the current server
+	conn    transport.Conn // to home, addrs[cur]
+	connGen uint64         // bumped on every fresh dial; watch-loss detection
+	cur     int            // index into addrs of the home server
 	id      uint64
 	closed  bool
 
-	// readGen is the newest connection generation this session may read
-	// over: the server behind it is known to have applied every write
-	// the session was acknowledged (see callInOrder).
-	readGen atomic.Uint64
+	// Write placement. lead is the direct connection to the leader (nil:
+	// writes go through home) and leadGen its generation; homeLeads means
+	// home is itself the leader and nothing is dialed. leadEpoch is the
+	// epoch that leader was found in, zero while none is known: a write
+	// ordered in any other epoch was forwarded, so the leader has moved.
+	// The write connection never touches connGen or eventGen — watches
+	// live on home.
+	lead      transport.Conn
+	leadGen   uint64
+	homeLeads bool
+	leadEpoch atomic.Uint64
+	probing   bool      // a findLeader is running
+	probedAt  time.Time // when the last one finished
+	probes    sync.WaitGroup
 
 	// eventGen remembers the connection generation of the last
 	// WaitEvents call, so a failover BETWEEN two parks (detected by a
@@ -71,6 +91,17 @@ var ErrWatchesLost = errors.New("coord: session failed over; server-local watche
 // DialTimeout bounds how long Connect and request retries keep trying
 // before giving up (elections take a few heartbeats to settle).
 const DialTimeout = 10 * time.Second
+
+// maxRefusals is how many times in a row a server may refuse one request
+// (no leader, no quorum) before the session treats it like a dead one
+// and moves on: an election settles inside that many back-offs, a server
+// cut off from the quorum never does.
+const maxRefusals = 16
+
+// leaderProbeEvery spaces the leader searches of a session that has no
+// direct write path (no listed address leads, or the leader's is
+// unreachable from here).
+const leaderProbeEvery = 250 * time.Millisecond
 
 // Connect establishes a session against any of the given client
 // addresses. The first address that accepts the session wins; the
@@ -94,10 +125,6 @@ func Connect(net transport.Network, addrs []string) (*Session, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("coord: malformed session reply: %w", err)
 	}
-	// Nothing was acknowledged before the session existed.
-	s.mu.Lock()
-	s.readGen.Store(s.connGen)
-	s.mu.Unlock()
 	return s, nil
 }
 
@@ -120,18 +147,23 @@ func (s *Session) Close() error {
 		s.conn.Close()
 		s.conn = nil
 	}
+	s.forgetLeaderLocked()
 	s.mu.Unlock()
+	s.probes.Wait()
 	return err
 }
 
-// getConnGen returns the live connection, dialing (with failover) if
-// necessary, and its generation number — bumped on every fresh dial, so
-// readers and event consumers can detect that the connection (and with
-// it the server that applied their writes and holds their watches)
-// changed.
+// getConnGen returns the live home connection, dialing (with failover)
+// if necessary, and its generation number — bumped on every fresh dial,
+// so event consumers can detect that the connection (and with it the
+// server that holds their watches) changed.
 func (s *Session) getConnGen() (transport.Conn, uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.homeLocked()
+}
+
+func (s *Session) homeLocked() (transport.Conn, uint64, error) {
 	if s.closed {
 		return nil, 0, errors.New("coord: session closed")
 	}
@@ -154,144 +186,281 @@ func (s *Session) getConnGen() (transport.Conn, uint64, error) {
 	return nil, 0, fmt.Errorf("coord: all servers unreachable: %w", lastErr)
 }
 
-func (s *Session) dropConn() {
+// dropConn gives up the home connection of generation gen and makes the
+// next address the first to try. Every caller names the generation its
+// call went out on: with many calls in flight one dead server fails them
+// all, and only the first may close and rotate — a later one would close
+// the connection its sibling just dialed.
+func (s *Session) dropConn(gen uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.conn != nil {
-		s.conn.Close()
-		s.conn = nil
+	if s.conn == nil || s.connGen != gen {
+		return
 	}
-	s.cur = (s.cur + 1) % len(s.addrs) // try the next server first
+	s.conn.Close()
+	s.conn = nil
+	s.cur = (s.cur + 1) % len(s.addrs)
+	if s.homeLeads {
+		s.forgetLeaderLocked()
+	}
 }
 
-// request sends one protocol message and returns the payload after the
-// status header, retrying transient failures until DialTimeout.
+// route picks the connection a request goes out on: a replicated write
+// takes the direct connection to the leader when there is one, and
+// everything else — reads, watches, event waits, and writes while no
+// leader is known — goes home. A write that finds no direct path starts
+// the search for one in the background and does not wait for it.
+func (s *Session) route(write bool) (c transport.Conn, gen uint64, direct bool, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if write && s.id != 0 && !s.closed {
+		if s.lead != nil {
+			return s.lead, s.leadGen, true, nil
+		}
+		if !s.homeLeads && !s.probing && len(s.addrs) > 1 && time.Since(s.probedAt) >= leaderProbeEvery {
+			s.probing = true
+			s.probes.Add(1)
+			go s.findLeader()
+		}
+	}
+	c, gen, err = s.homeLocked()
+	return c, gen, false, err
+}
+
+// findLeader asks the addresses the session holds which of them leads:
+// home first, over the connection it already has — a session homed on
+// the leader dials nothing — then every other one. Of several that claim
+// to lead (a deposed leader cut off from the news), the one in the
+// highest epoch is believed, and its connection kept as the write path.
+func (s *Session) findLeader() {
+	defer s.probes.Done()
+	s.mu.Lock()
+	home, hc, hgen := s.addrs[s.cur], s.conn, s.connGen
+	s.mu.Unlock()
+
+	var lead transport.Conn
+	var epoch uint64
+	homeLeads := false
+	if hc != nil {
+		if st, err := statusOver(hc); err == nil && st.IsLeader {
+			homeLeads, epoch = true, st.Epoch
+		}
+	}
+	for _, addr := range s.addrs {
+		if homeLeads {
+			break
+		}
+		if addr == home {
+			continue
+		}
+		c, err := s.net.Dial(addr)
+		if err != nil {
+			continue
+		}
+		if st, err := statusOver(c); err == nil && st.IsLeader && st.Epoch > epoch {
+			if lead != nil {
+				lead.Close()
+			}
+			lead, epoch = c, st.Epoch
+		} else {
+			c.Close()
+		}
+	}
+
+	s.mu.Lock()
+	s.probing, s.probedAt = false, time.Now()
+	switch {
+	case s.closed:
+	case homeLeads && s.conn != nil && s.connGen == hgen:
+		s.homeLeads = true
+		s.leadEpoch.Store(epoch)
+	case lead != nil:
+		s.lead, lead = lead, nil
+		s.leadGen++
+		s.leadEpoch.Store(epoch)
+	}
+	s.mu.Unlock()
+	if lead != nil {
+		lead.Close()
+	}
+}
+
+// forgetLeaderLocked drops what the session believed about the leader;
+// the next write looks again.
+func (s *Session) forgetLeaderLocked() {
+	if s.lead != nil {
+		s.lead.Close()
+		s.lead = nil
+	}
+	s.homeLeads = false
+	s.leadEpoch.Store(0)
+	s.probedAt = time.Time{}
+}
+
+// dropLead gives up the direct connection of generation gen (the same
+// rule as dropConn: only the first of many failed calls acts).
+func (s *Session) dropLead(gen uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.lead != nil && s.leadGen == gen {
+		s.forgetLeaderLocked()
+	}
+}
+
+// leaderMoved records that a write was ordered in another epoch than
+// the one the leader was found in: the server it reached had to forward
+// it (deposed, or home lost the lead), or was re-elected. Either way the
+// knowledge of that epoch is stale.
+func (s *Session) leaderMoved(epoch uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.leadEpoch.Load() == epoch {
+		s.forgetLeaderLocked()
+	}
+}
+
+// observe raises the session's stamp to zxid.
+func (s *Session) observe(zxid uint64) {
+	for {
+		cur := s.seen.Load()
+		if zxid <= cur || s.seen.CompareAndSwap(cur, zxid) {
+			return
+		}
+	}
+}
+
+// request sends one protocol message and returns the reply's body,
+// retrying transient failures until DialTimeout.
 func (s *Session) request(msg []byte) ([]byte, error) {
-	return s.requestCtx(context.Background(), msg)
-}
-
-// requestCtx is the session's request engine: it sends one protocol
-// message and returns the payload after the status header, retrying
-// transient failures (dead server, election in progress) until
-// DialTimeout or the context's deadline, whichever is sooner. A
-// cancelled context releases the caller immediately — the in-flight
-// call is abandoned at the transport (its tagged response is dropped
-// when it arrives) and, for writes, the per-session sequence number
-// lets a later retry be deduplicated, so abandonment never corrupts
-// the session.
-func (s *Session) requestCtx(ctx context.Context, msg []byte) ([]byte, error) {
-	payload, _, err := s.requestCtxOwned(ctx, msg)
+	payload, _, _, err := s.requestCtxOwned(context.Background(), msg)
 	return payload, err
 }
 
-// requestPooled is requestCtx for a message encoded in a pooled scratch
-// writer: it sends w.Bytes() and releases w back to the wire pool as
-// soon as no in-flight reference to the buffer can remain — on reply,
-// on a terminal error, or after the last retry. The one case that
-// forfeits the release is an abandoned call whose transport may still
-// be reading the buffer (see call); the writer is then left to the GC,
-// which is a pool miss, never a use-after-release.
+// requestPooled is exchange for callers with no use for the reply's
+// zxid (the session has already folded it into its stamp).
 func (s *Session) requestPooled(ctx context.Context, w *wire.Writer) ([]byte, error) {
-	payload, retained, err := s.requestCtxOwned(ctx, w.Bytes())
+	payload, _, err := s.exchange(ctx, w)
+	return payload, err
+}
+
+// exchange sends the message encoded in a pooled scratch writer and
+// releases w back to the wire pool as soon as no in-flight reference to
+// the buffer can remain — on reply, on a terminal error, or after the
+// last retry. The one case that forfeits the release is an abandoned
+// call whose transport may still be reading the buffer (see call); the
+// writer is then left to the GC, which is a pool miss, never a
+// use-after-release.
+func (s *Session) exchange(ctx context.Context, w *wire.Writer) (payload []byte, zxid uint64, err error) {
+	payload, zxid, retained, err := s.requestCtxOwned(ctx, w.Bytes())
 	if !retained {
 		wire.PutWriter(w)
 	}
-	return payload, err
+	return payload, zxid, err
 }
 
-// requestCtxOwned reports, in addition to requestCtx's results, whether
-// some abandoned in-flight call may still reference msg.
-func (s *Session) requestCtxOwned(ctx context.Context, msg []byte) (payload []byte, retained bool, err error) {
+// requestCtxOwned is the session's request engine: it sends one
+// protocol message and returns the reply's body and zxid, retrying
+// transient failures (dead server, election in progress, a replica
+// behind the session's stamp) until DialTimeout or the context's
+// deadline, whichever is sooner. A cancelled context releases the
+// caller immediately — the in-flight call is abandoned at the transport
+// (its tagged response is dropped when it arrives) and, for writes, the
+// per-session sequence number lets a later retry be deduplicated, so
+// abandonment never corrupts the session. retained reports whether some
+// abandoned in-flight call may still reference msg.
+//
+// A replicated write goes out on the direct connection to the leader
+// when there is one. That path is only ever an optimisation: whatever
+// goes wrong on it — the connection, a refusal, a leader that is none
+// any more — the same bytes go through home next, and the replicated
+// dedup window makes the two attempts one write.
+func (s *Session) requestCtxOwned(ctx context.Context, msg []byte) (payload []byte, zxid uint64, retained bool, err error) {
 	deadline := time.Now().Add(DialTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
+	write := len(msg) > 0 && proposes(msg[0])
 	var lastErr error
+	var refusals int // in a row, by the home connection of generation refusedBy
+	var refusedBy uint64
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return nil, retained, err
+			return nil, 0, retained, err
 		}
 		if time.Now().After(deadline) {
 			if lastErr == nil {
 				lastErr = context.DeadlineExceeded
 			}
-			return nil, retained, fmt.Errorf("coord: request failed after retries: %w", lastErr)
+			return nil, 0, retained, fmt.Errorf("coord: request failed after retries: %w", lastErr)
 		}
-		c, gen, err := s.getConnGen()
+		c, gen, direct, err := s.route(write)
 		if err != nil {
 			lastErr = err
 			if serr := sleepCtx(ctx, retryDelay(attempt)); serr != nil {
-				return nil, retained, serr
+				return nil, 0, retained, serr
 			}
 			continue
 		}
-		resp, abandoned, err := s.callInOrder(ctx, c, gen, msg)
+		resp, abandoned, err := s.call(ctx, c, msg)
 		retained = retained || abandoned
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, retained, ctx.Err()
+		if err == nil {
+			var malformed error
+			if payload, zxid, err, malformed = splitReply(resp); malformed != nil {
+				return nil, 0, retained, fmt.Errorf("coord: malformed reply: %w", malformed)
 			}
-			lastErr = err
-			var remote *transport.RemoteError
-			if errors.As(err, &remote) {
-				// The server is alive but the proposal failed (e.g. an
-				// election is in flight). Retry on the same server.
+			s.observe(zxid)
+			if epoch := s.leadEpoch.Load(); write && epoch != 0 && zxid>>32 != epoch {
+				s.leaderMoved(epoch)
+			}
+			if err != errBehind {
+				return payload, zxid, retained, err
+			}
+		}
+		if ctx.Err() != nil {
+			return nil, 0, retained, ctx.Err()
+		}
+		lastErr = err
+		if direct {
+			s.dropLead(gen)
+			continue // through home, at once
+		}
+		var remote *transport.RemoteError
+		if errors.As(err, &remote) {
+			// The server is alive but the proposal failed (e.g. an
+			// election is in flight). Retry on the same server, a
+			// bounded number of times.
+			if refusedBy != gen {
+				refusals, refusedBy = 0, gen
+			}
+			if refusals++; refusals < maxRefusals {
 				if serr := sleepCtx(ctx, retryDelay(attempt)); serr != nil {
-					return nil, retained, serr
+					return nil, 0, retained, serr
 				}
 				continue
 			}
-			s.dropConn()
-			if serr := sleepCtx(ctx, retryDelay(attempt)); serr != nil {
-				return nil, retained, serr
-			}
-			continue
 		}
-		r := wire.NewReader(resp)
-		code := r.Uint8()
-		detail := r.String()
-		if err := r.Err(); err != nil {
-			return nil, retained, fmt.Errorf("coord: malformed reply: %w", err)
+		s.dropConn(gen)
+		if serr := sleepCtx(ctx, retryDelay(attempt)); serr != nil {
+			return nil, 0, retained, serr
 		}
-		if err := errorForCode(code, detail); err != nil {
-			return nil, retained, err
-		}
-		return resp[len(resp)-r.Remaining():], retained, nil
 	}
 }
 
-// callInOrder is call behind the session's own history. A read over a
-// connection generation the session has not read over yet — a server it
-// failed over to — is preceded by a sync barrier through that server,
-// which returns once the server has applied everything committed before
-// it, every write this session was acknowledged included. A failed
-// barrier fails the read the same way, so the request engine retries
-// both. Writes need none: the broadcast orders them.
-func (s *Session) callInOrder(ctx context.Context, c transport.Conn, gen uint64, msg []byte) (payload []byte, abandoned bool, err error) {
-	if gen > s.readGen.Load() && len(msg) > 0 && readsReplica(msg[0]) {
-		var w wire.Writer
-		appendSyncTxn(&w, s.id, s.seq.Add(1))
-		if _, _, err := s.call(ctx, c, w.Bytes()); err != nil {
-			return nil, false, err
-		}
-		for { // generations only grow, whichever barrier finishes last
-			cur := s.readGen.Load()
-			if cur >= gen || s.readGen.CompareAndSwap(cur, gen) {
-				break
-			}
-		}
+// splitReply takes a server reply apart: the outcome its status header
+// names (nil for codeOK), the body, and the zxid every reply ends with.
+// err is for a reply that is not one.
+func splitReply(resp []byte) (body []byte, zxid uint64, status, err error) {
+	r := wire.NewReader(resp)
+	code := r.Uint8()
+	detail := r.String()
+	if r.Err() == nil && r.Remaining() < 8 {
+		r.Fail(fmt.Errorf("%d bytes where the reply's zxid belongs", r.Remaining()))
 	}
-	return s.call(ctx, c, msg)
-}
-
-// readsReplica reports whether a request is answered from the server's
-// local replica, outside the broadcast's order.
-func readsReplica(op uint8) bool {
-	switch op {
-	case opLeaseRead, opGetWatch, opExistsWatch, opChildrenWatch:
-		return true
+	if err := r.Err(); err != nil {
+		return nil, 0, nil, err
 	}
-	return isTreeReadOp(op)
+	head, tail := len(resp)-r.Remaining(), len(resp)-8
+	return resp[head:tail], binary.BigEndian.Uint64(resp[tail:]), errorForCode(code, detail), nil
 }
 
 // call performs one transport round trip. Uncancellable contexts take
@@ -364,20 +533,24 @@ func (s *Session) Do(ctx context.Context, op Op) (Result, error) {
 			return Result{}, ctx.Err()
 		}
 	}
-	payload, err := s.requestPooled(ctx, w)
+	payload, zxid, err := s.exchange(ctx, w)
 	if write {
 		<-s.window
 	}
 	if err != nil {
-		return Result{}, err
+		return Result{Zxid: zxid}, err
 	}
-	return decodeReply(op.Kind, payload)
+	res, err := decodeReply(op.Kind, payload)
+	res.Zxid = zxid
+	return res, err
 }
 
 // encode appends op's request to w and reports whether it is a
 // replicated write (which carries the session id and a fresh sequence
-// number for exact-once retries). Checks ride as single-op Multi
-// transactions — the protocol has no standalone check.
+// number for exact-once retries) or a read (which ends with the stamp:
+// the session's last-seen zxid, or the caller's if that is higher).
+// Checks ride as single-op Multi transactions — the protocol has no
+// standalone check.
 func (s *Session) encode(w *wire.Writer, op Op) (write bool, err error) {
 	var plain, watched uint8
 	switch op.Kind {
@@ -427,6 +600,7 @@ func (s *Session) encode(w *wire.Writer, op Op) (write bool, err error) {
 		w.Uint8(plain)
 	}
 	w.String(op.Path)
+	w.Uint64(max(op.Zxid, s.seen.Load()))
 	return false, nil
 }
 
@@ -518,6 +692,7 @@ func (s *Session) PollEvents() ([]Event, error) {
 	w := wire.GetWriter()
 	w.Uint8(opPollEvents)
 	w.Uint64(s.id)
+	w.Uint64(s.seen.Load())
 	payload, err := s.requestPooled(context.Background(), w)
 	if err != nil {
 		return nil, err
@@ -576,6 +751,7 @@ func (s *Session) WaitEvents(ctx context.Context, maxWait time.Duration) ([]Even
 		w.Uint8(opWaitEvents)
 		w.Uint64(s.id)
 		w.Uint32(uint32(remaining / time.Millisecond))
+		w.Uint64(s.seen.Load())
 		resp, abandoned, err := s.call(ctx, c, w.Bytes())
 		if !abandoned {
 			wire.PutWriter(w)
@@ -591,19 +767,24 @@ func (s *Session) WaitEvents(ctx context.Context, maxWait time.Duration) ([]Even
 				// Drop the conn (the next operation fails over) and
 				// report the loss rather than silently re-parking on a
 				// server that holds none of the caller's watches.
-				s.dropConn()
+				s.dropConn(g)
 			}
 			return nil, err
 		}
-		r := wire.NewReader(resp)
-		code := r.Uint8()
-		detail := r.String()
-		if err := r.Err(); err != nil {
+		body, zxid, status, err := splitReply(resp)
+		if err != nil {
 			return nil, fmt.Errorf("coord: malformed events reply: %w", err)
 		}
-		if err := errorForCode(code, detail); err != nil {
-			return nil, err
+		s.observe(zxid)
+		if status != nil {
+			if status == errBehind {
+				// Home is too far behind the session to park on; like a
+				// dead one, it is left for the next address.
+				s.dropConn(g)
+			}
+			return nil, status
 		}
+		r := wire.NewReader(body)
 		evs := decodeEvents(r)
 		if len(evs) > 0 {
 			return evs, nil
@@ -665,7 +846,7 @@ type RangeStatus struct {
 // reported by the leader that streams to it.
 type ObserverStatus = zab.ObserverLag
 
-// Status queries the connected server.
+// Status queries the session's home server.
 func (s *Session) Status() (Status, error) {
 	w := wire.GetWriter()
 	w.Uint8(opStatus)
@@ -673,6 +854,24 @@ func (s *Session) Status() (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
+	return decodeStatus(payload)
+}
+
+// statusOver asks the server behind c for its status, outside the
+// request engine: one attempt, on a connection the engine may not own.
+func statusOver(c transport.Conn) (Status, error) {
+	resp, err := c.Call([]byte{opStatus})
+	if err != nil {
+		return Status{}, err
+	}
+	body, _, status, err := splitReply(resp)
+	if err = cmp.Or(err, status); err != nil {
+		return Status{}, err
+	}
+	return decodeStatus(body)
+}
+
+func decodeStatus(payload []byte) (Status, error) {
 	r := wire.NewReader(payload)
 	st := Status{
 		ServerID: r.Uint64(),

@@ -149,6 +149,7 @@ func (s *Session) RangeExport(ctx context.Context, rng placement.Range, since ui
 	w.Uint64(rng.Hi)
 	w.Uint64(since)
 	w.Bool(withManifest)
+	w.Uint64(s.seen.Load()) // the cut follows every marker this session planted
 	payload, err := s.requestPooled(ctx, w)
 	if err != nil {
 		return RangeExportResult{}, err
@@ -186,6 +187,7 @@ func (s *Session) RangeState(ctx context.Context, rng placement.Range) (state ui
 	w.Uint8(opRangeState)
 	w.Uint64(rng.Lo)
 	w.Uint64(rng.Hi)
+	w.Uint64(s.seen.Load())
 	payload, err := s.requestPooled(ctx, w)
 	if err != nil {
 		return 0, 0, 0, err

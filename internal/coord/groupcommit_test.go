@@ -29,12 +29,15 @@ func leaderAndFollower(tb testing.TB, e *Ensemble) (leader, follower int) {
 	return leader, follower
 }
 
-// TestWriteRoundTrips pins the replication stream's message economy in
+// TestWriteRoundTrips pins the write path's message economy in
 // wall-clock time. With every call delayed by d, a write through the
-// leader costs the client call and one propose round trip (2d); a write
-// through a follower adds the forward (3d) and nothing else — the
-// forward reply doubles as the commit notice, so the session's server
-// does not wait out a fourth, leader→follower commit message.
+// leader costs the client call and one propose round trip (2d). A write
+// a follower has to forward — the session holds no other address — adds
+// the forward (3d) and nothing else: the forward reply doubles as the
+// commit notice, so the session's server does not wait out a fourth,
+// leader→follower commit message. A follower-homed session that knows
+// the leader's address sends the write there itself and is back at 2d,
+// with its home proposing nothing.
 func TestWriteRoundTrips(t *testing.T) {
 	const d = 20 * time.Millisecond
 	ensembleSeq++
@@ -50,22 +53,34 @@ func TestWriteRoundTrips(t *testing.T) {
 	}
 	t.Cleanup(e.Stop)
 	leader, follower := leaderAndFollower(t, e)
+	home := e.ClientAddrs[follower]
 	for _, c := range []struct {
-		name   string
-		server int
-		bound  time.Duration
+		name     string
+		addrs    []string
+		forwards int64 // writes the session's home proposes on its behalf, per create
+		bound    time.Duration
 	}{
-		{"leader", leader, d * 5 / 2},
-		{"follower", follower, d * 7 / 2},
+		{"leader", []string{e.ClientAddrs[leader]}, 0, d * 5 / 2},
+		{"follower", []string{home}, 1, d * 7 / 2},
+		{"follower-direct", []string{home, e.ClientAddrs[leader]}, 0, d * 5 / 2},
 	} {
-		s := connect(t, e, c.server)
+		s, err := Connect(e.net, c.addrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
 		if _, err := s.Create("/"+c.name, nil, znode.ModePersistent); err != nil {
 			t.Fatal(err)
 		}
+		if len(c.addrs) > 1 {
+			awaitDirect(t, s)
+		}
 		// The best of a few tries: the bound is about message count, and
 		// a scheduler hiccup only ever adds time.
+		const tries = 5
 		best := time.Hour
-		for i := 0; i < 5; i++ {
+		proposed := counter(e.Servers[follower], "writes")
+		for i := 0; i < tries; i++ {
 			start := time.Now()
 			if _, err := s.Create(fmt.Sprintf("/%s/n%d", c.name, i), nil, znode.ModePersistent); err != nil {
 				t.Fatal(err)
@@ -75,6 +90,9 @@ func TestWriteRoundTrips(t *testing.T) {
 		t.Logf("create through the %s: %v (%.2f call delays)", c.name, best, float64(best)/float64(d))
 		if best >= c.bound {
 			t.Errorf("create through the %s took %v, want under %v", c.name, best, c.bound)
+		}
+		if got := counter(e.Servers[follower], "writes") - proposed; got != c.forwards*tries {
+			t.Errorf("%s: the follower proposed %d writes for %d creates, want %d", c.name, got, tries, c.forwards*tries)
 		}
 	}
 }

@@ -329,10 +329,19 @@ func (r *ReadRouter) Do(ctx context.Context, op Op) (Result, error) {
 	switch op.Kind {
 	case OpGet, OpExists, OpChildren, OpChildrenData:
 		if !op.Watch && !op.Lease {
+			// The read session is not the one that wrote: it carries the
+			// primary's stamp there and brings its own back, so the router
+			// as a whole reads its writes and never reads backwards.
+			op.Zxid = max(op.Zxid, r.Session.seen.Load())
+			var res Result
+			var err error
 			if r.cfg.Policy == ReadLeader {
-				return r.leaderRead(ctx, op)
+				res, err = r.leaderRead(ctx, op)
+			} else {
+				res, err = r.spreadRead(ctx, op)
 			}
-			return r.spreadRead(ctx, op)
+			r.Session.observe(res.Zxid)
+			return res, err
 		}
 	}
 	return r.Session.Do(ctx, op)

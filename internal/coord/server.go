@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"time"
@@ -178,51 +179,162 @@ func (s *Server) CommitZxid() uint64 { return s.node.CommitZxid() }
 // history up to it.
 func (s *Server) LastApplied() uint64 { return s.node.LastApplied() }
 
-// handleClient implements the client protocol. Reads are served from
-// the local replica (the source of Fig 7d's read scaling); writes are
-// proposed through the atomic broadcast.
+// stampWait bounds how long a request parks for this replica to apply
+// the last-seen zxid it carries. A healthy follower trails the leader's
+// acknowledgement by one window of the stream; a replica that cannot
+// close the gap in this long is partitioned or drowning, and the session
+// is better served by its next address.
+const stampWait = 200 * time.Millisecond
+
+// handleClient implements the client protocol. A replicated op is
+// proposed through the atomic broadcast; everything else is answered
+// from the local replica (the source of Fig 7d's read scaling), once it
+// has applied the history the request's stamp names. Every reply ends
+// with a zxid: the one the write was ordered at, or the history this
+// replica had applied before it read anything for the answer.
 func (s *Server) handleClient(req []byte) ([]byte, error) {
 	r := wire.NewReader(req)
 	op := r.Uint8()
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
+	if proposes(op) {
+		// The request is already in transaction layout; propose it whole.
+		// Propose retains the transaction bytes (replication log, WAL),
+		// but req is a transport-owned buffer the handler must not keep
+		// — so the write path pays exactly one defensive copy here.
+		s.reg.Counter("writes").Inc()
+		txn := make([]byte, len(req))
+		copy(txn, req)
+		result, zxid, err := s.node.ProposeZxid(txn)
+		if err != nil {
+			return nil, fmt.Errorf("coord: proposal failed: %w", err)
+		}
+		// The dedup window holds result too: the trailer goes on a copy,
+		// the only one the reply makes of it.
+		return stamped(append(make([]byte, 0, len(result)+8), result...), zxid), nil
+	}
 	if s.cfg.Observer && (op == opRangeExport || op == opRangeState) {
 		// Migration control traffic belongs on voter sessions: an export
 		// must pair with the voter-side applied zxid it was cut at.
-		return errResult(fmt.Errorf("observer replica cannot serve migration op %d", op)), nil
+		return stamped(errResult(fmt.Errorf("observer replica cannot serve migration op %d", op)), s.node.LastApplied()), nil
 	}
+
+	q, err := parseLocal(op, r)
+	if err != nil {
+		return nil, err
+	}
+	applied, err := s.admit(r)
+	if err == errBehind {
+		return stamped(errResult(err), applied), nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	reply, err := s.serveLocal(q)
+	if err != nil {
+		return nil, err
+	}
+	return stamped(reply, applied), nil
+}
+
+// localReq is a non-replicated request's own fields; each op uses the
+// ones its layout names.
+type localReq struct {
+	op, inner    uint8 // inner: the plain read a lease read wraps
+	session      uint64
+	path         string
+	millis       uint32
+	rng          placement.Range
+	since        uint64
+	withManifest bool
+}
+
+// parseLocal reads a non-replicated request's fields, leaving r at the
+// stamp that may follow them; a short field surfaces from admit.
+func parseLocal(op uint8, r *wire.Reader) (localReq, error) {
+	q := localReq{op: op}
 	switch op {
 	case opGet, opExists, opChildren, opChildrenData:
-		if bounce := s.readBounce(op, *r); bounce != nil {
-			return errResult(bounce), nil
-		}
-		s.reg.Counter("reads").Inc()
-		return serveTreeRead(op, r, s.sm.treeRef())
+		q.path = r.String()
 	case opLeaseRead:
-		// A lease read wraps one plain read op; it is served from the
-		// local replica ONLY while this node's leader lease — funded by
-		// quorum heartbeat acks, bounded by the clock-skew margin — is
-		// live. That makes the answer linearizable without a quorum
-		// round trip; a node that cannot vouch refuses definitively so
-		// the client can re-locate the leader or fall back to a sync
-		// barrier.
-		inner := r.Uint8()
-		if err := r.Err(); err != nil {
-			return nil, err
+		q.inner, q.path = r.Uint8(), r.String()
+		if r.Err() == nil && !isTreeReadOp(q.inner) {
+			return q, fmt.Errorf("coord: lease read cannot wrap op %d", q.inner)
 		}
-		if !isTreeReadOp(inner) {
-			return nil, fmt.Errorf("coord: lease read cannot wrap op %d", inner)
+	case opGetWatch, opExistsWatch, opChildrenWatch:
+		q.session, q.path = r.Uint64(), r.String()
+	case opPollEvents:
+		q.session = r.Uint64()
+	case opWaitEvents:
+		q.session, q.millis = r.Uint64(), r.Uint32()
+	case opRangeExport:
+		q.rng = placement.Range{Lo: r.Uint64(), Hi: r.Uint64()}
+		q.since, q.withManifest = r.Uint64(), r.Bool()
+	case opRangeState:
+		q.rng = placement.Range{Lo: r.Uint64(), Hi: r.Uint64()}
+	case opStatus:
+	default:
+		return q, fmt.Errorf("coord: unknown client op %d", op)
+	}
+	return q, nil
+}
+
+// admit reads the stamp that may trail a request's own fields — the
+// highest zxid any reply has shown the session; absent (the request
+// bytes from before stamps existed) it is zero — and holds the request
+// until this replica has applied that much, so a session reads its own
+// writes and never reads backwards on whichever replica it asks. The
+// zxid returned is the applied point loaded BEFORE the caller reads any
+// state for its answer: what the reply may vouch for.
+func (s *Server) admit(r *wire.Reader) (applied uint64, err error) {
+	var stamp uint64
+	if r.Remaining() > 0 {
+		stamp = r.Uint64()
+		if r.Err() == nil && r.Remaining() > 0 {
+			r.Fail(fmt.Errorf("coord: %d bytes behind the request's stamp", r.Remaining()))
 		}
+	}
+	if err := r.Err(); err != nil {
+		return 0, err
+	}
+	if applied = s.node.LastApplied(); applied >= stamp {
+		return applied, nil
+	}
+	if s.node.WaitApplied(stamp, stampWait) != nil {
+		s.reg.Counter("stamp_refusals").Inc()
+		return applied, errBehind
+	}
+	return s.node.LastApplied(), nil
+}
+
+// stamped appends the reply trailer to a reply nobody else holds.
+func stamped(reply []byte, zxid uint64) []byte {
+	return binary.BigEndian.AppendUint64(reply, zxid)
+}
+
+// serveLocal answers one non-replicated op from this replica's state.
+func (s *Server) serveLocal(q localReq) ([]byte, error) {
+	op, path, session := q.op, q.path, q.session
+	switch op {
+	case opLeaseRead:
+		// Served ONLY while this node's leader lease — funded by quorum
+		// heartbeat acks, bounded by the clock-skew margin — is live. That
+		// makes the answer linearizable without a quorum round trip; a
+		// node that cannot vouch refuses definitively so the client can
+		// re-locate the leader or fall back to a sync barrier.
 		if !s.node.HoldsReadLease() {
 			return errResult(ErrNoLease), nil
 		}
-		if bounce := s.readBounce(inner, *r); bounce != nil {
+		s.reg.Counter("lease_reads").Inc()
+		op = q.inner
+		fallthrough
+	case opGet, opExists, opChildren, opChildrenData:
+		if bounce := s.sm.bounceRead(path, op == opChildren || op == opChildrenData); bounce != nil {
 			return errResult(bounce), nil
 		}
 		s.reg.Counter("reads").Inc()
-		s.reg.Counter("lease_reads").Inc()
-		return serveTreeRead(inner, r, s.sm.treeRef())
+		return serveTreeRead(op, path, s.sm.treeRef())
 	case opStatus:
 		return okResult(func(w *wire.Writer) {
 			w.Uint64(s.cfg.ID)
@@ -282,11 +394,6 @@ func (s *Server) handleClient(req []byte) ([]byte, error) {
 			w.Uint64(uint64(s.reg.Gauge("zab.apply.queue_depth").Value()))
 		}), nil
 	case opGetWatch:
-		session := r.Uint64()
-		path := r.String()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
 		if bounce := s.sm.bounceRead(path, false); bounce != nil {
 			return errResult(bounce), nil
 		}
@@ -309,11 +416,6 @@ func (s *Server) handleClient(req []byte) ([]byte, error) {
 			encodeStat(w, stat)
 		}), nil
 	case opExistsWatch:
-		session := r.Uint64()
-		path := r.String()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
 		if bounce := s.sm.bounceRead(path, false); bounce != nil {
 			return errResult(bounce), nil
 		}
@@ -327,11 +429,6 @@ func (s *Server) handleClient(req []byte) ([]byte, error) {
 			encodeStat(w, stat)
 		}), nil
 	case opChildrenWatch:
-		session := r.Uint64()
-		path := r.String()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
 		if bounce := s.sm.bounceRead(path, true); bounce != nil {
 			return errResult(bounce), nil
 		}
@@ -345,27 +442,18 @@ func (s *Server) handleClient(req []byte) ([]byte, error) {
 		}
 		return okResult(func(w *wire.Writer) { w.StringSlice(kids) }), nil
 	case opPollEvents:
-		session := r.Uint64()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
 		// Flush the async dispatch queue first so a session that wrote
 		// and then polls sees the events its own write fired.
 		s.dispatch.barrier()
 		evs := s.watches.drain(session)
 		return okResult(func(w *wire.Writer) { encodeEvents(w, evs) }), nil
 	case opWaitEvents:
-		session := r.Uint64()
-		millis := r.Uint32()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
 		// The request parks here — in its own handler goroutine over
 		// TCP, in the (dedicated) caller goroutine over the in-process
 		// transport — until a watch fires for the session, the wait
 		// expires, or the server stops. Capped so an absurd client
 		// timeout cannot pin handler state for hours.
-		wait := time.Duration(millis) * time.Millisecond
+		wait := time.Duration(q.millis) * time.Millisecond
 		if wait > maxEventWait {
 			wait = maxEventWait
 		}
@@ -376,33 +464,22 @@ func (s *Server) handleClient(req []byte) ([]byte, error) {
 		// (migration coordinator) records the returned applied zxid S —
 		// taken BEFORE the walk, so an entry racing the cut is re-shipped
 		// rather than missed — and later requests the delta since S.
-		lo, hi := r.Uint64(), r.Uint64()
-		since := r.Uint64()
-		withManifest := r.Bool()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
 		applied := s.node.LastApplied()
-		entries, manifest := s.sm.exportRange(placement.Range{Lo: lo, Hi: hi}, since, withManifest)
+		entries, manifest := s.sm.exportRange(q.rng, q.since, q.withManifest)
 		return okResult(func(w *wire.Writer) {
 			w.Uint64(applied)
 			encodeRangeEntries(w, entries)
-			w.Bool(withManifest)
-			if withManifest {
+			w.Bool(q.withManifest)
+			if q.withManifest {
 				encodeManifest(w, manifest)
 			}
 		}), nil
 	case opRangeState:
-		lo, hi := r.Uint64(), r.Uint64()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		rng := placement.Range{Lo: lo, Hi: hi}
 		var state uint8
 		var dest uint32
 		var epoch uint64
 		for _, rs := range s.sm.rangeStates() {
-			if rs.rng == rng {
+			if rs.rng == q.rng {
 				state = rangeStateFenced
 				if rs.moved {
 					state = rangeStateMoved
@@ -417,21 +494,6 @@ func (s *Server) handleClient(req []byte) ([]byte, error) {
 			w.Uint32(dest)
 			w.Uint64(epoch)
 		}), nil
-	case opCreate, opDelete, opSet, opMulti, opNewSession, opCloseSession, opSync,
-		opFenceRange, opUnfenceRange, opRangeMoved, opWipeRange, opImportRange:
-		// The remaining request payload after the op byte is already in
-		// transaction layout; re-prefix the op and propose it whole.
-		// Propose retains the transaction bytes (replication log, WAL),
-		// but req is a transport-owned buffer the handler must not keep
-		// — so the write path pays exactly one defensive copy here.
-		s.reg.Counter("writes").Inc()
-		txn := make([]byte, len(req))
-		copy(txn, req)
-		result, err := s.node.Propose(txn)
-		if err != nil {
-			return nil, fmt.Errorf("coord: proposal failed: %w", err)
-		}
-		return result, nil
 	default:
 		return nil, fmt.Errorf("coord: unknown client op %d", op)
 	}
@@ -444,18 +506,6 @@ const (
 	rangeStateMoved
 )
 
-// readBounce peeks the path of a plain tree read (the op's first
-// field) without consuming the caller's reader and returns the moved
-// bounce, if any. A malformed frame is left for the real handler to
-// report.
-func (s *Server) readBounce(op uint8, peek wire.Reader) error {
-	path := peek.String()
-	if peek.Err() != nil {
-		return nil
-	}
-	return s.sm.bounceRead(path, op == opChildren || op == opChildrenData)
-}
-
 // treeRef returns the current tree pointer under the state-machine
 // lock, so a concurrent snapshot Restore cannot race the read side.
 func (s *stateMachine) treeRef() *znode.Tree {
@@ -466,11 +516,7 @@ func (s *stateMachine) treeRef() *znode.Tree {
 
 // serveTreeRead answers one plain read op (opGet/opExists/opChildren/
 // opChildrenData) from the local tree replica.
-func serveTreeRead(op uint8, r *wire.Reader, t *znode.Tree) ([]byte, error) {
-	path := r.String()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
+func serveTreeRead(op uint8, path string, t *znode.Tree) ([]byte, error) {
 	switch op {
 	case opGet:
 		data, stat, err := t.Get(path)

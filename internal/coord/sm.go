@@ -225,7 +225,7 @@ func appendSyncTxn(w *wire.Writer, session, seq uint64) {
 // the result — never pooled.
 func okResult(fill func(w *wire.Writer)) []byte {
 	var w wire.Writer
-	w.Grow(64)
+	w.Grow(72) // a stat reply (62 bytes) and the zxid the server stamps behind it
 	w.Uint8(codeOK)
 	w.String("") // detail
 	if fill != nil {

@@ -55,9 +55,9 @@ func TestStatusRejectsImpossibleCounts(t *testing.T) {
 		addr := fmt.Sprintf("hostile-status-%d", i)
 		ln, err := net.Listen(addr, transport.HandlerFunc(func(req []byte) ([]byte, error) {
 			if req[0] != opStatus {
-				return okResult(func(w *wire.Writer) { w.Uint64(7) }), nil // the session id
+				return stamped(okResult(func(w *wire.Writer) { w.Uint64(7) }), 0), nil // the session id
 			}
-			return okResult(func(w *wire.Writer) { statusHead(w); tc.fill(w) }), nil
+			return stamped(okResult(func(w *wire.Writer) { statusHead(w); tc.fill(w) }), 0), nil
 		}))
 		if err != nil {
 			t.Fatal(err)
@@ -96,20 +96,7 @@ func TestStatusRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(e.Stop)
-	var observers []*Server
-	for id := uint64(101); id <= 102; id++ {
-		cfg := e.cfgs[0]
-		cfg.ID, cfg.Observer, cfg.DataDir = id, true, ""
-		cfg.PeerAddrs = e.PeerAddrs()
-		cfg.PeerAddrs[id] = fmt.Sprintf("coord%d-peer-%d", ensembleSeq, id)
-		cfg.ClientAddr = fmt.Sprintf("coord%d-client-%d", ensembleSeq, id)
-		srv, err := NewServer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(srv.Stop)
-		observers = append(observers, srv)
-	}
+	observers := []*Server{startObserver(t, e, 101), startObserver(t, e, 102)}
 
 	s := connect(t, e, -1)
 	for i := 0; i < 10; i++ {

@@ -3,6 +3,7 @@ package zab
 import (
 	"fmt"
 	"sort"
+	"time"
 )
 
 // maxApplyQueueFrames bounds the commit→apply queue: how many committed
@@ -91,7 +92,7 @@ func (n *Node) applyLoop() {
 			e := frames[i]
 			if e.Noop {
 				n.mu.Lock()
-				n.lastApplied = e.Zxid
+				n.setAppliedLocked(e.Zxid)
 				n.applyLagTxns--
 				n.wakeWaiterLocked(e.Zxid, nil)
 				n.wakeAppliedLocked()
@@ -121,7 +122,7 @@ func (n *Node) applyLoop() {
 			off := 0
 			for k := i; k < j; k++ {
 				f := frames[k]
-				n.lastApplied = f.Last()
+				n.setAppliedLocked(f.Last())
 				for t := range f.Txns {
 					var res []byte
 					if off+t < len(results) {
@@ -181,12 +182,16 @@ func (n *Node) wakeAppliedLocked() {
 	}
 }
 
-// waitApplied blocks until this node's state machine has applied the
-// given zxid (or the node stops / the wait times out). Each call
-// registers one channel keyed by the exact zxid it needs and performs
-// a single deadline-aware select on it — a timeout wakes only this
-// caller, never the other waiters.
-func (n *Node) waitApplied(zxid uint64) error {
+// WaitApplied blocks until this node's state machine has applied the
+// given zxid, for at most bound (or until the node stops). A zxid
+// already applied costs one atomic load and no lock. Otherwise the call
+// registers one channel keyed by the exact zxid it needs and performs a
+// single deadline-aware select on it — a timeout wakes only this caller,
+// never the other waiters.
+func (n *Node) WaitApplied(zxid uint64, bound time.Duration) error {
+	if n.applied.Load() >= zxid {
+		return nil
+	}
 	n.mu.Lock()
 	if n.lastApplied >= zxid {
 		n.mu.Unlock()
@@ -200,7 +205,7 @@ func (n *Node) waitApplied(zxid uint64) error {
 	n.applyWaiters[zxid] = append(n.applyWaiters[zxid], ch)
 	n.mu.Unlock()
 
-	timer := getProposeTimer()
+	timer := getProposeTimer(bound)
 	defer putProposeTimer(timer)
 	select {
 	case <-ch:
@@ -224,6 +229,6 @@ func (n *Node) waitApplied(zxid uint64) error {
 		if applied {
 			return nil
 		}
-		return fmt.Errorf("zab: zxid %x not applied locally within %v", zxid, proposeTimeout)
+		return fmt.Errorf("zab: zxid %x not applied locally within %v", zxid, bound)
 	}
 }

@@ -63,6 +63,7 @@ import (
 	"io"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -249,11 +250,14 @@ type Node struct {
 	snapZxid     uint64 // zxid covered by the latest state snapshot
 	commitZxid   uint64
 	lastApplied  uint64
-	nextSeq      uint32 // per-epoch proposal counter (leader only)
-	lastContact  time.Time
-	electionDue  time.Duration
-	syncing      bool
-	stopped      bool
+	// applied mirrors lastApplied (setAppliedLocked is its only writer) for
+	// readers that must not queue on mu: every stamped client read loads it.
+	applied     atomic.Uint64
+	nextSeq     uint32 // per-epoch proposal counter (leader only)
+	lastContact time.Time
+	electionDue time.Duration
+	syncing     bool
+	stopped     bool
 
 	// Leader-side group-commit state. leaderGen increments on every
 	// leadership transition; the proposer and sender goroutines carry
@@ -507,10 +511,15 @@ func (n *Node) CommitZxid() uint64 {
 }
 
 // LastApplied returns the zxid of the last locally applied transaction.
-func (n *Node) LastApplied() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.lastApplied
+// It takes no lock: the state machine a caller reads afterwards holds at
+// least the history up to the returned zxid.
+func (n *Node) LastApplied() uint64 { return n.applied.Load() }
+
+// setAppliedLocked moves the applied point, after the state machine has
+// taken the transition it names.
+func (n *Node) setAppliedLocked(zxid uint64) {
+	n.lastApplied = zxid
+	n.applied.Store(zxid)
 }
 
 // DebugString reports the node's replication state for diagnostics.

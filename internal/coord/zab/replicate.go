@@ -23,9 +23,9 @@ var proposeTimers = sync.Pool{New: func() any {
 	return t
 }}
 
-func getProposeTimer() *time.Timer {
+func getProposeTimer(d time.Duration) *time.Timer {
 	t := proposeTimers.Get().(*time.Timer)
-	t.Reset(proposeTimeout)
+	t.Reset(d)
 	return t
 }
 
@@ -292,12 +292,17 @@ func (n *Node) syncFromLeader(leader, from uint64) {
 		if err := n.st.InstallSnapshot(resp.Snapshot, resp.SnapZxid); err != nil {
 			return
 		}
+		// A snapshot cut below our applied point (a new leader that has
+		// applied less than we had) takes the state machine backwards:
+		// lower the lock-free mirror first, so a concurrent reader never
+		// vouches for more history than the state it then reads holds.
+		n.applied.Store(min(n.lastApplied, resp.SnapZxid))
 		if err := n.sm.Restore(resp.Snapshot, resp.SnapZxid); err != nil {
 			return
 		}
 		n.snapZxid = resp.SnapZxid
 		n.durableSnapZxid = resp.SnapZxid
-		n.lastApplied = resp.SnapZxid
+		n.setAppliedLocked(resp.SnapZxid)
 		if n.commitZxid < resp.SnapZxid {
 			n.commitZxid = resp.SnapZxid
 		}
@@ -411,14 +416,22 @@ func (n *Node) handleSync(m syncReq) (syncResp, error) {
 // coalesced by the leader's proposer into group-commit frames instead
 // of queueing on a serialized quorum round trip.
 func (n *Node) Propose(txn []byte) ([]byte, error) {
+	result, _, err := n.ProposeZxid(txn)
+	return result, err
+}
+
+// ProposeZxid is Propose that also returns the zxid the transaction was
+// ordered at — what a session carries as its last-seen stamp, so any
+// replica it reads from next has applied the write first.
+func (n *Node) ProposeZxid(txn []byte) (result []byte, zxid uint64, err error) {
 	p, err := n.propose(txn)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if err := n.waitApplied(p.zxid); err != nil {
-		return nil, err
+	if err := n.WaitApplied(p.zxid, proposeTimeout); err != nil {
+		return nil, 0, err
 	}
-	return p.result, nil
+	return p.result, p.zxid, nil
 }
 
 func (n *Node) propose(txn []byte) (proposeOutcome, error) {
@@ -477,7 +490,7 @@ func (n *Node) proposeAsLeader(txn []byte, noop bool) (proposeOutcome, error) {
 	n.leaderCond.Broadcast()
 	n.mu.Unlock()
 
-	timer := getProposeTimer()
+	timer := getProposeTimer(proposeTimeout)
 	defer putProposeTimer(timer)
 	select {
 	case o := <-p.ch:

@@ -20,7 +20,7 @@ func (n *Node) recoverFromStorage() error {
 		}
 		n.snapZxid = z
 		n.commitZxid = z
-		n.lastApplied = z
+		n.setAppliedLocked(z)
 		n.durableSnapZxid = z
 	}
 	// The recovered tail sits uncommitted until a quorum re-forms — an

@@ -423,7 +423,9 @@ func TestLostWindowIsRefusedNotSynced(t *testing.T) {
 // TestMessagesPerWrite counts what one isolated write costs on the peer
 // links: through the leader, one window per follower and at most one
 // empty commit carrier per follower; through a follower, one forward
-// more. There is no separate commit message.
+// more. There is no separate commit message. The third write is what a
+// follower-homed session's leader-direct write is down here — proposed
+// on the leader, whatever was forwarded before it — and costs no forward.
 func TestMessagesPerWrite(t *testing.T) {
 	tap := &peerTap{Network: transport.NewInProc(), rng: rand.New(rand.NewSource(1))}
 	e := startTapped(t, "msgcount", tap)
@@ -439,14 +441,16 @@ func TestMessagesPerWrite(t *testing.T) {
 	waitConverged(t, e, 1, 1, 2, 3)
 	time.Sleep(120 * time.Millisecond) // let the warm-up's commit carriers land
 
-	for i, via := range []*Node{leader, follower} {
+	for i, c := range []struct {
+		via      *Node
+		forwards int64
+	}{{leader, 0}, {follower, 1}, {leader, 0}} {
 		tap.reset()
-		proposeOK(t, via, fmt.Sprintf("isolated-%d", i))
+		proposeOK(t, c.via, fmt.Sprintf("isolated-%d", i))
 		waitConverged(t, e, i+2, 1, 2, 3)
 		time.Sleep(120 * time.Millisecond)
-		wantForwards := int64(i)
-		if d, em, f := tap.dataWindows.Load(), tap.emptyWindows.Load(), tap.forwards.Load(); d != 2 || em > 2 || f != wantForwards {
-			t.Fatalf("write %d: %d data windows, %d empty windows, %d forwards; want 2, at most 2, %d", i, d, em, f, wantForwards)
+		if d, em, f := tap.dataWindows.Load(), tap.emptyWindows.Load(), tap.forwards.Load(); d != 2 || em > 2 || f != c.forwards {
+			t.Fatalf("write %d: %d data windows, %d empty windows, %d forwards; want 2, at most 2, %d", i, d, em, f, c.forwards)
 		}
 		if v, s, o := tap.votes.Load(), tap.syncPulls.Load(), tap.others.Load(); v != 0 || s != 0 || o != 0 {
 			t.Fatalf("write %d: %d votes, %d sync pulls, %d other messages on the peer links", i, v, s, o)
