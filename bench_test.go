@@ -369,12 +369,13 @@ func BenchmarkShardScaling(b *testing.B) {
 // observers join a fixed 3-voter ensemble (DESIGN.md §13). Under
 // injected network latency each replica is connection-capacity bound,
 // so the client population scales with the replica count
-// (workersPerReplica × (voters + observers), each worker holding its
-// own policy-routed read handle): adding observers should grow read
+// (workersPerReplica × (voters + observers), each worker one session
+// homed on the w-th replica of the whole list — the paper's clients,
+// each attached to one server): adding observers should grow read
 // throughput near-linearly — the paper's Fig 7d read curve extended
 // past the voting ensemble — because observers never touch quorum
-// math. observers=0 is the baseline: the same router spreading reads
-// across voters only.
+// math. observers=0 is the baseline: the same sessions spread across
+// voters only.
 func BenchmarkObserverReadScaling(b *testing.B) {
 	const (
 		workersPerReplica = 6
@@ -401,7 +402,7 @@ func BenchmarkObserverReadScaling(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.Cleanup(c.Stop)
-			seed, err := c.ConnectCoord(0)
+			seed, err := c.ConnectCoord("", 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -415,18 +416,15 @@ func BenchmarkObserverReadScaling(b *testing.B) {
 				}
 			}
 			workers := workersPerReplica * (voters + observers)
-			routers := make([]*coord.ReadRouter, workers)
+			sessions := make([]coord.Client, workers)
 			for w := 0; w < workers; w++ {
-				r, err := c.ConnectCoordRead(coord.ReadAny, 0, nil)
+				s, err := c.ConnectCoord("any", w)
 				if err != nil {
 					b.Fatal(err)
 				}
-				routers[w] = r
-				b.Cleanup(func() { r.Close() })
+				sessions[w] = s
+				b.Cleanup(func() { s.Close() })
 			}
-			// Let the routers' first health probes land so reads spread
-			// across the full replica set from the first iteration.
-			time.Sleep(20 * time.Millisecond)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -438,7 +436,7 @@ func BenchmarkObserverReadScaling(b *testing.B) {
 						defer wg.Done()
 						for j := 0; j < opsPerWorker; j++ {
 							p := fmt.Sprintf("/bench/f%02d", (w*opsPerWorker+j)%paths)
-							if _, _, err := routers[w].Get(p); err != nil {
+							if _, _, err := sessions[w].Get(p); err != nil {
 								errs[w] = err
 								return
 							}

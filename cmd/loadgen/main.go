@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/coord"
 	"repro/internal/loadgen"
 )
 
@@ -46,8 +45,8 @@ func main() {
 	keys := flag.Int("keys", 64, "pre-created keys per directory (stat/set keyspace)")
 	coord := flag.Int("coord", 3, "coordination ensemble size")
 	shards := flag.Int("shards", 1, "coordination shards (ensembles)")
-	observers := flag.Int("observers", 0, "non-voting observer replicas (single shard only)")
-	readFrom := flag.String("read-from", "", "read routing policy: leader, observer, any or nearest (empty = plain sessions)")
+	observers := flag.Int("observers", 0, "non-voting observer replicas per shard")
+	readFrom := flag.String("read-from", "", "read placement: leader (lease reads), observer (observers first) or any (spread over every replica); empty = the i-th voter")
 	opTimeout := flag.Duration("op-timeout", 5*time.Second, "per-operation timeout")
 	seed := flag.Int64("seed", 1, "deterministic schedule seed")
 	closed := flag.Bool("closed", false, "run the closed-loop generator instead (comparison)")
@@ -225,9 +224,6 @@ func runLoad(ctx context.Context, c loadCfg) *loadgen.Result {
 	if c.arrival == string(loadgen.Uniform) {
 		arr = loadgen.Uniform
 	}
-	if c.readFrom != "" && c.shards > 1 {
-		log.Fatal("-read-from needs a single coordination shard (policy-routed reads don't cross the shard router)")
-	}
 	cl, err := cluster.Start(cluster.Config{
 		Name:           "loadgen",
 		CoordServers:   c.coord,
@@ -253,7 +249,7 @@ func runLoad(ctx context.Context, c loadCfg) *loadgen.Result {
 		Seed:       c.seed,
 		TrackAcked: true,
 	}
-	prep, err := cl.ConnectCoord(-1)
+	prep, err := cl.ConnectCoord("", -1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -261,26 +257,9 @@ func runLoad(ctx context.Context, c loadCfg) *loadgen.Result {
 	if err := loadgen.Prepare(ctx, prep, cfg); err != nil {
 		log.Fatal(err)
 	}
-	var readCounters *coord.ReadCounters
 	var targets []loadgen.Target
 	for i := 0; i < c.sessions; i++ {
-		if c.readFrom != "" {
-			// Policy-routed sessions: reads follow -read-from across
-			// the voter/observer tiers, writes stay on the voters. The
-			// shared counters record which tier actually served each
-			// read — that split lands in BENCH_loadgen.json.
-			if readCounters == nil {
-				readCounters = &coord.ReadCounters{}
-			}
-			r, err := cl.ConnectCoordRead(coord.ReadPolicy(c.readFrom), 0, readCounters)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer r.Close()
-			targets = append(targets, loadgen.NewClientTarget(r))
-			continue
-		}
-		s, err := cl.ConnectCoord(i)
+		s, err := cl.ConnectCoord(c.readFrom, i)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -291,14 +270,12 @@ func runLoad(ctx context.Context, c loadCfg) *loadgen.Result {
 	if c.closed {
 		run = loadgen.RunClosed
 	}
+	readSplit := cl.ReadSplit()
 	res, err := run(ctx, cfg, targets)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if c.readFrom != "" {
-		res.ReadFrom = c.readFrom
-		res.ReadSplit = readCounters.Split()
-	}
+	res.ReadFrom, res.ReadSplit = c.readFrom, readSplit()
 	missing, err := loadgen.VerifyAcked(ctx, prep, res.AckedPaths)
 	if err != nil {
 		log.Fatalf("verifying acked writes: %v", err)

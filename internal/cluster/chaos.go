@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/coord"
 	"repro/internal/coord/zab"
 )
 
@@ -81,14 +80,6 @@ func (s *slowStorage) SaveHardState(epoch, grantedEpoch uint64) error {
 		time.Sleep(d)
 	}
 	return s.Storage.SaveHardState(epoch, grantedEpoch)
-}
-
-// ConnectCoord opens a coordination handle without mounting DUFS: a
-// session on a single-shard cluster, a router otherwise. Load
-// generators and scenario verification use this to drive the metadata
-// service directly.
-func (c *Cluster) ConnectCoord(preferred int) (coord.Client, error) {
-	return c.connect(preferred)
 }
 
 // CoordAddrs returns coordination member (shard, member)'s transport

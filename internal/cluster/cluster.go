@@ -8,6 +8,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"time"
@@ -69,7 +70,7 @@ type Config struct {
 	// CoordObservers is the size of each shard's non-voting observer
 	// tier (default 0): replicas streamed the log like followers that
 	// serve reads but never vote, so they scale read throughput without slowing writes. Use
-	// ConnectCoordRead to open a policy-routed read handle over them.
+	// ConnectCoord("observer", i) to open a handle that reads from them.
 	CoordObservers int
 
 	// Coord tunables (zero = package defaults).
@@ -253,7 +254,7 @@ func Start(cfg Config) (*Cluster, error) {
 // DUFS/ZooKeeper pairs. On a sharded cluster the client holds one
 // session per shard behind a shard.Router.
 func (c *Cluster) NewClient(preferred int) (*Client, error) {
-	sess, err := c.connect(preferred)
+	sess, err := c.ConnectCoord("", preferred)
 	if err != nil {
 		return nil, err
 	}
@@ -295,25 +296,79 @@ func (c *Cluster) NewClient(preferred int) (*Client, error) {
 	return cl, nil
 }
 
-// connect opens the coordination handle for one client: a bare
-// session on a single-shard cluster, a router over one session per
-// ensemble otherwise.
-func (c *Cluster) connect(preferred int) (coord.Client, error) {
-	if len(c.Ensembles) == 1 {
-		return c.Ensemble.Connect(preferred)
-	}
+// ConnectCoord opens client i's coordination handle without mounting
+// DUFS — load generators and scenario verification drive the metadata
+// service through it directly: a session per coordination shard, behind a
+// shard.Router when there is more than one. Which replica answers a
+// session's reads is the order of its address list — home is the first
+// address that accepts it, the rest are where it fails over to — so
+// readFrom names a list:
+//
+//	""         the voters, rotated by i
+//	"observer" the shard's observers rotated by i, the voters behind them
+//	"any"      observers and voters as one list rotated by i: clients
+//	           spread over every replica
+//	"leader"   as "", every unwatched read a lease read: answered by
+//	           the leader, linearizable (coord.Op.Lease)
+//
+// A negative i keeps the natural order.
+func (c *Cluster) ConnectCoord(readFrom string, i int) (coord.Client, error) {
 	sessions := make([]coord.Client, 0, len(c.Ensembles))
-	for _, ens := range c.Ensembles {
-		s, err := ens.Connect(preferred)
+	for s, ens := range c.Ensembles {
+		var observers, addrs []string
+		for _, slot := range c.observers[s] {
+			// Stopped slots too: a dead address costs one failed dial.
+			observers = append(observers, slot.cfg.ClientAddr)
+		}
+		switch readFrom {
+		case "", "leader":
+			addrs = rotate(ens.ClientAddrs, i)
+		case "observer":
+			addrs = append(rotate(observers, i), rotate(ens.ClientAddrs, i)...)
+		case "any":
+			addrs = rotate(append(observers, ens.ClientAddrs...), i)
+		default:
+			return nil, fmt.Errorf("cluster: unknown read placement %q (want leader, observer or any)", readFrom)
+		}
+		sess, err := coord.Connect(c.net, addrs)
 		if err != nil {
 			for _, open := range sessions {
 				open.Close()
 			}
 			return nil, err
 		}
-		sessions = append(sessions, s)
+		if readFrom == "leader" {
+			sessions = append(sessions, coord.Wrap(leaseReads{sess}))
+		} else {
+			sessions = append(sessions, sess)
+		}
+	}
+	if len(sessions) == 1 {
+		return sessions[0], nil
 	}
 	return shard.New(sessions)
+}
+
+// rotate returns addrs starting at its i-th element, wrapping around.
+func rotate(addrs []string, i int) []string {
+	if len(addrs) == 0 || i < 0 {
+		return addrs
+	}
+	i %= len(addrs)
+	return append(append([]string(nil), addrs[i:]...), addrs[:i]...)
+}
+
+// leaseReads is the "leader" read placement: a Do decorator that asks
+// for every unwatched read of the session beneath it under the leader's
+// read lease.
+type leaseReads struct{ coord.Doer }
+
+func (l leaseReads) Do(ctx context.Context, op coord.Op) (coord.Result, error) {
+	switch op.Kind {
+	case coord.OpGet, coord.OpExists, coord.OpChildren, coord.OpChildrenData:
+		op.Lease = !op.Watch
+	}
+	return l.Doer.Do(ctx, op)
 }
 
 // BasicLustreClient returns a plain Lustre client against back-end 0 —
@@ -446,36 +501,54 @@ func (c *Cluster) observerPeerAddr(s, idx int) string {
 	return cfg.PeerAddrs[cfg.ID]
 }
 
-// ObserverAddrs lists shard s's observer client addresses (stopped
-// slots included: routers probe health themselves).
-func (c *Cluster) ObserverAddrs(s int) []string {
-	if s >= len(c.observers) {
-		return nil
+// ReadSplit starts a tally of where reads are served and returns the
+// function that ends it: how many reads the coordination servers
+// answered since, by role — "leader" under the read lease, "voter" and
+// "observer" from a plain replica — and how many they "refused" for
+// being behind the session's stamp. The figures are sums of per-member
+// counter deltas over the members running at the end: one restarted in
+// between contributes what it counted since its last start, one that is
+// down at the end nothing.
+func (c *Cluster) ReadSplit() func() map[string]uint64 {
+	before := c.readCounts()
+	return func() map[string]uint64 {
+		split := map[string]uint64{}
+		for key, now := range c.readCounts() {
+			split[key.role] += uint64(now - before[key]) // before: zero for a member started since
+		}
+		return split
 	}
-	addrs := make([]string, 0, len(c.observers[s]))
-	for _, slot := range c.observers[s] {
-		addrs = append(addrs, slot.cfg.ClientAddr)
-	}
-	return addrs
 }
 
-// ConnectCoordRead opens a policy-routed read handle over shard 0's
-// voters and observer tier: reads follow the policy (leader-lease,
-// observer-first, any, nearest), writes and sync barriers use the
-// embedded voter session. Only single-shard clusters route reads this
-// way — the shard router owns multi-shard fan-out.
-func (c *Cluster) ConnectCoordRead(policy coord.ReadPolicy, maxLagTxns uint64, counters *coord.ReadCounters) (*coord.ReadRouter, error) {
-	if len(c.Ensembles) != 1 {
-		return nil, fmt.Errorf("cluster: policy-routed reads need a single coordination shard, have %d", len(c.Ensembles))
+type readKey struct {
+	srv  *coord.Server
+	role string
+}
+
+// readCounts returns what every running member has counted, by role.
+func (c *Cluster) readCounts() map[readKey]int64 {
+	counts := map[readKey]int64{}
+	add := func(srv *coord.Server, plain string) {
+		if srv == nil {
+			return
+		}
+		reg := srv.Metrics()
+		leased := reg.Counter("lease_reads").Value()
+		counts[readKey{srv, "leader"}] = leased
+		counts[readKey{srv, plain}] = reg.Counter("reads").Value() - leased
+		counts[readKey{srv, "refused"}] = reg.Counter("stamp_refusals").Value()
 	}
-	return coord.NewReadRouter(coord.RouterConfig{
-		Net:        c.net,
-		Voters:     append([]string(nil), c.Ensemble.ClientAddrs...),
-		Observers:  c.ObserverAddrs(0),
-		Policy:     policy,
-		MaxLagTxns: maxLagTxns,
-		Counters:   counters,
-	})
+	for _, ens := range c.Ensembles {
+		for _, srv := range ens.Servers {
+			add(srv, "voter")
+		}
+	}
+	for _, tier := range c.observers {
+		for _, slot := range tier {
+			add(slot.srv, "observer")
+		}
+	}
+	return counts
 }
 
 // Stop closes every client and shuts every server down.

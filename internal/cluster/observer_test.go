@@ -6,8 +6,12 @@ import (
 	"time"
 
 	"repro/internal/coord"
+	"repro/internal/coord/shard"
 	"repro/internal/coord/znode"
+	"repro/internal/core"
+	"repro/internal/loadgen"
 	"repro/internal/transport"
+	"repro/internal/vfs"
 )
 
 func startObserverCluster(t *testing.T, observers, maxLogEntries int) *Cluster {
@@ -194,9 +198,10 @@ func TestObserverSnapshotRejoinAfterRestart(t *testing.T) {
 }
 
 // TestLeaseReadWirePath checks the opLeaseRead protocol end to end: the
-// quorum-funded leader answers, and an observer refuses with ErrNoLease
-// (it can never linearize) so routers fall back instead of reading
-// stale data.
+// quorum-funded leader answers, and an observer — which can never
+// linearize — refuses (coord's TestLeaseReadTakesTheWritePath pins the
+// refusal on the server), so a session whose only address is one falls
+// back to a Sync and a plain read instead of reading stale data.
 func TestLeaseReadWirePath(t *testing.T) {
 	c := startObserverCluster(t, 1, 0)
 	waitObserverCaughtUp(t, c, 0)
@@ -210,22 +215,17 @@ func TestLeaseReadWirePath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The leader holds a heartbeat-funded lease within one round; retry
-	// briefly to ride out a just-elected leader.
+	// A just-elected leader funds its lease within one heartbeat round;
+	// until then the read falls back, so wait for one answered under it.
 	leased := coord.Op{Kind: coord.OpGet, Path: "/leased", Lease: true}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		res, err := leaderSess.Do(t.Context(), leased)
-		if err == nil {
-			if string(res.Data) != "fast" {
-				t.Fatalf("lease read = %q, want %q", res.Data, "fast")
-			}
-			break
+	leader := c.Ensemble.Leader().Metrics()
+	for deadline := time.Now().Add(2 * time.Second); leader.Counter("lease_reads").Value() == 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the leader never answered a lease read under its lease")
 		}
-		if err != coord.ErrNoLease || time.Now().After(deadline) {
-			t.Fatalf("lease read on leader: %v", err)
+		if res, err := leaderSess.Do(t.Context(), leased); err != nil || string(res.Data) != "fast" {
+			t.Fatalf("lease read on leader = %q, %v", res.Data, err)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 
 	obsSess, err := coord.Connect(c.net, []string{c.ObserverAddr(0, 0)})
@@ -233,8 +233,17 @@ func TestLeaseReadWirePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer obsSess.Close()
-	if _, err := obsSess.Do(t.Context(), leased); err != coord.ErrNoLease {
-		t.Fatalf("lease read on observer = %v, want ErrNoLease", err)
+	obs := c.Observer(0, 0).Metrics()
+	syncs := obs.Counter("writes").Value()
+	res, err := obsSess.Do(t.Context(), leased)
+	if err != nil || string(res.Data) != "fast" {
+		t.Fatalf("lease read through an observer-only session = %q, %v", res.Data, err)
+	}
+	if got := obs.Counter("lease_reads").Value(); got != 0 {
+		t.Fatalf("the observer served %d reads under a lease it cannot hold", got)
+	}
+	if got := obs.Counter("writes").Value() - syncs; got != 1 {
+		t.Fatalf("the observer proposed %d transactions for the fallen-back lease read, want one Sync", got)
 	}
 }
 
@@ -356,6 +365,214 @@ func TestObserverServesWatches(t *testing.T) {
 				want[key] = true
 				pending--
 			}
+		}
+	}
+}
+
+// TestObserversBehindShardRouter places the per-shard sessions of a
+// shard.Router observer-first: 2 shards with one observer each. Stats
+// and readdirs through the router are answered by the observers; a
+// Multi and a cross-shard rename still go through; and once every
+// sub-session has found its shard's leader, every write is proposed by
+// a leader — no observer and no follower forwards one.
+func TestObserversBehindShardRouter(t *testing.T) {
+	seq++
+	c, err := Start(Config{
+		Name:              fmt.Sprintf("obsshard%d", seq),
+		CoordServers:      3,
+		CoordShards:       2,
+		CoordObservers:    1,
+		Backends:          1,
+		Kind:              MemFS,
+		HeartbeatInterval: 5 * time.Millisecond,
+		ElectionTimeout:   40 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	sess, err := c.ConnectCoord("observer", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sess.Close() })
+	router, ok := sess.(*shard.Router)
+	if !ok {
+		t.Fatalf("sharded cluster handed out %T, want *shard.Router", sess)
+	}
+	fs, err := core.New(core.Config{Session: sess, Backends: []vfs.FileSystem{c.memfses[0]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// sum adds one counter up over the members pick selects.
+	sum := func(name string, pick func(srv *coord.Server, observer bool) bool) (n int64) {
+		add := func(srv *coord.Server, observer bool) {
+			if pick(srv, observer) {
+				n += srv.Metrics().Counter(name).Value()
+			}
+		}
+		for s, ens := range c.Ensembles {
+			for _, srv := range ens.Servers {
+				add(srv, false)
+			}
+			add(c.Observer(s, 0), true)
+		}
+		return n
+	}
+	observers := func(_ *coord.Server, observer bool) bool { return observer }
+	voters := func(_ *coord.Server, observer bool) bool { return !observer }
+	leaders := func(srv *coord.Server, _ bool) bool { return srv.IsLeader() }
+	notLeaders := func(srv *coord.Server, _ bool) bool { return !srv.IsLeader() }
+
+	// Directories on both shards, and writes until no sub-session's home
+	// forwards them any more: each has found its leader.
+	var dirs [2]string
+	for i := 0; dirs[0] == "" || dirs[1] == ""; i++ {
+		dir := fmt.Sprintf("/d%d", i)
+		if err := fs.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		dirs[router.ShardFor("/dufs"+dir+"/x")] = dir
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		forwarded := sum("writes", notLeaders)
+		if err := sess.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if sum("writes", notLeaders) == forwarded {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a sub-session never found a direct path to its shard's leader")
+		}
+	}
+
+	obsReads, voterReads := sum("reads", observers), sum("reads", voters)
+	proposed, forwarded := sum("writes", leaders), sum("writes", notLeaders)
+	const files = 8
+	for _, dir := range dirs {
+		for i := 0; i < files; i++ {
+			if err := vfs.WriteFile(fs, fmt.Sprintf("%s/f%d", dir, i), []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	reads := int64(0)
+	for _, dir := range dirs {
+		for i := 0; i < files; i++ {
+			if _, ok, err := sess.Exists(fmt.Sprintf("/dufs%s/f%d", dir, i)); err != nil || !ok {
+				t.Fatalf("stat through the router: exists=%v, %v", ok, err)
+			}
+			reads++
+		}
+		if entries, err := sess.ChildrenData("/dufs" + dir); err != nil || len(entries) != files+1 {
+			t.Fatalf("readdir through the router: %d entries, %v", len(entries), err)
+		}
+		reads++
+	}
+	if _, err := sess.Multi([]coord.Op{
+		coord.CheckOp("/dufs"+dirs[0]+"/f0", -1),
+		coord.CreateOp("/dufs"+dirs[0]+"/multi", nil, znode.ModePersistent),
+	}); err != nil {
+		t.Fatalf("multi through the router: %v", err)
+	}
+	if err := fs.Rename(dirs[0]+"/f1", dirs[1]+"/moved"); err != nil {
+		t.Fatalf("cross-shard rename: %v", err)
+	}
+	if _, err := fs.Stat(dirs[1] + "/moved"); err != nil {
+		t.Fatalf("renamed file: %v", err)
+	}
+	if _, err := fs.Stat(dirs[0] + "/f1"); err == nil {
+		t.Fatal("the source of the cross-shard rename is still there")
+	}
+
+	if got := sum("reads", observers) - obsReads; got < reads {
+		t.Errorf("the observers answered %d reads, want at least the %d stats and readdirs", got, reads)
+	}
+	if got := sum("reads", voters) - voterReads; got != 0 {
+		t.Errorf("voters answered %d reads of observer-homed sessions", got)
+	}
+	if got := sum("writes", notLeaders) - forwarded; got != 0 {
+		t.Errorf("%d writes were forwarded by an observer or a follower", got)
+	}
+	if got := sum("writes", leaders) - proposed; got < 2*files+2 {
+		t.Errorf("the leaders proposed %d writes, want at least %d", got, 2*files+2)
+	}
+
+	// The router itself places no lease read; "leader" sets the flag on
+	// the sessions beneath it, and each shard's leader answers under its
+	// lease once the sub-session has found it.
+	if _, err := sess.Do(t.Context(), coord.Op{Kind: coord.OpExists, Path: "/dufs" + dirs[0], Lease: true}); err == nil {
+		t.Error("the shard router accepted Op.Lease")
+	}
+	leased, err := c.ConnectCoord("leader", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { leased.Close() })
+	bothLeadersServed := func() bool {
+		for _, ens := range c.Ensembles {
+			if ens.Leader().Metrics().Counter("lease_reads").Value() == 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(5 * time.Second); !bothLeadersServed(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("lease reads below the router: the leaders answered %d under their leases, want some on each shard", sum("lease_reads", leaders))
+		}
+		for _, dir := range dirs {
+			if _, ok, err := leased.Exists("/dufs" + dir + "/f0"); err != nil || !ok {
+				t.Fatalf("lease read below the router: exists=%v, %v", ok, err)
+			}
+		}
+	}
+}
+
+// TestReadSplitFollowsPlacement runs the load generator against 3 voters
+// and 2 observers and reads the split off the servers' own counters:
+// observer-first sessions put most reads on observers and none under the
+// leader's lease, "leader" sessions the reverse.
+func TestReadSplitFollowsPlacement(t *testing.T) {
+	c := startObserverCluster(t, 2, 0)
+	waitObserverCaughtUp(t, c, 0)
+	waitObserverCaughtUp(t, c, 1)
+	load := loadgen.Config{Name: "split", Rate: 400, Arrival: loadgen.Uniform, Duration: 500 * time.Millisecond, Dirs: 2, Keys: 8, OpTimeout: 5 * time.Second, Seed: 1}
+	prep, err := c.ConnectCoord("", -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prep.Close()
+	if err := loadgen.Prepare(t.Context(), prep, load); err != nil {
+		t.Fatal(err)
+	}
+	for _, readFrom := range []string{"observer", "leader"} {
+		load.Seed++ // names the run's creates
+		var targets []loadgen.Target
+		for i := 0; i < 2; i++ {
+			s, err := c.ConnectCoord(readFrom, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			targets = append(targets, loadgen.NewClientTarget(s))
+		}
+		readSplit := c.ReadSplit()
+		res, err := loadgen.Run(t.Context(), load, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		split := readSplit()
+		t.Logf("-read-from %s: %v (%d ok, %d err)", readFrom, split, res.Completed, res.Errors)
+		total := split["leader"] + split["voter"] + split["observer"]
+		most, none := "observer", "leader"
+		if readFrom == "leader" {
+			most, none = none, most
+		}
+		if res.Errors != 0 || total == 0 || split[most]*2 <= total || split[none] != 0 {
+			t.Errorf("-read-from %s: %d errors, read split %v; want most reads on %q and none on %q", readFrom, res.Errors, split, most, none)
 		}
 	}
 }

@@ -119,9 +119,9 @@ type Scenario struct {
 	Durable bool `json:"durable,omitempty"`
 	// Observers sizes the non-voting observer tier (default 0).
 	Observers int `json:"observers,omitempty"`
-	// ReadFrom, when non-empty, routes the load's reads by policy
-	// ("leader" / "observer" / "any" / "nearest") through a
-	// coord.ReadRouter instead of the plain per-session replica.
+	// ReadFrom, when non-empty, places the load's reads ("leader" /
+	// "observer" / "any", see Cluster.ConnectCoord) instead of on the
+	// i-th voter.
 	ReadFrom string `json:"read_from,omitempty"`
 	// MaxLogEntries shrinks the members' in-memory log bound so a
 	// stalled replica falls behind the truncation horizon and must
@@ -280,10 +280,11 @@ func Matrix() []Scenario {
 			// truncation horizon and must rejoin by snapshot install.
 			MaxLogEntries: 8,
 			Faults:        []Fault{{Kind: FaultObserverPartition, At: 500 * time.Millisecond, Duration: 900 * time.Millisecond, Victim: 0}},
-			// Reads routed observer-first ride the router's bounded
-			// attempt onto the healthy observer (and the voters) while
-			// the victim is dark; writes never touch observers at all,
-			// so the write path must not feel the fault.
+			// The session homed on the victim loses its connection at
+			// once and moves to the next address of its observer-first
+			// list — the other observer — where it stays; the sessions
+			// write to the leader directly, so the write path must not
+			// feel the fault.
 			SLO: SLO{MaxP99: 800 * time.Millisecond, MaxErrorFrac: 0.05, MinAchievedFrac: 0.7},
 		},
 	}
@@ -383,7 +384,7 @@ func RunScenario(ctx context.Context, sc Scenario, scale float64) (*ScenarioResu
 		break
 	}
 
-	prep, err := cl.ConnectCoord(-1)
+	prep, err := cl.ConnectCoord("", -1)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
@@ -392,26 +393,16 @@ func RunScenario(ctx context.Context, sc Scenario, scale float64) (*ScenarioResu
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
 	var targets []loadgen.Target
-	var readCounters *coord.ReadCounters
+	var orders []*sessionOrder
 	for i := 0; i < sc.Sessions; i++ {
-		var s coord.Client
-		var err error
-		if sc.ReadFrom != "" {
-			// Policy-routed reads: each session drives a ReadRouter so
-			// the scenario's stat/readdir load actually lands on the
-			// tier under test (and fails over when it is faulted).
-			if readCounters == nil {
-				readCounters = &coord.ReadCounters{}
-			}
-			s, err = cl.ConnectCoordRead(coord.ReadPolicy(sc.ReadFrom), 0, readCounters)
-		} else {
-			s, err = cl.ConnectCoord(i)
-		}
+		s, err := cl.ConnectCoord(sc.ReadFrom, i)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: session %d: %w", sc.Name, i, err)
 		}
 		defer s.Close()
-		targets = append(targets, loadgen.NewClientTarget(s))
+		order := &sessionOrder{Doer: s, name: fmt.Sprintf("session %d", i), seen: map[string]int32{}}
+		orders = append(orders, order)
+		targets = append(targets, loadgen.NewClientTarget(coord.Wrap(order)))
 	}
 
 	res := &ScenarioResult{Scenario: sc.Name, Scale: scale}
@@ -436,6 +427,7 @@ func RunScenario(ctx context.Context, sc Scenario, scale float64) (*ScenarioResu
 		}()
 	}
 
+	readSplit := cl.ReadSplit()
 	result, err := loadgen.Run(ctx, load, targets)
 	fwg.Wait()
 	if err != nil {
@@ -451,9 +443,9 @@ func RunScenario(ctx context.Context, sc Scenario, scale float64) (*ScenarioResu
 		}
 	}
 	res.Load = *result
-	if sc.ReadFrom != "" {
-		res.Load.ReadFrom = sc.ReadFrom
-		res.Load.ReadSplit = readCounters.Split()
+	res.Load.ReadFrom, res.Load.ReadSplit = sc.ReadFrom, readSplit()
+	for _, order := range orders {
+		res.Violations = append(res.Violations, order.violations...)
 	}
 	if migReg != nil {
 		res.Migration = map[string]float64{
@@ -493,7 +485,7 @@ func RunScenario(ctx context.Context, sc Scenario, scale float64) (*ScenarioResu
 		logf("observer %d caught up to %x (snapshot installs: %d)", idx, obs.LastApplied(), obs.Metrics().Counter("zab.snapshot_installs").Value())
 	}
 
-	vs, err := cl.ConnectCoord(-1)
+	vs, err := cl.ConnectCoord("", -1)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: verify session: %w", sc.Name, err)
 	}
@@ -523,6 +515,48 @@ func RunScenario(ctx context.Context, sc Scenario, scale float64) (*ScenarioResu
 		if frac := result.AchievedOps / result.RateOps; frac < sc.SLO.MinAchievedFrac {
 			res.Violations = append(res.Violations, fmt.Sprintf("achieved %.0f/s is %.2f of offered %.0f/s, SLO floor %.2f", result.AchievedOps, frac, result.RateOps, sc.SLO.MinAchievedFrac))
 		}
+	}
+	return res, nil
+}
+
+// sessionOrder is a Do decorator that checks the session contract while
+// the load runs, whichever replica answers and whatever fault is on: a
+// path the session created is visible to its own next stat, and no znode
+// is read at a lower version than an operation that had completed before
+// the read began saw it at (concurrent operations are unordered).
+type sessionOrder struct {
+	coord.Doer
+	name string
+
+	mu         sync.Mutex
+	seen       map[string]int32 // the highest version a completed operation saw, per path
+	violations []string
+}
+
+func (o *sessionOrder) Do(ctx context.Context, op coord.Op) (coord.Result, error) {
+	o.mu.Lock()
+	floor := o.seen[op.Path]
+	o.mu.Unlock()
+	res, err := o.Doer.Do(ctx, op)
+	if err != nil {
+		return res, err
+	}
+	var breach string
+	switch {
+	case op.Kind == coord.OpCreate:
+		if st, err := o.Doer.Do(ctx, coord.Op{Kind: coord.OpExists, Path: res.Created}); err == nil && !st.Exists {
+			breach = fmt.Sprintf("%s: created %s, and its next stat does not see it", o.name, res.Created)
+		}
+	case op.Kind == coord.OpSet, op.Kind == coord.OpGet, op.Kind == coord.OpExists && res.Exists:
+		if res.Stat.Version < floor {
+			breach = fmt.Sprintf("%s: read %s at version %d after having seen version %d", o.name, op.Path, res.Stat.Version, floor)
+		}
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.seen[op.Path] = max(o.seen[op.Path], res.Stat.Version) // zero from the kinds that return no stat
+	if breach != "" {
+		o.violations = append(o.violations, breach)
 	}
 	return res, nil
 }

@@ -3,10 +3,13 @@ package cluster
 import (
 	"context"
 	"flag"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/coord"
 	"repro/internal/coord/zab"
+	"repro/internal/coord/znode"
 )
 
 // -scenario.long stretches every scenario (load window and fault
@@ -83,3 +86,68 @@ func (nopStorage) Sync() error                          { return nil }
 func (nopStorage) LastDurableZxid() uint64              { return 0 }
 func (nopStorage) SaveSnapshot([]byte, uint64) error    { return nil }
 func (nopStorage) InstallSnapshot([]byte, uint64) error { return nil }
+
+// scriptedReads answers the n-th Exists with the n-th version of its
+// script and every create as done but invisible. With entered and hold
+// set, the first read signals that it is in flight and answers only once
+// released.
+type scriptedReads struct {
+	coord.Doer
+	mu            sync.Mutex
+	versions      []int32
+	entered, hold chan struct{}
+}
+
+func (s *scriptedReads) Do(_ context.Context, op coord.Op) (coord.Result, error) {
+	if op.Kind == coord.OpCreate {
+		return coord.Result{Created: op.Path}, nil
+	}
+	s.mu.Lock()
+	if len(s.versions) == 0 {
+		s.mu.Unlock()
+		return coord.Result{}, nil // the stat behind a create: not there
+	}
+	v, entered := s.versions[0], s.entered
+	s.versions, s.entered = s.versions[1:], nil
+	s.mu.Unlock()
+	if entered != nil {
+		close(entered)
+		<-s.hold
+	}
+	return coord.Result{Exists: true, Stat: znode.Stat{Version: v}}, nil
+}
+
+// TestSessionOrderFlagsWhatItShould keeps the scenarios' per-session
+// check honest: a version read lower than one an earlier, completed read
+// saw is a violation, as is a create its own next stat cannot see; a
+// lower version from a read that was already in flight is not.
+func TestSessionOrderFlagsWhatItShould(t *testing.T) {
+	ctx := context.Background()
+	stat := coord.Op{Kind: coord.OpExists, Path: "/k"}
+
+	o := &sessionOrder{Doer: &scriptedReads{versions: []int32{3, 3, 2}}, name: "s", seen: map[string]int32{}}
+	for i := 0; i < 3; i++ {
+		o.Do(ctx, stat)
+	}
+	o.Do(ctx, coord.CreateOp("/made", nil, znode.ModePersistent))
+	if len(o.violations) != 2 {
+		t.Fatalf("a backward read and an invisible create gave %d violations, want 2: %v", len(o.violations), o.violations)
+	}
+
+	// Version 2 is asked for first and answered last: the two reads
+	// overlapped, and the session orders nothing between them.
+	entered, hold := make(chan struct{}), make(chan struct{})
+	o = &sessionOrder{Doer: &scriptedReads{versions: []int32{2, 3}, entered: entered, hold: hold}, name: "s", seen: map[string]int32{}}
+	first := make(chan struct{})
+	go func() {
+		defer close(first)
+		o.Do(ctx, stat)
+	}()
+	<-entered
+	o.Do(ctx, stat)
+	close(hold)
+	<-first
+	if len(o.violations) != 0 {
+		t.Fatalf("overlapping reads flagged: %v", o.violations)
+	}
+}

@@ -46,7 +46,7 @@ const (
 	// the server answers from its local replica ONLY while it holds the
 	// clock-skew-bounded read lease, making the read linearizable
 	// without a quorum round trip; otherwise it returns ErrNoLease and
-	// the client falls back (re-locate the leader, or a sync barrier).
+	// the session falls back to a sync barrier and a plain read.
 	// Client-local (never replicated).
 	opLeaseRead
 	// Migration control plane (DESIGN.md §15). The four write ops are
@@ -111,11 +111,11 @@ var (
 	// ErrRolledBack marks a Multi op that was undone (or never ran)
 	// because a sibling op in the same atomic batch failed.
 	ErrRolledBack = znode.ErrRolledBack
-	// ErrNoLease is returned for a lease read served by a node that
-	// does not currently hold the leader read lease (not the leader,
-	// or deposed, or its heartbeat-funded deadline expired). The read
-	// was NOT served; the caller must retry elsewhere or fall back to
-	// a sync barrier.
+	// ErrNoLease is a server's answer to a lease read it cannot vouch
+	// for: it does not currently hold the leader read lease (not the
+	// leader, or deposed, or its heartbeat-funded deadline expired). The
+	// read was NOT served. Session.Do never returns it — it falls back to
+	// a sync barrier and a plain read.
 	ErrNoLease = errors.New("coord: no read lease held")
 	// ErrFenced is returned for a write landing in a hash range that is
 	// fenced for migration. The write did NOT apply; the fence lifts
@@ -308,11 +308,14 @@ type Op struct {
 
 	// Watch and Lease modify the read kinds; the write kinds ignore
 	// them. Watch (get, exists, children) leaves a one-shot watch behind
-	// a successful read, delivered through WaitEvents. Lease serves the
-	// read under the leader's read lease: the answer is linearizable
-	// with no quorum round trip, but only the leader — while its
-	// quorum-funded, clock-skew-bounded lease is live — will serve it;
-	// any other member returns ErrNoLease without touching its replica.
+	// a successful read, delivered through WaitEvents. Lease asks for a
+	// linearizable answer, the cheapest way available, on any Session:
+	// the leader answers in one round trip, no quorum round, while the
+	// session has a path to it and its quorum-funded, clock-skew-bounded
+	// read lease is live; otherwise (no leader in reach, lease expired, a
+	// single-address or observer-only session) the session issues a Sync
+	// and then the plain read. A shard.Router refuses the flag; set it on
+	// the sessions beneath one.
 	Watch bool
 	Lease bool
 

@@ -26,10 +26,13 @@ import (
 //
 // A session has a HOME server — the first address that accepted it —
 // which answers its reads from the local replica, holds its watches and
-// parks its event waits. Replicated writes go straight to the LEADER
-// over a second connection once the session has found it (DESIGN.md
-// §10.5); until then, and whenever that path fails, home forwards them.
-// If home dies the session fails over to the next address in its list.
+// parks its event waits. Replicated writes and lease reads go straight
+// to the LEADER over a second connection once the session has found it
+// (DESIGN.md §10.5); until then, and whenever that path fails, they go
+// home: a write is forwarded, a lease read is refused and falls back to
+// a Sync and a plain read. If home dies the session fails over to the
+// next address in its list, so the ORDER of the list is the session's
+// read placement (DESIGN.md §13.4).
 //
 // One rule orders what the session sees across all of that (DESIGN.md
 // §10.4): every reply carries a zxid, the session keeps the highest it
@@ -205,15 +208,16 @@ func (s *Session) dropConn(gen uint64) {
 	}
 }
 
-// route picks the connection a request goes out on: a replicated write
-// takes the direct connection to the leader when there is one, and
-// everything else — reads, watches, event waits, and writes while no
-// leader is known — goes home. A write that finds no direct path starts
-// the search for one in the background and does not wait for it.
-func (s *Session) route(write bool) (c transport.Conn, gen uint64, direct bool, err error) {
+// route picks the connection a request goes out on: one for the leader
+// (a replicated write, a lease read) takes the direct connection to it
+// when there is one, and everything else — plain reads, watches, event
+// waits, and the leader's requests while no leader is known — goes home.
+// A request that finds no direct path starts the search for one in the
+// background and does not wait for it.
+func (s *Session) route(toLeader bool) (c transport.Conn, gen uint64, direct bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if write && s.id != 0 && !s.closed {
+	if toLeader && s.id != 0 && !s.closed {
 		if s.lead != nil {
 			return s.lead, s.leadGen, true, nil
 		}
@@ -369,17 +373,19 @@ func (s *Session) exchange(ctx context.Context, w *wire.Writer) (payload []byte,
 // abandonment never corrupts the session. retained reports whether some
 // abandoned in-flight call may still reference msg.
 //
-// A replicated write goes out on the direct connection to the leader
-// when there is one. That path is only ever an optimisation: whatever
-// goes wrong on it — the connection, a refusal, a leader that is none
-// any more — the same bytes go through home next, and the replicated
-// dedup window makes the two attempts one write.
+// A replicated write or a lease read goes out on the direct connection
+// to the leader when there is one. That path is only ever an
+// optimisation: whatever goes wrong on it — the connection, a refusal, a
+// leader that is none any more — the same bytes go through home next.
+// The replicated dedup window makes the two attempts one write; a lease
+// read home cannot vouch for comes back ErrNoLease, for Do to fall back.
 func (s *Session) requestCtxOwned(ctx context.Context, msg []byte) (payload []byte, zxid uint64, retained bool, err error) {
 	deadline := time.Now().Add(DialTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
 	write := len(msg) > 0 && proposes(msg[0])
+	toLeader := write || len(msg) > 0 && msg[0] == opLeaseRead
 	var lastErr error
 	var refusals int // in a row, by the home connection of generation refusedBy
 	var refusedBy uint64
@@ -393,7 +399,7 @@ func (s *Session) requestCtxOwned(ctx context.Context, msg []byte) (payload []by
 			}
 			return nil, 0, retained, fmt.Errorf("coord: request failed after retries: %w", lastErr)
 		}
-		c, gen, direct, err := s.route(write)
+		c, gen, direct, err := s.route(toLeader)
 		if err != nil {
 			lastErr = err
 			if serr := sleepCtx(ctx, retryDelay(attempt)); serr != nil {
@@ -513,6 +519,10 @@ func retryDelay(attempt int) time.Duration {
 // engine, decode the reply — on the caller's goroutine, with no
 // allocation beyond the result. A replicated write holds one of the
 // session's asyncWindow slots while it is in flight; reads take none.
+// A lease read no server in reach would vouch for (Op.Lease) becomes a
+// Sync — its reply stamps the session with a zxid behind every write
+// acknowledged before it — and the same read without the flag, which
+// home holds until it has applied that much.
 func (s *Session) Do(ctx context.Context, op Op) (Result, error) {
 	// Requests ride pooled writers: nothing on the client retains the
 	// message (the server copies before the replication layer keeps
@@ -536,6 +546,13 @@ func (s *Session) Do(ctx context.Context, op Op) (Result, error) {
 	payload, zxid, err := s.exchange(ctx, w)
 	if write {
 		<-s.window
+	}
+	if op.Lease && errors.Is(err, ErrNoLease) {
+		if res, err := s.Do(ctx, Op{Kind: OpSync}); err != nil {
+			return res, err
+		}
+		op.Lease = false
+		return s.Do(ctx, op)
 	}
 	if err != nil {
 		return Result{Zxid: zxid}, err

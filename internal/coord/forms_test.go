@@ -122,43 +122,6 @@ func TestClientForms(t *testing.T) {
 		r.Forms.Doer = rec
 		testFormsBehaviour(t, r, rec)
 	})
-	for _, policy := range []coord.ReadPolicy{coord.ReadLeader, coord.ReadObserver, coord.ReadAny, coord.ReadNearest} {
-		t.Run("ReadRouter/"+string(policy), func(t *testing.T) {
-			e := boot(t, "read-"+string(policy))
-			var counters coord.ReadCounters
-			rr, err := coord.NewReadRouter(coord.RouterConfig{Net: net, Voters: e.ClientAddrs, Policy: policy, Counters: &counters})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { rr.Close() })
-			if rr.Forms.Doer != coord.Doer(rr) {
-				t.Fatal("ReadRouter's forms run over the primary session's Do, not the router's")
-			}
-			rec := &recorder{Doer: rr}
-			rr.Forms.Doer = rec
-			testFormsBehaviour(t, rr, rec)
-
-			// An asynchronous read is placed by the policy like a blocking
-			// one: leader reads go to the lease (or its barrier fallback),
-			// the spreading policies to a replica's plain read.
-			placed := func() (leader, spread uint64) {
-				return counters.Leader.Load() + counters.Fallback.Load(), counters.Voter.Load() + counters.Observer.Load() - counters.Fallback.Load()
-			}
-			leader0, spread0 := placed()
-			if err := rr.Begin(context.Background(), coord.Op{Kind: coord.OpGet, Path: "/cf/a"}).Err(); err != nil {
-				t.Fatal(err)
-			}
-			leader1, spread1 := placed()
-			wantLeader, wantSpread := uint64(0), uint64(1)
-			if policy == coord.ReadLeader {
-				wantLeader, wantSpread = 1, 0
-			}
-			if leader1-leader0 != wantLeader || spread1-spread0 != wantSpread {
-				t.Fatalf("Begin(get) under %s: %d leader-placed and %d spread reads, want %d and %d (split %v)",
-					policy, leader1-leader0, spread1-spread0, wantLeader, wantSpread, counters.Split())
-			}
-		})
-	}
 	t.Run("Wrap(decorator)", func(t *testing.T) {
 		rec := &recorder{Doer: session(t, boot(t, "wrap"))}
 		testFormsBehaviour(t, coord.Wrap(rec), rec)

@@ -11,9 +11,10 @@ import (
 // the one blocking operation primitive, the event wait and a status
 // report. Everything else callers see on a Client is derived from Do,
 // once, by Forms (forms.go) — so an implementation, a decorator or a
-// test double is a Do plus whatever real logic it has. *Session,
-// *ReadRouter and *shard.Router are the three implementations; each
-// embeds Forms over itself.
+// test double is a Do plus whatever real logic it has. *Session (one
+// ensemble) and *shard.Router (many) are the two implementations; each
+// embeds Forms over itself. Which replica of an ensemble answers a
+// session's reads is the order of its address list (DESIGN.md §13.4).
 type Doer interface {
 	// ID returns the 64-bit session identifier minted by the
 	// replicated state machine; DUFS uses it as the client half of new
@@ -32,7 +33,8 @@ type Doer interface {
 	// `go Do`, so concurrent Do calls on one client are the pipelining
 	// (they share its connection) and are mutually UNORDERED. A session
 	// holds at most asyncWindow replicated writes in flight, whichever
-	// form submitted them; reads are not bounded.
+	// form submitted them; reads are not bounded. A read with Op.Lease
+	// set is linearizable on every Session and refused by a shard.Router.
 	//
 	// An aborted batch (OpMulti, OpCheck) returns both: Result.Results
 	// with the failing op's error on its own entry and ErrRolledBack on
@@ -142,7 +144,4 @@ type Client interface {
 	WaitEvent(timeout time.Duration) ([]Event, error)
 }
 
-var (
-	_ Client = (*Session)(nil)
-	_ Client = (*ReadRouter)(nil)
-)
+var _ Client = (*Session)(nil)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/coord/znode"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // Write placement and the last-seen stamp (DESIGN.md §10.4, §10.5): a
@@ -322,5 +323,278 @@ func TestLeaderKillMidFlight(t *testing.T) {
 	}
 	if home && !homeLeads && (counter(next, "writes") == proposed || counter(e.Servers[follower], "writes") != forwarded) {
 		t.Error("the write after the failover did not go to the new leader directly")
+	}
+}
+
+// Read placement (DESIGN.md §13.4): a lease read takes the write's route
+// to the leader and falls back to a Sync and a plain read where there is
+// none; everything else reads at home, and home is the first address of
+// the list that will have the session.
+
+// proposals sums the client transactions the given servers proposed.
+func proposals(servers ...*Server) (n int64) {
+	for _, srv := range servers {
+		n += counter(srv, "writes")
+	}
+	return n
+}
+
+// TestLeaseReadTakesTheWritePath homes a session on a follower and lists
+// the leader behind it. A lease read is answered by the leader, under
+// its lease, in one call delay — home sees nothing of it and no Sync is
+// proposed — whichever form submitted it. A server that holds no lease
+// still refuses the request itself: that is what the session's fallback
+// (TestLeaseReadFallsBackToSync) rests on.
+func TestLeaseReadTakesTheWritePath(t *testing.T) {
+	const d = 20 * time.Millisecond
+	ensembleSeq++
+	e, err := StartEnsemble(EnsembleConfig{
+		Servers:           3,
+		Net:               &transport.Latency{Inner: transport.NewInProc(), Delay: func() time.Duration { return d }},
+		AddrPrefix:        fmt.Sprintf("lease%d", ensembleSeq),
+		HeartbeatInterval: 50 * time.Millisecond,
+		ElectionTimeout:   time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Stop)
+	leader, follower := leaderAndFollower(t, e)
+	s, err := Connect(e.net, []string{e.ClientAddrs[follower], e.ClientAddrs[leader]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	if _, err := s.Create("/leased", []byte("v"), znode.ModePersistent); err != nil {
+		t.Fatal(err)
+	}
+	awaitDirect(t, s)
+
+	leased := Op{Kind: OpGet, Path: "/leased", Lease: true}
+	lead, home := e.Servers[leader], e.Servers[follower]
+	leaseReads, homeReads, proposed := counter(lead, "lease_reads"), counter(home, "reads"), proposals(e.Servers...)
+	const tries = 5
+	best := time.Hour
+	for i := 0; i < tries; i++ {
+		start := time.Now()
+		res, err := s.Do(context.Background(), leased)
+		best = min(best, time.Since(start))
+		if err != nil || string(res.Data) != "v" {
+			t.Fatalf("lease read = %q, %v", res.Data, err)
+		}
+	}
+	if res, err := s.Begin(context.Background(), leased).Result(); err != nil || res.Stat.Version != 0 {
+		t.Fatalf("Begin(lease read) = %+v, %v", res, err)
+	}
+	t.Logf("lease read from a follower-homed session: %v (%.2f call delays)", best, float64(best)/float64(d))
+	if best >= d*3/2 {
+		t.Errorf("lease read took %v, want about one call delay (%v)", best, d)
+	}
+	if got := counter(lead, "lease_reads") - leaseReads; got != tries+1 {
+		t.Errorf("the leader answered %d of %d lease reads under its lease", got, tries+1)
+	}
+	if got := counter(home, "reads") - homeReads; got != 0 {
+		t.Errorf("home answered %d reads of a session that knows the leader", got)
+	}
+	if got := proposals(e.Servers...) - proposed; got != 0 {
+		t.Errorf("%d transactions proposed for lease reads the leader could answer", got)
+	}
+
+	var w wire.Writer
+	w.Uint8(opLeaseRead)
+	w.Uint8(opGet)
+	w.String("/leased")
+	reply, err := home.handleClient(w.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, status, err := splitReply(reply); err != nil || status != ErrNoLease {
+		t.Fatalf("a follower answered a lease read with %v, %v; want it refused with ErrNoLease", status, err)
+	}
+	if got := counter(home, "reads") - homeReads; got != 0 {
+		t.Error("the follower read its replica for the lease read it refused")
+	}
+}
+
+// TestLeaseReadFallsBackToSync takes the lease away and checks the read
+// stays linearizable. The session's home trails the leader (its peer
+// address is delayed), so a plain read there right after another
+// session's write is stale; the lease read is not, 200 times over, and
+// costs exactly one Sync each. Two ways to have no lease: a follower-homed
+// session that cannot reach the leader's client address, and a session
+// whose only address is an observer.
+func TestLeaseReadFallsBackToSync(t *testing.T) {
+	e, faults := startFaultyEnsemble(t)
+	leader, follower := leaderAndFollower(t, e)
+	other := 3 - leader - follower
+	obs := startObserver(t, e, 101)
+	all := append([]*Server{obs}, e.Servers...)
+
+	// The writer's home is the other follower, so it needs neither the
+	// address that gets blocked nor a replica that gets delayed.
+	writer, err := Connect(faults, []string{e.ClientAddrs[other]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { writer.Close() })
+	if _, err := writer.Create("/x", []byte("0"), znode.ModePersistent); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name     string
+		addrs    []string
+		home     *Server
+		homePeer string
+		cut      string // the address that takes the lease out of reach
+	}{
+		{"leader unreachable", []string{e.ClientAddrs[follower], e.ClientAddrs[leader]}, e.Servers[follower],
+			e.cfgs[follower].PeerAddrs[e.Servers[follower].ID()], e.ClientAddrs[leader]},
+		{"observer only", []string{obs.cfg.ClientAddr}, obs, obs.cfg.PeerAddrs[obs.cfg.ID], ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := Connect(faults, c.addrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			if len(c.addrs) > 1 {
+				awaitDirect(t, s)
+			}
+			if c.cut != "" {
+				faults.Block(c.cut)
+				t.Cleanup(func() { faults.Unblock(c.cut) })
+			}
+			faults.SetDelay(c.homePeer, 3*time.Millisecond)
+			t.Cleanup(func() { faults.SetDelay(c.homePeer, 0) })
+
+			stale := 0
+			for i := 1; i <= 200; i++ {
+				want := fmt.Sprintf("%s %d", c.name, i)
+				if _, err := writer.Set("/x", []byte(want), -1); err != nil {
+					t.Fatal(err)
+				}
+				if data, _, _ := c.home.sm.treeRef().Get("/x"); string(data) != want {
+					stale++ // what a plain read at home would answer now
+				}
+				leaseReads, proposed := counter(c.home, "lease_reads")+counter(e.Servers[leader], "lease_reads"), proposals(all...)
+				res, err := s.Do(context.Background(), Op{Kind: OpGet, Path: "/x", Lease: true})
+				if err != nil {
+					t.Fatalf("lease read with no lease in reach: %v", err)
+				}
+				if string(res.Data) != want {
+					t.Fatalf("round %d: lease read %q after %q was acknowledged to another session", i, res.Data, want)
+				}
+				if got := proposals(all...) - proposed; got != 1 {
+					t.Fatalf("round %d: %d transactions proposed for one fallen-back lease read, want one Sync", i, got)
+				}
+				if got := counter(c.home, "lease_reads") + counter(e.Servers[leader], "lease_reads") - leaseReads; got != 0 {
+					t.Fatalf("round %d: a lease read was served although none was in reach", i)
+				}
+			}
+			if stale == 0 {
+				t.Error("home never trailed the writer: the test did not exercise a read that would have been stale")
+			}
+			t.Logf("home trailed the acknowledged write in %d of 200 rounds", stale)
+		})
+	}
+}
+
+// TestObserverFirstFailover is read placement by address order, under
+// faults. A session over [o1, o2, v1, v2, v3] reads on o1. o1 goes dark
+// on both planes with 32 readers at work: every read resolves, by one
+// failover to o2, and o2 stays home after o1 is back. Then o2 is cut
+// off the log stream only — alive to clients, falling behind — and the
+// session writes: the next read carries the write's zxid, o2 holds it,
+// refuses it, and a voter answers with what was written.
+func TestObserverFirstFailover(t *testing.T) {
+	e, faults := startFaultyEnsemble(t)
+	o1, o2 := startObserver(t, e, 101), startObserver(t, e, 102)
+	s, err := Connect(faults, append([]string{o1.cfg.ClientAddr, o2.cfg.ClientAddr}, e.ClientAddrs...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	if _, err := s.Create("/f", []byte("old"), znode.ModePersistent); err != nil {
+		t.Fatal(err)
+	}
+	awaitDirect(t, s)
+	place := func() (cur int, gen uint64) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.cur, s.connGen
+	}
+	if cur, gen := place(); cur != 0 || gen != 1 {
+		t.Fatalf("session homed on address %d (generation %d), want the first observer", cur, gen)
+	}
+
+	// Each read spends 2 ms on the way to o1, so all 32 readers are inside
+	// a call whenever the block lands.
+	const readers, each = 32, 40
+	faults.SetDelay(o1.cfg.ClientAddr, 2*time.Millisecond)
+	before := counter(o1, "reads")
+	errs := make(chan error, readers)
+	for i := 0; i < readers; i++ {
+		go func() {
+			for j := 0; j < each; j++ {
+				if _, _, err := s.Get("/f"); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); counter(o1, "reads")-before < readers; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the readers never reached the first observer")
+		}
+	}
+	faults.Block(o1.cfg.ClientAddr, o1.cfg.PeerAddrs[o1.cfg.ID])
+	for i := 0; i < readers; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("a read did not survive the observer going dark: %v", err)
+		}
+	}
+	if got := counter(o1, "reads") - before; got >= readers*each {
+		t.Fatal("every read was answered before the block landed; nothing failed over")
+	}
+	if cur, gen := place(); cur != 1 || gen != 2 {
+		t.Fatalf("home is address %d after %d dials, want the second observer after one failover", cur, gen)
+	}
+
+	faults.Unblock(o1.cfg.ClientAddr, o1.cfg.PeerAddrs[o1.cfg.ID])
+	faults.SetDelay(o1.cfg.ClientAddr, 0)
+	before = counter(o1, "reads")
+	for i := 0; i < 10; i++ {
+		if _, _, err := s.Get("/f"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cur, gen := place(); cur != 1 || gen != 2 || counter(o1, "reads") != before {
+		t.Fatalf("home moved (address %d, generation %d) once the first observer was back; it is sticky", cur, gen)
+	}
+
+	faults.Block(o2.cfg.PeerAddrs[o2.cfg.ID])
+	refused := counter(o2, "stamp_refusals")
+	if _, err := s.Set("/f", []byte("new"), -1); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	data, _, err := s.Get("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != "new" {
+		t.Fatalf("read %q after writing %q", data, "new")
+	}
+	if held := time.Since(start); held < stampWait {
+		t.Errorf("the read came back after %v; the lagging observer should have held it for %v", held, stampWait)
+	}
+	if got := counter(o2, "stamp_refusals") - refused; got != 1 {
+		t.Errorf("the lagging observer refused %d reads, want 1", got)
+	}
+	if cur, _ := place(); cur != 2 {
+		t.Errorf("home is address %d after the refusal, want the first voter", cur)
 	}
 }

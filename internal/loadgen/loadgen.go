@@ -340,11 +340,11 @@ type Result struct {
 	AckedWrites int64    `json:"acked_writes"`
 	AckedPaths  []string `json:"-"`
 
-	// ReadFrom and ReadSplit describe policy-routed read runs: the
-	// routing policy the harness drove reads through and where those
-	// reads were actually served (leader / voter / observer, plus
-	// failover and lease-fallback counts). Populated by the caller —
-	// the generator itself is routing-agnostic.
+	// ReadFrom is the read placement the harness connected its sessions
+	// with, ReadSplit where the run's reads were served, by the servers'
+	// own count (cluster.ReadSplit: a member restarted during the run
+	// contributes what it counted since its last start, one down at the
+	// end nothing). Both are filled in by the caller.
 	ReadFrom  string            `json:"read_from,omitempty"`
 	ReadSplit map[string]uint64 `json:"read_split,omitempty"`
 }
