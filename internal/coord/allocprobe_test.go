@@ -2,6 +2,7 @@ package coord
 
 import (
 	"fmt"
+	"runtime/metrics"
 	"testing"
 	"time"
 
@@ -60,4 +61,99 @@ func TestWriteAllocBudget(t *testing.T) {
 	if n > writeAllocBudget {
 		t.Fatalf("write path allocates %v per op, budget is %d", n, writeAllocBudget)
 	}
+}
+
+// writeWakeupBudget is the ceiling on sampled scheduler wake-ups per
+// replicated write over TCP loopback (TestWriteWakeupBudget). Waking
+// only the goroutine whose condition changed, applying on the
+// goroutine that commits and serving each request on the goroutine
+// that read it took the figure from 12.5 to 8.7 on a 2-vCPU box.
+const writeWakeupBudget = 10.0
+
+// TestWriteWakeupBudget pins how many goroutine wake-ups a write costs
+// end to end on a three-voter ensemble over TCP loopback, with durable
+// members as cmd/coordd runs them: one leader-homed and one
+// follower-homed session each send sequential creates, and the count
+// is the growth of the runtime's /sched/latencies:seconds histogram per
+// write. The runtime does not record every wake-up: it marks one in
+// eight of a goroutine's transitions out of running (a block, or a
+// syscall) and records the latency when that goroutine next runs, so
+// the figure is a sample — about an eighth of the transitions — steady
+// enough at this write count to catch a hand-off, a spurious broadcast
+// or an extra syscall coming back.
+func TestWriteWakeupBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation reschedules goroutines")
+	}
+	ports := map[string]string{}
+	e, err := StartEnsemble(EnsembleConfig{
+		Servers: 3,
+		Net:     transport.TCP{},
+		AddrFor: func(id uint64, kind string) string {
+			key := fmt.Sprint(kind, id)
+			if ports[key] == "" {
+				ports[key] = pickFreePort(t)
+			}
+			return ports[key]
+		},
+		HeartbeatInterval: 50 * time.Millisecond,
+		ElectionTimeout:   time.Second,
+		MaxLogEntries:     1 << 20,
+		DataDir:           t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Stop)
+	leader := -1
+	for i, s := range e.Servers {
+		if s.IsLeader() {
+			leader = i
+		}
+	}
+	const writes = 3000
+	for _, home := range []struct {
+		name  string
+		index int
+	}{{"leader-homed", leader}, {"follower-homed", (leader + 1) % 3}} {
+		s := connect(t, e, home.index)
+		dir := "/" + home.name
+		if _, err := s.Create(dir, nil, znode.ModePersistent); err != nil {
+			t.Fatal(err)
+		}
+		paths := make([]string, 2*writes)
+		for i := range paths {
+			paths[i] = fmt.Sprintf("%s/n%d", dir, i)
+		}
+		// The first half warms up: worker goroutines exist, stacks have
+		// grown and the follower-homed session has found the leader.
+		for _, p := range paths[:writes] {
+			if _, err := s.Create(p, nil, znode.ModePersistent); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := schedSamples()
+		for _, p := range paths[writes:] {
+			if _, err := s.Create(p, nil, znode.ModePersistent); err != nil {
+				t.Fatal(err)
+			}
+		}
+		per := float64(schedSamples()-before) / writes
+		t.Logf("%s: %.2f sampled wake-ups per write (budget %.1f)", home.name, per, writeWakeupBudget)
+		if per > writeWakeupBudget {
+			t.Errorf("%s: a write costs %.2f sampled wake-ups, budget is %.1f", home.name, per, writeWakeupBudget)
+		}
+	}
+}
+
+// schedSamples is the sample count of the runtime's scheduling-latency
+// histogram.
+func schedSamples() uint64 {
+	s := []metrics.Sample{{Name: "/sched/latencies:seconds"}}
+	metrics.Read(s)
+	var n uint64
+	for _, c := range s[0].Value.Float64Histogram().Counts {
+		n += c
+	}
+	return n
 }

@@ -421,9 +421,11 @@ func (s *Server) serveLocal(q localReq) ([]byte, error) {
 		}
 		s.reg.Counter("reads").Inc()
 		s.dispatch.barrier()
-		stat, ok := s.sm.treeRef().Exists(path)
-		// exists() watches fire on creation too, so register either way.
+		// exists() watches fire on creation too, so register either way —
+		// and before the read, like GetW, so a mutation between the two
+		// fires the watch instead of slipping past it.
 		s.watches.register(watchData, path, session)
+		stat, ok := s.sm.treeRef().Exists(path)
 		return okResult(func(w *wire.Writer) {
 			w.Bool(ok)
 			encodeStat(w, stat)

@@ -2,6 +2,7 @@ package coord
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/coord/znode"
@@ -71,6 +72,11 @@ const (
 
 // watchTable is one server's watch state.
 type watchTable struct {
+	// armed counts the watches in data and children. It changes only
+	// under mu, and is read without it by the apply side, which skips
+	// watch delivery altogether while it is zero (watchDispatcher).
+	armed atomic.Int64
+
 	mu sync.Mutex
 	// data[path] and children[path] hold the waiting session IDs.
 	data     map[string]map[uint64]bool
@@ -172,7 +178,10 @@ func (w *watchTable) register(kind watchKind, path string, session uint64) {
 		set = make(map[uint64]bool)
 		m[path] = set
 	}
-	set[session] = true
+	if !set[session] {
+		set[session] = true
+		w.armed.Add(1)
+	}
 }
 
 // unregister removes a pending watch (used when the guarded read
@@ -184,8 +193,9 @@ func (w *watchTable) unregister(kind watchKind, path string, session uint64) {
 	if kind == watchChildren {
 		m = w.children
 	}
-	if set := m[path]; set != nil {
+	if set := m[path]; set[session] {
 		delete(set, session)
+		w.armed.Add(-1)
 		if len(set) == 0 {
 			delete(m, path)
 		}
@@ -206,6 +216,7 @@ func (w *watchTable) fire(kind watchKind, path string, ev Event) {
 		return
 	}
 	delete(m, path)
+	w.armed.Add(-int64(len(set)))
 	for session := range set {
 		w.queues[session] = append(w.queues[session], ev)
 		w.wake(session)
@@ -225,16 +236,16 @@ func (w *watchTable) drain(session uint64) []Event {
 func (w *watchTable) dropSession(session uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for path, set := range w.data {
-		delete(set, session)
-		if len(set) == 0 {
-			delete(w.data, path)
-		}
-	}
-	for path, set := range w.children {
-		delete(set, session)
-		if len(set) == 0 {
-			delete(w.children, path)
+	for _, m := range []map[string]map[uint64]bool{w.data, w.children} {
+		for path, set := range m {
+			if !set[session] {
+				continue
+			}
+			delete(set, session)
+			w.armed.Add(-1)
+			if len(set) == 0 {
+				delete(m, path)
+			}
 		}
 	}
 	delete(w.queues, session)

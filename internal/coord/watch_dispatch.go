@@ -38,8 +38,21 @@ func newWatchDispatcher(watches *watchTable) *watchDispatcher {
 	return d
 }
 
-// dispatch is the state machine's notify callback.
+// dispatch is the state machine's notify callback. While no watch is
+// armed on this server it returns at once, and a replica nobody watches
+// never wakes the dispatcher. That misses no event: the state machine
+// notifies after its mutation released the znode stripe lock, and a
+// watched read registers its watch before it takes that stripe lock to
+// read (GetW, ExistsW, ChildrenW). If the read's lock came first, the
+// registration happens-before the mutation and so before this load,
+// which sees the watch; if this load sees zero, the read's lock came
+// after the mutation, so the read returned the mutated state and no
+// event is owed for it. A closed session is always queued: dropping it
+// releases its parked WaitEvents, watched or not.
 func (d *watchDispatcher) dispatch(op uint8, path string, session uint64, ok bool) {
+	if op != opCloseSession && d.watches.armed.Load() == 0 {
+		return
+	}
 	d.mu.Lock()
 	d.queue = append(d.queue, notifyRec{op: op, path: path, session: session, ok: ok})
 	d.enqueued++

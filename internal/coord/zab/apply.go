@@ -17,8 +17,9 @@ const maxApplyQueueFrames = 256
 // enqueueCommittedLocked moves committed-but-unqueued frames from the
 // log onto the apply queue, in zxid order, up to the queue bound. The
 // bound is a pull window: when the queue is full the remainder stays
-// in the log and the apply loop pulls it after draining (and the
-// proposer stops admitting new frames until then).
+// in the log and the applier pulls it after draining (and the
+// proposer stops admitting new frames until then). Waking an applier
+// is the caller's part.
 func (n *Node) enqueueCommittedLocked() {
 	if len(n.applyQ) >= maxApplyQueueFrames {
 		return
@@ -39,7 +40,6 @@ func (n *Node) enqueueCommittedLocked() {
 	}
 	n.gApplyQueue.Set(int64(len(n.applyQ)))
 	n.gApplyLag.Set(int64(n.applyLagTxns))
-	n.applyCond.Signal()
 }
 
 // maxApplyRunTxns caps how many txns one coalesced apply run hands the
@@ -47,105 +47,129 @@ func (n *Node) enqueueCommittedLocked() {
 // latency for the frames at the front of the run.
 const maxApplyRunTxns = 256
 
-// applyLoop is the apply side of the commit→apply split: it drains the
-// queue that advanceCommitLocked feeds and runs the state machine
-// OUTSIDE the node mutex, so proposer drains, follower acks,
-// heartbeats, and reads never queue behind state-machine work.
-// Adjacent frames of the same epoch are coalesced into one run so the
-// state machine can schedule path-disjoint txns across frame
-// boundaries too. Waiter wakeup, lastApplied advancement, and log
-// truncation all live here now.
+// applyLoop is the apply side of the commit→apply split on a member
+// that does not lead: it drains the queue that advanceCommitLocked
+// feeds and runs the state machine OUTSIDE the node mutex, so follower
+// acks, heartbeats and reads never queue behind state-machine work. A
+// follower keeps the hand-off because the goroutine that commits there
+// is answering the leader: applying on it would sit on the ack path. A
+// leader applies on the goroutine that commits (applyCommitted) and
+// leaves this loop what that goroutine cannot take.
 func (n *Node) applyLoop() {
 	defer n.wg.Done()
-	var frames []Frame  // drained applyQ, reused across iterations
-	var merged [][]byte // cross-frame coalescing scratch
 	for {
 		n.mu.Lock()
 		for !n.stopped && len(n.applyQ) == 0 {
 			n.applyCond.Wait()
 		}
-		if n.stopped {
-			n.mu.Unlock()
+		stopped := n.stopped
+		n.mu.Unlock()
+		if stopped {
 			return
 		}
-		frames = append(frames[:0], n.applyQ...)
-		n.applyQ = n.applyQ[:0]
-		gen := n.applyGen
-		n.mu.Unlock()
-
-		// applyMu → mu is the global order; while we hold applyMu,
-		// lastApplied only moves here. A snapshot install (which also
-		// takes applyMu) may have overtaken the drained frames — it
-		// bumps applyGen and re-enqueues whatever is still needed, so a
-		// stale drain is discarded wholesale rather than applied onto
-		// the wrong base state.
 		n.applyMu.Lock()
-		n.mu.Lock()
-		if gen != n.applyGen {
-			n.mu.Unlock()
-			n.applyMu.Unlock()
-			continue
-		}
-		n.mu.Unlock()
-
-		for i := 0; i < len(frames); {
-			e := frames[i]
-			if e.Noop {
-				n.mu.Lock()
-				n.setAppliedLocked(e.Zxid)
-				n.applyLagTxns--
-				n.wakeWaiterLocked(e.Zxid, nil)
-				n.wakeAppliedLocked()
-				n.mu.Unlock()
-				i++
-				continue
-			}
-			// Coalesce a contiguous same-epoch run of txn frames.
-			j := i + 1
-			txns := e.Txns
-			total := len(e.Txns)
-			for j < len(frames) && !frames[j].Noop &&
-				frames[j].Zxid == frames[j-1].Last()+1 &&
-				total+len(frames[j].Txns) <= maxApplyRunTxns {
-				total += len(frames[j].Txns)
-				j++
-			}
-			if j > i+1 {
-				merged = merged[:0]
-				for k := i; k < j; k++ {
-					merged = append(merged, frames[k].Txns...)
-				}
-				txns = merged
-			}
-			results := n.sm.ApplyBatch(txns, e.Zxid)
-			n.mu.Lock()
-			off := 0
-			for k := i; k < j; k++ {
-				f := frames[k]
-				n.setAppliedLocked(f.Last())
-				for t := range f.Txns {
-					var res []byte
-					if off+t < len(results) {
-						res = results[off+t]
-					}
-					n.wakeWaiterLocked(f.Zxid+uint64(t), res)
-				}
-				off += len(f.Txns)
-				n.applyLagTxns -= len(f.Txns)
-			}
-			n.wakeAppliedLocked()
-			n.gApplyLag.Set(int64(n.applyLagTxns))
-			n.mu.Unlock()
-			i = j
-		}
+		n.drainApplyQueue()
 		n.applyMu.Unlock()
+	}
+}
 
+// applyCommitted applies the frames a leader's commit advance just
+// queued, on the goroutine that advanced it — a window completion or
+// the leader sync loop — so the proposers are woken without a hand-off
+// to applyLoop. If applyMu is taken (an applier finishing up, a
+// snapshot being cut, a follower's snapshot pull being served),
+// applyLoop is signalled to take the frames once it is free.
+func (n *Node) applyCommitted() {
+	if !n.applyMu.TryLock() {
+		n.mu.Lock()
+		n.applyCond.Signal()
+		n.mu.Unlock()
+		return
+	}
+	n.drainApplyQueue()
+	n.applyMu.Unlock()
+}
+
+// drainApplyQueue applies queued frames until the queue is empty. The
+// caller holds applyMu, and the queue is drained only AFTER applyMu is
+// taken: two appliers can never hold drained batches at once, and no
+// snapshot install (syncFromLeader) or snapshot cut (handleSync,
+// snapshotLoop) can come between a drain and its apply — so apply
+// order is zxid order. While it runs, n.applying tells a committer that
+// the frames it queues will be taken here.
+func (n *Node) drainApplyQueue() {
+	n.mu.Lock()
+	for len(n.applyQ) > 0 && !n.stopped {
+		n.applying = true
+		frames := append(n.applyBatch[:0], n.applyQ...)
+		n.applyBatch = frames
+		n.applyQ = n.applyQ[:0]
+		n.mu.Unlock()
+		n.applyFrames(frames)
 		n.mu.Lock()
 		n.enqueueCommittedLocked() // pull the window the bound withheld
 		n.maybeTruncateLocked()
-		n.gApplyQueue.Set(int64(len(n.applyQ)))
-		n.leaderCond.Broadcast() // reopen the proposer's backpressure gate
+		if n.propGate == propApplyQ {
+			n.propCond.Signal()
+		}
+	}
+	n.applying = false
+	n.mu.Unlock()
+}
+
+// applyFrames runs drained frames through the state machine and wakes
+// their waiters. Adjacent frames of the same epoch are coalesced into
+// one ApplyBatch, so group-commit framing survives the queue hop.
+func (n *Node) applyFrames(frames []Frame) {
+	for i := 0; i < len(frames); {
+		e := frames[i]
+		if e.Noop {
+			n.mu.Lock()
+			n.setAppliedLocked(e.Zxid)
+			n.applyLagTxns--
+			n.wakeWaiterLocked(e.Zxid, nil)
+			n.wakeAppliedLocked()
+			n.mu.Unlock()
+			i++
+			continue
+		}
+		// Coalesce a contiguous same-epoch run of txn frames.
+		j := i + 1
+		txns := e.Txns
+		total := len(e.Txns)
+		for j < len(frames) && !frames[j].Noop &&
+			frames[j].Zxid == frames[j-1].Last()+1 &&
+			total+len(frames[j].Txns) <= maxApplyRunTxns {
+			total += len(frames[j].Txns)
+			j++
+		}
+		if j > i+1 {
+			n.applyMerged = n.applyMerged[:0]
+			for k := i; k < j; k++ {
+				n.applyMerged = append(n.applyMerged, frames[k].Txns...)
+			}
+			txns = n.applyMerged
+		}
+		results := n.sm.ApplyBatch(txns, e.Zxid)
+		n.mu.Lock()
+		off := 0
+		for k := i; k < j; k++ {
+			f := frames[k]
+			n.setAppliedLocked(f.Last())
+			for t := range f.Txns {
+				var res []byte
+				if off+t < len(results) {
+					res = results[off+t]
+				}
+				n.wakeWaiterLocked(f.Zxid+uint64(t), res)
+			}
+			off += len(f.Txns)
+			n.applyLagTxns -= len(f.Txns)
+		}
+		n.wakeAppliedLocked()
+		n.gApplyLag.Set(int64(n.applyLagTxns))
 		n.mu.Unlock()
+		i = j
 	}
 }
 

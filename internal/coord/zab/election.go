@@ -135,7 +135,12 @@ func (n *Node) failLeaderLocked(err error) {
 	n.gObsLagMS.Set(0)
 	n.gQueue.Set(0)
 	n.gInflight.Set(0)
-	n.leaderCond.Broadcast()
+	// Every leader goroutine of the retired generation exits on its next
+	// check; the streams are leader-only state, like the learners.
+	n.propCond.Broadcast()
+	n.syncCond.Broadcast()
+	n.wakeStreamsLocked()
+	n.streams = nil
 }
 
 // leaderGenLocked reports whether the node still leads under the given
@@ -273,10 +278,9 @@ func (n *Node) becomeLeader(epoch uint64) {
 	gen := n.leaderGen
 	// Every stream starts at our own tip: a follower that matches it
 	// attaches the barrier, any other answers NeedSync and syncs.
-	tip := n.lastZxidLocked()
 	for id := range n.cfg.Peers {
 		if id != n.cfg.ID {
-			n.streams[id] = &followerStream{sent: tip, base: tip}
+			n.streams[id] = n.newStreamLocked(false)
 		}
 	}
 	n.wg.Add(2 + len(n.streams))
@@ -285,7 +289,6 @@ func (n *Node) becomeLeader(epoch uint64) {
 	for id, s := range n.streams {
 		go n.senderLoop(gen, id, s)
 	}
-	n.leaderCond.Broadcast()
 	n.mu.Unlock()
 }
 

@@ -121,9 +121,10 @@ func (n *Node) beatLearnersLocked(req heartbeatReq) {
 // dropLearnerLocked forgets one observer: its sender exits, its address
 // and connection go. The observer's contact timer brings it back.
 func (n *Node) dropLearnerLocked(id uint64) {
-	n.learners[id].dropped = true
+	s := n.learners[id]
+	s.dropped = true
 	delete(n.learners, id)
-	n.leaderCond.Broadcast()
+	s.cond.Signal() // its sender is the only goroutine that reads dropped
 	n.connMu.Lock()
 	delete(n.learnerAddrs, id)
 	n.connMu.Unlock()
@@ -156,8 +157,7 @@ func (n *Node) handleJoin(m joinReq) ([]byte, error) {
 		if n.learners == nil {
 			n.learners = make(map[uint64]*followerStream)
 		}
-		tip := n.lastZxidLocked()
-		s = &followerStream{sent: tip, base: tip, attach: true}
+		s = n.newStreamLocked(true)
 		n.learners[m.ID] = s
 		n.wg.Add(1)
 		go n.senderLoop(n.leaderGen, m.ID, s)

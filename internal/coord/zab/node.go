@@ -262,8 +262,17 @@ type Node struct {
 	// Leader-side group-commit state. leaderGen increments on every
 	// leadership transition; the proposer and sender goroutines carry
 	// the generation they were started under and exit when it moves.
+	//
+	// Each leader goroutine sleeps on a condition of its own — the
+	// proposer on propCond, the sync loop on syncCond, each stream's
+	// sender on followerStream.cond — and a state change signals only
+	// the waiters whose predicate it can change (DESIGN §9.5).
+	// propGate records what the waiting proposer waits for.
 	leaderGen uint64
 	propQ     []*pendingTxn
+	propCond  *sync.Cond
+	propGate  proposerGate
+	syncCond  *sync.Cond
 	// batchScratch is drainBatchLocked's reusable output buffer,
 	// consumed within one proposer iteration under mu.
 	batchScratch []*pendingTxn
@@ -273,7 +282,6 @@ type Node struct {
 	waiters       map[uint64]*pendingTxn     // txn zxid -> waiter (leader only)
 	streams       map[uint64]*followerStream // peer -> its log stream (leader only)
 	stallSince    time.Time                  // commit horizon stuck since
-	leaderCond    *sync.Cond                 // work/window/role changes
 	tipsScratch   []uint64                   // quorum-sort scratch, under mu
 
 	// Follower-side commit discipline: verified is the highest zxid up
@@ -296,21 +304,25 @@ type Node struct {
 	applyWaiters map[uint64][]chan struct{}
 
 	// Commit→apply pipeline state. Committed frames are enqueued on
-	// applyQ (bounded by maxApplyQueueFrames) and drained by the
-	// applyLoop goroutine, which runs the state machine outside mu.
+	// applyQ (bounded by maxApplyQueueFrames) and applied outside mu by
+	// whoever holds applyMu and drains it: on a leader, the goroutine
+	// that advanced the commit horizon; otherwise the applyLoop
+	// goroutine.
 	//
 	// applyMu is the state-machine transition lock: it serializes
-	// applyLoop batches against snapshot installs (syncFromLeader),
+	// apply drains against snapshot installs (syncFromLeader),
 	// snapshot serialization (snapshotLoop, handleSync). The global lock
-	// order is applyMu BEFORE mu —
-	// never acquire applyMu while holding mu. While applyMu is held,
-	// lastApplied can only be advanced by the holder.
+	// order is applyMu BEFORE mu — never block on applyMu while holding
+	// mu. The queue is drained only under applyMu, so while applyMu is
+	// held lastApplied can only be advanced by the holder.
 	applyMu       sync.Mutex
 	applyQ        []Frame
-	applyCond     *sync.Cond // signalled when applyQ gains work or on stop
+	applyCond     *sync.Cond // signalled when applyQ gains work no applier will take, or on stop
+	applying      bool       // an applier holds applyMu and will drain applyQ until it is empty
 	applyEnqueued uint64     // highest zxid moved from log to applyQ
 	applyLagTxns  int        // committed txns not yet applied (gauge feed)
-	applyGen      uint64     // bumped on snapshot install; applyLoop discards stale drains
+	applyBatch    []Frame    // drained applyQ, reused; under applyMu
+	applyMerged   [][]byte   // cross-frame coalescing scratch; under applyMu
 
 	// Durable-storage state: the coverage of the newest durable
 	// snapshot — in-memory truncation may not outrun it,
@@ -405,7 +417,8 @@ func NewNode(cfg Config, sm StateMachine) (*Node, error) {
 		gApplyQueue:   cfg.Metrics.Gauge("zab.apply.queue_depth"),
 		cSnapInstalls: cfg.Metrics.Counter("zab.snapshot_installs"),
 	}
-	n.leaderCond = sync.NewCond(&n.mu)
+	n.propCond = sync.NewCond(&n.mu)
+	n.syncCond = sync.NewCond(&n.mu)
 	n.applyCond = sync.NewCond(&n.mu)
 	n.snapReq = make(chan struct{}, 1)
 	if err := n.recoverFromStorage(); err != nil {
@@ -453,7 +466,6 @@ func (n *Node) Stop() {
 	}
 	n.role = roleFollower // a stopped node must not report leadership
 	n.leaderID = 0
-	n.leaderCond.Broadcast()
 	n.applyCond.Broadcast()
 	n.mu.Unlock()
 	close(n.stopCh)

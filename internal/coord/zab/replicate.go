@@ -2,6 +2,7 @@ package zab
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -228,22 +229,33 @@ func (n *Node) tipAdvancedLocked() {
 // once.
 func (n *Node) followCommitLocked(commit uint64) {
 	n.leaderCommit = max(n.leaderCommit, commit)
-	n.advanceCommitLocked(min(n.leaderCommit, n.verified))
+	if n.advanceCommitLocked(min(n.leaderCommit, n.verified)) {
+		n.applyCond.Signal()
+	}
 }
 
 // advanceCommitLocked raises the commit horizon (bounded by what we
-// actually hold) and hands newly committed entries to the apply loop.
-func (n *Node) advanceCommitLocked(commit uint64) {
+// actually hold) and queues the newly committed frames for apply. It
+// reports whether the horizon moved; waking an applier is the caller's
+// part, because on a leader the caller may apply them itself.
+func (n *Node) advanceCommitLocked(commit uint64) bool {
 	if commit > n.lastZxidLocked() {
 		commit = n.lastZxidLocked()
 	}
 	if commit <= n.commitZxid {
-		return
+		return false
 	}
 	n.commitZxid = commit
 	n.stallSince = time.Time{}
 	n.enqueueCommittedLocked()
-	n.leaderCond.Broadcast() // the pipelining window may have opened
+	// Each stream carries the new horizon on its next window, an empty
+	// one if it has no frames to send; the pipelining window may have
+	// opened for a proposer gated on it.
+	n.wakeStreamsLocked()
+	if n.propGate == propWindow {
+		n.propCond.Signal()
+	}
+	return true
 }
 
 // triggerSyncLocked schedules a pull-based catch-up from the leader.
@@ -309,12 +321,11 @@ func (n *Node) syncFromLeader(leader, from uint64) {
 		n.log = nil
 		// Reset the apply pipeline around the installed state: queued
 		// frames describe transitions from the pre-install state and
-		// must not run, and any drain the apply loop already holds is
-		// invalidated via the generation bump.
+		// must not run. No applier holds a drained batch — the queue is
+		// drained only under applyMu, which this install holds.
 		n.applyQ = n.applyQ[:0]
 		n.applyEnqueued = resp.SnapZxid
 		n.applyLagTxns = 0
-		n.applyGen++
 		n.gApplyQueue.Set(0)
 		n.gApplyLag.Set(0)
 		n.cSnapInstalls.Inc()
@@ -348,6 +359,7 @@ func (n *Node) syncFromLeader(leader, from uint64) {
 	// but an install may have rewound applyEnqueued below an unchanged
 	// commitZxid — re-enqueue explicitly so the gap replays.
 	n.enqueueCommittedLocked()
+	n.applyCond.Signal()
 }
 
 // handleSync runs on the leader: ship either the log suffix after
@@ -487,7 +499,9 @@ func (n *Node) proposeAsLeader(txn []byte, noop bool) (proposeOutcome, error) {
 	}
 	n.propQ = append(n.propQ, p)
 	n.gQueue.Set(int64(len(n.propQ)))
-	n.leaderCond.Broadcast()
+	if n.propGate == propIdle {
+		n.propCond.Signal()
+	}
 	n.mu.Unlock()
 
 	timer := getProposeTimer(proposeTimeout)
@@ -513,30 +527,71 @@ func (n *Node) uncommittedFramesLocked() int {
 	return len(n.log) - i
 }
 
+// proposerGate is what keeps the proposer from building its next
+// frame: the signal that can lift each gate is sent only while the
+// proposer waits on that gate.
+type proposerGate uint8
+
+const (
+	propOpen   proposerGate = iota // it can build a frame now (or is building one)
+	propIdle                       // the queue is empty: lifted by an enqueue
+	propWindow                     // MaxInflightFrames uncommitted: lifted by a commit advance
+	propApplyQ                     // the apply queue is full: lifted by an apply drain
+)
+
+// proposerGateLocked names the gate the proposer must wait on, or
+// propOpen. The epoch barrier is exempt from the pipelining window: a
+// leader elected with an inherited uncommitted tail of
+// MaxInflightFrames or more frames must still propose its barrier,
+// because nothing inherited can commit until a current-epoch frame
+// exists (the §5.4.2 rule) — gating the barrier on the window would
+// livelock the whole shard. The same exemption covers the apply-queue
+// bound, which is the commit→apply backpressure: a full queue stops NEW
+// txn frames so a slow state machine cannot grow the log without bound.
+func (n *Node) proposerGateLocked() proposerGate {
+	switch {
+	case len(n.propQ) == 0:
+		return propIdle
+	case n.propQ[0].noop:
+		return propOpen
+	case n.uncommittedFramesLocked() >= n.cfg.MaxInflightFrames:
+		return propWindow
+	case len(n.applyQ) >= maxApplyQueueFrames:
+		return propApplyQ
+	}
+	return propOpen
+}
+
 // proposerLoop is the group-commit heart: it drains the proposal
 // queue, coalesces pending transactions into one frame bounded by
 // MaxBatchTxns/maxBatchBytes, appends it to the log and hands it to
 // the per-follower senders — without waiting for the previous frame's
-// acks, up to MaxInflightFrames outstanding.
+// acks, up to MaxInflightFrames outstanding. It stays a goroutine of
+// its own: the delay of its wake-up is the batching window, in which
+// the proposals that arrive meanwhile join the frame; a handler that
+// built the frame itself would leave no such window.
 func (n *Node) proposerLoop(gen uint64) {
 	defer n.wg.Done()
 	for {
 		n.mu.Lock()
-		// The epoch barrier is exempt from the pipelining window: a
-		// leader elected with an inherited uncommitted tail of
-		// MaxInflightFrames or more frames must still propose its
-		// barrier, because nothing inherited can commit until a
-		// current-epoch frame exists (the §5.4.2 rule) — gating the
-		// barrier on the window would livelock the whole shard. The
-		// same exemption covers the apply-queue bound, which is the
-		// commit→apply backpressure: a full queue stops NEW txn frames
-		// so a slow state machine cannot grow the log without bound.
-		for n.leaderGenLocked(gen) &&
-			(len(n.propQ) == 0 ||
-				(!n.propQ[0].noop &&
-					(n.uncommittedFramesLocked() >= n.cfg.MaxInflightFrames ||
-						len(n.applyQ) >= maxApplyQueueFrames))) {
-			n.leaderCond.Wait()
+		for n.leaderGenLocked(gen) {
+			if n.propGate = n.proposerGateLocked(); n.propGate == propOpen {
+				break
+			}
+			idle := n.propGate == propIdle
+			n.propCond.Wait()
+			if idle && n.uncommittedFramesLocked() > 1 {
+				// The enqueue's Signal makes the proposer the next goroutine
+				// to run where the enqueuer blocks, so it would cut a frame
+				// per proposal. With two or more frames in flight, proposals
+				// arrive faster than a quorum round trip drains them and the
+				// next ones are already runnable: yield once so they join
+				// this frame. An idle pipeline — one or two closed-loop
+				// writers — proposes at once.
+				n.mu.Unlock()
+				runtime.Gosched()
+				n.mu.Lock()
+			}
 		}
 		if !n.leaderGenLocked(gen) {
 			n.mu.Unlock()
@@ -582,11 +637,18 @@ func (n *Node) proposerLoop(gen uint64) {
 		}
 		n.log = append(n.log, e)
 		n.gInflight.Set(int64(n.uncommittedFramesLocked()))
+		n.wakeStreamsLocked()
+		if n.lastZxidLocked() > n.st.LastDurableZxid() {
+			n.syncCond.Signal()
+		}
 		// A single-member "quorum" commits once the store reports the
 		// frame durable (on append, or when the sync loop's fsync covers
-		// it); otherwise the senders' acks advance the horizon.
-		n.maybeAdvanceLeaderCommitLocked()
-		n.leaderCond.Broadcast()
+		// it); otherwise the senders' acks advance the horizon. The
+		// proposer leaves the apply to applyLoop: its own next turn is
+		// the next frame.
+		if n.advanceLeaderCommitLocked() {
+			n.applyCond.Signal()
+		}
 		n.mu.Unlock()
 	}
 }
@@ -625,14 +687,17 @@ func (n *Node) drainBatchLocked() []*pendingTxn {
 	return batch
 }
 
-// maybeAdvanceLeaderCommitLocked recomputes the quorum-replicated
-// horizon from the cumulative acks and commits every frame of the
-// CURRENT epoch fully below it (frames inherited from older epochs
-// commit transitively — the barrier no-op guarantees one current-epoch
-// frame exists, the Raft §5.4.2 safety argument).
-func (n *Node) maybeAdvanceLeaderCommitLocked() {
+// advanceLeaderCommitLocked recomputes the quorum-replicated horizon
+// from the cumulative acks and commits every frame of the CURRENT
+// epoch fully below it (frames inherited from older epochs commit
+// transitively — the barrier no-op guarantees one current-epoch frame
+// exists, the Raft §5.4.2 safety argument). It reports whether the
+// frames it queued need an applier: the horizon moved and no drain is
+// running that would take them anyway. The caller applies them itself
+// (applyCommitted) or signals applyLoop.
+func (n *Node) advanceLeaderCommitLocked() bool {
 	if n.role != roleLeader {
-		return
+		return false
 	}
 	tips := append(n.tipsScratch[:0], n.selfTipLocked())
 	for _, s := range n.streams {
@@ -642,7 +707,7 @@ func (n *Node) maybeAdvanceLeaderCommitLocked() {
 	n.tipsScratch = tips
 	q := tips[len(tips)-n.quorum()]
 	if q <= n.commitZxid {
-		return
+		return false
 	}
 	target := n.commitZxid
 	for i := len(n.log) - 1; i >= 0; i-- {
@@ -655,14 +720,11 @@ func (n *Node) maybeAdvanceLeaderCommitLocked() {
 		}
 		break
 	}
-	if target <= n.commitZxid {
-		return
+	if !n.advanceCommitLocked(target) {
+		return false
 	}
-	// advanceCommitLocked wakes the senders: each follower's stream
-	// carries the new horizon on its next window, an empty one if it has
-	// no frames to send.
-	n.advanceCommitLocked(target)
 	n.gInflight.Set(int64(n.uncommittedFramesLocked()))
+	return !n.applying
 }
 
 // selfTipLocked is the leader's own contribution to the commit
@@ -677,13 +739,14 @@ func (n *Node) selfTipLocked() uint64 {
 // horizon it issues one Sync, which hardens every frame appended since
 // the previous one — frames keep arriving from the proposer while the
 // fsync is in flight and ride the next — then re-derives the commit
-// horizon with the leader's now-advanced durable tip.
+// horizon with the leader's now-advanced durable tip, applying what
+// that commits when no apply is running.
 func (n *Node) leaderSyncLoop(gen uint64) {
 	defer n.wg.Done()
 	for {
 		n.mu.Lock()
 		for n.leaderGenLocked(gen) && n.lastZxidLocked() <= n.st.LastDurableZxid() {
-			n.leaderCond.Wait()
+			n.syncCond.Wait()
 		}
 		if !n.leaderGenLocked(gen) {
 			n.mu.Unlock()
@@ -702,14 +765,19 @@ func (n *Node) leaderSyncLoop(gen uint64) {
 			return
 		}
 		n.mu.Lock()
-		n.maybeAdvanceLeaderCommitLocked()
+		apply := n.advanceLeaderCommitLocked()
 		n.mu.Unlock()
+		if apply {
+			n.applyCommitted()
+		}
 	}
 }
 
 // followerStream is the leader's side of one follower's or observer's
 // log stream, guarded by n.mu.
 type followerStream struct {
+	cond *sync.Cond // on n.mu; its sender waits here for something to send
+
 	match uint64 // cumulative ack: verified and durable on the follower
 	sent  uint64 // highest zxid handed to a window
 	base  uint64 // the follower's last reported position; where a failed stream rewinds to
@@ -725,6 +793,24 @@ type followerStream struct {
 	dropped     bool      // the leader gave the observer up; the sender exits
 	downSince   time.Time // heartbeats have failed since; zero while they land
 	behindSince time.Time // match has trailed the commit horizon since
+}
+
+// newStreamLocked opens a stream at the leader's tip. attach marks one
+// opened mid-term, whose first window probes (nextWindowLocked).
+func (n *Node) newStreamLocked(attach bool) *followerStream {
+	tip := n.lastZxidLocked()
+	return &followerStream{cond: sync.NewCond(&n.mu), sent: tip, base: tip, attach: attach}
+}
+
+// wakeStreamsLocked wakes every stream's sender: the log tip or the
+// commit horizon moved, and either may give a stream a window to send.
+func (n *Node) wakeStreamsLocked() {
+	for _, s := range n.streams {
+		s.cond.Signal()
+	}
+	for _, s := range n.learners {
+		s.cond.Signal()
+	}
 }
 
 // streamLiveLocked reports whether a stream started under the given
@@ -759,7 +845,7 @@ func (n *Node) senderLoop(gen, id uint64, s *followerStream) {
 		n.mu.Lock()
 		var req proposeReq
 		var w window
-		for ok := false; n.streamLiveLocked(gen, s); n.leaderCond.Wait() {
+		for ok := false; n.streamLiveLocked(gen, s); s.cond.Wait() {
 			if s.failed {
 				ok = s.windows == 0 // drained: time to rewind
 			} else {
@@ -853,7 +939,10 @@ func (n *Node) nextWindowLocked(s *followerStream) (req proposeReq, w window, ok
 }
 
 // awaitWindow completes one in-flight window: it books it out of the
-// stream and folds the follower's answer into the stream's state.
+// stream and folds the follower's answer into the stream's state. An
+// ack that commits is applied right here when no apply is running: this
+// goroutine already holds the news, and handing it to applyLoop would
+// put one more wake-up between the quorum and the proposer's reply.
 func (n *Node) awaitWindow(gen, id uint64, s *followerStream, w window) {
 	defer n.wg.Done()
 	var resp proposeResp
@@ -864,7 +953,14 @@ func (n *Node) awaitWindow(gen, id uint64, s *followerStream, w window) {
 	} else {
 		resp, err = decodeProposeResp(res.Payload)
 	}
+	if n.foldWindow(gen, s, w, resp, err) {
+		n.applyCommitted()
+	}
+}
 
+// foldWindow is awaitWindow's part under the node mutex; it reports
+// whether the window committed frames that need an applier.
+func (n *Node) foldWindow(gen uint64, s *followerStream, w window, resp proposeResp, err error) (apply bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	s.windows--
@@ -873,7 +969,7 @@ func (n *Node) awaitWindow(gen, id uint64, s *followerStream, w window) {
 		s.empty = false
 	}
 	if !n.streamLiveLocked(gen, s) {
-		return
+		return false
 	}
 	switch {
 	case err != nil:
@@ -891,7 +987,7 @@ func (n *Node) awaitWindow(gen, id uint64, s *followerStream, w window) {
 		}
 		if resp.LastZxid > s.match {
 			s.match = resp.LastZxid
-			n.maybeAdvanceLeaderCommitLocked()
+			apply = n.advanceLeaderCommitLocked()
 		}
 	default:
 		// Refused: the follower is missing a window, or lagging or
@@ -900,12 +996,11 @@ func (n *Node) awaitWindow(gen, id uint64, s *followerStream, w window) {
 		s.base = resp.LastZxid
 	}
 	// Only this stream's sender cares that a window came home, and only
-	// if that leaves it something to do; waking the proposer and the
-	// other loops on every completion costs a sequential write a third
-	// of its latency in spurious wake-ups.
+	// if that leaves it something to do.
 	if s.failed && s.windows == 0 || !s.failed && (n.wantsFramesLocked(s) || n.wantsCommitLocked(s)) {
-		n.leaderCond.Broadcast()
+		s.cond.Signal()
 	}
+	return apply
 }
 
 // entriesAfterLocked returns the run of at most limit log frames

@@ -77,10 +77,10 @@ func (n *Node) snapshotLoop() {
 		case <-n.snapReq:
 		}
 		// Serialize under applyMu, not mu: commits, acks, heartbeats and
-		// reads flow freely during the serialization; only the apply
-		// loop stalls for it, which is the fuzzy-snapshot cost moved off
-		// the commit path entirely. Holding applyMu pins lastApplied, so
-		// the cut is consistent.
+		// reads flow freely during the serialization; only apply stalls
+		// for it, which is the fuzzy-snapshot cost moved off the commit
+		// path entirely. Holding applyMu pins lastApplied, so the cut is
+		// consistent.
 		n.applyMu.Lock()
 		n.mu.Lock()
 		z := n.lastApplied

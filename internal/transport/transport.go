@@ -16,6 +16,7 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -124,14 +125,44 @@ const (
 // port and read it back from the returned listener).
 type TCP struct{}
 
+// connReadBuf sizes each connection's read buffer: a frame that fits
+// arrives in one read, and frames pipelined behind it in the same one.
+const connReadBuf = 16 << 10
+
+// A tcpServer serves each request on the goroutine that read it. One
+// goroutine at a time holds a connection's reader role; having read a
+// request, it passes the role to an idle worker (or a new one) and
+// handles the request itself, so a handler that parks — WaitEvents, a
+// proposal — never holds up the next request on its connection, and no
+// request waits for a hand-off before it is handled. A worker that has
+// replied parks for the next reader role of any connection; workers are
+// reused, so their grown stacks are too.
 type tcpServer struct {
 	ln      net.Listener
 	handler Handler
-	wg      sync.WaitGroup
+	wg      sync.WaitGroup // the accept loop and every worker
+
+	idle  chan *serverConn // a parked worker takes a reader role here
+	nidle atomic.Int32     // parked workers
+	done  chan struct{}    // closed by Close: parked workers exit
 
 	mu     sync.Mutex
-	conns  map[net.Conn]bool
+	conns  map[*serverConn]bool
 	closed bool
+}
+
+// maxIdleWorkers bounds the parked workers of one server; a worker that
+// finds that many parked when it replies exits instead.
+const maxIdleWorkers = 32
+
+// serverConn is one accepted connection.
+type serverConn struct {
+	c   net.Conn
+	br  *bufio.Reader // read only by the holder of the reader role
+	wmu sync.Mutex    // serializes reply writes
+	// refs counts the reader role and each request being served; the
+	// connection is closed when the last of them is released.
+	refs atomic.Int32
 }
 
 // Listen implements Network. The returned io.Closer also satisfies
@@ -141,7 +172,13 @@ func (TCP) Listen(addr string, h Handler) (io.Closer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	s := &tcpServer{ln: ln, handler: h, conns: make(map[net.Conn]bool)}
+	s := &tcpServer{
+		ln:      ln,
+		handler: h,
+		idle:    make(chan *serverConn),
+		done:    make(chan struct{}),
+		conns:   make(map[*serverConn]bool),
+	}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -151,19 +188,24 @@ func (TCP) Listen(addr string, h Handler) (io.Closer, error) {
 func (s *tcpServer) Addr() net.Addr { return s.ln.Addr() }
 
 // Close stops accepting, closes every accepted connection (so blocked
-// readers unwind) and waits for all server goroutines.
+// readers unwind), and waits for every in-flight handler and worker.
 func (s *tcpServer) Close() error {
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil
+	}
 	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
+	conns := make([]*serverConn, 0, len(s.conns))
+	for cs := range s.conns {
+		conns = append(conns, cs)
 	}
 	s.mu.Unlock()
 	err := s.ln.Close()
-	for _, c := range conns {
-		c.Close()
+	for _, cs := range conns {
+		cs.c.Close()
 	}
+	close(s.done)
 	s.wg.Wait()
 	return err
 }
@@ -175,17 +217,62 @@ func (s *tcpServer) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		cs := &serverConn{c: c, br: bufio.NewReaderSize(c, connReadBuf)}
+		cs.refs.Store(1) // the reader role
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
 			c.Close()
 			return
 		}
-		s.conns[c] = true
+		s.conns[cs] = true
 		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(c)
+		s.handoff(cs)
 	}
+}
+
+// handoff gives cs's reader role to a parked worker, or to a new one
+// when none is parked.
+func (s *tcpServer) handoff(cs *serverConn) {
+	select {
+	case s.idle <- cs:
+	default:
+		s.wg.Add(1)
+		go s.worker(cs)
+	}
+}
+
+// worker holds cs's reader role: it serves one request, then parks for
+// the next reader role it is handed.
+func (s *tcpServer) worker(cs *serverConn) {
+	defer s.wg.Done()
+	for {
+		s.serveOne(cs)
+		if s.nidle.Add(1) > maxIdleWorkers {
+			s.nidle.Add(-1)
+			return
+		}
+		select {
+		case cs = <-s.idle:
+			s.nidle.Add(-1)
+		case <-s.done:
+			s.nidle.Add(-1)
+			return
+		}
+	}
+}
+
+// release drops one reference to cs, closing the connection with the
+// last: the reader stopped and every reply it read a request for went
+// out.
+func (s *tcpServer) release(cs *serverConn) {
+	if cs.refs.Add(-1) > 0 {
+		return
+	}
+	s.mu.Lock()
+	delete(s.conns, cs)
+	s.mu.Unlock()
+	cs.c.Close()
 }
 
 // frameBufPool recycles request-frame buffers across connections and
@@ -210,61 +297,54 @@ func putFrameBuf(bufp *[]byte, frame []byte) {
 	}
 }
 
-func (s *tcpServer) serveConn(c net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, c)
-		s.mu.Unlock()
-		c.Close()
-	}()
-	var wmu sync.Mutex
-	var inflight sync.WaitGroup
-	defer inflight.Wait()
-	for {
-		bufp := frameBufPool.Get().(*[]byte)
-		frame, err := wire.ReadFrameInto(c, (*bufp)[:0])
-		if err != nil {
-			frameBufPool.Put(bufp)
-			return
-		}
-		var r wire.Reader
-		r.Reset(frame)
-		id := r.Uint64()
-		req := r.BorrowBytes()
-		if r.Err() != nil {
-			putFrameBuf(bufp, frame)
-			return // protocol violation; drop the connection
-		}
-		inflight.Add(1)
-		go func() {
-			defer inflight.Done()
-			resp, herr := s.handler.Handle(req)
-			// Compose the whole reply — length header included, patched
-			// once the size is known — in a pooled scratch writer so the
-			// frame leaves in a single Write with no per-reply make.
-			w := wire.GetWriter()
-			w.Uint32(0) // frame length, patched below
-			w.Uint64(id)
-			if herr != nil {
-				w.Uint8(statusErr)
-				w.String(herr.Error())
-			} else {
-				w.Uint8(statusOK)
-				w.Bytes32(resp)
-			}
-			w.PatchUint32(0, uint32(w.Len()-4))
-			wmu.Lock()
-			if w.Len()-4 <= wire.MaxFrameSize {
-				_, _ = c.Write(w.Bytes())
-			}
-			wmu.Unlock()
-			wire.PutWriter(w)
-			// The reply (which may alias req) is on the wire; the
-			// request frame's lifetime ends here.
-			putFrameBuf(bufp, frame)
-		}()
+// serveOne reads the next request on cs as the holder of its reader
+// role, passes the role on and serves the request. A read error or a
+// malformed frame ends the connection's reading instead.
+func (s *tcpServer) serveOne(cs *serverConn) {
+	bufp := frameBufPool.Get().(*[]byte)
+	frame, err := wire.ReadFrameInto(cs.br, (*bufp)[:0])
+	if err != nil {
+		frameBufPool.Put(bufp)
+		s.release(cs)
+		return
 	}
+	var r wire.Reader
+	r.Reset(frame)
+	id := r.Uint64()
+	req := r.BorrowBytes()
+	if r.Err() != nil {
+		putFrameBuf(bufp, frame)
+		s.release(cs) // protocol violation; drop the connection
+		return
+	}
+	cs.refs.Add(1) // this request, before the next reader can release the role
+	s.handoff(cs)
+
+	resp, herr := s.handler.Handle(req)
+	// Compose the whole reply — length header included, patched once
+	// the size is known — in a pooled scratch writer so the frame leaves
+	// in a single Write with no per-reply make.
+	w := wire.GetWriter()
+	w.Uint32(0) // frame length, patched below
+	w.Uint64(id)
+	if herr != nil {
+		w.Uint8(statusErr)
+		w.String(herr.Error())
+	} else {
+		w.Uint8(statusOK)
+		w.Bytes32(resp)
+	}
+	w.PatchUint32(0, uint32(w.Len()-4))
+	cs.wmu.Lock()
+	if w.Len()-4 <= wire.MaxFrameSize {
+		_, _ = cs.c.Write(w.Bytes())
+	}
+	cs.wmu.Unlock()
+	wire.PutWriter(w)
+	// The reply (which may alias req) is on the wire; the request
+	// frame's lifetime ends here.
+	putFrameBuf(bufp, frame)
+	s.release(cs)
 }
 
 type tcpConn struct {
@@ -290,11 +370,12 @@ func (TCP) Dial(addr string) (Conn, error) {
 }
 
 func (tc *tcpConn) readLoop() {
+	br := bufio.NewReaderSize(tc.c, connReadBuf)
 	// One response buffer reused across frames: the payload handed to a
 	// waiter is copied out below, so the next iteration may overwrite.
 	var rbuf []byte
 	for {
-		frame, err := wire.ReadFrameInto(tc.c, rbuf[:0])
+		frame, err := wire.ReadFrameInto(br, rbuf[:0])
 		if err != nil {
 			tc.failAll(err)
 			return

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // echoHandler responds with the request payload prefixed by "echo:".
@@ -274,6 +278,144 @@ func TestTCPCallAsyncPipelines(t *testing.T) {
 		want := fmt.Sprintf("echo:req-%d", i)
 		if string(res.Payload) != want {
 			t.Fatalf("call %d payload = %q, want %q", i, res.Payload, want)
+		}
+	}
+}
+
+// parkingServer listens on TCP with a handler that echoes every request
+// except "park", which blocks until release is closed.
+func parkingServer(t *testing.T) (ln io.Closer, addr string, parked chan struct{}, release chan struct{}) {
+	t.Helper()
+	parked, release = make(chan struct{}, 16), make(chan struct{})
+	ln, err := TCP{}.Listen("127.0.0.1:0", HandlerFunc(func(req []byte) ([]byte, error) {
+		if string(req) == "park" {
+			parked <- struct{}{}
+			<-release
+		}
+		return req, nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ln, ln.(interface{ Addr() net.Addr }).Addr().String(), parked, release
+}
+
+// TestTCPParkedHandlerDoesNotBlockConnection: a request whose handler
+// parks (a long-polled event wait, a proposal waiting for its quorum)
+// holds its own worker, not the connection — the next request on the
+// same connection is read and answered meanwhile.
+func TestTCPParkedHandlerDoesNotBlockConnection(t *testing.T) {
+	ln, addr, parked, release := parkingServer(t)
+	defer ln.Close()
+	c, err := TCP{}.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	slow := CallAsync(c, []byte("park"))
+	<-parked
+	for i := 0; i < 3; i++ {
+		fast := CallAsync(c, []byte("ping"))
+		select {
+		case res := <-fast:
+			if res.Err != nil || string(res.Payload) != "ping" {
+				t.Fatalf("ping = %q, %v", res.Payload, res.Err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a parked handler blocked the next request on its connection")
+		}
+	}
+	close(release)
+	if res := <-slow; res.Err != nil || string(res.Payload) != "park" {
+		t.Fatalf("parked call = %q, %v", res.Payload, res.Err)
+	}
+}
+
+// TestTCPPipelinedFramesAcrossReadBuffer sends 1000 calls back to back
+// on one connection, so frames arrive several to a read and straddle the
+// connection's read buffer, with payloads just under, at, just over and
+// several times its size, and one near the frame-size limit; every
+// reply must come back intact to its own caller.
+func TestTCPPipelinedFramesAcrossReadBuffer(t *testing.T) {
+	ln, err := TCP{}.Listen("127.0.0.1:0", HandlerFunc(func(req []byte) ([]byte, error) { return req, nil }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	c, err := TCP{}.Dial(ln.(interface{ Addr() net.Addr }).Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sizes := []int{0, 1, 17, connReadBuf - 13, connReadBuf - 12, connReadBuf, connReadBuf + 1, 3*connReadBuf + 7}
+	const calls = 1000
+	payload := func(i int) []byte {
+		n := sizes[i%len(sizes)]
+		if i == calls/2 {
+			n = wire.MaxFrameSize - 64 // the reply frame adds 13 bytes to it
+		}
+		p := make([]byte, n)
+		for j := range p {
+			p[j] = byte(i + j)
+		}
+		return p
+	}
+	chans := make([]<-chan CallResult, calls)
+	for i := range chans {
+		chans[i] = CallAsync(c, payload(i))
+	}
+	for i, ch := range chans {
+		res := <-ch
+		if res.Err != nil {
+			t.Fatalf("call %d: %v", i, res.Err)
+		}
+		if want := payload(i); !bytes.Equal(res.Payload, want) {
+			t.Fatalf("call %d: %d bytes back, want %d intact", i, len(res.Payload), len(want))
+		}
+	}
+}
+
+// TestTCPCloseWaitsForHandlersAndLeavesNoGoroutines: Close returns only
+// once every in-flight handler has, and then no worker, reader or
+// accept loop of the server — nor any client reader — is left running.
+func TestTCPCloseWaitsForHandlersAndLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	ln, addr, parked, release := parkingServer(t)
+	var conns []Conn
+	for i := 0; i < 3; i++ {
+		c, err := TCP{}.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, c)
+		for j := 0; j < 20; j++ {
+			if _, err := c.Call([]byte("ping")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	slow := CallAsync(conns[0], []byte("park"))
+	<-parked
+
+	closed := make(chan error, 1)
+	go func() { closed <- ln.Close() }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a handler was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	<-slow // answered, or failed with the closed connection
+	for _, c := range conns {
+		c.Close()
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Close, %d before Listen:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
 		}
 	}
 }

@@ -340,12 +340,17 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 // backing array when the capacity suffices and growing otherwise. The
 // returned payload aliases buf (or its replacement) — callers own the
 // buffer's lifetime and must not reuse it while the payload is live.
+// The length header is read into buf's array too: a header of its own
+// would escape through r and cost an allocation per frame.
 func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrameSize {
 		return nil, ErrFrameTooLarge
 	}
