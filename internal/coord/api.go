@@ -299,9 +299,11 @@ const (
 // Op is one coordination operation: what Doer.Do executes, and one
 // element of a Multi batch when its kind is batchable.
 type Op struct {
-	Kind    OpKind
-	Path    string
-	Data    []byte           // create, set
+	Kind OpKind
+	Path string
+	// Data is the new data of a create or set; on a check it is a guard
+	// the node's data must begin with (CheckDataOp).
+	Data    []byte
 	Mode    znode.CreateMode // create
 	Version int32            // check, set, delete (-1 disables the check)
 	Ops     []Op             // multi: the batch
@@ -366,6 +368,15 @@ func CheckOp(path string, version int32) Op {
 	return Op{Kind: OpCheck, Path: path, Version: version}
 }
 
+// CheckDataOp is CheckOp that also requires the node's data to begin
+// with prefix; a mismatch fails with ErrBadVersion, "not the node you
+// expect". Its OpResult carries the node's stat and data whether the
+// guard held or not, so one round trip both asserts what a node is and
+// reports what it was.
+func CheckDataOp(path string, version int32, prefix []byte) Op {
+	return Op{Kind: OpCheck, Path: path, Data: prefix, Version: version}
+}
+
 // CreateOp creates a znode as part of a Multi batch.
 func CreateOp(path string, data []byte, mode znode.CreateMode) Op {
 	return Op{Kind: OpCreate, Path: path, Data: data, Mode: mode}
@@ -383,11 +394,13 @@ func DeleteOp(path string, version int32) Op {
 
 // OpResult is the per-op outcome of a Multi batch. On a committed
 // batch every Err is nil; on an aborted batch the failing op carries
-// its error and every other op carries ErrRolledBack.
+// its error and every other op carries ErrRolledBack. A failing check
+// keeps its Stat and Data, so the caller sees what it found.
 type OpResult struct {
 	Err     error
 	Created string     // create: the created path
-	Stat    znode.Stat // set: the stat after the write
+	Stat    znode.Stat // set: the stat after the write; check: the node's stat
+	Data    []byte     // check: the node's data
 }
 
 // ChildEntry is one entry of a ChildrenData listing: a znode's name
@@ -451,9 +464,11 @@ func decodeOps(r *wire.Reader) ([]znode.MultiOp, error) {
 }
 
 // encodeMultiResults appends the replicated outcome of a Multi batch:
-// the committed flag followed by one (code, detail, created, stat)
-// record per op. Every replica encodes the identical bytes, which is
-// what makes the dedup window's cached replies deterministic.
+// the committed flag followed by one (code, detail, created, stat,
+// data) record per op. Every replica encodes the identical bytes, which
+// is what makes the dedup window's cached replies deterministic. The
+// check results' data is the tree's own slice (znode.MultiResult.Data);
+// it is copied here, inside the apply, before any later write.
 func encodeMultiResults(w *wire.Writer, results []znode.MultiResult, committed bool) {
 	w.Bool(committed)
 	w.Uint32(uint32(len(results)))
@@ -466,6 +481,7 @@ func encodeMultiResults(w *wire.Writer, results []znode.MultiResult, committed b
 		w.String(detail)
 		w.String(res.Created)
 		encodeStat(w, res.Stat)
+		w.Bytes32(res.Data)
 	}
 }
 
@@ -487,6 +503,7 @@ func decodeMultiResults(r *wire.Reader) (results []OpResult, committed bool, err
 		detail := r.String()
 		created := r.String()
 		stat := decodeStat(r)
+		data := r.BytesCopy32()
 		if err := r.Err(); err != nil {
 			return nil, false, err
 		}
@@ -494,6 +511,7 @@ func decodeMultiResults(r *wire.Reader) (results []OpResult, committed bool, err
 			Err:     errorForCode(code, detail),
 			Created: created,
 			Stat:    stat,
+			Data:    data,
 		})
 	}
 	return results, committed, nil

@@ -233,6 +233,9 @@ func FuzzDecodeReply(f *testing.F) {
 	add(map[string][]byte{
 		"an error reply":   missing.Bytes(),
 		"an aborted batch": encodeMultiTxn([]Op{CheckOp("/nowhere", -1)}, s.ID(), 2001, 1),
+		// Check results carry the node's data, held guard or failed.
+		"a held guard":   encodeMultiTxn([]Op{CheckDataOp("/d", -1, []byte("v")), SetOp("/d/a", []byte("x"), -1)}, s.ID(), 2002, 2),
+		"a failed guard": encodeMultiTxn([]Op{CheckDataOp("/d", -1, []byte("nope")), DeleteOp("/d/a", -1)}, s.ID(), 2003, 3),
 	})
 	f.Fuzz(func(t *testing.T, reply []byte) {
 		body, _, _, err := splitReply(reply)

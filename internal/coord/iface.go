@@ -38,7 +38,8 @@ type Doer interface {
 	//
 	// An aborted batch (OpMulti, OpCheck) returns both: Result.Results
 	// with the failing op's error on its own entry and ErrRolledBack on
-	// every other, and the failing op's error.
+	// every other, and the failing op's error. A failing check's entry
+	// also carries the stat and data it found.
 	Do(ctx context.Context, op Op) (Result, error)
 	// WaitEvents parks on the service until a watch fires, maxWait
 	// expires (nil, nil), or ctx ends. It is push delivery: an idle

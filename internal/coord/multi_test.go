@@ -387,3 +387,104 @@ func TestMultiRefusesNonBatchKinds(t *testing.T) {
 		t.Fatalf("a refused batch was replicated: applied zxid %x -> %x", before.AppliedZxid, after.AppliedZxid)
 	}
 }
+
+// TestGuardedCheckOverTheWire runs a data-guarded check through a real
+// ensemble: a held guard commits the batch and reports the node's data;
+// a failed one aborts it whole, and the failing check's entry still
+// carries the stat and data it found while its siblings carry only
+// ErrRolledBack.
+func TestGuardedCheckOverTheWire(t *testing.T) {
+	e := startTestEnsemble(t, 3)
+	s := connect(t, e, -1)
+	if _, err := s.Create("/g", []byte("file:0001"), znode.ModePersistent); err != nil {
+		t.Fatal(err)
+	}
+
+	results, err := s.Multi([]Op{
+		CheckDataOp("/g", 0, []byte("file")),
+		SetOp("/g", []byte("file:0002"), -1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(results[0].Data) != "file:0001" || results[0].Stat.Version != 0 {
+		t.Fatalf("held check reported data=%q stat=%+v", results[0].Data, results[0].Stat)
+	}
+
+	results, err = s.Multi([]Op{
+		CreateOp("/g2", nil, znode.ModePersistent),
+		CheckDataOp("/g", -1, []byte("dir")),
+		DeleteOp("/g", -1),
+	})
+	if !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("guard mismatch err = %v, want ErrBadVersion", err)
+	}
+	data, stat, gerr := s.Get("/g")
+	if gerr != nil {
+		t.Fatal(gerr)
+	}
+	if string(results[1].Data) != string(data) || results[1].Stat != stat || string(data) != "file:0002" {
+		t.Fatalf("failing check reported data=%q stat=%+v; node has %q %+v", results[1].Data, results[1].Stat, data, stat)
+	}
+	for _, i := range []int{0, 2} {
+		if r := results[i]; !errors.Is(r.Err, ErrRolledBack) || len(r.Data) != 0 || r.Stat != (znode.Stat{}) {
+			t.Fatalf("op %d = %+v, want a bare ErrRolledBack", i, r)
+		}
+	}
+	if _, ok, err := s.Exists("/g2"); err != nil || ok {
+		t.Fatalf("rolled-back create visible: ok=%v err=%v", ok, err)
+	}
+
+	// Old transactions carried no data on a check: an empty guard
+	// matches any node, so they replay as the unguarded checks they were.
+	if _, err := s.Multi([]Op{CheckOp("/g", -1)}); err != nil {
+		t.Fatalf("unguarded check: %v", err)
+	}
+}
+
+// TestGuardedCheckReplyReplaysByteExact retries an aborted batch whose
+// failing check carries data, and a committed one whose check does,
+// through the state machine's dedup window: the cached reply is
+// byte-identical to the first and still decodes to the data the check
+// saw, not to the node's data at the time of the retry.
+func TestGuardedCheckReplyReplaysByteExact(t *testing.T) {
+	sm := newStateMachine()
+	r := wire.NewReader(sm.Apply(encodeNewSessionTxn(), 1))
+	r.Uint8()
+	_ = r.String()
+	session := r.Uint64()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if reply := sm.Apply(encodeCreateTxn("/n", []byte("file:0001"), znode.ModePersistent, session, 1, 1), 2); reply[0] != codeOK {
+		t.Fatalf("create status %d", reply[0])
+	}
+
+	aborted := encodeMultiTxn([]Op{CheckDataOp("/n", -1, []byte("dir")), DeleteOp("/n", -1)}, session, 2, 2)
+	committed := encodeMultiTxn([]Op{CheckDataOp("/n", -1, []byte("file")), SetOp("/n", []byte("file:0002"), -1)}, session, 3, 3)
+	zxid := uint64(3)
+	for _, c := range []struct {
+		name      string
+		txn       []byte
+		committed bool
+		want      string
+	}{{"aborted", aborted, false, "file:0001"}, {"committed", committed, true, "file:0001"}} {
+		first := sm.Apply(c.txn, zxid)
+		zxid++
+		second := sm.Apply(c.txn, zxid)
+		zxid++
+		if string(first) != string(second) {
+			t.Fatalf("%s: retry returned different bytes:\n first=%x\nsecond=%x", c.name, first, second)
+		}
+		rr := wire.NewReader(second)
+		rr.Uint8()
+		_ = rr.String()
+		results, ok, err := decodeMultiResults(rr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != c.committed || string(results[0].Data) != c.want {
+			t.Fatalf("%s: replay decoded committed=%v check data=%q, want %v %q", c.name, ok, results[0].Data, c.committed, c.want)
+		}
+	}
+}

@@ -734,3 +734,80 @@ func TestRouterMultiRefusesNonBatchKinds(t *testing.T) {
 		t.Fatalf("the sub-transaction ahead of the refused op committed: %v, %v", ok, err)
 	}
 }
+
+// TestRouterGuardedCheck sends data-guarded checks through the router
+// unchanged. On one shard the batch is DUFS's rmdir — a check guarded on
+// the directory's data, then the delete — and keeps the delete's
+// cross-shard contract: children on another shard refuse it before it
+// runs, a failed guard aborts it with the data it found, and a held one
+// deletes the node and its stub. Split across two shards, the failing
+// shard's check still reports its data while the other shard's
+// sub-transaction stays committed.
+func TestRouterGuardedCheck(t *testing.T) {
+	r, _, direct := startSharded(t, 4, 1)
+	var dir string
+	for i := 0; ; i++ {
+		cand := fmt.Sprintf("/gd%d", i)
+		if r.ShardFor(cand) != r.shardForChildren(cand) {
+			dir = cand
+			break
+		}
+	}
+	if _, err := r.Create(dir, []byte("dir:0755"), znode.ModePersistent); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Create(dir+"/kid", nil, znode.ModePersistent); err != nil {
+		t.Fatal(err)
+	}
+	rmdir := func(guard string) ([]coord.OpResult, error) {
+		return r.Multi([]coord.Op{coord.CheckDataOp(dir, -1, []byte(guard)), coord.DeleteOp(dir, -1)})
+	}
+	if _, err := rmdir("dir"); !errors.Is(err, coord.ErrNotEmpty) {
+		t.Fatalf("guarded delete of a dir with children on another shard: %v, want ErrNotEmpty", err)
+	}
+	if err := r.Delete(dir+"/kid", -1); err != nil {
+		t.Fatal(err)
+	}
+	results, err := rmdir("file")
+	if !errors.Is(err, coord.ErrBadVersion) || string(results[0].Data) != "dir:0755" {
+		t.Fatalf("guard mismatch = %v, check data %q; want ErrBadVersion and the dir's data", err, results[0].Data)
+	}
+	if _, ok, _ := r.Exists(dir); !ok {
+		t.Fatal("a batch whose guard failed deleted the directory")
+	}
+	if results, err = rmdir("dir"); err != nil || string(results[0].Data) != "dir:0755" {
+		t.Fatalf("guard held: %v, check data %q", err, results[0].Data)
+	}
+	for s, sess := range direct {
+		if _, ok, _ := sess.Exists(dir); ok {
+			t.Fatalf("shard %d still holds %s after the guarded delete", s, dir)
+		}
+	}
+
+	a, b := crossShardDirs(t, r)
+	for _, d := range []string{a, b} {
+		if _, err := r.Create(d, []byte("data of "+d), znode.ModePersistent); err != nil {
+			t.Fatal(err)
+		}
+	}
+	results, err = r.Multi([]coord.Op{
+		coord.CreateOp(a+"/ok", nil, znode.ModePersistent),
+		coord.CheckDataOp(b, -1, []byte("nope")),
+		coord.CreateOp(b+"/never", nil, znode.ModePersistent),
+	})
+	if !errors.Is(err, coord.ErrBadVersion) {
+		t.Fatalf("split batch err = %v, want ErrBadVersion", err)
+	}
+	if results[0].Err != nil || !errors.Is(results[2].Err, coord.ErrRolledBack) {
+		t.Fatalf("split results = %+v", results)
+	}
+	if string(results[1].Data) != "data of "+b {
+		t.Fatalf("failing check on the second shard reported %q", results[1].Data)
+	}
+	if _, ok, _ := r.Exists(a + "/ok"); !ok {
+		t.Fatal("the first shard's committed sub-transaction was lost")
+	}
+	if _, ok, _ := r.Exists(b + "/never"); ok {
+		t.Fatal("the aborted sub-transaction applied")
+	}
+}

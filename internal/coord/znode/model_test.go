@@ -24,7 +24,7 @@ func TestModelBasedRandomOps(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		zxid++
 		p := paths[rng.Intn(len(paths))]
-		switch rng.Intn(5) {
+		switch rng.Intn(6) {
 		case 0: // create
 			data := []byte(fmt.Sprintf("d%d", rng.Intn(3)))
 			_, terr := tree.Create(p, data, ModePersistent, 0, zxid, int64(zxid))
@@ -62,6 +62,21 @@ func TestModelBasedRandomOps(t *testing.T) {
 			}
 			if terr == nil && strings.Join(kids, ",") != strings.Join(rkids, ",") {
 				t.Fatalf("op %d children %s: tree=%v ref=%v", i, p, kids, rkids)
+			}
+		case 5: // guarded check + set, one batch
+			guard := []string{"", "d", "v", "d1", "v2", "x"}[rng.Intn(6)]
+			data := []byte(fmt.Sprintf("v%d", rng.Intn(3)))
+			results, committed := tree.Multi([]MultiOp{
+				{Kind: MultiCheck, Path: p, Version: -1, Data: []byte(guard)},
+				{Kind: MultiSet, Path: p, Data: data, Version: -1},
+			}, 0, zxid, int64(zxid))
+			prior, _ := ref.get(p)
+			rerr := ref.guardedSet(p, guard, string(data))
+			if committed != (rerr == nil) {
+				t.Fatalf("op %d guarded set %s (guard %q): tree committed=%v ref err=%v", i, p, guard, committed, rerr)
+			}
+			if string(results[0].Data) != prior {
+				t.Fatalf("op %d guarded set %s: check saw %q, ref had %q", i, p, results[0].Data, prior)
 			}
 		}
 	}
@@ -135,6 +150,18 @@ func (m *refModel) delete(p string) error {
 func (m *refModel) set(p, data string) error {
 	if _, ok := m.nodes[p]; !ok {
 		return fmt.Errorf("no node")
+	}
+	m.nodes[p] = data
+	return nil
+}
+
+func (m *refModel) guardedSet(p, guard, data string) error {
+	v, ok := m.nodes[p]
+	if !ok {
+		return fmt.Errorf("no node")
+	}
+	if !strings.HasPrefix(v, guard) {
+		return fmt.Errorf("guard mismatch")
 	}
 	m.nodes[p] = data
 	return nil

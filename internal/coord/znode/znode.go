@@ -17,6 +17,7 @@
 package znode
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -635,7 +636,7 @@ type MultiKind uint8
 
 // Multi operation kinds, mirroring ZooKeeper's multi() op set.
 const (
-	MultiCheck MultiKind = iota + 1 // version/existence guard, no mutation
+	MultiCheck MultiKind = iota + 1 // existence/version/data-prefix guard, no mutation
 	MultiCreate
 	MultiSet
 	MultiDelete
@@ -643,9 +644,11 @@ const (
 
 // MultiOp is one element of an atomic batch.
 type MultiOp struct {
-	Kind    MultiKind
-	Path    string
-	Data    []byte     // create, set
+	Kind MultiKind
+	Path string
+	// Data is the new data of a create or set. On a check it is a guard:
+	// the node's data must begin with these bytes (empty matches any).
+	Data    []byte
 	Mode    CreateMode // create
 	Version int32      // check, set, delete (-1 disables the check)
 }
@@ -654,7 +657,12 @@ type MultiOp struct {
 type MultiResult struct {
 	Err     error
 	Created string // create: the created path (sequential modes differ)
-	Stat    Stat   // set: the node's stat after the write
+	Stat    Stat   // set: the node's stat after the write; check: the node's stat
+	// Data is the node's data as a check saw it, on commit and on an
+	// abort the check itself caused. It is the node's own slice, not a
+	// copy: no write mutates a node's data in place (set replaces it
+	// whole), so it stays valid; callers must not modify it.
+	Data []byte
 }
 
 // Multi applies the batch atomically: either every operation succeeds,
@@ -663,7 +671,9 @@ type MultiResult struct {
 // earlier create in the same batch). On the first failure every applied
 // operation is undone — restoring exact stats, version counters, and
 // sequential-name counters — and committed reports false; the failing
-// op's result carries its error, every other op gets ErrRolledBack.
+// op's result carries its error (a failing check also its stat and
+// data, so the caller learns what it found), every other op gets
+// ErrRolledBack.
 func (t *Tree) Multi(ops []MultiOp, session, zxid uint64, nowNano int64) (results []MultiResult, committed bool) {
 	// Lock the union of stripes the batch can touch — every stripe if
 	// any op structurally changes the root's child set — in ascending
@@ -684,7 +694,7 @@ func (t *Tree) Multi(ops []MultiOp, session, zxid uint64, nowNano int64) (result
 		var err error
 		switch op.Kind {
 		case MultiCheck:
-			err = t.checkLocked(op.Path, op.Version)
+			results[i].Stat, results[i].Data, err = t.checkLocked(op.Path, op.Version, op.Data)
 		case MultiCreate:
 			var created string
 			var undo func()
@@ -714,10 +724,11 @@ func (t *Tree) Multi(ops []MultiOp, session, zxid uint64, nowNano int64) (result
 			for j := len(undos) - 1; j >= 0; j-- {
 				undos[j]()
 			}
+			failed := results[i]
 			for j := range results {
 				results[j] = MultiResult{Err: ErrRolledBack}
 			}
-			results[i].Err = err
+			results[i] = MultiResult{Err: err, Stat: failed.Stat, Data: failed.Data}
 			return results, false
 		}
 	}
@@ -753,20 +764,23 @@ func multiLockSet(ops []MultiOp) (mask uint32, all bool) {
 	return mask, false
 }
 
-// checkLocked verifies the node exists and, unless version is -1, that
-// its data version matches. Caller holds the stripe covering path.
-func (t *Tree) checkLocked(path string, version int32) error {
+// checkLocked verifies the node exists, that its data version matches
+// unless version is -1, and that its data begins with guard. A guard
+// mismatch is ErrBadVersion: "not the node you expect", the same answer
+// a stale version gets. The node's stat and data are returned whether
+// the check held or not. Caller holds the stripe covering path.
+func (t *Tree) checkLocked(path string, version int32, guard []byte) (Stat, []byte, error) {
 	if err := ValidatePath(path); err != nil {
-		return err
+		return Stat{}, nil, err
 	}
 	n, err := t.lookup(path)
 	if err != nil {
-		return err
+		return Stat{}, nil, err
 	}
-	if version != -1 && version != n.stat.Version {
-		return ErrBadVersion
+	if (version != -1 && version != n.stat.Version) || !bytes.HasPrefix(n.data, guard) {
+		return n.stat, n.data, ErrBadVersion
 	}
-	return nil
+	return n.stat, n.data, nil
 }
 
 // ExpireSession deletes every ephemeral node owned by the session and

@@ -339,3 +339,91 @@ func TestGetCopiesData(t *testing.T) {
 		t.Fatal("Get returned aliased data")
 	}
 }
+
+// TestMultiGuardedCheck pins the data guard of a check: the node's data
+// must begin with the guard, an empty guard matches anything, a mismatch
+// is ErrBadVersion whether it is the guard or the version that differs,
+// and the check reports the node's stat and data either way.
+func TestMultiGuardedCheck(t *testing.T) {
+	tr := New()
+	mustCreate(t, tr, "/f", []byte("file:0001"))
+	mustCreate(t, tr, "/e", nil)
+
+	for _, c := range []struct {
+		name    string
+		path    string
+		version int32
+		guard   string
+		want    error
+	}{
+		{"prefix", "/f", -1, "file", nil},
+		{"whole data", "/f", -1, "file:0001", nil},
+		{"empty guard", "/f", -1, "", nil},
+		{"empty guard, empty data", "/e", -1, "", nil},
+		{"prefix and version", "/f", 0, "file:", nil},
+		{"other prefix", "/f", -1, "dir", ErrBadVersion},
+		{"guard longer than data", "/f", -1, "file:00012", ErrBadVersion},
+		{"guard on empty data", "/e", -1, "x", ErrBadVersion},
+		{"prefix held, version stale", "/f", 3, "file", ErrBadVersion},
+		{"version held, prefix not", "/f", 0, "dir", ErrBadVersion},
+		{"missing node", "/absent", -1, "file", ErrNoNode},
+	} {
+		results, committed := tr.Multi([]MultiOp{{Kind: MultiCheck, Path: c.path, Version: c.version, Data: []byte(c.guard)}}, 0, 2, 2)
+		if committed != (c.want == nil) || !errors.Is(results[0].Err, c.want) {
+			t.Fatalf("%s: committed=%v err=%v, want %v", c.name, committed, results[0].Err, c.want)
+		}
+		data, stat, err := tr.Get(c.path)
+		if err != nil {
+			data, stat = nil, Stat{}
+		}
+		if string(results[0].Data) != string(data) || results[0].Stat != stat {
+			t.Fatalf("%s: check reported data=%q stat=%+v, node has %q %+v", c.name, results[0].Data, results[0].Stat, data, stat)
+		}
+	}
+}
+
+// TestMultiGuardMismatchRollsBackWhole aborts a batch on a guard
+// mismatch after it has created, set and deleted: every op is undone,
+// the failing check keeps the stat and data it found, and every other
+// op reports ErrRolledBack with nothing else.
+func TestMultiGuardMismatchRollsBackWhole(t *testing.T) {
+	tr := New()
+	mustCreate(t, tr, "/d", []byte("dir"))
+	mustCreate(t, tr, "/d/f", []byte("file:0001"))
+	mustCreate(t, tr, "/d/g", []byte("gone?"))
+	fpBefore, countBefore, bytesBefore := tr.Fingerprint(), tr.Count(), tr.DataBytes()
+	_, fStat, _ := tr.Get("/d/f")
+
+	results, committed := tr.Multi([]MultiOp{
+		{Kind: MultiCreate, Path: "/d/new", Data: []byte("n")},
+		{Kind: MultiSet, Path: "/d/f", Data: []byte("file:0002"), Version: -1},
+		{Kind: MultiDelete, Path: "/d/g", Version: -1},
+		{Kind: MultiCheck, Path: "/d/f", Version: -1, Data: []byte("dir")},
+		{Kind: MultiDelete, Path: "/d/f", Version: -1},
+	}, 0, 5, 5)
+	if committed {
+		t.Fatal("a batch whose guard failed committed")
+	}
+	failed := results[3]
+	if !errors.Is(failed.Err, ErrBadVersion) {
+		t.Fatalf("failing check err = %v, want ErrBadVersion", failed.Err)
+	}
+	// The check ran after the set in the same batch, so it saw the set.
+	if string(failed.Data) != "file:0002" || failed.Stat.Version != fStat.Version+1 {
+		t.Fatalf("failing check reported data=%q version=%d, want what it saw mid-batch", failed.Data, failed.Stat.Version)
+	}
+	for _, i := range []int{0, 1, 2, 4} {
+		if r := results[i]; !errors.Is(r.Err, ErrRolledBack) || r.Data != nil || r.Stat != (Stat{}) || r.Created != "" {
+			t.Fatalf("op %d = %+v, want a bare ErrRolledBack", i, r)
+		}
+	}
+	if tr.Fingerprint() != fpBefore || tr.Count() != countBefore || tr.DataBytes() != bytesBefore {
+		t.Fatal("the aborted batch left the tree changed")
+	}
+	if data, stat, err := tr.Get("/d/f"); err != nil || string(data) != "file:0001" || stat != fStat {
+		t.Fatalf("/d/f after abort = %q %+v %v", data, stat, err)
+	}
+	if _, ok := tr.Exists("/d/g"); !ok {
+		t.Fatal("rolled-back delete stayed applied")
+	}
+}

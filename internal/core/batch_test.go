@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -99,6 +100,59 @@ func TestReaddirIsOneRPC(t *testing.T) {
 	if _, err := d.Readdir("/fan/absent"); !errors.Is(err, vfs.ErrNotExist) {
 		t.Fatalf("Readdir(absent) err = %v, want ErrNotExist", err)
 	}
+}
+
+// TestUnlinkAndRmdirAreOneRPC: the type check rides in the delete's
+// transaction as a data-guarded check, so removing a name is one
+// coordination round trip whatever it turns out to be — a file, a
+// directory refused with ErrIsDir or ErrNotDir, an empty directory —
+// and only a symlink, which the file guard refuses, takes a second.
+func TestUnlinkAndRmdirAreOneRPC(t *testing.T) {
+	env := newEnv(t, 1, 2)
+	d, cc := mountCounting(t, env)
+	if err := d.Mkdir("/o", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Mkdir("/o/full", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{"/o/f", "/o/g", "/o/full/kid"} {
+		if err := vfs.WriteFile(d, f, []byte("body")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Symlink("/o/g", "/o/ln"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		op   func() error
+		want error
+		rpcs int64
+	}{
+		{"unlink file", func() error { return d.Unlink("/o/f") }, nil, 1},
+		{"unlink dir", func() error { return d.Unlink("/o/full") }, vfs.ErrIsDir, 1},
+		{"unlink missing", func() error { return d.Unlink("/o/f") }, vfs.ErrNotExist, 1},
+		{"unlink symlink", func() error { return d.Unlink("/o/ln") }, nil, 2},
+		{"rmdir file", func() error { return d.Rmdir("/o/g") }, vfs.ErrNotDir, 1},
+		{"rmdir non-empty", func() error { return d.Rmdir("/o/full") }, vfs.ErrNotEmpty, 1},
+		{"rmdir missing", func() error { return d.Rmdir("/o/none") }, vfs.ErrNotExist, 1},
+		{"unlink kid", func() error { return d.Unlink("/o/full/kid") }, nil, 1},
+		{"rmdir empty", func() error { return d.Rmdir("/o/full") }, nil, 1},
+	} {
+		cc.calls.Store(0)
+		if err := c.op(); !errors.Is(err, c.want) {
+			t.Fatalf("%s = %v, want %v", c.name, err, c.want)
+		}
+		if got := cc.calls.Load(); got != c.rpcs {
+			t.Fatalf("%s issued %d coordination RPCs, want %d", c.name, got, c.rpcs)
+		}
+	}
+	// The symlink's target kept its body; the unlinked files' went.
+	if _, err := vfs.ReadFile(d, "/o/g"); err != nil {
+		t.Fatal(err)
+	}
+	assertNamesMatchBodies(t, env, d)
 }
 
 // TestSameShardRenameIsOneTransaction verifies a single-ensemble file
@@ -201,23 +255,97 @@ func TestRenameDirBatchesLeafChildren(t *testing.T) {
 	}
 }
 
-// multiRaceClient is a Do decorator that deletes the rename source
-// through a second client immediately before the first Multi executes —
-// the concurrent-unlink race against a replacing rename.
-type multiRaceClient struct {
+// interposer is a Do decorator that runs a rival's move once, right
+// before the first write naming victim (a set, a delete, or a Multi
+// with an op on it) leaves this client: the window between a lookup
+// and the write it was made for. A create of victim does not trigger it.
+type interposer struct {
 	coord.Doer
 	victim string
-	rival  *DUFS
+	move   func() error
 	fired  atomic.Bool
 }
 
-func (c *multiRaceClient) Do(ctx context.Context, op coord.Op) (coord.Result, error) {
-	if op.Kind == coord.OpMulti && !c.fired.Swap(true) {
-		if err := c.rival.Unlink(c.victim); err != nil {
-			return coord.Result{}, err
+func (c *interposer) Do(ctx context.Context, op coord.Op) (coord.Result, error) {
+	if writes(op, c.victim) && !c.fired.Swap(true) {
+		if err := c.move(); err != nil {
+			return coord.Result{}, fmt.Errorf("interposed move: %w", err)
 		}
 	}
 	return c.Doer.Do(ctx, op)
+}
+
+func writes(op coord.Op, path string) bool {
+	switch op.Kind {
+	case coord.OpSet, coord.OpDelete:
+		return op.Path == path
+	case coord.OpMulti:
+		for _, o := range op.Ops {
+			if o.Path == path {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// mountInterposed builds a DUFS over backends whose session runs move
+// before its first write naming the virtual path victim.
+func mountInterposed(t *testing.T, env *testEnv, backends []vfs.FileSystem, victim string, move func() error) (*DUFS, *interposer) {
+	t.Helper()
+	sess, err := env.ens.Connect(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sess.Close() })
+	ic := &interposer{Doer: sess, victim: "/dufs" + victim, move: move}
+	d, err := New(Config{Session: coord.Wrap(ic), Backends: backends})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, ic
+}
+
+// assertNamesMatchBodies walks the namespace through d and fails unless
+// every file name reaches its body and every body on the back-ends
+// belongs to a file name: nothing dangles, nothing is orphaned.
+func assertNamesMatchBodies(t *testing.T, env *testEnv, d *DUFS) {
+	t.Helper()
+	var walk func(dir string) int64
+	walk = func(dir string) int64 {
+		entries, err := d.Readdir(dir)
+		if err != nil {
+			t.Fatalf("Readdir(%s): %v", dir, err)
+		}
+		var files int64
+		for _, e := range entries {
+			p := dir + "/" + e.Name
+			if dir == "/" {
+				p = "/" + e.Name
+			}
+			if e.IsDir {
+				files += walk(p)
+				continue
+			}
+			fi, err := d.Stat(p)
+			if err != nil {
+				t.Fatalf("%s names a body that is gone: %v", p, err)
+			}
+			if !fi.IsSymlink() {
+				files++
+			}
+		}
+		return files
+	}
+	names := walk("/")
+	var bodies int64
+	for _, m := range env.mems {
+		files, _ := m.Counts()
+		bodies += files
+	}
+	if bodies != names {
+		t.Fatalf("%d bodies on the back-ends for %d file names: %d orphaned", bodies, names, bodies-names)
+	}
 }
 
 // TestFailedReplacingRenameLeavesDestinationIntact locks in the POSIX
@@ -239,17 +367,7 @@ func TestFailedReplacingRenameLeavesDestinationIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sess, err := env.ens.Connect(-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sess.Close() })
-	rc := &multiRaceClient{Doer: sess, victim: "/rr/src", rival: rival}
-	d, err := New(Config{Session: coord.Wrap(rc), Backends: env.backends})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	d, _ := mountInterposed(t, env, env.backends, "/rr/src", func() error { return rival.Unlink("/rr/src") })
 	if err := d.Rename("/rr/src", "/rr/dst"); !errors.Is(err, vfs.ErrNotExist) {
 		t.Fatalf("rename with concurrently-deleted src = %v, want ErrNotExist", err)
 	}
@@ -325,7 +443,7 @@ func TestOpenCreateRaceFallsBackToLookup(t *testing.T) {
 }
 
 // TestCreateUndoPreservesConcurrentOverwrite locks in the undo-path
-// upgrade: when the physical create fails AFTER another client has
+// guard: when the physical create fails AFTER another client has
 // already replaced our namespace entry, the check+delete Multi must
 // leave the other client's node alone (the old unconditional delete
 // clobbered it).
@@ -334,7 +452,7 @@ func TestCreateUndoPreservesConcurrentOverwrite(t *testing.T) {
 	d := env.newDUFS(t, "")
 
 	// Deterministic re-enactment: register an entry, let a second
-	// client bump its version (as a concurrent overwrite would), then
+	// client replace its data (as a concurrent overwrite would), then
 	// issue the exact undo transaction Create uses and observe it
 	// refuse rather than delete.
 	if err := d.Mkdir("/u", 0o755); err != nil {
@@ -350,13 +468,17 @@ func TestCreateUndoPreservesConcurrentOverwrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sess.Close() })
+	registered, _, err := sess.Get("/dufs/u/f")
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Another client replaces the entry's data (version 0 -> 1).
 	if _, err := sess.Set("/dufs/u/f", []byte("replaced"), 0); err != nil {
 		t.Fatal(err)
 	}
 	// The undo transaction Create would have issued must now refuse.
 	if _, err := sess.Multi([]coord.Op{
-		coord.CheckOp("/dufs/u/f", 0),
+		coord.CheckDataOp("/dufs/u/f", 0, registered),
 		coord.DeleteOp("/dufs/u/f", 0),
 	}); !errors.Is(err, coord.ErrBadVersion) {
 		t.Fatalf("undo multi err = %v, want ErrBadVersion (refuse to clobber)", err)
@@ -364,4 +486,203 @@ func TestCreateUndoPreservesConcurrentOverwrite(t *testing.T) {
 	if _, ok, err := sess.Exists("/dufs/u/f"); err != nil || !ok {
 		t.Fatalf("concurrently-written node deleted by undo: ok=%v err=%v", ok, err)
 	}
+}
+
+// refusingBackend fails every file create, the physical step after a
+// Create's namespace entry is registered, so Create runs its undo.
+type refusingBackend struct{ vfs.FileSystem }
+
+func (refusingBackend) Create(string, uint32) (vfs.Handle, error) {
+	return nil, errors.New("refused")
+}
+
+// The four tests below put another client's move in the window between
+// a lookup and the write it was made for. A file znode keeps version 0
+// for life, so only the bytes a check compares tell the node read from
+// the node written; each move would pass a version check, and each
+// test fails if the write lands on the wrong node.
+
+// TestInterposedRenameOverUnlink: the name being unlinked is renamed
+// over before the delete. The body unlinked must be that of the znode
+// deleted, or the renamed file's body is orphaned.
+func TestInterposedRenameOverUnlink(t *testing.T) {
+	env := newEnv(t, 1, 2)
+	rival := env.newDUFS(t, "")
+	if err := rival.Mkdir("/u", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for f, body := range map[string]string{"/u/victim": "old", "/u/other": "new"} {
+		if err := vfs.WriteFile(rival, f, []byte(body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, ic := mountInterposed(t, env, env.backends, "/u/victim", func() error { return rival.Rename("/u/other", "/u/victim") })
+	if err := d.Unlink("/u/victim"); err != nil {
+		t.Fatal(err)
+	}
+	if !ic.fired.Load() {
+		t.Fatal("the move was never interposed; test is vacuous")
+	}
+	if _, err := d.Stat("/u/victim"); !errors.Is(err, vfs.ErrNotExist) {
+		t.Fatalf("victim after unlink: %v", err)
+	}
+	assertNamesMatchBodies(t, env, rival)
+}
+
+// TestInterposedRecreateRename: the rename's source, then its
+// destination, is deleted and re-created by another client after the
+// rename read it. The rename must move or replace the file that is
+// there now, not the one it read.
+func TestInterposedRecreateRename(t *testing.T) {
+	for _, tc := range []struct {
+		name, recreate, want string
+	}{
+		{"source", "/r/src", "second"},
+		{"destination", "/r/dst", "mine"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := newEnv(t, 1, 2)
+			rival := env.newDUFS(t, "")
+			if err := rival.Mkdir("/r", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			for f, body := range map[string]string{"/r/src": "mine", "/r/dst": "theirs"} {
+				if err := vfs.WriteFile(rival, f, []byte(body)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			d, ic := mountInterposed(t, env, env.backends, tc.recreate, func() error {
+				if err := rival.Unlink(tc.recreate); err != nil {
+					return err
+				}
+				return vfs.WriteFile(rival, tc.recreate, []byte("second"))
+			})
+			if err := d.Rename("/r/src", "/r/dst"); err != nil {
+				t.Fatal(err)
+			}
+			if !ic.fired.Load() {
+				t.Fatal("the move was never interposed; test is vacuous")
+			}
+			if data, err := vfs.ReadFile(d, "/r/dst"); err != nil || string(data) != tc.want {
+				t.Fatalf("dst after rename = %q, %v; want %q", data, err, tc.want)
+			}
+			if _, err := d.Stat("/r/src"); !errors.Is(err, vfs.ErrNotExist) {
+				t.Fatalf("src after rename: %v", err)
+			}
+			assertNamesMatchBodies(t, env, rival)
+		})
+	}
+}
+
+// TestInterposedRecreateCreateUndo: a create whose physical step fails
+// undoes its namespace entry, but another client has deleted that
+// entry and created its own file under the name first. The undo must
+// leave the other client's file alone.
+func TestInterposedRecreateCreateUndo(t *testing.T) {
+	env := newEnv(t, 1, 2)
+	rival := env.newDUFS(t, "")
+	if err := rival.Mkdir("/c", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	refusing := make([]vfs.FileSystem, len(env.backends))
+	for i, b := range env.backends {
+		refusing[i] = refusingBackend{b}
+	}
+	d, ic := mountInterposed(t, env, refusing, "/c/f", func() error {
+		if err := rival.Unlink("/c/f"); err != nil {
+			return err
+		}
+		return vfs.WriteFile(rival, "/c/f", []byte("rival"))
+	})
+	if _, err := d.Create("/c/f", 0o644); err == nil {
+		t.Fatal("create over a refusing back-end succeeded")
+	}
+	if !ic.fired.Load() {
+		t.Fatal("the move was never interposed; test is vacuous")
+	}
+	if data, err := vfs.ReadFile(rival, "/c/f"); err != nil || string(data) != "rival" {
+		t.Fatalf("rival's file after the undo = %q, %v", data, err)
+	}
+	assertNamesMatchBodies(t, env, rival)
+}
+
+// TestInterposedRenameOverChmod: a directory being chmodded is replaced
+// by a file. The chmod must not write directory data over the file's
+// znode (which would lose its FID); it resolves the name again and
+// chmods the file.
+func TestInterposedRenameOverChmod(t *testing.T) {
+	env := newEnv(t, 1, 2)
+	rival := env.newDUFS(t, "")
+	if err := vfs.MkdirAll(rival, "/m/p", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	d, ic := mountInterposed(t, env, env.backends, "/m/p", func() error {
+		if err := rival.Rmdir("/m/p"); err != nil {
+			return err
+		}
+		return vfs.WriteFile(rival, "/m/p", []byte("file body"))
+	})
+	if err := d.Chmod("/m/p", 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if !ic.fired.Load() {
+		t.Fatal("the move was never interposed; test is vacuous")
+	}
+	fi, err := d.Stat("/m/p")
+	if err != nil || fi.IsDir() || fi.Mode&vfs.PermMask != 0o600 {
+		t.Fatalf("/m/p after chmod = %+v, %v; want the file, mode 0600", fi, err)
+	}
+	if data, err := vfs.ReadFile(d, "/m/p"); err != nil || string(data) != "file body" {
+		t.Fatalf("file after chmod = %q, %v", data, err)
+	}
+	assertNamesMatchBodies(t, env, rival)
+}
+
+// TestConcurrentUnlinkRenameOver races one client's unlinks against
+// another's rename-overs of the same two names, for as long as the
+// renames run. Whatever interleaving the scheduler produces, no file
+// name may be left without its body and no body without a name. (A
+// lookup-then-delete unlink orphans a body here in most runs under
+// -race.)
+func TestConcurrentUnlinkRenameOver(t *testing.T) {
+	env := newEnv(t, 1, 2)
+	renamer, unlinker := env.newDUFS(t, ""), env.newDUFS(t, "")
+	if err := renamer.Mkdir("/s", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	const slots, rounds = 2, 150
+	var wg sync.WaitGroup
+	var renamed atomic.Bool
+	errs := make(chan error, 2)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		defer renamed.Store(true)
+		for i := 0; i < rounds; i++ {
+			tmp := fmt.Sprintf("/s/tmp%d", i)
+			if err := vfs.WriteFile(renamer, tmp, []byte(tmp)); err != nil {
+				errs <- err
+				return
+			}
+			if err := renamer.Rename(tmp, fmt.Sprintf("/s/slot%d", i%slots)); err != nil {
+				errs <- fmt.Errorf("rename %s: %w", tmp, err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; !renamed.Load(); i++ {
+			if err := unlinker.Unlink(fmt.Sprintf("/s/slot%d", i%slots)); err != nil && !errors.Is(err, vfs.ErrNotExist) {
+				errs <- fmt.Errorf("unlink: %w", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	assertNamesMatchBodies(t, env, renamer)
 }

@@ -270,10 +270,11 @@ func (d *DUFS) Mkdir(path string, perm uint32) error {
 	return mapError(err)
 }
 
-// Rmdir implements vfs.FileSystem.
+// Rmdir implements vfs.FileSystem in one coordination round trip: the
+// type check rides in the transaction as a check guarded on the
+// directory kind, and the delete beside it refuses a non-empty one.
 func (d *DUFS) Rmdir(path string) error {
 	d.count("rmdir")
-	ctx := opCtx()
 	p, err := vfs.Clean(path)
 	if err != nil {
 		return err
@@ -281,14 +282,15 @@ func (d *DUFS) Rmdir(path string) error {
 	if p == "/" {
 		return vfs.ErrPerm
 	}
-	nd, _, err := d.getNode(ctx, p)
-	if err != nil {
-		return err
-	}
-	if nd.Kind != kindDir {
+	zp := d.zpath(p)
+	_, err = d.sess.MultiCtx(opCtx(), []coord.Op{
+		coord.CheckDataOp(zp, -1, []byte{kindDir}),
+		coord.DeleteOp(zp, -1),
+	})
+	if errors.Is(err, coord.ErrBadVersion) {
 		return vfs.ErrNotDir
 	}
-	return mapError(d.sess.DeleteCtx(ctx, d.zpath(p), -1))
+	return mapError(err)
 }
 
 // Create implements vfs.FileSystem: mint a FID locally, register the
@@ -309,13 +311,16 @@ func (d *DUFS) Create(path string, perm uint32) (vfs.Handle, error) {
 	data := encodeNodeData(nodeData{Kind: kindFile, Mode: perm & vfs.PermMask, FID: f})
 	fut := d.sess.Begin(ctx, coord.CreateOp(d.zpath(p), data, 0))
 	// Undo the namespace entry so a failed create is invisible. The
-	// atomic check+delete only removes the znode while its version is
-	// still 0 — i.e. nobody has touched our entry since we registered
-	// it — so the undo can never clobber a concurrent writer's node.
-	// Best-effort, like the physical-side cleanup it compensates.
+	// atomic check+delete only removes the znode while it still holds
+	// the bytes we registered: version 0 alone proves nothing (a file
+	// znode keeps version 0 for life, so one another client deleted and
+	// re-created passes it), but the data carries our freshly minted
+	// FID, so equal bytes mean our node and the undo can never clobber
+	// a concurrent writer's. Best-effort, like the physical-side cleanup
+	// it compensates.
 	undo := func() {
 		_, _ = d.sess.MultiCtx(ctx, []coord.Op{
-			coord.CheckOp(d.zpath(p), 0),
+			coord.CheckDataOp(d.zpath(p), 0, data),
 			coord.DeleteOp(d.zpath(p), 0),
 		})
 	}
@@ -429,6 +434,14 @@ func (d *DUFS) Open(path string, flags int) (vfs.Handle, error) {
 // Unlink implements vfs.FileSystem: drop the name from the namespace,
 // then remove the physical body. The FID indirection is what lets the
 // same virtual name later refer to brand-new contents (§IV-A).
+//
+// The name goes in one coordination round trip: a check guarded on the
+// file kind and the delete ride in one Multi, and the check reports the
+// data of the very znode the delete removed, so the body unlinked is
+// always that znode's — a rename-over racing the unlink cannot pair one
+// file's name with another file's body. A failed guard reports what the
+// name is instead: a directory is ErrIsDir, and a symlink is deleted by
+// a second Multi guarded on exactly the bytes the first one found.
 func (d *DUFS) Unlink(path string) error {
 	d.count("unlink")
 	ctx := opCtx()
@@ -436,23 +449,50 @@ func (d *DUFS) Unlink(path string) error {
 	if err != nil {
 		return err
 	}
-	nd, _, err := d.getNode(ctx, p)
-	if err != nil {
-		return err
-	}
-	if nd.Kind == kindDir {
-		return vfs.ErrIsDir
-	}
-	if err := d.sess.DeleteCtx(ctx, d.zpath(p), -1); err != nil {
-		return mapError(err)
-	}
-	if nd.Kind == kindFile {
-		backend, phys := d.locate(nd.FID)
-		if err := backend.Unlink(phys); err != nil && !errors.Is(err, vfs.ErrNotExist) {
+	zp := d.zpath(p)
+	guard := []byte{kindFile}
+	for {
+		res, err := d.sess.MultiCtx(ctx, []coord.Op{
+			coord.CheckDataOp(zp, -1, guard),
+			coord.DeleteOp(zp, -1),
+		})
+		switch {
+		case err == nil:
+		case errors.Is(err, coord.ErrBadVersion):
+			nd, derr := checkedNode(res)
+			if derr != nil {
+				return derr
+			}
+			if nd.Kind == kindDir {
+				return vfs.ErrIsDir
+			}
+			guard = res[0].Data
+			continue
+		case errors.Is(err, coord.ErrNotEmpty):
+			return vfs.ErrIsDir // only a directory has children
+		default:
+			return mapError(err)
+		}
+		nd, err := checkedNode(res)
+		if err != nil {
 			return err
 		}
+		if nd.Kind == kindFile {
+			backend, phys := d.locate(nd.FID)
+			if err := backend.Unlink(phys); err != nil && !errors.Is(err, vfs.ErrNotExist) {
+				return err
+			}
+		}
+		return nil
 	}
-	return nil
+}
+
+// checkedNode decodes the node a batch's leading guarded check found.
+func checkedNode(res []coord.OpResult) (nodeData, error) {
+	if len(res) == 0 {
+		return nodeData{}, errors.New("dufs: a guarded check returned no result")
+	}
+	return decodeNodeData(res[0].Data)
 }
 
 // Stat implements vfs.FileSystem — the paper's Fig 6 algorithm:
@@ -641,13 +681,20 @@ func (d *DUFS) Rename(oldPath, newPath string) error {
 			return d.renameFileIntent(ctx, op, np, raw)
 		}
 		// The destination replacement rides in the SAME transaction as
-		// the rename (version-guarded), so a rename that fails — src
-		// deleted concurrently, anything — leaves an existing dst fully
-		// intact, as POSIX requires. Only after commit is the replaced
-		// file's physical body reclaimed.
-		ops := []coord.Op{coord.CheckOp(zop, stat.Version)}
+		// the rename, so a rename that fails — src deleted concurrently,
+		// anything — leaves an existing dst fully intact, as POSIX
+		// requires. Only after commit is the replaced file's physical
+		// body reclaimed. Both names are guarded on the bytes read, not
+		// the version alone: a file znode keeps version 0 for life, so a
+		// name deleted and re-created since the lookup would pass a
+		// version check, and the rename would resurrect a FID whose body
+		// is gone (src) or orphan the new file's body (dst). FIDs are
+		// unique, so equal bytes mean the same file.
+		ops := []coord.Op{coord.CheckDataOp(zop, stat.Version, raw)}
 		if exErr == nil {
-			ops = append(ops, coord.DeleteOp(znp, existingStat.Version))
+			ops = append(ops,
+				coord.CheckDataOp(znp, existingStat.Version, existingRaw),
+				coord.DeleteOp(znp, existingStat.Version))
 		}
 		ops = append(ops, coord.CreateOp(znp, raw, 0), coord.DeleteOp(zop, -1))
 		_, err := d.sess.MultiCtx(ctx, ops)
@@ -700,9 +747,13 @@ func (d *DUFS) renameDir(ctx context.Context, op, np string) error {
 		return err
 	}
 	if len(kids) == 0 && d.sess.Atomic(zop, znp) {
-		// Leaf move: the whole rename is one atomic transaction.
+		// Leaf move: the whole rename is one atomic transaction. A
+		// directory's bytes pin only its kind and mode (it has no FID),
+		// so the guard refuses a name that became a file or symlink or
+		// was chmodded since the listing, but not an empty directory
+		// re-created with the same mode — which is indistinguishable.
 		_, merr := d.sess.MultiCtx(ctx, []coord.Op{
-			coord.CheckOp(zop, self.Stat.Version),
+			coord.CheckDataOp(zop, self.Stat.Version, self.Data),
 			coord.CreateOp(znp, self.Data, 0),
 			coord.DeleteOp(zop, -1),
 		})
@@ -980,6 +1031,11 @@ func (d *DUFS) Truncate(path string, size int64) error {
 // Chmod implements vfs.FileSystem. Directory and symlink modes live in
 // the znode; file modes live with the physical file, matching the
 // paper's split of metadata ownership (§IV-D).
+//
+// The znode write is guarded on the bytes the lookup read, so a name
+// renamed over in between is never overwritten with the data of what it
+// used to be (a file would lose its FID to directory data); the lookup
+// is retried instead.
 func (d *DUFS) Chmod(path string, perm uint32) error {
 	d.count("chmod")
 	ctx := opCtx()
@@ -987,17 +1043,29 @@ func (d *DUFS) Chmod(path string, perm uint32) error {
 	if err != nil {
 		return err
 	}
-	nd, _, err := d.getNode(ctx, p)
-	if err != nil {
-		return err
+	zp := d.zpath(p)
+	for {
+		raw, _, err := d.sess.GetCtx(ctx, zp)
+		if err != nil {
+			return mapError(err)
+		}
+		nd, err := decodeNodeData(raw)
+		if err != nil {
+			return err
+		}
+		if nd.Kind == kindFile {
+			backend, phys := d.locate(nd.FID)
+			return backend.Chmod(phys, perm)
+		}
+		nd.Mode = perm & vfs.PermMask
+		_, err = d.sess.MultiCtx(ctx, []coord.Op{
+			coord.CheckDataOp(zp, -1, raw),
+			coord.SetOp(zp, encodeNodeData(nd), -1),
+		})
+		if !errors.Is(err, coord.ErrBadVersion) {
+			return mapError(err)
+		}
 	}
-	if nd.Kind == kindFile {
-		backend, phys := d.locate(nd.FID)
-		return backend.Chmod(phys, perm)
-	}
-	nd.Mode = perm & vfs.PermMask
-	_, err = d.sess.SetCtx(ctx, d.zpath(p), encodeNodeData(nd), -1)
-	return mapError(err)
 }
 
 // Access implements vfs.FileSystem.
