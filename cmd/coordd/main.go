@@ -32,8 +32,9 @@
 // With -observer the process joins the ensemble as a NON-VOTING
 // observer replica instead: the same server, streamed the log by the
 // leader like a follower, serving the whole client protocol from its
-// local replica and forwarding writes. Observers never vote and never
-// slow the write quorum — they are pure read capacity. -peers lists the
+// local replica and, like a follower, answering a write with the
+// leader's -client address. Observers never vote and never slow the
+// write quorum — they are pure read capacity. -peers lists the
 // voters plus the observer's own entry (convention: IDs 101+), which
 // appears in no voter's -peers:
 //

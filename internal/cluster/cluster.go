@@ -495,7 +495,7 @@ func (c *Cluster) ObserverAddr(s, idx int) string {
 
 // observerPeerAddr returns the address the leader streams the log to
 // observer (s, idx) at. Replication is push, so blocking it stalls the
-// replica while its own outbound calls (forwards, joins) still land.
+// replica while its own outbound calls (joins, sync pulls) still land.
 func (c *Cluster) observerPeerAddr(s, idx int) string {
 	cfg := c.observers[s][idx].cfg
 	return cfg.PeerAddrs[cfg.ID]
@@ -528,27 +528,45 @@ type readKey struct {
 // readCounts returns what every running member has counted, by role.
 func (c *Cluster) readCounts() map[readKey]int64 {
 	counts := map[readKey]int64{}
-	add := func(srv *coord.Server, plain string) {
-		if srv == nil {
-			return
-		}
+	c.eachMember(func(srv *coord.Server, plain string) {
 		reg := srv.Metrics()
 		leased := reg.Counter("lease_reads").Value()
 		counts[readKey{srv, "leader"}] = leased
 		counts[readKey{srv, plain}] = reg.Counter("reads").Value() - leased
 		counts[readKey{srv, "refused"}] = reg.Counter("stamp_refusals").Value()
-	}
+	})
+	return counts
+}
+
+// StrayWrites counts the writes proposed by running coordination members
+// that have not led since they started (their proposer never cut a frame,
+// not even an epoch barrier). Only a leader proposes, so it is zero.
+func (c *Cluster) StrayWrites() (n int64) {
+	c.eachMember(func(srv *coord.Server, _ string) {
+		if reg := srv.Metrics(); reg.Distribution("zab.proposer.batch_txns").Count() == 0 {
+			n += reg.Counter("writes").Value()
+		}
+	})
+	return n
+}
+
+// eachMember calls f on every running coordination member, with its
+// tier: "voter" or "observer".
+func (c *Cluster) eachMember(f func(srv *coord.Server, tier string)) {
 	for _, ens := range c.Ensembles {
 		for _, srv := range ens.Servers {
-			add(srv, "voter")
+			if srv != nil {
+				f(srv, "voter")
+			}
 		}
 	}
 	for _, tier := range c.observers {
 		for _, slot := range tier {
-			add(slot.srv, "observer")
+			if slot.srv != nil {
+				f(slot.srv, "observer")
+			}
 		}
 	}
-	return counts
 }
 
 // Stop closes every client and shuts every server down.

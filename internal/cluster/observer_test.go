@@ -56,10 +56,10 @@ func waitObserverCaughtUp(t *testing.T, c *Cluster, idx int) {
 // sync-then-read recipe against a deliberately lagging observer: a
 // write lands on the leader while the observer's peer address is
 // blocked (the leader's log stream cannot reach it; its own outbound
-// calls still land), and a Sync issued through the observer must not return until the observer's
-// own replica reflects that write — so the read that follows it sees
-// the data even though the replica was seconds behind when Sync was
-// called.
+// calls still land), and an observer-homed session's Sync — ordered by
+// the leader — stamps the read that follows it, which the observer holds
+// until its own replica reflects that write. So the read sees the data
+// even though the replica was behind when Sync was called.
 func TestObserverSyncBarrierReadYourWrites(t *testing.T) {
 	c := startObserverCluster(t, 1, 0)
 	fnet := c.net.(*transport.Faults)
@@ -75,6 +75,9 @@ func TestObserverSyncBarrierReadYourWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer obsSess.Close()
+	// The leader acknowledged the session's own creation; the observer has
+	// applied it before it is cut off.
+	waitObserverCaughtUp(t, c, 0)
 
 	// Inject replication delay, then write behind the observer's back.
 	fnet.Block(c.observerPeerAddr(0, 0))
@@ -97,29 +100,30 @@ func TestObserverSyncBarrierReadYourWrites(t *testing.T) {
 	}()
 	start := time.Now()
 	if err := obsSess.Sync(); err != nil {
-		t.Fatalf("sync barrier through observer: %v", err)
+		t.Fatalf("sync barrier from an observer-homed session: %v", err)
 	}
-	if elapsed := time.Since(start); elapsed < 100*time.Millisecond {
-		t.Fatalf("Sync returned after %v, before the replica could have caught up", elapsed)
-	}
-	<-healed
 	// Post-barrier, the same session's read on the same replica must
 	// see the pre-barrier write: read-your-writes across tiers.
 	data, _, err := obsSess.Get("/barrier")
 	if err != nil {
 		t.Fatalf("read after sync barrier: %v", err)
 	}
+	if elapsed := time.Since(start); elapsed < 100*time.Millisecond {
+		t.Fatalf("the read after the barrier returned after %v, before the replica could have caught up", elapsed)
+	}
 	if string(data) != "v1" {
 		t.Fatalf("read after sync barrier = %q, want %q", data, "v1")
 	}
+	<-healed
 }
 
-// TestObserverWriteForwardingReadYourWrites checks the stronger rule
-// the observer tier gives sessions for free: a write submitted THROUGH
-// the observer is acked only after the observer's local replica has
-// applied it, so the very next read on that replica sees it with no
-// explicit barrier.
-func TestObserverWriteForwardingReadYourWrites(t *testing.T) {
+// TestObserverHomedWritesReadYourWrites checks the stronger rule the
+// observer tier gives sessions for free: a write from a session whose
+// only address is an observer goes to the leader the observer names, and
+// the very next read on the observer sees it with no explicit barrier —
+// the read carries the write's zxid, and the observer answers once it has
+// applied that much.
+func TestObserverHomedWritesReadYourWrites(t *testing.T) {
 	c := startObserverCluster(t, 1, 0)
 	waitObserverCaughtUp(t, c, 0)
 	obsSess, err := coord.Connect(c.net, []string{c.ObserverAddr(0, 0)})
@@ -133,8 +137,11 @@ func TestObserverWriteForwardingReadYourWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, _, err := obsSess.Get(path); err != nil {
-			t.Fatalf("write %s acked by observer but not readable on it: %v", path, err)
+			t.Fatalf("write %s acked by the leader but not readable on the observer: %v", path, err)
 		}
+	}
+	if got := c.Observer(0, 0).Metrics().Counter("writes").Value(); got != 0 {
+		t.Errorf("the observer proposed %d writes", got)
 	}
 }
 
@@ -199,9 +206,10 @@ func TestObserverSnapshotRejoinAfterRestart(t *testing.T) {
 
 // TestLeaseReadWirePath checks the opLeaseRead protocol end to end: the
 // quorum-funded leader answers, and an observer — which can never
-// linearize — refuses (coord's TestLeaseReadTakesTheWritePath pins the
-// refusal on the server), so a session whose only address is one falls
-// back to a Sync and a plain read instead of reading stale data.
+// linearize — names the leader instead (coord's
+// TestLeaseReadTakesTheWritePath pins the refusal on the server), so a
+// session whose only address is one gets its lease read answered by the
+// leader, with no Sync proposed.
 func TestLeaseReadWirePath(t *testing.T) {
 	c := startObserverCluster(t, 1, 0)
 	waitObserverCaughtUp(t, c, 0)
@@ -234,7 +242,7 @@ func TestLeaseReadWirePath(t *testing.T) {
 	}
 	defer obsSess.Close()
 	obs := c.Observer(0, 0).Metrics()
-	syncs := obs.Counter("writes").Value()
+	served, syncs := leader.Counter("lease_reads").Value(), leader.Counter("writes").Value()
 	res, err := obsSess.Do(t.Context(), leased)
 	if err != nil || string(res.Data) != "fast" {
 		t.Fatalf("lease read through an observer-only session = %q, %v", res.Data, err)
@@ -242,8 +250,11 @@ func TestLeaseReadWirePath(t *testing.T) {
 	if got := obs.Counter("lease_reads").Value(); got != 0 {
 		t.Fatalf("the observer served %d reads under a lease it cannot hold", got)
 	}
-	if got := obs.Counter("writes").Value() - syncs; got != 1 {
-		t.Fatalf("the observer proposed %d transactions for the fallen-back lease read, want one Sync", got)
+	if got := leader.Counter("lease_reads").Value() - served; got != 1 {
+		t.Fatalf("the leader served %d lease reads of the observer-only session, want 1", got)
+	}
+	if got := leader.Counter("writes").Value() - syncs; got != 0 {
+		t.Fatalf("%d transactions proposed for a lease read the leader could answer", got)
 	}
 }
 
@@ -372,9 +383,9 @@ func TestObserverServesWatches(t *testing.T) {
 // TestObserversBehindShardRouter places the per-shard sessions of a
 // shard.Router observer-first: 2 shards with one observer each. Stats
 // and readdirs through the router are answered by the observers; a
-// Multi and a cross-shard rename still go through; and once every
-// sub-session has found its shard's leader, every write is proposed by
-// a leader — no observer and no follower forwards one.
+// Multi and a cross-shard rename still go through; and every write,
+// from the first, is proposed by a leader — an observer or a follower
+// only ever names it.
 func TestObserversBehindShardRouter(t *testing.T) {
 	seq++
 	c, err := Start(Config{
@@ -423,10 +434,8 @@ func TestObserversBehindShardRouter(t *testing.T) {
 	observers := func(_ *coord.Server, observer bool) bool { return observer }
 	voters := func(_ *coord.Server, observer bool) bool { return !observer }
 	leaders := func(srv *coord.Server, _ bool) bool { return srv.IsLeader() }
-	notLeaders := func(srv *coord.Server, _ bool) bool { return !srv.IsLeader() }
 
-	// Directories on both shards, and writes until no sub-session's home
-	// forwards them any more: each has found its leader.
+	// Directories on both shards.
 	var dirs [2]string
 	for i := 0; dirs[0] == "" || dirs[1] == ""; i++ {
 		dir := fmt.Sprintf("/d%d", i)
@@ -435,21 +444,9 @@ func TestObserversBehindShardRouter(t *testing.T) {
 		}
 		dirs[router.ShardFor("/dufs"+dir+"/x")] = dir
 	}
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
-		forwarded := sum("writes", notLeaders)
-		if err := sess.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		if sum("writes", notLeaders) == forwarded {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("a sub-session never found a direct path to its shard's leader")
-		}
-	}
 
 	obsReads, voterReads := sum("reads", observers), sum("reads", voters)
-	proposed, forwarded := sum("writes", leaders), sum("writes", notLeaders)
+	proposed := sum("writes", leaders)
 	const files = 8
 	for _, dir := range dirs {
 		for i := 0; i < files; i++ {
@@ -493,8 +490,8 @@ func TestObserversBehindShardRouter(t *testing.T) {
 	if got := sum("reads", voters) - voterReads; got != 0 {
 		t.Errorf("voters answered %d reads of observer-homed sessions", got)
 	}
-	if got := sum("writes", notLeaders) - forwarded; got != 0 {
-		t.Errorf("%d writes were forwarded by an observer or a follower", got)
+	if got := c.StrayWrites(); got != 0 {
+		t.Errorf("%d writes were proposed by an observer or a follower", got)
 	}
 	if got := sum("writes", leaders) - proposed; got < 2*files+2 {
 		t.Errorf("the leaders proposed %d writes, want at least %d", got, 2*files+2)
@@ -502,7 +499,7 @@ func TestObserversBehindShardRouter(t *testing.T) {
 
 	// The router itself places no lease read; "leader" sets the flag on
 	// the sessions beneath it, and each shard's leader answers under its
-	// lease once the sub-session has found it.
+	// lease once it has funded one.
 	if _, err := sess.Do(t.Context(), coord.Op{Kind: coord.OpExists, Path: "/dufs" + dirs[0], Lease: true}); err == nil {
 		t.Error("the shard router accepted Op.Lease")
 	}

@@ -228,8 +228,8 @@ func Matrix() []Scenario {
 			// The nastiest asymmetric case, pinned deliberately: the
 			// leader's outbound traffic still flows, so followers keep
 			// hearing heartbeats and never call an election — but no
-			// client request or forwarded write can reach the leader
-			// until the partition heals. Writes stall for the whole
+			// client request can reach the leader until the partition
+			// heals. Writes stall for the whole
 			// fault window (ZooKeeper has the same exposure; resolving
 			// it needs inbound-reachability self-checks on the leader).
 			SLO: SLO{MaxP99: 2 * time.Second, MaxErrorFrac: 0.3, MinAchievedFrac: 0.35},
@@ -497,9 +497,13 @@ func RunScenario(ctx context.Context, sc Scenario, scale float64) (*ScenarioResu
 	res.AckedChecked = len(result.AckedPaths)
 	res.MissingAcked = len(missing)
 
-	// Grade. Acked-write loss is always fatal; the rest follow the SLO.
+	// Grade. Acked-write loss and a write proposed by a member that did
+	// not lead are always fatal; the rest follow the SLO.
 	if res.MissingAcked > 0 {
 		res.Violations = append(res.Violations, fmt.Sprintf("%d of %d acknowledged writes lost (first: %s)", res.MissingAcked, res.AckedChecked, missing[0]))
+	}
+	if n := cl.StrayWrites(); n > 0 {
+		res.Violations = append(res.Violations, fmt.Sprintf("%d writes proposed by members that never led", n))
 	}
 	if sc.SLO.MaxP99 > 0 {
 		if p99 := result.Latency.P99(); p99 > scaleDur(sc.SLO.MaxP99, scale) {

@@ -14,6 +14,7 @@ package coord
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/coord/znode"
 	"repro/internal/wire"
@@ -45,9 +46,10 @@ const (
 	// opChildrenData follows as the payload) with a leader-lease check:
 	// the server answers from its local replica ONLY while it holds the
 	// clock-skew-bounded read lease, making the read linearizable
-	// without a quorum round trip; otherwise it returns ErrNoLease and
-	// the session falls back to a sync barrier and a plain read.
-	// Client-local (never replicated).
+	// without a quorum round trip. A member that does not lead names the
+	// leader (codeNotLeader); a leader without its lease returns
+	// ErrNoLease and the session falls back to a sync barrier and a plain
+	// read. Client-local (never replicated).
 	opLeaseRead
 	// Migration control plane (DESIGN.md §15). The four write ops are
 	// replicated transactions — fence/moved markers and imported entries
@@ -85,6 +87,10 @@ const (
 	// could not reach within stampWait: nothing was served, and the
 	// session takes the request to its next address.
 	codeBehind
+	// codeNotLeader refuses a replicated op or a lease read at a member
+	// that does not lead: nothing was proposed or read, and the detail is
+	// the leader's client address, where the session sends the request.
+	codeNotLeader
 )
 
 // proposes reports whether a client op is a replicated transaction: the
@@ -112,10 +118,9 @@ var (
 	// because a sibling op in the same atomic batch failed.
 	ErrRolledBack = znode.ErrRolledBack
 	// ErrNoLease is a server's answer to a lease read it cannot vouch
-	// for: it does not currently hold the leader read lease (not the
-	// leader, or deposed, or its heartbeat-funded deadline expired). The
-	// read was NOT served. Session.Do never returns it — it falls back to
-	// a sync barrier and a plain read.
+	// for: it leads but its heartbeat-funded deadline expired, or it
+	// knows no leader to name. The read was NOT served. Session.Do never
+	// returns it — it falls back to a sync barrier and a plain read.
 	ErrNoLease = errors.New("coord: no read lease held")
 	// ErrFenced is returned for a write landing in a hash range that is
 	// fenced for migration. The write did NOT apply; the fence lifts
@@ -126,6 +131,15 @@ var (
 	// moving on, so callers only meet it wrapped in a deadline error.
 	errBehind = errors.New("coord: replica has not applied the session's last-seen zxid")
 )
+
+// notLeader is codeNotLeader: the leader's client address, which the
+// session dials and resends to. Its text is the reply's detail, as
+// MovedError's is.
+type notLeader string
+
+const notLeaderPrefix = "coord: not the leader; the leader is at "
+
+func (a notLeader) Error() string { return notLeaderPrefix + string(a) }
 
 // MovedError is the moved-partition redirect: the addressed range was
 // migrated away at the carried placement epoch and this shard no
@@ -190,6 +204,8 @@ func codeForError(err error) uint8 {
 		return codeFenced
 	case errors.Is(err, errBehind):
 		return codeBehind
+	case errors.As(err, new(notLeader)):
+		return codeNotLeader
 	default:
 		var mv *MovedError
 		if errors.As(err, &mv) {
@@ -225,6 +241,8 @@ func errorForCode(code uint8, detail string) error {
 		return parseMovedDetail(detail)
 	case codeBehind:
 		return errBehind
+	case codeNotLeader:
+		return notLeader(strings.TrimPrefix(detail, notLeaderPrefix))
 	default:
 		if detail == "" {
 			detail = "unknown coordination error"
@@ -312,12 +330,12 @@ type Op struct {
 	// them. Watch (get, exists, children) leaves a one-shot watch behind
 	// a successful read, delivered through WaitEvents. Lease asks for a
 	// linearizable answer, the cheapest way available, on any Session:
-	// the leader answers in one round trip, no quorum round, while the
-	// session has a path to it and its quorum-funded, clock-skew-bounded
-	// read lease is live; otherwise (no leader in reach, lease expired, a
-	// single-address or observer-only session) the session issues a Sync
-	// and then the plain read. A shard.Router refuses the flag; set it on
-	// the sessions beneath one.
+	// the leader answers in one round trip, no quorum round, while its
+	// quorum-funded, clock-skew-bounded read lease is live — a member that
+	// does not lead names the leader and the session goes there; otherwise
+	// (lease expired, no leader known) the session issues a Sync and then
+	// the plain read. A shard.Router refuses the flag; set it on the
+	// sessions beneath one.
 	Watch bool
 	Lease bool
 

@@ -1,7 +1,6 @@
 package coord
 
 import (
-	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -26,13 +25,14 @@ import (
 //
 // A session has a HOME server — the first address that accepted it —
 // which answers its reads from the local replica, holds its watches and
-// parks its event waits. Replicated writes and lease reads go straight
-// to the LEADER over a second connection once the session has found it
-// (DESIGN.md §10.5); until then, and whenever that path fails, they go
-// home: a write is forwarded, a lease read is refused and falls back to
-// a Sync and a plain read. If home dies the session fails over to the
-// next address in its list, so the ORDER of the list is the session's
-// read placement (DESIGN.md §13.4).
+// parks its event waits. Replicated writes and lease reads are served by
+// the LEADER only (DESIGN.md §10.5): any other member refuses them with
+// the leader's client address, and the session dials that address once
+// and sends them there over a second connection from then on. Until it
+// has one, and whenever that connection fails, they go home, which
+// serves them if it leads and names the leader if not. If home dies the
+// session fails over to the next address in its list, so the ORDER of
+// the list is the session's read placement (DESIGN.md §13.4).
 //
 // One rule orders what the session sees across all of that (DESIGN.md
 // §10.4): every reply carries a zxid, the session keeps the highest it
@@ -62,20 +62,13 @@ type Session struct {
 	id      uint64
 	closed  bool
 
-	// Write placement. lead is the direct connection to the leader (nil:
-	// writes go through home) and leadGen its generation; homeLeads means
-	// home is itself the leader and nothing is dialed. leadEpoch is the
-	// epoch that leader was found in, zero while none is known: a write
-	// ordered in any other epoch was forwarded, so the leader has moved.
-	// The write connection never touches connGen or eventGen — watches
-	// live on home.
-	lead      transport.Conn
-	leadGen   uint64
-	homeLeads bool
-	leadEpoch atomic.Uint64
-	probing   bool      // a findLeader is running
-	probedAt  time.Time // when the last one finished
-	probes    sync.WaitGroup
+	// Write placement. lead is the connection to the address the last
+	// redirect named as the leader's, leadAddr (nil: replicated ops and
+	// lease reads go home), and leadGen its generation. The write
+	// connection never touches connGen or eventGen — watches live on home.
+	lead     transport.Conn
+	leadAddr string
+	leadGen  uint64
 
 	// eventGen remembers the connection generation of the last
 	// WaitEvents call, so a failover BETWEEN two parks (detected by a
@@ -101,11 +94,6 @@ const DialTimeout = 10 * time.Second
 // cut off from the quorum never does.
 const maxRefusals = 16
 
-// leaderProbeEvery spaces the leader searches of a session that has no
-// direct write path (no listed address leads, or the leader's is
-// unreachable from here).
-const leaderProbeEvery = 250 * time.Millisecond
-
 // Connect establishes a session against any of the given client
 // addresses. The first address that accepts the session wins; the
 // rest serve as failover targets.
@@ -119,7 +107,9 @@ func Connect(net transport.Network, addrs []string) (*Session, error) {
 		window: make(chan struct{}, asyncWindow),
 	}
 	s.Forms = Forms{s}
-	resp, err := s.request(encodeNewSessionTxn())
+	w := wire.GetWriter()
+	w.Uint8(opNewSession)
+	resp, _, err := s.exchange(context.Background(), w)
 	if err != nil {
 		return nil, fmt.Errorf("coord: establishing session: %w", err)
 	}
@@ -143,16 +133,17 @@ func (s *Session) Close() error {
 		return nil
 	}
 	s.mu.Unlock()
-	_, err := s.request(encodeCloseSessionTxn(s.id, s.seq.Add(1)))
+	w := wire.GetWriter()
+	appendCloseSessionTxn(w, s.id, s.seq.Add(1))
+	_, _, err := s.exchange(context.Background(), w)
 	s.mu.Lock()
 	s.closed = true
 	if s.conn != nil {
 		s.conn.Close()
 		s.conn = nil
 	}
-	s.forgetLeaderLocked()
+	s.closeLeadLocked()
 	s.mu.Unlock()
-	s.probes.Wait()
 	return err
 }
 
@@ -203,123 +194,56 @@ func (s *Session) dropConn(gen uint64) {
 	s.conn.Close()
 	s.conn = nil
 	s.cur = (s.cur + 1) % len(s.addrs)
-	if s.homeLeads {
-		s.forgetLeaderLocked()
-	}
 }
 
 // route picks the connection a request goes out on: one for the leader
-// (a replicated write, a lease read) takes the direct connection to it
-// when there is one, and everything else — plain reads, watches, event
-// waits, and the leader's requests while no leader is known — goes home.
-// A request that finds no direct path starts the search for one in the
-// background and does not wait for it.
+// (a replicated write, a lease read) takes the connection to the leader
+// when a redirect has named it, and everything else — plain reads,
+// watches, event waits, and the leader's requests until then — goes home.
 func (s *Session) route(toLeader bool) (c transport.Conn, gen uint64, direct bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if toLeader && s.id != 0 && !s.closed {
-		if s.lead != nil {
-			return s.lead, s.leadGen, true, nil
-		}
-		if !s.homeLeads && !s.probing && len(s.addrs) > 1 && time.Since(s.probedAt) >= leaderProbeEvery {
-			s.probing = true
-			s.probes.Add(1)
-			go s.findLeader()
-		}
+	if toLeader && s.lead != nil {
+		return s.lead, s.leadGen, true, nil
 	}
 	c, gen, err = s.homeLocked()
 	return c, gen, false, err
 }
 
-// findLeader asks the addresses the session holds which of them leads:
-// home first, over the connection it already has — a session homed on
-// the leader dials nothing — then every other one. Of several that claim
-// to lead (a deposed leader cut off from the news), the one in the
-// highest epoch is believed, and its connection kept as the write path.
-func (s *Session) findLeader() {
-	defer s.probes.Done()
+// follow makes addr, which a server named as the leader's, the write
+// path. It dials outside the session lock — an unreachable leader must
+// not stall the reads at home — so requests redirected at once may each
+// dial; the first connection made is kept.
+func (s *Session) follow(addr string) {
+	c, err := s.net.Dial(addr)
+	if err != nil {
+		return // the request goes home, to be redirected again
+	}
 	s.mu.Lock()
-	home, hc, hgen := s.addrs[s.cur], s.conn, s.connGen
-	s.mu.Unlock()
-
-	var lead transport.Conn
-	var epoch uint64
-	homeLeads := false
-	if hc != nil {
-		if st, err := statusOver(hc); err == nil && st.IsLeader {
-			homeLeads, epoch = true, st.Epoch
-		}
+	defer s.mu.Unlock()
+	if s.closed || s.lead != nil && s.leadAddr == addr {
+		c.Close()
+		return
 	}
-	for _, addr := range s.addrs {
-		if homeLeads {
-			break
-		}
-		if addr == home {
-			continue
-		}
-		c, err := s.net.Dial(addr)
-		if err != nil {
-			continue
-		}
-		if st, err := statusOver(c); err == nil && st.IsLeader && st.Epoch > epoch {
-			if lead != nil {
-				lead.Close()
-			}
-			lead, epoch = c, st.Epoch
-		} else {
-			c.Close()
-		}
-	}
-
-	s.mu.Lock()
-	s.probing, s.probedAt = false, time.Now()
-	switch {
-	case s.closed:
-	case homeLeads && s.conn != nil && s.connGen == hgen:
-		s.homeLeads = true
-		s.leadEpoch.Store(epoch)
-	case lead != nil:
-		s.lead, lead = lead, nil
-		s.leadGen++
-		s.leadEpoch.Store(epoch)
-	}
-	s.mu.Unlock()
-	if lead != nil {
-		lead.Close()
-	}
+	s.closeLeadLocked()
+	s.lead, s.leadAddr = c, addr
+	s.leadGen++
 }
 
-// forgetLeaderLocked drops what the session believed about the leader;
-// the next write looks again.
-func (s *Session) forgetLeaderLocked() {
+func (s *Session) closeLeadLocked() {
 	if s.lead != nil {
 		s.lead.Close()
-		s.lead = nil
 	}
-	s.homeLeads = false
-	s.leadEpoch.Store(0)
-	s.probedAt = time.Time{}
+	s.lead, s.leadAddr = nil, ""
 }
 
-// dropLead gives up the direct connection of generation gen (the same
+// dropLead gives up the leader connection of generation gen (the same
 // rule as dropConn: only the first of many failed calls acts).
 func (s *Session) dropLead(gen uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.lead != nil && s.leadGen == gen {
-		s.forgetLeaderLocked()
-	}
-}
-
-// leaderMoved records that a write was ordered in another epoch than
-// the one the leader was found in: the server it reached had to forward
-// it (deposed, or home lost the lead), or was re-elected. Either way the
-// knowledge of that epoch is stale.
-func (s *Session) leaderMoved(epoch uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.leadEpoch.Load() == epoch {
-		s.forgetLeaderLocked()
+		s.closeLeadLocked()
 	}
 }
 
@@ -333,27 +257,15 @@ func (s *Session) observe(zxid uint64) {
 	}
 }
 
-// request sends one protocol message and returns the reply's body,
-// retrying transient failures until DialTimeout.
-func (s *Session) request(msg []byte) ([]byte, error) {
-	payload, _, _, err := s.requestCtxOwned(context.Background(), msg)
-	return payload, err
-}
-
-// requestPooled is exchange for callers with no use for the reply's
-// zxid (the session has already folded it into its stamp).
-func (s *Session) requestPooled(ctx context.Context, w *wire.Writer) ([]byte, error) {
-	payload, _, err := s.exchange(ctx, w)
-	return payload, err
-}
-
-// exchange sends the message encoded in a pooled scratch writer and
-// releases w back to the wire pool as soon as no in-flight reference to
-// the buffer can remain — on reply, on a terminal error, or after the
+// exchange is how every request leaves the session: it sends the
+// message encoded in a pooled scratch writer through the request engine
+// and releases w back to the wire pool as soon as no in-flight reference
+// to the buffer can remain — on reply, on a terminal error, or after the
 // last retry. The one case that forfeits the release is an abandoned
 // call whose transport may still be reading the buffer (see call); the
 // writer is then left to the GC, which is a pool miss, never a
-// use-after-release.
+// use-after-release. Callers with no use for the zxid ignore it: the
+// session has already folded it into its stamp.
 func (s *Session) exchange(ctx context.Context, w *wire.Writer) (payload []byte, zxid uint64, err error) {
 	payload, zxid, retained, err := s.requestCtxOwned(ctx, w.Bytes())
 	if !retained {
@@ -373,22 +285,23 @@ func (s *Session) exchange(ctx context.Context, w *wire.Writer) (payload []byte,
 // abandonment never corrupts the session. retained reports whether some
 // abandoned in-flight call may still reference msg.
 //
-// A replicated write or a lease read goes out on the direct connection
-// to the leader when there is one. That path is only ever an
-// optimisation: whatever goes wrong on it — the connection, a refusal, a
-// leader that is none any more — the same bytes go through home next.
-// The replicated dedup window makes the two attempts one write; a lease
-// read home cannot vouch for comes back ErrNoLease, for Do to fall back.
+// A replicated write or a lease read goes home until a member that does
+// not lead names the leader's address; the session dials it and resends
+// the same bytes there (a second redirect of one request after a
+// back-off). Whatever goes wrong on the leader connection, the same
+// bytes go home next, to be served or redirected again. The dedup window
+// makes the attempts one write; a lease read no leader vouches for comes
+// back ErrNoLease, for Do to fall back.
 func (s *Session) requestCtxOwned(ctx context.Context, msg []byte) (payload []byte, zxid uint64, retained bool, err error) {
 	deadline := time.Now().Add(DialTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
-	write := len(msg) > 0 && proposes(msg[0])
-	toLeader := write || len(msg) > 0 && msg[0] == opLeaseRead
+	toLeader := len(msg) > 0 && (proposes(msg[0]) || msg[0] == opLeaseRead)
 	var lastErr error
 	var refusals int // in a row, by the home connection of generation refusedBy
 	var refusedBy uint64
+	var redirects int
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, retained, err
@@ -415,8 +328,15 @@ func (s *Session) requestCtxOwned(ctx context.Context, msg []byte) (payload []by
 				return nil, 0, retained, fmt.Errorf("coord: malformed reply: %w", malformed)
 			}
 			s.observe(zxid)
-			if epoch := s.leadEpoch.Load(); write && epoch != 0 && zxid>>32 != epoch {
-				s.leaderMoved(epoch)
+			if leader, ok := err.(notLeader); ok && leader != "" {
+				lastErr = err
+				if redirects++; redirects > 1 {
+					if serr := sleepCtx(ctx, retryDelay(attempt)); serr != nil {
+						return nil, 0, retained, serr
+					}
+				}
+				s.follow(string(leader))
+				continue
 			}
 			if err != errBehind {
 				return payload, zxid, retained, err
@@ -710,7 +630,7 @@ func (s *Session) PollEvents() ([]Event, error) {
 	w.Uint8(opPollEvents)
 	w.Uint64(s.id)
 	w.Uint64(s.seen.Load())
-	payload, err := s.requestPooled(context.Background(), w)
+	payload, _, err := s.exchange(context.Background(), w)
 	if err != nil {
 		return nil, err
 	}
@@ -867,25 +787,11 @@ type ObserverStatus = zab.ObserverLag
 func (s *Session) Status() (Status, error) {
 	w := wire.GetWriter()
 	w.Uint8(opStatus)
-	payload, err := s.requestPooled(context.Background(), w)
+	payload, _, err := s.exchange(context.Background(), w)
 	if err != nil {
 		return Status{}, err
 	}
 	return decodeStatus(payload)
-}
-
-// statusOver asks the server behind c for its status, outside the
-// request engine: one attempt, on a connection the engine may not own.
-func statusOver(c transport.Conn) (Status, error) {
-	resp, err := c.Call([]byte{opStatus})
-	if err != nil {
-		return Status{}, err
-	}
-	body, _, status, err := splitReply(resp)
-	if err = cmp.Or(err, status); err != nil {
-		return Status{}, err
-	}
-	return decodeStatus(body)
 }
 
 func decodeStatus(payload []byte) (Status, error) {

@@ -37,7 +37,7 @@ func (s *Session) FenceRange(ctx context.Context, rng placement.Range, dest int,
 	w.Uint64(rng.Hi)
 	w.Uint32(uint32(dest))
 	w.Uint64(epoch)
-	payload, err := s.requestPooled(ctx, w)
+	payload, _, err := s.exchange(ctx, w)
 	if err != nil {
 		return 0, err
 	}
@@ -57,7 +57,7 @@ func (s *Session) UnfenceRange(ctx context.Context, rng placement.Range) error {
 	w.Uint64(s.seq.Add(1))
 	w.Uint64(rng.Lo)
 	w.Uint64(rng.Hi)
-	_, err := s.requestPooled(ctx, w)
+	_, _, err := s.exchange(ctx, w)
 	return err
 }
 
@@ -74,7 +74,7 @@ func (s *Session) RangeMoved(ctx context.Context, rng placement.Range, dest int,
 	w.Uint64(rng.Hi)
 	w.Uint32(uint32(dest))
 	w.Uint64(epoch)
-	payload, err := s.requestPooled(ctx, w)
+	payload, _, err := s.exchange(ctx, w)
 	if err != nil {
 		return 0, err
 	}
@@ -96,7 +96,7 @@ func (s *Session) WipeRange(ctx context.Context, rng placement.Range) (int, erro
 	w.Uint64(s.seq.Add(1))
 	w.Uint64(rng.Lo)
 	w.Uint64(rng.Hi)
-	payload, err := s.requestPooled(ctx, w)
+	payload, _, err := s.exchange(ctx, w)
 	if err != nil {
 		return 0, err
 	}
@@ -126,7 +126,7 @@ func (s *Session) ImportRange(ctx context.Context, rng placement.Range, entries 
 	if final {
 		encodeManifest(w, manifest)
 	}
-	payload, err := s.requestPooled(ctx, w)
+	payload, _, err := s.exchange(ctx, w)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -150,7 +150,7 @@ func (s *Session) RangeExport(ctx context.Context, rng placement.Range, since ui
 	w.Uint64(since)
 	w.Bool(withManifest)
 	w.Uint64(s.seen.Load()) // the cut follows every marker this session planted
-	payload, err := s.requestPooled(ctx, w)
+	payload, _, err := s.exchange(ctx, w)
 	if err != nil {
 		return RangeExportResult{}, err
 	}
@@ -188,7 +188,7 @@ func (s *Session) RangeState(ctx context.Context, rng placement.Range) (state ui
 	w.Uint64(rng.Lo)
 	w.Uint64(rng.Hi)
 	w.Uint64(s.seen.Load())
-	payload, err := s.requestPooled(ctx, w)
+	payload, _, err := s.exchange(ctx, w)
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -338,12 +338,12 @@ func TestQuorumFailover(t *testing.T) {
 	}
 }
 
-// TestReadYourWritesAcrossFailover stops the server that acknowledged a
-// session's write the moment the acknowledgement is in hand — the
-// leader, which may be the only member that knew the write committed,
-// or a follower, which learned so from the reply to its forward — and
-// reads the node back through the same session. The server the session
-// fails over to must have applied the write before it answers.
+// TestReadYourWritesAcrossFailover stops a session's home the moment its
+// write is acknowledged — the leader, which may be the only member that
+// knew the write committed, or a follower, which named the leader and
+// may not have the write yet — and reads the node back through the same
+// session. The server the session fails over to must have applied the
+// write before it answers.
 func TestReadYourWritesAcrossFailover(t *testing.T) {
 	for round := 0; round < 8; round++ {
 		e := startTestEnsemble(t, 3)

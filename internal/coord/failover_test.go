@@ -15,9 +15,10 @@ import (
 // linkNet is a test transport whose links can be made to misbehave one
 // address at a time: hold parks every call to an address, kill fails the
 // parked calls and everything to that address after them (a server that
-// died with requests in flight), and lose runs a number of calls and
-// throws their replies away (the ambiguous failure: the server did the
-// work, the client cannot know).
+// died with requests in flight), release fails the parked calls and lets
+// everything after them through (a link reset), and lose runs a number
+// of calls and throws their replies away (the ambiguous failure: the
+// server did the work, the client cannot know).
 type linkNet struct {
 	transport.Network
 
@@ -41,6 +42,15 @@ func (n *linkNet) kill(addr string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	close(n.gates[addr])
+}
+
+func (n *linkNet) release(addr string) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if g := n.gates[addr]; g != nil {
+		close(g)
+		delete(n.gates, addr)
+	}
 }
 
 func (n *linkNet) lose(addr string, replies int) {
@@ -197,15 +207,14 @@ func startIsolable(t *testing.T, inner transport.Network) (clientAddrs []string,
 }
 
 // TestRefusingServerIsLeftBehind homes a session on a server that is
-// alive to clients but cut off from the quorum: every write it is asked
-// to propose comes back as a remote refusal (the forward fails, then no
-// leader is known), forever, and it applies nothing any more. The
-// session must get its writes committed and read them back inside a few
-// hundred milliseconds — it used to retry the same server until the 10 s
-// deadline — whether or not it holds the leader's address: without it,
-// it gives up on its home after a bounded number of refusals; with it,
-// the writes never depended on home, and the read that follows is what
-// home refuses.
+// alive to clients but cut off from the quorum: once its election timer
+// runs out it knows no leader to name, so every write it is sent comes
+// back as a remote refusal, forever, and it applies nothing any more.
+// The session must get its writes committed and read them back inside a
+// few hundred milliseconds — it used to retry the same server until the
+// 10 s deadline — whether or not it lists the leader's address: its
+// writes go to the leader home named before the cut, and the read that
+// follows is what home refuses, after which the session leaves it.
 func TestRefusingServerIsLeftBehind(t *testing.T) {
 	for _, knowsLeader := range []bool{false, true} {
 		t.Run(fmt.Sprintf("knowsLeader=%v", knowsLeader), func(t *testing.T) {

@@ -165,26 +165,58 @@ func TestRequestStamp(t *testing.T) {
 	}
 }
 
-// FuzzHandleClient feeds the server's request decoder. The corpus is
-// every op of the protocol: the non-replicated ones without a stamp, with
-// one, and with one truncated at each byte; the replicated ones as the
-// transactions they are.
+// startFuzzFollower boots a three-member ensemble, with timeouts long
+// enough that fuzzing load cannot start an election, and returns a
+// follower that has heard where the leader is.
+func startFuzzFollower(tb testing.TB) *Server {
+	tb.Helper()
+	ensembleSeq++
+	e, err := StartEnsemble(EnsembleConfig{
+		Servers:           3,
+		Net:               transport.NewInProc(),
+		AddrPrefix:        fmt.Sprintf("fuzzf%d", ensembleSeq),
+		HeartbeatInterval: 20 * time.Millisecond,
+		ElectionTimeout:   2 * time.Second,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(e.Stop)
+	_, follower := leaderAndFollower(tb, e)
+	srv := e.Servers[follower]
+	for deadline := time.Now().Add(5 * time.Second); srv.leaderElsewhere() == ""; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			tb.Fatal("the follower never heard where the leader is")
+		}
+	}
+	return srv
+}
+
+// FuzzHandleClient feeds the server's request decoder, a leader's or a
+// follower's. The corpus is every op of the protocol on the leader: the
+// non-replicated ones without a stamp, with one, and with one truncated
+// at each byte; the replicated ones as the transactions they are — and a
+// replicated op and a lease read on the follower, which must name the
+// leader instead of proposing or reading anything.
 func FuzzHandleClient(f *testing.F) {
 	srv, s := startFuzzServer(f)
+	follower := startFuzzFollower(f)
 	for _, req := range localRequests(s.ID()) {
-		f.Add(req)
+		f.Add(req, false)
 		full := withStamp(req, fuzzStamp)
 		for cut := 1; cut <= 8; cut++ {
-			f.Add(full[:len(req)+cut])
+			f.Add(full[:len(req)+cut], false)
 		}
 	}
 	for _, req := range writeRequests(s.ID()) {
-		f.Add(req)
-		f.Add(req[:len(req)/2])
+		f.Add(req, false)
+		f.Add(req[:len(req)/2], false)
 	}
-	f.Add([]byte{})
-	f.Add([]byte{0xff})
-	f.Fuzz(func(t *testing.T, req []byte) {
+	f.Add([]byte{}, false)
+	f.Add([]byte{0xff}, false)
+	f.Add(writeRequests(s.ID())["create"], true)
+	f.Add(localRequests(s.ID())["lease-get"], true)
+	f.Fuzz(func(t *testing.T, req []byte, toFollower bool) {
 		req = append([]byte(nil), req...)
 		if len(req) > 0 && req[0] == opWaitEvents && len(req) >= 13 {
 			binary.BigEndian.PutUint32(req[9:13], 1) // park for a millisecond, not a minute
@@ -195,19 +227,30 @@ func FuzzHandleClient(f *testing.F) {
 			// TestRequestStamp has that case.
 			clear(req[len(req)-8 : len(req)-4])
 		}
-		reply, err := srv.handleClient(req)
+		to := srv
+		if toFollower {
+			to = follower
+		}
+		reply, err := to.handleClient(req)
 		if err != nil {
 			return
 		}
-		if _, _, _, err := splitReply(reply); err != nil {
+		_, _, status, err := splitReply(reply)
+		if err != nil {
 			t.Fatalf("reply to %x does not end with a zxid: %v", req, err)
+		}
+		if toFollower && proposes(req[0]) {
+			if _, ok := status.(notLeader); !ok || status == notLeader("") {
+				t.Fatalf("a follower answered the replicated op %x with %v; want it to name the leader", req, status)
+			}
 		}
 	})
 }
 
 // FuzzDecodeReply feeds the session's reply decoders: the header and
 // trailer split, every kind's body decoder, the status and event
-// decoders. The corpus is a real reply to every kind of op, whole, with
+// decoders. The corpus is a real reply to every kind of op and a refusal
+// that names the leader, with an address and without, each whole, with
 // its zxid trailer removed and with it truncated at each byte.
 func FuzzDecodeReply(f *testing.F) {
 	srv, s := startFuzzServer(f)
@@ -237,6 +280,12 @@ func FuzzDecodeReply(f *testing.F) {
 		"a held guard":   encodeMultiTxn([]Op{CheckDataOp("/d", -1, []byte("v")), SetOp("/d/a", []byte("x"), -1)}, s.ID(), 2002, 2),
 		"a failed guard": encodeMultiTxn([]Op{CheckDataOp("/d", -1, []byte("nope")), DeleteOp("/d/a", -1)}, s.ID(), 2003, 3),
 	})
+	for _, leader := range []string{"fuzz-leader-client", ""} {
+		reply := stamped(errResult(notLeader(leader)), fuzzStamp)
+		for cut := 0; cut <= 8; cut++ {
+			f.Add(reply[:len(reply)-cut])
+		}
+	}
 	f.Fuzz(func(t *testing.T, reply []byte) {
 		body, _, _, err := splitReply(reply)
 		if err != nil {

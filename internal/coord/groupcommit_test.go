@@ -30,14 +30,12 @@ func leaderAndFollower(tb testing.TB, e *Ensemble) (leader, follower int) {
 }
 
 // TestWriteRoundTrips pins the write path's message economy in
-// wall-clock time. With every call delayed by d, a write through the
-// leader costs the client call and one propose round trip (2d). A write
-// a follower has to forward — the session holds no other address — adds
-// the forward (3d) and nothing else: the forward reply doubles as the
-// commit notice, so the session's server does not wait out a fourth,
-// leader→follower commit message. A follower-homed session that knows
-// the leader's address sends the write there itself and is back at 2d,
-// with its home proposing nothing.
+// wall-clock time. With every call delayed by d, a write costs the
+// client call to the leader and one propose round trip (2d), wherever
+// the session is homed: a follower or an observer names the leader on
+// the session's first write, and every write after it goes there
+// directly — one connection dialed for good, nothing proposed at home —
+// whether or not the session lists the leader's address itself.
 func TestWriteRoundTrips(t *testing.T) {
 	const d = 20 * time.Millisecond
 	ensembleSeq++
@@ -53,16 +51,17 @@ func TestWriteRoundTrips(t *testing.T) {
 	}
 	t.Cleanup(e.Stop)
 	leader, follower := leaderAndFollower(t, e)
+	obs := startObserver(t, e, 101)
 	home := e.ClientAddrs[follower]
 	for _, c := range []struct {
-		name     string
-		addrs    []string
-		forwards int64 // writes the session's home proposes on its behalf, per create
-		bound    time.Duration
+		name  string
+		addrs []string
+		home  *Server
 	}{
-		{"leader", []string{e.ClientAddrs[leader]}, 0, d * 5 / 2},
-		{"follower", []string{home}, 1, d * 7 / 2},
-		{"follower-direct", []string{home, e.ClientAddrs[leader]}, 0, d * 5 / 2},
+		{"leader", []string{e.ClientAddrs[leader]}, e.Servers[leader]},
+		{"follower", []string{home}, e.Servers[follower]},
+		{"follower-listing-the-leader", []string{home, e.ClientAddrs[leader]}, e.Servers[follower]},
+		{"observer", []string{obs.cfg.ClientAddr}, obs},
 	} {
 		s, err := Connect(e.net, c.addrs)
 		if err != nil {
@@ -72,27 +71,32 @@ func TestWriteRoundTrips(t *testing.T) {
 		if _, err := s.Create("/"+c.name, nil, znode.ModePersistent); err != nil {
 			t.Fatal(err)
 		}
-		if len(c.addrs) > 1 {
-			awaitDirect(t, s)
-		}
 		// The best of a few tries: the bound is about message count, and
-		// a scheduler hiccup only ever adds time.
+		// a scheduler hiccup only ever adds time. That no write after the
+		// first took another route is what the dial count and the home's
+		// proposals say.
 		const tries = 5
-		best := time.Hour
-		proposed := counter(e.Servers[follower], "writes")
+		best, worst := time.Hour, time.Duration(0)
+		proposed := counter(c.home, "writes")
 		for i := 0; i < tries; i++ {
 			start := time.Now()
 			if _, err := s.Create(fmt.Sprintf("/%s/n%d", c.name, i), nil, znode.ModePersistent); err != nil {
 				t.Fatal(err)
 			}
-			best = min(best, time.Since(start))
+			best, worst = min(best, time.Since(start)), max(worst, time.Since(start))
 		}
-		t.Logf("create through the %s: %v (%.2f call delays)", c.name, best, float64(best)/float64(d))
-		if best >= c.bound {
-			t.Errorf("create through the %s took %v, want under %v", c.name, best, c.bound)
+		t.Logf("create, %s home: %v best, %v worst (%.2f call delays)", c.name, best, worst, float64(best)/float64(d))
+		if best >= d*5/2 {
+			t.Errorf("create, %s home: took %v, want under %v", c.name, best, d*5/2)
 		}
-		if got := counter(e.Servers[follower], "writes") - proposed; got != c.forwards*tries {
-			t.Errorf("%s: the follower proposed %d writes for %d creates, want %d", c.name, got, tries, c.forwards*tries)
+		if c.home == e.Servers[leader] {
+			continue // home leads: nothing to dial, and it proposes every write
+		}
+		if addr, gen := leadOf(s); addr != e.ClientAddrs[leader] || gen != 1 {
+			t.Errorf("%s: writes go to %q over connection %d, want the leader's %q over the first", c.name, addr, gen, e.ClientAddrs[leader])
+		}
+		if got := counter(c.home, "writes") - proposed; got != 0 {
+			t.Errorf("%s: home proposed %d of the session's writes", c.name, got)
 		}
 	}
 }
@@ -107,8 +111,8 @@ func TestWriteRoundTrips(t *testing.T) {
 // count; with group commit the leader coalesces the writes queued
 // behind each round trip into multi-txn frames, so throughput scales
 // with the concurrency — ≥4× at 16 sessions is the acceptance bar.
-// Sessions are pinned to the leader, so the leader's pipeline is what
-// is measured, not the forwarding hop.
+// Sessions are homed on the leader, so the leader's pipeline is what
+// is measured, not a second connection.
 func BenchmarkGroupCommit(b *testing.B) {
 	const (
 		netRTT       = 500 * time.Microsecond

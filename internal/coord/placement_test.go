@@ -6,14 +6,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/coord/zab"
 	"repro/internal/coord/znode"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
 // Write placement and the last-seen stamp (DESIGN.md §10.4, §10.5): a
-// session homed on a follower or an observer writes straight to the
-// leader and still reads its own writes at home.
+// session homed on a follower or an observer is told where the leader
+// is, writes straight to it, and still reads its own writes at home.
 
 // startFaultyEnsemble boots three servers over a fault-injecting
 // in-process network, with timeouts long enough that a delayed or cut
@@ -36,26 +37,12 @@ func startFaultyEnsemble(t *testing.T) (*Ensemble, *transport.Faults) {
 	return e, faults
 }
 
-// awaitDirect writes until the session has found the leader — a
-// connection to it, or home itself — since the search starts with a
-// write and runs beside it. It reports whether the leader is home.
-func awaitDirect(t *testing.T, s *Session) (homeLeads bool) {
-	t.Helper()
-	placed := func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		homeLeads = s.homeLeads
-		return s.lead != nil || s.homeLeads
-	}
-	for deadline := time.Now().Add(5 * time.Second); !placed(); time.Sleep(2 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("session never found a direct path to the leader")
-		}
-		if err := s.Sync(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return homeLeads
+// leadOf reports where the session sends its writes: the address a
+// redirect named as the leader's, "" while they go home.
+func leadOf(s *Session) (addr string, gen uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.leadAddr, s.leadGen
 }
 
 func counter(srv *Server, name string) int64 { return srv.Metrics().Counter(name).Value() }
@@ -74,7 +61,6 @@ func TestLaggingHomeHoldsStampedReads(t *testing.T) {
 	if _, err := s.Create("/lag", []byte("0"), znode.ModePersistent); err != nil {
 		t.Fatal(err)
 	}
-	awaitDirect(t, s)
 	homePeer := e.cfgs[follower].PeerAddrs[e.Servers[follower].ID()]
 
 	faults.SetDelay(homePeer, 3*time.Millisecond)
@@ -123,19 +109,21 @@ func TestLaggingHomeHoldsStampedReads(t *testing.T) {
 	}
 }
 
-// TestDirectPathBlocked cuts the session off the leader's client address
-// and nothing else. Writes fall back to home's forward path; a direct
-// write whose reply was lost — applied or not, the session cannot know —
-// is sent again through home under the same (session, seq) and is one
-// write, so a sequential create neither duplicates nor changes its name;
-// none of it touches the home connection or the watches on it; and once
-// the address is reachable again the direct path comes back.
+// TestDirectPathBlocked takes the leader's client address away from a
+// follower-homed session, and nothing else. A write whose reply from the
+// leader was lost — applied or not, the session cannot know — goes home,
+// is redirected to the leader and sent again under the same (session,
+// seq): one write, so a sequential create neither duplicates nor changes
+// its name. With the address blocked no write gets through — home only
+// ever names the leader, it proposes nothing — and each fails by its
+// deadline. None of it touches the home connection or the watches on it,
+// and once the address is reachable again the writes are back on it.
 func TestDirectPathBlocked(t *testing.T) {
 	e, faults := startFaultyEnsemble(t)
 	leader, follower := leaderAndFollower(t, e)
+	home := e.Servers[follower]
 	net := newLinkNet(faults)
-	addrs := []string{e.ClientAddrs[follower], e.ClientAddrs[leader]}
-	s, err := Connect(net, addrs)
+	s, err := Connect(net, []string{e.ClientAddrs[follower]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,42 +131,42 @@ func TestDirectPathBlocked(t *testing.T) {
 	if _, err := s.Create("/q", nil, znode.ModePersistent); err != nil {
 		t.Fatal(err)
 	}
-	awaitDirect(t, s)
+	if addr, _ := leadOf(s); addr != e.ClientAddrs[leader] {
+		t.Fatalf("a follower-homed session writes to %q, want the leader's %q", addr, e.ClientAddrs[leader])
+	}
 	if _, err := s.ChildrenW("/q"); err != nil {
 		t.Fatal(err)
 	}
 
 	// The ambiguous failure: the leader applies the create, the reply is
-	// lost, home forwards the retry.
-	forwarded := counter(e.Servers[follower], "writes")
+	// lost, home names the leader and the retry goes there again.
 	net.lose(e.ClientAddrs[leader], 1)
 	first, err := s.Create("/q/n-", nil, znode.ModeSequential)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := counter(e.Servers[follower], "writes") - forwarded; got != 1 {
-		t.Errorf("home proposed the write whose direct reply was lost %d times, want 1", got)
 	}
 	kids, err := s.Children("/q")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(kids) != 1 || "/q/"+kids[0] != first {
-		t.Fatalf("one sequential create, retried through home, left %v (acknowledged as %s)", kids, first)
+		t.Fatalf("one sequential create, retried on the leader, left %v (acknowledged as %s)", kids, first)
+	}
+	if _, gen := leadOf(s); gen != 2 {
+		t.Errorf("the leader connection was dialed %d times, want twice: once, and again after the lost reply", gen)
 	}
 
 	faults.Block(e.ClientAddrs[leader])
-	forwarded = counter(e.Servers[follower], "writes")
-	for i := 0; i < 20; i++ {
-		if _, err := s.Create("/q/n-", nil, znode.ModeSequential); err != nil {
-			t.Fatalf("write with the leader's client address blocked: %v", err)
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		_, err := s.CreateCtx(ctx, "/q/blocked-", nil, znode.ModeSequential)
+		cancel()
+		if err == nil {
+			t.Fatal("a write got through with the leader's client address blocked")
 		}
 	}
-	if got := counter(e.Servers[follower], "writes") - forwarded; got != 20 {
-		t.Errorf("home proposed %d of the 20 writes made while the direct path was blocked", got)
-	}
-	if kids, _ = s.Children("/q"); len(kids) != 21 {
-		t.Fatalf("%d children after 21 acknowledged creates", len(kids))
+	if kids, _ = s.Children("/q"); len(kids) != 1 {
+		t.Fatalf("%d children after one acknowledged create", len(kids))
 	}
 
 	// Losing the write connection, twice by now, is not a failover: home
@@ -194,13 +182,14 @@ func TestDirectPathBlocked(t *testing.T) {
 	}
 
 	faults.Unblock(e.ClientAddrs[leader])
-	awaitDirect(t, s)
-	forwarded = counter(e.Servers[follower], "writes")
 	if _, err := s.Create("/q/n-", nil, znode.ModeSequential); err != nil {
 		t.Fatal(err)
 	}
-	if got := counter(e.Servers[follower], "writes") - forwarded; got != 0 {
-		t.Error("write went through home although the direct path is back")
+	if addr, _ := leadOf(s); addr != e.ClientAddrs[leader] {
+		t.Errorf("writes go to %q after the leader's address came back, want %q", addr, e.ClientAddrs[leader])
+	}
+	if got := counter(home, "writes"); got != 0 {
+		t.Errorf("home, a follower, proposed %d writes", got)
 	}
 }
 
@@ -221,9 +210,10 @@ func startObserver(t *testing.T, e *Ensemble, id uint64) *Server {
 }
 
 // TestObserverHomedSession homes a session on an observer and lists the
-// voters behind it. Its writes take two call delays — client to leader,
-// leader to a follower — with the observer on neither leg, and every one
-// of them is visible to the read that follows it on the observer.
+// voters behind it. After the first, which the observer redirects, its
+// writes take two call delays — client to leader, leader to a follower —
+// with the observer on neither leg, and every one of them is visible to
+// the read that follows it on the observer.
 func TestObserverHomedSession(t *testing.T) {
 	const d = 20 * time.Millisecond
 	ensembleSeq++
@@ -247,9 +237,8 @@ func TestObserverHomedSession(t *testing.T) {
 	if _, err := s.Create("/obs", nil, znode.ModePersistent); err != nil {
 		t.Fatal(err)
 	}
-	awaitDirect(t, s)
 
-	reads, writes := counter(obs, "reads"), counter(obs, "writes")
+	reads := counter(obs, "reads")
 	best := time.Hour
 	for i := 0; i < 10; i++ {
 		path := fmt.Sprintf("/obs/n%d", i)
@@ -269,35 +258,85 @@ func TestObserverHomedSession(t *testing.T) {
 	if got := counter(obs, "reads") - reads; got != 10 {
 		t.Errorf("the observer answered %d of the session's 10 reads", got)
 	}
-	if got := counter(obs, "writes") - writes; got != 0 {
-		t.Errorf("the observer forwarded %d writes of a session that knows the leader", got)
+	if got := counter(obs, "writes"); got != 0 {
+		t.Errorf("the observer proposed %d writes", got)
 	}
 }
 
-// TestLeaderKillMidFlight stops the leader with 16 writes of a
-// follower-homed session in flight on the direct connection. Every
-// future resolves — through home, exact-once, once a new leader stands —
-// and the next writes go straight to the new leader.
+// TestLeaderKillMidFlight stops the leader with 16 writes of an
+// observer-homed session in flight on the connection to it. The retries
+// go home and are redirected to the next leader — and that one is
+// stopped too, with every retry parked on the way to it, before any
+// reaches it. Every future still resolves exactly once, through a third
+// leader, and the observer proposes nothing throughout. A write the
+// dying leader had enqueued comes back as a refusal that does not say
+// whether it was proposed; the dedup window is what makes its retry one
+// write.
 func TestLeaderKillMidFlight(t *testing.T) {
-	e := startTestEnsemble(t, 3)
-	leader, follower := leaderAndFollower(t, e)
-	s := connect(t, e, follower)
+	e := startTestEnsemble(t, 5)
+	obs := startObserver(t, e, 101)
+	net := newLinkNet(e.net)
+	s, err := Connect(net, []string{obs.cfg.ClientAddr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
 	if _, err := s.Create("/kill", nil, znode.ModePersistent); err != nil {
 		t.Fatal(err)
 	}
-	awaitDirect(t, s)
+	first := e.Leader()
+	if addr, _ := leadOf(s); addr != first.cfg.ClientAddr {
+		t.Fatalf("the session writes to %q, want the leader's %q", addr, first.cfg.ClientAddr)
+	}
+	// Every other voter is held: the retries park on the way to whichever
+	// of them the observer names next.
+	for _, addr := range e.ClientAddrs {
+		if addr != first.cfg.ClientAddr {
+			net.hold(addr)
+		}
+	}
 
 	const flight = 16
 	futs := make([]*Future, flight)
 	for i := range futs {
 		futs[i] = s.Begin(context.Background(), CreateOp("/kill/n-", nil, znode.ModeSequential))
 	}
-	e.StopServer(leader)
+	e.StopServer(int(first.ID() - 1))
+	done := func() (n int32) {
+		for _, f := range futs {
+			select {
+			case <-f.Done():
+				n++
+			default:
+			}
+		}
+		return n
+	}
+	for deadline := time.Now().Add(10 * time.Second); net.parked.Load()+done() < flight; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d writes parked on the way to the next leader and %d resolved, of %d", net.parked.Load(), done(), flight)
+		}
+	}
+	if net.parked.Load() == 0 {
+		t.Fatal("every write completed before the leader stopped; nothing was retried")
+	}
+	second := e.Leader()
+	if addr, _ := leadOf(s); second == nil || addr != second.cfg.ClientAddr {
+		t.Fatalf("the retries were redirected to %q, not to the new leader", addr)
+	}
+	for _, addr := range e.ClientAddrs {
+		if addr != first.cfg.ClientAddr && addr != second.cfg.ClientAddr {
+			net.release(addr)
+		}
+	}
+	e.StopServer(int(second.ID() - 1))
+	net.kill(second.cfg.ClientAddr)
+
 	names := map[string]bool{}
 	for i, f := range futs {
 		res, err := f.Result()
 		if err != nil {
-			t.Fatalf("write %d in flight when the leader died: %v", i, err)
+			t.Fatalf("write %d in flight when the leaders died: %v", i, err)
 		}
 		names[res.Created] = true
 	}
@@ -308,28 +347,22 @@ func TestLeaderKillMidFlight(t *testing.T) {
 	if len(names) != flight || len(kids) != flight {
 		t.Fatalf("%d writes acknowledged under %d names, %d children: a retry was applied twice or lost", flight, len(names), len(kids))
 	}
-
-	homeLeads := awaitDirect(t, s)
-	next := e.Leader()
-	if next == nil {
-		t.Fatal("no leader after the kill")
-	}
-	s.mu.Lock()
-	home := e.ClientAddrs[follower] == s.addrs[s.cur] // a slow election may have moved it
-	s.mu.Unlock()
-	proposed, forwarded := counter(next, "writes"), counter(e.Servers[follower], "writes")
+	third := e.Leader()
 	if _, err := s.Create("/kill/after", nil, znode.ModePersistent); err != nil {
 		t.Fatal(err)
 	}
-	if home && !homeLeads && (counter(next, "writes") == proposed || counter(e.Servers[follower], "writes") != forwarded) {
-		t.Error("the write after the failover did not go to the new leader directly")
+	if addr, _ := leadOf(s); third == nil || addr != third.cfg.ClientAddr {
+		t.Errorf("the write after the failovers went to %q, not to the new leader", addr)
+	}
+	if got := counter(obs, "writes"); got != 0 {
+		t.Errorf("the observer proposed %d writes", got)
 	}
 }
 
 // Read placement (DESIGN.md §13.4): a lease read takes the write's route
-// to the leader and falls back to a Sync and a plain read where there is
-// none; everything else reads at home, and home is the first address of
-// the list that will have the session.
+// to the leader and falls back to a Sync and a plain read where the
+// leader holds no lease; everything else reads at home, and home is the
+// first address of the list that will have the session.
 
 // proposals sums the client transactions the given servers proposed.
 func proposals(servers ...*Server) (n int64) {
@@ -342,9 +375,8 @@ func proposals(servers ...*Server) (n int64) {
 // TestLeaseReadTakesTheWritePath homes a session on a follower and lists
 // the leader behind it. A lease read is answered by the leader, under
 // its lease, in one call delay — home sees nothing of it and no Sync is
-// proposed — whichever form submitted it. A server that holds no lease
-// still refuses the request itself: that is what the session's fallback
-// (TestLeaseReadFallsBackToSync) rests on.
+// proposed — whichever form submitted it. A follower sent one names the
+// leader and reads nothing.
 func TestLeaseReadTakesTheWritePath(t *testing.T) {
 	const d = 20 * time.Millisecond
 	ensembleSeq++
@@ -368,7 +400,6 @@ func TestLeaseReadTakesTheWritePath(t *testing.T) {
 	if _, err := s.Create("/leased", []byte("v"), znode.ModePersistent); err != nil {
 		t.Fatal(err)
 	}
-	awaitDirect(t, s)
 
 	leased := Op{Kind: OpGet, Path: "/leased", Lease: true}
 	lead, home := e.Servers[leader], e.Servers[follower]
@@ -408,88 +439,95 @@ func TestLeaseReadTakesTheWritePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, status, err := splitReply(reply); err != nil || status != ErrNoLease {
-		t.Fatalf("a follower answered a lease read with %v, %v; want it refused with ErrNoLease", status, err)
+	if _, _, status, err := splitReply(reply); err != nil || status != notLeader(e.ClientAddrs[leader]) {
+		t.Fatalf("a follower answered a lease read with %v, %v; want it refused with the leader's address", status, err)
 	}
 	if got := counter(home, "reads") - homeReads; got != 0 {
 		t.Error("the follower read its replica for the lease read it refused")
 	}
 }
 
-// TestLeaseReadFallsBackToSync takes the lease away and checks the read
-// stays linearizable. The session's home trails the leader (its peer
-// address is delayed), so a plain read there right after another
-// session's write is stale; the lease read is not, 200 times over, and
-// costs exactly one Sync each. Two ways to have no lease: a follower-homed
-// session that cannot reach the leader's client address, and a session
-// whose only address is an observer.
+// TestLeaseReadFallsBackToSync checks a lease read stays linearizable
+// whether or not the leader can vouch for it. The session's home trails
+// the leader (its peer address is delayed), so a plain read there right
+// after another session's write is stale; the lease read is not, 200
+// times over. A session whose only address is an observer is sent to the
+// leader and served under its lease, with nothing proposed. Where the
+// leader holds no lease — its clock-skew bound is the whole election
+// timeout, which disables the lease — a follower-homed session's lease
+// read costs exactly one Sync and a plain read.
 func TestLeaseReadFallsBackToSync(t *testing.T) {
-	e, faults := startFaultyEnsemble(t)
-	leader, follower := leaderAndFollower(t, e)
-	other := 3 - leader - follower
-	obs := startObserver(t, e, 101)
-	all := append([]*Server{obs}, e.Servers...)
+	for _, noLease := range []bool{false, true} {
+		name := "observer only"
+		if noLease {
+			name = "no lease"
+		}
+		t.Run(name, func(t *testing.T) {
+			if noLease {
+				ablateZab = func(c *zab.Config) { c.MaxClockSkew = c.ElectionTimeout }
+			}
+			e, faults := startFaultyEnsemble(t)
+			ablateZab = nil
+			leader, follower := leaderAndFollower(t, e)
+			other := 3 - leader - follower
+			home := e.Servers[follower]
+			if !noLease {
+				home = startObserver(t, e, 101)
+				for deadline := time.Now().Add(5 * time.Second); !e.Servers[leader].node.HoldsReadLease(); time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatal("the leader never funded its read lease")
+					}
+				}
+			}
+			all := append([]*Server{home}, e.Servers...)
 
-	// The writer's home is the other follower, so it needs neither the
-	// address that gets blocked nor a replica that gets delayed.
-	writer, err := Connect(faults, []string{e.ClientAddrs[other]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { writer.Close() })
-	if _, err := writer.Create("/x", []byte("0"), znode.ModePersistent); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, c := range []struct {
-		name     string
-		addrs    []string
-		home     *Server
-		homePeer string
-		cut      string // the address that takes the lease out of reach
-	}{
-		{"leader unreachable", []string{e.ClientAddrs[follower], e.ClientAddrs[leader]}, e.Servers[follower],
-			e.cfgs[follower].PeerAddrs[e.Servers[follower].ID()], e.ClientAddrs[leader]},
-		{"observer only", []string{obs.cfg.ClientAddr}, obs, obs.cfg.PeerAddrs[obs.cfg.ID], ""},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			s, err := Connect(faults, c.addrs)
+			// The writer's home is the other follower, so it shares no
+			// replica with the reader and none of its links is delayed.
+			writer, err := Connect(faults, []string{e.ClientAddrs[other]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { writer.Close() })
+			if _, err := writer.Create("/x", []byte("0"), znode.ModePersistent); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Connect(faults, []string{home.cfg.ClientAddr})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { s.Close() })
-			if len(c.addrs) > 1 {
-				awaitDirect(t, s)
-			}
-			if c.cut != "" {
-				faults.Block(c.cut)
-				t.Cleanup(func() { faults.Unblock(c.cut) })
-			}
-			faults.SetDelay(c.homePeer, 3*time.Millisecond)
-			t.Cleanup(func() { faults.SetDelay(c.homePeer, 0) })
+			homePeer := home.cfg.PeerAddrs[home.cfg.ID]
+			faults.SetDelay(homePeer, 3*time.Millisecond)
+			t.Cleanup(func() { faults.SetDelay(homePeer, 0) })
 
+			var syncs, leased int64 // per lease read
+			if noLease {
+				syncs = 1
+			} else {
+				leased = 1
+			}
 			stale := 0
 			for i := 1; i <= 200; i++ {
-				want := fmt.Sprintf("%s %d", c.name, i)
+				want := fmt.Sprintf("%s %d", name, i)
 				if _, err := writer.Set("/x", []byte(want), -1); err != nil {
 					t.Fatal(err)
 				}
-				if data, _, _ := c.home.sm.treeRef().Get("/x"); string(data) != want {
+				if data, _, _ := home.sm.treeRef().Get("/x"); string(data) != want {
 					stale++ // what a plain read at home would answer now
 				}
-				leaseReads, proposed := counter(c.home, "lease_reads")+counter(e.Servers[leader], "lease_reads"), proposals(all...)
+				leaseReads, proposed := counter(home, "lease_reads")+counter(e.Servers[leader], "lease_reads"), proposals(all...)
 				res, err := s.Do(context.Background(), Op{Kind: OpGet, Path: "/x", Lease: true})
 				if err != nil {
-					t.Fatalf("lease read with no lease in reach: %v", err)
+					t.Fatalf("lease read: %v", err)
 				}
 				if string(res.Data) != want {
 					t.Fatalf("round %d: lease read %q after %q was acknowledged to another session", i, res.Data, want)
 				}
-				if got := proposals(all...) - proposed; got != 1 {
-					t.Fatalf("round %d: %d transactions proposed for one fallen-back lease read, want one Sync", i, got)
+				if got := proposals(all...) - proposed; got != syncs {
+					t.Fatalf("round %d: %d transactions proposed for one lease read, want %d", i, got, syncs)
 				}
-				if got := counter(c.home, "lease_reads") + counter(e.Servers[leader], "lease_reads") - leaseReads; got != 0 {
-					t.Fatalf("round %d: a lease read was served although none was in reach", i)
+				if got := counter(home, "lease_reads") + counter(e.Servers[leader], "lease_reads") - leaseReads; got != leased {
+					t.Fatalf("round %d: %d reads served under a lease, want %d", i, got, leased)
 				}
 			}
 			if stale == 0 {
@@ -518,7 +556,6 @@ func TestObserverFirstFailover(t *testing.T) {
 	if _, err := s.Create("/f", []byte("old"), znode.ModePersistent); err != nil {
 		t.Fatal(err)
 	}
-	awaitDirect(t, s)
 	place := func() (cur int, gen uint64) {
 		s.mu.Lock()
 		defer s.mu.Unlock()

@@ -28,7 +28,7 @@ type ServerConfig struct {
 	PeerAddrs map[uint64]string
 	// Observer makes this server a non-voting replica (zab.Config.Observer):
 	// it serves the whole client protocol from its own copy of the tree
-	// and forwards writes, but is counted in no quorum.
+	// and redirects writes to the leader, but is counted in no quorum.
 	Observer bool
 	// ClientAddr is where this server accepts client sessions.
 	ClientAddr string
@@ -103,6 +103,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		Peers:             cfg.PeerAddrs,
 		Observer:          cfg.Observer,
 		Net:               cfg.Net,
+		Contact:           cfg.ClientAddr,
 		HeartbeatInterval: cfg.HeartbeatInterval,
 		ElectionTimeout:   cfg.ElectionTimeout,
 		MaxLogEntries:     cfg.MaxLogEntries,
@@ -187,11 +188,12 @@ func (s *Server) LastApplied() uint64 { return s.node.LastApplied() }
 const stampWait = 200 * time.Millisecond
 
 // handleClient implements the client protocol. A replicated op is
-// proposed through the atomic broadcast; everything else is answered
-// from the local replica (the source of Fig 7d's read scaling), once it
-// has applied the history the request's stamp names. Every reply ends
-// with a zxid: the one the write was ordered at, or the history this
-// replica had applied before it read anything for the answer.
+// proposed through the atomic broadcast (by the leader; any other member
+// names it); everything else is answered from the local replica (the
+// source of Fig 7d's read scaling), once it has applied the history the
+// request's stamp names. Every reply ends with a zxid: the one the write
+// was ordered at, or the history this replica had applied before it
+// read anything for the answer.
 func (s *Server) handleClient(req []byte) ([]byte, error) {
 	r := wire.NewReader(req)
 	op := r.Uint8()
@@ -203,10 +205,23 @@ func (s *Server) handleClient(req []byte) ([]byte, error) {
 		// Propose retains the transaction bytes (replication log, WAL),
 		// but req is a transport-owned buffer the handler must not keep
 		// — so the write path pays exactly one defensive copy here.
-		s.reg.Counter("writes").Inc()
 		txn := make([]byte, len(req))
 		copy(txn, req)
 		result, zxid, err := s.node.ProposeZxid(txn)
+		if err == zab.ErrNoLeader {
+			// Not the leader: name it, or, knowing none, refuse like any
+			// failed proposal. A leader that steps down fails the txns it
+			// had already enqueued the same way, and one of them may still
+			// commit under the next leader — so this refusal does not say
+			// "not proposed", exactly as a leader dying mid-flight does not.
+			// The session's retry under the same (session, seq) meets the
+			// dedup window either way; no second signal is needed.
+			if contact := s.leaderElsewhere(); contact != "" {
+				return stamped(errResult(notLeader(contact)), s.node.LastApplied()), nil
+			}
+		} else {
+			s.reg.Counter("writes").Inc() // proposed here, as the leader
+		}
 		if err != nil {
 			return nil, fmt.Errorf("coord: proposal failed: %w", err)
 		}
@@ -313,6 +328,16 @@ func stamped(reply []byte, zxid uint64) []byte {
 	return binary.BigEndian.AppendUint64(reply, zxid)
 }
 
+// leaderElsewhere returns the leader's client address when another
+// member leads and this one has heard where; "" when this member leads
+// or knows no leader.
+func (s *Server) leaderElsewhere() string {
+	if contact := s.node.LeaderContact(); contact != s.cfg.ClientAddr {
+		return contact
+	}
+	return ""
+}
+
 // serveLocal answers one non-replicated op from this replica's state.
 func (s *Server) serveLocal(q localReq) ([]byte, error) {
 	op, path, session := q.op, q.path, q.session
@@ -320,10 +345,14 @@ func (s *Server) serveLocal(q localReq) ([]byte, error) {
 	case opLeaseRead:
 		// Served ONLY while this node's leader lease — funded by quorum
 		// heartbeat acks, bounded by the clock-skew margin — is live. That
-		// makes the answer linearizable without a quorum round trip; a
-		// node that cannot vouch refuses definitively so the client can
-		// re-locate the leader or fall back to a sync barrier.
+		// makes the answer linearizable without a quorum round trip. A
+		// member that does not lead names the leader, as for a write; one
+		// that cannot vouch otherwise refuses definitively, and the
+		// session falls back to a sync barrier.
 		if !s.node.HoldsReadLease() {
+			if contact := s.leaderElsewhere(); contact != "" {
+				return errResult(notLeader(contact)), nil
+			}
 			return errResult(ErrNoLease), nil
 		}
 		s.reg.Counter("lease_reads").Inc()

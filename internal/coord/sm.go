@@ -198,19 +198,11 @@ func encodeMultiTxn(ops []Op, session, seq uint64, nowNano int64) []byte {
 	return w.Bytes()
 }
 
-func encodeNewSessionTxn() []byte {
-	var w wire.Writer
-	w.Uint8(opNewSession)
-	return w.Bytes()
-}
-
-func encodeCloseSessionTxn(session, seq uint64) []byte {
-	var w wire.Writer
+func appendCloseSessionTxn(w *wire.Writer, session, seq uint64) {
 	w.Grow(24)
 	w.Uint8(opCloseSession)
 	w.Uint64(session)
 	w.Uint64(seq)
-	return w.Bytes()
 }
 
 func appendSyncTxn(w *wire.Writer, session, seq uint64) {

@@ -38,19 +38,25 @@ func TestLeaderKillsPreserveAckedTxns(t *testing.T) {
 		acked := make(map[string]bool)
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
-		// Snapshot the handles up front: writers keep proposing through
-		// their node even once it is stopped (Propose then returns
-		// ErrStopped), so they never touch the mutable e.nodes map the
-		// kill loop edits.
+		// Snapshot the handles up front: writers look for the leader among
+		// them (a stopped node never claims to lead), so they never touch
+		// the mutable e.nodes map the kill loop edits.
 		handles := make([]*Node, 0, 5)
 		for id := uint64(1); id <= 5; id++ {
 			handles = append(handles, e.nodes[id])
+		}
+		leaderOf := func() *Node {
+			for _, n := range handles {
+				if n.IsLeader() {
+					return n
+				}
+			}
+			return nil
 		}
 		for w := 0; w < 6; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				n := handles[w%len(handles)]
 				for i := 0; ; i++ {
 					select {
 					case <-stop:
@@ -58,15 +64,18 @@ func TestLeaderKillsPreserveAckedTxns(t *testing.T) {
 					default:
 					}
 					txn := fmt.Sprintf("r%d-w%d-%d", round, w, i)
-					// Propose via a fixed node (it forwards if follower).
-					if _, err := n.Propose([]byte(txn)); err == nil {
-						mu.Lock()
-						acked[txn] = true
-						mu.Unlock()
-					} else {
-						// Stopped or leaderless node: don't busy-spin.
-						time.Sleep(time.Millisecond)
+					// Propose through the current leader. One that stepped
+					// down or stopped in between refuses (ErrNoLeader,
+					// ErrStopped); the next turn finds the next leader.
+					if n := leaderOf(); n != nil {
+						if _, err := n.Propose([]byte(txn)); err == nil {
+							mu.Lock()
+							acked[txn] = true
+							mu.Unlock()
+							continue
+						}
 					}
+					time.Sleep(time.Millisecond) // no leader yet: don't busy-spin
 				}
 			}(w)
 		}

@@ -172,16 +172,18 @@ func (e *durableEnsemble) waitLeader() *zab.Node {
 	return nil
 }
 
-func mustPropose(t *testing.T, n *zab.Node, txn string) {
-	t.Helper()
+// mustPropose proposes txn through whichever member leads, retrying
+// across the elections a restart may still be settling.
+func (e *durableEnsemble) mustPropose(txn string) {
+	e.t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		_, err := n.Propose([]byte(txn))
+		_, err := e.waitLeader().Propose([]byte(txn))
 		if err == nil {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("Propose(%q) never succeeded: %v", txn, err)
+			e.t.Fatalf("Propose(%q) never succeeded: %v", txn, err)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -192,9 +194,8 @@ func mustPropose(t *testing.T, n *zab.Node, txn string) {
 // restart from the data dir recovers every committed write.
 func TestDurableSingleNodeRestart(t *testing.T) {
 	e := newDurableEnsemble(t, 1)
-	leader := e.waitLeader()
 	for i := 0; i < 30; i++ {
-		mustPropose(t, leader, fmt.Sprintf("solo-%d", i))
+		e.mustPropose(fmt.Sprintf("solo-%d", i))
 	}
 	if d := e.engines[1].LastDurableZxid(); d == 0 {
 		t.Fatal("commits happened with a zero durable horizon")
@@ -202,10 +203,9 @@ func TestDurableSingleNodeRestart(t *testing.T) {
 	e.crash(1)
 
 	e.start(1)
-	leader = e.waitLeader()
 	// A committed settle write orders the check after the recovered
 	// tail has replayed (read-your-writes on this node).
-	mustPropose(t, leader, "after-restart")
+	e.mustPropose("after-restart")
 	have := e.sms[1].have()
 	for i := 0; i < 30; i++ {
 		if !have[fmt.Sprintf("solo-%d", i)] {
@@ -231,12 +231,13 @@ func TestDurableQuorumCrashRestart(t *testing.T) {
 	acked := make(map[string]bool)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	// Writers propose through whichever first-generation member leads; a
+	// crashed one never does, and a non-leader refuses.
 	handles := []*zab.Node{e.nodes[1], e.nodes[2], e.nodes[3]}
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			n := handles[w%len(handles)]
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -244,6 +245,12 @@ func TestDurableQuorumCrashRestart(t *testing.T) {
 				default:
 				}
 				txn := fmt.Sprintf("w%d-%d", w, i)
+				n := handles[i%len(handles)]
+				for _, h := range handles {
+					if h.IsLeader() {
+						n = h
+					}
+				}
 				if _, err := n.Propose([]byte(txn)); err == nil {
 					mu.Lock()
 					acked[txn] = true
@@ -292,8 +299,7 @@ func TestDurableQuorumCrashRestart(t *testing.T) {
 	for id := range e.peers {
 		e.start(id)
 	}
-	leader := e.waitLeader()
-	mustPropose(t, leader, "settle")
+	e.mustPropose("settle")
 
 	mu.Lock()
 	want := make([]string, 0, len(acked))
@@ -345,10 +351,9 @@ func TestDurableSnapshotReclaimsWAL(t *testing.T) {
 	}
 	e.start(1)
 	t.Cleanup(e.stopAll)
-	leader := e.waitLeader()
 	const ops = 600
 	for i := 0; i < ops; i++ {
-		mustPropose(t, leader, fmt.Sprintf("t-%d", i))
+		e.mustPropose(fmt.Sprintf("t-%d", i))
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for e.engines[1].SnapshotZxid() == 0 {
@@ -364,8 +369,7 @@ func TestDurableSnapshotReclaimsWAL(t *testing.T) {
 	}
 	e.crash(1)
 	e.start(1)
-	leader = e.waitLeader()
-	mustPropose(t, leader, "settle")
+	e.mustPropose("settle")
 	have := e.sms[1].have()
 	for i := 0; i < ops; i++ {
 		if !have[fmt.Sprintf("t-%d", i)] {

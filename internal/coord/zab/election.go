@@ -50,6 +50,7 @@ func (n *Node) handleHeartbeat(m heartbeatReq) heartbeatResp {
 	defer n.mu.Unlock()
 	if m.Epoch >= n.epoch {
 		n.adoptEpochLocked(m.Epoch, m.LeaderID)
+		n.heardEpoch, n.heardID, n.heardContact = m.Epoch, m.LeaderID, m.Contact
 		n.followCommitLocked(m.Commit)
 		if m.Commit <= n.lastZxidLocked() {
 			n.gapBeats = 0
@@ -325,7 +326,7 @@ func (n *Node) heartbeatLoop() {
 		} else {
 			n.stallSince = time.Time{}
 		}
-		req := heartbeatReq{Epoch: n.epoch, LeaderID: n.cfg.ID, Commit: n.commitZxid}
+		req := heartbeatReq{Epoch: n.epoch, LeaderID: n.cfg.ID, Commit: n.commitZxid, Contact: n.cfg.Contact}
 		n.beatLearnersLocked(req)
 		n.mu.Unlock()
 		payload := req.encode()

@@ -22,7 +22,8 @@ type observed struct {
 	regs    map[uint64]*metrics.Registry
 }
 
-func (o *observed) addr(id uint64) string { return fmt.Sprintf("%s-%d", o.name, id) }
+func (o *observed) addr(id uint64) string    { return fmt.Sprintf("%s-%d", o.name, id) }
+func (o *observed) contact(id uint64) string { return fmt.Sprintf("%s-client-%d", o.name, id) }
 
 // start boots (or reboots, empty) member id; IDs above 100 are observers.
 func (o *observed) start(id uint64) {
@@ -38,6 +39,7 @@ func (o *observed) start(id uint64) {
 		Peers:             peers,
 		Observer:          id > 100,
 		Net:               o.faults,
+		Contact:           o.contact(id),
 		HeartbeatInterval: 5 * time.Millisecond,
 		ElectionTimeout:   o.timeout,
 		MaxLogEntries:     o.maxLog,
@@ -182,7 +184,7 @@ func TestObserverAcksNeverCommitNorFundLease(t *testing.T) {
 	}
 
 	o.faults.Unblock(followers...)
-	proposeOK(t, o.waitLeader(t), "after")
+	o.proposeOnLeader(t, "after")
 	waitIdentical(t, o, "after", all...)
 }
 
@@ -252,7 +254,7 @@ func TestObserverRejoinsIdleEnsembleBySnapshot(t *testing.T) {
 
 // TestObserverFollowsLeaderChange kills the leader under an observer:
 // with nobody telling it, the observer must find the new leader, join
-// it, receive what it commits and forward writes to it.
+// it, receive what it commits and name it to the clients it refuses.
 func TestObserverFollowsLeaderChange(t *testing.T) {
 	o := startObserved(t, "obs-failover", 3, 1, 100*time.Millisecond, 0)
 	old := o.waitLeader(t)
@@ -260,7 +262,7 @@ func TestObserverFollowsLeaderChange(t *testing.T) {
 	waitIdentical(t, o, "first", 1, 2, 3, 101)
 
 	o.stop(old.ID())
-	proposeOK(t, o.waitLeader(t), "second")
+	o.proposeOnLeader(t, "second")
 	live := []uint64{101}
 	for id := range o.nodes {
 		if id != 101 {
@@ -268,16 +270,15 @@ func TestObserverFollowsLeaderChange(t *testing.T) {
 		}
 	}
 	waitIdentical(t, o, "second", live...)
-	proposeOK(t, o.nodes[101], "through-observer")
-	waitIdentical(t, o, "through-observer", live...)
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		cur := o.waitLeader(t)
 		lags := cur.ObserverLags()
-		if o.nodes[101].LeaderID() == cur.ID() && len(lags) == 1 && lags[0].ID == 101 {
+		obs := o.nodes[101]
+		if obs.LeaderID() == cur.ID() && obs.LeaderContact() == o.contact(cur.ID()) && len(lags) == 1 && lags[0].ID == 101 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("observer follows %d; leader %d streams to %+v", o.nodes[101].LeaderID(), cur.ID(), lags)
+			t.Fatalf("observer follows %d at %q; leader %d streams to %+v", obs.LeaderID(), obs.LeaderContact(), cur.ID(), lags)
 		}
 	}
 }

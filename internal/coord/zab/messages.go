@@ -12,7 +12,6 @@ const (
 	msgHeartbeat
 	msgRequestVote
 	msgSync
-	msgForward
 	msgJoin
 )
 
@@ -132,20 +131,23 @@ func decodeProposeResp(b []byte) (proposeResp, error) {
 	return m, r.Err()
 }
 
-// heartbeat keeps followership alive and carries the commit horizon.
+// heartbeat keeps followership alive and carries the commit horizon and
+// the leader's Contact: where clients reach it (Config.Contact).
 type heartbeatReq struct {
 	Epoch    uint64
 	LeaderID uint64
 	Commit   uint64
+	Contact  string
 }
 
 func (m heartbeatReq) encode() []byte {
 	var w wire.Writer
-	w.Grow(32)
+	w.Grow(32 + len(m.Contact))
 	w.Uint8(msgHeartbeat)
 	w.Uint64(m.Epoch)
 	w.Uint64(m.LeaderID)
 	w.Uint64(m.Commit)
+	w.String(m.Contact)
 	return w.Bytes()
 }
 
@@ -310,46 +312,5 @@ func (m joinResp) encode() []byte {
 func decodeJoinResp(b []byte) (joinResp, error) {
 	r := wire.NewReader(b)
 	m := joinResp{Joined: r.Bool(), Epoch: r.Uint64(), LeaderID: r.Uint64()}
-	return m, r.Err()
-}
-
-// forwardReq routes a client write from a follower to the leader.
-type forwardReq struct {
-	Txn []byte
-}
-
-func (m forwardReq) encode() []byte {
-	var w wire.Writer
-	w.Grow(8 + len(m.Txn))
-	w.Uint8(msgForward)
-	w.Bytes32(m.Txn)
-	return w.Bytes()
-}
-
-// forwardResp returns the state-machine result of the committed txn
-// and its zxid, so the forwarding server can wait for local apply
-// before answering its client (session read-your-writes). Commit is
-// the end of the frame that carried the txn — a commit horizon, like
-// the one every other leader→follower message carries: the reply
-// exists because that frame committed, so the forwarding follower need
-// not wait for the stream to say so.
-type forwardResp struct {
-	Zxid   uint64
-	Commit uint64
-	Result []byte
-}
-
-func (m forwardResp) encode() []byte {
-	var w wire.Writer
-	w.Grow(24 + len(m.Result))
-	w.Uint64(m.Zxid)
-	w.Uint64(m.Commit)
-	w.Bytes32(m.Result)
-	return w.Bytes()
-}
-
-func decodeForwardResp(b []byte) (forwardResp, error) {
-	r := wire.NewReader(b)
-	m := forwardResp{Zxid: r.Uint64(), Commit: r.Uint64(), Result: r.BytesCopy32()}
 	return m, r.Err()
 }

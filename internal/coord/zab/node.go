@@ -51,10 +51,11 @@
 // An observer (Config.Observer) is a Node that does not vote. It joins
 // the leader (learner.go), which streams it the log exactly as it does
 // a follower, and it runs the follower code unchanged: windows, the
-// verified-match cap, sync pulls, the apply loop, forwarded writes. The
-// differences are all in who counts: the leader keeps observer streams
-// apart from the voters', so their acks commit nothing and fund no
-// lease, and an observer neither campaigns nor grants a vote.
+// verified-match cap, sync pulls, the apply loop, and a proposal refused
+// with the leader's contact. The differences are all in who counts: the
+// leader keeps observer streams apart from the voters', so their acks
+// commit nothing and fund no lease, and an observer neither campaigns
+// nor grants a vote.
 package zab
 
 import (
@@ -173,6 +174,10 @@ type Config struct {
 	Observer bool
 	// Net is the transport to use (TCP or in-process).
 	Net transport.Network
+	// Contact is where clients reach this member (its client address).
+	// While it leads, every heartbeat carries it, so any other member can
+	// name the leader to a client it refuses (LeaderContact).
+	Contact string
 
 	// HeartbeatInterval is the leader's heartbeat period.
 	// Defaults to 15ms.
@@ -298,9 +303,14 @@ type Node struct {
 	// commit horizon lay past it (handleHeartbeat).
 	gapBeats int
 
-	// applyWaiters are follower-side (and forwarded-write) waits for
-	// the local state machine to reach a zxid; each registered channel
-	// is closed exactly once when lastApplied passes its key.
+	// The Contact the last heartbeat carried: that of heardID, the leader
+	// of heardEpoch (LeaderContact).
+	heardEpoch, heardID uint64
+	heardContact        string
+
+	// applyWaiters are the WaitApplied calls waiting for the local state
+	// machine to reach a zxid; each registered channel is closed exactly
+	// once when lastApplied passes its key.
 	applyWaiters map[uint64][]chan struct{}
 
 	// Commit→apply pipeline state. Committed frames are enqueued on
@@ -501,6 +511,22 @@ func (n *Node) LeaderID() uint64 {
 	return n.leaderID
 }
 
+// LeaderContact returns where clients reach the leader: this node's own
+// Config.Contact while it leads, the Contact the current epoch's leader
+// sent on its heartbeat while it follows (it lapses wherever leaderID or
+// the epoch changes), and "" when neither is known.
+func (n *Node) LeaderContact() string {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	switch {
+	case n.role == roleLeader:
+		return n.cfg.Contact
+	case n.leaderID != 0 && n.heardID == n.leaderID && n.heardEpoch == n.epoch:
+		return n.heardContact
+	}
+	return ""
+}
+
 // Epoch returns the node's current epoch.
 func (n *Node) Epoch() uint64 {
 	n.mu.Lock()
@@ -645,7 +671,7 @@ func (n *Node) handle(req []byte) ([]byte, error) {
 		}
 		return n.handlePropose(m).encode(), nil
 	case msgHeartbeat:
-		m := heartbeatReq{Epoch: r.Uint64(), LeaderID: r.Uint64(), Commit: r.Uint64()}
+		m := heartbeatReq{Epoch: r.Uint64(), LeaderID: r.Uint64(), Commit: r.Uint64(), Contact: r.String()}
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
@@ -666,16 +692,6 @@ func (n *Node) handle(req []byte) ([]byte, error) {
 			return nil, err
 		}
 		return resp.encode(), nil
-	case msgForward:
-		txn := r.BytesCopy32()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		o, err := n.propose(txn)
-		if err != nil {
-			return nil, err
-		}
-		return forwardResp{Zxid: o.zxid, Commit: o.frameLast, Result: o.result}.encode(), nil
 	case msgJoin:
 		m := joinReq{ID: r.Uint64(), Addr: r.String()}
 		if err := r.Err(); err != nil {

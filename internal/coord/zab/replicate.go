@@ -46,21 +46,17 @@ const maxFramesPerSend = 64
 
 // pendingTxn is one queued proposal waiting for its frame to commit.
 type pendingTxn struct {
-	txn       []byte
-	noop      bool
-	frameLast uint64              // end of the frame that carries it, set by the proposer
-	ch        chan proposeOutcome // buffered(1); exactly one send ever happens
+	txn  []byte
+	noop bool
+	ch   chan proposeOutcome // buffered(1); exactly one send ever happens
 }
 
 // proposeOutcome is a transaction's fate as its proposer learns of it:
-// its zxid and state-machine result, or err. frameLast, filled in for
-// the caller of propose, is the end of the frame that carried it —
-// frames commit whole, so it is a commit horizon.
+// its zxid and state-machine result, or err.
 type proposeOutcome struct {
-	zxid      uint64
-	frameLast uint64
-	result    []byte
-	err       error
+	zxid   uint64
+	result []byte
+	err    error
 }
 
 // --- follower side ----------------------------------------------------
@@ -219,7 +215,7 @@ func (n *Node) tipAdvancedLocked() {
 }
 
 // followCommitLocked is every follower-side commit advance — window,
-// heartbeat, forward reply, sync pull. commit is a horizon announced
+// heartbeat, sync pull. commit is a horizon announced
 // under the current epoch; the node commits it only as far as its log
 // is verified against that epoch's leader (Raft's min(leaderCommit,
 // index of last new entry)). The log tip is not a safe cap: a tail kept
@@ -418,11 +414,11 @@ func (n *Node) handleSync(m syncReq) (syncResp, error) {
 
 // --- leader side ------------------------------------------------------
 
-// Propose submits a transaction for atomic broadcast. On a follower it
-// is forwarded to the leader. It returns the state machine's result
-// once the transaction is committed and applied on THIS node, which
-// gives sessions connected here read-your-writes consistency — the
-// same guarantee a ZooKeeper server provides its clients.
+// Propose submits a transaction for atomic broadcast. Only the leader
+// orders transactions: on any other member Propose returns ErrNoLeader
+// at once and enqueues nothing — LeaderContact names where the leader
+// is. On the leader it returns the state machine's result once the
+// transaction is committed and applied here.
 //
 // Propose is safe for arbitrary concurrency; concurrent calls are
 // coalesced by the leader's proposer into group-commit frames instead
@@ -436,58 +432,17 @@ func (n *Node) Propose(txn []byte) ([]byte, error) {
 // ordered at — what a session carries as its last-seen stamp, so any
 // replica it reads from next has applied the write first.
 func (n *Node) ProposeZxid(txn []byte) (result []byte, zxid uint64, err error) {
-	p, err := n.propose(txn)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := n.WaitApplied(p.zxid, proposeTimeout); err != nil {
-		return nil, 0, err
-	}
-	return p.result, p.zxid, nil
+	o, err := n.propose(txn)
+	return o.result, o.zxid, err
 }
 
+// propose enqueues one transaction for the proposer goroutine and waits
+// for its frame to commit and apply, returning the per-txn state-machine
+// result (the apply wakes the waiter only after the applied point covers
+// it). A step-down fails a transaction already enqueued with ErrNoLeader
+// too: it may still commit under the next leader.
 func (n *Node) propose(txn []byte) (proposeOutcome, error) {
-	n.mu.Lock()
-	if n.stopped {
-		n.mu.Unlock()
-		return proposeOutcome{}, ErrStopped
-	}
-	isLeader := n.role == roleLeader
-	leader := n.leaderID
-	n.mu.Unlock()
-
-	if isLeader {
-		return n.proposeAsLeader(txn, false)
-	}
-	if leader == 0 || leader == n.cfg.ID {
-		return proposeOutcome{}, ErrNoLeader
-	}
-	respB, err := n.callPeer(leader, forwardReq{Txn: txn}.encode())
-	if err != nil {
-		return proposeOutcome{}, err
-	}
-	resp, err := decodeForwardResp(respB)
-	if err != nil {
-		return proposeOutcome{}, err
-	}
-	// The reply is a commit notice: it exists because the frame ending
-	// at resp.Commit committed. Taking it as one (when it comes from
-	// this node's current epoch — an older one says nothing about the
-	// log verified since, a newer one is a leader not yet adopted)
-	// spares the session the wait for the stream's next message.
-	n.mu.Lock()
-	if n.role != roleLeader && epochOf(resp.Commit) == n.epoch {
-		n.followCommitLocked(resp.Commit)
-	}
-	n.mu.Unlock()
-	return proposeOutcome{zxid: resp.Zxid, frameLast: resp.Commit, result: resp.Result}, nil
-}
-
-// proposeAsLeader enqueues one transaction for the proposer goroutine
-// and waits for its frame to commit and apply, returning the per-txn
-// state-machine result.
-func (n *Node) proposeAsLeader(txn []byte, noop bool) (proposeOutcome, error) {
-	p := &pendingTxn{txn: txn, noop: noop, ch: make(chan proposeOutcome, 1)}
+	p := &pendingTxn{txn: txn, ch: make(chan proposeOutcome, 1)}
 	n.mu.Lock()
 	if n.stopped {
 		n.mu.Unlock()
@@ -508,7 +463,6 @@ func (n *Node) proposeAsLeader(txn []byte, noop bool) (proposeOutcome, error) {
 	defer putProposeTimer(timer)
 	select {
 	case o := <-p.ch:
-		o.frameLast = p.frameLast
 		return o, o.err
 	case <-n.stopCh:
 		return proposeOutcome{}, ErrStopped
@@ -630,7 +584,6 @@ func (n *Node) proposerLoop(gen uint64) {
 			n.waiters[e.Zxid] = batch[0]
 		} else {
 			for i, p := range batch {
-				p.frameLast = e.Last()
 				n.waiters[e.Zxid+uint64(i)] = p
 			}
 			n.nextSeq += uint32(len(batch))

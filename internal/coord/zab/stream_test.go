@@ -202,13 +202,13 @@ type peerTap struct {
 	lose    func(addr string, m proposeReq) bool
 	loseFor time.Duration
 
-	dataWindows, emptyWindows, forwards, votes atomic.Int64
-	syncPulls, needSyncs, refusals, others     atomic.Int64
-	refusedAfter                               atomic.Int64 // ns the last plain refusal took
+	dataWindows, emptyWindows, votes       atomic.Int64
+	syncPulls, needSyncs, refusals, others atomic.Int64
+	refusedAfter                           atomic.Int64 // ns the last plain refusal took
 }
 
 func (p *peerTap) reset() {
-	for _, c := range []*atomic.Int64{&p.dataWindows, &p.emptyWindows, &p.forwards,
+	for _, c := range []*atomic.Int64{&p.dataWindows, &p.emptyWindows,
 		&p.votes, &p.syncPulls, &p.needSyncs, &p.refusals, &p.others} {
 		c.Store(0)
 	}
@@ -242,8 +242,6 @@ func (c *tapConn) Call(req []byte) ([]byte, error) {
 			p.emptyWindows.Add(1)
 		}
 	case msgHeartbeat: // expected at any time; not counted
-	case msgForward:
-		p.forwards.Add(1)
 	case msgRequestVote:
 		p.votes.Add(1)
 	case msgSync:
@@ -421,11 +419,11 @@ func TestLostWindowIsRefusedNotSynced(t *testing.T) {
 }
 
 // TestMessagesPerWrite counts what one isolated write costs on the peer
-// links: through the leader, one window per follower and at most one
-// empty commit carrier per follower; through a follower, one forward
-// more. There is no separate commit message. The third write is what a
-// follower-homed session's leader-direct write is down here — proposed
-// on the leader, whatever was forwarded before it — and costs no forward.
+// links. Proposed on the leader — what every session's write is down
+// here, whichever server it is homed on — it takes one window per
+// follower and at most one empty commit carrier per follower; there is
+// no separate commit message. Proposed on a follower, it is refused
+// without a single peer message.
 func TestMessagesPerWrite(t *testing.T) {
 	tap := &peerTap{Network: transport.NewInProc(), rng: rand.New(rand.NewSource(1))}
 	e := startTapped(t, "msgcount", tap)
@@ -437,23 +435,27 @@ func TestMessagesPerWrite(t *testing.T) {
 			break
 		}
 	}
-	proposeOK(t, follower, "warm-up")
+	proposeOK(t, leader, "warm-up")
 	waitConverged(t, e, 1, 1, 2, 3)
 	time.Sleep(120 * time.Millisecond) // let the warm-up's commit carriers land
 
-	for i, c := range []struct {
-		via      *Node
-		forwards int64
-	}{{leader, 0}, {follower, 1}, {leader, 0}} {
+	for _, c := range []struct {
+		via     *Node
+		windows int64 // data windows, and the most empty ones
+	}{{leader, 2}, {follower, 0}} {
 		tap.reset()
-		proposeOK(t, c.via, fmt.Sprintf("isolated-%d", i))
-		waitConverged(t, e, i+2, 1, 2, 3)
+		if c.via == leader {
+			proposeOK(t, leader, "isolated")
+			waitConverged(t, e, 2, 1, 2, 3)
+		} else if _, err := c.via.Propose([]byte("refused")); err != ErrNoLeader {
+			t.Fatalf("a follower's Propose returned %v, want ErrNoLeader", err)
+		}
 		time.Sleep(120 * time.Millisecond)
-		if d, em, f := tap.dataWindows.Load(), tap.emptyWindows.Load(), tap.forwards.Load(); d != 2 || em > 2 || f != c.forwards {
-			t.Fatalf("write %d: %d data windows, %d empty windows, %d forwards; want 2, at most 2, %d", i, d, em, f, c.forwards)
+		if d, em := tap.dataWindows.Load(), tap.emptyWindows.Load(); d != c.windows || em > c.windows {
+			t.Fatalf("write on member %d: %d data windows, %d empty windows; want %d, at most %d", c.via.ID(), d, em, c.windows, c.windows)
 		}
 		if v, s, o := tap.votes.Load(), tap.syncPulls.Load(), tap.others.Load(); v != 0 || s != 0 || o != 0 {
-			t.Fatalf("write %d: %d votes, %d sync pulls, %d other messages on the peer links", i, v, s, o)
+			t.Fatalf("write on member %d: %d votes, %d sync pulls, %d other messages on the peer links", c.via.ID(), v, s, o)
 		}
 	}
 }
@@ -603,7 +605,7 @@ func TestMinorityTailNeverApplied(t *testing.T) {
 		side.nodes[id], side.peers[id] = nodes[id], peers[id]
 	}
 	for i := 0; i < 3; i++ {
-		proposeOK(t, side.waitLeader(t), fmt.Sprintf("after-%d", i))
+		side.proposeOnLeader(t, fmt.Sprintf("after-%d", i))
 	}
 	if err := <-lostDone; err == nil {
 		t.Fatal("a write acknowledged by two of five members was reported committed")
@@ -615,7 +617,7 @@ func TestMinorityTailNeverApplied(t *testing.T) {
 	// A retried propose may land twice while the returning members'
 	// inflated epochs churn the leadership, so convergence is "every
 	// member holds the same sequence and it ends in the marker".
-	proposeOK(t, e.waitLeader(t), "healed")
+	e.proposeOnLeader(t, "healed")
 	var want []string
 	deadline = time.Now().Add(10 * time.Second)
 	for same := false; !same; time.Sleep(5 * time.Millisecond) {

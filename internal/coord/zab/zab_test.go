@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -179,6 +180,24 @@ func proposeOK(t *testing.T, n *Node, txn string) {
 	}
 }
 
+// proposeOnLeader is proposeOK through whichever member leads, for the
+// moments after a failover or a heal when another election may follow
+// the first: only the leader accepts a proposal.
+func (e *ensemble) proposeOnLeader(t *testing.T, txn string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, err := e.waitLeader(t).Propose([]byte(txn))
+		if err == nil {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("Propose(%q) never succeeded: %v", txn, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 func waitConverged(t *testing.T, e *ensemble, want int, ids ...uint64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -235,21 +254,59 @@ func TestProposeReplicatesInOrder(t *testing.T) {
 	}
 }
 
-func TestFollowerForwardsProposals(t *testing.T) {
-	e := newEnsemble(t, 3)
-	leader := e.waitLeader(t)
-	var follower *Node
-	for _, n := range e.nodes {
-		if n.ID() != leader.ID() {
-			follower = n
-			break
+// TestNonLeaderRefusesProposals: only the leader orders a transaction. A
+// follower's and an observer's Propose fail with ErrNoLeader and enqueue
+// nothing; what each offers instead is the leader's contact, heard on its
+// heartbeat within one interval, and dropped once a new epoch begins.
+func TestNonLeaderRefusesProposals(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	o := startObserved(t, "refuse", 3, 1, timeout, 0)
+	leader := o.waitLeader(t)
+	elected := time.Now()
+	for id, n := range o.nodes {
+		if n == leader {
+			continue
+		}
+		for n.LeaderContact() != o.contact(leader.ID()) {
+			if time.Since(elected) > timeout {
+				t.Fatalf("member %d names %q as the leader's contact, want %q", id, n.LeaderContact(), o.contact(leader.ID()))
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if _, err := n.Propose([]byte("refused")); err != ErrNoLeader {
+			t.Fatalf("member %d: Propose returned %v, want ErrNoLeader", id, err)
+		}
+		n.mu.Lock()
+		queued := len(n.propQ) + len(n.waiters)
+		n.mu.Unlock()
+		if queued != 0 {
+			t.Fatalf("member %d enqueued %d transactions it does not lead", id, queued)
 		}
 	}
-	proposeOK(t, follower, "via-follower")
-	waitConverged(t, e, 1, 1, 2, 3)
-	applied, _ := e.sms[leader.ID()].snapshotState()
-	if applied[0] != "via-follower" {
-		t.Fatalf("applied = %v", applied)
+	t.Logf("the followers and the observer named the leader %v after it was seen elected", time.Since(elected))
+	if got := leader.LeaderContact(); got != o.contact(leader.ID()) {
+		t.Fatalf("the leader names %q, want its own contact", got)
+	}
+	proposeOK(t, leader, "ordered")
+	waitIdentical(t, o, "ordered", 1, 2, 3, 101)
+	for id := range o.nodes {
+		if applied, _ := o.sms[id].snapshotState(); slices.Contains(applied, "refused") {
+			t.Fatalf("member %d applied a transaction a non-leader refused", id)
+		}
+	}
+
+	old, epoch := o.contact(leader.ID()), leader.Epoch()
+	o.stop(leader.ID())
+	next := o.waitLeader(t)
+	for id, n := range o.nodes {
+		for deadline := time.Now().Add(5 * time.Second); n.LeaderContact() != o.contact(next.ID()); time.Sleep(time.Millisecond) {
+			if n.Epoch() > epoch && n.LeaderContact() == old {
+				t.Fatalf("member %d still names the epoch-%d leader in epoch %d", id, epoch, n.Epoch())
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("member %d names %q, want the new leader's %q", id, n.LeaderContact(), o.contact(next.ID()))
+			}
+		}
 	}
 }
 
@@ -317,7 +374,7 @@ func TestLeaderFailureElectsNewLeaderAndPreservesLog(t *testing.T) {
 		t.Fatal("stopped node still leads")
 	}
 	for i := 0; i < 5; i++ {
-		proposeOK(t, newLeader, fmt.Sprintf("post-%d", i))
+		e.proposeOnLeader(t, fmt.Sprintf("post-%d", i))
 	}
 	var live []uint64
 	for id := range e.nodes {
@@ -395,8 +452,7 @@ func TestFullRestartOnRetainedMemStorage(t *testing.T) {
 	for id := uint64(1); id <= 3; id++ {
 		e.startNode(t, id, e.stores[id])
 	}
-	leader2 := e.waitLeader(t)
-	proposeOK(t, leader2, "after-restart")
+	e.proposeOnLeader(t, "after-restart")
 	waitConverged(t, e, ops+1, 1, 2, 3)
 	for id, sm := range e.sms {
 		applied, _ := sm.snapshotState()
@@ -629,10 +685,9 @@ func TestBarrierExemptFromInflightWindow(t *testing.T) {
 	// after voting), so the new leader's window is already full when
 	// its barrier queues.
 	mk(follower.ID())
-	newLeader := e.waitLeader(t)
 	// Without the barrier exemption this times out: the barrier never
 	// proposes, nothing commits, and the watchdog churns elections.
-	proposeOK(t, newLeader, "after-recovery")
+	e.proposeOnLeader(t, "after-recovery")
 }
 
 // TestProposeWindowCodec round-trips a multi-frame propose window and
