@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"context"
 	"fmt"
 	"runtime/metrics"
 	"testing"
@@ -10,20 +11,22 @@ import (
 	"repro/internal/transport"
 )
 
-// writeAllocBudget is the end-to-end allocation ceiling for one write
-// on a single-node ensemble: client encode (pooled writer), propose,
-// group-commit apply, reply decode. The mechanical-sympathy pass
-// landed at 10 allocations per write (seed: 22); the reply's zxid
-// trailer costs one more (12 today) — the one copy of the state-machine
-// result the dedup window also holds. The budget leaves headroom for
-// toolchain drift while still catching a regression that reintroduces a
-// per-write allocation source (an unpooled buffer, a hot-path closure, a
-// queue that bleeds capacity).
-const writeAllocBudget = 14
+// allocRuns is how many ops an allocation budget averages over. At
+// 5 000 back-to-back in-process ops the count is the same integer run
+// after run: what a background heartbeat allocates meanwhile is lost
+// in the average's rounding.
+const allocRuns = 5000
 
-// TestWriteAllocBudget pins the write path's allocation count. It
-// measures the full client→server→apply→reply loop, so a regression
-// anywhere on the hot path shows up here with an exact number.
+// TestWriteAllocBudget pins the allocation count of one op of each
+// shape a session sends, end to end on a single-node ensemble: client
+// encode (pooled writer), dispatch, propose and group-commit apply for
+// a write, the tree read for a read, reply decode. The mechanical-
+// sympathy pass took a create from 22 allocations to 10; the zxid on
+// every reply and the stamp on every request brought it to 12. Each
+// budget sits two above its count: headroom for toolchain drift that
+// still catches a regression which reintroduces a per-op allocation
+// source (an unpooled buffer, a hot-path closure, a queue that bleeds
+// capacity).
 func TestWriteAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -43,23 +46,49 @@ func TestWriteAllocBudget(t *testing.T) {
 	}
 	t.Cleanup(e.Stop)
 	s := connect(t, e, 0)
-	if _, err := s.Create("/ap", nil, znode.ModePersistent); err != nil {
+	if _, err := s.Create("/ap", []byte("payload"), znode.ModePersistent); err != nil {
 		t.Fatal(err)
 	}
-	paths := make([]string, 200000)
+	// Every create gets a fresh path, formatted before the count starts.
+	paths := make([]string, 4*allocRuns)
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/ap/n%d", i)
 	}
-	i := 0
-	n := testing.AllocsPerRun(5000, func() {
-		if _, err := s.Create(paths[i], nil, znode.ModePersistent); err != nil {
-			t.Fatal(err)
+	next := 0
+	ctx := context.Background()
+	for _, c := range []struct {
+		name   string
+		budget float64
+		op     func() error
+	}{
+		{"create", 14, func() error {
+			next++
+			_, err := s.Create(paths[next], nil, znode.ModePersistent)
+			return err
+		}},
+		{"get", 9, func() error {
+			_, _, err := s.Get("/ap")
+			return err
+		}},
+		{"exists", 6, func() error {
+			_, _, err := s.Exists("/ap")
+			return err
+		}},
+		{"begin-create", 20, func() error {
+			next++
+			_, err := s.Begin(ctx, CreateOp(paths[next], nil, znode.ModePersistent)).Result()
+			return err
+		}},
+	} {
+		n := testing.AllocsPerRun(allocRuns, func() {
+			if err := c.op(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %v allocs per op (budget %v)", c.name, n, c.budget)
+		if n > c.budget {
+			t.Errorf("%s allocates %v per op, budget is %v", c.name, n, c.budget)
 		}
-		i++
-	})
-	t.Logf("allocs per write: %v (budget %d)", n, writeAllocBudget)
-	if n > writeAllocBudget {
-		t.Fatalf("write path allocates %v per op, budget is %d", n, writeAllocBudget)
 	}
 }
 

@@ -111,6 +111,9 @@ func TestWriteRoundTrips(t *testing.T) {
 // count; with group commit the leader coalesces the writes queued
 // behind each round trip into multi-txn frames, so throughput scales
 // with the concurrency — ≥4× at 16 sessions is the acceptance bar.
+// The durable mode is the pipeline defaults on the storage engine
+// (DESIGN.md §11.5), where every acknowledgement waits on an fsync that
+// rides whole frames: grouped against durable is what durability costs.
 // Sessions are homed on the leader, so the leader's pipeline is what
 // is measured, not a second connection.
 func BenchmarkGroupCommit(b *testing.B) {
@@ -121,9 +124,11 @@ func BenchmarkGroupCommit(b *testing.B) {
 	modes := []struct {
 		name          string
 		batch, window int
+		durable       bool
 	}{
-		{"serialized", 1, 1},
-		{"grouped", 0, 0}, // zero = the pipeline defaults
+		{"serialized", 1, 1, false},
+		{"grouped", 0, 0, false}, // zero = the pipeline defaults
+		{"durable", 0, 0, true},
 	}
 	for _, mode := range modes {
 		for _, clients := range []int{1, 4, 16} {
@@ -131,17 +136,22 @@ func BenchmarkGroupCommit(b *testing.B) {
 				ablateZab = func(c *zab.Config) { c.MaxBatchTxns, c.MaxInflightFrames = mode.batch, mode.window }
 				b.Cleanup(func() { ablateZab = nil })
 				ensembleSeq++
-				// 50 ms / 1 s and MaxLogEntries 2^20, as every saturating
-				// benchmark (bench_test.go startSaturatedEnsemble): no
-				// self-inflicted election, no snapshot inside the timing.
-				e, err := StartEnsemble(EnsembleConfig{
+				// 50 ms / 1 s: with the unit tests' 5 ms / 50 ms pair a
+				// scheduler stall under 16 busy sessions outlasts the
+				// election timeout. MaxLogEntries 2^20 keeps the fuzzy
+				// snapshotter, which stalls apply, out of the timing.
+				cfg := EnsembleConfig{
 					Servers:           3,
 					Net:               &transport.Latency{Inner: transport.NewInProc(), Delay: func() time.Duration { return netRTT }},
 					AddrPrefix:        fmt.Sprintf("gcommit%d", ensembleSeq),
 					HeartbeatInterval: 50 * time.Millisecond,
 					ElectionTimeout:   time.Second,
 					MaxLogEntries:     1 << 20,
-				})
+				}
+				if mode.durable {
+					cfg.DataDir = b.TempDir()
+				}
+				e, err := StartEnsemble(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
