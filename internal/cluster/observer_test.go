@@ -56,8 +56,8 @@ func waitObserverCaughtUp(t *testing.T, c *Cluster, idx int) {
 // sync-then-read recipe against a deliberately lagging observer: a
 // write lands on the leader while the observer's peer address is
 // blocked (the leader's log stream cannot reach it; its own outbound
-// calls still land), and an observer-homed session's Sync — ordered by
-// the leader — stamps the read that follows it, which the observer holds
+// calls still land), and an observer-homed session's Sync — answered by
+// the leader with its applied zxid — stamps the read that follows it, which the observer holds
 // until its own replica reflects that write. So the read sees the data
 // even though the replica was behind when Sync was called.
 func TestObserverSyncBarrierReadYourWrites(t *testing.T) {
@@ -209,7 +209,7 @@ func TestObserverSnapshotRejoinAfterRestart(t *testing.T) {
 // linearize — names the leader instead (coord's
 // TestLeaseReadTakesTheWritePath pins the refusal on the server), so a
 // session whose only address is one gets its lease read answered by the
-// leader, with no Sync proposed.
+// leader, with nothing proposed.
 func TestLeaseReadWirePath(t *testing.T) {
 	c := startObserverCluster(t, 1, 0)
 	waitObserverCaughtUp(t, c, 0)
@@ -223,17 +223,13 @@ func TestLeaseReadWirePath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A just-elected leader funds its lease within one heartbeat round;
-	// until then the read falls back, so wait for one answered under it.
 	leased := coord.Op{Kind: coord.OpGet, Path: "/leased", Lease: true}
 	leader := c.Ensemble.Leader().Metrics()
-	for deadline := time.Now().Add(2 * time.Second); leader.Counter("lease_reads").Value() == 0; time.Sleep(10 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the leader never answered a lease read under its lease")
-		}
-		if res, err := leaderSess.Do(t.Context(), leased); err != nil || string(res.Data) != "fast" {
-			t.Fatalf("lease read on leader = %q, %v", res.Data, err)
-		}
+	if res, err := leaderSess.Do(t.Context(), leased); err != nil || string(res.Data) != "fast" {
+		t.Fatalf("lease read on leader = %q, %v", res.Data, err)
+	}
+	if got := leader.Counter("lease_reads").Value(); got != 1 {
+		t.Fatalf("the leader counted %d lease reads, want 1", got)
 	}
 
 	obsSess, err := coord.Connect(c.net, []string{c.ObserverAddr(0, 0)})

@@ -43,13 +43,11 @@ const (
 	// timeout expires. Client-local (never replicated).
 	opWaitEvents
 	// opLeaseRead wraps one read op (opGet/opExists/opChildren/
-	// opChildrenData follows as the payload) with a leader-lease check:
-	// the server answers from its local replica ONLY while it holds the
-	// clock-skew-bounded read lease, making the read linearizable
-	// without a quorum round trip. A member that does not lead names the
-	// leader (codeNotLeader); a leader without its lease returns
-	// ErrNoLease and the session falls back to a sync barrier and a plain
-	// read. Client-local (never replicated).
+	// opChildrenData follows as the payload) in the leader's read check
+	// (zab.Node.ReadBarrier), which makes it linearizable with nothing
+	// proposed; opSync is the same check with no read behind it. A member
+	// that does not lead names the leader (codeNotLeader). Client-local
+	// (never replicated).
 	opLeaseRead
 	// Migration control plane (DESIGN.md §15). The four write ops are
 	// replicated transactions — fence/moved markers and imported entries
@@ -77,7 +75,7 @@ const (
 	codeNoParent
 	codeRolledBack
 	codeOther
-	codeNoLease
+	_ // a retired code's slot, so the codes after it keep their wire values
 	// codeFenced and codeMoved are the migration redirect contract:
 	// fenced is transient (retry the same shard shortly), moved is
 	// permanent (refresh placement, go to the shard in the detail).
@@ -98,7 +96,7 @@ const (
 // other op is answered by the contacted replica from its own state.
 func proposes(op uint8) bool {
 	switch op {
-	case opCreate, opDelete, opSet, opMulti, opNewSession, opCloseSession, opSync,
+	case opCreate, opDelete, opSet, opMulti, opNewSession, opCloseSession,
 		opFenceRange, opUnfenceRange, opRangeMoved, opWipeRange, opImportRange:
 		return true
 	}
@@ -117,11 +115,6 @@ var (
 	// ErrRolledBack marks a Multi op that was undone (or never ran)
 	// because a sibling op in the same atomic batch failed.
 	ErrRolledBack = znode.ErrRolledBack
-	// ErrNoLease is a server's answer to a lease read it cannot vouch
-	// for: it leads but its heartbeat-funded deadline expired, or it
-	// knows no leader to name. The read was NOT served. Session.Do never
-	// returns it — it falls back to a sync barrier and a plain read.
-	ErrNoLease = errors.New("coord: no read lease held")
 	// ErrFenced is returned for a write landing in a hash range that is
 	// fenced for migration. The write did NOT apply; the fence lifts
 	// within the delta-ship window (or on abort), so the caller retries
@@ -198,8 +191,6 @@ func codeForError(err error) uint8 {
 		return codeNoParent
 	case errors.Is(err, znode.ErrRolledBack):
 		return codeRolledBack
-	case errors.Is(err, ErrNoLease):
-		return codeNoLease
 	case errors.Is(err, ErrFenced):
 		return codeFenced
 	case errors.Is(err, errBehind):
@@ -233,8 +224,6 @@ func errorForCode(code uint8, detail string) error {
 		return ErrNoParent
 	case codeRolledBack:
 		return ErrRolledBack
-	case codeNoLease:
-		return ErrNoLease
 	case codeFenced:
 		return ErrFenced
 	case codeMoved:
@@ -310,7 +299,7 @@ const (
 	OpChildrenData
 	// OpMulti applies Op.Ops as one batch.
 	OpMulti
-	// OpSync is the visibility barrier (Client.Sync).
+	// OpSync is the visibility barrier (Client.Sync), a leader read.
 	OpSync OpKind = 255
 )
 
@@ -329,12 +318,9 @@ type Op struct {
 	// Watch and Lease modify the read kinds; the write kinds ignore
 	// them. Watch (get, exists, children) leaves a one-shot watch behind
 	// a successful read, delivered through WaitEvents. Lease asks for a
-	// linearizable answer, the cheapest way available, on any Session:
-	// the leader answers in one round trip, no quorum round, while its
-	// quorum-funded, clock-skew-bounded read lease is live — a member that
-	// does not lead names the leader and the session goes there; otherwise
-	// (lease expired, no leader known) the session issues a Sync and then
-	// the plain read. A shard.Router refuses the flag; set it on the
+	// linearizable answer on any Session: the leader answers it with
+	// nothing proposed, at once under its read lease, else after one
+	// heartbeat round. A shard.Router refuses the flag; set it on the
 	// sessions beneath one.
 	Watch bool
 	Lease bool
@@ -363,10 +349,10 @@ type Result struct {
 	Zxid uint64
 }
 
-// checkBatch refuses a Multi batch the state machine would only abort
+// CheckBatch refuses a Multi batch the state machine would only abort
 // after replicating it: an empty one, or one carrying a kind that is
-// not batchable.
-func checkBatch(ops []Op) error {
+// not batchable (a Session's and a shard.Router's one check).
+func CheckBatch(ops []Op) error {
 	if len(ops) == 0 {
 		return errors.New("coord: empty multi")
 	}

@@ -25,8 +25,9 @@ import (
 //
 // A session has a HOME server — the first address that accepted it —
 // which answers its reads from the local replica, holds its watches and
-// parks its event waits. Replicated writes and lease reads are served by
-// the LEADER only (DESIGN.md §10.5): any other member refuses them with
+// parks its event waits. Replicated writes, lease reads and syncs are
+// served by the LEADER only (DESIGN.md §10.5): any other member refuses
+// them with
 // the leader's client address, and the session dials that address once
 // and sends them there over a second connection from then on. Until it
 // has one, and whenever that connection fails, they go home, which
@@ -197,7 +198,7 @@ func (s *Session) dropConn(gen uint64) {
 }
 
 // route picks the connection a request goes out on: one for the leader
-// (a replicated write, a lease read) takes the connection to the leader
+// (a replicated write, a lease read, a sync) takes the connection to the leader
 // when a redirect has named it, and everything else — plain reads,
 // watches, event waits, and the leader's requests until then — goes home.
 func (s *Session) route(toLeader bool) (c transport.Conn, gen uint64, direct bool, err error) {
@@ -285,19 +286,18 @@ func (s *Session) exchange(ctx context.Context, w *wire.Writer) (payload []byte,
 // abandonment never corrupts the session. retained reports whether some
 // abandoned in-flight call may still reference msg.
 //
-// A replicated write or a lease read goes home until a member that does
+// A request only the leader answers goes home until a member that does
 // not lead names the leader's address; the session dials it and resends
 // the same bytes there (a second redirect of one request after a
 // back-off). Whatever goes wrong on the leader connection, the same
 // bytes go home next, to be served or redirected again. The dedup window
-// makes the attempts one write; a lease read no leader vouches for comes
-// back ErrNoLease, for Do to fall back.
+// makes the attempts of a write one write.
 func (s *Session) requestCtxOwned(ctx context.Context, msg []byte) (payload []byte, zxid uint64, retained bool, err error) {
 	deadline := time.Now().Add(DialTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
-	toLeader := len(msg) > 0 && (proposes(msg[0]) || msg[0] == opLeaseRead)
+	toLeader := len(msg) > 0 && (proposes(msg[0]) || msg[0] == opLeaseRead || msg[0] == opSync)
 	var lastErr error
 	var refusals int // in a row, by the home connection of generation refusedBy
 	var refusedBy uint64
@@ -438,11 +438,8 @@ func retryDelay(attempt int) time.Duration {
 // Do implements Doer: encode the op, send it through the request
 // engine, decode the reply — on the caller's goroutine, with no
 // allocation beyond the result. A replicated write holds one of the
-// session's asyncWindow slots while it is in flight; reads take none.
-// A lease read no server in reach would vouch for (Op.Lease) becomes a
-// Sync — its reply stamps the session with a zxid behind every write
-// acknowledged before it — and the same read without the flag, which
-// home holds until it has applied that much.
+// session's asyncWindow slots while it is in flight; reads and syncs
+// take none.
 func (s *Session) Do(ctx context.Context, op Op) (Result, error) {
 	// Requests ride pooled writers: nothing on the client retains the
 	// message (the server copies before the replication layer keeps
@@ -467,13 +464,6 @@ func (s *Session) Do(ctx context.Context, op Op) (Result, error) {
 	if write {
 		<-s.window
 	}
-	if op.Lease && errors.Is(err, ErrNoLease) {
-		if res, err := s.Do(ctx, Op{Kind: OpSync}); err != nil {
-			return res, err
-		}
-		op.Lease = false
-		return s.Do(ctx, op)
-	}
 	if err != nil {
 		return Result{Zxid: zxid}, err
 	}
@@ -484,8 +474,9 @@ func (s *Session) Do(ctx context.Context, op Op) (Result, error) {
 
 // encode appends op's request to w and reports whether it is a
 // replicated write (which carries the session id and a fresh sequence
-// number for exact-once retries) or a read (which ends with the stamp:
-// the session's last-seen zxid, or the caller's if that is higher).
+// number for exact-once retries) or a read or sync (which ends with the
+// stamp: the session's last-seen zxid, or the caller's if that is
+// higher).
 // Checks ride as single-op Multi transactions — the protocol has no
 // standalone check.
 func (s *Session) encode(w *wire.Writer, op Op) (write bool, err error) {
@@ -501,14 +492,15 @@ func (s *Session) encode(w *wire.Writer, op Op) (write bool, err error) {
 		appendDeleteTxn(w, op.Path, op.Version, s.id, s.seq.Add(1))
 		return true, nil
 	case OpSync:
-		appendSyncTxn(w, s.id, s.seq.Add(1))
-		return true, nil
+		w.Uint8(opSync)
+		w.Uint64(max(op.Zxid, s.seen.Load()))
+		return false, nil
 	case OpCheck, OpMulti:
 		ops := op.Ops
 		if op.Kind == OpCheck {
 			ops = []Op{op}
 		}
-		if err := checkBatch(ops); err != nil {
+		if err := CheckBatch(ops); err != nil {
 			return false, err
 		}
 		appendMultiTxn(w, ops, s.id, s.seq.Add(1), time.Now().UnixNano())

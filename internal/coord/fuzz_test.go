@@ -58,6 +58,7 @@ func localRequests(session uint64) map[string][]byte {
 	}
 	reqs := map[string][]byte{
 		"status":     {opStatus},
+		"sync":       {opSync},
 		"pollEvents": req(func(w *wire.Writer) { w.Uint8(opPollEvents); w.Uint64(session) }),
 		"waitEvents": req(func(w *wire.Writer) { w.Uint8(opWaitEvents); w.Uint64(session); w.Uint32(1) }),
 		"rangeExport": req(func(w *wire.Writer) {
@@ -97,7 +98,6 @@ func writeRequests(session uint64) map[string][]byte {
 		"set":        encodeSetTxn("/d/a", []byte("w"), -1, session, 1002, 2),
 		"delete":     txn(opDelete, 1003, func(w *wire.Writer) { w.String("/d/b"); w.Int32(-1) }),
 		"multi":      encodeMultiTxn([]Op{CheckOp("/d", -1), CreateOp("/d/m", nil, znode.ModePersistent)}, session, 1004, 3),
-		"sync":       txn(opSync, 1005, nil),
 		"newSession": encodeNewSessionTxn(),
 		"fence":      txn(opFenceRange, 1006, func(w *wire.Writer) { rng(w); w.Uint32(1); w.Uint64(9) }),
 		"unfence":    txn(opUnfenceRange, 1007, rng),
@@ -113,6 +113,17 @@ func writeRequests(session uint64) map[string][]byte {
 	}
 }
 
+// legacySyncTxn is a sync as the replicated transaction it used to be,
+// the layout of every other write; the sync is now a leader read whose
+// request is the op code and the stamp.
+func legacySyncTxn(session uint64) []byte {
+	var w wire.Writer
+	w.Uint8(opSync)
+	w.Uint64(session)
+	w.Uint64(1005)
+	return w.Bytes()
+}
+
 func withStamp(req []byte, stamp uint64) []byte {
 	return binary.BigEndian.AppendUint64(append([]byte(nil), req...), stamp)
 }
@@ -121,13 +132,13 @@ func withStamp(req []byte, stamp uint64) []byte {
 // request bytes from before stamps existed are served as stamp zero, a
 // whole stamp the replica has applied is served, a stamp cut short at
 // any byte — or with bytes behind it — is a malformed request, and a
-// stamp ahead of the replica is held, then refused with codeBehind.
+// stamp ahead of the replica is held, then refused with codeBehind. A
+// sync in the transaction layout it had before it was a leader read is
+// refused as malformed.
 func TestRequestStamp(t *testing.T) {
 	srv, s := startFuzzServer(t)
-	for deadline := time.Now().Add(5 * time.Second); !srv.node.HoldsReadLease(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the lone member never funded its read lease")
-		}
+	if _, err := srv.handleClient(legacySyncTxn(s.ID())); err == nil {
+		t.Error("a sync in the old transaction layout was served")
 	}
 	for name, req := range localRequests(s.ID()) {
 		reply, err := srv.handleClient(req)
@@ -195,9 +206,10 @@ func startFuzzFollower(tb testing.TB) *Server {
 // FuzzHandleClient feeds the server's request decoder, a leader's or a
 // follower's. The corpus is every op of the protocol on the leader: the
 // non-replicated ones without a stamp, with one, and with one truncated
-// at each byte; the replicated ones as the transactions they are — and a
-// replicated op and a lease read on the follower, which must name the
-// leader instead of proposing or reading anything.
+// at each byte; the replicated ones as the transactions they are; a sync
+// in its old transaction layout — and a replicated op, a lease read and a
+// sync on the follower, which must name the leader instead of proposing
+// or reading anything.
 func FuzzHandleClient(f *testing.F) {
 	srv, s := startFuzzServer(f)
 	follower := startFuzzFollower(f)
@@ -214,8 +226,11 @@ func FuzzHandleClient(f *testing.F) {
 	}
 	f.Add([]byte{}, false)
 	f.Add([]byte{0xff}, false)
+	f.Add(legacySyncTxn(s.ID()), false)
 	f.Add(writeRequests(s.ID())["create"], true)
 	f.Add(localRequests(s.ID())["lease-get"], true)
+	f.Add(localRequests(s.ID())["sync"], true)
+	f.Add(withStamp(localRequests(s.ID())["sync"], fuzzStamp), true)
 	f.Fuzz(func(t *testing.T, req []byte, toFollower bool) {
 		req = append([]byte(nil), req...)
 		if len(req) > 0 && req[0] == opWaitEvents && len(req) >= 13 {
@@ -239,9 +254,9 @@ func FuzzHandleClient(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reply to %x does not end with a zxid: %v", req, err)
 		}
-		if toFollower && proposes(req[0]) {
+		if toFollower && (proposes(req[0]) || req[0] == opLeaseRead || req[0] == opSync) {
 			if _, ok := status.(notLeader); !ok || status == notLeader("") {
-				t.Fatalf("a follower answered the replicated op %x with %v; want it to name the leader", req, status)
+				t.Fatalf("a follower answered the leader-only op %x with %v; want it to name the leader", req, status)
 			}
 		}
 	})

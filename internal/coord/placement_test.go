@@ -359,10 +359,10 @@ func TestLeaderKillMidFlight(t *testing.T) {
 	}
 }
 
-// Read placement (DESIGN.md §13.4): a lease read takes the write's route
-// to the leader and falls back to a Sync and a plain read where the
-// leader holds no lease; everything else reads at home, and home is the
-// first address of the list that will have the session.
+// Read placement (DESIGN.md §13.4): a lease read and a Sync take the
+// write's route to the leader, which answers them without a proposal;
+// everything else reads at home, and home is the first address of the
+// list that will have the session.
 
 // proposals sums the client transactions the given servers proposed.
 func proposals(servers ...*Server) (n int64) {
@@ -374,9 +374,9 @@ func proposals(servers ...*Server) (n int64) {
 
 // TestLeaseReadTakesTheWritePath homes a session on a follower and lists
 // the leader behind it. A lease read is answered by the leader, under
-// its lease, in one call delay — home sees nothing of it and no Sync is
-// proposed — whichever form submitted it. A follower sent one names the
-// leader and reads nothing.
+// its lease, in one call delay — home sees nothing of it and nothing is
+// proposed — whichever form submitted it, and so is a Sync. A follower
+// sent one names the leader and reads nothing.
 func TestLeaseReadTakesTheWritePath(t *testing.T) {
 	const d = 20 * time.Millisecond
 	ensembleSeq++
@@ -430,6 +430,21 @@ func TestLeaseReadTakesTheWritePath(t *testing.T) {
 	if got := proposals(e.Servers...) - proposed; got != 0 {
 		t.Errorf("%d transactions proposed for lease reads the leader could answer", got)
 	}
+	best = time.Hour
+	for i := 0; i < tries; i++ {
+		start := time.Now()
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		best = min(best, time.Since(start))
+	}
+	t.Logf("sync from a follower-homed session: %v (%.2f call delays)", best, float64(best)/float64(d))
+	if best >= d*3/2 {
+		t.Errorf("sync took %v, want about one call delay (%v)", best, d)
+	}
+	if got := proposals(e.Servers...) - proposed; got != 0 {
+		t.Errorf("%d transactions proposed for syncs", got)
+	}
 
 	var w wire.Writer
 	w.Uint8(opLeaseRead)
@@ -447,16 +462,16 @@ func TestLeaseReadTakesTheWritePath(t *testing.T) {
 	}
 }
 
-// TestLeaseReadFallsBackToSync checks a lease read stays linearizable
-// whether or not the leader can vouch for it. The session's home trails
+// TestLeaseReadIsLinearizable checks a lease read stays linearizable
+// whether or not the leader holds its lease. The session's home trails
 // the leader (its peer address is delayed), so a plain read there right
 // after another session's write is stale; the lease read is not, 200
 // times over. A session whose only address is an observer is sent to the
-// leader and served under its lease, with nothing proposed. Where the
-// leader holds no lease — its clock-skew bound is the whole election
-// timeout, which disables the lease — a follower-homed session's lease
-// read costs exactly one Sync and a plain read.
-func TestLeaseReadFallsBackToSync(t *testing.T) {
+// leader and served under its lease. Where the leader holds no lease —
+// its clock-skew bound is the whole election timeout, which disables the
+// lease — a follower-homed session's lease read is served by the leader
+// after a heartbeat round. Neither proposes anything.
+func TestLeaseReadIsLinearizable(t *testing.T) {
 	for _, noLease := range []bool{false, true} {
 		name := "observer only"
 		if noLease {
@@ -473,11 +488,6 @@ func TestLeaseReadFallsBackToSync(t *testing.T) {
 			home := e.Servers[follower]
 			if !noLease {
 				home = startObserver(t, e, 101)
-				for deadline := time.Now().Add(5 * time.Second); !e.Servers[leader].node.HoldsReadLease(); time.Sleep(time.Millisecond) {
-					if time.Now().After(deadline) {
-						t.Fatal("the leader never funded its read lease")
-					}
-				}
 			}
 			all := append([]*Server{home}, e.Servers...)
 
@@ -500,12 +510,6 @@ func TestLeaseReadFallsBackToSync(t *testing.T) {
 			faults.SetDelay(homePeer, 3*time.Millisecond)
 			t.Cleanup(func() { faults.SetDelay(homePeer, 0) })
 
-			var syncs, leased int64 // per lease read
-			if noLease {
-				syncs = 1
-			} else {
-				leased = 1
-			}
 			stale := 0
 			for i := 1; i <= 200; i++ {
 				want := fmt.Sprintf("%s %d", name, i)
@@ -523,11 +527,11 @@ func TestLeaseReadFallsBackToSync(t *testing.T) {
 				if string(res.Data) != want {
 					t.Fatalf("round %d: lease read %q after %q was acknowledged to another session", i, res.Data, want)
 				}
-				if got := proposals(all...) - proposed; got != syncs {
-					t.Fatalf("round %d: %d transactions proposed for one lease read, want %d", i, got, syncs)
+				if got := proposals(all...) - proposed; got != 0 {
+					t.Fatalf("round %d: %d transactions proposed for one lease read", i, got)
 				}
-				if got := counter(home, "lease_reads") + counter(e.Servers[leader], "lease_reads") - leaseReads; got != leased {
-					t.Fatalf("round %d: %d reads served under a lease, want %d", i, got, leased)
+				if got := counter(home, "lease_reads") + counter(e.Servers[leader], "lease_reads") - leaseReads; got != 1 {
+					t.Fatalf("round %d: %d reads served as lease reads, want 1", i, got)
 				}
 			}
 			if stale == 0 {
@@ -535,6 +539,37 @@ func TestLeaseReadFallsBackToSync(t *testing.T) {
 			}
 			t.Logf("home trailed the acknowledged write in %d of 200 rounds", stale)
 		})
+	}
+}
+
+// TestSyncProposesNothing issues 1 000 Syncs from a follower-homed and
+// from an observer-homed session: the leader answers each with its
+// applied zxid and no server proposes anything for them.
+func TestSyncProposesNothing(t *testing.T) {
+	e := startTestEnsemble(t, 3)
+	obs := startObserver(t, e, 101)
+	_, follower := leaderAndFollower(t, e)
+	all := append([]*Server{obs}, e.Servers...)
+	for _, home := range []*Server{e.Servers[follower], obs} {
+		s, err := Connect(e.net, []string{home.cfg.ClientAddr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		before := make([]int64, len(all))
+		for i, srv := range all {
+			before[i] = counter(srv, "writes")
+		}
+		for i := 0; i < 1000; i++ {
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, srv := range all {
+			if got := counter(srv, "writes") - before[i]; got != 0 {
+				t.Errorf("server %d proposed %d transactions for 1 000 syncs of a session homed on %d", srv.ID(), got, home.ID())
+			}
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package coord
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -60,6 +62,37 @@ func TestApplyBatchReplayIdempotent(t *testing.T) {
 	}
 	if kids, err := sm.treeRef().Children("/replay"); err != nil || len(kids) != 1 {
 		t.Fatalf("children after replay: %v (%v)", kids, err)
+	}
+}
+
+// TestLegacySyncTxnReplays: a log written while Sync was a replicated
+// transaction may hold one. Replayed now it is an unknown transaction,
+// and every replica applies it the same way: the same error result, the
+// tree as it was, identical snapshots afterwards.
+func TestLegacySyncTxnReplays(t *testing.T) {
+	now := time.Now().UnixNano()
+	tree := func(sm *stateMachine) string {
+		var b strings.Builder
+		sm.treeRef().Walk(func(e znode.WalkEntry) { fmt.Fprintf(&b, "%s=%q %+v\n", e.Path, e.Data, e.Stat) })
+		return b.String()
+	}
+	var results, snaps [][]byte
+	for range 2 {
+		sm := newStateMachine()
+		sm.Apply(encodeNewSessionTxn(), 0x100000001)
+		sm.Apply(encodeCreateTxn("/kept", []byte("v"), znode.ModePersistent, 1, 1, now), 0x100000002)
+		before := tree(sm)
+		result := sm.Apply(legacySyncTxn(1), 0x100000003)
+		if code := result[0]; code == codeOK {
+			t.Fatalf("a legacy sync transaction applied as a success: %x", result)
+		}
+		if after := tree(sm); after != before {
+			t.Fatalf("a legacy sync transaction changed the tree:\n%s->\n%s", before, after)
+		}
+		results, snaps = append(results, result), append(snaps, sm.Snapshot())
+	}
+	if !bytes.Equal(results[0], results[1]) || !bytes.Equal(snaps[0], snaps[1]) {
+		t.Fatalf("two replicas applied a legacy sync transaction differently: %x vs %x", results[0], results[1])
 	}
 }
 

@@ -191,9 +191,10 @@ const stampWait = 200 * time.Millisecond
 // proposed through the atomic broadcast (by the leader; any other member
 // names it); everything else is answered from the local replica (the
 // source of Fig 7d's read scaling), once it has applied the history the
-// request's stamp names. Every reply ends with a zxid: the one the write
-// was ordered at, or the history this replica had applied before it
-// read anything for the answer.
+// request's stamp names (a lease read and a sync by the leader only).
+// Every reply ends with a zxid: the one the write was ordered at, or the
+// history this replica had applied before it read anything for the
+// answer.
 func (s *Server) handleClient(req []byte) ([]byte, error) {
 	r := wire.NewReader(req)
 	op := r.Uint8()
@@ -208,22 +209,14 @@ func (s *Server) handleClient(req []byte) ([]byte, error) {
 		txn := make([]byte, len(req))
 		copy(txn, req)
 		result, zxid, err := s.node.ProposeZxid(txn)
-		if err == zab.ErrNoLeader {
-			// Not the leader: name it, or, knowing none, refuse like any
-			// failed proposal. A leader that steps down fails the txns it
-			// had already enqueued the same way, and one of them may still
-			// commit under the next leader — so this refusal does not say
-			// "not proposed", exactly as a leader dying mid-flight does not.
-			// The session's retry under the same (session, seq) meets the
-			// dedup window either way; no second signal is needed.
-			if contact := s.leaderElsewhere(); contact != "" {
-				return stamped(errResult(notLeader(contact)), s.node.LastApplied()), nil
-			}
-		} else {
+		if err != zab.ErrNoLeader {
 			s.reg.Counter("writes").Inc() // proposed here, as the leader
 		}
 		if err != nil {
-			return nil, fmt.Errorf("coord: proposal failed: %w", err)
+			// A leader stepping down fails its enqueued txns with ErrNoLeader
+			// too, and one may still commit under the next leader: the retry
+			// under the same (session, seq) meets the dedup window either way.
+			return s.refuse(err)
 		}
 		// The dedup window holds result too: the trailer goes on a copy,
 		// the only one the reply makes of it.
@@ -245,6 +238,11 @@ func (s *Server) handleClient(req []byte) ([]byte, error) {
 	}
 	if err != nil {
 		return nil, err
+	}
+	if op == opLeaseRead || op == opSync {
+		if applied, err = s.node.ReadBarrier(stampWait); err != nil {
+			return s.refuse(err)
+		}
 	}
 	reply, err := s.serveLocal(q)
 	if err != nil {
@@ -288,7 +286,7 @@ func parseLocal(op uint8, r *wire.Reader) (localReq, error) {
 		q.since, q.withManifest = r.Uint64(), r.Bool()
 	case opRangeState:
 		q.rng = placement.Range{Lo: r.Uint64(), Hi: r.Uint64()}
-	case opStatus:
+	case opStatus, opSync:
 	default:
 		return q, fmt.Errorf("coord: unknown client op %d", op)
 	}
@@ -328,6 +326,17 @@ func stamped(reply []byte, zxid uint64) []byte {
 	return binary.BigEndian.AppendUint64(reply, zxid)
 }
 
+// refuse answers a request only the leader serves: a member that knows
+// who leads names it; any other failure is retried like a failed proposal.
+func (s *Server) refuse(err error) ([]byte, error) {
+	if err == zab.ErrNoLeader {
+		if contact := s.leaderElsewhere(); contact != "" {
+			return stamped(errResult(notLeader(contact)), s.node.LastApplied()), nil
+		}
+	}
+	return nil, fmt.Errorf("coord: not served as the leader: %w", err)
+}
+
 // leaderElsewhere returns the leader's client address when another
 // member leads and this one has heard where; "" when this member leads
 // or knows no leader.
@@ -342,19 +351,10 @@ func (s *Server) leaderElsewhere() string {
 func (s *Server) serveLocal(q localReq) ([]byte, error) {
 	op, path, session := q.op, q.path, q.session
 	switch op {
+	case opSync:
+		return okResult(nil), nil // the answer is ReadBarrier's stamp
 	case opLeaseRead:
-		// Served ONLY while this node's leader lease — funded by quorum
-		// heartbeat acks, bounded by the clock-skew margin — is live. That
-		// makes the answer linearizable without a quorum round trip. A
-		// member that does not lead names the leader, as for a write; one
-		// that cannot vouch otherwise refuses definitively, and the
-		// session falls back to a sync barrier.
-		if !s.node.HoldsReadLease() {
-			if contact := s.leaderElsewhere(); contact != "" {
-				return errResult(notLeader(contact)), nil
-			}
-			return errResult(ErrNoLease), nil
-		}
+		// handleClient's ReadBarrier made this a linearizable read.
 		s.reg.Counter("lease_reads").Inc()
 		op = q.inner
 		fallthrough

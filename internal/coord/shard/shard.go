@@ -525,17 +525,10 @@ func (r *Router) Atomic(paths ...string) bool {
 // Callers needing true atomicity must check Atomic first (DESIGN.md
 // §8.2).
 func (r *Router) multi(ctx context.Context, ops []coord.Op) ([]coord.OpResult, error) {
-	if len(ops) == 0 {
-		return nil, errors.New("shard: empty multi")
-	}
 	// Refused here, not by whichever shard's session meets it: by then
 	// an earlier sub-transaction of a split batch would have committed.
-	for _, op := range ops {
-		switch op.Kind {
-		case coord.OpCheck, coord.OpCreate, coord.OpSet, coord.OpDelete:
-		default:
-			return nil, fmt.Errorf("shard: a multi batch cannot carry op kind %d", op.Kind)
-		}
+	if err := coord.CheckBatch(ops); err != nil {
+		return nil, err
 	}
 	return r.dispatchMulti(ctx, ops, 0)
 }
@@ -891,10 +884,10 @@ func (r *Router) WaitEvents(ctx context.Context, maxWait time.Duration) ([]coord
 
 // sync runs the barrier on every shard, so a subsequent read of ANY
 // path observes all previously committed writes, whichever ensemble
-// they landed on. The barriers are independent per-ensemble no-ops with
-// no cross-shard ordering requirement, so they are submitted through
-// the async layer — a fan-out costing one quorum round trip instead of
-// Shards().
+// they landed on. The barriers are independent per-ensemble leader
+// reads with no cross-shard ordering requirement, so they are submitted
+// through the async layer — a fan-out costing one round trip to a
+// leader instead of Shards().
 func (r *Router) sync(ctx context.Context) error {
 	if len(r.sessions) == 1 {
 		return r.sessions[0].SyncCtx(ctx)

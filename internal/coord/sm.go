@@ -205,13 +205,6 @@ func appendCloseSessionTxn(w *wire.Writer, session, seq uint64) {
 	w.Uint64(seq)
 }
 
-func appendSyncTxn(w *wire.Writer, session, seq uint64) {
-	w.Grow(24)
-	w.Uint8(opSync)
-	w.Uint64(session)
-	w.Uint64(seq)
-}
-
 // okResult builds a successful result with an optional payload writer.
 // Results are retained in the dedup window, so the buffer is owned by
 // the result — never pooled.
@@ -415,11 +408,6 @@ func (s *stateMachine) applyWrite(op uint8, session uint64, r *wire.Reader, zxid
 			s.notify(opCloseSession, "", session, true)
 		}
 		return okResult(func(w *wire.Writer) { w.Uint32(uint32(len(deleted))) })
-	case opSync:
-		// A no-op barrier: once this transaction applies on the
-		// session's server, that replica has caught up with every
-		// write committed before the sync — ZooKeeper's sync().
-		return okResult(nil)
 	case opFenceRange, opUnfenceRange, opRangeMoved, opWipeRange, opImportRange:
 		return s.applyMigration(op, session, r, zxid)
 	default:

@@ -129,6 +129,7 @@ func (n *Node) applyFrames(frames []Frame) {
 			n.applyLagTxns--
 			n.wakeWaiterLocked(e.Zxid, nil)
 			n.wakeAppliedLocked()
+			n.wakeReadersLocked() // an epoch barrier: what ReadBarrier waits for
 			n.mu.Unlock()
 			i++
 			continue

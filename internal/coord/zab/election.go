@@ -124,10 +124,11 @@ func (n *Node) failLeaderLocked(err error) {
 	}
 	n.leaderGen++
 	n.stallSince = time.Time{}
-	// Step-down revokes the read lease and drops the observers' streams
-	// (their contact timers bring them to the next leader); both are
-	// leader-only state.
-	n.leaseUntil = time.Time{}
+	// Step-down revokes the read lease, wakes parked reads and drops the
+	// observers' streams (their contact timers bring them to the next
+	// leader); all are leader-only state.
+	n.leaseRound = time.Time{}
+	n.wakeReadersLocked()
 	for id := range n.learners {
 		n.dropLearnerLocked(id)
 	}
@@ -332,8 +333,7 @@ func (n *Node) heartbeatLoop() {
 		payload := req.encode()
 		// Lease bookkeeping: the round timestamp is taken BEFORE any
 		// heartbeat is sent, so a quorum of acks proves the promise
-		// quorum was intact at `round` and the lease may extend to
-		// round + ElectionTimeout - MaxClockSkew.
+		// quorum was intact at `round` (lease.go).
 		round := n.now()
 		var ackMu sync.Mutex
 		acks := 1 // self

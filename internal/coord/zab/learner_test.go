@@ -147,7 +147,7 @@ func TestObserverAcksNeverCommitNorFundLease(t *testing.T) {
 	// The lease is funded by voter acks alone, so it lapses one lease
 	// term after the cut — well before the watchdog (2 × timeout after
 	// the write stalls) takes the leadership away.
-	for leader.HoldsReadLease() {
+	for vouches(leader) {
 		if time.Since(cut) > timeout+timeout/2 {
 			t.Fatalf("lease still held %v after the followers were cut off: observer heartbeat acks are funding it", time.Since(cut))
 		}
@@ -220,8 +220,8 @@ func TestObserverNeverVotesNorCampaigns(t *testing.T) {
 			t.Fatalf("observer answered a vote request for epoch %d with %+v", epoch, resp)
 		}
 	}
-	if n.HoldsReadLease() {
-		t.Fatal("observer claims a read lease")
+	if _, err := n.ReadBarrier(0); err != ErrNoLeader {
+		t.Fatalf("observer answered ReadBarrier with %v, want ErrNoLeader", err)
 	}
 }
 

@@ -1,31 +1,30 @@
 package zab
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
-// Leader read leases.
-//
-// A leader that holds the lease may serve linearizable reads from its
-// local state machine without a quorum round trip. The lease is funded
-// by heartbeat acks: when a quorum acknowledges a heartbeat round that
-// began at time T (on the leader's clock), every acking follower has
-// reset its election timer no earlier than T, so none of them will
-// grant a leadership vote before T + ElectionTimeout on its own clock
-// (the stickiness check in handleRequestVote). Any rival's vote quorum
-// intersects this ack quorum, so no rival can be elected — and
-// therefore no write can commit elsewhere — until the earliest such
-// expiry. Discounting the bounded clock skew between members, the
-// leader may trust its state until T + ElectionTimeout - MaxClockSkew
-// on its own clock.
-//
-// The lease is revoked (leaseUntil zeroed) on every step-down path —
-// adopting a higher epoch, granting a vote while leading, the
-// quorum-loss watchdog, Stop — all of which funnel through
-// failLeaderLocked before the node stops being the leader.
+// Leader reads. A leader may answer a linearizable read from its own
+// state, with nothing proposed, once ReadBarrier returns: no rival can
+// have committed a write it lacks, and it has applied every write
+// committed before the call. The first is the read lease: when a quorum
+// acks a heartbeat round that began at T on the leader's clock, no acker
+// grants a vote before T + ElectionTimeout on its own (the stickiness
+// check in handleRequestVote), and any rival's vote quorum intersects the
+// ack quorum; discounting the skew bound, the lease runs to
+// T + ElectionTimeout - MaxClockSkew. Without a live lease, acks for a
+// round that began after the call show the same with no clock: each acker
+// still answered to this epoch then (Raft's ReadIndex). The second is the
+// epoch barrier: heartbeat acks need no fsync, so a new leader's lease is
+// funded long before the barrier that commits its inherited tail
+// applies. Every step-down path funnels through failLeaderLocked, which
+// revokes the lease (leaseRound zeroed) before the role changes.
 
 // leaseDeadline computes the expiry a quorum of heartbeat acks
 // gathered for a round that began at `round` supports. A skew bound at
 // or above the election timeout yields a deadline that is never in the
-// future: lease reads are effectively disabled rather than unsound.
+// future: the lease is off rather than unsound.
 func leaseDeadline(round time.Time, electionTimeout, maxSkew time.Duration) time.Time {
 	margin := electionTimeout - maxSkew
 	if margin < 0 {
@@ -34,28 +33,59 @@ func leaseDeadline(round time.Time, electionTimeout, maxSkew time.Duration) time
 	return round.Add(margin)
 }
 
-// extendLease advances the lease deadline after a quorum of heartbeat
-// acks for a round that began at `round` under `epoch`. The epoch
-// guard discards extensions that race a step-down: acks collected for
-// an older leadership cannot fund the new one.
+// extendLease records a quorum's acks for a heartbeat round that began
+// at `round` under `epoch` (an older leadership's acks fund nothing).
 func (n *Node) extendLease(round time.Time, epoch uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.role != roleLeader || n.epoch != epoch || n.stopped {
-		return
-	}
-	if d := leaseDeadline(round, n.cfg.ElectionTimeout, n.cfg.MaxClockSkew); d.After(n.leaseUntil) {
-		n.leaseUntil = d
+	if n.role == roleLeader && n.epoch == epoch && !n.stopped && round.After(n.leaseRound) {
+		n.leaseRound = round
+		n.wakeReadersLocked()
 	}
 }
 
-// HoldsReadLease reports whether this node may serve a linearizable
-// read locally right now: it leads, and its lease deadline — funded by
-// a quorum of heartbeat acks, discounted by the clock-skew bound — has
-// not passed. A deposed or stopped leader always reports false (the
-// lease is revoked before the role changes).
-func (n *Node) HoldsReadLease() bool {
+// wakeReadersLocked releases the parked ReadBarrier calls: the lease
+// moved, a barrier applied, or the leadership ended.
+func (n *Node) wakeReadersLocked() {
+	if n.readWake != nil {
+		close(n.readWake)
+		n.readWake = nil
+	}
+}
+
+// ReadBarrier returns once this node may answer a linearizable read from
+// its state, with the zxid that state has applied: it leads, it has
+// applied its epoch's barrier, and its lease is live or a quorum acked a
+// heartbeat round that began after the call. A non-leader gets
+// ErrNoLeader; a leader that cannot vouch within bound, an error.
+func (n *Node) ReadBarrier(bound time.Duration) (applied uint64, err error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.role == roleLeader && !n.stopped && n.now().Before(n.leaseUntil)
+	start, epoch := n.now(), n.epoch
+	var timer *time.Timer
+	for {
+		switch {
+		case n.role != roleLeader || n.epoch != epoch:
+			return 0, ErrNoLeader
+		case n.lastApplied >= makeZxid(epoch, 1) && (n.leaseRound.After(start) ||
+			n.now().Before(leaseDeadline(n.leaseRound, n.cfg.ElectionTimeout, n.cfg.MaxClockSkew))):
+			return n.lastApplied, nil
+		}
+		if timer == nil {
+			timer = getProposeTimer(bound)
+			defer putProposeTimer(timer)
+		}
+		if n.readWake == nil {
+			n.readWake = make(chan struct{})
+		}
+		wake := n.readWake
+		n.mu.Unlock()
+		select {
+		case <-wake:
+		case <-timer.C:
+			n.mu.Lock()
+			return 0, fmt.Errorf("zab: node %d vouched for no read within %v", n.cfg.ID, bound)
+		}
+		n.mu.Lock()
+	}
 }

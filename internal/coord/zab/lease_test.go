@@ -2,6 +2,8 @@ package zab
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,15 +63,22 @@ func startSolo(t *testing.T, maxSkew time.Duration) *Node {
 	return node
 }
 
+// vouches reports whether n would answer a leader read right now, on
+// its lease: ReadBarrier with no time to wait for a heartbeat round.
+func vouches(n *Node) bool {
+	_, err := n.ReadBarrier(0)
+	return err == nil
+}
+
 func waitHolds(n *Node, want bool, d time.Duration) bool {
 	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {
-		if n.HoldsReadLease() == want {
+		if vouches(n) == want {
 			return true
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	return n.HoldsReadLease() == want
+	return vouches(n) == want
 }
 
 // TestLeaderAcquiresReadLease: once a quorum of heartbeat acks lands,
@@ -84,8 +93,8 @@ func TestLeaderAcquiresReadLease(t *testing.T) {
 		if id == leader.ID() {
 			continue
 		}
-		if n.HoldsReadLease() {
-			t.Fatalf("follower %d claims a read lease", id)
+		if _, err := n.ReadBarrier(0); err != ErrNoLeader {
+			t.Fatalf("follower %d answered ReadBarrier with %v, want ErrNoLeader", id, err)
 		}
 	}
 }
@@ -109,7 +118,7 @@ func TestLeaseExpiresWithoutQuorum(t *testing.T) {
 	}
 	// And it must stay revoked: no self-funding single-node extension.
 	time.Sleep(3 * leader.cfg.ElectionTimeout)
-	if leader.HoldsReadLease() {
+	if vouches(leader) {
 		t.Fatal("isolated leader re-acquired the lease without a quorum")
 	}
 }
@@ -123,15 +132,16 @@ func TestStoppedLeaderRefusesLease(t *testing.T) {
 		t.Fatal("leader never acquired the read lease")
 	}
 	leader.Stop()
-	if leader.HoldsReadLease() {
-		t.Fatal("stopped leader still claims the read lease")
+	if _, err := leader.ReadBarrier(time.Second); err != ErrNoLeader {
+		t.Fatalf("stopped leader answered ReadBarrier with %v, want ErrNoLeader", err)
 	}
 }
 
 // TestSkewBoundDisablesLease: with MaxClockSkew at or above the
 // election timeout the lease margin is zero — a leader keeps leading
-// and committing but never claims the fast read path. Degraded, not
-// unsound.
+// and committing but never vouches on its lease. It still vouches after
+// a heartbeat round that began after the call, which assumes nothing
+// about clocks. Slower, not unsound.
 func TestSkewBoundDisablesLease(t *testing.T) {
 	n := startSolo(t, 200*time.Millisecond) // skew > 40ms election timeout
 	deadline := time.Now().Add(2 * time.Second)
@@ -147,8 +157,11 @@ func TestSkewBoundDisablesLease(t *testing.T) {
 	// Heartbeats are self-acking every 5ms; give several rounds a
 	// chance to (incorrectly) fund a lease.
 	time.Sleep(60 * time.Millisecond)
-	if n.HoldsReadLease() {
+	if vouches(n) {
 		t.Fatal("lease granted despite clock-skew bound >= election timeout")
+	}
+	if _, err := n.ReadBarrier(time.Second); err != nil {
+		t.Fatalf("no heartbeat round vouched for a read: %v", err)
 	}
 }
 
@@ -158,5 +171,152 @@ func TestSoloLeaderHoldsLease(t *testing.T) {
 	n := startSolo(t, 0)
 	if !waitHolds(n, true, 2*time.Second) {
 		t.Fatal("solo leader with zero skew bound never acquired the lease")
+	}
+}
+
+// parkedStore is gatedStore with a switch: Sync passes until park, then
+// waits for unpark, and the durable horizon moves only when a Sync
+// completes.
+type parkedStore struct {
+	*MemStorage
+	mu      sync.Mutex
+	gate    chan struct{} // nil while Sync passes
+	durable atomic.Uint64
+}
+
+func (p *parkedStore) park() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.gate = make(chan struct{})
+}
+
+func (p *parkedStore) unpark() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.gate != nil {
+		close(p.gate)
+		p.gate = nil
+	}
+}
+
+func (p *parkedStore) Sync() error {
+	tip := p.MemStorage.LastDurableZxid()
+	p.mu.Lock()
+	gate := p.gate
+	p.mu.Unlock()
+	if gate != nil {
+		<-gate
+	}
+	for {
+		d := p.durable.Load()
+		if tip <= d || p.durable.CompareAndSwap(d, tip) {
+			return nil
+		}
+	}
+}
+
+func (p *parkedStore) LastDurableZxid() uint64 { return p.durable.Load() }
+
+// leaseLive reports whether n leads on a live lease, barrier or not.
+func leaseLive(n *Node) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.role == roleLeader && n.now().Before(leaseDeadline(n.leaseRound, n.cfg.ElectionTimeout, n.cfg.MaxClockSkew))
+}
+
+// TestNoVouchBeforeEpochBarrier: heartbeat acks need no fsync, so a new
+// leader funds its lease before the barrier that commits its inherited
+// tail can commit. The old leader's writes reach every log; then every
+// member's Sync is parked (only then: a sync pull fsyncs under the node
+// mutex) and the old leader stops. The new leader's lease goes live with
+// its barrier unapplied — its state may miss a write its predecessor
+// acknowledged — and it must not vouch for a read. Once Sync is let
+// through it vouches, with that write applied.
+func TestNoVouchBeforeEpochBarrier(t *testing.T) {
+	e := &ensemble{nodes: map[uint64]*Node{}, sms: map[uint64]*kvSM{}, net: transport.NewInProc(), peers: map[uint64]string{}}
+	stores := map[uint64]*parkedStore{}
+	for id := uint64(1); id <= 3; id++ {
+		e.peers[id] = fmt.Sprintf("barrier-%d", id)
+	}
+	for id := range e.peers {
+		st := &parkedStore{MemStorage: new(MemStorage)}
+		e.sms[id] = &kvSM{}
+		n, err := NewNode(Config{
+			ID:                id,
+			Peers:             e.peers,
+			Net:               e.net,
+			HeartbeatInterval: 10 * time.Millisecond,
+			ElectionTimeout:   100 * time.Millisecond,
+			Storage:           st,
+		}, e.sms[id])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Start(); err != nil {
+			t.Fatal(err)
+		}
+		e.nodes[id], stores[id] = n, st
+	}
+	t.Cleanup(func() {
+		for _, st := range stores {
+			st.unpark()
+		}
+		e.stopAll()
+	})
+
+	old := e.waitLeader(t)
+	for i := 0; i < 5; i++ {
+		proposeOK(t, old, fmt.Sprintf("t%d", i))
+	}
+	acked := old.LastZxid()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		converged := true
+		for id, n := range e.nodes {
+			converged = converged && n.LastZxid() == acked && stores[id].LastDurableZxid() == acked
+		}
+		if converged {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the members never all held %x durably", acked)
+		}
+	}
+	for _, st := range stores {
+		st.park()
+	}
+	old.Stop()
+	delete(e.nodes, old.ID())
+
+	leader := e.waitLeader(t)
+	for deadline := time.Now().Add(5 * time.Second); !leaseLive(leader); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the new leader never funded its lease")
+		}
+		if vouches(leader) {
+			t.Fatalf("the new leader vouched at applied %x before its epoch %d barrier", leader.LastApplied(), leader.Epoch())
+		}
+	}
+	if applied, err := leader.ReadBarrier(3 * leader.cfg.HeartbeatInterval); err == nil {
+		t.Fatalf("a leader on a live lease vouched at %x before its epoch %d barrier applied", applied, leader.Epoch())
+	}
+	if epochOf(leader.LastApplied()) >= leader.Epoch() {
+		t.Fatal("the barrier applied with every Sync parked; the test proved nothing")
+	}
+
+	for _, st := range stores {
+		st.unpark()
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		leader = e.waitLeader(t)
+		applied, err := leader.ReadBarrier(time.Second)
+		if err == nil {
+			if applied < acked || epochOf(applied) != leader.Epoch() {
+				t.Fatalf("vouched at %x: below the acknowledged %x or before the epoch %d barrier", applied, acked, leader.Epoch())
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no leader vouched once Sync was let through: %v", err)
+		}
 	}
 }

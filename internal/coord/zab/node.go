@@ -204,8 +204,8 @@ type Config struct {
 	// gathered at time T lets the leader serve lease reads until
 	// T + ElectionTimeout - MaxClockSkew on its own clock. Defaults to
 	// ElectionTimeout / 10. A bound at or above ElectionTimeout
-	// disables lease reads entirely (the deadline never lies in the
-	// future).
+	// disables the lease (the deadline never lies in the future): every
+	// ReadBarrier then waits for a heartbeat round instead.
 	MaxClockSkew time.Duration
 	// Clock overrides the time source consulted by the read lease and
 	// the election timer (tests inject skewed or frozen clocks here).
@@ -342,11 +342,11 @@ type Node struct {
 	snapReq         chan struct{}
 	snapInFlight    bool
 
-	// Read-lease state: the instant (on this node's clock) until which
-	// a quorum of heartbeat acks guarantees no rival leader can have
-	// committed a write.
+	// Leader reads (lease.go): the start of the last heartbeat round a
+	// quorum acked (zero: none), and what a parked ReadBarrier waits on.
 	now        func() time.Time
-	leaseUntil time.Time
+	leaseRound time.Time
+	readWake   chan struct{}
 
 	// learners are the leader's streams to the observers that joined it
 	// (nil while there are none): served like n.streams, read for lag,
