@@ -4,17 +4,18 @@
 //
 // A three-server ensemble on one machine:
 //
-//	coordd -id 1 -peers 1=127.0.0.1:7101,2=127.0.0.1:7102,3=127.0.0.1:7103 -client 127.0.0.1:7201 &
-//	coordd -id 2 -peers 1=127.0.0.1:7101,2=127.0.0.1:7102,3=127.0.0.1:7103 -client 127.0.0.1:7202 &
-//	coordd -id 3 -peers 1=127.0.0.1:7101,2=127.0.0.1:7102,3=127.0.0.1:7103 -client 127.0.0.1:7203 &
+//	coordd -id 1 -peers 1=127.0.0.1:7101,2=127.0.0.1:7102,3=127.0.0.1:7103 -client 127.0.0.1:7201 -data-dir /tmp/coord1 &
+//	coordd -id 2 -peers 1=127.0.0.1:7101,2=127.0.0.1:7102,3=127.0.0.1:7103 -client 127.0.0.1:7202 -data-dir /tmp/coord2 &
+//	coordd -id 3 -peers 1=127.0.0.1:7101,2=127.0.0.1:7102,3=127.0.0.1:7103 -client 127.0.0.1:7203 -data-dir /tmp/coord3 &
 //
-// With -data-dir DIR the server runs the durable storage engine: a
-// segmented write-ahead log plus fuzzy snapshots under DIR make every
-// acknowledged write survive kill -9 of the whole ensemble — the
-// paper's §IV-I full-restart tolerance ("it can tolerate the failure
-// of all servers by restarting them later") with zero loss. Without
-// it the member keeps its log in memory and a restarted process
-// rejoins empty, catching up from the leader.
+// A voter needs -data-dir DIR, as a ZooKeeper server needs its dataDir:
+// the durable storage engine's segmented write-ahead log plus fuzzy
+// snapshots under DIR make every acknowledged write survive kill -9 of
+// the whole ensemble — the paper's §IV-I full-restart tolerance ("it
+// can tolerate the failure of all servers by restarting them later")
+// with zero loss. A voter that came back without its state could hand
+// the quorum to a candidate missing acknowledged writes, so coordd
+// refuses to start one.
 //
 // With -shards K the process hosts this machine's member of K
 // INDEPENDENT ensembles — the sharded coordination service that
@@ -64,7 +65,7 @@ func main() {
 	id := flag.Uint64("id", 0, "this server's ensemble ID (must appear in -peers)")
 	peersFlag := flag.String("peers", "", "comma-separated id=host:port peer list")
 	clientAddr := flag.String("client", "", "host:port for client sessions")
-	dataDir := flag.String("data-dir", "", "directory for the durable storage engine (WAL + snapshots); every acked write survives restart")
+	dataDir := flag.String("data-dir", "", "directory for the durable storage engine (WAL + snapshots); required for a voter, rejected for an observer")
 	shards := flag.Int("shards", 1, "number of independent ensembles this process serves a member of")
 	stride := flag.Int("shard-stride", 10, "port offset between consecutive shards")
 	observerMode := flag.Bool("observer", false, "join as a non-voting observer replica: -peers lists the voters plus this server's own id=host:port")
@@ -85,6 +86,9 @@ func main() {
 	}
 	if *observerMode && *dataDir != "" {
 		log.Fatal("coordd: observers keep their replica in memory; -data-dir does not apply in -observer mode")
+	}
+	if !*observerMode && *dataDir == "" {
+		log.Fatal("coordd: a voter needs -data-dir: it must restart on the state it acknowledged")
 	}
 
 	servers := make([]*coord.Server, 0, *shards)
@@ -114,10 +118,8 @@ func main() {
 			log.Fatalf("coordd: shard %d: %v", s, err)
 		}
 		servers = append(servers, srv)
-		mode := ""
-		if cfg.DataDir != "" {
-			mode = fmt.Sprintf(" (durable, data-dir=%s)", cfg.DataDir)
-		} else if cfg.Observer {
+		mode := fmt.Sprintf(" (durable, data-dir=%s)", cfg.DataDir)
+		if cfg.Observer {
 			mode = " (non-voting observer)"
 		}
 		log.Printf("coordd: shard %d server %d up%s, peers=%v, clients on %s", s, *id, mode, shardPeers, shardClient)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/coord/zab"
@@ -52,34 +53,56 @@ func (dc *DiskChaos) delayFor(shard, member int) time.Duration {
 }
 
 // Wrap has the Config.CoordWrapStorage signature: plug a DiskChaos
-// into a cluster with `CoordWrapStorage: chaos.Wrap`.
+// into a cluster with `CoordWrapStorage: chaos.Wrap`. Every store a
+// server hands its wrapper streams snapshots (zab.StreamStorage), and so
+// does the wrapper.
 func (dc *DiskChaos) Wrap(shard, member int, s zab.Storage) zab.Storage {
-	return &slowStorage{Storage: s, chaos: dc, shard: shard, member: member}
+	return &slowStorage{StreamStorage: s.(zab.StreamStorage), chaos: dc, shard: shard, member: member}
 }
 
 // slowStorage delays the durability edge — Sync and SaveHardState, the
-// two calls whose latency a real slow disk puts on the ack path. The
-// wrapper itself is stateless; the live delay lives in the DiskChaos
-// so it survives the wrapper being rebuilt on restart.
+// two calls whose latency a real slow disk puts on the ack path. While
+// the delay is set it also holds the durable horizon at what the last
+// completed Sync covered, so a store whose appends are durable at once
+// (zab.MemStorage) makes the node wait for the slow fsync like a disk
+// would. The live delay lives in the DiskChaos so it survives the
+// wrapper being rebuilt on restart.
 type slowStorage struct {
-	zab.Storage
+	zab.StreamStorage
 	chaos  *DiskChaos
 	shard  int
 	member int
+	synced atomic.Uint64 // durable horizon as of the last completed Sync
 }
 
 func (s *slowStorage) Sync() error {
 	if d := s.chaos.delayFor(s.shard, s.member); d > 0 {
 		time.Sleep(d)
 	}
-	return s.Storage.Sync()
+	if err := s.StreamStorage.Sync(); err != nil {
+		return err
+	}
+	for mark := s.StreamStorage.LastDurableZxid(); ; {
+		old := s.synced.Load()
+		if mark <= old || s.synced.CompareAndSwap(old, mark) {
+			return nil
+		}
+	}
+}
+
+func (s *slowStorage) LastDurableZxid() uint64 {
+	d := s.StreamStorage.LastDurableZxid()
+	if s.chaos.delayFor(s.shard, s.member) > 0 {
+		d = min(d, s.synced.Load())
+	}
+	return d
 }
 
 func (s *slowStorage) SaveHardState(epoch, grantedEpoch uint64) error {
 	if d := s.chaos.delayFor(s.shard, s.member); d > 0 {
 		time.Sleep(d)
 	}
-	return s.Storage.SaveHardState(epoch, grantedEpoch)
+	return s.StreamStorage.SaveHardState(epoch, grantedEpoch)
 }
 
 // CoordAddrs returns coordination member (shard, member)'s transport

@@ -82,17 +82,17 @@ type Config struct {
 	CoordMaxLogEntries int
 
 	// CoordDataDir, when non-empty, gives every coordination server a
-	// durable storage engine under
-	// CoordDataDir/shard<k>/node<id>, making acknowledged metadata
-	// writes survive member crashes and whole-cluster cold restarts
-	// (RestartCoord). Empty keeps coordination state in memory.
+	// durable storage engine under CoordDataDir/shard<k>/node<id>,
+	// making acknowledged metadata writes survive the crash of the
+	// process too. Empty keeps each member's state in memory, where it
+	// still survives member restarts and whole-cluster cold restarts
+	// (RestartCoord).
 	CoordDataDir string
 	// CoordWrapStorage, when non-nil, wraps coordination member
-	// (shard, member)'s durable storage engine — the slow-disk
-	// injection seam the chaos scenarios use (see
-	// coord.EnsembleConfig.WrapStorage for restart semantics). member
-	// is the 0-based Ensemble.Servers index, matching StopServer /
-	// LeaderIndex. Only meaningful with CoordDataDir.
+	// (shard, member)'s store — the slow-disk injection seam the chaos
+	// scenarios use (see coord.EnsembleConfig.WrapStorage for restart
+	// semantics). member is the 0-based Ensemble.Servers index,
+	// matching StopServer / LeaderIndex.
 	CoordWrapStorage func(shard, member int, s zab.Storage) zab.Storage
 }
 
@@ -398,16 +398,13 @@ func (c *Cluster) BasicPVFSClient() (*pvfs.Client, error) {
 	return pvfs.NewClient(c.net, metaAddrs, dataAddrs), nil
 }
 
-// RestartCoord cold-restarts every coordination ensemble from its
-// data directories — the paper's §IV-I scenario of all metadata
-// servers failing and being brought back. Client sessions ride their
-// normal failover/retry paths across the outage; the recovered
-// ensembles hold every write they acknowledged, including the session
-// table, so existing mounts keep working.
+// RestartCoord cold-restarts every coordination ensemble, each member
+// on its own store — the paper's §IV-I scenario of all metadata servers
+// failing and being brought back. Client sessions ride their normal
+// failover/retry paths across the outage; the recovered ensembles hold
+// every write they acknowledged, including the session table, so
+// existing mounts keep working.
 func (c *Cluster) RestartCoord() error {
-	if c.cfg.CoordDataDir == "" {
-		return fmt.Errorf("cluster: RestartCoord needs Config.CoordDataDir (in-memory ensembles cannot restart)")
-	}
 	for s, ens := range c.Ensembles {
 		if err := ens.Restart(); err != nil {
 			return fmt.Errorf("cluster: restarting coordination shard %d: %w", s, err)
@@ -465,8 +462,9 @@ func (c *Cluster) StopObserver(s, idx int) {
 }
 
 // StartObserver revives observer (s, idx) at its original addresses.
-// The replica keeps its state in memory, so it restarts empty and
-// catches up from the leader like any restarted in-memory member.
+// Unlike a voter, an observer keeps no store across a stop: it comes
+// back with a fresh one and catches up from the leader by snapshot,
+// which is safe because it never votes.
 func (c *Cluster) StartObserver(s, idx int) error {
 	slot := c.observers[s][idx]
 	if slot.srv != nil {

@@ -15,7 +15,9 @@ import (
 // EXISTING client mount must keep working across the outage — its
 // session table and every acknowledged metadata write are part of the
 // replicated state the engines recover — and the namespace must be
-// intact, including entries on both sharded ensembles.
+// intact, including entries on both sharded ensembles. An in-memory
+// deployment restarts the same way, each member on the store its
+// ensemble kept.
 func TestWholeClusterColdRestart(t *testing.T) {
 	c, err := Start(Config{
 		Name:              "restart",
@@ -86,11 +88,11 @@ func TestWholeClusterColdRestart(t *testing.T) {
 		t.Fatalf("write after restart: %v", err)
 	}
 
-	// A restart without CoordDataDir must refuse rather than silently
-	// wiping state.
+	// Without CoordDataDir every member restarts on the in-memory store
+	// the ensemble kept for it: the namespace survives just the same.
 	c2, err := Start(Config{
 		Name:         "restart-mem",
-		CoordServers: 1,
+		CoordServers: 3,
 		Backends:     1,
 		Kind:         MemFS,
 	})
@@ -98,7 +100,29 @@ func TestWholeClusterColdRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Stop()
-	if err := c2.RestartCoord(); err == nil {
-		t.Fatal("RestartCoord without CoordDataDir did not refuse")
+	cl2, err := c2.NewClient(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl2.FS.Mkdir("/kept", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.RestartCoord(); err != nil {
+		t.Fatalf("RestartCoord without CoordDataDir: %v", err)
+	}
+	// A fresh mount carries no last-seen zxid: what it reads is what the
+	// restarted members hold.
+	fresh, err := c2.NewClient(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		_, err := fresh.FS.Stat("/kept")
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("in-memory namespace lost across RestartCoord: %v", err)
+		}
 	}
 }

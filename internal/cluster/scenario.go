@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -28,8 +27,7 @@ type FaultKind string
 
 // The fault classes the matrix composes.
 const (
-	// FaultSlowDisk delays fsync on one voter's storage engine
-	// (requires a durable scenario).
+	// FaultSlowDisk delays fsync on one voter's store.
 	FaultSlowDisk FaultKind = "slow-disk"
 	// FaultPartition blocks every message TO one voter while its own
 	// outbound traffic still flows — the asymmetric "can talk, can't
@@ -41,8 +39,8 @@ const (
 	// FaultLeaderFlap repeatedly kills whoever leads, every Interval,
 	// for Duration — the pathological election churn case.
 	FaultLeaderFlap FaultKind = "leader-flap"
-	// FaultRestartAll cold-restarts every coordination member from disk
-	// mid-load (requires a durable scenario).
+	// FaultRestartAll cold-restarts every coordination member on its
+	// store mid-load.
 	FaultRestartAll FaultKind = "restart-all"
 	// FaultMigrate live-migrates one working directory's hash range to
 	// another coordination shard while the load runs: fence, fuzzy
@@ -114,9 +112,6 @@ type Scenario struct {
 	// become routers when Shards > 1, so migrations exercise the full
 	// redirect-chase path.
 	Shards int `json:"shards,omitempty"`
-	// Durable gives every member a disk-backed storage engine (needed
-	// by slow-disk and restart-all).
-	Durable bool `json:"durable,omitempty"`
 	// Observers sizes the non-voting observer tier (default 0).
 	Observers int `json:"observers,omitempty"`
 	// ReadFrom, when non-empty, places the load's reads ("leader" /
@@ -192,19 +187,17 @@ func Matrix() []Scenario {
 			SLO:  SLO{MaxP99: 250 * time.Millisecond, MaxErrorFrac: 0.001, MinAchievedFrac: 0.85},
 		},
 		{
-			Name:    "slow-disk-follower",
-			Load:    base("slow-disk-follower", 2),
-			Durable: true,
-			Faults:  []Fault{{Kind: FaultSlowDisk, At: 400 * time.Millisecond, Duration: time.Second, Victim: VictimFollower, Delay: 15 * time.Millisecond}},
+			Name:   "slow-disk-follower",
+			Load:   base("slow-disk-follower", 2),
+			Faults: []Fault{{Kind: FaultSlowDisk, At: 400 * time.Millisecond, Duration: time.Second, Victim: VictimFollower, Delay: 15 * time.Millisecond}},
 			// Quorum = leader + the healthy follower, so the tail should
 			// barely move; this cell is the decentralization dividend.
 			SLO: SLO{MaxP99: 400 * time.Millisecond, MaxErrorFrac: 0.01, MinAchievedFrac: 0.7},
 		},
 		{
-			Name:    "slow-disk-leader",
-			Load:    base("slow-disk-leader", 3),
-			Durable: true,
-			Faults:  []Fault{{Kind: FaultSlowDisk, At: 400 * time.Millisecond, Duration: time.Second, Victim: VictimLeader, Delay: 4 * time.Millisecond}},
+			Name:   "slow-disk-leader",
+			Load:   base("slow-disk-leader", 3),
+			Faults: []Fault{{Kind: FaultSlowDisk, At: 400 * time.Millisecond, Duration: time.Second, Victim: VictimLeader, Delay: 4 * time.Millisecond}},
 			// Every commit pays the leader's fsync, but group commit
 			// amortizes one sync across a whole propose window.
 			SLO: SLO{MaxP99: 800 * time.Millisecond, MaxErrorFrac: 0.01, MinAchievedFrac: 0.6},
@@ -247,11 +240,10 @@ func Matrix() []Scenario {
 			SLO:    SLO{MaxP99: 3 * time.Second, MaxErrorFrac: 0.5, MinAchievedFrac: 0.2},
 		},
 		{
-			Name:    "restart-all",
-			Load:    base("restart-all", 7),
-			Durable: true,
-			Faults:  []Fault{{Kind: FaultRestartAll, At: 800 * time.Millisecond}},
-			SLO:     SLO{MaxP99: 3 * time.Second, MaxErrorFrac: 0.5, MinAchievedFrac: 0.2},
+			Name:   "restart-all",
+			Load:   base("restart-all", 7),
+			Faults: []Fault{{Kind: FaultRestartAll, At: 800 * time.Millisecond}},
+			SLO:    SLO{MaxP99: 3 * time.Second, MaxErrorFrac: 0.5, MinAchievedFrac: 0.2},
 		},
 		{
 			Name:   "resharding",
@@ -335,15 +327,7 @@ func RunScenario(ctx context.Context, sc Scenario, scale float64) (*ScenarioResu
 		Kind:               MemFS,
 		HeartbeatInterval:  10 * time.Millisecond,
 		ElectionTimeout:    80 * time.Millisecond,
-	}
-	if sc.Durable {
-		dir, err := os.MkdirTemp("", "chaos-"+sc.Name+"-")
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
-		}
-		defer os.RemoveAll(dir)
-		ccfg.CoordDataDir = dir
-		ccfg.CoordWrapStorage = chaos.Wrap
+		CoordWrapStorage:   chaos.Wrap,
 	}
 	cl, err := Start(ccfg)
 	if err != nil {
@@ -704,7 +688,7 @@ func runFault(ctx context.Context, cl *Cluster, fnet *transport.Faults, chaos *D
 		if err != nil {
 			logf("restart-all FAILED: %v", err)
 		} else {
-			logf("restart-all: every member cold-restarted from disk")
+			logf("restart-all: every member cold-restarted on its store")
 		}
 	default:
 		logf("unknown fault kind %q ignored", f.Kind)

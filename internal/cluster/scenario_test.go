@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/coord"
+	"repro/internal/coord/storage"
 	"repro/internal/coord/zab"
 	"repro/internal/coord/znode"
 )
@@ -56,7 +57,7 @@ func TestScenarioMatrix(t *testing.T) {
 func TestScenarioSlowDiskReWrapsOnRestart(t *testing.T) {
 	chaos := NewDiskChaos()
 	chaos.SetDelay(0, 1, 25*time.Millisecond)
-	s := chaos.Wrap(0, 1, nopStorage{}) // as StartServer would re-create it
+	s := chaos.Wrap(0, 1, new(zab.MemStorage)) // as StartServer would re-create it
 	startT := time.Now()
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
@@ -74,18 +75,39 @@ func TestScenarioSlowDiskReWrapsOnRestart(t *testing.T) {
 	}
 }
 
-// nopStorage is the minimal zab.Storage for wrapper tests.
-type nopStorage struct{}
+// TestDiskChaosWrapKeepsStreaming: whichever store a member runs on, the
+// slow-disk wrapper is a zab.StreamStorage (a server refuses anything
+// less), and while the fault is on, a frame counts as durable only once
+// the slowed Sync has covered it — even on a MemStorage, whose appends
+// are durable at once.
+func TestDiskChaosWrapKeepsStreaming(t *testing.T) {
+	eng, err := storage.Open(storage.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	chaos := NewDiskChaos()
+	for name, st := range map[string]zab.Storage{"mem": new(zab.MemStorage), "engine": eng} {
+		if _, ok := chaos.Wrap(0, 0, st).(zab.StreamStorage); !ok {
+			t.Errorf("wrapped %s store lost zab.StreamStorage", name)
+		}
+	}
 
-func (nopStorage) HardState() (uint64, uint64)          { return 0, 0 }
-func (nopStorage) SaveHardState(uint64, uint64) error   { return nil }
-func (nopStorage) Snapshot() ([]byte, uint64, bool)     { return nil, 0, false }
-func (nopStorage) Frames() []zab.Frame                  { return nil }
-func (nopStorage) Append([]zab.Frame) error             { return nil }
-func (nopStorage) Sync() error                          { return nil }
-func (nopStorage) LastDurableZxid() uint64              { return 0 }
-func (nopStorage) SaveSnapshot([]byte, uint64) error    { return nil }
-func (nopStorage) InstallSnapshot([]byte, uint64) error { return nil }
+	chaos.SetDelay(0, 0, time.Millisecond)
+	s := chaos.Wrap(0, 0, new(zab.MemStorage))
+	if err := s.Append([]zab.Frame{{Zxid: 1 << 32}}); err != nil {
+		t.Fatal(err)
+	}
+	if d := s.LastDurableZxid(); d != 0 {
+		t.Fatalf("slowed store reports %x durable before any Sync", d)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if d := s.LastDurableZxid(); d != 1<<32 {
+		t.Fatalf("durable horizon after Sync = %x, want %x", d, uint64(1<<32))
+	}
+}
 
 // scriptedReads answers the n-th Exists with the n-th version of its
 // script and every create as done but invisible. With entered and hold

@@ -8,15 +8,16 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/coord/zab"
 	"repro/internal/coord/znode"
 	"repro/internal/transport"
 )
 
 // TestChaosAcknowledgedWritesSurvive hammers a 5-server ensemble with
 // writers while a chaos goroutine repeatedly kills and resurrects a
-// minority of servers (including leaders). Afterwards, every write the
-// service ACKNOWLEDGED must exist — the durability contract of the
-// atomic broadcast (paper §IV-I).
+// minority of servers (including leaders), each on the in-memory store
+// it stopped with. Afterwards, every write the service ACKNOWLEDGED must
+// exist — the durability contract of the atomic broadcast (paper §IV-I).
 func TestChaosAcknowledgedWritesSurvive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -27,15 +28,19 @@ func TestChaosAcknowledgedWritesSurvive(t *testing.T) {
 	for i := 1; i <= servers; i++ {
 		peers[uint64(i)] = fmt.Sprintf("chaos-p%d", i)
 	}
+	stores := make(map[uint64]*zab.MemStorage, servers)
 	mk := func(id uint64) *Server {
-		srv, err := NewServer(ServerConfig{
+		if stores[id] == nil {
+			stores[id] = new(zab.MemStorage)
+		}
+		srv, err := newServer(ServerConfig{
 			ID: id, PeerAddrs: peers,
 			ClientAddr:        fmt.Sprintf("chaos-c%d", id),
 			Net:               net,
 			HeartbeatInterval: 5 * time.Millisecond,
 			ElectionTimeout:   30 * time.Millisecond,
 			MaxLogEntries:     128,
-		})
+		}, stores[id])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,8 +77,8 @@ func TestChaosAcknowledgedWritesSurvive(t *testing.T) {
 			case <-time.After(40 * time.Millisecond):
 			}
 			// Kill one random server (a minority of 5 even with the
-			// restart lag), wait, resurrect it. Nothing is carried
-			// over: the node rejoins empty and must sync.
+			// restart lag), wait, resurrect it on its store; whatever it
+			// missed meanwhile it must sync.
 			id := uint64(rng.Intn(servers) + 1)
 			mu.Lock()
 			victim := live[id]

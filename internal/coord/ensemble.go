@@ -29,15 +29,18 @@ type EnsembleConfig struct {
 	MaxLogEntries     int
 
 	// DataDir, when non-empty, gives every member a durable storage
-	// engine under DataDir/node<id>, so members — or the whole
-	// ensemble — can be stopped and restarted from disk without losing
-	// an acknowledged write (StopServer / StartServer / Restart).
+	// engine under DataDir/node<id>, so the members survive the crash
+	// of their process too. Without it each member keeps its state in a
+	// zab.MemStorage the ensemble holds on to. Either way a member — or
+	// the whole ensemble — stopped and started again (StopServer /
+	// StartServer / Restart) comes back on its own store without losing
+	// an acknowledged write.
 	DataDir string
-	// WrapStorage, when non-nil, wraps member id's durable storage
-	// engine (see ServerConfig.WrapStorage). The hook is recorded in the
-	// member's config, so a restarted member is re-wrapped — fault
-	// injectors that must survive StopServer/StartServer keep their
-	// control state outside the wrapper they return.
+	// WrapStorage, when non-nil, wraps member id's store (see
+	// ServerConfig.WrapStorage). The hook is recorded in the member's
+	// config, so a restarted member is re-wrapped — fault injectors that
+	// must survive StopServer/StartServer keep their control state
+	// outside the wrapper they return.
 	WrapStorage func(id uint64, s zab.Storage) zab.Storage
 }
 
@@ -46,7 +49,8 @@ type Ensemble struct {
 	Servers     []*Server
 	ClientAddrs []string
 	net         transport.Network
-	cfgs        []ServerConfig // per-member configs, for restart
+	cfgs        []ServerConfig    // per-member configs, for restart
+	mems        []*zab.MemStorage // per-member stores without a DataDir, kept across restarts
 }
 
 // StartEnsemble boots a full coordination ensemble and waits for a
@@ -90,7 +94,8 @@ func StartEnsemble(cfg EnsembleConfig) (*Ensemble, error) {
 			id := uint64(i)
 			scfg.WrapStorage = func(s zab.Storage) zab.Storage { return cfg.WrapStorage(id, s) }
 		}
-		srv, err := NewServer(scfg)
+		mem := new(zab.MemStorage)
+		srv, err := newServer(scfg, mem)
 		if err != nil {
 			e.Stop()
 			return nil, err
@@ -98,6 +103,7 @@ func StartEnsemble(cfg EnsembleConfig) (*Ensemble, error) {
 		e.Servers = append(e.Servers, srv)
 		e.ClientAddrs = append(e.ClientAddrs, clientAddr)
 		e.cfgs = append(e.cfgs, scfg)
+		e.mems = append(e.mems, mem)
 	}
 	if err := e.WaitLeader(10 * time.Second); err != nil {
 		e.Stop()
@@ -130,8 +136,9 @@ func (e *Ensemble) Leader() *Server {
 	return nil
 }
 
-// StopServer stops member i (0-based), leaving its slot nil. With a
-// DataDir the member's durable state stays on disk for StartServer.
+// StopServer stops member i (0-based), leaving its slot nil. Its store
+// — the data directory, or the MemStorage the ensemble keeps — stays
+// behind for StartServer.
 func (e *Ensemble) StopServer(i int) {
 	if s := e.Servers[i]; s != nil {
 		s.Stop()
@@ -139,8 +146,8 @@ func (e *Ensemble) StopServer(i int) {
 	}
 }
 
-// StartServer (re)starts member i from its recorded configuration —
-// with a DataDir, that means recovering from its data directory.
+// StartServer (re)starts member i from its recorded configuration,
+// recovering from the store it stopped with.
 func (e *Ensemble) StartServer(i int) error {
 	if e.Servers[i] != nil {
 		return fmt.Errorf("coord: server %d already running", i)
@@ -148,7 +155,7 @@ func (e *Ensemble) StartServer(i int) error {
 	if e.cfgs == nil {
 		return fmt.Errorf("coord: ensemble was not built by StartEnsemble; cannot restart members")
 	}
-	srv, err := NewServer(e.cfgs[i])
+	srv, err := newServer(e.cfgs[i], e.mems[i])
 	if err != nil {
 		return err
 	}
@@ -157,9 +164,8 @@ func (e *Ensemble) StartServer(i int) error {
 }
 
 // Restart performs a whole-cluster cold restart: every member is
-// stopped, then every member is started again from its data directory
-// and a leader is awaited. Without a DataDir this is a state wipe —
-// only durable ensembles restart meaningfully.
+// stopped, then every member is started again on its store and a leader
+// is awaited.
 func (e *Ensemble) Restart() error {
 	for i := range e.Servers {
 		e.StopServer(i)

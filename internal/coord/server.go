@@ -45,14 +45,16 @@ type ServerConfig struct {
 	// snapshots under this directory make every acknowledged write
 	// survive even a whole-ensemble crash — the server recovers from
 	// the newest snapshot plus the log tail on start. Empty keeps the
-	// member's log and snapshots in memory (zab.MemStorage): a stopped
-	// member then restarts empty and catches up from the leader.
+	// member's log, votes and snapshots in a zab.MemStorage: a fresh one
+	// for a server NewServer builds (an observer, which votes for
+	// nothing), the one it stopped with for an ensemble member restarted
+	// by StartServer.
 	DataDir string
-	// WrapStorage, when non-nil, wraps the durable storage engine
-	// before it is handed to the replication layer — the fault-injection
-	// seam the chaos scenarios use to slow one voter's disk
-	// (internal/cluster). Only consulted with a DataDir; the wrapper
-	// must preserve the zab.Storage contract.
+	// WrapStorage, when non-nil, wraps the member's store (the storage
+	// engine or the MemStorage) before it is handed to the replication
+	// layer — the fault-injection seam the chaos scenarios use to slow
+	// one voter's disk (internal/cluster). The wrapper must keep the
+	// zab.StreamStorage contract; NewServer refuses one that drops it.
 	WrapStorage func(zab.Storage) zab.Storage
 }
 
@@ -76,7 +78,12 @@ type Server struct {
 var ablateZab func(*zab.Config)
 
 // NewServer builds and starts a coordination server.
-func NewServer(cfg ServerConfig) (*Server, error) {
+func NewServer(cfg ServerConfig) (*Server, error) { return newServer(cfg, new(zab.MemStorage)) }
+
+// newServer is NewServer keeping the member's state in mem when cfg
+// names no DataDir: the ensemble hands each member the store it stopped
+// with.
+func newServer(cfg ServerConfig, mem *zab.MemStorage) (*Server, error) {
 	sm := newStateMachine()
 	watches := newWatchTable()
 	// Watch firing is off the apply critical path: apply enqueues, the
@@ -86,7 +93,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	sm.notify = dispatch.dispatch
 	reg := metrics.NewRegistry()
 	var eng *storage.Engine
-	var st zab.Storage // nil: the node keeps a zab.MemStorage
+	var st zab.Storage = mem
 	if cfg.DataDir != "" {
 		var err error
 		eng, err = storage.Open(storage.Options{Dir: cfg.DataDir, Metrics: reg})
@@ -94,9 +101,16 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			return nil, fmt.Errorf("coord: storage engine: %w", err)
 		}
 		st = eng
-		if cfg.WrapStorage != nil {
-			st = cfg.WrapStorage(st)
+	}
+	if cfg.WrapStorage != nil {
+		st = cfg.WrapStorage(st)
+	}
+	stream, ok := st.(zab.StreamStorage)
+	if !ok {
+		if eng != nil {
+			eng.Close()
 		}
+		return nil, fmt.Errorf("coord: WrapStorage returned a %T, which does not stream snapshots (zab.StreamStorage)", st)
 	}
 	zcfg := zab.Config{
 		ID:                cfg.ID,
@@ -108,7 +122,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		ElectionTimeout:   cfg.ElectionTimeout,
 		MaxLogEntries:     cfg.MaxLogEntries,
 		Metrics:           reg,
-		Storage:           st,
+		Storage:           stream,
 	}
 	if ablateZab != nil {
 		ablateZab(&zcfg)

@@ -39,7 +39,6 @@
 package storage
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -102,7 +101,7 @@ type segment struct {
 	maxZxid uint64   // Last() of the newest frame it holds (0 if none)
 }
 
-// Engine implements zab.Storage over a data directory.
+// Engine implements zab.StreamStorage over a data directory.
 type Engine struct {
 	opt  Options
 	dirf *os.File // kept open for directory fsyncs
@@ -115,8 +114,8 @@ type Engine struct {
 	granted uint64
 
 	// The snapshot itself is never retained in memory: recovery verifies
-	// the file's checksum by streaming it, and Snapshot/SnapshotStream
-	// read it back off disk on demand.
+	// the file's checksum by streaming it, and SnapshotStream reads it
+	// back off disk on demand.
 	snapZxid uint64
 	hasSnap  bool
 	frames   []zab.Frame // recovered log tail
@@ -136,10 +135,7 @@ type Engine struct {
 	dBatch    *metrics.Distribution
 }
 
-var (
-	_ zab.Storage       = (*Engine)(nil)
-	_ zab.StreamStorage = (*Engine)(nil)
-)
+var _ zab.StreamStorage = (*Engine)(nil)
 
 // Open creates or recovers the engine in opt.Dir.
 func Open(opt Options) (*Engine, error) {
@@ -417,29 +413,6 @@ func (e *Engine) SaveHardState(epoch, grantedEpoch uint64) error {
 	return nil
 }
 
-// Snapshot implements zab.Storage by draining SnapshotStream — the
-// engine never pins a serialized copy of the state in memory for its
-// whole lifetime. Open proved the file intact, so a failure here is a
-// live disk fault and poisons the engine rather than presenting an
-// empty store as healthy.
-func (e *Engine) Snapshot() (data []byte, zxid uint64, ok bool) {
-	rc, zxid, ok := e.SnapshotStream()
-	if !ok {
-		return nil, 0, false
-	}
-	defer rc.Close()
-	data, err := io.ReadAll(rc)
-	if err != nil {
-		e.mu.Lock()
-		if e.failed == nil {
-			e.failed = err
-		}
-		e.mu.Unlock()
-		return nil, 0, false
-	}
-	return data, zxid, true
-}
-
 // SnapshotStream implements zab.StreamStorage: a checksum-validating
 // reader over the newest durable snapshot body. The caller owns the
 // returned reader and must Close it; a corrupt body surfaces as a read
@@ -664,13 +637,6 @@ func (e *Engine) LastDurableZxid() uint64 {
 	return e.lastDurable
 }
 
-// SaveSnapshot implements zab.Storage: the fuzzy snapshot path. The
-// blob form simply streams from memory — one codepath, byte-identical
-// files.
-func (e *Engine) SaveSnapshot(data []byte, zxid uint64) error {
-	return e.SaveSnapshotFrom(bytes.NewReader(data), zxid)
-}
-
 // SaveSnapshotFrom implements zab.StreamStorage: the snapshot body is
 // copied from data to a temp file in SnapChunkSize chunks (checksummed
 // incrementally, header patched in place), fsynced and renamed beside
@@ -692,14 +658,9 @@ func (e *Engine) SaveSnapshotFrom(data io.Reader, zxid uint64) error {
 	return nil
 }
 
-// InstallSnapshot implements zab.Storage: a leader-shipped snapshot
-// replaces the entire log, divergent tail included.
-func (e *Engine) InstallSnapshot(data []byte, zxid uint64) error {
-	return e.InstallSnapshotFrom(bytes.NewReader(data), zxid)
-}
-
-// InstallSnapshotFrom implements zab.StreamStorage; see
-// InstallSnapshot and SaveSnapshotFrom.
+// InstallSnapshotFrom implements zab.StreamStorage: a leader-shipped
+// snapshot, written as SaveSnapshotFrom writes one, replaces the entire
+// log, divergent tail included.
 func (e *Engine) InstallSnapshotFrom(data io.Reader, zxid uint64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -743,8 +704,7 @@ func (e *Engine) InstallSnapshotFrom(data io.Reader, zxid uint64) error {
 }
 
 // snapHeaderSize is the fixed snapshot prologue: magic u32, zxid u64,
-// body CRC-32C u32, body length u32. The layout is shared by the blob
-// and streaming paths — the files they produce are identical.
+// body CRC-32C u32, body length u32.
 const snapHeaderSize = 20
 
 // writeSnapshotLocked streams the snapshot body from data into a temp

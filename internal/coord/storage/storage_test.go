@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -85,21 +86,21 @@ func recordOffsets(t *testing.T, path string) []int64 {
 	return offs
 }
 
-// storeKind is one zab.Storage implementation under the shared
+// storeKind is one zab.StreamStorage implementation under the shared
 // contract, with its notion of a restart: an Engine is closed and
 // reopened over its directory; a MemStorage simply outlives the node
 // that wrote it.
 type storeKind struct {
 	name   string
-	open   func(t *testing.T) zab.Storage
-	reopen func(t *testing.T, s zab.Storage) zab.Storage
+	open   func(t *testing.T) zab.StreamStorage
+	reopen func(t *testing.T, s zab.StreamStorage) zab.StreamStorage
 }
 
 var storeKinds = []storeKind{
 	{
 		name: "engine",
-		open: func(t *testing.T) zab.Storage { return openT(t, t.TempDir()) },
-		reopen: func(t *testing.T, s zab.Storage) zab.Storage {
+		open: func(t *testing.T) zab.StreamStorage { return openT(t, t.TempDir()) },
+		reopen: func(t *testing.T, s zab.StreamStorage) zab.StreamStorage {
 			e := s.(*Engine)
 			e.Close()
 			return openT(t, e.opt.Dir)
@@ -107,12 +108,12 @@ var storeKinds = []storeKind{
 	},
 	{
 		name:   "mem",
-		open:   func(t *testing.T) zab.Storage { return new(zab.MemStorage) },
-		reopen: func(t *testing.T, s zab.Storage) zab.Storage { return s },
+		open:   func(t *testing.T) zab.StreamStorage { return new(zab.MemStorage) },
+		reopen: func(t *testing.T, s zab.StreamStorage) zab.StreamStorage { return s },
 	},
 }
 
-// TestStorageContract runs the store-agnostic half of the zab.Storage
+// TestStorageContract runs the store-agnostic half of the zab.StreamStorage
 // contract over every implementation: what a node may rely on after a
 // restart, whichever store it runs on.
 func TestStorageContract(t *testing.T) {
@@ -120,7 +121,7 @@ func TestStorageContract(t *testing.T) {
 		name string
 		// prepare drives a fresh store; the checks below run against it
 		// after a restart.
-		prepare   func(t *testing.T, s zab.Storage)
+		prepare   func(t *testing.T, s zab.StreamStorage)
 		wantTxns  []string // recovered frame payloads, in order
 		wantSnap  uint64   // recovered snapshot zxid (0 = none)
 		wantState string   // recovered snapshot body
@@ -130,11 +131,11 @@ func TestStorageContract(t *testing.T) {
 	}{
 		{
 			name:    "fresh store",
-			prepare: func(t *testing.T, s zab.Storage) {},
+			prepare: func(t *testing.T, s zab.StreamStorage) {},
 		},
 		{
 			name: "appended and synced frames are durable",
-			prepare: func(t *testing.T, s zab.Storage) {
+			prepare: func(t *testing.T, s zab.StreamStorage) {
 				appendSynced(t, s, frame(0x100000001, "a", "b"), frame(0x100000003, "c"))
 				if d := s.LastDurableZxid(); d != 0x100000003 {
 					t.Fatalf("durable horizon after Sync = %x, want %x", d, uint64(0x100000003))
@@ -145,7 +146,7 @@ func TestStorageContract(t *testing.T) {
 		},
 		{
 			name: "hard state survives",
-			prepare: func(t *testing.T, s zab.Storage) {
+			prepare: func(t *testing.T, s zab.StreamStorage) {
 				if err := s.SaveHardState(7, 9); err != nil {
 					t.Fatal(err)
 				}
@@ -155,9 +156,9 @@ func TestStorageContract(t *testing.T) {
 		},
 		{
 			name: "snapshot newer than log",
-			prepare: func(t *testing.T, s zab.Storage) {
+			prepare: func(t *testing.T, s zab.StreamStorage) {
 				appendSynced(t, s, frame(0x100000001, "old-1"), frame(0x100000002, "old-2"))
-				if err := s.SaveSnapshot([]byte("state@5"), 0x100000005); err != nil {
+				if err := s.SaveSnapshotFrom(strings.NewReader("state@5"), 0x100000005); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -168,9 +169,9 @@ func TestStorageContract(t *testing.T) {
 		},
 		{
 			name: "snapshot plus log tail",
-			prepare: func(t *testing.T, s zab.Storage) {
+			prepare: func(t *testing.T, s zab.StreamStorage) {
 				appendSynced(t, s, frame(0x100000001, "covered"))
-				if err := s.SaveSnapshot([]byte("state@1"), 0x100000001); err != nil {
+				if err := s.SaveSnapshotFrom(strings.NewReader("state@1"), 0x100000001); err != nil {
 					t.Fatal(err)
 				}
 				appendSynced(t, s, frame(0x100000002, "tail-1"), frame(0x100000003, "tail-2"))
@@ -186,9 +187,9 @@ func TestStorageContract(t *testing.T) {
 			// exactly the snapshot — a stale-high horizon would let the
 			// node acknowledge pulled frames it never synced.
 			name: "install snapshot resets the log and lowers the durable horizon",
-			prepare: func(t *testing.T, s zab.Storage) {
+			prepare: func(t *testing.T, s zab.StreamStorage) {
 				appendSynced(t, s, frame(0x500000063, "divergent-1"), frame(0x500000064, "divergent-2"))
-				if err := s.InstallSnapshot([]byte("leader state"), 0x500000032); err != nil {
+				if err := s.InstallSnapshotFrom(strings.NewReader("leader state"), 0x500000032); err != nil {
 					t.Fatal(err)
 				}
 				if d := s.LastDurableZxid(); d != 0x500000032 {
@@ -216,7 +217,15 @@ func TestStorageContract(t *testing.T) {
 				if got := txnsOf(tail); !slices.Equal(got, tc.wantTxns) {
 					t.Fatalf("recovered txns %v, want %v", got, tc.wantTxns)
 				}
-				data, snapZxid, hasSnap := s.Snapshot()
+				var data []byte
+				rc, snapZxid, hasSnap := s.SnapshotStream()
+				if hasSnap {
+					var err error
+					if data, err = io.ReadAll(rc); err != nil {
+						t.Fatal(err)
+					}
+					rc.Close()
+				}
 				if (tc.wantSnap != 0) != hasSnap || snapZxid != tc.wantSnap || string(data) != tc.wantState {
 					t.Fatalf("snapshot = (%q, %x, %v), want (%q, %x)", data, snapZxid, hasSnap, tc.wantState, tc.wantSnap)
 				}
@@ -344,7 +353,7 @@ func TestRecovery(t *testing.T) {
 			name: "corrupt snapshot refuses startup",
 			prepare: func(t *testing.T, dir string) {
 				e := openT(t, dir)
-				if err := e.SaveSnapshot([]byte("precious state"), 0x100000004); err != nil {
+				if err := e.SaveSnapshotFrom(strings.NewReader("precious state"), 0x100000004); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -419,7 +428,7 @@ func TestSegmentRotationAndReclaim(t *testing.T) {
 		t.Fatalf("expected many segments, got %d", e.Segments())
 	}
 	cover := uint64(0x100000001 + n - 3)
-	if err := e.SaveSnapshot([]byte("snap"), cover); err != nil {
+	if err := e.SaveSnapshotFrom(strings.NewReader("snap"), cover); err != nil {
 		t.Fatal(err)
 	}
 	if e.Segments() > 3 {
@@ -450,7 +459,7 @@ func TestHardStateSurvivesReclaim(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		appendSynced(t, e, frame(0x300000001+uint64(i), strings.Repeat("y", 40)))
 	}
-	if err := e.SaveSnapshot([]byte("s"), 0x300000001+31); err != nil {
+	if err := e.SaveSnapshotFrom(strings.NewReader("s"), 0x300000001+31); err != nil {
 		t.Fatal(err)
 	}
 	e.Close()
@@ -508,7 +517,7 @@ func TestGroupSyncRiders(t *testing.T) {
 func TestAppendAloneIsNotDurable(t *testing.T) {
 	e := openT(t, t.TempDir())
 	appendSynced(t, e, frame(0x500000064, "divergent"))
-	if err := e.InstallSnapshot([]byte("s"), 0x500000032); err != nil {
+	if err := e.InstallSnapshotFrom(strings.NewReader("s"), 0x500000032); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Append([]zab.Frame{frame(0x500000033, "pulled")}); err != nil {

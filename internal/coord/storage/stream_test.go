@@ -89,39 +89,6 @@ func TestStreamingSnapshotRoundtrip(t *testing.T) {
 	if !bytes.Equal(got, body) {
 		t.Fatalf("streamed body mismatch: got %d bytes", len(got))
 	}
-	// The blob accessor reads the very same file back.
-	blob, z, ok := e.Snapshot()
-	if !ok || z != 7 || !bytes.Equal(blob, body) {
-		t.Fatalf("Snapshot = (%d bytes, %d, %v)", len(blob), z, ok)
-	}
-}
-
-// TestBlobAndStreamSnapshotFilesIdentical pins the compatibility
-// contract: SaveSnapshot and SaveSnapshotFrom must produce
-// byte-identical files, so engines and replicas can mix the two paths
-// freely.
-func TestBlobAndStreamSnapshotFilesIdentical(t *testing.T) {
-	body := bytes.Repeat([]byte("abcdefgh"), 10_000)
-	dirBlob, dirStream := t.TempDir(), t.TempDir()
-	eb := openT(t, dirBlob)
-	es := openT(t, dirStream)
-	if err := eb.SaveSnapshot(body, 42); err != nil {
-		t.Fatal(err)
-	}
-	if err := es.SaveSnapshotFrom(bytes.NewReader(body), 42); err != nil {
-		t.Fatal(err)
-	}
-	fb, err := os.ReadFile(eb.snapPath(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := os.ReadFile(es.snapPath(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fb, fs) {
-		t.Fatal("blob-written and stream-written snapshot files differ")
-	}
 }
 
 // TestInstallSnapshotFromBoundedMemory is the O(chunk) proof demanded

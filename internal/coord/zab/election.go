@@ -39,7 +39,7 @@ func (n *Node) adoptEpochLocked(epoch, leaderID uint64) {
 
 // gapBeatsBeforeSync is how many heartbeats in a row may announce a
 // commit horizon past a log tip that has not moved before the follower
-// stops waiting for the stream and pulls (a member that rejoined empty
+// stops waiting for the stream and pulls (a member that came back behind
 // while the ensemble is idle gets nothing on the stream). Frames the
 // leader committed are normally in flight, and a lost window costs the
 // stream a refusal and a back-off — up to three beats — to resend.

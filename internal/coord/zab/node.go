@@ -222,7 +222,7 @@ type Config struct {
 	Metrics *metrics.Registry
 	// Storage is where the node keeps its log, votes and snapshots, and
 	// what NewNode recovers from. Nil means a fresh MemStorage.
-	Storage Storage
+	Storage StreamStorage
 }
 
 // Roles of an ensemble member.
@@ -408,7 +408,7 @@ func NewNode(cfg Config, sm StateMachine) (*Node, error) {
 	n := &Node{
 		cfg:          cfg,
 		sm:           liftMachine(sm),
-		st:           liftStorage(cfg.Storage),
+		st:           cfg.Storage,
 		rng:          rand.New(rand.NewSource(int64(cfg.ID))),
 		conns:        make(map[uint64]transport.Conn),
 		stopCh:       make(chan struct{}),
@@ -426,6 +426,9 @@ func NewNode(cfg Config, sm StateMachine) (*Node, error) {
 		gApplyLag:     cfg.Metrics.Gauge("zab.apply.lag"),
 		gApplyQueue:   cfg.Metrics.Gauge("zab.apply.queue_depth"),
 		cSnapInstalls: cfg.Metrics.Counter("zab.snapshot_installs"),
+	}
+	if n.st == nil {
+		n.st = new(MemStorage)
 	}
 	n.propCond = sync.NewCond(&n.mu)
 	n.syncCond = sync.NewCond(&n.mu)

@@ -1,6 +1,7 @@
 package zab
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"slices"
@@ -295,9 +296,9 @@ func (n *Node) syncFromLeader(leader, from uint64) {
 	n.adoptEpochLocked(resp.Epoch, resp.LeaderID)
 	if resp.HasSnapshot {
 		// Durable first: the snapshot replaces our whole log (divergent
-		// tail included), so InstallSnapshot resets the on-disk log the
-		// same way the in-memory one is reset below.
-		if err := n.st.InstallSnapshot(resp.Snapshot, resp.SnapZxid); err != nil {
+		// tail included), so InstallSnapshotFrom resets the on-disk log
+		// the same way the in-memory one is reset below.
+		if err := n.st.InstallSnapshotFrom(bytes.NewReader(resp.Snapshot), resp.SnapZxid); err != nil {
 			return
 		}
 		// A snapshot cut below our applied point (a new leader that has
@@ -305,7 +306,7 @@ func (n *Node) syncFromLeader(leader, from uint64) {
 		// lower the lock-free mirror first, so a concurrent reader never
 		// vouches for more history than the state it then reads holds.
 		n.applied.Store(min(n.lastApplied, resp.SnapZxid))
-		if err := n.sm.Restore(resp.Snapshot, resp.SnapZxid); err != nil {
+		if err := n.sm.RestoreFrom(bytes.NewReader(resp.Snapshot), resp.SnapZxid); err != nil {
 			return
 		}
 		n.snapZxid = resp.SnapZxid
@@ -400,10 +401,14 @@ func (n *Node) handleSync(m syncReq) (syncResp, error) {
 	if n.role != roleLeader {
 		return syncResp{}, fmt.Errorf("zab: node %d is not the leader", n.cfg.ID)
 	}
+	var snap bytes.Buffer
+	if err := n.sm.SnapshotTo(&snap); err != nil {
+		return syncResp{}, fmt.Errorf("zab: snapshot for sync: %w", err)
+	}
 	resp = syncResp{Commit: n.commitZxid, Epoch: n.epoch, LeaderID: n.cfg.ID}
 	resp.HasSnapshot = true
 	resp.SnapZxid = n.lastApplied
-	resp.Snapshot = n.sm.Snapshot()
+	resp.Snapshot = snap.Bytes()
 	for _, e := range n.log {
 		if e.Zxid > n.lastApplied {
 			resp.Entries = append(resp.Entries, e)

@@ -54,9 +54,6 @@ type Storage interface {
 	// votes in one epoch, electing two leaders.
 	SaveHardState(epoch, grantedEpoch uint64) error
 
-	// Snapshot returns the newest durable state-machine snapshot and
-	// the zxid it covers, or ok=false when none has been taken.
-	Snapshot() (data []byte, zxid uint64, ok bool)
 	// Frames returns the recovered log tail — every frame past the
 	// newest snapshot's coverage, in zxid order. Only meaningful
 	// immediately after opening the store.
@@ -74,31 +71,25 @@ type Storage interface {
 	// LastDurableZxid reports the highest frame zxid covered by a
 	// completed sync — the durable horizon the node may acknowledge.
 	LastDurableZxid() uint64
-
-	// SaveSnapshot durably records a fuzzy snapshot covering zxid,
-	// written side-by-side with the live log; log segments wholly
-	// covered by it may be reclaimed. The log tail past zxid is kept.
-	SaveSnapshot(data []byte, zxid uint64) error
-	// InstallSnapshot durably records a snapshot received from the
-	// leader and RESETS the log: every local frame — including any
-	// divergent tail past zxid — is discarded, and the durable horizon
-	// moves to exactly zxid. Used by the follower sync path when its
-	// position has left the leader's log.
-	InstallSnapshot(data []byte, zxid uint64) error
 }
 
-// StreamStorage is a Storage that moves snapshots as streams, so
-// neither saving nor recovering a snapshot ever needs the whole
-// serialized state in memory at once. It is the form the node runs
-// against: NewNode lifts a plain Storage to it by buffering, and the
-// blob methods must remain byte-compatible with the streamed ones.
+// StreamStorage is the store a node runs on: a Storage that also keeps
+// the newest state-machine snapshot, moved as a stream so neither saving
+// nor recovering one ever needs the whole serialized state in memory at
+// once (MemStorage keeps the body on the heap anyway).
 type StreamStorage interface {
 	Storage
-	// SaveSnapshotFrom is SaveSnapshot reading the snapshot body from r
-	// until EOF, buffering O(chunk) at a time.
+	// SaveSnapshotFrom durably records a fuzzy snapshot covering zxid,
+	// reading its body from r until EOF, written side-by-side with the
+	// live log; log segments wholly covered by it may be reclaimed. The
+	// log tail past zxid is kept.
 	SaveSnapshotFrom(r io.Reader, zxid uint64) error
-	// InstallSnapshotFrom is InstallSnapshot reading the snapshot body
-	// from r until EOF, buffering O(chunk) at a time.
+	// InstallSnapshotFrom durably records a snapshot received from the
+	// leader, reading its body from r until EOF, and RESETS the log:
+	// every local frame — including any divergent tail past zxid — is
+	// discarded, and the durable horizon moves to exactly zxid. Used by
+	// the follower sync path when its position has left the leader's
+	// log.
 	InstallSnapshotFrom(r io.Reader, zxid uint64) error
 	// SnapshotStream returns a reader over the newest durable snapshot
 	// body, or ok=false when none exists. The reader validates the
@@ -108,55 +99,7 @@ type StreamStorage interface {
 	SnapshotStream() (snap io.ReadCloser, zxid uint64, ok bool)
 }
 
-// liftStorage resolves the storage contract once, at construction: nil
-// becomes a fresh MemStorage, and a store without the stream methods
-// gets them from blobStorage.
-func liftStorage(s Storage) StreamStorage {
-	if s == nil {
-		s = new(MemStorage)
-	}
-	if ss, ok := s.(StreamStorage); ok {
-		return ss
-	}
-	return blobStorage{s}
-}
-
-// blobStorage gives a plain Storage the stream methods by buffering
-// the whole snapshot — correct for any store, O(snapshot) memory.
-type blobStorage struct{ Storage }
-
-// slurp buffers r to EOF. A bytes.Buffer doubles as it grows, so a
-// snapshot of tens of megabytes is copied about twice on the way in;
-// io.ReadAll's append growth copies it several times over.
-func slurp(r io.Reader) ([]byte, error) {
-	var buf bytes.Buffer
-	_, err := buf.ReadFrom(r)
-	return buf.Bytes(), err
-}
-
-func (b blobStorage) SaveSnapshotFrom(r io.Reader, zxid uint64) error {
-	data, err := slurp(r)
-	if err != nil {
-		return err
-	}
-	return b.SaveSnapshot(data, zxid)
-}
-
-func (b blobStorage) InstallSnapshotFrom(r io.Reader, zxid uint64) error {
-	data, err := slurp(r)
-	if err != nil {
-		return err
-	}
-	return b.InstallSnapshot(data, zxid)
-}
-
-func (b blobStorage) SnapshotStream() (io.ReadCloser, uint64, bool) {
-	data, zxid, ok := b.Snapshot()
-	if !ok {
-		return nil, 0, false
-	}
-	return io.NopCloser(bytes.NewReader(data)), zxid, true
-}
+var _ StreamStorage = (*MemStorage)(nil)
 
 // MemStorage is the in-memory Storage a node runs on when its
 // configuration names no other: an appended frame is durable at once
@@ -192,11 +135,14 @@ func (m *MemStorage) SaveHardState(epoch, grantedEpoch uint64) error {
 	return nil
 }
 
-// Snapshot implements Storage.
-func (m *MemStorage) Snapshot() (data []byte, zxid uint64, ok bool) {
+// SnapshotStream implements StreamStorage.
+func (m *MemStorage) SnapshotStream() (io.ReadCloser, uint64, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.snap, m.snapZxid, m.hasSnap
+	if !m.hasSnap {
+		return nil, 0, false
+	}
+	return io.NopCloser(bytes.NewReader(m.snap)), m.snapZxid, true
 }
 
 // Frames implements Storage: a copy of the log tail, so the caller's
@@ -228,10 +174,14 @@ func (m *MemStorage) LastDurableZxid() uint64 {
 	return m.tip
 }
 
-// SaveSnapshot implements Storage: the snapshot (data is retained, not
-// copied) replaces the previous one and the frames it covers are
-// released.
-func (m *MemStorage) SaveSnapshot(data []byte, zxid uint64) error {
+// SaveSnapshotFrom implements StreamStorage: the snapshot replaces the
+// previous one and the frames it covers are released. The body is read
+// before the store is locked, so appends are not held up behind it.
+func (m *MemStorage) SaveSnapshotFrom(r io.Reader, zxid uint64) error {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.hasSnap && zxid <= m.snapZxid {
@@ -246,8 +196,12 @@ func (m *MemStorage) SaveSnapshot(data []byte, zxid uint64) error {
 	return nil
 }
 
-// InstallSnapshot implements Storage.
-func (m *MemStorage) InstallSnapshot(data []byte, zxid uint64) error {
+// InstallSnapshotFrom implements StreamStorage.
+func (m *MemStorage) InstallSnapshotFrom(r io.Reader, zxid uint64) error {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.snap, m.snapZxid, m.hasSnap = data, zxid, true

@@ -16,7 +16,7 @@ import (
 
 // soloNode builds member 1 of a three-member ensemble without starting
 // it, so a test can feed its handlers by hand.
-func soloNode(t *testing.T, st Storage) *Node {
+func soloNode(t *testing.T, st StreamStorage) *Node {
 	t.Helper()
 	n, err := NewNode(Config{
 		ID:      1,

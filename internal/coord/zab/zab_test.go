@@ -445,9 +445,11 @@ func TestFullRestartOnRetainedMemStorage(t *testing.T) {
 	}
 	waitConverged(t, e, ops, 1, 2, 3)
 	e.stopAll()
-	if _, _, ok := e.stores[leader.ID()].Snapshot(); !ok {
+	rc, _, ok := e.stores[leader.ID()].SnapshotStream()
+	if !ok {
 		t.Fatalf("no snapshot was saved in %d writes; the restart would exercise log replay only", ops)
 	}
+	rc.Close()
 
 	for id := uint64(1); id <= 3; id++ {
 		e.startNode(t, id, e.stores[id])
