@@ -106,6 +106,10 @@ type Engine struct {
 	opt  Options
 	dirf *os.File // kept open for directory fsyncs
 
+	// snapMu admits one snapshot writer at a time; it is held while a
+	// body is written, e.mu only while it is published.
+	snapMu sync.Mutex
+
 	mu     sync.Mutex
 	closed bool
 	failed error // sticky first I/O failure
@@ -641,17 +645,27 @@ func (e *Engine) LastDurableZxid() uint64 {
 // copied from data to a temp file in SnapChunkSize chunks (checksummed
 // incrementally, header patched in place), fsynced and renamed beside
 // the live log, then sealed segments wholly covered by it are
-// reclaimed and older snapshots pruned.
+// reclaimed and older snapshots pruned. The body is written without
+// e.mu — the snapshotter's pipe feeds it for as long as the tree walk
+// takes, and Append and Sync must not wait for that — and e.mu is taken
+// only to publish it.
 func (e *Engine) SaveSnapshotFrom(data io.Reader, zxid uint64) error {
+	e.snapMu.Lock()
+	defer e.snapMu.Unlock()
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.usableLocked(); err != nil {
+	err := e.usableLocked()
+	stale := e.hasSnap && zxid <= e.snapZxid
+	e.mu.Unlock()
+	if err != nil || stale {
 		return err
 	}
-	if e.hasSnap && zxid <= e.snapZxid {
-		return nil
+	tmp, err := e.writeSnapshotTemp(data, zxid)
+	if err != nil {
+		return err
 	}
-	if err := e.writeSnapshotLocked(data, zxid); err != nil {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.publishSnapshotLocked(tmp, zxid); err != nil {
 		return err
 	}
 	e.reclaimSegmentsLocked()
@@ -662,12 +676,15 @@ func (e *Engine) SaveSnapshotFrom(data io.Reader, zxid uint64) error {
 // snapshot, written as SaveSnapshotFrom writes one, replaces the entire
 // log, divergent tail included.
 func (e *Engine) InstallSnapshotFrom(data io.Reader, zxid uint64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.usableLocked(); err != nil {
+	e.snapMu.Lock()
+	defer e.snapMu.Unlock()
+	tmp, err := e.writeSnapshotTemp(data, zxid)
+	if err != nil {
 		return err
 	}
-	if err := e.writeSnapshotLocked(data, zxid); err != nil {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.publishSnapshotLocked(tmp, zxid); err != nil {
 		return err
 	}
 	// Drop every segment and start fresh past the snapshot. Wait out
@@ -707,25 +724,25 @@ func (e *Engine) InstallSnapshotFrom(data io.Reader, zxid uint64) error {
 // body CRC-32C u32, body length u32.
 const snapHeaderSize = 20
 
-// writeSnapshotLocked streams the snapshot body from data into a temp
-// file in O(SnapChunkSize) memory: the header goes down with zeroed
-// CRC/length slots, the body is copied through a chunk buffer while
-// the checksum accumulates, and the real CRC/length are patched in
-// place before the fsync — the rename still publishes a
-// complete-by-construction file.
-func (e *Engine) writeSnapshotLocked(data io.Reader, zxid uint64) error {
-	path := e.snapPath(zxid)
-	tmp := path + ".tmp"
+// writeSnapshotTemp streams the snapshot body from data into a temp
+// file in O(SnapChunkSize) memory and returns its path: the header goes
+// down with zeroed CRC/length slots, the body is copied through a chunk
+// buffer while the checksum accumulates, and the real CRC/length are
+// patched in place before the fsync — the rename still publishes a
+// complete-by-construction file. It touches no engine state, so it runs
+// without e.mu; its caller holds snapMu.
+func (e *Engine) writeSnapshotTemp(data io.Reader, zxid uint64) (string, error) {
+	tmp := e.snapPath(zxid) + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("storage: %w", err)
+		return "", fmt.Errorf("storage: %w", err)
 	}
 	var hdr [snapHeaderSize]byte
 	binary.BigEndian.PutUint32(hdr[0:], snapMagic)
 	binary.BigEndian.PutUint64(hdr[4:], zxid)
 	if _, err := f.Write(hdr[:]); err != nil {
 		f.Close()
-		return fmt.Errorf("storage: %w", err)
+		return "", fmt.Errorf("storage: %w", err)
 	}
 	var (
 		crc   uint32
@@ -739,11 +756,11 @@ func (e *Engine) writeSnapshotLocked(data io.Reader, zxid uint64) error {
 			total += int64(n)
 			if total > int64(^uint32(0)) {
 				f.Close()
-				return errors.New("storage: snapshot exceeds the 4 GiB format bound")
+				return "", errors.New("storage: snapshot exceeds the 4 GiB format bound")
 			}
 			if _, werr := f.Write(buf[:n]); werr != nil {
 				f.Close()
-				return fmt.Errorf("storage: %w", werr)
+				return "", fmt.Errorf("storage: %w", werr)
 			}
 		}
 		if rerr == io.EOF {
@@ -751,38 +768,55 @@ func (e *Engine) writeSnapshotLocked(data io.Reader, zxid uint64) error {
 		}
 		if rerr != nil {
 			f.Close()
-			return fmt.Errorf("storage: snapshot source: %w", rerr)
+			return "", fmt.Errorf("storage: snapshot source: %w", rerr)
 		}
 	}
 	binary.BigEndian.PutUint32(hdr[12:], crc)
 	binary.BigEndian.PutUint32(hdr[16:], uint32(total))
 	if _, err := f.WriteAt(hdr[12:snapHeaderSize], 12); err != nil {
 		f.Close()
-		return fmt.Errorf("storage: %w", err)
+		return "", fmt.Errorf("storage: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("storage: fsync: %w", err)
+		return "", fmt.Errorf("storage: fsync: %w", err)
 	}
 	f.Close()
-	if err := os.Rename(tmp, path); err != nil {
+	return tmp, nil
+}
+
+// publishSnapshotLocked renames a snapshot writeSnapshotTemp wrote into
+// place and makes it the newest generation.
+func (e *Engine) publishSnapshotLocked(tmp string, zxid uint64) error {
+	if err := e.usableLocked(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, e.snapPath(zxid)); err != nil {
 		return fmt.Errorf("storage: %w", err)
 	}
 	if err := e.dirf.Sync(); err != nil {
 		e.failed = fmt.Errorf("storage: fsync dir: %w", err)
 		return e.failed
 	}
-	prev, hadPrev := e.snapZxid, e.hasSnap
 	e.snapZxid, e.hasSnap = zxid, true
-	// Keep the previous snapshot as a fallback generation; prune older.
-	if hadPrev {
-		if matches, err := filepath.Glob(filepath.Join(e.opt.Dir, "snap-*.snap")); err == nil {
-			for _, m := range matches {
-				base := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(m), "snap-"), ".snap")
-				if z, err := strconv.ParseUint(base, 16, 64); err == nil && z < prev {
-					os.Remove(m)
-				}
+	// Keep the newest generation below this one as a fallback and prune
+	// the rest — any above it too: an install may go below a snapshot of
+	// our own, and recovery must not pick that one over it.
+	matches, _ := filepath.Glob(filepath.Join(e.opt.Dir, "snap-*.snap"))
+	gens := make(map[uint64]string, len(matches))
+	var fallback uint64
+	for _, m := range matches {
+		base := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(m), "snap-"), ".snap")
+		if z, err := strconv.ParseUint(base, 16, 64); err == nil {
+			gens[z] = m
+			if z < zxid {
+				fallback = max(fallback, z)
 			}
+		}
+	}
+	for z, m := range gens {
+		if z != zxid && z != fallback {
+			os.Remove(m)
 		}
 	}
 	return nil

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/coord/zab"
 )
@@ -205,6 +206,26 @@ func TestStorageContract(t *testing.T) {
 			wantTxns:  []string{"pulled"},
 			wantTip:   0x500000033,
 		},
+		{
+			// A leader ships the snapshot its store holds, which may be
+			// older than one this member cut itself: the installed one is
+			// what the store recovers, not the newer generation beside it.
+			name: "install below a newer snapshot of our own",
+			prepare: func(t *testing.T, s zab.StreamStorage) {
+				appendSynced(t, s, frame(0x100000001, "a"), frame(0x100000009, "own"))
+				if err := s.SaveSnapshotFrom(strings.NewReader("own state"), 0x100000009); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.InstallSnapshotFrom(strings.NewReader("leader state"), 0x100000005); err != nil {
+					t.Fatal(err)
+				}
+				appendSynced(t, s, frame(0x100000006, "pulled"))
+			},
+			wantSnap:  0x100000005,
+			wantState: "leader state",
+			wantTxns:  []string{"pulled"},
+			wantTip:   0x100000006,
+		},
 	}
 	for _, kind := range storeKinds {
 		for _, tc := range cases {
@@ -254,6 +275,55 @@ func TestStorageContract(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSnapshotWriteLeavesAppendsFree: a snapshot body arrives through
+// the snapshotter's pipe for as long as the state-machine walk takes,
+// and the node appends under its own mutex meanwhile. While a body is
+// still streaming in, Append and Sync on another goroutine must go
+// through.
+func TestSnapshotWriteLeavesAppendsFree(t *testing.T) {
+	for _, kind := range storeKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			s := kind.open(t)
+			pr, pw := io.Pipe()
+			saved := make(chan error, 1)
+			go func() { saved <- s.SaveSnapshotFrom(pr, 0x100000001) }()
+			// Write returns once the store has read the chunk; its next
+			// read blocks until the pipe is closed.
+			if _, err := pw.Write([]byte("state@1")); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan struct{})
+			var err error
+			go func() {
+				defer close(done)
+				if err = s.Append([]zab.Frame{frame(0x100000002, "during")}); err == nil {
+					err = s.Sync()
+				}
+			}()
+			select {
+			case <-done:
+			case <-time.After(time.Second):
+				t.Error("Append+Sync waited for a snapshot body still being written")
+			}
+			pw.Close()
+			if serr := <-saved; serr != nil {
+				t.Fatal(serr)
+			}
+			<-done
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := s.LastDurableZxid(); d != 0x100000002 {
+				t.Fatalf("durable horizon = %x, want %x", d, uint64(0x100000002))
+			}
+			s = kind.reopen(t, s)
+			if got := txnsOf(s.Frames()); !slices.Equal(got, []string{"during"}) {
+				t.Fatalf("recovered %v, want the frame appended during the snapshot", got)
+			}
+		})
 	}
 }
 

@@ -77,8 +77,8 @@ func (n *Node) applyLoop() {
 // queued, on the goroutine that advanced it — a window completion or
 // the leader sync loop — so the proposers are woken without a hand-off
 // to applyLoop. If applyMu is taken (an applier finishing up, a
-// snapshot being cut, a follower's snapshot pull being served),
-// applyLoop is signalled to take the frames once it is free.
+// snapshot being cut), applyLoop is signalled to take the frames once
+// it is free.
 func (n *Node) applyCommitted() {
 	if !n.applyMu.TryLock() {
 		n.mu.Lock()
@@ -93,8 +93,8 @@ func (n *Node) applyCommitted() {
 // drainApplyQueue applies queued frames until the queue is empty. The
 // caller holds applyMu, and the queue is drained only AFTER applyMu is
 // taken: two appliers can never hold drained batches at once, and no
-// snapshot install (syncFromLeader) or snapshot cut (handleSync,
-// snapshotLoop) can come between a drain and its apply — so apply
+// snapshot install (syncFromLeader) or snapshot cut (cutSnapshot)
+// can come between a drain and its apply — so apply
 // order is zxid order. While it runs, n.applying tells a committer that
 // the frames it queues will be taken here.
 func (n *Node) drainApplyQueue() {

@@ -128,14 +128,14 @@ func (s *syncedStore) Sync() error {
 func (s *syncedStore) LastDurableZxid() uint64 { return s.durable.Load() }
 
 // TestInlineApplyOrdering drives a leader whose state machine is slow
-// with 64 concurrent proposers while a follower's snapshot pull is
-// served over and over: commits are applied on the window completions
-// and the sync loop that make them, by applyLoop when those find
-// applyMu taken, and the snapshot cut takes applyMu in between. Every
-// proposer must get its own transaction's result, LastApplied must
+// with 64 concurrent proposers and a log bound small enough that the
+// snapshotter cuts, while a follower's snapshot pull is served over and
+// over: commits are applied on the window completions and the sync
+// loop that make them, and by applyLoop when those find applyMu taken.
+// Every proposer must get its own transaction's result, LastApplied must
 // never move backwards, every zxid must be applied once and in order,
-// every snapshot must be the state at the zxid it names, and nothing
-// may deadlock.
+// every pulled snapshot must be the state at the zxid it names, and
+// nothing may deadlock.
 func TestInlineApplyOrdering(t *testing.T) {
 	net := transport.NewInProc()
 	peers := map[uint64]string{1: "inline-1", 2: "inline-2", 3: "inline-3"}
@@ -149,7 +149,7 @@ func TestInlineApplyOrdering(t *testing.T) {
 			Net:               net,
 			HeartbeatInterval: 10 * time.Millisecond,
 			ElectionTimeout:   200 * time.Millisecond,
-			MaxLogEntries:     1 << 20,
+			MaxLogEntries:     16,
 			Storage:           &syncedStore{MemStorage: new(MemStorage)},
 		}, sm)
 		if err != nil {
@@ -182,6 +182,7 @@ func TestInlineApplyOrdering(t *testing.T) {
 
 	stop := make(chan struct{})
 	var bg sync.WaitGroup
+	var newest atomic.Uint64 // the newest snapshot a pull shipped
 	bg.Add(2)
 	go func() { // a follower pulling snapshots, over and over
 		defer bg.Done()
@@ -200,6 +201,7 @@ func TestInlineApplyOrdering(t *testing.T) {
 				t.Errorf("snapshot cut at %x holds the state at %x", resp.SnapZxid, got)
 				return
 			}
+			newest.Store(max(newest.Load(), resp.SnapZxid))
 		}
 	}()
 	go func() { // LastApplied only moves up
@@ -246,6 +248,14 @@ func TestInlineApplyOrdering(t *testing.T) {
 	case <-finished:
 	case <-time.After(60 * time.Second):
 		t.Fatal("proposals wedged: apply deadlocked")
+	}
+	// A drain under load keeps applyMu until the queue empties, so the
+	// snapshot the log bound asked for is cut once the writes stop: pull
+	// until a pull ships it.
+	for deadline := time.Now().Add(10 * time.Second); newest.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("every pull shipped the genesis snapshot; no cut was checked")
+		}
 	}
 	close(stop)
 	bg.Wait()

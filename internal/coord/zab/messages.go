@@ -222,9 +222,9 @@ func (m syncReq) encode() []byte {
 	return w.Bytes()
 }
 
-// syncResp carries either a snapshot plus trailing entries (when the
-// follower is behind the leader's log horizon or has diverged) or just
-// the entries after FromZxid.
+// syncResp carries either the leader's stored snapshot plus the entries
+// past it (the follower is behind the log horizon or has diverged) or the
+// entries after FromZxid; the entries stop at maxSyncBytes.
 type syncResp struct {
 	HasSnapshot bool
 	SnapZxid    uint64

@@ -320,11 +320,11 @@ type Node struct {
 	// goroutine.
 	//
 	// applyMu is the state-machine transition lock: it serializes
-	// apply drains against snapshot installs (syncFromLeader),
-	// snapshot serialization (snapshotLoop, handleSync). The global lock
-	// order is applyMu BEFORE mu — never block on applyMu while holding
-	// mu. The queue is drained only under applyMu, so while applyMu is
-	// held lastApplied can only be advanced by the holder.
+	// apply drains against snapshot installs (syncFromLeader) and the
+	// snapshot cut (cutSnapshot). The global lock order is applyMu
+	// BEFORE mu — never block on applyMu while holding mu. The queue is
+	// drained only under applyMu, so while applyMu is held lastApplied
+	// can only be advanced by the holder.
 	applyMu       sync.Mutex
 	applyQ        []Frame
 	applyCond     *sync.Cond // signalled when applyQ gains work no applier will take, or on stop
@@ -437,7 +437,6 @@ func NewNode(cfg Config, sm StateMachine) (*Node, error) {
 	if err := n.recoverFromStorage(); err != nil {
 		return nil, err
 	}
-	n.applyEnqueued = n.lastApplied
 	// A voter waits out a full timeout before its first campaign (it may
 	// be inside a lease its pre-crash ack funded); an observer's timer is
 	// left expired, so it looks for the leader at once.

@@ -3,6 +3,7 @@ package zab
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"runtime"
 	"slices"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // proposeTimeout bounds how long a proposal waits for commit+apply.
@@ -297,43 +299,23 @@ func (n *Node) syncFromLeader(leader, from uint64) {
 	if resp.HasSnapshot {
 		// Durable first: the snapshot replaces our whole log (divergent
 		// tail included), so InstallSnapshotFrom resets the on-disk log
-		// the same way the in-memory one is reset below.
-		if err := n.st.InstallSnapshotFrom(bytes.NewReader(resp.Snapshot), resp.SnapZxid); err != nil {
+		// the same way the in-memory one is reset here; the state machine
+		// is then restored from the store.
+		if n.st.InstallSnapshotFrom(bytes.NewReader(resp.Snapshot), resp.SnapZxid) != nil {
 			return
 		}
-		// A snapshot cut below our applied point (a new leader that has
-		// applied less than we had) takes the state machine backwards:
-		// lower the lock-free mirror first, so a concurrent reader never
-		// vouches for more history than the state it then reads holds.
-		n.applied.Store(min(n.lastApplied, resp.SnapZxid))
-		if err := n.sm.RestoreFrom(bytes.NewReader(resp.Snapshot), resp.SnapZxid); err != nil {
+		if n.restoreLocked() != nil {
 			return
-		}
-		n.snapZxid = resp.SnapZxid
-		n.durableSnapZxid = resp.SnapZxid
-		n.setAppliedLocked(resp.SnapZxid)
-		if n.commitZxid < resp.SnapZxid {
-			n.commitZxid = resp.SnapZxid
 		}
 		n.log = nil
-		// Reset the apply pipeline around the installed state: queued
-		// frames describe transitions from the pre-install state and
-		// must not run. No applier holds a drained batch — the queue is
-		// drained only under applyMu, which this install holds.
-		n.applyQ = n.applyQ[:0]
-		n.applyEnqueued = resp.SnapZxid
-		n.applyLagTxns = 0
-		n.gApplyQueue.Set(0)
-		n.gApplyLag.Set(0)
 		n.cSnapInstalls.Inc()
-		n.wakeAppliedLocked()
 	} else if n.lastZxidLocked() != from {
 		// Our log moved while the sync was in flight; retry later.
 		return
 	}
 	var novel []Frame
 	for _, e := range resp.Entries {
-		if e.Last() <= n.lastZxidLocked() || e.Last() <= n.snapZxid {
+		if e.Last() <= n.lastZxidLocked() {
 			continue
 		}
 		novel = append(novel, e)
@@ -359,9 +341,15 @@ func (n *Node) syncFromLeader(leader, from uint64) {
 	n.applyCond.Signal()
 }
 
+// maxSyncBytes bounds the encoded frames of one sync reply, leaving the
+// rest of a wire frame to the snapshot body; a follower pulls the rest.
+const maxSyncBytes = wire.MaxFrameSize / 4
+
 // handleSync runs on the leader: ship either the log suffix after
-// FromZxid, or a full snapshot when the follower's position precedes
-// the log horizon or is unknown to us (trimmed away or divergent).
+// FromZxid or, when that position is not in the log (trimmed away or
+// divergent), the snapshot the store holds plus the frames past it,
+// which truncation never outruns — never a suffix with a silent gap.
+// The body is read from the store with no lock held.
 func (n *Node) handleSync(m syncReq) (syncResp, error) {
 	n.mu.Lock()
 	if n.role != roleLeader {
@@ -369,50 +357,36 @@ func (n *Node) handleSync(m syncReq) (syncResp, error) {
 		return syncResp{}, fmt.Errorf("zab: node %d is not the leader", n.cfg.ID)
 	}
 	resp := syncResp{Commit: n.commitZxid, Epoch: n.epoch, LeaderID: n.cfg.ID}
-	if m.FromZxid == n.snapZxid {
-		resp.Entries = append(resp.Entries, n.log...)
-		n.mu.Unlock()
-		return resp, nil
-	}
-	if m.FromZxid > n.snapZxid {
-		for i, e := range n.log {
-			if e.Last() == m.FromZxid {
-				resp.Entries = append(resp.Entries, n.log[i+1:]...)
-				n.mu.Unlock()
-				return resp, nil
+	start := n.indexAfterLocked(m.FromZxid)
+	var body io.ReadCloser
+	if start < 0 {
+		body, resp.SnapZxid, resp.HasSnapshot = n.st.SnapshotStream()
+		if start = n.indexAfterLocked(resp.SnapZxid); !resp.HasSnapshot || start < 0 {
+			n.mu.Unlock()
+			if body != nil {
+				body.Close()
 			}
+			return syncResp{}, fmt.Errorf("zab: node %d holds no snapshot at a frame boundary of its log", n.cfg.ID)
 		}
+	}
+	size := 0
+	for _, e := range n.log[start:] {
+		for _, txn := range e.Txns {
+			size += 4 + len(txn)
+		}
+		if size += 13; size > maxSyncBytes && len(resp.Entries) > 0 {
+			break
+		}
+		resp.Entries = append(resp.Entries, e)
 	}
 	n.mu.Unlock()
-
-	// Snapshot-first determinism: a position BEHIND the log horizon
-	// (truncation dropped the frames the follower still needs) skips
-	// the log scan above and lands here directly, as does a position
-	// we do not recognize (a divergent tail kept across a failover).
-	// Either way the answer is the full checkpoint of the applied
-	// state plus the unapplied tail — never a suffix with a silent
-	// gap the caller would have to detect. applyMu (taken before mu,
-	// per the global order) freezes lastApplied so the serialized
-	// state and the tail describe one consistent cut.
-	n.applyMu.Lock()
-	defer n.applyMu.Unlock()
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.role != roleLeader {
-		return syncResp{}, fmt.Errorf("zab: node %d is not the leader", n.cfg.ID)
+	if body == nil {
+		return resp, nil
 	}
-	var snap bytes.Buffer
-	if err := n.sm.SnapshotTo(&snap); err != nil {
-		return syncResp{}, fmt.Errorf("zab: snapshot for sync: %w", err)
-	}
-	resp = syncResp{Commit: n.commitZxid, Epoch: n.epoch, LeaderID: n.cfg.ID}
-	resp.HasSnapshot = true
-	resp.SnapZxid = n.lastApplied
-	resp.Snapshot = snap.Bytes()
-	for _, e := range n.log {
-		if e.Zxid > n.lastApplied {
-			resp.Entries = append(resp.Entries, e)
-		}
+	defer body.Close()
+	var err error
+	if resp.Snapshot, err = io.ReadAll(body); err != nil {
+		return syncResp{}, fmt.Errorf("zab: reading the snapshot for sync: %w", err)
 	}
 	return resp, nil
 }
@@ -863,7 +837,10 @@ func (n *Node) nextWindowLocked(s *followerStream) (req proposeReq, w window, ok
 		req.PrevZxid, probe = n.lastZxidLocked(), true
 	case n.wantsFramesLocked(s):
 		req.PrevZxid = s.sent
-		req.Entries = n.entriesAfterLocked(s.sent, maxFramesPerSend-s.frames)
+		if i := n.indexAfterLocked(s.sent); i >= 0 {
+			end := min(len(n.log), i+maxFramesPerSend-s.frames)
+			req.Entries = n.log[i:end:end]
+		}
 		if len(req.Entries) == 0 {
 			// s.sent is not a position we can stream from (truncated
 			// away, or a divergent tail the follower kept across a
@@ -961,25 +938,18 @@ func (n *Node) foldWindow(gen uint64, s *followerStream, w window, resp proposeR
 	return apply
 }
 
-// entriesAfterLocked returns the run of at most limit log frames
-// following the given zxid, or nil (a position probe) when the position
-// is not a frame boundary we hold — the follower's own sync pull
-// repairs that.
-func (n *Node) entriesAfterLocked(base uint64, limit int) []Frame {
-	start := -1
-	if base == n.snapZxid {
-		start = 0
-	} else {
-		i := sort.Search(len(n.log), func(i int) bool { return n.log[i].Last() >= base })
-		if i < len(n.log) && n.log[i].Last() == base {
-			start = i + 1
-		}
+// indexAfterLocked returns the log index of the frame following zxid z,
+// or -1 when z is not a frame boundary this log holds — a stream window
+// then probes and a sync pull ships the snapshot.
+func (n *Node) indexAfterLocked(z uint64) int {
+	if z == n.snapZxid {
+		return 0
 	}
-	if start < 0 {
-		return nil
+	i := sort.Search(len(n.log), func(i int) bool { return n.log[i].Last() >= z })
+	if i < len(n.log) && n.log[i].Last() == z {
+		return i + 1
 	}
-	end := min(len(n.log), start+limit)
-	return n.log[start:end:end]
+	return -1
 }
 
 // sleepInterruptible sleeps for d unless the node stops first.

@@ -445,8 +445,8 @@ func TestFullRestartOnRetainedMemStorage(t *testing.T) {
 	}
 	waitConverged(t, e, ops, 1, 2, 3)
 	e.stopAll()
-	rc, _, ok := e.stores[leader.ID()].SnapshotStream()
-	if !ok {
+	rc, z, ok := e.stores[leader.ID()].SnapshotStream()
+	if !ok || z == 0 {
 		t.Fatalf("no snapshot was saved in %d writes; the restart would exercise log replay only", ops)
 	}
 	rc.Close()

@@ -118,6 +118,10 @@ const (
 	statusErr = 1
 )
 
+// replyOverhead is what a TCP reply frame adds to its payload: the call
+// ID, the status byte and the payload's length.
+const replyOverhead = 8 + 1 + 4
+
 // --- TCP implementation ---------------------------------------------
 
 // TCP is a Network over real sockets. The zero value is ready to use;
@@ -321,6 +325,11 @@ func (s *tcpServer) serveOne(cs *serverConn) {
 	s.handoff(cs)
 
 	resp, herr := s.handler.Handle(req)
+	if herr == nil && replyOverhead+len(resp) > wire.MaxFrameSize {
+		// The caller could never read it: tell it so instead of leaving
+		// it to its deadline.
+		herr = fmt.Errorf("transport: a reply of %d bytes exceeds the %d-byte frame limit", len(resp), wire.MaxFrameSize)
+	}
 	// Compose the whole reply — length header included, patched once
 	// the size is known — in a pooled scratch writer so the frame leaves
 	// in a single Write with no per-reply make.
@@ -336,9 +345,7 @@ func (s *tcpServer) serveOne(cs *serverConn) {
 	}
 	w.PatchUint32(0, uint32(w.Len()-4))
 	cs.wmu.Lock()
-	if w.Len()-4 <= wire.MaxFrameSize {
-		_, _ = cs.c.Write(w.Bytes())
-	}
+	_, _ = cs.c.Write(w.Bytes())
 	cs.wmu.Unlock()
 	wire.PutWriter(w)
 	// The reply (which may alias req) is on the wire; the request

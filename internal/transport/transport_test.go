@@ -375,6 +375,40 @@ func TestTCPPipelinedFramesAcrossReadBuffer(t *testing.T) {
 	}
 }
 
+// TestTCPOversizedReplyIsAnError: a reply over the frame limit can never
+// be read, so the server answers with an error that names its size, at
+// once, and the connection stays usable.
+func TestTCPOversizedReplyIsAnError(t *testing.T) {
+	big := make([]byte, wire.MaxFrameSize+1)
+	ln, err := TCP{}.Listen("127.0.0.1:0", HandlerFunc(func(req []byte) ([]byte, error) {
+		if string(req) == "big" {
+			return big, nil
+		}
+		return req, nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	c, err := TCP{}.Dial(ln.(interface{ Addr() net.Addr }).Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	select {
+	case res := <-CallAsync(c, []byte("big")):
+		var re *RemoteError
+		if !errors.As(res.Err, &re) || !strings.Contains(re.Msg, fmt.Sprint(len(big))) {
+			t.Fatalf("oversized reply: err = %v, want a RemoteError naming %d bytes", res.Err, len(big))
+		}
+	case <-time.After(time.Second):
+		t.Fatal("an oversized reply left the caller waiting")
+	}
+	if resp, err := c.Call([]byte("ping")); err != nil || string(resp) != "ping" {
+		t.Fatalf("after the oversized reply: %q, %v", resp, err)
+	}
+}
+
 // TestTCPCloseWaitsForHandlersAndLeavesNoGoroutines: Close returns only
 // once every in-flight handler has, and then no worker, reader or
 // accept loop of the server — nor any client reader — is left running.
