@@ -35,7 +35,6 @@ func (n *inode) isDir() bool { return n.mode&vfs.ModeDir != 0 }
 type FS struct {
 	mu   sync.RWMutex
 	root *inode
-	now  func() time.Time
 
 	files int64 // regular files + symlinks
 	dirs  int64 // directories, excluding root
@@ -51,18 +50,7 @@ func New() *FS {
 			ctime:    time.Now(),
 			mtime:    time.Now(),
 		},
-		now: time.Now,
 	}
-}
-
-// SetClock overrides the time source (tests).
-func (f *FS) SetClock(now func() time.Time) { f.now = now }
-
-// Counts returns the number of regular files/symlinks and directories.
-func (f *FS) Counts() (files, dirs int64) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.files, f.dirs
 }
 
 // lookup walks to the inode at a cleaned path. Caller holds f.mu.
@@ -118,7 +106,7 @@ func (f *FS) Mkdir(path string, perm uint32) error {
 	if _, dup := parent.children[name]; dup {
 		return vfs.ErrExist
 	}
-	now := f.now()
+	now := time.Now()
 	parent.children[name] = &inode{
 		mode:     vfs.ModeDir | (perm & vfs.PermMask),
 		children: make(map[string]*inode),
@@ -159,7 +147,7 @@ func (f *FS) Rmdir(path string) error {
 	}
 	delete(parent.children, name)
 	parent.nlink--
-	parent.mtime = f.now()
+	parent.mtime = time.Now()
 	f.dirs--
 	return nil
 }
@@ -195,7 +183,7 @@ func (h *handle) WriteAt(p []byte, off int64) (int, error) {
 		h.node.data = grown
 	}
 	copy(h.node.data[off:], p)
-	h.node.mtime = h.fs.now()
+	h.node.mtime = time.Now()
 	return len(p), nil
 }
 
@@ -217,7 +205,7 @@ func (f *FS) Create(path string, perm uint32) (vfs.Handle, error) {
 	if _, dup := parent.children[name]; dup {
 		return nil, vfs.ErrExist
 	}
-	now := f.now()
+	now := time.Now()
 	n := &inode{
 		mode:  vfs.ModeRegular | (perm & vfs.PermMask),
 		nlink: 1,
@@ -244,7 +232,7 @@ func (f *FS) Open(path string, flags int) (vfs.Handle, error) {
 		if perr != nil {
 			return nil, perr
 		}
-		now := f.now()
+		now := time.Now()
 		n = &inode{mode: vfs.ModeRegular | 0o644, nlink: 1, ctime: now, mtime: now}
 		parent.children[name] = n
 		parent.mtime = now
@@ -260,7 +248,7 @@ func (f *FS) Open(path string, flags int) (vfs.Handle, error) {
 	write := flags&(vfs.OpenWrite|vfs.OpenRDWR|vfs.OpenCreate|vfs.OpenTrunc) != 0
 	if flags&vfs.OpenTrunc != 0 {
 		n.data = nil
-		n.mtime = f.now()
+		n.mtime = time.Now()
 	}
 	return &handle{fs: f, node: n, write: write}, nil
 }
@@ -285,7 +273,7 @@ func (f *FS) Unlink(path string) error {
 		return vfs.ErrIsDir
 	}
 	delete(parent.children, name)
-	parent.mtime = f.now()
+	parent.mtime = time.Now()
 	f.files--
 	return nil
 }
@@ -397,7 +385,7 @@ func (f *FS) Rename(oldPath, newPath string) error {
 	}
 	delete(oparent.children, oname)
 	nparent.children[nname] = n
-	now := f.now()
+	now := time.Now()
 	oparent.mtime = now
 	nparent.mtime = now
 	if n.isDir() {
@@ -422,7 +410,7 @@ func (f *FS) Symlink(target, linkPath string) error {
 	if _, dup := parent.children[name]; dup {
 		return vfs.ErrExist
 	}
-	now := f.now()
+	now := time.Now()
 	parent.children[name] = &inode{
 		mode:   vfs.ModeSymlink | 0o777,
 		target: target,
@@ -482,7 +470,7 @@ func (f *FS) Truncate(path string, size int64) error {
 		copy(grown, n.data)
 		n.data = grown
 	}
-	n.mtime = f.now()
+	n.mtime = time.Now()
 	return nil
 }
 

@@ -244,9 +244,8 @@ func TestRenameOntoExisting(t *testing.T) {
 	if string(got) != "A" {
 		t.Fatalf("content = %q", got)
 	}
-	files, _ := fs.Counts()
-	if files != 1 {
-		t.Fatalf("files = %d, want 1", files)
+	if fs.files != 1 {
+		t.Fatalf("files = %d, want 1", fs.files)
 	}
 	// dir over non-empty dir fails
 	if err := fs.Mkdir("/d1", 0o755); err != nil {
@@ -350,16 +349,14 @@ func TestCountsTrackEverything(t *testing.T) {
 	if err := fs.Symlink("/x", "/d/l"); err != nil {
 		t.Fatal(err)
 	}
-	files, dirs := fs.Counts()
-	if files != 2 || dirs != 1 {
-		t.Fatalf("counts = %d files, %d dirs", files, dirs)
+	if fs.files != 2 || fs.dirs != 1 {
+		t.Fatalf("counts = %d files, %d dirs", fs.files, fs.dirs)
 	}
 	if err := fs.Unlink("/d/f"); err != nil {
 		t.Fatal(err)
 	}
-	files, _ = fs.Counts()
-	if files != 1 {
-		t.Fatalf("files after unlink = %d", files)
+	if fs.files != 1 {
+		t.Fatalf("files after unlink = %d", fs.files)
 	}
 }
 

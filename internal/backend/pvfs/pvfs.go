@@ -155,18 +155,6 @@ func (i *Instance) Stop() {
 	}
 }
 
-// BodyCounts returns the number of directory bodies per metadata
-// server, to verify hash partitioning spreads the namespace.
-func (i *Instance) BodyCounts() []int {
-	out := make([]int, len(i.meta))
-	for k, ms := range i.meta {
-		ms.mu.Lock()
-		out[k] = len(ms.bodies)
-		ms.mu.Unlock()
-	}
-	return out
-}
-
 // ownerOf maps a directory path to its metadata server index.
 func ownerOf(dirPath string, numMeta int) int {
 	h := fnv.New32a()

@@ -57,7 +57,12 @@ func TestDirectoryBodiesSpreadAcrossMetaServers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	counts := inst.BodyCounts()
+	counts := make([]int, len(inst.meta))
+	for k, ms := range inst.meta {
+		ms.mu.Lock()
+		counts[k] = len(ms.bodies)
+		ms.mu.Unlock()
+	}
 	total := 0
 	for idx, n := range counts {
 		total += n

@@ -465,7 +465,7 @@ func TestObserversBehindShardRouter(t *testing.T) {
 		reads++
 	}
 	if _, err := sess.Multi([]coord.Op{
-		coord.CheckOp("/dufs"+dirs[0]+"/f0", -1),
+		coord.CheckDataOp("/dufs"+dirs[0]+"/f0", -1, nil),
 		coord.CreateOp("/dufs"+dirs[0]+"/multi", nil, znode.ModePersistent),
 	}); err != nil {
 		t.Fatalf("multi through the router: %v", err)

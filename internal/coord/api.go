@@ -366,17 +366,12 @@ func CheckBatch(ops []Op) error {
 	return nil
 }
 
-// CheckOp guards the batch: it fails (aborting the whole transaction)
-// unless path exists and, when version != -1, its data version matches.
-func CheckOp(path string, version int32) Op {
-	return Op{Kind: OpCheck, Path: path, Version: version}
-}
-
-// CheckDataOp is CheckOp that also requires the node's data to begin
-// with prefix; a mismatch fails with ErrBadVersion, "not the node you
-// expect". Its OpResult carries the node's stat and data whether the
-// guard held or not, so one round trip both asserts what a node is and
-// reports what it was.
+// CheckDataOp guards the batch: it fails (aborting the whole
+// transaction) unless path exists, its data version matches when
+// version != -1, and its data begins with prefix; a mismatch fails
+// with ErrBadVersion, "not the node you expect". Its OpResult carries
+// the node's stat and data whether the guard held or not, so one round
+// trip both asserts what a node is and reports what it was.
 func CheckDataOp(path string, version int32, prefix []byte) Op {
 	return Op{Kind: OpCheck, Path: path, Data: prefix, Version: version}
 }

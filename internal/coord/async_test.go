@@ -300,7 +300,7 @@ func TestAsyncOrderIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Check-op through the async layer.
-	if _, err := s.Begin(ctx, CheckOp("/chain/kid", 0)).Result(); err != nil {
+	if _, err := s.Begin(ctx, CheckDataOp("/chain/kid", 0, nil)).Result(); err != nil {
 		t.Fatalf("async check: %v", err)
 	}
 	// Sync barrier through the async layer.

@@ -614,8 +614,8 @@ func decodeEntries(r *wire.Reader) ([]ChildEntry, error) {
 func (s *Session) Atomic(paths ...string) bool { return true }
 
 // PollEvents drains the session's fired watches on its server without
-// blocking — the pull beside WaitEvents, for tools and tests; it is not
-// part of Client. Watches are one-shot and server-local, as in
+// blocking — the pull beside WaitEvents, kept because the benchmark's
+// trace test calls it; it is not part of Client. Watches are one-shot and server-local, as in
 // ZooKeeper.
 func (s *Session) PollEvents() ([]Event, error) {
 	w := wire.GetWriter()

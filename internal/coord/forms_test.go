@@ -147,7 +147,7 @@ func testFormsOverFake(t *testing.T) {
 	}
 	c := coord.Wrap(fake)
 	ctx := context.WithValue(context.Background(), ctxKey{}, "mine")
-	batch := []coord.Op{coord.CheckOp("/p", 1), coord.DeleteOp("/p", 1)}
+	batch := []coord.Op{coord.CheckDataOp("/p", 1, nil), coord.DeleteOp("/p", 1)}
 	res := fake.res
 
 	// Each call returns what the form returned, error last.
@@ -283,7 +283,7 @@ func testFormsBehaviour(t *testing.T, c coord.Client, rec *recorder) {
 		}
 		rec.one(t, "ChildrenData", coord.Op{Kind: coord.OpChildrenData, Path: "/cf"})
 	}
-	batch := []coord.Op{coord.CheckOp("/cf/a", 1), coord.CreateOp("/cf/c", nil, znode.ModePersistent), coord.SetOp("/cf/a", []byte("v2"), 1)}
+	batch := []coord.Op{coord.CheckDataOp("/cf/a", 1, nil), coord.CreateOp("/cf/c", nil, znode.ModePersistent), coord.SetOp("/cf/a", []byte("v2"), 1)}
 	results, err := c.MultiCtx(ctx, batch)
 	if err != nil || len(results) != 3 || results[1].Created != "/cf/c" || results[2].Stat.Version != 2 {
 		t.Fatalf("MultiCtx = %+v, %v", results, err)
@@ -349,15 +349,15 @@ func testFormsBehaviour(t *testing.T, c coord.Client, rec *recorder) {
 	if err := c.DeleteCtx(ctx, "/cf/a", 7); !errors.Is(err, coord.ErrBadVersion) {
 		t.Fatalf("DeleteCtx(stale version) = %v", err)
 	}
-	if err := c.Begin(ctx, coord.CheckOp("/cf/a", 7)).Err(); !errors.Is(err, coord.ErrBadVersion) {
+	if err := c.Begin(ctx, coord.CheckDataOp("/cf/a", 7, nil)).Err(); !errors.Is(err, coord.ErrBadVersion) {
 		t.Fatalf("Begin(check stale version) = %v", err)
 	}
-	must(c.Begin(ctx, coord.CheckOp("/cf/a", 2)).Err())
+	must(c.Begin(ctx, coord.CheckDataOp("/cf/a", 2, nil)).Err())
 	rec.take()
 
 	// An aborted batch is both its per-op outcomes and the failing op's
 	// error, in the blocking and the asynchronous form; nothing applied.
-	doomed := []coord.Op{coord.CreateOp("/cf/x", nil, znode.ModePersistent), coord.CheckOp("/cf/a", 7), coord.DeleteOp("/cf/a", -1)}
+	doomed := []coord.Op{coord.CreateOp("/cf/x", nil, znode.ModePersistent), coord.CheckDataOp("/cf/a", 7, nil), coord.DeleteOp("/cf/a", -1)}
 	for _, run := range []func() ([]coord.OpResult, error){
 		func() ([]coord.OpResult, error) { return c.MultiCtx(ctx, doomed) },
 		func() ([]coord.OpResult, error) { return c.BeginMulti(ctx, doomed).Results() },

@@ -97,7 +97,7 @@ func writeRequests(session uint64) map[string][]byte {
 		"create":     encodeCreateTxn("/d/c", []byte("v"), znode.ModeSequential, session, 1001, 1),
 		"set":        encodeSetTxn("/d/a", []byte("w"), -1, session, 1002, 2),
 		"delete":     txn(opDelete, 1003, func(w *wire.Writer) { w.String("/d/b"); w.Int32(-1) }),
-		"multi":      encodeMultiTxn([]Op{CheckOp("/d", -1), CreateOp("/d/m", nil, znode.ModePersistent)}, session, 1004, 3),
+		"multi":      encodeMultiTxn([]Op{CheckDataOp("/d", -1, nil), CreateOp("/d/m", nil, znode.ModePersistent)}, session, 1004, 3),
 		"newSession": encodeNewSessionTxn(),
 		"fence":      txn(opFenceRange, 1006, func(w *wire.Writer) { rng(w); w.Uint32(1); w.Uint64(9) }),
 		"unfence":    txn(opUnfenceRange, 1007, rng),
@@ -290,7 +290,7 @@ func FuzzDecodeReply(f *testing.F) {
 	missing.String("/nowhere")
 	add(map[string][]byte{
 		"an error reply":   missing.Bytes(),
-		"an aborted batch": encodeMultiTxn([]Op{CheckOp("/nowhere", -1)}, s.ID(), 2001, 1),
+		"an aborted batch": encodeMultiTxn([]Op{CheckDataOp("/nowhere", -1, nil)}, s.ID(), 2001, 1),
 		// Check results carry the node's data, held guard or failed.
 		"a held guard":   encodeMultiTxn([]Op{CheckDataOp("/d", -1, []byte("v")), SetOp("/d/a", []byte("x"), -1)}, s.ID(), 2002, 2),
 		"a failed guard": encodeMultiTxn([]Op{CheckDataOp("/d", -1, []byte("nope")), DeleteOp("/d/a", -1)}, s.ID(), 2003, 3),

@@ -68,7 +68,7 @@ func TestMultiAllOrNothing(t *testing.T) {
 	results, err := s.Multi([]Op{
 		CreateOp("/dir/x", []byte("x"), znode.ModePersistent),
 		SetOp("/guard", []byte("v1"), 0),
-		CheckOp("/guard", 7), // wrong version: aborts the batch
+		CheckDataOp("/guard", 7, nil), // wrong version: aborts the batch
 		DeleteOp("/dir", -1),
 	})
 	if !errors.Is(err, ErrBadVersion) {
@@ -122,7 +122,7 @@ func TestMultiRollbackRestoresSequentialCounter(t *testing.T) {
 	}
 	_, err := s.Multi([]Op{
 		CreateOp("/d/s-", nil, znode.ModeSequential),
-		CheckOp("/absent", -1),
+		CheckDataOp("/absent", -1, nil),
 	})
 	if !errors.Is(err, ErrNoNode) {
 		t.Fatalf("multi err = %v, want ErrNoNode", err)
@@ -333,7 +333,7 @@ func TestMultiFiresWatches(t *testing.T) {
 	// Aborted batch: no events.
 	if _, err := s.Multi([]Op{
 		CreateOp("/w/kid", nil, znode.ModePersistent),
-		CheckOp("/absent", -1),
+		CheckDataOp("/absent", -1, nil),
 	}); !errors.Is(err, ErrNoNode) {
 		t.Fatalf("aborted multi err = %v", err)
 	}
@@ -437,7 +437,7 @@ func TestGuardedCheckOverTheWire(t *testing.T) {
 
 	// Old transactions carried no data on a check: an empty guard
 	// matches any node, so they replay as the unguarded checks they were.
-	if _, err := s.Multi([]Op{CheckOp("/g", -1)}); err != nil {
+	if _, err := s.Multi([]Op{CheckDataOp("/g", -1, nil)}); err != nil {
 		t.Fatalf("unguarded check: %v", err)
 	}
 }

@@ -86,14 +86,14 @@ func TestRouterChasesMovedPartition(t *testing.T) {
 
 	// The router has not been told anything: its first write into the
 	// moved range must chase the redirect and succeed.
-	if r.PlacementEpoch() != 0 {
-		t.Fatalf("router epoch = %d before any op", r.PlacementEpoch())
+	if r.PlacementTable().Epoch() != 0 {
+		t.Fatalf("router epoch = %d before any op", r.PlacementTable().Epoch())
 	}
 	if _, err := r.Create("/mig/b", []byte("new"), znode.ModePersistent); err != nil {
 		t.Fatalf("create into moved range: %v", err)
 	}
-	if r.PlacementEpoch() != epoch {
-		t.Fatalf("router epoch = %d after chase, want %d", r.PlacementEpoch(), epoch)
+	if r.PlacementTable().Epoch() != epoch {
+		t.Fatalf("router epoch = %d after chase, want %d", r.PlacementTable().Epoch(), epoch)
 	}
 	// One hop: the refreshed table routes the range to dest directly.
 	if got := r.ShardFor("/mig/b"); got != dest {

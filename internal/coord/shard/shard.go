@@ -13,10 +13,11 @@
 // # Routing rule
 //
 // A znode lives on the shard selected by consistent-hashing its
-// PARENT-DIRECTORY path on a placement.Ring (the same vnode ring used
-// for FID→back-end placement, §IV-F/§VII):
+// PARENT-DIRECTORY path on the router's placement.Table (the same vnode
+// ring used for FID→back-end placement, §IV-F/§VII, plus the ranges
+// migrations pinned elsewhere):
 //
-//	shard(p) = ring.LocateKey(parent(p))
+//	shard(p) = table.Locate(parent(p))
 //
 // Hashing the parent rather than the path itself means every child of
 // one directory lands on the same shard, so Children and sequential
@@ -153,10 +154,6 @@ func (r *Router) shardForChildren(path string) int {
 func (r *Router) owner(path string) coord.Client {
 	return r.sessions[r.ShardFor(path)]
 }
-
-// PlacementEpoch returns the epoch of the placement table the router
-// is currently routing with.
-func (r *Router) PlacementEpoch() uint64 { return r.table.Load().Epoch() }
 
 // PlacementTable returns the router's current placement table (tables
 // are immutable, so sharing the pointer is safe).

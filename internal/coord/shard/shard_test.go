@@ -368,7 +368,7 @@ func TestRouterMultiSingleShardAtomic(t *testing.T) {
 	}
 	results, err := r.Multi([]coord.Op{
 		coord.CreateOp("/app/a", nil, znode.ModePersistent),
-		coord.CheckOp("/app/absent", -1),
+		coord.CheckDataOp("/app/absent", -1, nil),
 		coord.CreateOp("/app/b", nil, znode.ModePersistent),
 	})
 	if !errors.Is(err, coord.ErrNoNode) {
@@ -400,7 +400,7 @@ func TestRouterMultiCrossShardSplit(t *testing.T) {
 	// Shard(a)'s sub-batch commits; shard(b)'s aborts on a bad check.
 	results, err := r.Multi([]coord.Op{
 		coord.CreateOp(a+"/ok", []byte("x"), znode.ModePersistent),
-		coord.CheckOp(b+"/absent", -1),
+		coord.CheckDataOp(b+"/absent", -1, nil),
 		coord.CreateOp(b+"/never", nil, znode.ModePersistent),
 		coord.CreateOp(a+"/ok2", nil, znode.ModePersistent),
 	})
@@ -664,7 +664,7 @@ func TestRouterAsyncBeginRoutes(t *testing.T) {
 	if _, err := r.Begin(ctx, coord.SetOp("/ab/f0", []byte("y"), -1)).Result(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Begin(ctx, coord.CheckOp("/ab/f0", -1)).Result(); err != nil {
+	if _, err := r.Begin(ctx, coord.CheckDataOp("/ab/f0", -1, nil)).Result(); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Begin(ctx, coord.DeleteOp("/ab/f1", -1)).Err(); err != nil {

@@ -130,12 +130,8 @@ func newStateMachine() *stateMachine {
 // Session 0 / seq 0 marks an undeduplicated transaction (session
 // establishment happens before the client has an identity).
 // The transaction appenders below write into a caller-supplied Writer:
-// the client encodes requests into pooled scratch writers (the server
-// copies before any retention — see Propose), while the encode*Txn
-// wrappers keep an owned-buffer form for callers whose bytes ARE
-// retained — the replication log, the WAL, the dedup window, replay
-// in tests. Owned buffers can never come from a pool; a fresh buffer
-// per transaction is the correct lifetime there.
+// the client encodes requests into pooled scratch writers, and the
+// server copies before any retention (see Propose).
 func appendCreateTxn(w *wire.Writer, path string, data []byte, mode znode.CreateMode, session, seq uint64, nowNano int64) {
 	w.Grow(48 + len(path) + len(data))
 	w.Uint8(opCreate)
@@ -145,12 +141,6 @@ func appendCreateTxn(w *wire.Writer, path string, data []byte, mode znode.Create
 	w.Bytes32(data)
 	w.Uint8(uint8(mode))
 	w.Int64(nowNano)
-}
-
-func encodeCreateTxn(path string, data []byte, mode znode.CreateMode, session, seq uint64, nowNano int64) []byte {
-	var w wire.Writer
-	appendCreateTxn(&w, path, data, mode, session, seq, nowNano)
-	return w.Bytes()
 }
 
 func appendDeleteTxn(w *wire.Writer, path string, version int32, session, seq uint64) {
@@ -173,12 +163,6 @@ func appendSetTxn(w *wire.Writer, path string, data []byte, version int32, sessi
 	w.Int64(nowNano)
 }
 
-func encodeSetTxn(path string, data []byte, version int32, session, seq uint64, nowNano int64) []byte {
-	var w wire.Writer
-	appendSetTxn(&w, path, data, version, session, seq, nowNano)
-	return w.Bytes()
-}
-
 func appendMultiTxn(w *wire.Writer, ops []Op, session, seq uint64, nowNano int64) {
 	size := 32
 	for _, op := range ops {
@@ -190,12 +174,6 @@ func appendMultiTxn(w *wire.Writer, ops []Op, session, seq uint64, nowNano int64
 	w.Uint64(seq)
 	w.Int64(nowNano)
 	encodeOps(w, ops)
-}
-
-func encodeMultiTxn(ops []Op, session, seq uint64, nowNano int64) []byte {
-	var w wire.Writer
-	appendMultiTxn(&w, ops, session, seq, nowNano)
-	return w.Bytes()
 }
 
 func appendCloseSessionTxn(w *wire.Writer, session, seq uint64) {

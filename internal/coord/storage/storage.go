@@ -954,14 +954,6 @@ func (e *Engine) Segments() int {
 	return len(e.segs)
 }
 
-// SnapshotZxid reports the coverage of the newest durable snapshot
-// (0 when none exists).
-func (e *Engine) SnapshotZxid() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.snapZxid
-}
-
 // FsyncBatchTxns reports the mean transactions hardened per fsync —
 // the group-commit amortization factor — and the fsync count.
 func (e *Engine) FsyncBatchTxns() (mean float64, count int64) {

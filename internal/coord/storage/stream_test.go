@@ -135,7 +135,7 @@ func TestInstallSnapshotFromBoundedMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	e2 := openT(t, e.opt.Dir, func(o *Options) { o.SnapChunkSize = chunk })
-	if got := e2.SnapshotZxid(); got != 99 {
+	if got := e2.snapZxid; got != 99 {
 		t.Fatalf("recovered snapshot zxid = %d, want 99", got)
 	}
 	if got := e2.LastDurableZxid(); got != 99 {

@@ -21,12 +21,13 @@ import (
 // request/response, so the client keeps one long-poll request PARKED
 // on its server and the server releases it the moment a watch fires —
 // event latency is one transit, not a poll interval, and an idle
-// session costs nothing. The pull API (Session.PollEvents) remains for
-// tools and tests. The paper's DUFS uses only the synchronous API;
-// watches are provided as the natural extension for client-side
-// metadata caching (the FUSE entry-cache invalidation the paper leaves
-// to future work), and Fletch's measurements argue delivery latency is
-// the limiting factor for such caches — hence the parked delivery.
+// session costs nothing. The pull (Session.PollEvents) remains only
+// because the benchmark's trace test calls it. The paper's DUFS uses
+// only the synchronous API; watches are provided as the natural
+// extension for client-side metadata caching (the FUSE entry-cache
+// invalidation the paper leaves to future work), and Fletch's
+// measurements argue delivery latency is the limiting factor for such
+// caches — hence the parked delivery.
 
 // EventType classifies a fired watch: what happened to the watched
 // znode (or, for child watches, to its child list).

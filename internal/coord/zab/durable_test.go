@@ -355,8 +355,16 @@ func TestDurableSnapshotReclaimsWAL(t *testing.T) {
 	for i := 0; i < ops; i++ {
 		e.mustPropose(fmt.Sprintf("t-%d", i))
 	}
+	snapZxid := func() uint64 {
+		rc, zxid, ok := e.engines[1].SnapshotStream()
+		if !ok {
+			return 0
+		}
+		rc.Close()
+		return zxid
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for e.engines[1].SnapshotZxid() == 0 {
+	for snapZxid() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("no durable fuzzy snapshot after %d writes (segments=%d)", ops, e.engines[1].Segments())
 		}

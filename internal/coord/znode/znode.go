@@ -812,9 +812,6 @@ func (t *Tree) ExpireSession(session, zxid uint64) []string {
 // Count returns the number of znodes, excluding the root.
 func (t *Tree) Count() int64 { return t.nodes.Load() }
 
-// DataBytes returns the total size of all data fields.
-func (t *Tree) DataBytes() int64 { return t.dataBytes.Load() }
-
 // WalkEntry is one node visited by Walk/Snapshot.
 type WalkEntry struct {
 	Path string

@@ -215,7 +215,7 @@ func TestWalkRestoreRoundTrip(t *testing.T) {
 	if tr.Fingerprint() != restored.Fingerprint() {
 		t.Fatal("fingerprints differ after walk/restore round trip")
 	}
-	if tr.Count() != restored.Count() || tr.DataBytes() != restored.DataBytes() {
+	if tr.Count() != restored.Count() || tr.dataBytes.Load() != restored.dataBytes.Load() {
 		t.Fatal("counters differ after restore")
 	}
 	// Sequence counters must survive so post-restore sequential names
@@ -284,20 +284,20 @@ func TestConcurrentReadsDuringWrites(t *testing.T) {
 func TestDataBytesAccounting(t *testing.T) {
 	tr := New()
 	mustCreate(t, tr, "/a", []byte("12345"))
-	if tr.DataBytes() != 5 {
-		t.Fatalf("DataBytes = %d, want 5", tr.DataBytes())
+	if tr.dataBytes.Load() != 5 {
+		t.Fatalf("DataBytes = %d, want 5", tr.dataBytes.Load())
 	}
 	if _, err := tr.Set("/a", []byte("12"), -1, 2, 2); err != nil {
 		t.Fatal(err)
 	}
-	if tr.DataBytes() != 2 {
-		t.Fatalf("DataBytes after set = %d, want 2", tr.DataBytes())
+	if tr.dataBytes.Load() != 2 {
+		t.Fatalf("DataBytes after set = %d, want 2", tr.dataBytes.Load())
 	}
 	if err := tr.Delete("/a", -1, 3); err != nil {
 		t.Fatal(err)
 	}
-	if tr.DataBytes() != 0 {
-		t.Fatalf("DataBytes after delete = %d, want 0", tr.DataBytes())
+	if tr.dataBytes.Load() != 0 {
+		t.Fatalf("DataBytes after delete = %d, want 0", tr.dataBytes.Load())
 	}
 }
 
@@ -391,7 +391,7 @@ func TestMultiGuardMismatchRollsBackWhole(t *testing.T) {
 	mustCreate(t, tr, "/d", []byte("dir"))
 	mustCreate(t, tr, "/d/f", []byte("file:0001"))
 	mustCreate(t, tr, "/d/g", []byte("gone?"))
-	fpBefore, countBefore, bytesBefore := tr.Fingerprint(), tr.Count(), tr.DataBytes()
+	fpBefore, countBefore, bytesBefore := tr.Fingerprint(), tr.Count(), tr.dataBytes.Load()
 	_, fStat, _ := tr.Get("/d/f")
 
 	results, committed := tr.Multi([]MultiOp{
@@ -417,7 +417,7 @@ func TestMultiGuardMismatchRollsBackWhole(t *testing.T) {
 			t.Fatalf("op %d = %+v, want a bare ErrRolledBack", i, r)
 		}
 	}
-	if tr.Fingerprint() != fpBefore || tr.Count() != countBefore || tr.DataBytes() != bytesBefore {
+	if tr.Fingerprint() != fpBefore || tr.Count() != countBefore || tr.dataBytes.Load() != bytesBefore {
 		t.Fatal("the aborted batch left the tree changed")
 	}
 	if data, stat, err := tr.Get("/d/f"); err != nil || string(data) != "file:0001" || stat != fStat {

@@ -338,11 +338,7 @@ func assertNamesMatchBodies(t *testing.T, env *testEnv, d *DUFS) {
 		return files
 	}
 	names := walk("/")
-	var bodies int64
-	for _, m := range env.mems {
-		files, _ := m.Counts()
-		bodies += files
-	}
+	bodies := physCount(t, env)
 	if bodies != names {
 		t.Fatalf("%d bodies on the back-ends for %d file names: %d orphaned", bodies, names, bodies-names)
 	}

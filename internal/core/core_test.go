@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"path"
 	"sync"
 	"testing"
 	"time"
@@ -104,7 +105,7 @@ func TestDirectoryOpsNeverTouchBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range env.mems {
-		files, dirs := m.Counts()
+		files, dirs := backendCounts(t, m)
 		if files != 0 || dirs != 0 {
 			t.Fatalf("back-end touched by directory ops: %d files, %d dirs", files, dirs)
 		}
@@ -124,7 +125,7 @@ func TestFilesLandOnMappedBackend(t *testing.T) {
 	// spread over four back-ends must touch all of them (MD5 balance).
 	total := int64(0)
 	for idx, m := range env.mems {
-		files, _ := m.Counts()
+		files, _ := backendCounts(t, m)
 		total += files
 		if files == 0 {
 			t.Fatalf("back-end %d received no files", idx)
@@ -164,11 +165,11 @@ func TestRenameFileKeepsPhysicalData(t *testing.T) {
 	if err := vfs.WriteFile(d, "/old", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	before := physCount(env)
+	before := physCount(t, env)
 	if err := d.Rename("/old", "/new"); err != nil {
 		t.Fatal(err)
 	}
-	if got := physCount(env); got != before {
+	if got := physCount(t, env); got != before {
 		t.Fatalf("physical file count changed on rename: %d -> %d", before, got)
 	}
 	got, err := vfs.ReadFile(d, "/new")
@@ -177,13 +178,38 @@ func TestRenameFileKeepsPhysicalData(t *testing.T) {
 	}
 }
 
-func physCount(env *testEnv) int64 {
+// physCount is the number of file bodies on all back-ends.
+func physCount(t *testing.T, env *testEnv) int64 {
+	t.Helper()
 	var total int64
 	for _, m := range env.mems {
-		files, _ := m.Counts()
+		files, _ := backendCounts(t, m)
 		total += files
 	}
 	return total
+}
+
+// backendCounts walks a back-end and counts its files (symlinks
+// included) and its directories other than the root.
+func backendCounts(t *testing.T, fs vfs.FileSystem) (files, dirs int64) {
+	t.Helper()
+	var walk func(dir string)
+	walk = func(dir string) {
+		entries, err := fs.Readdir(dir)
+		if err != nil {
+			t.Fatalf("Readdir(%s): %v", dir, err)
+		}
+		for _, e := range entries {
+			if !e.IsDir {
+				files++
+				continue
+			}
+			dirs++
+			walk(path.Join(dir, e.Name))
+		}
+	}
+	walk("/")
+	return files, dirs
 }
 
 func TestRenameDirectorySubtree(t *testing.T) {
@@ -263,7 +289,7 @@ func TestConcurrentClientsUniquePhysicalFiles(t *testing.T) {
 		}(i, d)
 	}
 	wg.Wait()
-	if got := physCount(env); got != clients*perClient {
+	if got := physCount(t, env); got != clients*perClient {
 		t.Fatalf("physical files = %d, want %d", got, clients*perClient)
 	}
 	// Spot-check content integrity through a different client.
@@ -294,7 +320,7 @@ func TestDeleteThenRecreateGetsNewFID(t *testing.T) {
 	if err != nil || string(got) != "second" {
 		t.Fatalf("content = %q, %v", got, err)
 	}
-	if got := physCount(env); got != 1 {
+	if got := physCount(t, env); got != 1 {
 		t.Fatalf("stale physical file left behind: %d", got)
 	}
 }

@@ -53,14 +53,6 @@ func (f FID) Bytes() [16]byte {
 	return b
 }
 
-// FromBytes decodes a big-endian 16-byte encoding.
-func FromBytes(b [16]byte) FID {
-	return FID{
-		Hi: binary.BigEndian.Uint64(b[0:8]),
-		Lo: binary.BigEndian.Uint64(b[8:16]),
-	}
-}
-
 // Parse decodes the canonical 32-hex-digit representation.
 func Parse(s string) (FID, error) {
 	if len(s) != 32 {
@@ -103,22 +95,6 @@ func (f FID) PhysicalDirs() []string {
 		return nil
 	}
 	return strings.Split(p[:i], "/")
-}
-
-// ParsePhysicalPath inverts PhysicalPath.
-func ParsePhysicalPath(p string) (FID, error) {
-	parts := strings.Split(p, "/")
-	if len(parts) != 32/componentLen {
-		return Zero, errors.New("fid: physical path has wrong number of components")
-	}
-	var sb strings.Builder
-	for i := len(parts) - 1; i >= 0; i-- {
-		if len(parts[i]) != componentLen {
-			return Zero, fmt.Errorf("fid: bad component %q", parts[i])
-		}
-		sb.WriteString(parts[i])
-	}
-	return Parse(sb.String())
 }
 
 // Generator mints FIDs for one DUFS client instance without any

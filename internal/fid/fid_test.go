@@ -1,6 +1,7 @@
 package fid
 
 import (
+	"encoding/binary"
 	"strings"
 	"sync"
 	"testing"
@@ -34,7 +35,8 @@ func TestParseRejectsBadInput(t *testing.T) {
 func TestBytesRoundTrip(t *testing.T) {
 	if err := quick.Check(func(hi, lo uint64) bool {
 		f := FID{Hi: hi, Lo: lo}
-		return FromBytes(f.Bytes()) == f
+		b := f.Bytes()
+		return binary.BigEndian.Uint64(b[:8]) == hi && binary.BigEndian.Uint64(b[8:]) == lo
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +59,13 @@ func TestPhysicalPathPaperExample(t *testing.T) {
 func TestPhysicalPathRoundTrip(t *testing.T) {
 	if err := quick.Check(func(hi, lo uint64) bool {
 		f := FID{Hi: hi, Lo: lo}
-		got, err := ParsePhysicalPath(f.PhysicalPath())
-		return err == nil && got == f
+		// The components are the hex groups, least significant first.
+		parts := strings.Split(f.PhysicalPath(), "/")
+		for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
+			parts[i], parts[j] = parts[j], parts[i]
+		}
+		got, err := Parse(strings.Join(parts, ""))
+		return len(parts) == 32/componentLen && err == nil && got == f
 	}, nil); err != nil {
 		t.Fatal(err)
 	}

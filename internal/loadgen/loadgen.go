@@ -156,24 +156,6 @@ func (a Arrival) gap(rng *rand.Rand, rate float64) time.Duration {
 	}
 }
 
-// Schedule materializes the arrival offsets the generator would use
-// for (arrival, rate, duration, seed) — the pure schedule, exposed so
-// tests can assert rate accuracy against virtual time and so the
-// simulator can replay a harness run's exact arrival process
-// (sim.OpenLoop).
-func Schedule(arrival Arrival, rate float64, duration time.Duration, seed int64) []time.Duration {
-	rng := rand.New(rand.NewSource(seed))
-	var out []time.Duration
-	var at time.Duration
-	for {
-		at += arrival.gap(rng, rate)
-		if at > duration {
-			return out
-		}
-		out = append(out, at)
-	}
-}
-
 // Clock abstracts the generator's time source so tests can drive the
 // dispatch loop in virtual time. The dispatcher is the only After
 // caller; Now may be called from many completion goroutines.
@@ -522,9 +504,9 @@ func Run(ctx context.Context, cfg Config, targets []Target) (*Result, error) {
 	}
 	r := newRunner(cfg)
 	// Two independent streams: the arrival process must consume
-	// randomness at a fixed rate so the realized schedule is exactly
-	// Schedule(arrival, rate, duration, seed) no matter how many draws
-	// op generation makes.
+	// randomness at a fixed rate so the realized schedule is a function
+	// of (arrival, rate, duration, seed) alone, however many draws op
+	// generation makes.
 	arrRng := rand.New(rand.NewSource(cfg.Seed))
 	opRng := rand.New(rand.NewSource(cfg.Seed ^ 0x6c076f6c6f616421)) // "!daol-ol" — any fixed tweak
 	start := r.clock.Now()

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,21 @@ import (
 	"repro/internal/coord"
 	"repro/internal/transport"
 )
+
+// schedule is the arrival offsets Run uses for (arrival, rate,
+// duration, seed).
+func schedule(arrival Arrival, rate float64, duration time.Duration, seed int64) []time.Duration {
+	rng := rand.New(rand.NewSource(seed))
+	var out []time.Duration
+	var at time.Duration
+	for {
+		at += arrival.gap(rng, rate)
+		if at > duration {
+			return out
+		}
+		out = append(out, at)
+	}
+}
 
 // fakeClock drives the dispatch loop in virtual time: After advances
 // the clock immediately, so a multi-second run executes in
@@ -336,7 +352,7 @@ func TestOpenVsClosedLoopDivergeUnderStall(t *testing.T) {
 		t.Fatalf("closed loop submitted %d vs open %d: expected it to shed offered load during the stall", closed.Submitted, open.Submitted)
 	}
 	// The open loop must offer (submit) everything in the schedule.
-	scheduled := int64(len(Schedule(cfg.Arrival, cfg.Rate, cfg.Duration, cfg.Seed)))
+	scheduled := int64(len(schedule(cfg.Arrival, cfg.Rate, cfg.Duration, cfg.Seed)))
 	if open.Submitted != scheduled {
 		t.Fatalf("open loop submitted %d of %d scheduled arrivals", open.Submitted, scheduled)
 	}

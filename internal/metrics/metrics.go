@@ -9,7 +9,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,9 +43,6 @@ func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Inc adds one to the gauge.
 func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec subtracts one from the gauge.
-func (g *Gauge) Dec() { g.v.Add(-1) }
 
 // Add adds delta (positive or negative) to the gauge.
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
@@ -191,10 +187,6 @@ func (d *Distribution) Quantile(q float64) int64 {
 // nBuckets covers 1ns..~9.2s with 64 powers-of-two-ish buckets.
 const nBuckets = 64
 
-// bucketFor is valueBucketFor in duration clothing, kept for the
-// duration-facing tests and any future duration-specific bucketing.
-func bucketFor(d time.Duration) int { return valueBucketFor(int64(d)) }
-
 func leadingZeros64(x uint64) int {
 	n := 0
 	if x == 0 {
@@ -334,41 +326,4 @@ func (r *Registry) Distribution(name string) *Distribution {
 		r.distributions[name] = d
 	}
 	return d
-}
-
-// CounterNames returns the sorted names of all registered counters.
-func (r *Registry) CounterNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// GaugeNames returns the sorted names of all registered gauges.
-func (r *Registry) GaugeNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.gauges))
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// DistributionNames returns the sorted names of all registered
-// distributions.
-func (r *Registry) DistributionNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.distributions))
-	for n := range r.distributions {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

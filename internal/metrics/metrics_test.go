@@ -100,9 +100,8 @@ func TestRegistry(t *testing.T) {
 	if got := r.Counter("a").Value(); got != 2 {
 		t.Fatalf("counter a = %d, want 2", got)
 	}
-	names := r.CounterNames()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("CounterNames() = %v, want [a b]", names)
+	if len(r.counters) != 2 || r.counters["a"] == nil || r.counters["b"] == nil {
+		t.Fatalf("counters = %v, want a and b", r.counters)
 	}
 	h := r.Histogram("lat")
 	h.Observe(time.Millisecond)
@@ -112,14 +111,14 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestBucketForEdges(t *testing.T) {
-	if bucketFor(0) != 0 {
-		t.Fatal("bucketFor(0) != 0")
+	if valueBucketFor(0) != 0 {
+		t.Fatal("valueBucketFor(0) != 0")
 	}
-	if bucketFor(-time.Second) != 0 {
-		t.Fatal("bucketFor(negative) != 0")
+	if valueBucketFor(int64(-time.Second)) != 0 {
+		t.Fatal("valueBucketFor(negative) != 0")
 	}
-	if b := bucketFor(time.Duration(1) << 62); b >= nBuckets {
-		t.Fatalf("bucketFor overflow bucket = %d", b)
+	if b := valueBucketFor(1 << 62); b >= nBuckets {
+		t.Fatalf("valueBucketFor overflow bucket = %d", b)
 	}
 }
 
@@ -128,7 +127,7 @@ func TestGaugeMovesBothWays(t *testing.T) {
 	g.Set(5)
 	g.Inc()
 	g.Add(4)
-	g.Dec()
+	g.Add(-1)
 	if got := g.Value(); got != 9 {
 		t.Fatalf("gauge = %d, want 9", got)
 	}
@@ -147,7 +146,7 @@ func TestGaugeConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				g.Inc()
-				g.Dec()
+				g.Add(-1)
 			}
 		}()
 	}
@@ -287,10 +286,10 @@ func TestRegistryGaugesAndDistributions(t *testing.T) {
 	if r.Distribution("batch").Count() != 1 {
 		t.Fatal("distribution not shared across lookups")
 	}
-	if names := r.GaugeNames(); len(names) != 1 || names[0] != "queue" {
-		t.Fatalf("GaugeNames() = %v", names)
+	if len(r.gauges) != 1 || r.gauges["queue"] == nil {
+		t.Fatalf("gauges = %v", r.gauges)
 	}
-	if names := r.DistributionNames(); len(names) != 1 || names[0] != "batch" {
-		t.Fatalf("DistributionNames() = %v", names)
+	if len(r.distributions) != 1 || r.distributions["batch"] == nil {
+		t.Fatalf("distributions = %v", r.distributions)
 	}
 }

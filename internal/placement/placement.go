@@ -150,15 +150,6 @@ func (r *Ring) Locate(f fid.FID) int {
 	return r.owner(digest(f))
 }
 
-// LocateKey maps an arbitrary string key onto the ring with the same
-// virtual-node walk as Locate. The coordination-shard router uses it
-// to place znode paths: hashing a file's parent-directory path sends
-// every child of one directory to the same shard.
-func (r *Ring) LocateKey(key string) int {
-	sum := md5.Sum([]byte(key))
-	return r.owner(binary.BigEndian.Uint64(sum[:8]))
-}
-
 // owner returns the back-end of the first virtual node clockwise from
 // hash h.
 func (r *Ring) owner(h uint64) int {
@@ -171,16 +162,6 @@ func (r *Ring) owner(h uint64) int {
 
 // Backends implements Mapper.
 func (r *Ring) Backends() int { return len(r.members) }
-
-// Members returns the sorted back-end indices currently in the ring.
-func (r *Ring) Members() []int {
-	out := make([]int, 0, len(r.members))
-	for b := range r.members {
-		out = append(out, b)
-	}
-	sort.Ints(out)
-	return out
-}
 
 // LoadReport describes how evenly a mapper spreads a FID sample.
 type LoadReport struct {

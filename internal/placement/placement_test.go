@@ -105,9 +105,8 @@ func TestRingAddRemoveMembership(t *testing.T) {
 	if err := r.Remove(2); err != nil {
 		t.Fatal(err)
 	}
-	members := r.Members()
-	if len(members) != 2 || members[0] != 0 || members[1] != 1 {
-		t.Fatalf("Members() = %v, want [0 1]", members)
+	if len(r.members) != 2 || !r.members[0] || !r.members[1] {
+		t.Fatalf("members = %v, want 0 and 1", r.members)
 	}
 }
 

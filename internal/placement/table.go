@@ -13,7 +13,7 @@ import (
 
 // KeyHash folds a routing key (a znode path, usually a file's
 // parent-directory path) into the 64-bit ring coordinate used by
-// LocateKey: the leading 8 bytes of the key's MD5 digest. Exposing it
+// Locate: the leading 8 bytes of the key's MD5 digest. Exposing it
 // lets migration tooling talk about hash ranges in the same coordinate
 // space the router walks.
 func KeyHash(key string) uint64 {
@@ -72,17 +72,11 @@ type Override struct {
 	Shard int
 }
 
-// ErrStaleEpoch is returned by LocateAtEpoch when the caller's epoch
-// does not match the table's: the caller is routing with a placement
-// view that a migration has since invalidated and must refresh.
-var ErrStaleEpoch = errors.New("placement: stale placement epoch")
-
 // Table is an immutable, epoch-versioned placement map: a consistent
 // hash ring over shard indices plus a sorted list of range overrides
-// that migrations have carved out of the ring. Every mutation
-// (WithMove, WithShardAdded, WithShardRemoved) returns a new table
-// with the epoch incremented, so two routers holding the same epoch
-// are guaranteed to resolve every key identically.
+// that migrations have carved out of the ring. WithMove returns a new
+// table with the epoch incremented, so two routers holding the same
+// epoch are guaranteed to resolve every key identically.
 type Table struct {
 	epoch     uint64
 	replicas  int
@@ -120,9 +114,6 @@ func (t *Table) Epoch() uint64 { return t.epoch }
 // Shards returns the number of shards on the ring.
 func (t *Table) Shards() int { return len(t.members) }
 
-// Members returns the sorted shard indices on the ring.
-func (t *Table) Members() []int { return append([]int(nil), t.members...) }
-
 // Overrides returns the migrated ranges, sorted by Lo.
 func (t *Table) Overrides() []Override { return append([]Override(nil), t.overrides...) }
 
@@ -140,16 +131,6 @@ func (t *Table) LocateHash(h uint64) int {
 
 // Locate resolves a routing key (see KeyHash).
 func (t *Table) Locate(key string) int { return t.LocateHash(KeyHash(key)) }
-
-// LocateAtEpoch resolves a key only if the caller's placement epoch is
-// current, returning ErrStaleEpoch otherwise. Servers enforce the same
-// contract dynamically by bouncing operations on moved ranges.
-func (t *Table) LocateAtEpoch(key string, epoch uint64) (int, error) {
-	if epoch != t.epoch {
-		return 0, fmt.Errorf("%w: have %d, table at %d", ErrStaleEpoch, epoch, t.epoch)
-	}
-	return t.Locate(key), nil
-}
 
 // WithMove returns a new table (epoch+1) in which rng is owned by
 // shard dest. Existing overrides fully covered by rng are absorbed;
@@ -181,42 +162,6 @@ func (t *Table) WithMove(rng Range, dest int) (*Table, error) {
 	next = append(next, Override{Range: rng, Shard: dest})
 	sort.Slice(next, func(i, j int) bool { return next[i].Lo < next[j].Lo })
 	return buildTable(t.epoch+1, t.replicas, t.members, next)
-}
-
-// WithShardAdded returns a new table (epoch+1) with shard s joined to
-// the ring. Overrides are preserved: migrated ranges stay pinned.
-func (t *Table) WithShardAdded(s int) (*Table, error) {
-	for _, m := range t.members {
-		if m == s {
-			return nil, fmt.Errorf("placement: shard %d already in ring", s)
-		}
-	}
-	members := append(append([]int(nil), t.members...), s)
-	sort.Ints(members)
-	return buildTable(t.epoch+1, t.replicas, members, t.overrides)
-}
-
-// WithShardRemoved returns a new table (epoch+1) without shard s.
-// Ranges pinned to s by an override must be migrated off first.
-func (t *Table) WithShardRemoved(s int) (*Table, error) {
-	for _, ov := range t.overrides {
-		if ov.Shard == s {
-			return nil, fmt.Errorf("placement: shard %d still owns override %v", s, ov.Range)
-		}
-	}
-	members := make([]int, 0, len(t.members))
-	for _, m := range t.members {
-		if m != s {
-			members = append(members, m)
-		}
-	}
-	if len(members) == len(t.members) {
-		return nil, fmt.Errorf("placement: shard %d not in ring", s)
-	}
-	if len(members) == 0 {
-		return nil, errors.New("placement: cannot remove the last shard")
-	}
-	return buildTable(t.epoch+1, t.replicas, members, t.overrides)
 }
 
 const tableFormat = 1

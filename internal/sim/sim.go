@@ -68,9 +68,6 @@ func (e *Engine) Run() time.Duration {
 	return e.now
 }
 
-// Pending reports how many events are queued.
-func (e *Engine) Pending() int { return len(e.events) }
-
 // Resource is an FCFS station with k identical servers. Acquire
 // schedules the caller's completion; requests are served in arrival
 // order. It models a CPU pool, a metadata server, a NIC — any place
@@ -113,14 +110,6 @@ func (r *Resource) Acquire(service time.Duration, done func()) {
 	r.Busy += service
 	r.Served++
 	r.eng.Schedule(complete-r.eng.now, done)
-}
-
-// Utilization returns busy time divided by (elapsed * servers).
-func (r *Resource) Utilization(elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Busy) / (float64(elapsed) * float64(len(r.freeAt)))
 }
 
 // GroupCommit models a journaling device with group commit: requests
@@ -175,12 +164,4 @@ func (g *GroupCommit) startFlush() {
 		}
 		g.startFlush()
 	})
-}
-
-// AvgBatch returns the mean batch size so far.
-func (g *GroupCommit) AvgBatch() float64 {
-	if g.Flushes == 0 {
-		return 0
-	}
-	return float64(g.Committed) / float64(g.Flushes)
 }

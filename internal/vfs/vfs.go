@@ -6,9 +6,10 @@
 // This package provides the same call surface — a FileSystem interface
 // with the operation set the DUFS prototype implements ("mkdir,
 // create, open, symlink, rename, stat, readdir, rmdir, unlink,
-// truncate, chmod, access, read, write") — plus a mount table that
-// routes paths to registered filesystems, and a Dummy passthrough
-// filesystem used by the paper's memory study (Fig 11).
+// truncate, chmod, access, read, write") — and a Dummy passthrough
+// filesystem used by the paper's memory study (Fig 11). DUFS is one
+// mount over N back-ends (§IV-A), so no mount table routes between
+// filesystems here.
 package vfs
 
 import (
@@ -30,7 +31,6 @@ var (
 	ErrReadOnly  = errors.New("vfs: read-only file system")     // EROFS
 	ErrNotionSup = errors.New("vfs: operation not supported")   // ENOTSUP
 	ErrStale     = errors.New("vfs: stale file handle")         // ESTALE
-	ErrCrossDev  = errors.New("vfs: cross-device link")         // EXDEV
 	ErrNameLong  = errors.New("vfs: file name too long")        // ENAMETOOLONG
 )
 

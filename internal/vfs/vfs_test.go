@@ -1,14 +1,13 @@
 package vfs
 
 import (
-	"errors"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
 // fakeFS records which (op, path) pairs were invoked. It implements
-// FileSystem with no behaviour, for routing tests.
+// FileSystem with no behaviour, for forwarding tests.
 type fakeFS struct {
 	calls []string
 }
@@ -92,164 +91,6 @@ func TestSplit(t *testing.T) {
 		if d != c.dir || n != c.name {
 			t.Errorf("Split(%q) = (%q,%q)", c.in, d, n)
 		}
-	}
-}
-
-func TestMountResolution(t *testing.T) {
-	mt := NewMountTable()
-	rootFS := &fakeFS{}
-	dufsFS := &fakeFS{}
-	deepFS := &fakeFS{}
-	if err := mt.Mount("/", rootFS); err != nil {
-		t.Fatal(err)
-	}
-	if err := mt.Mount("/dufs", dufsFS); err != nil {
-		t.Fatal(err)
-	}
-	if err := mt.Mount("/dufs/deep", deepFS); err != nil {
-		t.Fatal(err)
-	}
-
-	cases := []struct {
-		path    string
-		wantFS  FileSystem
-		wantRel string
-	}{
-		{"/etc/hosts", rootFS, "/etc/hosts"},
-		{"/dufs", dufsFS, "/"},
-		{"/dufs/a/b", dufsFS, "/a/b"},
-		{"/dufs/deep/x", deepFS, "/x"},
-		{"/dufsx", rootFS, "/dufsx"}, // prefix must match at a boundary
-	}
-	for _, c := range cases {
-		fs, rel, err := mt.Resolve(c.path)
-		if err != nil {
-			t.Fatalf("Resolve(%q): %v", c.path, err)
-		}
-		if fs != c.wantFS || rel != c.wantRel {
-			t.Errorf("Resolve(%q) = (%p,%q), want (%p,%q)", c.path, fs, rel, c.wantFS, c.wantRel)
-		}
-	}
-}
-
-func TestResolveNoMount(t *testing.T) {
-	mt := NewMountTable()
-	if err := mt.Mount("/only", &fakeFS{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := mt.Resolve("/elsewhere"); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestUnmount(t *testing.T) {
-	mt := NewMountTable()
-	fs := &fakeFS{}
-	if err := mt.Mount("/m", fs); err != nil {
-		t.Fatal(err)
-	}
-	if err := mt.Unmount("/m"); err != nil {
-		t.Fatal(err)
-	}
-	if err := mt.Unmount("/m"); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("double unmount err = %v", err)
-	}
-}
-
-func TestMountReplaces(t *testing.T) {
-	mt := NewMountTable()
-	a, b := &fakeFS{}, &fakeFS{}
-	if err := mt.Mount("/m", a); err != nil {
-		t.Fatal(err)
-	}
-	if err := mt.Mount("/m", b); err != nil {
-		t.Fatal(err)
-	}
-	fs, _, err := mt.Resolve("/m/x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs != b {
-		t.Fatal("mount did not replace")
-	}
-	if got := len(mt.Mounts()); got != 1 {
-		t.Fatalf("mounts = %d", got)
-	}
-}
-
-func TestDispatcherRoutesEveryOp(t *testing.T) {
-	mt := NewMountTable()
-	fs := &fakeFS{}
-	if err := mt.Mount("/m", fs); err != nil {
-		t.Fatal(err)
-	}
-	d := NewDispatcher(mt)
-
-	if err := d.Mkdir("/m/d", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Rmdir("/m/d"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Create("/m/f", 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Open("/m/f", OpenRead); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Unlink("/m/f"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Stat("/m/f"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Readdir("/m"); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Rename("/m/a", "/m/b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Symlink("/t", "/m/l"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Readlink("/m/l"); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Truncate("/m/f", 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Chmod("/m/f", 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Access("/m/f", AccessRead); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{
-		"mkdir:/d", "rmdir:/d", "create:/f", "open:/f", "unlink:/f",
-		"stat:/f", "readdir:/", "rename:/a->/b", "symlink:/l",
-		"readlink:/l", "truncate:/f", "chmod:/f", "access:/f",
-	}
-	if len(fs.calls) != len(want) {
-		t.Fatalf("calls = %v", fs.calls)
-	}
-	for i := range want {
-		if fs.calls[i] != want[i] {
-			t.Fatalf("call %d = %q, want %q", i, fs.calls[i], want[i])
-		}
-	}
-}
-
-func TestDispatcherCrossMountRename(t *testing.T) {
-	mt := NewMountTable()
-	if err := mt.Mount("/a", &fakeFS{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := mt.Mount("/b", &fakeFS{}); err != nil {
-		t.Fatal(err)
-	}
-	d := NewDispatcher(mt)
-	if err := d.Rename("/a/x", "/b/x"); !errors.Is(err, ErrCrossDev) {
-		t.Fatalf("cross-mount rename err = %v", err)
 	}
 }
 

@@ -305,7 +305,7 @@ func (r *Reader) StringSlice() []string {
 	if r.err != nil {
 		return nil
 	}
-	if int(n) > r.Remaining() { // each string needs >= 4 bytes of prefix
+	if int(n) > r.Remaining()/4 { // each string needs >= 4 bytes of prefix
 		r.fail("string slice", int(n))
 		return nil
 	}
@@ -314,26 +314,6 @@ func (r *Reader) StringSlice() []string {
 		out = append(out, r.String())
 	}
 	return out
-}
-
-// WriteFrame writes a 4-byte big-endian length header followed by the
-// payload.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// ReadFrame reads one length-prefixed frame. It allocates the payload.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	return ReadFrameInto(r, nil)
 }
 
 // ReadFrameInto reads one length-prefixed frame into buf, reusing its

@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -105,52 +107,67 @@ func TestReaderTruncatedString(t *testing.T) {
 }
 
 func TestStringSliceHugeCountRejected(t *testing.T) {
-	// A corrupt frame claiming 2^31 strings must not allocate wildly.
-	w := NewWriter(0)
-	w.Uint32(1 << 31)
-	r := NewReader(w.Bytes())
-	out := r.StringSlice()
-	if r.Err() == nil {
-		t.Fatal("expected error for absurd count")
+	// A corrupt frame claiming more strings than its bytes can hold
+	// (each needs a 4-byte prefix) must fail before allocating a string
+	// header per claimed string.
+	const body = 1 << 20 // zero bytes: each would decode as an empty string
+	for _, count := range []uint32{1 << 31, body/4 + 1} {
+		msg := make([]byte, 4+body)
+		binary.BigEndian.PutUint32(msg, count)
+		r := NewReader(msg)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out := r.StringSlice()
+		runtime.ReadMemStats(&after)
+		if r.Err() == nil {
+			t.Fatalf("count %d in %d bytes: expected an error", count, body)
+		}
+		if len(out) != 0 {
+			t.Fatalf("count %d: got %d strings from corrupt input", count, len(out))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16*body/4 {
+			t.Fatalf("count %d in %d bytes: allocated %d bytes before failing", count, body, grew)
+		}
 	}
-	if len(out) != 0 {
-		t.Fatalf("got %d strings from corrupt input", len(out))
-	}
+}
+
+// frame writes payload as one length-prefixed frame.
+func frame(buf *bytes.Buffer, payload []byte) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
+	buf.Write(hdr[:])
+	buf.Write(payload)
 }
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte("ab"), 5000)}
 	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
-			t.Fatal(err)
-		}
+		frame(&buf, p)
 	}
+	var scratch []byte
 	for _, p := range payloads {
-		got, err := ReadFrame(&buf)
+		got, err := ReadFrameInto(&buf, scratch[:0])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, p) {
 			t.Fatalf("frame round trip: got %d bytes, want %d", len(got), len(p))
 		}
+		scratch = got
 	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
+	if _, err := ReadFrameInto(&buf, scratch[:0]); err != io.EOF {
 		t.Fatalf("expected EOF at end, got %v", err)
 	}
 }
 
 func TestFrameTooLarge(t *testing.T) {
+	// A header claiming an oversized frame is refused before its body
+	// is allocated.
 	var buf bytes.Buffer
-	big := make([]byte, MaxFrameSize+1)
-	if err := WriteFrame(&buf, big); err != ErrFrameTooLarge {
-		t.Fatalf("WriteFrame error = %v, want ErrFrameTooLarge", err)
-	}
-	// Hand-craft a header claiming an oversized frame.
-	buf.Reset()
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := ReadFrame(&buf); err != ErrFrameTooLarge {
-		t.Fatalf("ReadFrame error = %v, want ErrFrameTooLarge", err)
+	if _, err := ReadFrameInto(&buf, nil); err != ErrFrameTooLarge {
+		t.Fatalf("ReadFrameInto error = %v, want ErrFrameTooLarge", err)
 	}
 }
 
