@@ -134,6 +134,9 @@ func newServer(cfg ServerConfig, mem *zab.MemStorage) (*Server, error) {
 		}
 		return nil, err
 	}
+	// An armed watch waits for the commit horizon like a parked read: its
+	// event fires once this replica applies the write it watches for.
+	node.SetWaiting(func() bool { return watches.armed.Load() > 0 })
 	s := &Server{cfg: cfg, sm: sm, node: node, eng: eng, reg: reg, watches: watches, dispatch: dispatch}
 	if err := node.Start(); err != nil {
 		if eng != nil {

@@ -75,7 +75,9 @@ const (
 type watchTable struct {
 	// armed counts the watches in data and children. It changes only
 	// under mu, and is read without it by the apply side, which skips
-	// watch delivery altogether while it is zero (watchDispatcher).
+	// watch delivery altogether while it is zero (watchDispatcher), and
+	// by the replication acks, which ask the leader to push each commit
+	// advance here while it is not (zab.Node.SetWaiting).
 	armed atomic.Int64
 
 	mu sync.Mutex

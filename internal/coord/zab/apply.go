@@ -213,6 +213,12 @@ func (n *Node) wakeAppliedLocked() {
 // registers one channel keyed by the exact zxid it needs and performs a
 // single deadline-aware select on it — a timeout wakes only this caller,
 // never the other waiters.
+//
+// A parked call is a waiter the leader must hear of, or the horizon
+// reaches it only with the next data window or heartbeat. While zxid is
+// past what this node has verified, the ack of the window that covers it
+// says so (Waiting). Once it is covered but not committed that ack has
+// already gone, so the call pulls the horizon itself.
 func (n *Node) WaitApplied(zxid uint64, bound time.Duration) error {
 	if n.applied.Load() >= zxid {
 		return nil
@@ -228,6 +234,9 @@ func (n *Node) WaitApplied(zxid uint64, bound time.Duration) error {
 	}
 	ch := make(chan struct{})
 	n.applyWaiters[zxid] = append(n.applyWaiters[zxid], ch)
+	if zxid > n.commitZxid && zxid <= n.verified {
+		n.triggerSyncLocked()
+	}
 	n.mu.Unlock()
 
 	timer := getProposeTimer(bound)

@@ -292,6 +292,11 @@ func (n *Node) becomeLeader(epoch uint64) {
 		go n.senderLoop(gen, id, s)
 	}
 	n.mu.Unlock()
+	// The first round goes out now, not a HeartbeatInterval from now:
+	// it is how the other members learn who leads and where clients
+	// reach it (LeaderContact), which a follower-homed session's first
+	// write waits for.
+	n.heartbeat()
 }
 
 func (n *Node) heartbeatLoop() {
@@ -304,72 +309,79 @@ func (n *Node) heartbeatLoop() {
 			return
 		case <-ticker.C:
 		}
-		n.mu.Lock()
-		if n.role != roleLeader {
+		n.heartbeat()
+	}
+}
+
+// heartbeat sends one heartbeat round if this node leads, counting the
+// acks toward its read lease. The replies are awaited on goroutines of
+// their own, so it returns at once.
+func (n *Node) heartbeat() {
+	n.mu.Lock()
+	if n.role != roleLeader {
+		n.mu.Unlock()
+		return
+	}
+	// Quorum-loss watchdog: a leader whose pipeline cannot commit
+	// (partitioned, too few live followers) steps down instead of
+	// wedging its clients, so a healthier member can win the next
+	// election and resolve the uncommitted tail via sync.
+	if n.commitZxid < n.lastZxidLocked() {
+		if n.stallSince.IsZero() {
+			n.stallSince = time.Now()
+		} else if time.Since(n.stallSince) > 2*n.cfg.ElectionTimeout {
+			n.failLeaderLocked(ErrNoQuorum)
+			n.role = roleFollower
+			n.leaderID = 0
+			n.resetElectionTimer()
 			n.mu.Unlock()
+			return
+		}
+	} else {
+		n.stallSince = time.Time{}
+	}
+	req := heartbeatReq{Epoch: n.epoch, LeaderID: n.cfg.ID, Commit: n.commitZxid, Contact: n.cfg.Contact}
+	n.beatLearnersLocked(req)
+	n.mu.Unlock()
+	payload := req.encode()
+	// Lease bookkeeping: the round timestamp is taken BEFORE any
+	// heartbeat is sent, so a quorum of acks proves the promise
+	// quorum was intact at `round` (lease.go).
+	round := n.now()
+	var ackMu sync.Mutex
+	acks := 1 // self
+	if acks >= n.quorum() {
+		n.extendLease(round, req.Epoch)
+	}
+	for id := range n.cfg.Peers {
+		if id == n.cfg.ID {
 			continue
 		}
-		// Quorum-loss watchdog: a leader whose pipeline cannot commit
-		// (partitioned, too few live followers) steps down instead of
-		// wedging its clients, so a healthier member can win the next
-		// election and resolve the uncommitted tail via sync.
-		if n.commitZxid < n.lastZxidLocked() {
-			if n.stallSince.IsZero() {
-				n.stallSince = time.Now()
-			} else if time.Since(n.stallSince) > 2*n.cfg.ElectionTimeout {
-				n.failLeaderLocked(ErrNoQuorum)
-				n.role = roleFollower
-				n.leaderID = 0
-				n.resetElectionTimer()
+		go func(id uint64) {
+			respB, err := n.callPeer(id, payload)
+			if err != nil {
+				return
+			}
+			resp, err := decodeHeartbeatResp(respB)
+			if err != nil {
+				return
+			}
+			if resp.Epoch > req.Epoch {
+				n.mu.Lock()
+				if resp.Epoch > n.epoch {
+					n.adoptEpochLocked(resp.Epoch, 0)
+					n.leaderID = 0
+				}
 				n.mu.Unlock()
-				continue
+				return
 			}
-		} else {
-			n.stallSince = time.Time{}
-		}
-		req := heartbeatReq{Epoch: n.epoch, LeaderID: n.cfg.ID, Commit: n.commitZxid, Contact: n.cfg.Contact}
-		n.beatLearnersLocked(req)
-		n.mu.Unlock()
-		payload := req.encode()
-		// Lease bookkeeping: the round timestamp is taken BEFORE any
-		// heartbeat is sent, so a quorum of acks proves the promise
-		// quorum was intact at `round` (lease.go).
-		round := n.now()
-		var ackMu sync.Mutex
-		acks := 1 // self
-		if acks >= n.quorum() {
-			n.extendLease(round, req.Epoch)
-		}
-		for id := range n.cfg.Peers {
-			if id == n.cfg.ID {
-				continue
+			ackMu.Lock()
+			acks++
+			reached := acks == n.quorum()
+			ackMu.Unlock()
+			if reached {
+				n.extendLease(round, req.Epoch)
 			}
-			go func(id uint64) {
-				respB, err := n.callPeer(id, payload)
-				if err != nil {
-					return
-				}
-				resp, err := decodeHeartbeatResp(respB)
-				if err != nil {
-					return
-				}
-				if resp.Epoch > req.Epoch {
-					n.mu.Lock()
-					if resp.Epoch > n.epoch {
-						n.adoptEpochLocked(resp.Epoch, 0)
-						n.leaderID = 0
-					}
-					n.mu.Unlock()
-					return
-				}
-				ackMu.Lock()
-				acks++
-				reached := acks == n.quorum()
-				ackMu.Unlock()
-				if reached {
-					n.extendLease(round, req.Epoch)
-				}
-			}(id)
-		}
+		}(id)
 	}
 }

@@ -49,8 +49,9 @@ func decodeEntry(r *wire.Reader) Frame {
 // it holds PrevZxid (committed entries always count as held). Several
 // windows may be in flight to one follower at once and each carries
 // the leader's commit horizon; a window without frames carries nothing
-// else (or, naming the leader's tip, probes a follower the leader lost
-// track of — see handlePropose).
+// else — a commit carrier, sent only to a follower whose last ack said
+// Waiting — or, naming the leader's tip, probes a follower the leader
+// lost track of (see handlePropose).
 type proposeReq struct {
 	Epoch    uint64
 	LeaderID uint64
@@ -107,12 +108,17 @@ func decodeProposeReq(r *wire.Reader) proposeReq {
 // follower's log is both a verified prefix of this leader's and
 // durable, so acks may return in any order and the leader keeps the
 // maximum. On a refusal LastZxid is the follower's log tip, the
-// position the leader rewinds the stream to.
+// position the leader rewinds the stream to. Waiting says that, when
+// the follower placed the window, someone there waited for the commit
+// horizon to move — a WaitApplied call parked, or a watch armed — so the
+// leader should send it each commit advance at once instead of on the
+// next data window or heartbeat.
 type proposeResp struct {
 	Ack      bool
 	NeedSync bool
 	Epoch    uint64 // responder's epoch, so a stale leader steps down
 	LastZxid uint64
+	Waiting  bool
 }
 
 func (m proposeResp) encode() []byte {
@@ -122,12 +128,13 @@ func (m proposeResp) encode() []byte {
 	w.Bool(m.NeedSync)
 	w.Uint64(m.Epoch)
 	w.Uint64(m.LastZxid)
+	w.Bool(m.Waiting)
 	return w.Bytes()
 }
 
 func decodeProposeResp(b []byte) (proposeResp, error) {
 	r := wire.NewReader(b)
-	m := proposeResp{Ack: r.Bool(), NeedSync: r.Bool(), Epoch: r.Uint64(), LastZxid: r.Uint64()}
+	m := proposeResp{Ack: r.Bool(), NeedSync: r.Bool(), Epoch: r.Uint64(), LastZxid: r.Uint64(), Waiting: r.Bool()}
 	return m, r.Err()
 }
 
@@ -149,6 +156,10 @@ func (m heartbeatReq) encode() []byte {
 	w.Uint64(m.Commit)
 	w.String(m.Contact)
 	return w.Bytes()
+}
+
+func decodeHeartbeatReq(r *wire.Reader) heartbeatReq {
+	return heartbeatReq{Epoch: r.Uint64(), LeaderID: r.Uint64(), Commit: r.Uint64(), Contact: r.String()}
 }
 
 type heartbeatResp struct {

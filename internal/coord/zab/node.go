@@ -262,7 +262,10 @@ type Node struct {
 	lastContact time.Time
 	electionDue time.Duration
 	syncing     bool
+	syncAgain   bool // a pull was asked for while one was in flight
 	stopped     bool
+	// waiting reports waiters the node cannot see itself (SetWaiting).
+	waiting func() bool
 
 	// Leader-side group-commit state. leaderGen increments on every
 	// leadership transition; the proposer and sender goroutines carry
@@ -493,6 +496,12 @@ func (n *Node) Stop() {
 	n.wg.Wait()
 }
 
+// SetWaiting hands the node a report of waiters it cannot see itself —
+// coord's armed watches. While it returns true, every ack the node sends
+// says Waiting, so the leader streams each commit advance here at once.
+// Call it before Start.
+func (n *Node) SetWaiting(waiting func() bool) { n.waiting = waiting }
+
 // ID returns the node's ensemble identity.
 func (n *Node) ID() uint64 { return n.cfg.ID }
 
@@ -673,7 +682,7 @@ func (n *Node) handle(req []byte) ([]byte, error) {
 		}
 		return n.handlePropose(m).encode(), nil
 	case msgHeartbeat:
-		m := heartbeatReq{Epoch: r.Uint64(), LeaderID: r.Uint64(), Commit: r.Uint64(), Contact: r.String()}
+		m := decodeHeartbeatReq(r)
 		if err := r.Err(); err != nil {
 			return nil, err
 		}

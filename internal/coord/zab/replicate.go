@@ -75,7 +75,7 @@ type proposeOutcome struct {
 //     attaches or overlaps. Frames already held are skipped (a
 //     retransmit, or a window overtaken by its successor), the rest
 //     must attach exactly at the tip and are appended. A window with
-//     no frames is a late commit carrier and is simply acked.
+//     no frames is a commit carrier and is simply acked.
 //   - Ahead of the tip, with frames, PrevZxid of the leader's own
 //     epoch: EARLY — its predecessor is still in flight. It parks until
 //     the append that closes the gap (the leader's window bounds how
@@ -95,7 +95,10 @@ type proposeOutcome struct {
 // are synced — one sync per window, outside the node mutex — and the
 // position reported is capped at the store's durable horizon, because
 // with several handlers in flight this one may have verified frames
-// another handler appended and has not synced yet.
+// another handler appended and has not synced yet. It also says whether
+// anyone here waits for the horizon (Waiting), as of the moment the
+// window raised verified: a reader that parks later for a zxid at or
+// below verified pulls the horizon instead (WaitApplied).
 func (n *Node) handlePropose(m proposeReq) proposeResp {
 	resp, appended := n.acceptWindow(m)
 	if !resp.Ack {
@@ -186,7 +189,14 @@ func (n *Node) acceptWindow(m proposeReq) (resp proposeResp, appended bool) {
 	}
 	n.verified = max(n.verified, prev)
 	n.followCommitLocked(m.Commit)
-	return proposeResp{Ack: true, Epoch: n.epoch, LastZxid: n.verified}, len(novel) > 0
+	return proposeResp{Ack: true, Epoch: n.epoch, LastZxid: n.verified, Waiting: n.waitingLocked()}, len(novel) > 0
+}
+
+// waitingLocked reports whether anyone on this node waits for the
+// commit horizon to move: a WaitApplied call parked here, or a waiter
+// the node's owner reports (SetWaiting).
+func (n *Node) waitingLocked() bool {
+	return len(n.applyWaiters) > 0 || n.waiting != nil && n.waiting()
 }
 
 // needSyncLocked answers a window this log cannot take and starts the
@@ -247,9 +257,9 @@ func (n *Node) advanceCommitLocked(commit uint64) bool {
 	n.commitZxid = commit
 	n.stallSince = time.Time{}
 	n.enqueueCommittedLocked()
-	// Each stream carries the new horizon on its next window, an empty
-	// one if it has no frames to send; the pipelining window may have
-	// opened for a proposer gated on it.
+	// Each stream carries the new horizon on its next window — an empty
+	// one if it has no frames to send and its follower has a waiter; the
+	// pipelining window may have opened for a proposer gated on it.
 	n.wakeStreamsLocked()
 	if n.propGate == propWindow {
 		n.propCond.Signal()
@@ -257,20 +267,31 @@ func (n *Node) advanceCommitLocked(commit uint64) bool {
 	return true
 }
 
-// triggerSyncLocked schedules a pull-based catch-up from the leader.
+// triggerSyncLocked schedules a pull from the leader at this node's tip:
+// a catch-up, or a parked reader's horizon. One pull is in flight at a
+// time; one asked for meanwhile runs after it, because the reply in
+// flight may have left the leader before the asker's reason existed.
 func (n *Node) triggerSyncLocked() {
-	if n.syncing || n.stopped || n.leaderID == 0 || n.leaderID == n.cfg.ID {
+	if n.stopped || n.leaderID == 0 || n.leaderID == n.cfg.ID {
+		return
+	}
+	if n.syncing {
+		n.syncAgain = true
 		return
 	}
 	n.syncing = true
-	leader := n.leaderID
-	from := n.lastZxidLocked()
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		n.syncFromLeader(leader, from)
 		n.mu.Lock()
-		n.syncing = false
+		for n.syncing {
+			leader, from := n.leaderID, n.lastZxidLocked()
+			n.syncAgain = false
+			n.mu.Unlock()
+			n.syncFromLeader(leader, from)
+			n.mu.Lock()
+			n.syncing = n.syncAgain && !n.stopped && n.leaderID != 0 && n.leaderID != n.cfg.ID
+		}
 		n.mu.Unlock()
 	}()
 }
@@ -284,12 +305,15 @@ func (n *Node) syncFromLeader(leader, from uint64) {
 	if err != nil {
 		return
 	}
-	// applyMu first (applyMu → mu): a snapshot install replaces the
-	// state machine's contents, which must not race an in-flight apply
-	// batch. The sync pull is rare, so stalling the apply loop for the
-	// install is acceptable.
-	n.applyMu.Lock()
-	defer n.applyMu.Unlock()
+	if resp.HasSnapshot {
+		// applyMu first (applyMu → mu): a snapshot install replaces the
+		// state machine's contents, which must not race an in-flight apply
+		// batch. A pull that ships no snapshot only appends frames and
+		// moves the horizon, under mu alone: a parked reader's pull never
+		// waits for an apply drain, nor stalls the next one.
+		n.applyMu.Lock()
+		defer n.applyMu.Unlock()
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if resp.Epoch < n.epoch || n.stopped {
@@ -310,7 +334,9 @@ func (n *Node) syncFromLeader(leader, from uint64) {
 		n.log = nil
 		n.cSnapInstalls.Inc()
 	} else if n.lastZxidLocked() != from {
-		// Our log moved while the sync was in flight; retry later.
+		// Our log moved while the pull was in flight, so its frames may
+		// not attach; the horizon is this epoch's all the same.
+		n.followCommitLocked(resp.Commit)
 		return
 	}
 	var novel []Frame
@@ -323,8 +349,10 @@ func (n *Node) syncFromLeader(leader, from uint64) {
 	}
 	if len(novel) > 0 {
 		// Persist and harden the pulled tail before it can be claimed by
-		// a later ack or vote; the sync pull is rare, so the inline
-		// fsync under the lock is acceptable.
+		// a later ack or vote. A catch-up is rare, and a reader's pull at
+		// a tip the stream keeps up with ships the frames of at most a
+		// window or two, so the inline fsync under the lock is
+		// acceptable.
 		if n.st.Append(novel) != nil || n.st.Sync() != nil {
 			n.log = n.log[:len(n.log)-len(novel)]
 			return
@@ -334,11 +362,13 @@ func (n *Node) syncFromLeader(leader, from uint64) {
 	n.verified = n.lastZxidLocked()
 	n.tipAdvancedLocked()
 	n.followCommitLocked(resp.Commit)
-	// advanceCommitLocked returns early when the horizon didn't move,
-	// but an install may have rewound applyEnqueued below an unchanged
-	// commitZxid — re-enqueue explicitly so the gap replays.
-	n.enqueueCommittedLocked()
-	n.applyCond.Signal()
+	if resp.HasSnapshot {
+		// advanceCommitLocked returns early when the horizon didn't move,
+		// but the install may have rewound applyEnqueued below an
+		// unchanged commitZxid — re-enqueue explicitly so the gap replays.
+		n.enqueueCommittedLocked()
+		n.applyCond.Signal()
+	}
 }
 
 // maxSyncBytes bounds the encoded frames of one sync reply, leaving the
@@ -719,6 +749,7 @@ type followerStream struct {
 	windows int    // windows in flight
 	empty   bool   // one of them has no frames (at most one does)
 	failed  bool   // a window was refused or lost: drain, rewind, back off
+	waiting bool   // the newest ack said Waiting: send each commit advance at once
 
 	// Observer streams only (learner.go).
 	attach      bool      // opened mid-term: the first window probes our tip
@@ -811,14 +842,16 @@ func (n *Node) senderLoop(gen, id uint64, s *followerStream) {
 
 // wantsFramesLocked reports whether a stream has frames to send and
 // room in its flight for them; wantsCommitLocked whether the commit
-// horizon has moved past what any of its windows carried, and the one
-// empty window a stream may have in flight is not out.
+// horizon has moved past what any of its windows carried while its
+// follower waits for it, and the one empty window a stream may have in
+// flight is not out. A follower nobody waits on learns the horizon
+// from the next data window or heartbeat.
 func (n *Node) wantsFramesLocked(s *followerStream) bool {
 	return s.sent < n.lastZxidLocked() && s.frames < maxFramesPerSend
 }
 
 func (n *Node) wantsCommitLocked(s *followerStream) bool {
-	return n.commitZxid > s.commit && !s.empty
+	return n.commitZxid > s.commit && !s.empty && s.waiting
 }
 
 // nextWindowLocked builds the next window for a stream and books it as
@@ -919,6 +952,19 @@ func (n *Node) foldWindow(gen uint64, s *followerStream, w window, resp proposeR
 		if w.probe {
 			// The follower holds our tip of then: stream on from there.
 			s.sent = w.prev
+		}
+		// Acks fold in any order. A reader parked on the follower for z
+		// is announced by the ack of the window that covered z, which
+		// names z or more; every ack placed before it parked names less,
+		// since a reader that parks for a zxid already covered pulls
+		// instead (WaitApplied). So an ack past match says whether anyone
+		// waits now, one behind it says nothing, and one at match may be
+		// older or newer, so it can add a waiter but not clear one.
+		switch {
+		case resp.LastZxid > s.match:
+			s.waiting = resp.Waiting
+		case resp.LastZxid == s.match:
+			s.waiting = s.waiting || resp.Waiting
 		}
 		if resp.LastZxid > s.match {
 			s.match = resp.LastZxid

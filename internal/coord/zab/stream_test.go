@@ -189,11 +189,12 @@ func TestAckNeverExceedsDurableHorizon(t *testing.T) {
 
 // peerTap is a transport.Network decorator over the peer links of a test
 // ensemble: it counts calls by kind, delays each by a seeded random
-// amount so windows overtake one another, and can hold back one chosen
-// window as a lossy link would.
+// amount so windows overtake one another (and, with maxReplyDelay, each
+// window's reply too, so acks overtake one another), and can hold back
+// one chosen window as a lossy link would.
 type peerTap struct {
 	transport.Network
-	maxDelay time.Duration
+	maxDelay, maxReplyDelay time.Duration
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -250,9 +251,12 @@ func (c *tapConn) Call(req []byte) ([]byte, error) {
 		p.others.Add(1)
 	}
 	p.mu.Lock()
-	var delay time.Duration
+	var delay, replyDelay time.Duration
 	if p.maxDelay > 0 {
 		delay = time.Duration(p.rng.Int63n(int64(p.maxDelay)))
+	}
+	if window != nil && p.maxReplyDelay > 0 {
+		replyDelay = time.Duration(p.rng.Int63n(int64(p.maxReplyDelay)))
 	}
 	lost := window != nil && p.lose != nil && p.lose(c.addr, *window)
 	p.mu.Unlock()
@@ -263,6 +267,7 @@ func (c *tapConn) Call(req []byte) ([]byte, error) {
 	time.Sleep(delay)
 	start := time.Now()
 	resp, err := c.Conn.Call(req)
+	time.Sleep(replyDelay)
 	if window != nil && err == nil {
 		if r, derr := decodeProposeResp(resp); derr == nil && !r.Ack {
 			if r.NeedSync {
@@ -282,6 +287,13 @@ func (c *tapConn) Call(req []byte) ([]byte, error) {
 // 30 ms election timeout.
 func startTapped(t *testing.T, name string, tap *peerTap) *ensemble {
 	t.Helper()
+	return startTappedBeat(t, name, tap, 50*time.Millisecond, time.Second)
+}
+
+// startTappedBeat is startTapped with its own heartbeat interval and
+// election timeout.
+func startTappedBeat(t *testing.T, name string, tap *peerTap, beat, timeout time.Duration) *ensemble {
+	t.Helper()
 	e := &ensemble{
 		nodes: make(map[uint64]*Node),
 		sms:   make(map[uint64]*kvSM),
@@ -296,8 +308,8 @@ func startTapped(t *testing.T, name string, tap *peerTap) *ensemble {
 			ID:                id,
 			Peers:             e.peers,
 			Net:               tap,
-			HeartbeatInterval: 50 * time.Millisecond,
-			ElectionTimeout:   time.Second,
+			HeartbeatInterval: beat,
+			ElectionTimeout:   timeout,
 			MaxLogEntries:     1 << 20,
 		}, sm)
 		if err != nil {
@@ -368,6 +380,108 @@ func TestShuffledDelivery(t *testing.T) {
 		tap.dataWindows.Load(), tap.emptyWindows.Load(), tap.refusals.Load(), total)
 }
 
+// TestStaleAckKeepsTheCarrier: acks fold at the leader in any order, so
+// one a follower placed before a reader parked there can come home after
+// one that said Waiting. It must not take the waiter back: the leader
+// would then hold the commit carrier, and the reader would wait for the
+// next data window or heartbeat.
+//
+// First by hand, every order in which three acks of one follower can
+// fold: one placed before the reader parked, one that covered the
+// reader's zxid just before it parked, one placed while it waits. In
+// each, the stream ends up owing its follower the carrier. Then under
+// TestShuffledDelivery's reordering, with the replies delayed too and a
+// half-second heartbeat: writers on the leader each read their write
+// back on a follower, and no read waits for a heartbeat.
+func TestStaleAckKeepsTheCarrier(t *testing.T) {
+	n := soloNode(t, nil)
+	y, z := makeZxid(1, 1), makeZxid(1, 2)
+	placed := []proposeResp{
+		{Ack: true, Epoch: 1, LastZxid: y},
+		{Ack: true, Epoch: 1, LastZxid: z},
+		{Ack: true, Epoch: 1, LastZxid: z, Waiting: true},
+	}
+	fold := func(order []int) *followerStream {
+		n.mu.Lock()
+		n.role, n.epoch, n.leaderGen = roleLeader, 1, 1
+		n.log = []Frame{txnFrame(1, 1, "a"), txnFrame(1, 2, "b")}
+		n.commitZxid = z
+		s := n.newStreamLocked(false)
+		s.frames, s.windows = len(order), len(order)
+		n.streams = map[uint64]*followerStream{2: s}
+		n.mu.Unlock()
+		for _, i := range order {
+			n.foldWindow(1, s, window{epoch: 1, frames: 1}, placed[i], nil)
+		}
+		return s
+	}
+	for _, order := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		s := fold(order)
+		n.mu.Lock()
+		req, _, ok := n.nextWindowLocked(s)
+		n.mu.Unlock()
+		if !ok || len(req.Entries) != 0 || req.Commit != z {
+			t.Errorf("acks folded in order %v: next window (ok %v) has %d frames and commit %x, want the empty carrier of %x", order, ok, len(req.Entries), req.Commit, z)
+		}
+	}
+	s := fold([]int{1, 0})
+	n.mu.Lock()
+	_, _, ok := n.nextWindowLocked(s)
+	n.mu.Unlock()
+	if ok {
+		t.Error("the stream sent a commit carrier to a follower nobody waits on")
+	}
+
+	const beat = 500 * time.Millisecond
+	tap := &peerTap{Network: transport.NewInProc(), maxDelay: 2 * time.Millisecond,
+		maxReplyDelay: 2 * time.Millisecond, rng: rand.New(rand.NewSource(1))}
+	e := startTappedBeat(t, "staleack", tap, beat, 2*beat)
+	leader := e.waitLeader(t)
+	var followers []*Node
+	for _, f := range e.nodes {
+		if f != leader {
+			followers = append(followers, f)
+		}
+	}
+	proposeOK(t, leader, "warm-up")
+	const writers, rounds = 8, 25
+	var mu sync.Mutex
+	var worst time.Duration
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				_, zxid, err := leader.ProposeZxid([]byte(fmt.Sprintf("w%d-%d", w, i)))
+				if err != nil {
+					errs <- err
+					return
+				}
+				start := time.Now()
+				if err := followers[(w+i)%2].WaitApplied(zxid, 2*beat); err != nil {
+					errs <- err
+					return
+				}
+				mu.Lock()
+				worst = max(worst, time.Since(start))
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	t.Logf("slowest read-back on a follower: %v (heartbeat %v); %d data windows, %d empty", worst, beat, tap.dataWindows.Load(), tap.emptyWindows.Load())
+	if worst > beat/4 {
+		t.Errorf("a reader parked on a follower waited %v: it was stranded until the heartbeat", worst)
+	}
+}
+
 // TestLostWindowIsRefusedNotSynced loses one window on the way to one
 // follower. Its successor parks there, is refused after a heartbeat
 // interval, and the stream rewinds and resends — the follower never
@@ -420,10 +534,11 @@ func TestLostWindowIsRefusedNotSynced(t *testing.T) {
 
 // TestMessagesPerWrite counts what one isolated write costs on the peer
 // links. Proposed on the leader — what every session's write is down
-// here, whichever server it is homed on — it takes one window per
-// follower and at most one empty commit carrier per follower; there is
-// no separate commit message. Proposed on a follower, it is refused
-// without a single peer message.
+// here, whichever server it is homed on — it takes exactly one window
+// per follower: with nobody waiting on a follower, the commit horizon
+// rides its next window or heartbeat, and there is no empty commit
+// carrier and no separate commit message. Proposed on a follower, it is
+// refused without a single peer message.
 func TestMessagesPerWrite(t *testing.T) {
 	tap := &peerTap{Network: transport.NewInProc(), rng: rand.New(rand.NewSource(1))}
 	e := startTapped(t, "msgcount", tap)
@@ -437,11 +552,11 @@ func TestMessagesPerWrite(t *testing.T) {
 	}
 	proposeOK(t, leader, "warm-up")
 	waitConverged(t, e, 1, 1, 2, 3)
-	time.Sleep(120 * time.Millisecond) // let the warm-up's commit carriers land
+	time.Sleep(120 * time.Millisecond) // let the warm-up's windows land
 
 	for _, c := range []struct {
 		via     *Node
-		windows int64 // data windows, and the most empty ones
+		windows int64 // data windows; there is no empty one
 	}{{leader, 2}, {follower, 0}} {
 		tap.reset()
 		if c.via == leader {
@@ -451,8 +566,8 @@ func TestMessagesPerWrite(t *testing.T) {
 			t.Fatalf("a follower's Propose returned %v, want ErrNoLeader", err)
 		}
 		time.Sleep(120 * time.Millisecond)
-		if d, em := tap.dataWindows.Load(), tap.emptyWindows.Load(); d != c.windows || em > c.windows {
-			t.Fatalf("write on member %d: %d data windows, %d empty windows; want %d, at most %d", c.via.ID(), d, em, c.windows, c.windows)
+		if d, em := tap.dataWindows.Load(), tap.emptyWindows.Load(); d != c.windows || em != 0 {
+			t.Fatalf("write on member %d: %d data windows, %d empty windows; want %d and none", c.via.ID(), d, em, c.windows)
 		}
 		if v, s, o := tap.votes.Load(), tap.syncPulls.Load(), tap.others.Load(); v != 0 || s != 0 || o != 0 {
 			t.Fatalf("write on member %d: %d votes, %d sync pulls, %d other messages on the peer links", c.via.ID(), v, s, o)

@@ -179,3 +179,41 @@ func TestSyncReplyFramesWithinBudget(t *testing.T) {
 	e.nodes[3], e.sms[3] = victim, sm
 	waitConverged(t, e, txns, 1, 2, 3)
 }
+
+// TestHorizonPullTakesNoApplyLock is the follower's side of
+// TestSnapshotPullTakesNoApplyLock: a pull that ships no snapshot only
+// appends frames and moves the commit horizon, so it completes while
+// applyMu is held — as an apply drain holds it — and a reader's pull
+// never waits behind the state machine.
+func TestHorizonPullTakesNoApplyLock(t *testing.T) {
+	e := newEnsemble(t, 3)
+	leader := e.waitLeader(t)
+	proposeOK(t, leader, "x")
+	var f *Node
+	for _, n := range e.nodes {
+		if n != leader {
+			f = n
+			break
+		}
+	}
+	commit := leader.CommitZxid()
+
+	f.applyMu.Lock()
+	done := make(chan struct{})
+	go func() {
+		f.syncFromLeader(leader.ID(), f.LastZxid())
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Error("a pull that ships no snapshot waited for applyMu")
+		f.applyMu.Unlock()
+		<-done
+		f.applyMu.Lock()
+	}
+	f.applyMu.Unlock()
+	if got := f.CommitZxid(); got < commit {
+		t.Fatalf("follower's commit horizon %x after the pull, want at least the leader's %x", got, commit)
+	}
+}
