@@ -19,10 +19,15 @@ const slowBeat = time.Second
 
 func startSlowBeatEnsemble(t *testing.T) *Ensemble {
 	t.Helper()
+	return startSlowBeatOver(t, transport.NewInProc())
+}
+
+func startSlowBeatOver(t *testing.T, net transport.Network) *Ensemble {
+	t.Helper()
 	ensembleSeq++
 	e, err := StartEnsemble(EnsembleConfig{
 		Servers:           3,
-		Net:               transport.NewInProc(),
+		Net:               net,
 		AddrPrefix:        fmt.Sprintf("slowbeat%d", ensembleSeq),
 		HeartbeatInterval: slowBeat,
 		ElectionTimeout:   2 * slowBeat,
@@ -102,5 +107,44 @@ func TestFollowerWatchFiresBeforeTheHeartbeat(t *testing.T) {
 	t.Logf("slowest watch event at the follower: %v (heartbeat %v)", worst, slowBeat)
 	if worst > slowBeat/4 {
 		t.Errorf("a watch armed on the follower fired %v after the write: it waited for the heartbeat", worst)
+	}
+}
+
+// TestArmedWatchSparesTheReadPull: with a watch armed on a follower,
+// every ack it sends says Waiting, so the leader pushes each commit
+// advance there and a read after write that parks for a frame already
+// acked is brought the horizon without asking. Such a read must not
+// pull: on a follower a cached mount keeps watched, that would be one
+// more leader request and fsync per read after write.
+func TestArmedWatchSparesTheReadPull(t *testing.T) {
+	net := &peerWindows{Network: transport.NewInProc()}
+	e := startSlowBeatOver(t, net)
+	_, follower := leaderAndFollower(t, e)
+	s := connect(t, e, follower)
+	if _, err := s.Create("/spare", nil, znode.ModePersistent); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.ExistsW("/spare/never"); err != nil {
+		t.Fatal(err)
+	}
+	net.watchClients(e)
+	var worst time.Duration
+	for i := 0; i < 200; i++ {
+		p := fmt.Sprintf("/spare/n%d", i)
+		if _, err := s.Create(p, nil, znode.ModePersistent); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if _, _, err := s.Get(p); err != nil {
+			t.Fatal(err)
+		}
+		worst = max(worst, time.Since(start))
+	}
+	t.Logf("slowest read after write at the watched follower: %v; %d pulls", worst, net.pulled())
+	if worst > slowBeat/10 {
+		t.Errorf("a read after write took %v at the follower: it waited for the heartbeat", worst)
+	}
+	if n := net.pulled(); n != 0 {
+		t.Errorf("reads after writes at a follower with a watch armed pulled the horizon %d times, want none", n)
 	}
 }

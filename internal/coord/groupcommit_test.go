@@ -31,13 +31,14 @@ func leaderAndFollower(tb testing.TB, e *Ensemble) (leader, follower int) {
 
 // peerWindows counts the replication windows on a test ensemble's peer
 // links: calls to any address but a client one whose first byte is 1,
-// the zab propose window's message kind. Heartbeats and sync pulls have
-// kinds of their own and are not counted.
+// the zab propose window's message kind. It counts the sync pulls,
+// kind 4, apart; heartbeats and votes are not counted.
 type peerWindows struct {
 	transport.Network
 	mu      sync.Mutex
 	clients map[string]bool // set once the ensemble is up; nil counts nothing
 	windows int
+	pulls   int
 }
 
 func (p *peerWindows) Dial(addr string) (transport.Conn, error) {
@@ -56,6 +57,23 @@ func (p *peerWindows) take() int {
 	return n
 }
 
+// watchClients starts the count on the peer links of e.
+func (p *peerWindows) watchClients(e *Ensemble) {
+	clients := map[string]bool{}
+	for _, a := range e.ClientAddrs {
+		clients[a] = true
+	}
+	p.mu.Lock()
+	p.clients = clients
+	p.mu.Unlock()
+}
+
+func (p *peerWindows) pulled() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.pulls
+}
+
 type windowConn struct {
 	transport.Conn
 	p    *peerWindows
@@ -64,8 +82,13 @@ type windowConn struct {
 
 func (c *windowConn) Call(req []byte) ([]byte, error) {
 	c.p.mu.Lock()
-	if c.p.clients != nil && !c.p.clients[c.addr] && len(req) > 0 && req[0] == 1 {
-		c.p.windows++
+	if c.p.clients != nil && !c.p.clients[c.addr] && len(req) > 0 {
+		switch req[0] {
+		case 1:
+			c.p.windows++
+		case 4:
+			c.p.pulls++
+		}
 	}
 	c.p.mu.Unlock()
 	return c.Conn.Call(req)

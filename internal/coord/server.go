@@ -364,6 +364,15 @@ func (s *Server) leaderElsewhere() string {
 	return ""
 }
 
+// arm registers a watch. The first one armed on this replica tells the
+// node, whose acks said until then that nobody waits here for the
+// commit horizon (zab.Node.WaiterArrived).
+func (s *Server) arm(kind watchKind, path string, session uint64) {
+	if s.watches.register(kind, path, session) {
+		s.node.WaiterArrived()
+	}
+}
+
 // serveLocal answers one non-replicated op from this replica's state.
 func (s *Server) serveLocal(q localReq) ([]byte, error) {
 	op, path, session := q.op, q.path, q.session
@@ -450,7 +459,7 @@ func (s *Server) serveLocal(q localReq) ([]byte, error) {
 		// the watch (a mutation in the window fires a conservative
 		// extra event instead of being missed).
 		s.dispatch.barrier()
-		s.watches.register(watchData, path, session)
+		s.arm(watchData, path, session)
 		data, stat, err := s.sm.treeRef().Get(path)
 		if err != nil {
 			// Like ZooKeeper, a failed get leaves no watch.
@@ -470,7 +479,7 @@ func (s *Server) serveLocal(q localReq) ([]byte, error) {
 		// exists() watches fire on creation too, so register either way —
 		// and before the read, like GetW, so a mutation between the two
 		// fires the watch instead of slipping past it.
-		s.watches.register(watchData, path, session)
+		s.arm(watchData, path, session)
 		stat, ok := s.sm.treeRef().Exists(path)
 		return okResult(func(w *wire.Writer) {
 			w.Bool(ok)
@@ -482,7 +491,7 @@ func (s *Server) serveLocal(q localReq) ([]byte, error) {
 		}
 		s.reg.Counter("reads").Inc()
 		s.dispatch.barrier()
-		s.watches.register(watchChildren, path, session)
+		s.arm(watchChildren, path, session)
 		kids, err := s.sm.treeRef().Children(path)
 		if err != nil {
 			s.watches.unregister(watchChildren, path, session)

@@ -77,7 +77,8 @@ type watchTable struct {
 	// under mu, and is read without it by the apply side, which skips
 	// watch delivery altogether while it is zero (watchDispatcher), and
 	// by the replication acks, which ask the leader to push each commit
-	// advance here while it is not (zab.Node.SetWaiting).
+	// advance here while it is not (zab.Node.SetWaiting, and
+	// Server.arm when it leaves zero).
 	armed atomic.Int64
 
 	mu sync.Mutex
@@ -169,7 +170,9 @@ func (w *watchTable) await(session uint64, maxWait time.Duration) []Event {
 	return evs
 }
 
-func (w *watchTable) register(kind watchKind, path string, session uint64) {
+// register arms a watch, and reports whether it is the only one armed
+// here (armed went from zero to one).
+func (w *watchTable) register(kind watchKind, path string, session uint64) (first bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	m := w.data
@@ -181,10 +184,11 @@ func (w *watchTable) register(kind watchKind, path string, session uint64) {
 		set = make(map[uint64]bool)
 		m[path] = set
 	}
-	if !set[session] {
-		set[session] = true
-		w.armed.Add(1)
+	if set[session] {
+		return false
 	}
+	set[session] = true
+	return w.armed.Add(1) == 1
 }
 
 // unregister removes a pending watch (used when the guarded read

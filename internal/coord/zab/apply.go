@@ -215,10 +215,8 @@ func (n *Node) wakeAppliedLocked() {
 // never the other waiters.
 //
 // A parked call is a waiter the leader must hear of, or the horizon
-// reaches it only with the next data window or heartbeat. While zxid is
-// past what this node has verified, the ack of the window that covers it
-// says so (Waiting). Once it is covered but not committed that ack has
-// already gone, so the call pulls the horizon itself.
+// reaches it only with the next data window or heartbeat
+// (announceLocked).
 func (n *Node) WaitApplied(zxid uint64, bound time.Duration) error {
 	if n.applied.Load() >= zxid {
 		return nil
@@ -234,9 +232,7 @@ func (n *Node) WaitApplied(zxid uint64, bound time.Duration) error {
 	}
 	ch := make(chan struct{})
 	n.applyWaiters[zxid] = append(n.applyWaiters[zxid], ch)
-	if zxid > n.commitZxid && zxid <= n.verified {
-		n.triggerSyncLocked()
-	}
+	n.announceLocked(zxid)
 	n.mu.Unlock()
 
 	timer := getProposeTimer(bound)

@@ -19,6 +19,7 @@ func (n *Node) setEpochLocked(epoch uint64) {
 	n.epoch = epoch
 	n.verified = n.commitZxid
 	n.leaderCommit = n.commitZxid
+	n.toldWaiting = false
 	n.gapBeats = 0
 }
 

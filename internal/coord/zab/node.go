@@ -299,6 +299,11 @@ type Node struct {
 	// bare tip (followCommitLocked). setEpochLocked resets both.
 	verified     uint64
 	leaderCommit uint64
+	// toldWaiting records that the newest ack naming a new tip said
+	// Waiting, so the leader sends this node each commit advance; a
+	// waiter that arrives for a horizon already verified pulls it only
+	// while this is false (announceLocked). setEpochLocked clears it.
+	toldWaiting bool
 	// tipMoved, when non-nil, is closed the next time the log tip
 	// advances — what a parked early window waits on.
 	tipMoved chan struct{}
@@ -499,8 +504,19 @@ func (n *Node) Stop() {
 // SetWaiting hands the node a report of waiters it cannot see itself —
 // coord's armed watches. While it returns true, every ack the node sends
 // says Waiting, so the leader streams each commit advance here at once.
-// Call it before Start.
+// Call it before Start, and call WaiterArrived each time the report
+// turns true.
 func (n *Node) SetWaiting(waiting func() bool) { n.waiting = waiting }
+
+// WaiterArrived tells the node that the report handed to SetWaiting has
+// turned true. The acks it sent before said nobody waits here, so for
+// the frames it holds verified but not committed it makes sure of the
+// horizon as a parked WaitApplied call would (announceLocked).
+func (n *Node) WaiterArrived() {
+	n.mu.Lock()
+	n.announceLocked(n.verified)
+	n.mu.Unlock()
+}
 
 // ID returns the node's ensemble identity.
 func (n *Node) ID() uint64 { return n.cfg.ID }

@@ -189,7 +189,14 @@ func (n *Node) acceptWindow(m proposeReq) (resp proposeResp, appended bool) {
 	}
 	n.verified = max(n.verified, prev)
 	n.followCommitLocked(m.Commit)
-	return proposeResp{Ack: true, Epoch: n.epoch, LastZxid: n.verified, Waiting: n.waitingLocked()}, len(novel) > 0
+	waiting := n.waitingLocked()
+	if len(novel) > 0 || !waiting {
+		// An ack that appended names more than any ack before it, so the
+		// leader keeps its Waiting; one that did not may name less once
+		// capped at the durable horizon, so only its "nobody" counts.
+		n.toldWaiting = waiting
+	}
+	return proposeResp{Ack: true, Epoch: n.epoch, LastZxid: n.verified, Waiting: waiting}, len(novel) > 0
 }
 
 // waitingLocked reports whether anyone on this node waits for the
@@ -197,6 +204,17 @@ func (n *Node) acceptWindow(m proposeReq) (resp proposeResp, appended bool) {
 // the node's owner reports (SetWaiting).
 func (n *Node) waitingLocked() bool {
 	return len(n.applyWaiters) > 0 || n.waiting != nil && n.waiting()
+}
+
+// announceLocked makes sure the leader brings the commit horizon to a
+// waiter that has just arrived for zxid. Past verified, the ack of the
+// window that covers zxid will say Waiting. At or below it, but not
+// committed, that ack has gone; unless the newest one said Waiting all
+// the same (toldWaiting), the node pulls the horizon itself.
+func (n *Node) announceLocked(zxid uint64) {
+	if zxid > n.commitZxid && zxid <= n.verified && !n.toldWaiting {
+		n.triggerSyncLocked()
+	}
 }
 
 // needSyncLocked answers a window this log cannot take and starts the
@@ -359,9 +377,18 @@ func (n *Node) syncFromLeader(leader, from uint64) {
 		}
 	}
 	// The whole log is now the leader's, as of the reply.
+	before := n.verified
 	n.verified = n.lastZxidLocked()
 	n.tipAdvancedLocked()
 	n.followCommitLocked(resp.Commit)
+	// A reader parked past the old verified counted on the ack of the
+	// window that covers its zxid; the pull covered it instead, and its
+	// reply may predate the commit.
+	for z := range n.applyWaiters {
+		if z > before {
+			n.announceLocked(z)
+		}
+	}
 	if resp.HasSnapshot {
 		// advanceCommitLocked returns early when the horizon didn't move,
 		// but the install may have rewound applyEnqueued below an
@@ -957,7 +984,8 @@ func (n *Node) foldWindow(gen uint64, s *followerStream, w window, resp proposeR
 		// is announced by the ack of the window that covered z, which
 		// names z or more; every ack placed before it parked names less,
 		// since a reader that parks for a zxid already covered pulls
-		// instead (WaitApplied). So an ack past match says whether anyone
+		// instead, unless the newest ack already said Waiting
+		// (announceLocked). So an ack past match says whether anyone
 		// waits now, one behind it says nothing, and one at match may be
 		// older or newer, so it can add a waiter but not clear one.
 		switch {

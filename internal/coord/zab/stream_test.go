@@ -291,8 +291,8 @@ func startTapped(t *testing.T, name string, tap *peerTap) *ensemble {
 }
 
 // startTappedBeat is startTapped with its own heartbeat interval and
-// election timeout.
-func startTappedBeat(t *testing.T, name string, tap *peerTap, beat, timeout time.Duration) *ensemble {
+// election timeout, over any decorated network.
+func startTappedBeat(t *testing.T, name string, tap transport.Network, beat, timeout time.Duration) *ensemble {
 	t.Helper()
 	e := &ensemble{
 		nodes: make(map[uint64]*Node),

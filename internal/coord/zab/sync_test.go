@@ -217,3 +217,164 @@ func TestHorizonPullTakesNoApplyLock(t *testing.T) {
 		t.Fatalf("follower's commit horizon %x after the pull, want at least the leader's %x", got, commit)
 	}
 }
+
+// pullRaceNet decorates a test ensemble's peer links: it fails every
+// call of the kinds in deafTo to the member at deaf, so that member
+// hears of the leader only through what is left and its own pulls;
+// delays each window to the member at slow by slowBy, so a frame the
+// leader appends commits that much later; and delivers the reply of the
+// next pull holdPull late.
+type pullRaceNet struct {
+	transport.Network
+	mu       sync.Mutex
+	deaf     string
+	deafTo   []uint8
+	slow     string
+	slowBy   time.Duration
+	holdPull time.Duration
+}
+
+func (p *pullRaceNet) Dial(addr string) (transport.Conn, error) {
+	c, err := p.Network.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &pullRaceConn{Conn: c, p: p, addr: addr}, nil
+}
+
+type pullRaceConn struct {
+	transport.Conn
+	p    *pullRaceNet
+	addr string
+}
+
+func (c *pullRaceConn) Call(req []byte) ([]byte, error) {
+	c.p.mu.Lock()
+	deaf := c.addr == c.p.deaf && slices.Contains(c.p.deafTo, req[0])
+	var before, after time.Duration
+	if c.addr == c.p.slow && req[0] == msgPropose {
+		before = c.p.slowBy
+	}
+	if req[0] == msgSync {
+		after, c.p.holdPull = c.p.holdPull, 0
+	}
+	c.p.mu.Unlock()
+	if deaf {
+		return nil, fmt.Errorf("pull race: %s hears no message of kind %d", c.addr, req[0])
+	}
+	time.Sleep(before)
+	resp, err := c.Conn.Call(req)
+	time.Sleep(after)
+	return resp, err
+}
+
+// startPullRace boots a three-member ensemble behind a pullRaceNet,
+// commits a first frame everywhere, and returns the leader and the two
+// followers. The heartbeat is never what a test waits for: each makes
+// one follower deaf to it, and finishes well inside the election
+// timeout that deafness starts.
+func startPullRace(t *testing.T, name string) (net *pullRaceNet, leader, f, g *Node) {
+	t.Helper()
+	const beat = 500 * time.Millisecond
+	net = &pullRaceNet{Network: transport.NewInProc()}
+	e := startTappedBeat(t, name, net, beat, 4*beat)
+	leader = e.waitLeader(t)
+	for _, n := range e.nodes {
+		switch {
+		case n == leader:
+		case f == nil:
+			f = n
+		default:
+			g = n
+		}
+	}
+	proposeOK(t, leader, "warm-up")
+	waitConverged(t, e, 1, 1, 2, 3)
+	return net, leader, f, g
+}
+
+// TestPulledFrameAnnouncesItsReader: a reader parks on a follower for a
+// zxid past what it has verified, counting on the ack of the window
+// that will cover it. Here a catch-up pull covers it instead, and the
+// pull's reply left the leader before the frame committed, so no ack
+// and no horizon reach the reader. The pull that raised verified past
+// it must pull again rather than leave the reader to the next heartbeat
+// — which this follower never gets.
+func TestPulledFrameAnnouncesItsReader(t *testing.T) {
+	net, leader, f, g := startPullRace(t, "pullrace")
+	net.mu.Lock()
+	net.deaf, net.deafTo = f.cfg.Peers[f.ID()], []uint8{msgPropose, msgHeartbeat}
+	net.slow, net.slowBy = g.cfg.Peers[g.ID()], 100*time.Millisecond
+	net.mu.Unlock()
+
+	before := leader.LastZxid()
+	go leader.Propose([]byte("z"))
+	for leader.LastZxid() == before {
+		time.Sleep(time.Millisecond)
+	}
+	z := leader.LastZxid()
+	net.mu.Lock()
+	net.holdPull = 300 * time.Millisecond
+	net.mu.Unlock()
+	f.mu.Lock()
+	f.triggerSyncLocked()
+	f.mu.Unlock()
+	for leader.CommitZxid() < z {
+		time.Sleep(time.Millisecond)
+	}
+	f.mu.Lock()
+	verified := f.verified
+	f.mu.Unlock()
+	if verified >= z {
+		t.Fatalf("the follower verified %x before the reader parked: the pull's reply was not held", verified)
+	}
+	start := time.Now()
+	err := f.WaitApplied(z, time.Second)
+	t.Logf("reader parked for %x woke after %v: %v", z, time.Since(start), err)
+	if err != nil {
+		t.Errorf("a reader parked past verified, covered by a pull, was left to the heartbeat: %v", err)
+	}
+}
+
+// TestArmedWaiterPullsTheHorizon: a follower acks a frame while nobody
+// waits there, so the leader sends it no carrier when the frame
+// commits. A watch armed afterwards (WaiterArrived) must fetch the
+// horizon itself instead of waiting for the next heartbeat — which this
+// follower never gets.
+func TestArmedWaiterPullsTheHorizon(t *testing.T) {
+	net, leader, f, _ := startPullRace(t, "armrace")
+	net.mu.Lock()
+	net.deaf, net.deafTo = f.cfg.Peers[f.ID()], []uint8{msgHeartbeat}
+	net.mu.Unlock()
+
+	var z uint64
+	for i := 0; ; i++ {
+		if i == 20 {
+			t.Fatal("every frame reached the follower already committed")
+		}
+		proposeOK(t, leader, fmt.Sprintf("z%d", i))
+		z = leader.CommitZxid()
+		for {
+			f.mu.Lock()
+			verified := f.verified
+			f.mu.Unlock()
+			if verified >= z {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond) // a carrier sent anyway would land
+		if f.CommitZxid() < z {
+			break
+		}
+	}
+	start := time.Now()
+	f.WaiterArrived()
+	for f.CommitZxid() < z {
+		if time.Since(start) > time.Second {
+			t.Fatalf("the follower holds %x verified and a waiter, and never learned it committed", z)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Logf("the follower learned %x committed %v after the waiter arrived", z, time.Since(start))
+}
