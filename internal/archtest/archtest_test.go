@@ -90,6 +90,14 @@ var guards = []guard{
 		names:  regexp.MustCompile(`commitReq|msgCommit|handleCommit`),
 	},
 	{
+		name:   "One horizon request",
+		design: "§9.2",
+		msg: "a replica tells the leader who waits on it again, or the leader sends commit carriers; " +
+			"a replica with a waiter asks for the horizon (Node.askLocked, syncReq.Until)",
+		dirs:  []string{"internal/coord/zab"},
+		names: regexp.MustCompile(`^(toldWaiting|wantsCommitLocked|Waiting)$`),
+	},
+	{
 		name:   "One read-ordering rule",
 		design: "§10.4",
 		msg:    "a second read-ordering rule is back in internal/coord; the last-seen zxid stamp is the only one",

@@ -2,17 +2,19 @@ package coord
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/coord/znode"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // A follower learns the commit horizon from the leader's next data
-// window or heartbeat unless someone there is waiting for it (DESIGN
+// window or heartbeat, or asks for it when someone there waits (DESIGN
 // §9.2): a stamped read parked on it, or an armed watch. These tests
-// slow the heartbeat to a second, so a follower that nobody told would
+// slow the heartbeat to a second, so a follower that did not ask would
 // keep its reader or its watch waiting for most of one.
 
 const slowBeat = time.Second
@@ -41,11 +43,11 @@ func startSlowBeatOver(t *testing.T, net transport.Network) *Ensemble {
 
 // TestFollowerReadAfterWritePullsTheHorizon: a follower-homed session
 // creates a node through the leader and reads it back at home, 200
-// times. The read is stamped with the create's zxid. When the follower
-// already acked that frame before the read parked, the leader heard of
-// no waiter, so the read pulls the horizon itself; otherwise the ack
-// says Waiting and the leader sends it. Either way every read returns
-// in a small fraction of a heartbeat, and home refuses none.
+// times. The read is stamped with the create's zxid. Whether the
+// follower verified that frame before the read parked or after, it asks
+// the leader for the horizon, and the leader answers once the create
+// commits: every read returns in a small fraction of a heartbeat, and
+// home refuses none.
 func TestFollowerReadAfterWritePullsTheHorizon(t *testing.T) {
 	e := startSlowBeatEnsemble(t)
 	_, follower := leaderAndFollower(t, e)
@@ -79,8 +81,8 @@ func TestFollowerReadAfterWritePullsTheHorizon(t *testing.T) {
 }
 
 // TestFollowerWatchFiresBeforeTheHeartbeat: a watch armed on a follower
-// makes its acks say Waiting, so the leader pushes the commit of a write
-// it watches at once and the event fires well inside one heartbeat.
+// makes it ask the leader for the commit of every frame it verifies, so
+// the event for a write it watches fires well inside one heartbeat.
 func TestFollowerWatchFiresBeforeTheHeartbeat(t *testing.T) {
 	e := startSlowBeatEnsemble(t)
 	leader, follower := leaderAndFollower(t, e)
@@ -110,16 +112,90 @@ func TestFollowerWatchFiresBeforeTheHeartbeat(t *testing.T) {
 	}
 }
 
-// TestArmedWatchSparesTheReadPull: with a watch armed on a follower,
-// every ack it sends says Waiting, so the leader pushes each commit
-// advance there and a read after write that parks for a frame already
-// acked is brought the horizon without asking. Such a read must not
-// pull: on a follower a cached mount keeps watched, that would be one
-// more leader request and fsync per read after write.
+// horizonTap counts the horizon exchanges on one follower's link: the
+// empty windows the leader sends to follower, and the horizon requests
+// and pulls sent to leader. Only a replica with a waiter asks, so in a
+// test that arms a watch and reads on one follower alone every request
+// counted is that follower's. shipped counts the exchanges that carried
+// a frame or a snapshot.
+type horizonTap struct {
+	transport.Network
+	mu                 sync.Mutex
+	follower, leader   string // peer addresses; "" counts nothing
+	exchanges, shipped int
+}
+
+func (p *horizonTap) Dial(addr string) (transport.Conn, error) {
+	c, err := p.Network.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &horizonConn{Conn: c, p: p, addr: addr}, nil
+}
+
+// watch starts the count on the link between e's leader and follower.
+func (p *horizonTap) watch(e *Ensemble, leader, follower int) {
+	peer := func(i int) string {
+		cfg := e.Servers[i].cfg
+		return cfg.PeerAddrs[cfg.ID]
+	}
+	p.mu.Lock()
+	p.leader, p.follower = peer(leader), peer(follower)
+	p.mu.Unlock()
+}
+
+func (p *horizonTap) counts() (exchanges, shipped int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.exchanges, p.shipped
+}
+
+type horizonConn struct {
+	transport.Conn
+	p    *horizonTap
+	addr string
+}
+
+func (c *horizonConn) Call(req []byte) ([]byte, error) {
+	resp, err := c.Conn.Call(req)
+	c.p.mu.Lock()
+	defer c.p.mu.Unlock()
+	switch {
+	case len(req) == 0:
+	case c.addr == c.p.follower && req[0] == 1:
+		r := wire.NewReader(req[1:])
+		r.Uint64() // epoch
+		r.Uint64() // leader
+		r.Uint64() // prev
+		if r.Uint32() == 0 && r.Err() == nil {
+			c.p.exchanges++
+		}
+	case c.addr == c.p.leader && req[0] == 4:
+		c.p.exchanges++
+		if err != nil {
+			break
+		}
+		r := wire.NewReader(resp)
+		snapshot := r.Bool()
+		r.Uint64() // its zxid
+		r.Bytes32()
+		if snapshot || r.Uint32() > 0 {
+			c.p.shipped++
+		}
+	}
+	return resp, err
+}
+
+// TestArmedWatchSparesTheReadPull: with a watch armed on a follower, the
+// follower waits for every frame it verifies, so each write costs at
+// most one horizon exchange on its link, and a read after write that
+// parks for it adds none. None ships a frame: on a follower a cached
+// mount keeps watched, a read after write must not cost a leader
+// request with frames and an fsync of them.
 func TestArmedWatchSparesTheReadPull(t *testing.T) {
-	net := &peerWindows{Network: transport.NewInProc()}
+	net := &horizonTap{Network: transport.NewInProc()}
 	e := startSlowBeatOver(t, net)
-	_, follower := leaderAndFollower(t, e)
+	leader, follower := leaderAndFollower(t, e)
 	s := connect(t, e, follower)
 	if _, err := s.Create("/spare", nil, znode.ModePersistent); err != nil {
 		t.Fatal(err)
@@ -127,9 +203,10 @@ func TestArmedWatchSparesTheReadPull(t *testing.T) {
 	if _, _, err := s.ExistsW("/spare/never"); err != nil {
 		t.Fatal(err)
 	}
-	net.watchClients(e)
+	net.watch(e, leader, follower)
+	const writes = 200
 	var worst time.Duration
-	for i := 0; i < 200; i++ {
+	for i := 0; i < writes; i++ {
 		p := fmt.Sprintf("/spare/n%d", i)
 		if _, err := s.Create(p, nil, znode.ModePersistent); err != nil {
 			t.Fatal(err)
@@ -140,11 +217,16 @@ func TestArmedWatchSparesTheReadPull(t *testing.T) {
 		}
 		worst = max(worst, time.Since(start))
 	}
-	t.Logf("slowest read after write at the watched follower: %v; %d pulls", worst, net.pulled())
+	exchanges, shipped := net.counts()
+	t.Logf("slowest read after write at the watched follower: %v; %d horizon exchanges for %d writes, %d shipped frames",
+		worst, exchanges, writes, shipped)
 	if worst > slowBeat/10 {
 		t.Errorf("a read after write took %v at the follower: it waited for the heartbeat", worst)
 	}
-	if n := net.pulled(); n != 0 {
-		t.Errorf("reads after writes at a follower with a watch armed pulled the horizon %d times, want none", n)
+	if exchanges > writes {
+		t.Errorf("%d horizon exchanges on the watched follower's link for %d writes, want at most one per write", exchanges, writes)
+	}
+	if shipped != 0 {
+		t.Errorf("%d horizon exchanges shipped frames to the watched follower, want none", shipped)
 	}
 }

@@ -364,15 +364,6 @@ func (s *Server) leaderElsewhere() string {
 	return ""
 }
 
-// arm registers a watch. The first one armed on this replica tells the
-// node, whose acks said until then that nobody waits here for the
-// commit horizon (zab.Node.WaiterArrived).
-func (s *Server) arm(kind watchKind, path string, session uint64) {
-	if s.watches.register(kind, path, session) {
-		s.node.WaiterArrived()
-	}
-}
-
 // serveLocal answers one non-replicated op from this replica's state.
 func (s *Server) serveLocal(q localReq) ([]byte, error) {
 	op, path, session := q.op, q.path, q.session
@@ -448,8 +439,15 @@ func (s *Server) serveLocal(q localReq) ([]byte, error) {
 			w.Uint64(uint64(s.reg.Gauge("zab.apply.lag").Value()))
 			w.Uint64(uint64(s.reg.Gauge("zab.apply.queue_depth").Value()))
 		}), nil
-	case opGetWatch:
-		if bounce := s.sm.bounceRead(path, false); bounce != nil {
+	case opGetWatch, opExistsWatch, opChildrenWatch:
+		plain, kind := opGet, watchData
+		switch op {
+		case opExistsWatch:
+			plain = opExists
+		case opChildrenWatch:
+			plain, kind = opChildren, watchChildren
+		}
+		if bounce := s.sm.bounceRead(path, kind == watchChildren); bounce != nil {
 			return errResult(bounce), nil
 		}
 		s.reg.Counter("reads").Inc()
@@ -457,47 +455,20 @@ func (s *Server) serveLocal(q localReq) ([]byte, error) {
 		// write's events cannot fire this new watch, then register
 		// before reading so no mutation can slip between the read and
 		// the watch (a mutation in the window fires a conservative
-		// extra event instead of being missed).
+		// extra event instead of being missed). The first watch armed
+		// here makes the node wait for the frames it has verified
+		// (zab.Node.WaiterArrived).
 		s.dispatch.barrier()
-		s.arm(watchData, path, session)
-		data, stat, err := s.sm.treeRef().Get(path)
-		if err != nil {
-			// Like ZooKeeper, a failed get leaves no watch.
-			s.watches.unregister(watchData, path, session)
-			return errResult(err), nil
+		if s.watches.register(kind, path, session) {
+			s.node.WaiterArrived()
 		}
-		return okResult(func(w *wire.Writer) {
-			w.Bytes32(data)
-			encodeStat(w, stat)
-		}), nil
-	case opExistsWatch:
-		if bounce := s.sm.bounceRead(path, false); bounce != nil {
-			return errResult(bounce), nil
+		reply, err := serveTreeRead(plain, path, s.sm.treeRef())
+		if err == nil && reply[0] != codeOK {
+			// Like ZooKeeper, a failed get or children read leaves no
+			// watch; exists() does not fail, its watch fires on creation.
+			s.watches.unregister(kind, path, session)
 		}
-		s.reg.Counter("reads").Inc()
-		s.dispatch.barrier()
-		// exists() watches fire on creation too, so register either way —
-		// and before the read, like GetW, so a mutation between the two
-		// fires the watch instead of slipping past it.
-		s.arm(watchData, path, session)
-		stat, ok := s.sm.treeRef().Exists(path)
-		return okResult(func(w *wire.Writer) {
-			w.Bool(ok)
-			encodeStat(w, stat)
-		}), nil
-	case opChildrenWatch:
-		if bounce := s.sm.bounceRead(path, true); bounce != nil {
-			return errResult(bounce), nil
-		}
-		s.reg.Counter("reads").Inc()
-		s.dispatch.barrier()
-		s.arm(watchChildren, path, session)
-		kids, err := s.sm.treeRef().Children(path)
-		if err != nil {
-			s.watches.unregister(watchChildren, path, session)
-			return errResult(err), nil
-		}
-		return okResult(func(w *wire.Writer) { w.StringSlice(kids) }), nil
+		return reply, err
 	case opPollEvents:
 		// Flush the async dispatch queue first so a session that wrote
 		// and then polls sees the events its own write fired.

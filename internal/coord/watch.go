@@ -76,9 +76,9 @@ type watchTable struct {
 	// armed counts the watches in data and children. It changes only
 	// under mu, and is read without it by the apply side, which skips
 	// watch delivery altogether while it is zero (watchDispatcher), and
-	// by the replication acks, which ask the leader to push each commit
-	// advance here while it is not (zab.Node.SetWaiting, and
-	// Server.arm when it leaves zero).
+	// by the node, which asks the leader for the commit of every frame it
+	// verifies while it is not (zab.Node.SetWaiting, and WaiterArrived
+	// when it leaves zero).
 	armed atomic.Int64
 
 	mu sync.Mutex

@@ -214,9 +214,9 @@ func (n *Node) wakeAppliedLocked() {
 // single deadline-aware select on it — a timeout wakes only this caller,
 // never the other waiters.
 //
-// A parked call is a waiter the leader must hear of, or the horizon
-// reaches it only with the next data window or heartbeat
-// (announceLocked).
+// A call parked for a frame this node has verified asks the leader for
+// its commit (askLocked); the horizon does not wait for the next data
+// window or heartbeat.
 func (n *Node) WaitApplied(zxid uint64, bound time.Duration) error {
 	if n.applied.Load() >= zxid {
 		return nil
@@ -232,7 +232,7 @@ func (n *Node) WaitApplied(zxid uint64, bound time.Duration) error {
 	}
 	ch := make(chan struct{})
 	n.applyWaiters[zxid] = append(n.applyWaiters[zxid], ch)
-	n.announceLocked(zxid)
+	n.askLocked(false)
 	n.mu.Unlock()
 
 	timer := getProposeTimer(bound)

@@ -19,7 +19,6 @@ func (n *Node) setEpochLocked(epoch uint64) {
 	n.epoch = epoch
 	n.verified = n.commitZxid
 	n.leaderCommit = n.commitZxid
-	n.toldWaiting = false
 	n.gapBeats = 0
 }
 
@@ -125,11 +124,12 @@ func (n *Node) failLeaderLocked(err error) {
 	}
 	n.leaderGen++
 	n.stallSince = time.Time{}
-	// Step-down revokes the read lease, wakes parked reads and drops the
-	// observers' streams (their contact timers bring them to the next
-	// leader); all are leader-only state.
+	// Step-down revokes the read lease, wakes parked reads and horizon
+	// requests and drops the observers' streams (their contact timers
+	// bring them to the next leader); all are leader-only state.
 	n.leaseRound = time.Time{}
 	n.wakeReadersLocked()
+	n.wakeAsksLocked()
 	for id := range n.learners {
 		n.dropLearnerLocked(id)
 	}
@@ -319,6 +319,7 @@ func (n *Node) heartbeatLoop() {
 // their own, so it returns at once.
 func (n *Node) heartbeat() {
 	n.mu.Lock()
+	n.roundDue = false
 	if n.role != roleLeader {
 		n.mu.Unlock()
 		return

@@ -21,9 +21,11 @@ func zabMessageBodies() [][]byte {
 	return [][]byte{
 		proposeReq{Epoch: 2, LeaderID: 1, PrevZxid: makeZxid(1, 9), Entries: frames, Commit: makeZxid(1, 9)}.encode()[1:],
 		proposeReq{Epoch: 2, LeaderID: 1, PrevZxid: makeZxid(2, 3), Commit: makeZxid(2, 3)}.encode()[1:],
-		proposeResp{Ack: true, Epoch: 2, LastZxid: makeZxid(2, 3), Waiting: true}.encode(),
+		proposeResp{Ack: true, Epoch: 2, LastZxid: makeZxid(2, 3)}.encode(),
 		heartbeatReq{Epoch: 2, LeaderID: 1, Commit: makeZxid(2, 3), Contact: "127.0.0.1:7201"}.encode()[1:],
 		heartbeatResp{Epoch: 2, LastZxid: makeZxid(2, 3)}.encode(),
+		syncReq{FromZxid: makeZxid(2, 3)}.encode()[1:],
+		syncReq{FromZxid: makeZxid(2, 3), Until: makeZxid(2, 5)}.encode()[1:],
 		syncResp{HasSnapshot: true, SnapZxid: makeZxid(1, 9), Snapshot: []byte("tree"), Entries: frames,
 			Commit: makeZxid(2, 2), Epoch: 2, LeaderID: 1}.encode(),
 		requestVoteResp{Granted: true, Epoch: 2}.encode(),
@@ -69,6 +71,7 @@ func FuzzDecodeZabMessages(f *testing.F) {
 			t.Fatalf("heartbeat: a %d-byte contact from %d bytes", len(hb.Contact), in)
 		}
 		decodeHeartbeatResp(data)
+		decodeSyncReq(wire.NewReader(data))
 		s, _ := decodeSyncResp(data)
 		if len(s.Snapshot) > in {
 			t.Fatalf("sync: a %d-byte snapshot from %d bytes", len(s.Snapshot), in)

@@ -56,18 +56,22 @@ func (n *Node) wakeReadersLocked() {
 // ReadBarrier returns once this node may answer a linearizable read from
 // its state, with the zxid that state has applied: it leads, it has
 // applied its epoch's barrier, and its lease is live or a quorum acked a
-// heartbeat round that began after the call. A non-leader gets
-// ErrNoLeader; a leader that cannot vouch within bound, an error.
+// heartbeat round that began after the call. A call that has to wait
+// starts that round itself rather than wait for the scheduled one,
+// unless a round asked for by another call has not begun yet, which
+// serves both. A non-leader gets ErrNoLeader; a leader that cannot vouch
+// within bound, an error.
 func (n *Node) ReadBarrier(bound time.Duration) (applied uint64, err error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	start, epoch := n.now(), n.epoch
 	var timer *time.Timer
 	for {
+		barrier := n.lastApplied >= makeZxid(epoch, 1)
 		switch {
 		case n.role != roleLeader || n.epoch != epoch:
 			return 0, ErrNoLeader
-		case n.lastApplied >= makeZxid(epoch, 1) && (n.leaseRound.After(start) ||
+		case barrier && (n.leaseRound.After(start) ||
 			n.now().Before(leaseDeadline(n.leaseRound, n.cfg.ElectionTimeout, n.cfg.MaxClockSkew))):
 			return n.lastApplied, nil
 		}
@@ -79,7 +83,14 @@ func (n *Node) ReadBarrier(bound time.Duration) (applied uint64, err error) {
 			n.readWake = make(chan struct{})
 		}
 		wake := n.readWake
+		// Until the epoch barrier applies (which wakes this call), rounds
+		// would only repeat; and a call that cannot wait has no use for one.
+		beat := barrier && bound > 0 && !n.roundDue
+		n.roundDue = n.roundDue || beat
 		n.mu.Unlock()
+		if beat {
+			n.heartbeat()
+		}
 		select {
 		case <-wake:
 		case <-timer.C:

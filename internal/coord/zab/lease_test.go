@@ -320,3 +320,72 @@ func TestNoVouchBeforeEpochBarrier(t *testing.T) {
 		}
 	}
 }
+
+// TestBarrierStartsItsRound: with the lease off (MaxClockSkew at the
+// election timeout) and a one-second heartbeat, a ReadBarrier — what a
+// Sync or a lease read is on the leader — that waited for the scheduled
+// round would take up to a second. It starts a round of its own, and
+// the barriers that arrive before that round begins share it: 20
+// barriers, five at a time, each vouch within 100 ms.
+func TestBarrierStartsItsRound(t *testing.T) {
+	const beat = time.Second
+	e := &ensemble{nodes: make(map[uint64]*Node), sms: make(map[uint64]*kvSM), peers: make(map[uint64]string)}
+	for id := uint64(1); id <= 3; id++ {
+		e.peers[id] = fmt.Sprintf("barrier-round-%d", id)
+	}
+	net := transport.NewInProc()
+	for id := range e.peers {
+		sm := &kvSM{}
+		n, err := NewNode(Config{
+			ID:                id,
+			Peers:             e.peers,
+			Net:               net,
+			HeartbeatInterval: beat,
+			ElectionTimeout:   2 * beat,
+			MaxClockSkew:      2 * beat,
+		}, sm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Start(); err != nil {
+			t.Fatal(err)
+		}
+		e.nodes[id], e.sms[id] = n, sm
+	}
+	t.Cleanup(e.stopAll)
+	var leader *Node
+	for deadline := time.Now().Add(20 * time.Second); leader == nil; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no leader elected")
+		}
+		for _, n := range e.nodes {
+			if n.IsLeader() {
+				leader = n
+			}
+		}
+	}
+	proposeOK(t, leader, "x") // the epoch barrier has applied
+	var mu sync.Mutex
+	var worst time.Duration
+	for round := 0; round < 4; round++ {
+		var wg sync.WaitGroup
+		for i := 0; i < 5; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start := time.Now()
+				if _, err := leader.ReadBarrier(2 * beat); err != nil {
+					t.Error(err)
+				}
+				mu.Lock()
+				worst = max(worst, time.Since(start))
+				mu.Unlock()
+			}()
+		}
+		wg.Wait()
+	}
+	t.Logf("slowest of 20 barriers with the lease off: %v (heartbeat %v)", worst, beat)
+	if worst > 100*time.Millisecond {
+		t.Errorf("a barrier with the lease off took %v: it waited for the scheduled heartbeat", worst)
+	}
+}

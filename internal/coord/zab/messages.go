@@ -48,10 +48,9 @@ func decodeEntry(r *wire.Reader) Frame {
 // with a Raft-style consistency check — the follower accepts only if
 // it holds PrevZxid (committed entries always count as held). Several
 // windows may be in flight to one follower at once and each carries
-// the leader's commit horizon; a window without frames carries nothing
-// else — a commit carrier, sent only to a follower whose last ack said
-// Waiting — or, naming the leader's tip, probes a follower the leader
-// lost track of (see handlePropose).
+// the leader's commit horizon; a window without frames is a probe: it
+// names the leader's tip to a follower the leader lost track of (see
+// handlePropose).
 type proposeReq struct {
 	Epoch    uint64
 	LeaderID uint64
@@ -108,17 +107,12 @@ func decodeProposeReq(r *wire.Reader) proposeReq {
 // follower's log is both a verified prefix of this leader's and
 // durable, so acks may return in any order and the leader keeps the
 // maximum. On a refusal LastZxid is the follower's log tip, the
-// position the leader rewinds the stream to. Waiting says that, when
-// the follower placed the window, someone there waited for the commit
-// horizon to move — a WaitApplied call parked, or a watch armed — so the
-// leader should send it each commit advance at once instead of on the
-// next data window or heartbeat.
+// position the leader rewinds the stream to.
 type proposeResp struct {
 	Ack      bool
 	NeedSync bool
 	Epoch    uint64 // responder's epoch, so a stale leader steps down
 	LastZxid uint64
-	Waiting  bool
 }
 
 func (m proposeResp) encode() []byte {
@@ -128,13 +122,12 @@ func (m proposeResp) encode() []byte {
 	w.Bool(m.NeedSync)
 	w.Uint64(m.Epoch)
 	w.Uint64(m.LastZxid)
-	w.Bool(m.Waiting)
 	return w.Bytes()
 }
 
 func decodeProposeResp(b []byte) (proposeResp, error) {
 	r := wire.NewReader(b)
-	m := proposeResp{Ack: r.Bool(), NeedSync: r.Bool(), Epoch: r.Uint64(), LastZxid: r.Uint64(), Waiting: r.Bool()}
+	m := proposeResp{Ack: r.Bool(), NeedSync: r.Bool(), Epoch: r.Uint64(), LastZxid: r.Uint64()}
 	return m, r.Err()
 }
 
@@ -220,17 +213,26 @@ func decodeRequestVoteResp(b []byte) (requestVoteResp, error) {
 	return m, r.Err()
 }
 
-// syncReq is a lagging follower pulling state from the leader.
+// syncReq is a lagging follower pulling state from the leader, or,
+// with Until set, a replica asking for the commit horizon: the leader
+// answers once it has committed Until, with the horizon alone
+// (answerAsk).
 type syncReq struct {
 	FromZxid uint64
+	Until    uint64
 }
 
 func (m syncReq) encode() []byte {
 	var w wire.Writer
-	w.Grow(16)
+	w.Grow(24)
 	w.Uint8(msgSync)
 	w.Uint64(m.FromZxid)
+	w.Uint64(m.Until)
 	return w.Bytes()
+}
+
+func decodeSyncReq(r *wire.Reader) syncReq {
+	return syncReq{FromZxid: r.Uint64(), Until: r.Uint64()}
 }
 
 // syncResp carries either the leader's stored snapshot plus the entries

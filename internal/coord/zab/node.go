@@ -262,7 +262,7 @@ type Node struct {
 	lastContact time.Time
 	electionDue time.Duration
 	syncing     bool
-	syncAgain   bool // a pull was asked for while one was in flight
+	asking      bool // a horizon request is in flight (askLocked)
 	stopped     bool
 	// waiting reports waiters the node cannot see itself (SetWaiting).
 	waiting func() bool
@@ -299,11 +299,6 @@ type Node struct {
 	// bare tip (followCommitLocked). setEpochLocked resets both.
 	verified     uint64
 	leaderCommit uint64
-	// toldWaiting records that the newest ack naming a new tip said
-	// Waiting, so the leader sends this node each commit advance; a
-	// waiter that arrives for a horizon already verified pulls it only
-	// while this is false (announceLocked). setEpochLocked clears it.
-	toldWaiting bool
 	// tipMoved, when non-nil, is closed the next time the log tip
 	// advances — what a parked early window waits on.
 	tipMoved chan struct{}
@@ -351,10 +346,16 @@ type Node struct {
 	snapInFlight    bool
 
 	// Leader reads (lease.go): the start of the last heartbeat round a
-	// quorum acked (zero: none), and what a parked ReadBarrier waits on.
+	// quorum acked (zero: none), what a parked ReadBarrier waits on, and
+	// whether one has asked for a round that has not begun yet.
 	now        func() time.Time
 	leaseRound time.Time
 	readWake   chan struct{}
+	roundDue   bool
+	// commitWake, when non-nil, is closed the next time the leader's
+	// commit horizon moves or its leadership ends: what a parked horizon
+	// request waits on (answerAsk).
+	commitWake chan struct{}
 
 	// learners are the leader's streams to the observers that joined it
 	// (nil while there are none): served like n.streams, read for lag,
@@ -502,19 +503,18 @@ func (n *Node) Stop() {
 }
 
 // SetWaiting hands the node a report of waiters it cannot see itself —
-// coord's armed watches. While it returns true, every ack the node sends
-// says Waiting, so the leader streams each commit advance here at once.
+// coord's armed watches. While it returns true, the node waits for every
+// frame it has verified, as a parked WaitApplied call would (askLocked).
 // Call it before Start, and call WaiterArrived each time the report
 // turns true.
 func (n *Node) SetWaiting(waiting func() bool) { n.waiting = waiting }
 
 // WaiterArrived tells the node that the report handed to SetWaiting has
-// turned true. The acks it sent before said nobody waits here, so for
-// the frames it holds verified but not committed it makes sure of the
-// horizon as a parked WaitApplied call would (announceLocked).
+// turned true: a waiter now waits for the frames it holds verified, and
+// the node asks the leader for their commit.
 func (n *Node) WaiterArrived() {
 	n.mu.Lock()
-	n.announceLocked(n.verified)
+	n.askLocked(true)
 	n.mu.Unlock()
 }
 
@@ -710,7 +710,7 @@ func (n *Node) handle(req []byte) ([]byte, error) {
 		}
 		return n.handleRequestVote(m).encode(), nil
 	case msgSync:
-		m := syncReq{FromZxid: r.Uint64()}
+		m := decodeSyncReq(r)
 		if err := r.Err(); err != nil {
 			return nil, err
 		}

@@ -75,7 +75,8 @@ type proposeOutcome struct {
 //     attaches or overlaps. Frames already held are skipped (a
 //     retransmit, or a window overtaken by its successor), the rest
 //     must attach exactly at the tip and are appended. A window with
-//     no frames is a commit carrier and is simply acked.
+//     no frames is a probe of a tip this node holds, and is simply
+//     acked.
 //   - Ahead of the tip, with frames, PrevZxid of the leader's own
 //     epoch: EARLY — its predecessor is still in flight. It parks until
 //     the append that closes the gap (the leader's window bounds how
@@ -95,10 +96,7 @@ type proposeOutcome struct {
 // are synced — one sync per window, outside the node mutex — and the
 // position reported is capped at the store's durable horizon, because
 // with several handlers in flight this one may have verified frames
-// another handler appended and has not synced yet. It also says whether
-// anyone here waits for the horizon (Waiting), as of the moment the
-// window raised verified: a reader that parks later for a zxid at or
-// below verified pulls the horizon instead (WaitApplied).
+// another handler appended and has not synced yet.
 func (n *Node) handlePropose(m proposeReq) proposeResp {
 	resp, appended := n.acceptWindow(m)
 	if !resp.Ack {
@@ -189,32 +187,7 @@ func (n *Node) acceptWindow(m proposeReq) (resp proposeResp, appended bool) {
 	}
 	n.verified = max(n.verified, prev)
 	n.followCommitLocked(m.Commit)
-	waiting := n.waitingLocked()
-	if len(novel) > 0 || !waiting {
-		// An ack that appended names more than any ack before it, so the
-		// leader keeps its Waiting; one that did not may name less once
-		// capped at the durable horizon, so only its "nobody" counts.
-		n.toldWaiting = waiting
-	}
-	return proposeResp{Ack: true, Epoch: n.epoch, LastZxid: n.verified, Waiting: waiting}, len(novel) > 0
-}
-
-// waitingLocked reports whether anyone on this node waits for the
-// commit horizon to move: a WaitApplied call parked here, or a waiter
-// the node's owner reports (SetWaiting).
-func (n *Node) waitingLocked() bool {
-	return len(n.applyWaiters) > 0 || n.waiting != nil && n.waiting()
-}
-
-// announceLocked makes sure the leader brings the commit horizon to a
-// waiter that has just arrived for zxid. Past verified, the ack of the
-// window that covers zxid will say Waiting. At or below it, but not
-// committed, that ack has gone; unless the newest one said Waiting all
-// the same (toldWaiting), the node pulls the horizon itself.
-func (n *Node) announceLocked(zxid uint64) {
-	if zxid > n.commitZxid && zxid <= n.verified && !n.toldWaiting {
-		n.triggerSyncLocked()
-	}
+	return proposeResp{Ack: true, Epoch: n.epoch, LastZxid: n.verified}, len(novel) > 0
 }
 
 // needSyncLocked answers a window this log cannot take and starts the
@@ -253,12 +226,61 @@ func (n *Node) tipAdvancedLocked() {
 // from an older epoch may sit below a newer epoch's horizon without
 // being in the new leader's log. The announced horizon is remembered,
 // so a window that arrives after the notice that commits it applies at
-// once.
+// once. Every change of verified ends here too, so this is where the
+// horizon rule runs (askLocked).
 func (n *Node) followCommitLocked(commit uint64) {
 	n.leaderCommit = max(n.leaderCommit, commit)
 	if n.advanceCommitLocked(min(n.leaderCommit, n.verified)) {
 		n.applyCond.Signal()
 	}
+	n.askLocked(false)
+}
+
+// askLocked is the one horizon rule: when someone waits for a frame this
+// replica has verified but not seen committed — a WaitApplied call parked
+// for its zxid, or an armed watch (SetWaiting, or armed), which waits for
+// all of verified — it asks the leader for the horizon up to the lowest
+// such zxid, and the leader answers once it has committed it (answerAsk).
+// One request is in flight at a time, beside any catch-up pull.
+func (n *Node) askLocked(armed bool) {
+	if n.asking || n.verified <= n.commitZxid || n.stopped || n.leaderID == 0 || n.leaderID == n.cfg.ID {
+		return
+	}
+	var until uint64
+	if armed || n.waiting != nil && n.waiting() {
+		until = n.verified
+	}
+	for z := range n.applyWaiters {
+		if z > n.commitZxid && z <= n.verified && (until == 0 || z < until) {
+			until = z
+		}
+	}
+	if until == 0 {
+		return
+	}
+	n.asking = true
+	n.wg.Add(1)
+	go n.ask(n.leaderID, until)
+}
+
+// ask sends one horizon request and follows the horizon it brings back,
+// which runs the rule again; a failed request leaves it to the next
+// change of the horizon, verified or the waiters.
+func (n *Node) ask(leader, until uint64) {
+	defer n.wg.Done()
+	respB, err := n.callPeer(leader, syncReq{Until: until}.encode())
+	var resp syncResp
+	if err == nil {
+		resp, err = decodeSyncResp(respB)
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.asking = false
+	if err != nil || resp.Epoch < n.epoch || n.stopped {
+		return
+	}
+	n.adoptEpochLocked(resp.Epoch, resp.LeaderID)
+	n.followCommitLocked(resp.Commit)
 }
 
 // advanceCommitLocked raises the commit horizon (bounded by what we
@@ -275,41 +297,39 @@ func (n *Node) advanceCommitLocked(commit uint64) bool {
 	n.commitZxid = commit
 	n.stallSince = time.Time{}
 	n.enqueueCommittedLocked()
-	// Each stream carries the new horizon on its next window — an empty
-	// one if it has no frames to send and its follower has a waiter; the
-	// pipelining window may have opened for a proposer gated on it.
-	n.wakeStreamsLocked()
+	// The streams carry the new horizon on their next windows; the
+	// horizon requests parked here, and a proposer gated on the
+	// pipelining window, may be released.
+	n.wakeAsksLocked()
 	if n.propGate == propWindow {
 		n.propCond.Signal()
 	}
 	return true
 }
 
-// triggerSyncLocked schedules a pull from the leader at this node's tip:
-// a catch-up, or a parked reader's horizon. One pull is in flight at a
-// time; one asked for meanwhile runs after it, because the reply in
-// flight may have left the leader before the asker's reason existed.
-func (n *Node) triggerSyncLocked() {
-	if n.stopped || n.leaderID == 0 || n.leaderID == n.cfg.ID {
-		return
+// wakeAsksLocked releases the horizon requests parked on the leader:
+// the commit horizon moved, or the leadership ended.
+func (n *Node) wakeAsksLocked() {
+	if n.commitWake != nil {
+		close(n.commitWake)
+		n.commitWake = nil
 	}
-	if n.syncing {
-		n.syncAgain = true
+}
+
+// triggerSyncLocked schedules a pull-based catch-up from the leader.
+func (n *Node) triggerSyncLocked() {
+	if n.syncing || n.stopped || n.leaderID == 0 || n.leaderID == n.cfg.ID {
 		return
 	}
 	n.syncing = true
+	leader := n.leaderID
+	from := n.lastZxidLocked()
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
+		n.syncFromLeader(leader, from)
 		n.mu.Lock()
-		for n.syncing {
-			leader, from := n.leaderID, n.lastZxidLocked()
-			n.syncAgain = false
-			n.mu.Unlock()
-			n.syncFromLeader(leader, from)
-			n.mu.Lock()
-			n.syncing = n.syncAgain && !n.stopped && n.leaderID != 0 && n.leaderID != n.cfg.ID
-		}
+		n.syncing = false
 		n.mu.Unlock()
 	}()
 }
@@ -327,8 +347,8 @@ func (n *Node) syncFromLeader(leader, from uint64) {
 		// applyMu first (applyMu → mu): a snapshot install replaces the
 		// state machine's contents, which must not race an in-flight apply
 		// batch. A pull that ships no snapshot only appends frames and
-		// moves the horizon, under mu alone: a parked reader's pull never
-		// waits for an apply drain, nor stalls the next one.
+		// moves the horizon, under mu alone: it never waits for an apply
+		// drain, nor stalls the next one.
 		n.applyMu.Lock()
 		defer n.applyMu.Unlock()
 	}
@@ -352,9 +372,7 @@ func (n *Node) syncFromLeader(leader, from uint64) {
 		n.log = nil
 		n.cSnapInstalls.Inc()
 	} else if n.lastZxidLocked() != from {
-		// Our log moved while the pull was in flight, so its frames may
-		// not attach; the horizon is this epoch's all the same.
-		n.followCommitLocked(resp.Commit)
+		// Our log moved while the sync was in flight; retry later.
 		return
 	}
 	var novel []Frame
@@ -367,28 +385,17 @@ func (n *Node) syncFromLeader(leader, from uint64) {
 	}
 	if len(novel) > 0 {
 		// Persist and harden the pulled tail before it can be claimed by
-		// a later ack or vote. A catch-up is rare, and a reader's pull at
-		// a tip the stream keeps up with ships the frames of at most a
-		// window or two, so the inline fsync under the lock is
-		// acceptable.
+		// a later ack or vote; the sync pull is rare, so the inline
+		// fsync under the lock is acceptable.
 		if n.st.Append(novel) != nil || n.st.Sync() != nil {
 			n.log = n.log[:len(n.log)-len(novel)]
 			return
 		}
 	}
 	// The whole log is now the leader's, as of the reply.
-	before := n.verified
 	n.verified = n.lastZxidLocked()
 	n.tipAdvancedLocked()
 	n.followCommitLocked(resp.Commit)
-	// A reader parked past the old verified counted on the ack of the
-	// window that covers its zxid; the pull covered it instead, and its
-	// reply may predate the commit.
-	for z := range n.applyWaiters {
-		if z > before {
-			n.announceLocked(z)
-		}
-	}
 	if resp.HasSnapshot {
 		// advanceCommitLocked returns early when the horizon didn't move,
 		// but the install may have rewound applyEnqueued below an
@@ -406,8 +413,12 @@ const maxSyncBytes = wire.MaxFrameSize / 4
 // FromZxid or, when that position is not in the log (trimmed away or
 // divergent), the snapshot the store holds plus the frames past it,
 // which truncation never outruns — never a suffix with a silent gap.
-// The body is read from the store with no lock held.
+// The body is read from the store with no lock held. A request with
+// Until set asks for the horizon alone (answerAsk).
 func (n *Node) handleSync(m syncReq) (syncResp, error) {
+	if m.Until != 0 {
+		return n.answerAsk(m.Until)
+	}
 	n.mu.Lock()
 	if n.role != roleLeader {
 		n.mu.Unlock()
@@ -446,6 +457,37 @@ func (n *Node) handleSync(m syncReq) (syncResp, error) {
 		return syncResp{}, fmt.Errorf("zab: reading the snapshot for sync: %w", err)
 	}
 	return resp, nil
+}
+
+// answerAsk runs on the leader: it holds a horizon request until the
+// commit horizon reaches until, the leadership ends (Stop included) or
+// one HeartbeatInterval passes, and answers with the horizon alone: no
+// frames, no snapshot, so the asker appends and syncs nothing.
+func (n *Node) answerAsk(until uint64) (syncResp, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	var timer *time.Timer
+	for n.role == roleLeader && n.commitZxid < until {
+		if timer == nil {
+			timer = getProposeTimer(n.cfg.HeartbeatInterval)
+			defer putProposeTimer(timer)
+		}
+		if n.commitWake == nil {
+			n.commitWake = make(chan struct{})
+		}
+		wake := n.commitWake
+		n.mu.Unlock()
+		select {
+		case <-wake:
+		case <-timer.C:
+			until = 0 // the heartbeat carries the horizon from here on
+		}
+		n.mu.Lock()
+	}
+	if n.role != roleLeader {
+		return syncResp{}, fmt.Errorf("zab: node %d is not the leader", n.cfg.ID)
+	}
+	return syncResp{Commit: n.commitZxid, Epoch: n.epoch, LeaderID: n.cfg.ID}, nil
 }
 
 // --- leader side ------------------------------------------------------
@@ -771,12 +813,10 @@ type followerStream struct {
 	sent  uint64 // highest zxid handed to a window
 	base  uint64 // the follower's last reported position; where a failed stream rewinds to
 
-	commit  uint64 // highest commit horizon an issued window carried
-	frames  int    // frames in flight, bounded by maxFramesPerSend
-	windows int    // windows in flight
-	empty   bool   // one of them has no frames (at most one does)
-	failed  bool   // a window was refused or lost: drain, rewind, back off
-	waiting bool   // the newest ack said Waiting: send each commit advance at once
+	frames  int  // frames in flight, bounded by maxFramesPerSend
+	windows int  // windows in flight
+	empty   bool // one of them is a probe, with no frames (at most one is)
+	failed  bool // a window was refused or lost: drain, rewind, back off
 
 	// Observer streams only (learner.go).
 	attach      bool      // opened mid-term: the first window probes our tip
@@ -820,9 +860,10 @@ type window struct {
 }
 
 // senderLoop streams the log to one follower as windows: it issues the
-// next one as soon as there are frames past s.sent (or a commit horizon
-// the follower has not been sent), without waiting for the acks of the
-// windows before it — up to maxFramesPerSend frames in flight. Each
+// next one as soon as there are frames past s.sent, without waiting for
+// the acks of the windows before it — up to maxFramesPerSend frames in
+// flight. The commit horizon rides every window; nothing is sent for it
+// alone (a replica with a waiter asks for it, askLocked). Each
 // window completes on its own goroutine (awaitWindow); acks are
 // cumulative and may return in any order. A refused or failed window
 // stops the issuing, lets the flight drain, rewinds s.sent to the
@@ -850,7 +891,7 @@ func (n *Node) senderLoop(gen, id uint64, s *followerStream) {
 			return
 		}
 		if s.failed {
-			s.failed, s.sent, s.commit = false, s.base, 0
+			s.failed, s.sent = false, s.base
 			n.mu.Unlock()
 			if !n.sleepInterruptible(n.cfg.HeartbeatInterval) {
 				return
@@ -868,17 +909,9 @@ func (n *Node) senderLoop(gen, id uint64, s *followerStream) {
 }
 
 // wantsFramesLocked reports whether a stream has frames to send and
-// room in its flight for them; wantsCommitLocked whether the commit
-// horizon has moved past what any of its windows carried while its
-// follower waits for it, and the one empty window a stream may have in
-// flight is not out. A follower nobody waits on learns the horizon
-// from the next data window or heartbeat.
+// room in its flight for them.
 func (n *Node) wantsFramesLocked(s *followerStream) bool {
 	return s.sent < n.lastZxidLocked() && s.frames < maxFramesPerSend
-}
-
-func (n *Node) wantsCommitLocked(s *followerStream) bool {
-	return n.commitZxid > s.commit && !s.empty && s.waiting
 }
 
 // nextWindowLocked builds the next window for a stream and books it as
@@ -913,11 +946,6 @@ func (n *Node) nextWindowLocked(s *followerStream) (req proposeReq, w window, ok
 			}
 			req.PrevZxid, probe = n.lastZxidLocked(), true
 		}
-	case n.wantsCommitLocked(s):
-		// Nothing to send but the horizon. The window names the acked
-		// position, which the follower is known to hold, so it can
-		// never be taken for a probe — whatever it overtakes.
-		req.PrevZxid = s.match
 	default:
 		return req, w, false
 	}
@@ -929,7 +957,6 @@ func (n *Node) nextWindowLocked(s *followerStream) (req proposeReq, w window, ok
 	}
 	s.frames += w.frames
 	s.windows++
-	s.commit = max(s.commit, req.Commit)
 	return req, w, true
 }
 
@@ -980,20 +1007,6 @@ func (n *Node) foldWindow(gen uint64, s *followerStream, w window, resp proposeR
 			// The follower holds our tip of then: stream on from there.
 			s.sent = w.prev
 		}
-		// Acks fold in any order. A reader parked on the follower for z
-		// is announced by the ack of the window that covered z, which
-		// names z or more; every ack placed before it parked names less,
-		// since a reader that parks for a zxid already covered pulls
-		// instead, unless the newest ack already said Waiting
-		// (announceLocked). So an ack past match says whether anyone
-		// waits now, one behind it says nothing, and one at match may be
-		// older or newer, so it can add a waiter but not clear one.
-		switch {
-		case resp.LastZxid > s.match:
-			s.waiting = resp.Waiting
-		case resp.LastZxid == s.match:
-			s.waiting = s.waiting || resp.Waiting
-		}
 		if resp.LastZxid > s.match {
 			s.match = resp.LastZxid
 			apply = n.advanceLeaderCommitLocked()
@@ -1006,7 +1019,7 @@ func (n *Node) foldWindow(gen uint64, s *followerStream, w window, resp proposeR
 	}
 	// Only this stream's sender cares that a window came home, and only
 	// if that leaves it something to do.
-	if s.failed && s.windows == 0 || !s.failed && (n.wantsFramesLocked(s) || n.wantsCommitLocked(s)) {
+	if s.failed && s.windows == 0 || !s.failed && n.wantsFramesLocked(s) {
 		s.cond.Signal()
 	}
 	return apply

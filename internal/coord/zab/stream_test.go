@@ -95,10 +95,10 @@ func TestWindowKinds(t *testing.T) {
 		t.Fatalf("released window: %+v", r)
 	}
 
-	// Late commit carrier: an empty window naming a position below the
-	// tip is acked, and commits what it names.
+	// An empty window naming a held position below the tip (a probe the
+	// frames after it overtook) is acked, and commits what it names.
 	if r := n.handlePropose(win(f1.Zxid, f2.Zxid)); !r.Ack || r.NeedSync {
-		t.Fatalf("late commit carrier: %+v", r)
+		t.Fatalf("empty window at a held position: %+v", r)
 	}
 	if got := n.CommitZxid(); got != f2.Zxid {
 		t.Fatalf("commit = %x, want %x", got, f2.Zxid)
@@ -325,8 +325,8 @@ func startTappedBeat(t *testing.T, name string, tap transport.Network, beat, tim
 }
 
 // TestShuffledDelivery drives 32 concurrent proposers through links
-// that delay every call by a random 0–2 ms, so windows, commit carriers
-// and heartbeats all overtake one another. Reordering must be absorbed
+// that delay every call by a random 0–2 ms, so windows and heartbeats
+// all overtake one another. Reordering must be absorbed
 // by the stream itself: every member applies the same sequence, and no
 // follower ever asks to sync.
 func TestShuffledDelivery(t *testing.T) {
@@ -380,58 +380,14 @@ func TestShuffledDelivery(t *testing.T) {
 		tap.dataWindows.Load(), tap.emptyWindows.Load(), tap.refusals.Load(), total)
 }
 
-// TestStaleAckKeepsTheCarrier: acks fold at the leader in any order, so
-// one a follower placed before a reader parked there can come home after
-// one that said Waiting. It must not take the waiter back: the leader
-// would then hold the commit carrier, and the reader would wait for the
-// next data window or heartbeat.
-//
-// First by hand, every order in which three acks of one follower can
-// fold: one placed before the reader parked, one that covered the
-// reader's zxid just before it parked, one placed while it waits. In
-// each, the stream ends up owing its follower the carrier. Then under
-// TestShuffledDelivery's reordering, with the replies delayed too and a
-// half-second heartbeat: writers on the leader each read their write
-// back on a follower, and no read waits for a heartbeat.
-func TestStaleAckKeepsTheCarrier(t *testing.T) {
-	n := soloNode(t, nil)
-	y, z := makeZxid(1, 1), makeZxid(1, 2)
-	placed := []proposeResp{
-		{Ack: true, Epoch: 1, LastZxid: y},
-		{Ack: true, Epoch: 1, LastZxid: z},
-		{Ack: true, Epoch: 1, LastZxid: z, Waiting: true},
-	}
-	fold := func(order []int) *followerStream {
-		n.mu.Lock()
-		n.role, n.epoch, n.leaderGen = roleLeader, 1, 1
-		n.log = []Frame{txnFrame(1, 1, "a"), txnFrame(1, 2, "b")}
-		n.commitZxid = z
-		s := n.newStreamLocked(false)
-		s.frames, s.windows = len(order), len(order)
-		n.streams = map[uint64]*followerStream{2: s}
-		n.mu.Unlock()
-		for _, i := range order {
-			n.foldWindow(1, s, window{epoch: 1, frames: 1}, placed[i], nil)
-		}
-		return s
-	}
-	for _, order := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
-		s := fold(order)
-		n.mu.Lock()
-		req, _, ok := n.nextWindowLocked(s)
-		n.mu.Unlock()
-		if !ok || len(req.Entries) != 0 || req.Commit != z {
-			t.Errorf("acks folded in order %v: next window (ok %v) has %d frames and commit %x, want the empty carrier of %x", order, ok, len(req.Entries), req.Commit, z)
-		}
-	}
-	s := fold([]int{1, 0})
-	n.mu.Lock()
-	_, _, ok := n.nextWindowLocked(s)
-	n.mu.Unlock()
-	if ok {
-		t.Error("the stream sent a commit carrier to a follower nobody waits on")
-	}
-
+// TestShuffledReadBackAsksTheHorizon: under TestShuffledDelivery's
+// reordering, with the replies delayed too and a half-second heartbeat,
+// writers on the leader each read their write back on a follower. The
+// follower has placed the write's window before, while or after the
+// reader parks, in whatever order the windows and acks travel; in each
+// case it asks the leader for the horizon, and no read waits for a
+// heartbeat.
+func TestShuffledReadBackAsksTheHorizon(t *testing.T) {
 	const beat = 500 * time.Millisecond
 	tap := &peerTap{Network: transport.NewInProc(), maxDelay: 2 * time.Millisecond,
 		maxReplyDelay: 2 * time.Millisecond, rng: rand.New(rand.NewSource(1))}

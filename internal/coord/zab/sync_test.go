@@ -378,3 +378,80 @@ func TestArmedWaiterPullsTheHorizon(t *testing.T) {
 	}
 	t.Logf("the follower learned %x committed %v after the waiter arrived", z, time.Since(start))
 }
+
+// verifiedBeforeCommit sets a startPullRace ensemble up so that a
+// follower holds a frame verified while the leader's commit of it is
+// still held back: f hears no window and no heartbeat and fetches the
+// frame z with a catch-up pull, and the leader commits z only once g's
+// window, delayed by 100 ms, comes home. It returns once f has verified
+// z, which the leader has not committed yet.
+func verifiedBeforeCommit(t *testing.T, name string) (leader, f *Node, z uint64) {
+	t.Helper()
+	net, leader, f, g := startPullRace(t, name)
+	net.mu.Lock()
+	net.deaf, net.deafTo = f.cfg.Peers[f.ID()], []uint8{msgPropose, msgHeartbeat}
+	net.slow, net.slowBy = g.cfg.Peers[g.ID()], 100*time.Millisecond
+	net.mu.Unlock()
+
+	before := leader.LastZxid()
+	go leader.Propose([]byte("z"))
+	for leader.LastZxid() == before {
+		time.Sleep(time.Millisecond)
+	}
+	z = leader.LastZxid()
+	f.mu.Lock()
+	f.triggerSyncLocked()
+	f.mu.Unlock()
+	for {
+		f.mu.Lock()
+		verified := f.verified
+		f.mu.Unlock()
+		if verified >= z {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if leader.CommitZxid() >= z {
+		t.Fatalf("the leader committed %x before the follower verified it: the slow peer held nothing back", z)
+	}
+	return leader, f, z
+}
+
+// TestReaderParkedBeforeTheCommitAsks: a reader parks on a follower for
+// a frame the follower holds verified while the leader has not committed
+// it yet — as one does right after a failover, before the new leader's
+// barrier commits. Whatever it fetches then predates the commit; its
+// request must wait at the leader for it, so the reader wakes with the
+// commit and not with the next heartbeat, which this follower never
+// gets.
+func TestReaderParkedBeforeTheCommitAsks(t *testing.T) {
+	_, f, z := verifiedBeforeCommit(t, "parkrace")
+	start := time.Now()
+	err := f.WaitApplied(z, time.Second)
+	took := time.Since(start)
+	t.Logf("reader parked for %x before its commit woke after %v: %v", z, took, err)
+	if err != nil || took > 250*time.Millisecond {
+		t.Errorf("a reader parked for a verified frame before its commit waited %v (%v), want under 250ms", took, err)
+	}
+}
+
+// TestWatchArmedBeforeTheCommitAsks is TestReaderParkedBeforeTheCommitAsks
+// for the first watch armed on the follower (WaiterArrived): it waits
+// for every frame the follower has verified, and the follower must
+// learn of their commit when it happens.
+func TestWatchArmedBeforeTheCommitAsks(t *testing.T) {
+	_, f, z := verifiedBeforeCommit(t, "armbefore")
+	start := time.Now()
+	f.WaiterArrived()
+	for f.CommitZxid() < z {
+		if time.Since(start) > time.Second {
+			t.Fatalf("a watch armed over %x, verified and not yet committed, never learned of its commit", z)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	took := time.Since(start)
+	t.Logf("the follower learned %x committed %v after the watch was armed", z, took)
+	if took > 250*time.Millisecond {
+		t.Errorf("a watch armed before the commit of %x learned of it after %v, want under 250ms", z, took)
+	}
+}
