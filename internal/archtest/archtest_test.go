@@ -105,6 +105,14 @@ var guards = []guard{
 		names:  regexp.MustCompile(`readGen|callInOrder`),
 	},
 	{
+		name:   "One watch delivery",
+		design: "§16.3",
+		msg:    "a queue or goroutine sits between the apply and the watch table again; the state machine's notify is watchTable.deliver",
+		dirs:   []string{"internal/coord"},
+		names:  regexp.MustCompile(`^(watchDispatcher|newWatchDispatcher|notifyRec)$`),
+		paths:  []string{"internal/coord/watch_dispatch.go"},
+	},
+	{
 		name:   "One client per ensemble",
 		design: "§13.4",
 		msg:    "the read router is back; place reads by the order of the session's address list (cluster.ConnectCoord)",

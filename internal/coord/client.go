@@ -715,6 +715,9 @@ func (s *Session) WaitEvents(ctx context.Context, maxWait time.Duration) ([]Even
 		}
 		r := wire.NewReader(body)
 		evs := decodeEvents(r)
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("coord: malformed events reply: %w", err)
+		}
 		if len(evs) > 0 {
 			return evs, nil
 		}

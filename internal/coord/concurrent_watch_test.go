@@ -88,8 +88,9 @@ func TestWatchSemanticsUnderConcurrentReads(t *testing.T) {
 	}
 }
 
-// waitArmed waits for a server's armed-watch count to reach want: fires
-// reach the watch table through the dispatcher, after the write returns.
+// waitArmed waits for a server's armed-watch count to reach want: a
+// write fires the watches on each replica as that replica applies it,
+// which on a follower may be after the write returns at the leader.
 func waitArmed(t *testing.T, s *Server, want int64) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); s.watches.armed.Load() != want; time.Sleep(time.Millisecond) {

@@ -301,6 +301,28 @@ func FuzzDecodeReply(f *testing.F) {
 			f.Add(reply[:len(reply)-cut])
 		}
 	}
+	// A poll reply with two events or more, its body cut at every byte
+	// and restamped: every cut short of whole is a malformed list.
+	for _, p := range []string{"/d", "/d/a"} {
+		if _, _, err := s.GetW(p); err != nil {
+			f.Fatal(err)
+		}
+		if _, err := s.Set(p, []byte("e"), -1); err != nil {
+			f.Fatal(err)
+		}
+	}
+	reply, err := srv.handleClient(localRequests(s.ID())["pollEvents"])
+	if err != nil {
+		f.Fatal(err)
+	}
+	body, zxid, _, err := splitReply(reply)
+	if evs := decodeEvents(wire.NewReader(body)); err != nil || len(evs) < 2 {
+		f.Fatalf("poll reply %x holds %v (%v), want two events or more", reply, evs, err)
+	}
+	head := reply[:len(reply)-len(body)-8]
+	for cut := 0; cut <= len(body); cut++ {
+		f.Add(stamped(append(append([]byte(nil), head...), body[:cut]...), zxid))
+	}
 	f.Fuzz(func(t *testing.T, reply []byte) {
 		body, _, _, err := splitReply(reply)
 		if err != nil {
@@ -310,7 +332,10 @@ func FuzzDecodeReply(f *testing.F) {
 			_, _ = decodeReply(kind, body)
 		}
 		_, _ = decodeStatus(body)
-		_ = decodeEvents(wire.NewReader(body))
+		r := wire.NewReader(body)
+		if evs := decodeEvents(r); r.Err() == nil && uint32(len(evs)) != binary.BigEndian.Uint32(body) {
+			t.Fatalf("events %x decoded to %d events without an error; the header names %d", body, len(evs), binary.BigEndian.Uint32(body))
+		}
 		_, _ = decodeRangeEntries(wire.NewReader(body))
 	})
 }

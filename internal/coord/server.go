@@ -68,7 +68,6 @@ type Server struct {
 	clientLn io.Closer
 	reg      *metrics.Registry
 	watches  *watchTable
-	dispatch *watchDispatcher
 }
 
 // ablateZab, when non-nil, edits the replication config of every server
@@ -86,11 +85,7 @@ func NewServer(cfg ServerConfig) (*Server, error) { return newServer(cfg, new(za
 func newServer(cfg ServerConfig, mem *zab.MemStorage) (*Server, error) {
 	sm := newStateMachine()
 	watches := newWatchTable()
-	// Watch firing is off the apply critical path: apply enqueues, the
-	// dispatcher's goroutine delivers (in commit order — see
-	// watch_dispatch.go).
-	dispatch := newWatchDispatcher(watches)
-	sm.notify = dispatch.dispatch
+	sm.notify = watches.deliver
 	reg := metrics.NewRegistry()
 	var eng *storage.Engine
 	var st zab.Storage = mem
@@ -137,7 +132,7 @@ func newServer(cfg ServerConfig, mem *zab.MemStorage) (*Server, error) {
 	// An armed watch waits for the commit horizon like a parked read: its
 	// event fires once this replica applies the write it watches for.
 	node.SetWaiting(func() bool { return watches.armed.Load() > 0 })
-	s := &Server{cfg: cfg, sm: sm, node: node, eng: eng, reg: reg, watches: watches, dispatch: dispatch}
+	s := &Server{cfg: cfg, sm: sm, node: node, eng: eng, reg: reg, watches: watches}
 	if err := node.Start(); err != nil {
 		if eng != nil {
 			eng.Close()
@@ -162,7 +157,6 @@ func (s *Server) Stop() {
 		s.clientLn.Close()
 	}
 	s.node.Stop()
-	s.dispatch.close()
 	if s.eng != nil {
 		s.eng.Close()
 	}
@@ -451,14 +445,13 @@ func (s *Server) serveLocal(q localReq) ([]byte, error) {
 			return errResult(bounce), nil
 		}
 		s.reg.Counter("reads").Inc()
-		// Flush queued notifications first so an already-acknowledged
-		// write's events cannot fire this new watch, then register
-		// before reading so no mutation can slip between the read and
-		// the watch (a mutation in the window fires a conservative
-		// extra event instead of being missed). The first watch armed
-		// here makes the node wait for the frames it has verified
+		// Register before reading so no mutation can slip between the
+		// read and the watch (a mutation in the window fires a
+		// conservative extra event instead of being missed). A write
+		// the session has seen fired its events before admit let this
+		// request in, so it cannot fire the new watch. The first watch
+		// armed here makes the node wait for the frames it has verified
 		// (zab.Node.WaiterArrived).
-		s.dispatch.barrier()
 		if s.watches.register(kind, path, session) {
 			s.node.WaiterArrived()
 		}
@@ -470,9 +463,8 @@ func (s *Server) serveLocal(q localReq) ([]byte, error) {
 		}
 		return reply, err
 	case opPollEvents:
-		// Flush the async dispatch queue first so a session that wrote
-		// and then polls sees the events its own write fired.
-		s.dispatch.barrier()
+		// A session that wrote and then polls sees the events its own
+		// write fired: they were queued before admit let this request in.
 		evs := s.watches.drain(session)
 		return okResult(func(w *wire.Writer) { encodeEvents(w, evs) }), nil
 	case opWaitEvents:

@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,7 +28,10 @@ import (
 // extension for client-side metadata caching (the FUSE entry-cache
 // invalidation the paper leaves to future work), and Fletch's
 // measurements argue delivery latency is the limiting factor for such
-// caches — hence the parked delivery.
+// caches — hence the parked delivery, and hence a watch fires on the
+// goroutine that applies the write (watchTable.deliver), as
+// ZooKeeper's DataTree fires on its commit thread: no queue or second
+// goroutine sits between the apply and the parked request.
 
 // EventType classifies a fired watch: what happened to the watched
 // znode (or, for child watches, to its child list).
@@ -75,7 +79,7 @@ const (
 type watchTable struct {
 	// armed counts the watches in data and children. It changes only
 	// under mu, and is read without it by the apply side, which skips
-	// watch delivery altogether while it is zero (watchDispatcher), and
+	// watch delivery altogether while it is zero (deliver), and
 	// by the node, which asks the leader for the commit of every frame it
 	// verifies while it is not (zab.Node.SetWaiting, and WaiterArrived
 	// when it leaves zero).
@@ -259,10 +263,25 @@ func (w *watchTable) dropSession(session uint64) {
 	w.wake(session)
 }
 
-// observeApply translates one committed mutation into watch events.
-// Called by the server for every transaction its replica applies.
-func (w *watchTable) observeApply(op uint8, path string, ok bool) {
-	if !ok || path == "" {
+// deliver is the state machine's notify callback: it runs on whichever
+// goroutine applies the frame, so a write's events are queued before
+// zab advances LastApplied past it. A closed session is always
+// delivered: dropping it releases its parked WaitEvents, watched or
+// not. Any other mutation returns at once while no watch is armed
+// here. That misses no event: the state machine notifies after its
+// mutation released the znode stripe lock, and a watched read
+// registers its watch before it takes that stripe lock to read (GetW,
+// ExistsW, ChildrenW). If the read's lock came first, the registration
+// happens-before the mutation and so before this load, which sees the
+// watch; if this load sees zero, the read's lock came after the
+// mutation, so the read returned the mutated state and no event is
+// owed for it.
+func (w *watchTable) deliver(op uint8, path string, session uint64, ok bool) {
+	if op == opCloseSession {
+		w.dropSession(session)
+		return
+	}
+	if w.armed.Load() == 0 || !ok || path == "" {
 		return
 	}
 	parent, _ := znode.SplitPath(path)
@@ -287,14 +306,23 @@ func encodeEvents(w *wire.Writer, evs []Event) {
 	}
 }
 
+// decodeEvents reads an event list, failing r on a count the payload
+// cannot hold or a record cut short; it returns only whole records.
 func decodeEvents(r *wire.Reader) []Event {
 	n := r.Uint32()
-	if r.Err() != nil || int(n) > r.Remaining() {
+	if r.Err() == nil && int(n) > r.Remaining() {
+		r.Fail(fmt.Errorf("coord: event count %d exceeds payload", n))
+	}
+	if r.Err() != nil {
 		return nil
 	}
 	out := make([]Event, 0, n)
-	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		out = append(out, Event{Type: EventType(r.Uint8()), Path: r.String()})
+	for i := uint32(0); i < n; i++ {
+		e := Event{Type: EventType(r.Uint8()), Path: r.String()}
+		if r.Err() != nil {
+			return nil
+		}
+		out = append(out, e)
 	}
 	return out
 }

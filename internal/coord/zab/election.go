@@ -329,9 +329,9 @@ func (n *Node) heartbeat() {
 	// wedging its clients, so a healthier member can win the next
 	// election and resolve the uncommitted tail via sync.
 	if n.commitZxid < n.lastZxidLocked() {
-		if n.stallSince.IsZero() {
-			n.stallSince = time.Now()
-		} else if time.Since(n.stallSince) > 2*n.cfg.ElectionTimeout {
+		if now := n.now(); n.stallSince.IsZero() {
+			n.stallSince = now
+		} else if now.Sub(n.stallSince) > 2*n.cfg.ElectionTimeout {
 			n.failLeaderLocked(ErrNoQuorum)
 			n.role = roleFollower
 			n.leaderID = 0

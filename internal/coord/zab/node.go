@@ -207,8 +207,9 @@ type Config struct {
 	// disables the lease (the deadline never lies in the future): every
 	// ReadBarrier then waits for a heartbeat round instead.
 	MaxClockSkew time.Duration
-	// Clock overrides the time source consulted by the read lease and
-	// the election timer (tests inject skewed or frozen clocks here).
+	// Clock overrides the time source consulted by the read lease, the
+	// election timer and the quorum-loss watchdog (tests inject skewed
+	// or frozen clocks here).
 	// Defaults to time.Now.
 	Clock func() time.Time
 	// Metrics, when non-nil, receives the leader's proposer gauges
@@ -602,7 +603,7 @@ func (n *Node) DebugString() string {
 		n.cfg.ID, role, n.epoch, n.grantedEpoch, n.leaderID,
 		n.lastZxidLocked(), n.commitZxid, n.lastApplied, len(n.log),
 		len(n.propQ), n.uncommittedFramesLocked(),
-		n.syncing, n.stopped, time.Since(n.lastContact).Round(time.Millisecond), n.electionDue)
+		n.syncing, n.stopped, n.now().Sub(n.lastContact).Round(time.Millisecond), n.electionDue)
 }
 
 func (n *Node) lastZxidLocked() uint64 {

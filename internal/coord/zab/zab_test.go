@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -401,6 +402,86 @@ func TestNoQuorumBlocksWrites(t *testing.T) {
 	if err == nil {
 		t.Fatal("Propose succeeded without a quorum")
 	}
+}
+
+// TestQuorumLossWatchdogReadsTheClock: the watchdog that deposes a
+// leader whose frames cannot commit measures the stall on Config.Clock,
+// like the election timer and the lease. With a 2 s election timeout, a
+// leader cut off from both followers while it holds an uncommitted frame
+// steps down within a few heartbeats once its clock passes twice the
+// timeout, not after 4 s of wall time.
+func TestQuorumLossWatchdogReadsTheClock(t *testing.T) {
+	const et = 2 * time.Second
+	e := &ensemble{nodes: make(map[uint64]*Node), peers: make(map[uint64]string)}
+	for id := uint64(1); id <= 3; id++ {
+		e.peers[id] = fmt.Sprintf("watchdog-clock-%d", id)
+	}
+	net := transport.NewInProc()
+	offsets := make(map[uint64]*atomic.Int64)
+	for id := range e.peers {
+		off := new(atomic.Int64)
+		n, err := NewNode(Config{
+			ID:                id,
+			Peers:             e.peers,
+			Net:               net,
+			HeartbeatInterval: 10 * time.Millisecond,
+			ElectionTimeout:   et,
+			Clock:             func() time.Time { return time.Now().Add(time.Duration(off.Load())) },
+		}, &kvSM{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Start(); err != nil {
+			t.Fatal(err)
+		}
+		e.nodes[id], offsets[id] = n, off
+	}
+	t.Cleanup(e.stopAll)
+	for _, off := range offsets {
+		off.Add(int64(et)) // the first election needs no wall-clock timeout
+	}
+	leader := e.waitLeader(t)
+	proposeOK(t, leader, "x")
+	for id, n := range e.nodes {
+		if id != leader.ID() {
+			n.Stop()
+		}
+	}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := leader.Propose([]byte("stranded"))
+		errc <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		leader.mu.Lock()
+		stalled := !leader.stallSince.IsZero()
+		leader.mu.Unlock()
+		if stalled {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the watchdog never saw the uncommitted frame")
+		}
+	}
+	select {
+	case err := <-errc:
+		t.Fatalf("the stranded proposal returned %v before the clock moved", err)
+	default:
+	}
+	offsets[leader.ID()].Add(int64(2*et + time.Second))
+	start := time.Now()
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Fatal("a frame committed without a quorum")
+		}
+	case <-time.After(time.Second):
+		t.Fatalf("the leader still leads %v after its clock passed twice the election timeout", time.Since(start))
+	}
+	if leader.IsLeader() {
+		t.Fatal("the stranded proposal failed but the leader still leads")
+	}
+	t.Logf("stepped down %v after the clock jump (heartbeat 10ms)", time.Since(start).Round(time.Millisecond))
 }
 
 func TestLaggingFollowerCatchesUpViaSync(t *testing.T) {
