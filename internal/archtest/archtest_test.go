@@ -113,6 +113,13 @@ var guards = []guard{
 		paths:  []string{"internal/coord/watch_dispatch.go"},
 	},
 	{
+		name:   "One apply source",
+		design: "§16.1",
+		msg:    "a second copy of the committed prefix sits beside zab's log again; an applier takes committed frames straight from n.log (Node.committedLocked)",
+		dirs:   []string{"internal/coord/zab"},
+		names:  regexp.MustCompile(`^(applyQ|applyEnqueued|applyBatch|enqueueCommittedLocked|drainApplyQueue)$`),
+	},
+	{
 		name:   "One client per ensemble",
 		design: "§13.4",
 		msg:    "the read router is back; place reads by the order of the session's address list (cluster.ConnectCoord)",

@@ -759,8 +759,8 @@ type Status struct {
 	Ranges []RangeStatus
 
 	// Apply-pipeline observability: how many committed transactions
-	// await application and how many frames sit in the commit→apply
-	// queue. Both zero on servers predating the decoupled pipeline.
+	// await application and in how many frames. Both zero on servers
+	// predating the decoupled pipeline.
 	ApplyLagTxns     uint64
 	ApplyQueueFrames uint64
 }

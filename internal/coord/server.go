@@ -428,8 +428,8 @@ func (s *Server) serveLocal(q localReq) ([]byte, error) {
 				w.Bool(rs.moved)
 			}
 			// Apply-pipeline health (appended last, same forward
-			// compatibility): commit-to-apply lag in txns and frames queued
-			// between the commit and apply sides.
+			// compatibility): commit-to-apply lag in txns and in frames
+			// committed but not yet applied.
 			w.Uint64(uint64(s.reg.Gauge("zab.apply.lag").Value()))
 			w.Uint64(uint64(s.reg.Gauge("zab.apply.queue_depth").Value()))
 		}), nil

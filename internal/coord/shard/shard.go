@@ -420,7 +420,8 @@ func (r *Router) get(ctx context.Context, path string, watch bool) ([]byte, znod
 	err := r.chase(ctx, func() error {
 		var err error
 		if watch {
-			data, stat, err = r.owner(path).GetW(path)
+			res, werr := r.owner(path).Do(ctx, coord.Op{Kind: coord.OpGet, Path: path, Watch: true})
+			data, stat, err = res.Data, res.Stat, werr
 		} else {
 			data, stat, err = r.owner(path).GetCtx(ctx, path)
 		}
@@ -447,7 +448,8 @@ func (r *Router) exists(ctx context.Context, path string, watch bool) (znode.Sta
 	err := r.chase(ctx, func() error {
 		var err error
 		if watch {
-			stat, ok, err = r.owner(path).ExistsW(path)
+			res, werr := r.owner(path).Do(ctx, coord.Op{Kind: coord.OpExists, Path: path, Watch: true})
+			stat, ok, err = res.Stat, res.Exists, werr
 		} else {
 			stat, ok, err = r.owner(path).ExistsCtx(ctx, path)
 		}
@@ -745,7 +747,8 @@ func (r *Router) children(ctx context.Context, path string, watch bool) ([]strin
 		s := r.sessions[r.shardForChildren(path)]
 		list := func() (err error) {
 			if watch {
-				kids, err = s.ChildrenW(path)
+				res, werr := s.Do(ctx, coord.Op{Kind: coord.OpChildren, Path: path, Watch: true})
+				kids, err = res.Children, werr
 			} else {
 				kids, err = s.ChildrenCtx(ctx, path)
 			}

@@ -224,6 +224,23 @@ func TestRouterWatches(t *testing.T) {
 	}
 }
 
+// TestWatchedReadsHonourTheContext: a watched Get, Exists and Children
+// through the router run on the caller's context, so one already
+// cancelled fails them with context.Canceled.
+func TestWatchedReadsHonourTheContext(t *testing.T) {
+	r, _, _ := startSharded(t, 2, 1)
+	if _, err := r.Create("/c", []byte("d"), znode.ModePersistent); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, kind := range []coord.OpKind{coord.OpGet, coord.OpExists, coord.OpChildren} {
+		if _, err := r.Do(ctx, coord.Op{Kind: kind, Path: "/c", Watch: true}); !errors.Is(err, context.Canceled) {
+			t.Errorf("watched op kind %d with a cancelled context: err %v, want context.Canceled", kind, err)
+		}
+	}
+}
+
 // TestChildrenWatchOnStublessDirectory covers the cache-coherence
 // corner: a child watch on a directory that exists authoritatively
 // but has no stub yet on its children shard must still be a REAL

@@ -6,40 +6,39 @@ import (
 	"time"
 )
 
-// maxApplyQueueFrames bounds the commit→apply queue: how many committed
-// frames may sit between the commit horizon and the apply loop before
-// the leader's proposer stops admitting new frames (backpressure, so a
-// slow state machine cannot grow the log without bound). Followers cap
-// their queue at the same bound and pull the remainder as the apply
-// loop drains.
+// maxApplyQueueFrames bounds the commit→apply backlog: once this many
+// committed frames are not yet applied — those an applier is applying
+// included — the leader's proposer stops admitting new txn frames
+// (backpressure, so a slow state machine cannot grow the log without
+// bound).
 const maxApplyQueueFrames = 256
 
-// enqueueCommittedLocked moves committed-but-unqueued frames from the
-// log onto the apply queue, in zxid order, up to the queue bound. The
-// bound is a pull window: when the queue is full the remainder stays
-// in the log and the applier pulls it after draining (and the
-// proposer stops admitting new frames until then). Waking an applier
-// is the caller's part.
-func (n *Node) enqueueCommittedLocked() {
-	if len(n.applyQ) >= maxApplyQueueFrames {
-		return
+// committedLocked returns the committed frames not yet applied, Zxid >
+// lastApplied and Last() ≤ commitZxid, as a sub-slice of n.log capped
+// at its length. An applier reads it outside mu, which is safe because
+// no log element at or below the commit horizon is ever written in
+// place: truncation copies the suffix it keeps, appends write past the
+// tip, syncFromLeader's rollback trims only the frames it has just
+// appended (uncommitted), and a snapshot install replaces the slice
+// under applyMu, which every applier holds.
+func (n *Node) committedLocked() []Frame {
+	i := sort.Search(len(n.log), func(i int) bool { return n.log[i].Zxid > n.lastApplied })
+	j := max(i, sort.Search(len(n.log), func(i int) bool { return n.log[i].Last() > n.commitZxid }))
+	return n.log[i:j:j]
+}
+
+// publishBacklogLocked sets the apply gauges from the log — frames
+// committed but not applied, and their txns (a no-op counts one) — and
+// returns the frame count.
+func (n *Node) publishBacklogLocked() int {
+	frames := n.committedLocked()
+	txns := 0
+	for _, f := range frames {
+		txns += int(f.Last() - f.Zxid + 1)
 	}
-	i := sort.Search(len(n.log), func(i int) bool { return n.log[i].Zxid > n.applyEnqueued })
-	for ; i < len(n.log) && len(n.applyQ) < maxApplyQueueFrames; i++ {
-		e := n.log[i]
-		if e.Last() > n.commitZxid {
-			break
-		}
-		n.applyQ = append(n.applyQ, e)
-		n.applyEnqueued = e.Last()
-		if e.Noop {
-			n.applyLagTxns++
-		} else {
-			n.applyLagTxns += len(e.Txns)
-		}
-	}
-	n.gApplyQueue.Set(int64(len(n.applyQ)))
-	n.gApplyLag.Set(int64(n.applyLagTxns))
+	n.gApplyQueue.Set(int64(len(frames)))
+	n.gApplyLag.Set(int64(txns))
+	return len(frames)
 }
 
 // maxApplyRunTxns caps how many txns one coalesced apply run hands the
@@ -48,9 +47,9 @@ func (n *Node) enqueueCommittedLocked() {
 const maxApplyRunTxns = 256
 
 // applyLoop is the apply side of the commit→apply split on a member
-// that does not lead: it drains the queue that advanceCommitLocked
-// feeds and runs the state machine OUTSIDE the node mutex, so follower
-// acks, heartbeats and reads never queue behind state-machine work. A
+// that does not lead: it applies what the commit horizon covers and
+// runs the state machine OUTSIDE the node mutex, so follower acks,
+// heartbeats and reads never queue behind state-machine work. A
 // follower keeps the hand-off because the goroutine that commits there
 // is answering the leader: applying on it would sit on the ack path. A
 // leader applies on the goroutine that commits (applyCommitted) and
@@ -59,7 +58,7 @@ func (n *Node) applyLoop() {
 	defer n.wg.Done()
 	for {
 		n.mu.Lock()
-		for !n.stopped && len(n.applyQ) == 0 {
+		for !n.stopped && (n.applying || len(n.committedLocked()) == 0) {
 			n.applyCond.Wait()
 		}
 		stopped := n.stopped
@@ -68,17 +67,17 @@ func (n *Node) applyLoop() {
 			return
 		}
 		n.applyMu.Lock()
-		n.drainApplyQueue()
+		n.drainCommitted()
 		n.applyMu.Unlock()
 	}
 }
 
 // applyCommitted applies the frames a leader's commit advance just
-// queued, on the goroutine that advanced it — a window completion or
-// the leader sync loop — so the proposers are woken without a hand-off
-// to applyLoop. If applyMu is taken (an applier finishing up, a
-// snapshot being cut), applyLoop is signalled to take the frames once
-// it is free.
+// committed, on the goroutine that advanced it — a window completion
+// or the leader sync loop — so the proposers are woken without a
+// hand-off to applyLoop. If applyMu is taken (an applier finishing up,
+// a snapshot being cut), applyLoop is signalled to take the frames
+// once it is free.
 func (n *Node) applyCommitted() {
 	if !n.applyMu.TryLock() {
 		n.mu.Lock()
@@ -86,28 +85,28 @@ func (n *Node) applyCommitted() {
 		n.mu.Unlock()
 		return
 	}
-	n.drainApplyQueue()
+	n.drainCommitted()
 	n.applyMu.Unlock()
 }
 
-// drainApplyQueue applies queued frames until the queue is empty. The
-// caller holds applyMu, and the queue is drained only AFTER applyMu is
-// taken: two appliers can never hold drained batches at once, and no
-// snapshot install (syncFromLeader) or snapshot cut (cutSnapshot)
-// can come between a drain and its apply — so apply
-// order is zxid order. While it runs, n.applying tells a committer that
-// the frames it queues will be taken here.
-func (n *Node) drainApplyQueue() {
+// drainCommitted applies committed frames straight from the log until
+// none is left unapplied. The caller holds applyMu, and frames are
+// taken only under it: two appliers never hold frames at once, and no
+// snapshot install (syncFromLeader) or snapshot cut (cutSnapshot) can
+// come between a take and its apply — so apply order is zxid order.
+// While it runs, n.applying tells a committer that the frames it
+// commits will be taken here.
+func (n *Node) drainCommitted() {
 	n.mu.Lock()
-	for len(n.applyQ) > 0 && !n.stopped {
+	for !n.stopped {
+		frames := n.committedLocked()
+		if len(frames) == 0 {
+			break
+		}
 		n.applying = true
-		frames := append(n.applyBatch[:0], n.applyQ...)
-		n.applyBatch = frames
-		n.applyQ = n.applyQ[:0]
 		n.mu.Unlock()
 		n.applyFrames(frames)
 		n.mu.Lock()
-		n.enqueueCommittedLocked() // pull the window the bound withheld
 		n.maybeTruncateLocked()
 		if n.propGate == propApplyQ {
 			n.propCond.Signal()
@@ -117,16 +116,15 @@ func (n *Node) drainApplyQueue() {
 	n.mu.Unlock()
 }
 
-// applyFrames runs drained frames through the state machine and wakes
-// their waiters. Adjacent frames of the same epoch are coalesced into
-// one ApplyBatch, so group-commit framing survives the queue hop.
+// applyFrames runs committed frames through the state machine and
+// wakes their waiters. Adjacent frames of the same epoch are coalesced
+// into one ApplyBatch, so group-commit framing survives the hop.
 func (n *Node) applyFrames(frames []Frame) {
 	for i := 0; i < len(frames); {
 		e := frames[i]
 		if e.Noop {
 			n.mu.Lock()
 			n.setAppliedLocked(e.Zxid)
-			n.applyLagTxns--
 			n.wakeWaiterLocked(e.Zxid, nil)
 			n.wakeAppliedLocked()
 			n.wakeReadersLocked() // an epoch barrier: what ReadBarrier waits for
@@ -165,10 +163,9 @@ func (n *Node) applyFrames(frames []Frame) {
 				n.wakeWaiterLocked(f.Zxid+uint64(t), res)
 			}
 			off += len(f.Txns)
-			n.applyLagTxns -= len(f.Txns)
 		}
 		n.wakeAppliedLocked()
-		n.gApplyLag.Set(int64(n.applyLagTxns))
+		n.publishBacklogLocked()
 		n.mu.Unlock()
 		i = j
 	}

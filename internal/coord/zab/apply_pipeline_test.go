@@ -3,6 +3,7 @@ package zab
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -273,5 +274,127 @@ func TestInlineApplyOrdering(t *testing.T) {
 		if c != 1 {
 			t.Fatalf("zxid %x applied %d times", z, c)
 		}
+	}
+}
+
+// pacedSM sleeps in ApplyBatch for every txn it is handed, so
+// coalescing frames into one run does not speed it up: a state machine
+// slower than the quorum. It takes whole runs (it has the batch and
+// stream forms) and keeps no state.
+type pacedSM struct{}
+
+func (pacedSM) Apply(txn []byte, zxid uint64) []byte { return nil }
+
+func (pacedSM) ApplyBatch(txns [][]byte, firstZxid uint64) [][]byte {
+	time.Sleep(time.Duration(len(txns)) * 200 * time.Microsecond)
+	return make([][]byte, len(txns))
+}
+
+func (pacedSM) Snapshot() []byte                               { return nil }
+func (pacedSM) Restore(snap []byte, snapZxid uint64) error     { return nil }
+func (pacedSM) SnapshotTo(w io.Writer) error                   { return nil }
+func (pacedSM) RestoreFrom(r io.Reader, snapZxid uint64) error { return nil }
+
+// TestSlowApplyBoundsTheBacklog pins the commit→apply backpressure: with
+// one txn per frame and a state machine slower than the quorum, many
+// concurrent proposers keep the leader's proposer at its gate, and the
+// leader's committed-but-unapplied backlog (CommitZxid − LastApplied,
+// in frames here) must never exceed maxApplyQueueFrames plus the
+// pipelining window plus the epoch barrier: the frames an applier is
+// applying count toward the gate. Every proposal must complete.
+func TestSlowApplyBoundsTheBacklog(t *testing.T) {
+	const inflight = 16
+	net := transport.NewInProc()
+	peers := map[uint64]string{1: "backlog-1", 2: "backlog-2", 3: "backlog-3"}
+	nodes := map[uint64]*Node{}
+	for id := range peers {
+		n, err := NewNode(Config{
+			ID:                id,
+			Peers:             peers,
+			Net:               net,
+			HeartbeatInterval: 10 * time.Millisecond,
+			ElectionTimeout:   time.Second,
+			MaxBatchTxns:      1,
+			MaxInflightFrames: inflight,
+		}, pacedSM{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Start(); err != nil {
+			t.Fatal(err)
+		}
+		nodes[id] = n
+	}
+	t.Cleanup(func() {
+		for _, n := range nodes {
+			n.Stop()
+		}
+	})
+	var leader *Node
+	for deadline := time.Now().Add(10 * time.Second); leader == nil; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no leader elected")
+		}
+		for _, n := range nodes {
+			if n.IsLeader() {
+				leader = n
+			}
+		}
+	}
+	// The first proposal applies the epoch barrier too, so from here on
+	// commit and applied point share an epoch and their difference counts
+	// frames.
+	if _, err := leader.Propose([]byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	epoch := leader.Epoch()
+
+	const bound = maxApplyQueueFrames + inflight + 1
+	stop := make(chan struct{})
+	sampled := make(chan uint64)
+	go func() {
+		var worst uint64
+		for {
+			select {
+			case <-stop:
+				sampled <- worst
+				return
+			default:
+			}
+			leader.mu.Lock()
+			if epochOf(leader.commitZxid) == epoch {
+				worst = max(worst, leader.commitZxid-leader.lastApplied)
+			}
+			leader.mu.Unlock()
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+
+	const proposers, each = 400, 3
+	var wg sync.WaitGroup
+	for p := 0; p < proposers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if _, err := leader.Propose([]byte(fmt.Sprintf("p%d-%d", p, i))); err != nil {
+					t.Errorf("p%d-%d: %v", p, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	worst := <-sampled
+	t.Logf("largest sampled backlog %d frames (bound %d)", worst, bound)
+	if leader.Epoch() != epoch {
+		t.Fatalf("leadership changed mid-test (epoch %d -> %d): the backlog was not measured under one leader", epoch, leader.Epoch())
+	}
+	if worst > bound {
+		t.Fatalf("committed-but-unapplied backlog reached %d frames, bound %d", worst, bound)
+	}
+	if worst < maxApplyQueueFrames {
+		t.Fatalf("backlog peaked at %d frames: the proposer never reached its gate, so the bound was not tested", worst)
 	}
 }

@@ -317,26 +317,22 @@ type Node struct {
 	// once when lastApplied passes its key.
 	applyWaiters map[uint64][]chan struct{}
 
-	// Commit→apply pipeline state. Committed frames are enqueued on
-	// applyQ (bounded by maxApplyQueueFrames) and applied outside mu by
-	// whoever holds applyMu and drains it: on a leader, the goroutine
+	// Commit→apply pipeline state. The log is the apply queue: committed
+	// frames past lastApplied (committedLocked) are applied outside mu by
+	// whoever holds applyMu and drains them: on a leader, the goroutine
 	// that advanced the commit horizon; otherwise the applyLoop
 	// goroutine.
 	//
 	// applyMu is the state-machine transition lock: it serializes
 	// apply drains against snapshot installs (syncFromLeader) and the
 	// snapshot cut (cutSnapshot). The global lock order is applyMu
-	// BEFORE mu — never block on applyMu while holding mu. The queue is
-	// drained only under applyMu, so while applyMu is held lastApplied
-	// can only be advanced by the holder.
-	applyMu       sync.Mutex
-	applyQ        []Frame
-	applyCond     *sync.Cond // signalled when applyQ gains work no applier will take, or on stop
-	applying      bool       // an applier holds applyMu and will drain applyQ until it is empty
-	applyEnqueued uint64     // highest zxid moved from log to applyQ
-	applyLagTxns  int        // committed txns not yet applied (gauge feed)
-	applyBatch    []Frame    // drained applyQ, reused; under applyMu
-	applyMerged   [][]byte   // cross-frame coalescing scratch; under applyMu
+	// BEFORE mu — never block on applyMu while holding mu. Frames are
+	// taken for apply only under applyMu, so while applyMu is held
+	// lastApplied can only be advanced by the holder.
+	applyMu     sync.Mutex
+	applyCond   *sync.Cond // signalled when committed frames wait and no drain will take them, or on stop
+	applying    bool       // an applier holds applyMu and drains until nothing committed is unapplied
+	applyMerged [][]byte   // cross-frame coalescing scratch; under applyMu
 
 	// Durable-storage state: the coverage of the newest durable
 	// snapshot — in-memory truncation may not outrun it,

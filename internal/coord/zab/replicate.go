@@ -227,10 +227,13 @@ func (n *Node) tipAdvancedLocked() {
 // being in the new leader's log. The announced horizon is remembered,
 // so a window that arrives after the notice that commits it applies at
 // once. Every change of verified ends here too, so this is where the
-// horizon rule runs (askLocked).
+// horizon rule runs (askLocked). The applier is woken whenever
+// committed frames wait, whether or not the horizon moved: a snapshot
+// install may leave them below an unchanged one.
 func (n *Node) followCommitLocked(commit uint64) {
 	n.leaderCommit = max(n.leaderCommit, commit)
-	if n.advanceCommitLocked(min(n.leaderCommit, n.verified)) {
+	n.advanceCommitLocked(min(n.leaderCommit, n.verified))
+	if n.publishBacklogLocked() > 0 {
 		n.applyCond.Signal()
 	}
 	n.askLocked(false)
@@ -284,9 +287,9 @@ func (n *Node) ask(leader, until uint64) {
 }
 
 // advanceCommitLocked raises the commit horizon (bounded by what we
-// actually hold) and queues the newly committed frames for apply. It
-// reports whether the horizon moved; waking an applier is the caller's
-// part, because on a leader the caller may apply them itself.
+// actually hold). It reports whether the horizon moved; waking an
+// applier is the caller's part, because on a leader the caller may
+// apply the newly committed frames itself.
 func (n *Node) advanceCommitLocked(commit uint64) bool {
 	if commit > n.lastZxidLocked() {
 		commit = n.lastZxidLocked()
@@ -296,7 +299,6 @@ func (n *Node) advanceCommitLocked(commit uint64) bool {
 	}
 	n.commitZxid = commit
 	n.stallSince = time.Time{}
-	n.enqueueCommittedLocked()
 	// The streams carry the new horizon on their next windows; the
 	// horizon requests parked here, and a proposer gated on the
 	// pipelining window, may be released.
@@ -396,13 +398,6 @@ func (n *Node) syncFromLeader(leader, from uint64) {
 	n.verified = n.lastZxidLocked()
 	n.tipAdvancedLocked()
 	n.followCommitLocked(resp.Commit)
-	if resp.HasSnapshot {
-		// advanceCommitLocked returns early when the horizon didn't move,
-		// but the install may have rewound applyEnqueued below an
-		// unchanged commitZxid — re-enqueue explicitly so the gap replays.
-		n.enqueueCommittedLocked()
-		n.applyCond.Signal()
-	}
 }
 
 // maxSyncBytes bounds the encoded frames of one sync reply, leaving the
@@ -568,7 +563,7 @@ const (
 	propOpen   proposerGate = iota // it can build a frame now (or is building one)
 	propIdle                       // the queue is empty: lifted by an enqueue
 	propWindow                     // MaxInflightFrames uncommitted: lifted by a commit advance
-	propApplyQ                     // the apply queue is full: lifted by an apply drain
+	propApplyQ                     // maxApplyQueueFrames committed, unapplied: lifted by an apply drain
 )
 
 // proposerGateLocked names the gate the proposer must wait on, or
@@ -577,9 +572,10 @@ const (
 // MaxInflightFrames or more frames must still propose its barrier,
 // because nothing inherited can commit until a current-epoch frame
 // exists (the §5.4.2 rule) — gating the barrier on the window would
-// livelock the whole shard. The same exemption covers the apply-queue
-// bound, which is the commit→apply backpressure: a full queue stops NEW
-// txn frames so a slow state machine cannot grow the log without bound.
+// livelock the whole shard. The same exemption covers the apply
+// backlog bound, the commit→apply backpressure: a full backlog stops
+// NEW txn frames so a slow state machine cannot grow the log without
+// bound.
 func (n *Node) proposerGateLocked() proposerGate {
 	switch {
 	case len(n.propQ) == 0:
@@ -588,7 +584,7 @@ func (n *Node) proposerGateLocked() proposerGate {
 		return propOpen
 	case n.uncommittedFramesLocked() >= n.cfg.MaxInflightFrames:
 		return propWindow
-	case len(n.applyQ) >= maxApplyQueueFrames:
+	case len(n.committedLocked()) >= maxApplyQueueFrames:
 		return propApplyQ
 	}
 	return propOpen
@@ -723,9 +719,9 @@ func (n *Node) drainBatchLocked() []*pendingTxn {
 // epoch fully below it (frames inherited from older epochs commit
 // transitively — the barrier no-op guarantees one current-epoch frame
 // exists, the Raft §5.4.2 safety argument). It reports whether the
-// frames it queued need an applier: the horizon moved and no drain is
-// running that would take them anyway. The caller applies them itself
-// (applyCommitted) or signals applyLoop.
+// frames it committed need an applier: the horizon moved and no drain
+// is running that would take them anyway. The caller applies them
+// itself (applyCommitted) or signals applyLoop.
 func (n *Node) advanceLeaderCommitLocked() bool {
 	if n.role != roleLeader {
 		return false
@@ -755,6 +751,7 @@ func (n *Node) advanceLeaderCommitLocked() bool {
 		return false
 	}
 	n.gInflight.Set(int64(n.uncommittedFramesLocked()))
+	n.publishBacklogLocked()
 	return !n.applying
 }
 

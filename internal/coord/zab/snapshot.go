@@ -35,7 +35,8 @@ var errNoSnapshot = errors.New("the store holds no snapshot")
 // the store reports: after an install that may be a fuzzy snapshot of our
 // own landing behind it — committed history, correct to restore at its
 // own zxid. The caller holds applyMu (or a node not yet started), so no
-// applier holds a drained batch; queued frames are dropped.
+// applier holds frames; the committed ones past z apply next from the
+// log.
 func (n *Node) restoreLocked() error {
 	rc, z, ok := n.st.SnapshotStream()
 	if !ok {
@@ -56,11 +57,6 @@ func (n *Node) restoreLocked() error {
 	n.snapZxid, n.durableSnapZxid = z, z
 	n.setAppliedLocked(z)
 	n.commitZxid = max(n.commitZxid, z)
-	n.applyQ = n.applyQ[:0]
-	n.applyEnqueued = z
-	n.applyLagTxns = 0
-	n.gApplyQueue.Set(0)
-	n.gApplyLag.Set(0)
 	n.wakeAppliedLocked()
 	return nil
 }
