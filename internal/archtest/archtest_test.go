@@ -178,6 +178,18 @@ var guards = []guard{
 		node:   bareDataCheck,
 	},
 	{
+		name:   "One FID directory",
+		design: "§1",
+		msg: "a create prepares more than the FID's one static directory again, or a back-end directory is removed; " +
+			"a file's physical path is one directory and a name (fid.PhysicalPath), made by one backend.Mkdir and never removed",
+		dirs:  []string{"internal/core"},
+		names: regexp.MustCompile(`^(removePhysDirs|ensurePhysDirs)$`),
+		calls: []callBound{
+			{re: regexp.MustCompile(`^backend\.Rmdir$`), min: 0, max: 0},
+			{re: regexp.MustCompile(`^backend\.Mkdir$`), min: 1, max: 1},
+		},
+	},
+	{
 		name:   "One measurement stack",
 		design: "§4",
 		msg:    "a second measurement stack is back; answer it with a bench/ workload or probe, or an exact-count test",

@@ -59,7 +59,8 @@ func (f *FS) lookup(path string) (*inode, error) {
 		return f.root, nil
 	}
 	cur := f.root
-	for _, seg := range strings.Split(path[1:], "/") {
+	for rest := path[1:]; ; {
+		seg, tail, more := strings.Cut(rest, "/")
 		if !cur.isDir() {
 			return nil, vfs.ErrNotDir
 		}
@@ -67,9 +68,11 @@ func (f *FS) lookup(path string) (*inode, error) {
 		if !ok {
 			return nil, vfs.ErrNotExist
 		}
-		cur = next
+		if !more {
+			return next, nil
+		}
+		cur, rest = next, tail
 	}
-	return cur, nil
 }
 
 // lookupParent returns the parent directory inode and the base name.

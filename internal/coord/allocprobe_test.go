@@ -66,7 +66,7 @@ func TestWriteAllocBudget(t *testing.T) {
 			_, err := s.Create(paths[next], nil, znode.ModePersistent)
 			return err
 		}},
-		{"get", 9, func() error {
+		{"get", 8, func() error {
 			_, _, err := s.Get("/ap")
 			return err
 		}},

@@ -543,6 +543,12 @@ func (s *Session) encode(w *wire.Writer, op Op) (write bool, err error) {
 // dispatch escapes to the heap, and the replies without a Stat (create
 // above all, whose allocation count TestWriteAllocBudget pins) should
 // not pay for that.
+//
+// A get's data and a listing's entries alias payload instead of copying
+// it: the reply is the session's alone. TCP copies each reply out of the
+// connection's read buffer, and the in-process transport (Latency and
+// Faults wrap it) hands over the handler's slice, which the server
+// builds for this one request and keeps nowhere.
 func decodeReply(kind OpKind, payload []byte) (Result, error) {
 	var res Result
 	var malformed, abort error
@@ -557,7 +563,7 @@ func decodeReply(kind OpKind, payload []byte) (Result, error) {
 		malformed = r.Err()
 	case OpGet:
 		r := wire.NewReader(payload)
-		res.Data = r.BytesCopy32()
+		res.Data = replyBytes(r)
 		res.Stat = decodeStat(r)
 		malformed = r.Err()
 	case OpExists:
@@ -590,6 +596,14 @@ func decodeReply(kind OpKind, payload []byte) (Result, error) {
 	return res, abort
 }
 
+// replyBytes reads a length-prefixed field of a reply as a sub-slice of
+// it, capped at its length so that a caller's append reallocates instead
+// of running into the next field.
+func replyBytes(r *wire.Reader) []byte {
+	b := r.Bytes32()
+	return b[:len(b):len(b)]
+}
+
 func decodeEntries(r *wire.Reader) ([]ChildEntry, error) {
 	n := r.Uint32()
 	if r.Err() == nil && int(n) > r.Remaining() {
@@ -602,7 +616,7 @@ func decodeEntries(r *wire.Reader) ([]ChildEntry, error) {
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		entries = append(entries, ChildEntry{
 			Name: r.String(),
-			Data: r.BytesCopy32(),
+			Data: replyBytes(r),
 			Stat: decodeStat(r),
 		})
 	}

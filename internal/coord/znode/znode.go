@@ -591,7 +591,7 @@ func (t *Tree) Children(path string) ([]string, error) {
 }
 
 // DirEntry is one record of a ChildrenData listing: a znode's name
-// (relative to the listed directory), a copy of its data, and its stat.
+// (relative to the listed directory), its data, and its stat.
 type DirEntry struct {
 	Name string
 	Data []byte
@@ -600,7 +600,10 @@ type DirEntry struct {
 
 // ChildrenData returns the node's own data and stat plus every child's
 // name, data, and stat (sorted by name) under one lock acquisition —
-// the server-side half of the one-round-trip readdir.
+// the server-side half of the one-round-trip readdir. Each Data is the
+// node's own slice, not a copy, as in MultiResult.Data: no write
+// mutates a node's data in place, so it stays valid; callers must not
+// modify it.
 func (t *Tree) ChildrenData(path string) (self DirEntry, children []DirEntry, err error) {
 	if err := ValidatePath(path); err != nil {
 		return DirEntry{}, nil, err
@@ -613,7 +616,7 @@ func (t *Tree) ChildrenData(path string) (self DirEntry, children []DirEntry, er
 	if err != nil {
 		return DirEntry{}, nil, err
 	}
-	self = DirEntry{Data: append([]byte(nil), n.data...), Stat: n.stat}
+	self = DirEntry{Data: n.data, Stat: n.stat}
 	names := make([]string, 0, len(n.children))
 	for name := range n.children {
 		names = append(names, name)
@@ -624,7 +627,7 @@ func (t *Tree) ChildrenData(path string) (self DirEntry, children []DirEntry, er
 		c := n.children[name]
 		children = append(children, DirEntry{
 			Name: name,
-			Data: append([]byte(nil), c.data...),
+			Data: c.data,
 			Stat: c.stat,
 		})
 	}

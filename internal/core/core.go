@@ -296,10 +296,10 @@ func (d *DUFS) Rmdir(path string) error {
 // Create implements vfs.FileSystem: mint a FID locally, register the
 // filename znode, then create the physical file on the mapped
 // back-end under the FID-derived path. The znode registration is
-// submitted ASYNCHRONOUSLY and the FID directory hierarchy is prepared
-// on the back-end while it is in flight — the two touch disjoint
-// systems, so the create's latency is max(quorum RTT, back-end mkdirs)
-// instead of their sum.
+// submitted ASYNCHRONOUSLY and the file's FID directory is made on the
+// back-end while it is in flight — the two touch disjoint systems, so
+// the create's latency is max(quorum RTT, back-end mkdir) instead of
+// their sum.
 func (d *DUFS) Create(path string, perm uint32) (vfs.Handle, error) {
 	d.count("create")
 	ctx := opCtx()
@@ -316,8 +316,7 @@ func (d *DUFS) Create(path string, perm uint32) (vfs.Handle, error) {
 	// znode keeps version 0 for life, so one another client deleted and
 	// re-created passes it), but the data carries our freshly minted
 	// FID, so equal bytes mean our node and the undo can never clobber
-	// a concurrent writer's. Best-effort, like the physical-side cleanup
-	// it compensates.
+	// a concurrent writer's. Best-effort.
 	undo := func() {
 		_, _ = d.sess.MultiCtx(ctx, []coord.Op{
 			coord.CheckDataOp(d.zpath(p), 0, data),
@@ -335,17 +334,17 @@ func (d *DUFS) Create(path string, perm uint32) (vfs.Handle, error) {
 		}
 	default:
 	}
-	// Preparing the chain concurrently with the namespace write is
-	// safe — the hierarchy is deterministic per FID (§IV-G), so a
-	// racing client creating the same dirs just sees ErrExist — but if
-	// the namespace write then FAILS the freshly-minted FID is
-	// discarded and its chain would be litter; removePhysDirs sweeps
-	// it best-effort on that (rare) path.
-	physErr := d.ensurePhysDirs(backend, f)
+	// The directory is one of the static hierarchy's (§IV-G), shared by
+	// every FID with the same low 16 bits: another client may have made
+	// it (ErrExist), and it stays when the namespace write fails, ready
+	// for the next FID that maps to it. It is never removed, so it
+	// cannot vanish under another client's create.
+	dir, _ := vfs.Split(phys)
+	physErr := backend.Mkdir(dir, 0o755)
+	if errors.Is(physErr, vfs.ErrExist) {
+		physErr = nil
+	}
 	if _, err := fut.Result(); err != nil {
-		if physErr == nil {
-			d.removePhysDirs(backend, f)
-		}
 		return nil, mapError(err)
 	}
 	if physErr != nil {
@@ -355,43 +354,9 @@ func (d *DUFS) Create(path string, perm uint32) (vfs.Handle, error) {
 	h, err := backend.Create(phys, perm)
 	if err != nil {
 		undo()
-		d.removePhysDirs(backend, f)
 		return nil, err
 	}
 	return h, nil
-}
-
-// ensurePhysDirs creates the static FID directory hierarchy on demand
-// (§IV-G: identical across back-ends, so there is never a conflict).
-func (d *DUFS) ensurePhysDirs(backend vfs.FileSystem, f fid.FID) error {
-	dirs := f.PhysicalDirs()
-	cur := ""
-	for _, seg := range dirs {
-		cur += "/" + seg
-		if err := backend.Mkdir(cur, 0o755); err != nil && !errors.Is(err, vfs.ErrExist) {
-			return err
-		}
-	}
-	return nil
-}
-
-// removePhysDirs unwinds a discarded FID's directory chain bottom-up,
-// best-effort: components shared with live files refuse with
-// ErrNotEmpty and stop the sweep, so only the litter a failed create
-// would otherwise leave behind is removed.
-func (d *DUFS) removePhysDirs(backend vfs.FileSystem, f fid.FID) {
-	dirs := f.PhysicalDirs()
-	paths := make([]string, 0, len(dirs))
-	cur := ""
-	for _, seg := range dirs {
-		cur += "/" + seg
-		paths = append(paths, cur)
-	}
-	for i := len(paths) - 1; i >= 0; i-- {
-		if err := backend.Rmdir(paths[i]); err != nil {
-			return
-		}
-	}
 }
 
 // Open implements vfs.FileSystem — the paper's Fig 3 walk-through:

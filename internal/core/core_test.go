@@ -143,9 +143,8 @@ func TestPhysicalPathIsFIDDerived(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The file body must live under the FID-derived path, not under
-	// anything name-derived. Client IDs are session IDs (small
-	// integers), so the physical path starts with the low-half
-	// counter's hex groups.
+	// anything name-derived: the counter's low 16 bits name the
+	// directory, the client ID and the counter's other digits the file.
 	g, _ := fid.NewGenerator(d.ClientID())
 	f := g.Next() // the first FID this client minted
 	phys := "/" + f.PhysicalPath()

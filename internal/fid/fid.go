@@ -14,16 +14,24 @@
 //
 //	FID 0123456789abcdef  ->  cdef/89ab/4567/0123
 //
-// Our FIDs are 128-bit, so the path has eight 4-hex-digit components:
-// the least-significant group first (deepest variability at the top of
-// the tree), with the most-significant group as the final file name.
+// Our FIDs are 128-bit, and the same split would make eight levels:
+// seven directories to create per file and eight components to walk on
+// every stat. The spread comes from the first group alone — the
+// counter's low 16 bits, which a client's consecutive creates step
+// through one by one — so the path keeps only that group as its one
+// directory and the other 28 digits, most significant first, as the
+// file name:
+//
+//	FID 0000000000000000 0123456789abcdef  ->  cdef/00000000000000000123456789ab
+//
+// The hierarchy is static and bounded: at most 65 536 directories per
+// back-end, each created by the first file that needs it.
 package fid
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 )
 
@@ -42,7 +50,18 @@ func (f FID) IsZero() bool { return f.Hi == 0 && f.Lo == 0 }
 
 // String returns the canonical 32-digit lowercase hex representation.
 func (f FID) String() string {
-	return fmt.Sprintf("%016x%016x", f.Hi, f.Lo)
+	var b [32]byte
+	f.putHex(b[:])
+	return string(b[:])
+}
+
+// putHex writes the 32 hex digits of f into b[:32].
+func (f FID) putHex(b []byte) {
+	const digits = "0123456789abcdef"
+	for i := 15; i >= 0; i-- {
+		b[i] = digits[f.Hi>>(4*(15-i))&0xf]
+		b[16+i] = digits[f.Lo>>(4*(15-i))&0xf]
+	}
 }
 
 // Bytes returns the big-endian 16-byte encoding of the FID.
@@ -68,33 +87,22 @@ func Parse(s string) (FID, error) {
 	return f, nil
 }
 
-// componentLen is the number of hex digits per physical path component.
-// The paper splits a 16-digit representation into four 4-digit parts;
-// we keep 4-digit parts for our 32-digit FIDs, yielding eight parts.
-const componentLen = 4
+// dirLen is the number of hex digits in the physical directory: the
+// least significant group, as in the paper's first component.
+const dirLen = 4
 
-// PhysicalPath derives the back-end relative path for the FID:
-// hex groups in reverse order joined by '/', the most significant group
-// last (the file name). See the package comment for the paper example.
+// PhysicalPath derives the back-end relative path for the FID: the
+// least significant dirLen hex digits as the directory, then '/', then
+// the remaining digits, most significant first, as the file name. See
+// the package comment for the paper example.
 func (f FID) PhysicalPath() string {
-	hex := f.String()
-	n := len(hex) / componentLen
-	parts := make([]string, 0, n)
-	for i := n - 1; i >= 0; i-- {
-		parts = append(parts, hex[i*componentLen:(i+1)*componentLen])
-	}
-	return strings.Join(parts, "/")
-}
-
-// PhysicalDirs returns the directory chain (all components except the
-// final file name) used to pre-create the static hierarchy.
-func (f FID) PhysicalDirs() []string {
-	p := f.PhysicalPath()
-	i := strings.LastIndexByte(p, '/')
-	if i < 0 {
-		return nil
-	}
-	return strings.Split(p[:i], "/")
+	// The digits land behind room for the directory, whose digits are
+	// then copied from the tail to the front.
+	var b [dirLen + 1 + 32]byte
+	f.putHex(b[dirLen+1:])
+	copy(b[:dirLen], b[len(b)-dirLen:])
+	b[dirLen] = '/'
+	return string(b[:len(b)-dirLen])
 }
 
 // Generator mints FIDs for one DUFS client instance without any

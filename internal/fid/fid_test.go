@@ -2,6 +2,7 @@ package fid
 
 import (
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -42,15 +43,22 @@ func TestBytesRoundTrip(t *testing.T) {
 	}
 }
 
+func TestStringMatchesSprintf(t *testing.T) {
+	if err := quick.Check(func(hi, lo uint64) bool {
+		f := FID{Hi: hi, Lo: lo}
+		return f.String() == fmt.Sprintf("%016x%016x", hi, lo)
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPhysicalPathPaperExample(t *testing.T) {
-	// The paper's example uses a 64-bit FID 0123456789abcdef ->
-	// cdef/89ab/4567/0123. Our FIDs are 128-bit; with Hi=0 and
-	// Lo=0x0123456789abcdef the low half must reproduce the paper's
-	// component order at the tail of the path, with the zero groups
-	// of the high half at the file-name end.
+	// The paper's 64-bit FID 0123456789abcdef puts its last group, cdef,
+	// first. With Hi=0 and Lo=0x0123456789abcdef that group is the one
+	// directory, and the other 28 digits, in order, are the file name.
 	f := FID{Hi: 0, Lo: 0x0123456789abcdef}
 	p := f.PhysicalPath()
-	want := "cdef/89ab/4567/0123/0000/0000/0000/0000"
+	want := "cdef/00000000000000000123456789ab"
 	if p != want {
 		t.Fatalf("PhysicalPath() = %q, want %q", p, want)
 	}
@@ -59,27 +67,39 @@ func TestPhysicalPathPaperExample(t *testing.T) {
 func TestPhysicalPathRoundTrip(t *testing.T) {
 	if err := quick.Check(func(hi, lo uint64) bool {
 		f := FID{Hi: hi, Lo: lo}
-		// The components are the hex groups, least significant first.
+		// Two components: the low group, then the rest of the digits.
 		parts := strings.Split(f.PhysicalPath(), "/")
-		for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
-			parts[i], parts[j] = parts[j], parts[i]
+		if len(parts) != 2 || len(parts[0]) != 4 || len(parts[1]) != 28 {
+			return false
 		}
-		got, err := Parse(strings.Join(parts, ""))
-		return len(parts) == 32/componentLen && err == nil && got == f
+		got, err := Parse(parts[1] + parts[0])
+		return err == nil && got == f
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPhysicalDirs(t *testing.T) {
-	f := FID{Hi: 1, Lo: 2}
-	dirs := f.PhysicalDirs()
-	if len(dirs) != 7 {
-		t.Fatalf("PhysicalDirs() has %d components, want 7", len(dirs))
-	}
-	full := f.PhysicalPath()
-	if !strings.HasPrefix(full, strings.Join(dirs, "/")+"/") {
-		t.Fatalf("dirs %v are not a prefix of %q", dirs, full)
+	// Exactly one directory, named by the counter's low 16 bits, so
+	// consecutive creates of one client land in consecutive directories
+	// and a back-end holds at most 65 536 of them.
+	for _, c := range []struct {
+		f   FID
+		dir string
+	}{
+		{FID{Hi: 1, Lo: 2}, "0002"},
+		{FID{Hi: 1, Lo: 3}, "0003"},
+		{FID{Hi: 1, Lo: 0x1ffff}, "ffff"},
+		{FID{Hi: 9, Lo: 0x20000}, "0000"},
+	} {
+		p := c.f.PhysicalPath()
+		dir, name, ok := strings.Cut(p, "/")
+		if !ok || strings.Contains(name, "/") {
+			t.Fatalf("PhysicalPath() = %q, want exactly one directory", p)
+		}
+		if dir != c.dir {
+			t.Errorf("%v: directory %q, want %q", c.f, dir, c.dir)
+		}
 	}
 }
 

@@ -113,8 +113,40 @@ type FileSystem interface {
 }
 
 // Clean normalizes a path: collapses slashes, resolves "."/"" and
-// rejects escapes above the root. It returns "/" for the root.
+// rejects escapes above the root. It returns "/" for the root. A path
+// already in that form is returned as is, without a copy.
 func Clean(path string) (string, error) {
+	if isClean(path) {
+		return path, nil
+	}
+	return cleanSegments(path)
+}
+
+// isClean reports whether path is already what Clean would return: it
+// is rooted, and every segment is non-empty, neither "." nor "..", and
+// at most 255 bytes long.
+func isClean(path string) bool {
+	if path == "/" {
+		return true
+	}
+	if len(path) < 2 || path[0] != '/' {
+		return false
+	}
+	for rest := path[1:]; ; {
+		seg, tail, more := strings.Cut(rest, "/")
+		if seg == "" || seg == "." || seg == ".." || len(seg) > 255 {
+			return false
+		}
+		if !more {
+			return true
+		}
+		rest = tail
+	}
+}
+
+// cleanSegments is Clean's general path: it rebuilds the path from its
+// segments.
+func cleanSegments(path string) (string, error) {
 	if path == "" {
 		return "", ErrInvalid
 	}

@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -78,6 +79,22 @@ func TestCleanIdempotentProperty(t *testing.T) {
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzClean checks Clean's fast path against the general one: for any
+// input, Clean returns exactly what rebuilding the path from its
+// segments returns, error included.
+func FuzzClean(f *testing.F) {
+	for _, seed := range []string{"/", "//a", "/a/./b", "/a/../b", "/a/", "..", "/a/" + strings.Repeat("x", 256), "/a/b"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		got, gotErr := Clean(in)
+		want, wantErr := cleanSegments(in)
+		if got != want || gotErr != wantErr {
+			t.Fatalf("Clean(%q) = %q, %v; the general path gives %q, %v", in, got, gotErr, want, wantErr)
+		}
+	})
 }
 
 func TestSplit(t *testing.T) {
