@@ -52,8 +52,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Bob sees Alice's file instantly: both talk to the same
-	// replicated namespace.
+	// Bob sees Alice's file once he syncs: both talk to the same
+	// replicated namespace, but his server may not have applied her
+	// write yet (a client always sees its own writes; Sync is for
+	// another client's).
+	if err := bob.FS.Sync(); err != nil {
+		log.Fatal(err)
+	}
 	data, err := vfs.ReadFile(bob.FS, "/projects/dufs/README")
 	if err != nil {
 		log.Fatal(err)

@@ -66,7 +66,7 @@ func TestWriteAllocBudget(t *testing.T) {
 			_, err := s.Create(paths[next], nil, znode.ModePersistent)
 			return err
 		}},
-		{"get", 8, func() error {
+		{"get", 7, func() error {
 			_, _, err := s.Get("/ap")
 			return err
 		}},

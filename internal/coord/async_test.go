@@ -183,6 +183,41 @@ func TestRequestCtxDeadline(t *testing.T) {
 	}
 }
 
+// heldCtx is a context whose deadline has passed while its Done channel
+// stays open: the moment between a deadline and its timer firing, held.
+type heldCtx struct {
+	context.Context
+	deadline time.Time
+}
+
+func (c heldCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+
+// TestRequestReportsTheCallersDeadline: when the deadline that ends a
+// request's retries is the caller's, the error wraps
+// context.DeadlineExceeded even though the context has not reported it
+// yet, not just the last transport failure.
+func TestRequestReportsTheCallersDeadline(t *testing.T) {
+	e := startTestEnsemble(t, 1)
+	s, err := e.Connect(-1) // no connect(): its cleanup would Close against the stopped ensemble
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Create("/alive", nil, znode.ModePersistent); err != nil {
+		t.Fatal(err)
+	}
+	e.Stop()
+	open, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := heldCtx{open, time.Now().Add(20 * time.Millisecond)}
+	_, err = s.CreateCtx(ctx, "/dead", nil, znode.ModePersistent)
+	if ctx.Err() != nil {
+		t.Fatal("the held context reported its end")
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v after the caller's deadline passed, want context.DeadlineExceeded", err)
+	}
+}
+
 // TestInFlightFuturesResolveAcrossFailover kills the server a session
 // is connected to while a flight of async creates is outstanding.
 // Every future must RESOLVE (success via retry on the next server, or
@@ -355,7 +390,8 @@ func TestWaitEventsSurfacesWatchLoss(t *testing.T) {
 // the session's watches.
 func TestWaitEventsDetectsFailoverBetweenParks(t *testing.T) {
 	e := startTestEnsemble(t, 3)
-	s := connect(t, e, 0)
+	home := leaderIndex(t, e) // its loss fails the write over
+	s := connect(t, e, home)
 	if _, err := s.Create("/bg", nil, znode.ModePersistent); err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +402,7 @@ func TestWaitEventsDetectsFailoverBetweenParks(t *testing.T) {
 	if _, err := s.WaitEvents(context.Background(), 30*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	e.Servers[0].Stop()
+	e.Servers[home].Stop()
 	// A regular write fails over the session to a surviving server.
 	if _, err := s.Create("/bg2", nil, znode.ModePersistent); err != nil {
 		t.Fatal(err)

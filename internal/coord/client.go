@@ -294,8 +294,9 @@ func (s *Session) exchange(ctx context.Context, w *wire.Writer) (payload []byte,
 // makes the attempts of a write one write.
 func (s *Session) requestCtxOwned(ctx context.Context, msg []byte) (payload []byte, zxid uint64, retained bool, err error) {
 	deadline := time.Now().Add(DialTimeout)
+	callerDeadline := false
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
+		deadline, callerDeadline = d, true
 	}
 	toLeader := len(msg) > 0 && (proposes(msg[0]) || msg[0] == opLeaseRead || msg[0] == opSync)
 	var lastErr error
@@ -307,8 +308,13 @@ func (s *Session) requestCtxOwned(ctx context.Context, msg []byte) (payload []by
 			return nil, 0, retained, err
 		}
 		if time.Now().After(deadline) {
-			if lastErr == nil {
+			// The caller's deadline may pass before its context's timer
+			// fires: the error says so all the same.
+			switch {
+			case lastErr == nil:
 				lastErr = context.DeadlineExceeded
+			case callerDeadline:
+				lastErr = fmt.Errorf("%w: %w", context.DeadlineExceeded, lastErr)
 			}
 			return nil, 0, retained, fmt.Errorf("coord: request failed after retries: %w", lastErr)
 		}

@@ -110,8 +110,9 @@ func waitArmed(t *testing.T, s *Server, want int64) {
 // write may or may not.
 func TestWatchGateMissesNoEvent(t *testing.T) {
 	e := startTestEnsemble(t, 3)
-	srv := e.Servers[0]
-	writer := connect(t, e, 0)
+	home := leaderIndex(t, e)
+	srv := e.Servers[home]
+	writer := connect(t, e, home)
 	type watcher struct {
 		s    *Session
 		read func(node, child string) (owed *Event, err error)
@@ -145,7 +146,7 @@ func TestWatchGateMissesNoEvent(t *testing.T) {
 	}
 	var watchers []watcher
 	for i := 0; i < 3; i++ {
-		watchers = append(watchers, getW(connect(t, e, 0)), existsW(connect(t, e, 0)), childrenW(connect(t, e, 0)))
+		watchers = append(watchers, getW(connect(t, e, home)), existsW(connect(t, e, home)), childrenW(connect(t, e, home)))
 	}
 	if _, err := writer.Create("/gate", nil, znode.ModePersistent); err != nil {
 		t.Fatal(err)

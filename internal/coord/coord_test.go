@@ -32,6 +32,20 @@ func startTestEnsemble(t *testing.T, servers int) *Ensemble {
 	return e
 }
 
+// leaderIndex returns the index of the ensemble's leader. A session
+// homed there reads every write another session has made without a
+// Sync, which a follower-homed one is not promised.
+func leaderIndex(tb testing.TB, e *Ensemble) int {
+	tb.Helper()
+	for i, s := range e.Servers {
+		if s != nil && s.IsLeader() {
+			return i
+		}
+	}
+	tb.Fatal("ensemble has no leader")
+	return -1
+}
+
 func connect(t *testing.T, e *Ensemble, preferred int) *Session {
 	t.Helper()
 	s, err := e.Connect(preferred)

@@ -39,7 +39,7 @@ func TestRouterAllocBudget(t *testing.T) {
 			next++
 			return err
 		}},
-		{"get", 9, func() error {
+		{"get", 8, func() error {
 			_, _, err := r.Get("/ap")
 			return err
 		}},

@@ -159,8 +159,9 @@ func TestFailedGetWLeavesNoWatch(t *testing.T) {
 
 func TestSessionCloseExpiresEphemeralAndFiresWatch(t *testing.T) {
 	e := startTestEnsemble(t, 3)
-	watcher := connect(t, e, 0)
-	owner, err := e.Connect(0)
+	home := leaderIndex(t, e)
+	watcher := connect(t, e, home)
+	owner, err := e.Connect(home)
 	if err != nil {
 		t.Fatal(err)
 	}

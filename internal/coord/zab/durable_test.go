@@ -385,3 +385,77 @@ func TestDurableSnapshotReclaimsWAL(t *testing.T) {
 		}
 	}
 }
+
+// TestAdoptedEpochIsDurable: a member adopts a leader's epoch from the
+// first message it hears under it, and the epoch is on its store before
+// it answers. Member 1 joins an ensemble whose leader members 2 and 3
+// elected without it, on a frozen clock so it never campaigns: once it
+// follows, the store's hard state names the leader's epoch, on
+// MemStorage and on storage.Engine alike.
+func TestAdoptedEpochIsDurable(t *testing.T) {
+	stores := map[string]func(t *testing.T) zab.StreamStorage{
+		"MemStorage": func(*testing.T) zab.StreamStorage { return new(zab.MemStorage) },
+		"Engine": func(t *testing.T) zab.StreamStorage {
+			eng, err := storage.Open(storage.Options{Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { eng.Close() })
+			return eng
+		},
+	}
+	for name, open := range stores {
+		t.Run(name, func(t *testing.T) {
+			peers := make(map[uint64]string)
+			for id := uint64(1); id <= 3; id++ {
+				peers[id] = fmt.Sprintf("adopt-%s-%d", name, id)
+			}
+			net := transport.NewInProc()
+			frozen := time.Now()
+			start := func(id uint64, st zab.StreamStorage, clock func() time.Time) *zab.Node {
+				n, err := zab.NewNode(zab.Config{
+					ID:                id,
+					Peers:             peers,
+					Net:               net,
+					HeartbeatInterval: 5 * time.Millisecond,
+					ElectionTimeout:   30 * time.Millisecond,
+					Clock:             clock,
+					Storage:           st,
+				}, &logSM{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := n.Start(); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(n.Stop)
+				return n
+			}
+			var leader *zab.Node
+			for _, id := range []uint64{2, 3} {
+				if n := start(id, new(zab.MemStorage), nil); id == 3 {
+					leader = n
+				}
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for leader.LeaderID() == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("members 2 and 3 elected no leader")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			st := open(t)
+			member := start(1, st, func() time.Time { return frozen })
+			for member.LeaderID() == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("member 1 never heard the leader")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			epoch := member.Epoch()
+			if got, granted := st.HardState(); got != epoch || granted != 0 {
+				t.Fatalf("member 1 follows epoch %d on a store that holds (%d, %d), want (%d, 0)", epoch, got, granted, epoch)
+			}
+		})
+	}
+}

@@ -11,6 +11,28 @@ func (n *Node) resetElectionTimer() {
 		time.Duration(n.rng.Int63n(int64(n.cfg.ElectionTimeout)))
 }
 
+// freshElectionTimer sets the timer of a voter on a fresh store: one that
+// has adopted no epoch, granted no vote and holds no frame. Such a voter
+// never acked a heartbeat (adoptEpochLocked persists an epoch before the
+// first answer under it), so no lease waits on it: its timer starts aged
+// a full ElectionTimeout, and it neither refuses votes (the stickiness
+// check in handleRequestVote) nor waits to campaign. Its first campaign
+// is due one HeartbeatInterval per peer with a higher ID later, so the
+// highest ID campaigns at its first tick and the others grant at once —
+// ZooKeeper's tie-break toward the higher server id. A campaign that
+// fails persists its self-vote, and the node's timer is then the usual
+// one.
+func (n *Node) freshElectionTimer() {
+	rank := 0
+	for id := range n.cfg.Peers {
+		if id > n.cfg.ID {
+			rank++
+		}
+	}
+	n.lastContact = n.now().Add(-n.cfg.ElectionTimeout)
+	n.electionDue = n.cfg.ElectionTimeout + time.Duration(rank)*n.cfg.HeartbeatInterval
+}
+
 // setEpochLocked enters a new epoch. What the node verified against the
 // previous epoch's leader, and the commit horizon that leader
 // announced, say nothing about the new leader's log: both fall back to
@@ -23,8 +45,16 @@ func (n *Node) setEpochLocked(epoch uint64) {
 }
 
 // adoptEpochLocked moves the node to follower state for a newer epoch.
-func (n *Node) adoptEpochLocked(epoch, leaderID uint64) {
+// A newer epoch is made durable before the node answers anything under
+// it, so a store whose hard state reads (0, 0) proves that its node never
+// acked a leader (NewNode's fresh-voter rule rests on that). A node that
+// cannot persist the epoch does not adopt it: it changes nothing and
+// reports false.
+func (n *Node) adoptEpochLocked(epoch, leaderID uint64) bool {
 	if epoch > n.epoch {
+		if n.st.SaveHardState(epoch, n.grantedEpoch) != nil {
+			return false
+		}
 		n.setEpochLocked(epoch)
 	}
 	if n.role == roleLeader {
@@ -35,6 +65,7 @@ func (n *Node) adoptEpochLocked(epoch, leaderID uint64) {
 		n.leaderID = leaderID
 	}
 	n.resetElectionTimer()
+	return true
 }
 
 // gapBeatsBeforeSync is how many heartbeats in a row may announce a
@@ -48,8 +79,7 @@ const gapBeatsBeforeSync = 4
 func (n *Node) handleHeartbeat(m heartbeatReq) heartbeatResp {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if m.Epoch >= n.epoch {
-		n.adoptEpochLocked(m.Epoch, m.LeaderID)
+	if m.Epoch >= n.epoch && n.adoptEpochLocked(m.Epoch, m.LeaderID) {
 		n.heardEpoch, n.heardID, n.heardContact = m.Epoch, m.LeaderID, m.Contact
 		n.followCommitLocked(m.Commit)
 		if m.Commit <= n.lastZxidLocked() {
@@ -83,7 +113,9 @@ func (n *Node) handleRequestVote(m requestVoteReq) requestVoteResp {
 	// vote, below). The timer — not "heard a leader" — is the
 	// condition on purpose: it also keeps a just-restarted voter, whose
 	// pre-crash heartbeat ack may be funding a still-live lease, from
-	// voting inside that window. Election liveness is unaffected: a
+	// voting inside that window. Only a voter on a fresh store starts
+	// with its timer aged (freshElectionTimer): it never acked, so it
+	// funds no lease. Election liveness is unaffected: a
 	// member only campaigns once its own timer passes the same bound,
 	// by which point its electorate has aged past it too.
 	if n.role == roleFollower && m.CandidateID != n.leaderID &&
@@ -368,10 +400,11 @@ func (n *Node) heartbeat() {
 			if err != nil {
 				return
 			}
-			if resp.Epoch > req.Epoch {
+			// Only an ack that names this epoch counts: a member that
+			// answers under an older one has not adopted it.
+			if resp.Epoch != req.Epoch {
 				n.mu.Lock()
-				if resp.Epoch > n.epoch {
-					n.adoptEpochLocked(resp.Epoch, 0)
+				if resp.Epoch > n.epoch && n.adoptEpochLocked(resp.Epoch, 0) {
 					n.leaderID = 0
 				}
 				n.mu.Unlock()

@@ -444,10 +444,14 @@ func NewNode(cfg Config, sm StateMachine) (*Node, error) {
 		return nil, err
 	}
 	// A voter waits out a full timeout before its first campaign (it may
-	// be inside a lease its pre-crash ack funded); an observer's timer is
-	// left expired, so it looks for the leader at once.
+	// be inside a lease its pre-crash ack funded), unless its store is
+	// fresh (freshElectionTimer); an observer's timer is left expired, so
+	// it looks for the leader at once.
 	if !cfg.Observer {
 		n.resetElectionTimer()
+		if n.epoch == 0 && n.grantedEpoch == 0 && n.lastZxidLocked() == 0 {
+			n.freshElectionTimer()
+		}
 	}
 	return n, nil
 }

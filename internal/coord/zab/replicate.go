@@ -122,10 +122,9 @@ func (n *Node) acceptWindow(m proposeReq) (resp proposeResp, appended bool) {
 	defer n.mu.Unlock()
 	var patience *time.Timer // armed when the window first parks
 	for {
-		if m.Epoch < n.epoch {
+		if m.Epoch < n.epoch || !n.adoptEpochLocked(m.Epoch, m.LeaderID) {
 			return proposeResp{Epoch: n.epoch, LastZxid: n.lastZxidLocked()}, false
 		}
-		n.adoptEpochLocked(m.Epoch, m.LeaderID)
 		if m.PrevZxid <= n.lastZxidLocked() {
 			break
 		}
@@ -279,10 +278,9 @@ func (n *Node) ask(leader, until uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.asking = false
-	if err != nil || resp.Epoch < n.epoch || n.stopped {
+	if err != nil || resp.Epoch < n.epoch || n.stopped || !n.adoptEpochLocked(resp.Epoch, resp.LeaderID) {
 		return
 	}
-	n.adoptEpochLocked(resp.Epoch, resp.LeaderID)
 	n.followCommitLocked(resp.Commit)
 }
 
@@ -356,10 +354,9 @@ func (n *Node) syncFromLeader(leader, from uint64) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if resp.Epoch < n.epoch || n.stopped {
+	if resp.Epoch < n.epoch || n.stopped || !n.adoptEpochLocked(resp.Epoch, resp.LeaderID) {
 		return
 	}
-	n.adoptEpochLocked(resp.Epoch, resp.LeaderID)
 	if resp.HasSnapshot {
 		// Durable first: the snapshot replaces our whole log (divergent
 		// tail included), so InstallSnapshotFrom resets the on-disk log
@@ -994,8 +991,7 @@ func (n *Node) foldWindow(gen uint64, s *followerStream, w window, resp proposeR
 	case err != nil:
 		s.failed = true
 	case resp.Epoch > w.epoch:
-		if resp.Epoch > n.epoch {
-			n.adoptEpochLocked(resp.Epoch, 0)
+		if resp.Epoch > n.epoch && n.adoptEpochLocked(resp.Epoch, 0) {
 			n.leaderID = 0
 		}
 	case resp.Ack:

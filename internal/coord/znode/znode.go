@@ -422,7 +422,9 @@ func (t *Tree) createLocked(path string, data []byte, mode CreateMode, session, 
 	return created, undo, nil
 }
 
-// Get returns a copy of the node's data and its stat.
+// Get returns the node's data and its stat. The data is the node's own
+// slice, not a copy, as in ChildrenData: no write mutates a node's data
+// in place, so it stays valid; callers must not modify it.
 func (t *Tree) Get(path string) ([]byte, Stat, error) {
 	if err := ValidatePath(path); err != nil {
 		return nil, Stat{}, err
@@ -433,7 +435,7 @@ func (t *Tree) Get(path string) ([]byte, Stat, error) {
 	if err != nil {
 		return nil, Stat{}, err
 	}
-	return append([]byte(nil), n.data...), n.stat, nil
+	return n.data, n.stat, nil
 }
 
 // Exists returns the stat if the node exists.

@@ -329,14 +329,24 @@ func TestPropertyCreateThenGetSeesData(t *testing.T) {
 	}
 }
 
-func TestGetCopiesData(t *testing.T) {
+// TestGetDataOutlivesWrites: Get hands out the node's own data, which
+// stays as read while later writes replace it — a write never mutates a
+// node's data in place.
+func TestGetDataOutlivesWrites(t *testing.T) {
 	tr := New()
 	mustCreate(t, tr, "/a", []byte("abc"))
 	data, _, _ := tr.Get("/a")
-	data[0] = 'Z'
-	again, _, _ := tr.Get("/a")
-	if string(again) != "abc" {
-		t.Fatal("Get returned aliased data")
+	if _, err := tr.Set("/a", []byte("xyz"), -1, 2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := tr.Multi([]MultiOp{{Kind: MultiSet, Path: "/a", Data: []byte("123"), Version: -1}}, 0, 3, 0); !ok {
+		t.Fatal("the multi set aborted")
+	}
+	if string(data) != "abc" {
+		t.Fatalf("data read before two writes now reads %q", data)
+	}
+	if again, _, _ := tr.Get("/a"); string(again) != "123" {
+		t.Fatalf("Get after the writes = %q, want %q", again, "123")
 	}
 }
 

@@ -43,15 +43,15 @@ func TestDUFSAllocBudget(t *testing.T) {
 		budget float64
 		op     func() error
 	}{
-		{"stat-file", 11, func() error {
+		{"stat-file", 10, func() error {
 			_, err := d.Stat("/dir/f07")
 			return err
 		}},
-		{"stat-dir", 9, func() error {
+		{"stat-dir", 8, func() error {
 			_, err := d.Stat("/dir")
 			return err
 		}},
-		{"open-close", 12, func() error {
+		{"open-close", 11, func() error {
 			h, err := d.Open("/dir/f07", vfs.OpenRead)
 			if err != nil {
 				return err
