@@ -19,14 +19,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"path"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/backend/memfs"
 	"repro/internal/cluster"
 	"repro/internal/coord"
 	"repro/internal/coord/migrate"
@@ -37,7 +35,6 @@ import (
 	"repro/internal/placement"
 	"repro/internal/sim"
 	"repro/internal/transport"
-	"repro/internal/vfs"
 )
 
 // runModel executes one modelled phase per b.N iteration and reports
@@ -425,42 +422,6 @@ func BenchmarkConsistentHashRelocation(b *testing.B) {
 	}
 	b.ReportMetric(modFrac*100, "modN-%moved")
 	b.ReportMetric(ringFrac*100, "ring-%moved")
-}
-
-// BenchmarkAblationFIDPathFanout compares creation under the paper's
-// FID-derived static hierarchy (Fig 4) — one directory per file, named
-// by the FID's low 16 bits, so a client's consecutive creates step
-// through 65 536 directories — against a single flat directory, the
-// congestion the hierarchy exists to avoid (§IV-G). Each hierarchy
-// create also pays the directory's mkdir, as DUFS's create does.
-func BenchmarkAblationFIDPathFanout(b *testing.B) {
-	b.Run("fid-hierarchy", func(b *testing.B) {
-		fs := memfs.New()
-		g, _ := fid.NewGenerator(7)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p := "/" + g.Next().PhysicalPath()
-			if err := fs.Mkdir(path.Dir(p), 0o755); err != nil && err != vfs.ErrExist {
-				b.Fatal(err)
-			}
-			h, err := fs.Create(p, 0o644)
-			if err != nil {
-				b.Fatal(err)
-			}
-			h.Close()
-		}
-	})
-	b.Run("flat-directory", func(b *testing.B) {
-		fs := memfs.New()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			h, err := fs.Create(fmt.Sprintf("/f%d", i), 0o644)
-			if err != nil {
-				b.Fatal(err)
-			}
-			h.Close()
-		}
-	})
 }
 
 // BenchmarkMigrationUnderLoad measures what the live-migration

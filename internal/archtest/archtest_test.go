@@ -1,6 +1,7 @@
 // Package archtest holds the module's structural rules: the forks
 // earlier changes deleted that must not grow back, the formatting rule,
-// and the rule that production code has a production caller. Each rule
+// the rule that production code has a production caller, and the rule
+// that CI's -run lists name tests that exist. Each rule
 // is a row of a table and each row runs as its own subtest, e.g.
 //
 //	go test -run 'TestGuards/One_snapshot_cut' ./internal/archtest
@@ -245,6 +246,50 @@ func TestGofmt(t *testing.T) {
 		}
 		if !bytes.Equal(out, f.src) {
 			t.Errorf("%s: not gofmt-formatted; run gofmt -w %s", f.path, f.path)
+		}
+	}
+}
+
+// ciRun finds a `go test … -run '…' ./pkg/` command in the CI workflow:
+// its quoted pattern and its package.
+var ciRun = regexp.MustCompile(`go test [^'\n]*-run '([^']*)'[^\n]*?\s\./(\S*)`)
+
+// TestCINamesExistingTests fails on a -run alternative in
+// .github/workflows/ci.yml that prefix-matches no Test or Fuzz function
+// declared in a _test.go file of its package: -run matches nothing
+// silently, so a name whose test moved or went would leave CI running
+// less than it says.
+func TestCINamesExistingTests(t *testing.T) {
+	m := loadModule(t)
+	ci, err := os.ReadFile(filepath.Join(m.root, ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(ci), "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "#") {
+			continue
+		}
+		for _, c := range ciRun.FindAllStringSubmatch(line, -1) {
+			pkg, tree := strings.CutSuffix(strings.TrimSuffix(c[2], "/"), "/...")
+			declared := "" // "\n" before each Test and Fuzz function's name
+			for _, f := range m.files {
+				dir := filepath.ToSlash(filepath.Dir(f.path))
+				if !f.test || dir != pkg && !(tree && underDir(f.path, pkg)) {
+					continue
+				}
+				for _, d := range f.ast.Decls {
+					if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil &&
+						(strings.HasPrefix(fd.Name.Name, "Test") || strings.HasPrefix(fd.Name.Name, "Fuzz")) {
+						declared += "\n" + fd.Name.Name
+					}
+				}
+			}
+			for _, alt := range strings.Split(c[1], "|") {
+				name, _, _ := strings.Cut(strings.Trim(alt, "^$"), "/")
+				if name != "" && !strings.Contains(declared, "\n"+name) {
+					t.Errorf("ci.yml: -run names %q in ./%s, where no Test or Fuzz function starts with it", name, c[2])
+				}
+			}
 		}
 	}
 }
