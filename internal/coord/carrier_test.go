@@ -2,11 +2,13 @@ package coord
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/coord/znode"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // A follower learns the commit horizon from the leader's next data
@@ -19,10 +21,15 @@ const slowBeat = time.Second
 
 func startSlowBeatEnsemble(t *testing.T) *Ensemble {
 	t.Helper()
+	return startSlowBeatOver(t, transport.NewInProc())
+}
+
+func startSlowBeatOver(t *testing.T, net transport.Network) *Ensemble {
+	t.Helper()
 	ensembleSeq++
 	e, err := StartEnsemble(EnsembleConfig{
 		Servers:           3,
-		Net:               transport.NewInProc(),
+		Net:               net,
 		AddrPrefix:        fmt.Sprintf("slowbeat%d", ensembleSeq),
 		HeartbeatInterval: slowBeat,
 		ElectionTimeout:   2 * slowBeat,
@@ -105,15 +112,90 @@ func TestFollowerWatchFiresBeforeTheHeartbeat(t *testing.T) {
 	}
 }
 
+// horizonTap counts the horizon exchanges on one follower's link: the
+// empty windows the leader sends to follower, and the horizon requests
+// and pulls sent to leader. Only a replica with a waiter asks, so in a
+// test that arms a watch and reads on one follower alone every request
+// counted is that follower's. shipped counts the exchanges that carried
+// a frame or a snapshot.
+type horizonTap struct {
+	transport.Network
+	mu                 sync.Mutex
+	follower, leader   string // peer addresses; "" counts nothing
+	exchanges, shipped int
+}
+
+func (p *horizonTap) Dial(addr string) (transport.Conn, error) {
+	c, err := p.Network.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &horizonConn{Conn: c, p: p, addr: addr}, nil
+}
+
+// watch starts the count on the link between e's leader and follower.
+func (p *horizonTap) watch(e *Ensemble, leader, follower int) {
+	peer := func(i int) string {
+		cfg := e.Servers[i].cfg
+		return cfg.PeerAddrs[cfg.ID]
+	}
+	p.mu.Lock()
+	p.leader, p.follower = peer(leader), peer(follower)
+	p.mu.Unlock()
+}
+
+func (p *horizonTap) counts() (exchanges, shipped int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.exchanges, p.shipped
+}
+
+type horizonConn struct {
+	transport.Conn
+	p    *horizonTap
+	addr string
+}
+
+func (c *horizonConn) Call(req []byte) ([]byte, error) {
+	resp, err := c.Conn.Call(req)
+	c.p.mu.Lock()
+	defer c.p.mu.Unlock()
+	switch {
+	case len(req) == 0:
+	case c.addr == c.p.follower && req[0] == 1:
+		r := wire.NewReader(req[1:])
+		r.Uint64() // epoch
+		r.Uint64() // leader
+		r.Uint64() // prev
+		if r.Uint32() == 0 && r.Err() == nil {
+			c.p.exchanges++
+		}
+	case c.addr == c.p.leader && req[0] == 4:
+		c.p.exchanges++
+		if err != nil {
+			break
+		}
+		r := wire.NewReader(resp)
+		snapshot := r.Bool()
+		r.Uint64() // its zxid
+		r.Bytes32()
+		if snapshot || r.Uint32() > 0 {
+			c.p.shipped++
+		}
+	}
+	return resp, err
+}
+
 // TestArmedWatchSparesTheReadPull: with a watch armed on a follower, the
-// follower waits for every frame it verifies, so a read after write that
-// parks for the horizon there is answered well inside a heartbeat. What
-// the watched follower's link costs per write — at most one horizon
-// exchange, none shipping a frame — is the cost ledger's "create + get,
-// watch armed" row (internal/costledger).
+// follower waits for every frame it verifies, so each write costs at
+// most one horizon exchange on its link, and a read after write that
+// parks for it adds none. None ships a frame: on a follower a cached
+// mount keeps watched, a read after write must not cost a leader
+// request with frames and an fsync of them.
 func TestArmedWatchSparesTheReadPull(t *testing.T) {
-	e := startSlowBeatEnsemble(t)
-	_, follower := leaderAndFollower(t, e)
+	net := &horizonTap{Network: transport.NewInProc()}
+	e := startSlowBeatOver(t, net)
+	leader, follower := leaderAndFollower(t, e)
 	s := connect(t, e, follower)
 	if _, err := s.Create("/spare", nil, znode.ModePersistent); err != nil {
 		t.Fatal(err)
@@ -121,6 +203,7 @@ func TestArmedWatchSparesTheReadPull(t *testing.T) {
 	if _, _, err := s.ExistsW("/spare/never"); err != nil {
 		t.Fatal(err)
 	}
+	net.watch(e, leader, follower)
 	const writes = 200
 	var worst time.Duration
 	for i := 0; i < writes; i++ {
@@ -134,8 +217,16 @@ func TestArmedWatchSparesTheReadPull(t *testing.T) {
 		}
 		worst = max(worst, time.Since(start))
 	}
-	t.Logf("slowest read after write at the watched follower: %v", worst)
+	exchanges, shipped := net.counts()
+	t.Logf("slowest read after write at the watched follower: %v; %d horizon exchanges for %d writes, %d shipped frames",
+		worst, exchanges, writes, shipped)
 	if worst > slowBeat/10 {
 		t.Errorf("a read after write took %v at the follower: it waited for the heartbeat", worst)
+	}
+	if exchanges > writes {
+		t.Errorf("%d horizon exchanges on the watched follower's link for %d writes, want at most one per write", exchanges, writes)
+	}
+	if shipped != 0 {
+		t.Errorf("%d horizon exchanges shipped frames to the watched follower, want none", shipped)
 	}
 }

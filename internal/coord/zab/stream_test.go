@@ -188,12 +188,10 @@ func TestAckNeverExceedsDurableHorizon(t *testing.T) {
 }
 
 // peerTap is a transport.Network decorator over the peer links of a test
-// ensemble: it delays each call by a seeded random amount so windows
-// overtake one another (and, with maxReplyDelay, each window's reply
-// too, so acks overtake one another), can hold back one chosen window as
-// a lossy link would, and counts the sync pulls and refusals those
-// schedules must not or must cause. What a write costs on the peer links
-// is the cost ledger's (internal/costledger).
+// ensemble: it counts calls by kind, delays each by a seeded random
+// amount so windows overtake one another (and, with maxReplyDelay, each
+// window's reply too, so acks overtake one another), and can hold back
+// one chosen window as a lossy link would.
 type peerTap struct {
 	transport.Network
 	maxDelay, maxReplyDelay time.Duration
@@ -205,12 +203,14 @@ type peerTap struct {
 	lose    func(addr string, m proposeReq) bool
 	loseFor time.Duration
 
-	syncPulls, needSyncs, refusals atomic.Int64
-	refusedAfter                   atomic.Int64 // ns the last plain refusal took
+	dataWindows, emptyWindows, votes       atomic.Int64
+	syncPulls, needSyncs, refusals, others atomic.Int64
+	refusedAfter                           atomic.Int64 // ns the last plain refusal took
 }
 
 func (p *peerTap) reset() {
-	for _, c := range []*atomic.Int64{&p.syncPulls, &p.needSyncs, &p.refusals} {
+	for _, c := range []*atomic.Int64{&p.dataWindows, &p.emptyWindows,
+		&p.votes, &p.syncPulls, &p.needSyncs, &p.refusals, &p.others} {
 		c.Store(0)
 	}
 }
@@ -234,10 +234,21 @@ func (c *tapConn) Call(req []byte) ([]byte, error) {
 	var window *proposeReq
 	switch req[0] {
 	case msgPropose:
-		m := decodeProposeReq(wire.NewReader(req[1:]))
+		r := wire.NewReader(req[1:])
+		m := decodeProposeReq(r)
 		window = &m
+		if len(m.Entries) > 0 {
+			p.dataWindows.Add(1)
+		} else {
+			p.emptyWindows.Add(1)
+		}
+	case msgHeartbeat: // expected at any time; not counted
+	case msgRequestVote:
+		p.votes.Add(1)
 	case msgSync:
 		p.syncPulls.Add(1)
+	default:
+		p.others.Add(1)
 	}
 	p.mu.Lock()
 	var delay, replyDelay time.Duration
@@ -365,7 +376,8 @@ func TestShuffledDelivery(t *testing.T) {
 			t.Fatalf("member %d moved to epoch %d during the run (was %d)", n.ID(), n.Epoch(), epoch)
 		}
 	}
-	t.Logf("%d plain refusals for %d writes", tap.refusals.Load(), total)
+	t.Logf("%d data windows, %d empty, %d plain refusals for %d writes",
+		tap.dataWindows.Load(), tap.emptyWindows.Load(), tap.refusals.Load(), total)
 }
 
 // TestShuffledReadBackAsksTheHorizon: under TestShuffledDelivery's
@@ -420,7 +432,7 @@ func TestShuffledReadBackAsksTheHorizon(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	t.Logf("slowest read-back on a follower: %v (heartbeat %v)", worst, beat)
+	t.Logf("slowest read-back on a follower: %v (heartbeat %v); %d data windows, %d empty", worst, beat, tap.dataWindows.Load(), tap.emptyWindows.Load())
 	if worst > beat/4 {
 		t.Errorf("a reader parked on a follower waited %v: it was stranded until the heartbeat", worst)
 	}
@@ -473,6 +485,49 @@ func TestLostWindowIsRefusedNotSynced(t *testing.T) {
 	want, _ := e.sms[leader.ID()].snapshotState()
 	if got, _ := e.sms[victim].snapshotState(); !slices.Equal(got, want) {
 		t.Fatalf("victim applied %v, leader %v", got, want)
+	}
+}
+
+// TestMessagesPerWrite counts what one isolated write costs on the peer
+// links. Proposed on the leader — what every session's write is down
+// here, whichever server it is homed on — it takes exactly one window
+// per follower: with nobody waiting on a follower, the commit horizon
+// rides its next window or heartbeat, and there is no empty commit
+// carrier and no separate commit message. Proposed on a follower, it is
+// refused without a single peer message.
+func TestMessagesPerWrite(t *testing.T) {
+	tap := &peerTap{Network: transport.NewInProc(), rng: rand.New(rand.NewSource(1))}
+	e := startTapped(t, "msgcount", tap)
+	leader := e.waitLeader(t)
+	var follower *Node
+	for _, n := range e.nodes {
+		if n != leader {
+			follower = n
+			break
+		}
+	}
+	proposeOK(t, leader, "warm-up")
+	waitConverged(t, e, 1, 1, 2, 3)
+	time.Sleep(120 * time.Millisecond) // let the warm-up's windows land
+
+	for _, c := range []struct {
+		via     *Node
+		windows int64 // data windows; there is no empty one
+	}{{leader, 2}, {follower, 0}} {
+		tap.reset()
+		if c.via == leader {
+			proposeOK(t, leader, "isolated")
+			waitConverged(t, e, 2, 1, 2, 3)
+		} else if _, err := c.via.Propose([]byte("refused")); err != ErrNoLeader {
+			t.Fatalf("a follower's Propose returned %v, want ErrNoLeader", err)
+		}
+		time.Sleep(120 * time.Millisecond)
+		if d, em := tap.dataWindows.Load(), tap.emptyWindows.Load(); d != c.windows || em != 0 {
+			t.Fatalf("write on member %d: %d data windows, %d empty windows; want %d and none", c.via.ID(), d, em, c.windows)
+		}
+		if v, s, o := tap.votes.Load(), tap.syncPulls.Load(), tap.others.Load(); v != 0 || s != 0 || o != 0 {
+			t.Fatalf("write on member %d: %d votes, %d sync pulls, %d other messages on the peer links", c.via.ID(), v, s, o)
+		}
 	}
 }
 

@@ -12,14 +12,44 @@ import (
 	"repro/internal/vfs"
 )
 
-// TestReaddirIsOneRPC: listing a K-entry directory is one coordination
-// round trip — ChildrenData carries the directory's own node and every
-// child's data — where the per-op protocol cost K+2. The round trip is
-// counted by the cost ledger's readdir rows (internal/costledger); this
-// test checks what the one round trip returns.
+// countingClient is a Do decorator that counts every operation that
+// leaves the process — the test double the batched-API contract is
+// asserted against. Every typed and asynchronous form reaches it through
+// coord.Wrap, one Do each; Atomic is not counted (it is pure client-side
+// routing math).
+type countingClient struct {
+	coord.Doer
+	calls atomic.Int64
+}
+
+func (c *countingClient) Do(ctx context.Context, op coord.Op) (coord.Result, error) {
+	c.calls.Add(1)
+	return c.Doer.Do(ctx, op)
+}
+
+// mountCounting builds a DUFS over a counting session against env.
+func mountCounting(t *testing.T, env *testEnv) (*DUFS, *countingClient) {
+	t.Helper()
+	sess, err := env.ens.Connect(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sess.Close() })
+	cc := &countingClient{Doer: sess}
+	d, err := New(Config{Session: coord.Wrap(cc), Backends: env.backends})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, cc
+}
+
+// TestReaddirIsOneRPC is the headline acceptance check: listing a
+// K-entry directory costs exactly ONE coordination round trip —
+// ChildrenData carries the directory's own node and every child's
+// data — where the per-op protocol cost K+2.
 func TestReaddirIsOneRPC(t *testing.T) {
 	env := newEnv(t, 1, 2)
-	d := env.newDUFS(t, "")
+	d, cc := mountCounting(t, env)
 
 	const K = 16
 	if err := d.Mkdir("/fan", 0o755); err != nil {
@@ -36,9 +66,13 @@ func TestReaddirIsOneRPC(t *testing.T) {
 		h.Close()
 	}
 
+	cc.calls.Store(0)
 	entries, err := d.Readdir("/fan")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := cc.calls.Load(); got != 1 {
+		t.Fatalf("Readdir of %d entries issued %d coordination RPCs, want exactly 1", K, got)
 	}
 	if len(entries) != K {
 		t.Fatalf("got %d entries, want %d", len(entries), K)
@@ -55,22 +89,78 @@ func TestReaddirIsOneRPC(t *testing.T) {
 	}
 
 	// Error semantics survive the batching: a file is ENOTDIR, a
-	// missing path ENOENT.
+	// missing path ENOENT — still one RPC each.
+	cc.calls.Store(0)
 	if _, err := d.Readdir("/fan/f0"); !errors.Is(err, vfs.ErrNotDir) {
 		t.Fatalf("Readdir(file) err = %v, want ErrNotDir", err)
+	}
+	if got := cc.calls.Load(); got != 1 {
+		t.Fatalf("Readdir(file) issued %d RPCs, want 1", got)
 	}
 	if _, err := d.Readdir("/fan/absent"); !errors.Is(err, vfs.ErrNotExist) {
 		t.Fatalf("Readdir(absent) err = %v, want ErrNotExist", err)
 	}
 }
 
-// TestSameShardRenameIsOneTransaction: a single-ensemble file rename
-// runs as Get + dest-probe + one Multi, no intent znodes, so the intent
-// log stays empty. The three round trips are the cost ledger's rename row
-// (internal/costledger).
+// TestUnlinkAndRmdirAreOneRPC: the type check rides in the delete's
+// transaction as a data-guarded check, so removing a name is one
+// coordination round trip whatever it turns out to be — a file, a
+// directory refused with ErrIsDir or ErrNotDir, an empty directory —
+// and only a symlink, which the file guard refuses, takes a second.
+func TestUnlinkAndRmdirAreOneRPC(t *testing.T) {
+	env := newEnv(t, 1, 2)
+	d, cc := mountCounting(t, env)
+	if err := d.Mkdir("/o", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Mkdir("/o/full", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{"/o/f", "/o/g", "/o/full/kid"} {
+		if err := vfs.WriteFile(d, f, []byte("body")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Symlink("/o/g", "/o/ln"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		op   func() error
+		want error
+		rpcs int64
+	}{
+		{"unlink file", func() error { return d.Unlink("/o/f") }, nil, 1},
+		{"unlink dir", func() error { return d.Unlink("/o/full") }, vfs.ErrIsDir, 1},
+		{"unlink missing", func() error { return d.Unlink("/o/f") }, vfs.ErrNotExist, 1},
+		{"unlink symlink", func() error { return d.Unlink("/o/ln") }, nil, 2},
+		{"rmdir file", func() error { return d.Rmdir("/o/g") }, vfs.ErrNotDir, 1},
+		{"rmdir non-empty", func() error { return d.Rmdir("/o/full") }, vfs.ErrNotEmpty, 1},
+		{"rmdir missing", func() error { return d.Rmdir("/o/none") }, vfs.ErrNotExist, 1},
+		{"unlink kid", func() error { return d.Unlink("/o/full/kid") }, nil, 1},
+		{"rmdir empty", func() error { return d.Rmdir("/o/full") }, nil, 1},
+	} {
+		cc.calls.Store(0)
+		if err := c.op(); !errors.Is(err, c.want) {
+			t.Fatalf("%s = %v, want %v", c.name, err, c.want)
+		}
+		if got := cc.calls.Load(); got != c.rpcs {
+			t.Fatalf("%s issued %d coordination RPCs, want %d", c.name, got, c.rpcs)
+		}
+	}
+	// The symlink's target kept its body; the unlinked files' went.
+	if _, err := vfs.ReadFile(d, "/o/g"); err != nil {
+		t.Fatal(err)
+	}
+	assertNamesMatchBodies(t, env, d)
+}
+
+// TestSameShardRenameIsOneTransaction verifies a single-ensemble file
+// rename runs as Get + dest-probe + one Multi (3 RPCs, no intent
+// znodes), and that the intent log stays empty.
 func TestSameShardRenameIsOneTransaction(t *testing.T) {
 	env := newEnv(t, 1, 2)
-	d := env.newDUFS(t, "")
+	d, cc := mountCounting(t, env)
 
 	if err := d.Mkdir("/r", 0o755); err != nil {
 		t.Fatal(err)
@@ -78,8 +168,12 @@ func TestSameShardRenameIsOneTransaction(t *testing.T) {
 	if err := vfs.WriteFile(d, "/r/src", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
+	cc.calls.Store(0)
 	if err := d.Rename("/r/src", "/r/dst"); err != nil {
 		t.Fatal(err)
+	}
+	if got := cc.calls.Load(); got != 3 {
+		t.Fatalf("same-shard rename issued %d RPCs, want 3 (get, dest probe, multi)", got)
 	}
 	if data, err := vfs.ReadFile(d, "/r/dst"); err != nil || string(data) != "payload" {
 		t.Fatalf("dst = %q, %v", data, err)
@@ -93,20 +187,24 @@ func TestSameShardRenameIsOneTransaction(t *testing.T) {
 }
 
 // TestLeafDirectoryRenameIsAtomic covers renameDir's fast path: an
-// empty directory moves with one Multi instead of copy+delete, keeping
-// its mode. Its four round trips (get, dest probe, listing, multi) are
-// the cost ledger's rename row (internal/costledger).
+// empty directory moves with one Multi instead of copy+delete.
 func TestLeafDirectoryRenameIsAtomic(t *testing.T) {
 	env := newEnv(t, 1, 1)
-	d := env.newDUFS(t, "")
+	d, cc := mountCounting(t, env)
 	if err := d.Mkdir("/parent", 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Mkdir("/parent/leaf", 0o711); err != nil {
 		t.Fatal(err)
 	}
+	cc.calls.Store(0)
 	if err := d.Rename("/parent/leaf", "/parent/moved"); err != nil {
 		t.Fatal(err)
+	}
+	// get(src) + dest probe + listing + multi = 4 RPCs regardless of
+	// subtree shape checks.
+	if got := cc.calls.Load(); got != 4 {
+		t.Fatalf("leaf dir rename issued %d RPCs, want 4", got)
 	}
 	fi, err := d.Stat("/parent/moved")
 	if err != nil || !fi.IsDir() || fi.Mode&vfs.PermMask != 0o711 {
@@ -117,16 +215,12 @@ func TestLeafDirectoryRenameIsAtomic(t *testing.T) {
 	}
 }
 
-// TestRenameDirBatchesLeafChildren: the subtree walk batches each
-// directory's childless children, so a flat 8-file directory moves with
-// one Multi for all 8 creates and one for all 8 deletes — get(src) +
-// dest probe + leaf listing + copy(listing + create + 1 batched multi) +
-// remove(listing + 1 batched multi + delete) = 9 round trips, the cost
-// ledger's rename row (internal/costledger). This test checks that every
-// file arrives and the source goes.
+// TestRenameDirBatchesLeafChildren verifies the subtree walk batches
+// each directory's childless children: a flat 8-file directory moves
+// with one Multi for all 8 creates and one for all 8 deletes.
 func TestRenameDirBatchesLeafChildren(t *testing.T) {
 	env := newEnv(t, 1, 2)
-	d := env.newDUFS(t, "")
+	d, cc := mountCounting(t, env)
 	if err := d.Mkdir("/big", 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +232,14 @@ func TestRenameDirBatchesLeafChildren(t *testing.T) {
 		}
 		h.Close()
 	}
+	cc.calls.Store(0)
 	if err := d.Rename("/big", "/moved"); err != nil {
 		t.Fatal(err)
+	}
+	// get(src) + dest probe + leaf-listing + copy(listing + create +
+	// 1 batched multi) + remove(listing + 1 batched multi + delete) = 9.
+	if got := cc.calls.Load(); got > 9 {
+		t.Fatalf("renameDir of %d files issued %d RPCs, want <= 9 (batched)", K, got)
 	}
 	entries, err := d.Readdir("/moved")
 	if err != nil || len(entries) != K {

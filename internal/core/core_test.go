@@ -87,6 +87,31 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+func TestDirectoryOpsNeverTouchBackends(t *testing.T) {
+	// Paper §IV-A: "directories and directory-trees are considered as
+	// metadata only, so they are not physically created on the
+	// back-end storage."
+	env := newEnv(t, 3, 2)
+	d := env.newDUFS(t, "/dirs")
+	for i := 0; i < 10; i++ {
+		if err := d.Mkdir(fmt.Sprintf("/d%d", i), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := d.Stat("/d5"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Readdir("/"); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range env.mems {
+		files, dirs := backendCounts(t, m)
+		if files != 0 || dirs != 0 {
+			t.Fatalf("back-end touched by directory ops: %d files, %d dirs", files, dirs)
+		}
+	}
+}
+
 func TestFilesLandOnMappedBackend(t *testing.T) {
 	env := newEnv(t, 3, 4)
 	d := env.newDUFS(t, "/map")
