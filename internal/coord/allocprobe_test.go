@@ -1,3 +1,8 @@
+//go:build !race
+
+// The race detector's instrumentation allocates and reschedules
+// goroutines, so the budgets in this file are not built with -race.
+
 package coord
 
 import (
@@ -28,9 +33,6 @@ const allocRuns = 5000
 // source (an unpooled buffer, a hot-path closure, a queue that bleeds
 // capacity).
 func TestWriteAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are meaningless under the race detector")
-	}
 	// The default MaxLogEntries, not startTestEnsemble's 256: at 256 a
 	// fuzzy snapshot of the whole tree fires every ~200 writes, and its
 	// walk would be billed to the write path this test pins.
@@ -113,9 +115,6 @@ const writeWakeupBudget = 7.5
 // enough at this write count to catch a hand-off, a spurious broadcast
 // or an extra syscall coming back.
 func TestWriteWakeupBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation reschedules goroutines")
-	}
 	ports := map[string]string{}
 	e, err := StartEnsemble(EnsembleConfig{
 		Servers: 3,

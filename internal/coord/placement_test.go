@@ -374,15 +374,15 @@ func proposals(servers ...*Server) (n int64) {
 
 // TestLeaseReadTakesTheWritePath homes a session on a follower and lists
 // the leader behind it. A lease read is answered by the leader, under
-// its lease, in one call delay — home sees nothing of it and nothing is
-// proposed — whichever form submitted it, and so is a Sync. A follower
-// sent one names the leader and reads nothing.
+// its lease — home sees nothing of it and nothing is proposed —
+// whichever form submitted it, and so is a Sync. A follower sent one
+// names the leader and reads nothing. That each is one call delay from
+// every home is the cost ledger's (internal/costledger, DESIGN §13.4).
 func TestLeaseReadTakesTheWritePath(t *testing.T) {
-	const d = 20 * time.Millisecond
 	ensembleSeq++
 	e, err := StartEnsemble(EnsembleConfig{
 		Servers:           3,
-		Net:               &transport.Latency{Inner: transport.NewInProc(), Delay: func() time.Duration { return d }},
+		Net:               transport.NewInProc(),
 		AddrPrefix:        fmt.Sprintf("lease%d", ensembleSeq),
 		HeartbeatInterval: 50 * time.Millisecond,
 		ElectionTimeout:   time.Second,
@@ -405,21 +405,13 @@ func TestLeaseReadTakesTheWritePath(t *testing.T) {
 	lead, home := e.Servers[leader], e.Servers[follower]
 	leaseReads, homeReads, proposed := counter(lead, "lease_reads"), counter(home, "reads"), proposals(e.Servers...)
 	const tries = 5
-	best := time.Hour
 	for i := 0; i < tries; i++ {
-		start := time.Now()
-		res, err := s.Do(context.Background(), leased)
-		best = min(best, time.Since(start))
-		if err != nil || string(res.Data) != "v" {
+		if res, err := s.Do(context.Background(), leased); err != nil || string(res.Data) != "v" {
 			t.Fatalf("lease read = %q, %v", res.Data, err)
 		}
 	}
 	if res, err := s.Begin(context.Background(), leased).Result(); err != nil || res.Stat.Version != 0 {
 		t.Fatalf("Begin(lease read) = %+v, %v", res, err)
-	}
-	t.Logf("lease read from a follower-homed session: %v (%.2f call delays)", best, float64(best)/float64(d))
-	if best >= d*3/2 {
-		t.Errorf("lease read took %v, want about one call delay (%v)", best, d)
 	}
 	if got := counter(lead, "lease_reads") - leaseReads; got != tries+1 {
 		t.Errorf("the leader answered %d of %d lease reads under its lease", got, tries+1)
@@ -430,17 +422,10 @@ func TestLeaseReadTakesTheWritePath(t *testing.T) {
 	if got := proposals(e.Servers...) - proposed; got != 0 {
 		t.Errorf("%d transactions proposed for lease reads the leader could answer", got)
 	}
-	best = time.Hour
 	for i := 0; i < tries; i++ {
-		start := time.Now()
 		if err := s.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		best = min(best, time.Since(start))
-	}
-	t.Logf("sync from a follower-homed session: %v (%.2f call delays)", best, float64(best)/float64(d))
-	if best >= d*3/2 {
-		t.Errorf("sync took %v, want about one call delay (%v)", best, d)
 	}
 	if got := proposals(e.Servers...) - proposed; got != 0 {
 		t.Errorf("%d transactions proposed for syncs", got)

@@ -1,13 +1,16 @@
 // Package costledger is the cost ledger, tests only: each row runs one op
 // kind from one home on one stack and counts what it costs through one
 // counting network (netTally), one counting store (storeTally) and,
-// under DUFS, one counting back-end. DESIGN.md's count tables are its
+// under DUFS, one counting back-end. DESIGN.md's ledger tables are its
 // output, between cost-ledger marker comments; `go test -run
 // TestCostLedger ./internal/costledger/` fails when DESIGN's copy
-// differs and prints the table to paste. Exact cells are counts. An
-// allocation or sampled wake-up cell is a budget the count must stay
-// within and shows the budget, so toolchain drift does not churn DESIGN;
-// neither is measured under the race detector.
+// differs and prints the table to paste.
+//
+// The ledger holds the counts no package test pins. The write path's
+// windows, round trips and call delays, its allocation and wake-up
+// budgets, and DUFS's removal, listing and rename round trips are
+// pinned where they are implemented (DESIGN §8.5, §9.2, §9.5, §10.5,
+// §14.1 name the tests), and the ledger does not count them again.
 package costledger
 
 import (
@@ -26,7 +29,6 @@ import (
 
 	"repro/internal/backend/memfs"
 	"repro/internal/coord"
-	"repro/internal/coord/shard"
 	"repro/internal/coord/zab"
 	"repro/internal/coord/znode"
 	"repro/internal/core"
@@ -34,41 +36,33 @@ import (
 	"repro/internal/vfs"
 )
 
-// raceEnabled is set when the race detector is on (race_test.go).
-var raceEnabled bool
-
-const (
-	// callDelay is what every call waits on a row that reads call delays:
-	// the best of a few ops rounds to the sequential calls on its path.
-	callDelay = 20 * time.Millisecond
-	// allocOps is how many ops an allocation budget averages over: a
-	// background heartbeat's allocations vanish in the rounding.
-	allocOps = 5000
-	raceOps  = 100 // a budgeted row's ops under the race detector
-)
+// callDelay is what every call waits on a row that reads call delays:
+// the best of a few ops rounds to the sequential calls on its path.
+const callDelay = 20 * time.Millisecond
 
 // A row is one op kind run from one home on one stack.
 type row struct {
 	op, at  string // the leading cells: the op, and its home or target
-	in      string // the DESIGN sections whose tables show the row
-	n, warm int    // ops counted (allocOps if zero), and ops run before
-	delay   bool   // every call waits callDelay, and call delays are read
+	in      string // the DESIGN section whose table shows the row
+	n, warm int    // ops counted, and ops run before
+	// delay has every call wait callDelay, and call delays are read. A
+	// write's next client call then reaches the leader after the write's
+	// last window has landed, so no window carries two writes' frames.
+	delay bool
 	// bounded rows run back to back, where a window may carry two ops'
-	// frames and syncs in flight together share one: their window,
-	// append and sync cells are bounds.
+	// frames and syncs in flight together share one: their append and
+	// sync cells are bounds.
 	bounded bool
-	home    *coord.Server // a home that does not lead: it proposes none of the row's writes
-	// Budgets per op, zero where the row has none.
-	allocs, wakeups, exchanges float64
-	do                         func(i int) error
+	do      func(i int) error
 }
 
 // cost is what a row's ops took, in total.
 type cost struct {
-	ops                                     int
-	net                                     netCounts
-	appends, syncs, snap, backend, proposed int64
-	best                                    time.Duration // the fastest op
+	ops                  int
+	net                  netCounts
+	appends, syncs, snap int64
+	backend              int64
+	best                 time.Duration // the fastest op
 }
 
 // A stack is one deployment a fixture's rows run on.
@@ -82,7 +76,7 @@ type stack struct {
 
 func newStack(inner transport.Network) *stack {
 	_, tcp := inner.(transport.TCP)
-	return &stack{net: &netTally{Network: inner, tcp: tcp, classes: map[string]class{}}}
+	return &stack{net: &netTally{Network: inner, tcp: tcp, clients: map[string]bool{}}}
 }
 
 func (s *stack) ensemble(t *testing.T, cfg coord.EnsembleConfig) *coord.Ensemble {
@@ -140,76 +134,47 @@ func (s *stack) settle(t *testing.T) {
 	}
 }
 
-func (s *stack) take(home *coord.Server) cost {
-	c := cost{net: s.net.counts(), appends: s.store.appends.Load(), syncs: s.store.syncs.Load(),
+func (s *stack) take() cost {
+	return cost{net: s.net.counts(), appends: s.store.appends.Load(), syncs: s.store.syncs.Load(),
 		snap: s.store.snapBytes.Load(), backend: s.backend.Load()}
-	if home != nil {
-		c.proposed = home.Metrics().Counter("writes").Value()
-	}
-	return c
 }
 
-// measure runs r's ops, checks its budgets and returns what they cost.
+// measure runs r's ops and returns what they cost.
 func (s *stack) measure(t *testing.T, r row) cost {
-	n, warm := cmp.Or(r.n, allocOps), r.warm
-	if raceEnabled && (r.allocs > 0 || r.wakeups > 0) {
-		n, warm = min(n, raceOps), min(warm, raceOps)
-	}
 	i := 0
-	run := func() {
+	run := func() time.Duration {
+		start := time.Now()
 		if err := r.do(i); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 		i++
+		return time.Since(start)
 	}
-	for range warm {
+	for range r.warm {
 		run()
 	}
 	s.settle(t)
-	b, best := s.take(r.home), time.Duration(math.MaxInt64)
+	b, best := s.take(), time.Duration(math.MaxInt64)
 	if r.delay {
 		s.delay.Store(int64(callDelay))
 	}
-	within := func(what string, got, budget float64) {
-		t.Logf("%.2f %s per op (budget %v)", got, what, budget)
-		if got > budget {
-			t.Errorf("%.2f %s per op, over the budget of %v", got, what, budget)
-		}
-	}
-	switch {
-	case r.allocs > 0 && !raceEnabled:
-		within("allocations", testing.AllocsPerRun(n, run), r.allocs)
-		n++ // AllocsPerRun runs one op more than it averages over
-	case r.wakeups > 0 && !raceEnabled:
-		samples := schedSamples()
-		for range n {
-			run()
-		}
-		within("sampled wake-ups", float64(schedSamples()-samples)/float64(n), r.wakeups)
-	default:
-		for range n {
-			start := time.Now()
-			run()
-			best = min(best, time.Since(start))
-		}
+	for range r.n {
+		best = min(best, run())
 	}
 	s.delay.Store(0)
 	s.settle(t)
-	a := s.take(r.home)
-	c := cost{ops: n, best: best, appends: a.appends - b.appends, syncs: a.syncs - b.syncs,
-		snap: a.snap - b.snap, backend: a.backend - b.backend, proposed: a.proposed - b.proposed}
+	a := s.take()
+	c := cost{ops: r.n, best: best, appends: a.appends - b.appends, syncs: a.syncs - b.syncs,
+		snap: a.snap - b.snap, backend: a.backend - b.backend}
 	for i := range c.net {
 		c.net[i] = a.net[i] - b.net[i]
-	}
-	if r.exchanges > 0 {
-		within("horizon exchanges", float64(c.net.peer(calls, emptyWindow, ask))/float64(n), r.exchanges)
 	}
 	return c
 }
 
 // voters is three voters and an observer in process on memory stores,
 // with a session homed on each role: what a write costs on the peer
-// links (§9.2), the calls on its path (§10.5) and those of the leader
+// links and in the stores (§9.2), and the call delays of the leader
 // reads (§13.4).
 func voters(t *testing.T) (*stack, []row) {
 	s := newStack(transport.NewInProc())
@@ -223,60 +188,39 @@ func voters(t *testing.T) (*stack, []row) {
 	t.Cleanup(obs.Stop)
 	s.groups[0] = append(s.groups[0], obs)
 	l, f := roles(t, e)
-	follower := e.Servers[f]
 	// Each home writes under a directory of the same length, so its
 	// windows carry the same bytes; its first create names it the leader.
 	// The observer has joined once it applied them: every row settles first.
 	homes, dirs := map[string]*coord.Session{}, map[string]string{}
-	for name, addrs := range map[string][]string{"leader": {e.ClientAddrs[l]}, "follower": {e.ClientAddrs[f]},
-		"listing": {e.ClientAddrs[f], e.ClientAddrs[l]}, "observer": {obsAddr}} {
-		homes[name], dirs[name] = connect(t, net, addrs...), fmt.Sprintf("/h%d", len(dirs))
+	for name, addr := range map[string]string{"leader": e.ClientAddrs[l], "follower": e.ClientAddrs[f], "observer": obsAddr} {
+		homes[name], dirs[name] = connect(t, net, addr), fmt.Sprintf("/h%d", len(dirs))
 		must(homes[name].Create(dirs[name], nil, znode.ModePersistent))
 	}
-	create := func(home string) func(int) error {
-		return func(i int) error {
-			_, err := homes[home].Create(fmt.Sprintf("%s/n%03d", dirs[home], i), nil, znode.ModePersistent)
-			return err
+	rows := []row{{op: "session open", at: "follower", in: "§9.2", do: func(int) error {
+		sess, err := coord.Connect(net, []string{e.ClientAddrs[f]})
+		if err == nil {
+			t.Cleanup(func() { sess.Close() })
 		}
-	}
-	rows := []row{
-		{op: "session open", at: "follower", in: "§9.2 §10.5", home: follower, do: func(int) error {
-			sess, err := coord.Connect(net, []string{e.ClientAddrs[f]})
-			if err == nil {
-				t.Cleanup(func() { sess.Close() })
-			}
+		return err
+	}}}
+	for _, at := range []string{"leader", "follower", "observer"} {
+		sess, dir := homes[at], dirs[at]
+		rows = append(rows, row{op: "create", at: at, in: "§9.2", do: func(i int) error {
+			_, err := sess.Create(fmt.Sprintf("%s/n%03d", dir, i), nil, znode.ModePersistent)
 			return err
-		}},
-		{op: "create", at: "leader", in: "§9.2 §10.5", do: create("leader")},
-		{op: "create", at: "follower", in: "§9.2 §10.5", home: follower, do: create("follower")},
-		{op: "create", at: "follower, listing the leader", in: "§10.5", home: follower, do: create("listing")},
-		{op: "create", at: "observer", in: "§9.2 §10.5", home: obs, do: create("observer")},
+		}})
 	}
 	for _, at := range []string{"leader", "follower", "observer"} {
-		sess, p := homes[at], dirs[at]
+		sess, dir := homes[at], dirs[at]
 		rows = append(rows, row{op: "lease get", at: at, in: "§13.4", do: func(int) error {
-			_, err := sess.Do(context.Background(), coord.Op{Kind: coord.OpGet, Path: p, Lease: true})
+			_, err := sess.Do(context.Background(), coord.Op{Kind: coord.OpGet, Path: dir, Lease: true})
 			return err
 		}}, row{op: "sync", at: at, in: "§13.4", do: func(int) error { return sess.Sync() }})
 	}
 	for i := range rows {
 		rows[i].n, rows[i].delay = 5, true
 	}
-	// Last, as the watch stays armed; the uncounted first op arms it.
-	return s, append(rows, row{op: "create + get, watch armed", at: "follower", in: "§9.2", n: 200, warm: 1,
-		bounded: true, exchanges: 1, home: follower, do: func(i int) error {
-			sess, p := homes["follower"], fmt.Sprintf("%s/w%03d", dirs["follower"], i)
-			if i == 0 {
-				if _, _, err := sess.ExistsW(dirs["follower"] + "/never"); err != nil {
-					return err
-				}
-			}
-			if _, err := sess.Create(p, nil, znode.ModePersistent); err != nil {
-				return err
-			}
-			_, _, err := sess.Get(p)
-			return err
-		}})
+	return s, rows
 }
 
 // roles returns the indices of e's leader and of a follower.
@@ -288,8 +232,7 @@ func roles(t *testing.T, e *coord.Ensemble) (leader, follower int) {
 }
 
 // durable is three durable voters over TCP loopback, as cmd/coordd runs
-// them: what a write costs in wake-ups and syncs (§9.5), after as many
-// writes again to warm up.
+// them: the log flushes a write costs (§9.5).
 func durable(t *testing.T) (*stack, []row) {
 	s := newStack(transport.TCP{})
 	e := s.ensemble(t, coord.EnsembleConfig{Servers: 3, HeartbeatInterval: 50 * time.Millisecond,
@@ -300,7 +243,7 @@ func durable(t *testing.T) (*stack, []row) {
 		at := [...]string{"leader", "follower"}[k]
 		sess, dir := connect(t, s.net, e.ClientAddrs[i]), "/"+at
 		must(sess.Create(dir, nil, znode.ModePersistent))
-		rows = append(rows, row{op: "create", at: at, in: "§9.5", n: 3000, warm: 3000, bounded: true, wakeups: 7.5, do: func(i int) error {
+		rows = append(rows, row{op: "create", at: at, in: "§9.5", n: 300, warm: 30, bounded: true, do: func(i int) error {
 			_, err := sess.Create(fmt.Sprintf("%s/n%d", dir, i), nil, znode.ModePersistent)
 			return err
 		}})
@@ -308,65 +251,17 @@ func durable(t *testing.T) (*stack, []row) {
 	return s, rows
 }
 
-// single is a session on one in-process server and a shard.Router over
-// it and a second: what each op shape allocates end to end (§14.1). The
-// default MaxLogEntries keeps the fuzzy snapshot, whose walk of the tree
-// would be billed to the writes, out of the count.
-func single(t *testing.T) (*stack, []row) {
-	s := newStack(transport.NewInProc())
-	var shards []coord.Client
-	for range 2 {
-		shards = append(shards, connect(t, s.net, s.ensemble(t, coord.EnsembleConfig{Servers: 1}).ClientAddrs[0]))
-	}
-	sess, r := shards[0].(*coord.Session), must(shard.New(shards))
-	t.Cleanup(func() { r.Close() })
-	must(sess.Create("/s", []byte("payload"), znode.ModePersistent))
-	must(r.Create("/r", []byte("payload"), znode.ModePersistent))
-	paths := numbered("/n%d", 3*allocOps+4) // formatted before any count starts
-	create := func(c coord.Client, dir string, from int) func(int) error {
-		return func(i int) error { _, err := c.Create(dir+paths[from+i], nil, znode.ModePersistent); return err }
-	}
-	in := "§14.1"
-	return s, []row{
-		{op: "session Create", in: in, allocs: 14, do: create(sess, "/s", 0)},
-		{op: "session Get", in: in, allocs: 7, do: func(int) error { _, _, err := sess.Get("/s"); return err }},
-		{op: "session Exists", in: in, allocs: 6, do: func(int) error { _, _, err := sess.Exists("/s"); return err }},
-		{op: "session Begin(CreateOp) + Result", in: in, allocs: 20, do: func(i int) error {
-			_, err := sess.Begin(context.Background(), coord.CreateOp("/s"+paths[allocOps+1+i], nil, znode.ModePersistent)).Result()
-			return err
-		}},
-		// The uncounted first create writes the ancestor stub on the
-		// other shard; every counted one takes the one-call path.
-		{op: "shard.Router Create", at: "2 shards", in: in, warm: 1, allocs: 15, do: create(r, "/r", 2*allocOps+2)},
-		{op: "shard.Router Get", at: "2 shards", in: in, allocs: 8, do: func(int) error { _, _, err := r.Get("/r"); return err }},
-	}
-}
-
-// numbered formats n names.
-func numbered(format string, n int) []string {
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf(format, i)
-	}
-	return names
-}
-
 // dufs is a DUFS client over one in-process server and two memfs
-// back-ends: the coordination round trips and back-end calls of each
-// vfs op (§8.5), and the allocations of those the benchmark's metadata
-// workloads send.
+// back-ends: the coordination round trips and back-end calls of the vfs
+// ops no internal/core test counts (§8.5).
 func dufs(t *testing.T) (*stack, []row) {
 	s := newStack(transport.NewInProc())
 	sess := connect(t, s.net, s.ensemble(t, coord.EnsembleConfig{Servers: 1}).ClientAddrs[0])
 	d := must(core.New(core.Config{Session: sess, Backends: []vfs.FileSystem{backend{memfs.New(), &s.backend}, backend{memfs.New(), &s.backend}}}))
-	for _, dir := range []string{"/dir", "/c", "/m", "/o", "/o/full", "/r", "/parent", "/parent/leaf", "/big", "/cd"} {
+	for _, dir := range []string{"/dir", "/m", "/cd"} {
 		noErr(d.Mkdir(dir, 0o755))
 	}
-	for _, f := range append(append(numbered("/dir/f%02d", 64), numbered("/big/f%d", 8)...), "/o/g", "/o/full/kid", "/r/src") {
-		noErr(vfs.WriteFile(d, f, []byte("x")))
-	}
-	noErr(d.Symlink("/o/g", "/o/ln"))
-	created := numbered("/c/n%d", allocOps+1)
+	noErr(vfs.WriteFile(d, "/dir/f", []byte("x")))
 	// once runs a vfs op once, which must return want.
 	once := func(op, at string, want error, do func() error) row {
 		return row{op: op, at: at, n: 1, do: func(int) error {
@@ -377,37 +272,18 @@ func dufs(t *testing.T) (*stack, []row) {
 		}}
 	}
 	rows := []row{
-		{op: "stat", at: "a file", allocs: 10, do: func(int) error { _, err := d.Stat("/dir/f07"); return err }},
-		{op: "stat", at: "a directory", allocs: 8, do: func(int) error { _, err := d.Stat("/dir"); return err }},
-		{op: "open + close", at: "a file", allocs: 11, do: func(int) error {
-			h, err := d.Open("/dir/f07", vfs.OpenRead)
+		{op: "stat", at: "a file", n: 10, do: func(int) error { _, err := d.Stat("/dir/f"); return err }},
+		{op: "stat", at: "a directory", n: 10, do: func(int) error { _, err := d.Stat("/dir"); return err }},
+		{op: "open + close", at: "a file", n: 10, do: func(int) error {
+			h, err := d.Open("/dir/f", vfs.OpenRead)
 			if err != nil {
 				return err
 			}
 			return h.Close()
 		}},
-		{op: "readdir", at: "64 files", allocs: 85, do: func(int) error { _, err := d.Readdir("/dir"); return err }},
-		once("readdir", "a file: ErrNotDir", vfs.ErrNotDir, func() error { _, err := d.Readdir("/dir/f00"); return err }),
+		once("readdir", "a file: ErrNotDir", vfs.ErrNotDir, func() error { _, err := d.Readdir("/dir/f"); return err }),
 		{op: "mkdir", at: "a new name", n: 10, do: func(i int) error { return d.Mkdir(fmt.Sprintf("/m/d%d", i), 0o755) }},
-		{op: "rmdir", at: "an empty directory", n: 10, do: func(i int) error { return d.Rmdir(fmt.Sprintf("/m/d%d", i)) }},
-		{op: "create + close", at: "a new file", allocs: 27, do: func(i int) error {
-			h, err := d.Create(created[i], 0o644)
-			if err != nil {
-				return err
-			}
-			return h.Close()
-		}},
-		{op: "unlink", at: "a file", allocs: 27, do: func(i int) error { return d.Unlink(created[i]) }},
-		once("unlink", "a directory: ErrIsDir", vfs.ErrIsDir, func() error { return d.Unlink("/o/full") }),
-		once("unlink", "a missing name: ErrNotExist", vfs.ErrNotExist, func() error { return d.Unlink("/o/none") }),
-		once("unlink", "a symlink", nil, func() error { return d.Unlink("/o/ln") }),
-		once("rmdir", "a file: ErrNotDir", vfs.ErrNotDir, func() error { return d.Rmdir("/o/g") }),
-		once("rmdir", "a non-empty directory: ErrNotEmpty", vfs.ErrNotEmpty, func() error { return d.Rmdir("/o/full") }),
-		once("rmdir", "a missing name: ErrNotExist", vfs.ErrNotExist, func() error { return d.Rmdir("/o/none") }),
 		once("chmod", "a directory", nil, func() error { return d.Chmod("/cd", 0o700) }),
-		once("rename", "a file, same directory", nil, func() error { return d.Rename("/r/src", "/r/dst") }),
-		once("rename", "an empty directory", nil, func() error { return d.Rename("/parent/leaf", "/parent/moved") }),
-		once("rename", "a directory of 8 files", nil, func() error { return d.Rename("/big", "/moved") }),
 	}
 	for i := range rows {
 		rows[i].in = "§8.5"
@@ -426,75 +302,41 @@ func (c cost) per(total int64) string {
 // count is a total per op, or on a bounded row its bound, the next integer.
 func (c cost) count(r row, total int64) string {
 	if r.bounded {
-		return budget(math.Ceil(float64(total) / float64(c.ops)))
+		return fmt.Sprintf("≤ %v", math.Ceil(float64(total)/float64(c.ops)))
 	}
 	return c.per(total)
 }
 
-func budget(b float64) string {
-	if b == 0 {
-		return "—"
-	}
-	return fmt.Sprintf("≤ %v", b)
-}
+func (c cost) client() string { return c.per(c.net[clientCalls]) }
 
-func (c cost) client() string { return c.per(c.net[slot(calls, clientLink, call)]) }
-
-func (c cost) callDelays() string {
-	return fmt.Sprint(math.Round(float64(c.best) / float64(callDelay)))
-}
-
-// opPeerKinds are what a write may cost on the peer links; heartbeats
-// run on a clock, not per op, and are left out.
-var opPeerKinds = []kind{window, emptyWindow, pull, ask, otherPeer}
-
-// tables are DESIGN's count tables: the heads, then a row's cells after
+// tables are DESIGN's ledger tables: the heads, then a row's cells after
 // its op and at.
 var tables = []struct {
 	section string
 	heads   []string
 	cells   func(r row, c cost) []string
 }{
-	{"§8.5", []string{"vfs op", "on", "RPCs", "back-end calls", "allocs/op"}, func(r row, c cost) []string {
-		return []string{c.client(), c.per(c.backend), budget(r.allocs)}
+	{"§8.5", []string{"vfs op", "on", "RPCs", "back-end calls"}, func(r row, c cost) []string {
+		return []string{c.client(), c.per(c.backend)}
 	}},
-	{"§9.2", []string{"op", "home", "client calls", "data windows, followers + observer", "horizon exchanges",
-		"exchanges shipping frames", "pulls, votes, joins", "peer bytes out / back", "appends", "syncs", "snapshot bytes"},
+	{"§9.2", []string{"op", "home", "client calls", "peer bytes out / back", "appends", "syncs", "snapshot bytes"},
 		func(r row, c cost) []string {
-			exchanges, bytes := budget(r.exchanges), "—"
-			if !r.bounded {
-				exchanges = c.per(c.net.peer(calls, emptyWindow, ask))
-				bytes = c.per(c.net.peer(bytesIn, opPeerKinds...)) + " / " + c.per(c.net.peer(bytesOut, opPeerKinds...))
-			}
-			return []string{c.client(),
-				c.count(r, c.net[slot(calls, peerLink, window)]) + " + " + c.count(r, c.net[slot(calls, observerLink, window)]),
-				exchanges, c.per(c.net[shipped]), c.per(c.net.peer(calls, pull, otherPeer)), bytes,
-				c.count(r, c.appends), c.count(r, c.syncs), c.per(c.snap)}
+			return []string{c.client(), c.per(c.net[peerBytesIn]) + " / " + c.per(c.net[peerBytesOut]),
+				c.per(c.appends), c.per(c.syncs), c.per(c.snap)}
 		}},
-	{"§9.5", []string{"op, TCP, durable", "home", "sampled wake-ups", "client calls", "data windows", "appends", "syncs"},
-		func(r row, c cost) []string {
-			return []string{budget(r.wakeups), c.client(), c.count(r, c.net.peer(calls, window)), c.count(r, c.appends), c.count(r, c.syncs)}
-		}},
-	{"§10.5", []string{"op", "home", "call delays", "client calls", "dials", "proposed at home"}, func(r row, c cost) []string {
-		proposed := "—" // the leader proposes every write
-		if r.home != nil {
-			proposed = c.per(c.proposed)
-		}
-		return []string{c.callDelays(), c.client(), c.per(c.net[dials]), proposed}
+	{"§9.5", []string{"op, TCP, durable", "home", "client calls", "appends", "syncs"}, func(r row, c cost) []string {
+		return []string{c.client(), c.count(r, c.appends), c.count(r, c.syncs)}
 	}},
 	{"§13.4", []string{"op", "home", "call delays", "client calls", "appends"}, func(r row, c cost) []string {
-		return []string{c.callDelays(), c.client(), c.per(c.appends)}
-	}},
-	{"§14.1", []string{"op", "on", "client calls", "allocs/op"}, func(r row, c cost) []string {
-		return []string{c.client(), budget(r.allocs)}
+		return []string{fmt.Sprint(math.Round(float64(c.best) / float64(callDelay))), c.client(), c.per(c.appends)}
 	}},
 }
 
 // ledgerBlock finds DESIGN's copies of the tables.
 var ledgerBlock = regexp.MustCompile(`(?s)<!-- cost ledger (§[0-9.]+)[^>]*-->\n(.*?)<!-- end of cost ledger -->`)
 
-// TestCostLedger runs every row, checks its budgets, and compares the
-// tables it renders with DESIGN.md's.
+// TestCostLedger runs every row and compares the tables it renders with
+// DESIGN.md's.
 func TestCostLedger(t *testing.T) {
 	var rows []row
 	var costs []cost
@@ -502,7 +344,7 @@ func TestCostLedger(t *testing.T) {
 	for _, f := range []struct {
 		name  string
 		start func(*testing.T) (*stack, []row)
-	}{{"voters", voters}, {"durable", durable}, {"single", single}, {"dufs", dufs}} {
+	}{{"voters", voters}, {"durable", durable}, {"dufs", dufs}} {
 		ran := false
 		t.Run(f.name, func(t *testing.T) {
 			defer func() {
@@ -512,7 +354,6 @@ func TestCostLedger(t *testing.T) {
 			}()
 			s, fixture := f.start(t)
 			for _, r := range fixture {
-				r.at = cmp.Or(r.at, "1 node")
 				measured := false
 				t.Run(r.op+", "+r.at, func(t *testing.T) {
 					c := s.measure(t, r)
@@ -541,7 +382,7 @@ func TestCostLedger(t *testing.T) {
 		line(tb.heads)
 		line(strings.Split(strings.Repeat("---,", len(tb.heads)-1)+"---", ","))
 		for i, r := range rows {
-			if slices.Contains(strings.Fields(r.in), tb.section) {
+			if r.in == tb.section {
 				line(append([]string{r.op, r.at}, tb.cells(r, costs[i])...))
 			}
 		}

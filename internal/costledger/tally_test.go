@@ -4,104 +4,41 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/coord/zab"
 	"repro/internal/transport"
 	"repro/internal/vfs"
-	"repro/internal/wire"
 )
 
-// class is a link's side, known from the address its listener serves:
-// a server's client address, a voter's peer address, an observer's.
-type class int
+// heartbeat is the first byte of zab's heartbeat message, which runs on
+// a clock and not per op: the peer byte counts leave it out.
+const heartbeat = 2
 
+// What the network counts: the calls client addresses serve, and the
+// bytes each way of every peer request but a heartbeat.
 const (
-	clientLink class = iota
-	peerLink
-	observerLink
-	nClasses
+	clientCalls = iota
+	peerBytesIn
+	peerBytesOut
+	nSlots
 )
-
-// kind is what a request asks: any client request is a call; a peer
-// message is zab's first byte, a window split by whether it carries
-// frames and a sync by whether it asks for the horizon alone.
-type kind int
-
-const (
-	call kind = iota
-	window
-	emptyWindow
-	heartbeat
-	pull
-	ask
-	otherPeer // votes, joins
-	nKinds
-)
-
-func kindOf(c class, req []byte) kind {
-	if c == clientLink {
-		return call
-	}
-	var r wire.Reader
-	r.Reset(req)
-	switch r.Uint8() { // zab's peer message kinds
-	case 1: // a window: epoch, leader, previous zxid, then the frame count
-		r.Uint64()
-		r.Uint64()
-		r.Uint64()
-		if r.Uint32() == 0 {
-			return emptyWindow
-		}
-		return window
-	case 2:
-		return heartbeat
-	case 4: // a sync: from zxid, then the horizon asked for (0 on a pull)
-		if r.Uint64(); r.Uint64() != 0 {
-			return ask
-		}
-		return pull
-	}
-	return otherPeer
-}
-
-// What the network counts: calls and bytes each way by class and kind,
-// the sync replies that shipped a snapshot or frames, and client dials.
-const (
-	calls = iota
-	bytesIn
-	bytesOut
-	shipped = (bytesOut + 1) * int(nClasses) * int(nKinds)
-	dials   = shipped + 1
-	nSlots  = dials + 1
-)
-
-func slot(metric int, c class, k kind) int { return (metric*int(nClasses)+int(c))*int(nKinds) + int(k) }
 
 // netCounts is the network's totals at one instant.
 type netCounts [nSlots]int64
 
-// peer sums a peer-link metric over kinds, to voters and observers.
-func (n netCounts) peer(metric int, kinds ...kind) (sum int64) {
-	for _, k := range kinds {
-		sum += n[slot(metric, peerLink, k)] + n[slot(metric, observerLink, k)]
-	}
-	return sum
-}
-
 // netTally is the ledger's one counting network: a transport.Network
-// decorator that counts each request where it is served. Dial returns
-// the inner connection itself, so native pipelining
-// (transport.AsyncCaller) and every other property of the transport
-// stay the program's own.
+// decorator that counts each request where it is served, by whether the
+// address serving it is a client or a peer one. Dial is the inner
+// network's, so native pipelining (transport.AsyncCaller) and every
+// other property of the transport stay the program's own.
 type netTally struct {
 	transport.Network
 	tcp bool // addresses are loopback ports, not in-process names
 
 	mu      sync.Mutex
-	classes map[string]class // every address addr handed out
+	clients map[string]bool // every address addr handed out: a client one?
 	n       [nSlots]atomic.Int64
 	busy    atomic.Int64 // peer requests being served
 }
@@ -111,7 +48,7 @@ type netTally struct {
 func (t *netTally) addr(id uint64, kind string) string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	a := fmt.Sprintf("%s-%d-%d", kind, id, len(t.classes))
+	a := fmt.Sprintf("%s-%d-%d", kind, id, len(t.clients))
 	if t.tcp {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -120,43 +57,28 @@ func (t *netTally) addr(id uint64, kind string) string {
 		a = ln.Addr().String()
 		ln.Close()
 	}
-	t.classes[a] = map[string]class{"client": clientLink, "peer": peerLink, "observer": observerLink}[kind]
+	t.clients[a] = kind == "client"
 	return a
 }
 
 func (t *netTally) Listen(addr string, h transport.Handler) (io.Closer, error) {
 	t.mu.Lock()
-	c := t.classes[addr]
+	client := t.clients[addr]
 	t.mu.Unlock()
 	return t.Network.Listen(addr, transport.HandlerFunc(func(req []byte) ([]byte, error) {
-		k := kindOf(c, req)
-		if c != clientLink {
-			t.busy.Add(1)
-			defer t.busy.Add(-1)
+		if client {
+			t.n[clientCalls].Add(1)
+			return h.Handle(req)
 		}
+		t.busy.Add(1)
+		defer t.busy.Add(-1)
 		resp, err := h.Handle(req)
-		t.n[slot(calls, c, k)].Add(1)
-		t.n[slot(bytesIn, c, k)].Add(int64(len(req)))
-		t.n[slot(bytesOut, c, k)].Add(int64(len(resp)))
-		if k == pull || k == ask { // a snapshot flag, zxid and body, then the frame count
-			var r wire.Reader
-			r.Reset(resp)
-			snapshot, _, _, frames := r.Bool(), r.Uint64(), r.Bytes32(), r.Uint32()
-			if err == nil && r.Err() == nil && (snapshot || frames > 0) {
-				t.n[shipped].Add(1)
-			}
+		if len(req) > 0 && req[0] != heartbeat {
+			t.n[peerBytesIn].Add(int64(len(req)))
+			t.n[peerBytesOut].Add(int64(len(resp)))
 		}
 		return resp, err
 	}))
-}
-
-func (t *netTally) Dial(addr string) (transport.Conn, error) {
-	t.mu.Lock()
-	if t.classes[addr] == clientLink {
-		t.n[dials].Add(1)
-	}
-	t.mu.Unlock()
-	return t.Network.Dial(addr)
 }
 
 func (t *netTally) counts() (c netCounts) {
@@ -221,18 +143,3 @@ func (b backend) Readlink(p string) (string, error)             { b.n.Add(1); re
 func (b backend) Truncate(p string, n int64) error              { b.n.Add(1); return b.fs.Truncate(p, n) }
 func (b backend) Chmod(p string, m uint32) error                { b.n.Add(1); return b.fs.Chmod(p, m) }
 func (b backend) Access(p string, m uint32) error               { b.n.Add(1); return b.fs.Access(p, m) }
-
-// schedSamples is the sample count of the runtime's scheduling-latency
-// histogram. The runtime marks one in eight of a goroutine's
-// transitions out of running (a block, or a syscall) and records the
-// latency when it next runs, so the growth per op samples the wake-ups
-// an op costs — steady over a few thousand ops, enough to catch a
-// hand-off, a spurious broadcast or an extra syscall coming back.
-func schedSamples() (n uint64) {
-	s := []metrics.Sample{{Name: "/sched/latencies:seconds"}}
-	metrics.Read(s)
-	for _, c := range s[0].Value.Float64Histogram().Counts {
-		n += c
-	}
-	return n
-}
