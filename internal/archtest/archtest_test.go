@@ -166,9 +166,35 @@ var guards = []guard{
 	{
 		name:   "One wake-up per waiter",
 		design: "§9.5",
-		msg:    "zab has a condition shared by every leader goroutine again; give the waiter its own",
+		msg: "zab has a condition shared by every leader goroutine again, or a targeted Signal is a Broadcast again; " +
+			"give the waiter its own condition and wake it alone: only step-down and Stop broadcast",
+		dirs:  []string{"internal/coord/zab"},
+		names: regexp.MustCompile(`leaderCond`),
+		calls: []callBound{
+			{re: regexp.MustCompile(`\bpropCond\.Broadcast$`), min: 1, max: 1},
+			{re: regexp.MustCompile(`\bsyncCond\.Broadcast$`), min: 1, max: 1},
+			{re: regexp.MustCompile(`\bapplyCond\.Broadcast$`), min: 1, max: 1},
+			{re: regexp.MustCompile(`\bcond\.Broadcast$`), min: 0, max: 0},
+		},
+	},
+	{
+		name:   "One election core",
+		design: "§9.6",
+		msg: "the election core starts a goroutine, takes a lock, reaches the network or reads the clock; " +
+			"it takes inputs stamped by its host (zab.Node) and returns a core.Ready",
+		dirs:  []string{"internal/coord/zab/core"},
+		names: regexp.MustCompile(`^"(sync|sync/atomic|repro/internal/transport)"$`),
+		calls: []callBound{
+			{re: regexp.MustCompile(`^time\.(Now|Since|Until|After|AfterFunc|NewTimer|NewTicker|Sleep|Tick)$`), min: 0, max: 0},
+		},
+		node: goStatement,
+	},
+	{
+		name:   "One tick loop",
+		design: "§9.6",
+		msg:    "zab times its election on a loop or fan-out of its own again; the tick loop hands the election core its ticks",
 		dirs:   []string{"internal/coord/zab"},
-		names:  regexp.MustCompile(`leaderCond`),
+		names:  regexp.MustCompile(`^(electionLoop|heartbeatLoop|runElection)$`),
 	},
 	{
 		name:   "One identity check",
@@ -555,6 +581,14 @@ func blobSnapshot(n ast.Node) string {
 		return ""
 	}
 	return "a blob Snapshot method is declared"
+}
+
+// goStatement reports a go statement.
+func goStatement(n ast.Node) string {
+	if _, ok := n.(*ast.GoStmt); ok {
+		return "a go statement starts a goroutine"
+	}
+	return ""
 }
 
 // bareDataCheck reports coord.CheckDataOp(path, version, nil): a

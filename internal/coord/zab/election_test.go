@@ -3,6 +3,10 @@ package zab
 import (
 	"errors"
 	"fmt"
+	"io"
+	"net"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -178,4 +182,112 @@ func TestStaleEpochAckFundsNoLease(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// tcpAddr returns a loopback address free a moment ago.
+func tcpAddr(t *testing.T) string {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+// hungPeer listens on a loopback port, accepts every connection and never
+// answers: a stopped process whose socket stays open.
+func hungPeer(t *testing.T) string {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var conns []net.Conn
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+			go io.Copy(io.Discard, c)
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	})
+	return ln.Addr().String()
+}
+
+// TestHungPeerHoldsOneCall: a voter that accepts connections and never
+// answers costs the leader one call in flight per kind, not a goroutine
+// per heartbeat. Two live voters and a hung third over TCP, a 5 ms
+// heartbeat: over one second the process may grow by 20 goroutines at
+// most, where one per heartbeat would be about 200.
+func TestHungPeerHoldsOneCall(t *testing.T) {
+	const beat = 5 * time.Millisecond
+	e := &ensemble{nodes: make(map[uint64]*Node), peers: map[uint64]string{1: tcpAddr(t), 2: tcpAddr(t), 3: hungPeer(t)}}
+	for id := uint64(1); id <= 2; id++ {
+		n, err := NewNode(Config{ID: id, Peers: e.peers, Net: transport.TCP{}, HeartbeatInterval: beat}, &kvSM{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Start(); err != nil {
+			t.Fatal(err)
+		}
+		e.nodes[id] = n
+	}
+	t.Cleanup(e.stopAll)
+	leader := e.waitLeader(t)
+	proposeOK(t, leader, "x")
+	time.Sleep(20 * beat)
+	before := runtime.NumGoroutine()
+	time.Sleep(time.Second)
+	grew := runtime.NumGoroutine() - before
+	t.Logf("goroutines %d -> %d over 1s of %v heartbeats with a hung voter", before, before+grew, beat)
+	if grew > 20 {
+		t.Fatalf("the process grew by %d goroutines in 1s with a hung voter, want at most 20", grew)
+	}
+	if !leader.IsLeader() {
+		t.Fatal("the leader lost its lease on the live quorum")
+	}
+}
+
+// TestHungObserverIsDropped: an observer whose heartbeats go unanswered
+// is dropped after observerFeedTimeoutFactor election timeouts, as one
+// whose heartbeats fail is.
+func TestHungObserverIsDropped(t *testing.T) {
+	const beat = 5 * time.Millisecond
+	n, err := NewNode(Config{ID: 1, Peers: map[uint64]string{1: tcpAddr(t)}, Net: transport.TCP{}, HeartbeatInterval: beat}, &kvSM{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	for deadline := time.Now().Add(5 * time.Second); !n.IsLeader(); time.Sleep(beat) {
+		if time.Now().After(deadline) {
+			t.Fatal("a lone voter never led")
+		}
+	}
+	if _, err := n.handleJoin(joinReq{ID: 101, Addr: hungPeer(t)}); err != nil {
+		t.Fatal(err)
+	}
+	timeout := observerFeedTimeoutFactor * n.cfg.ElectionTimeout
+	start := time.Now()
+	for len(n.ObserverLags()) != 0 {
+		if time.Since(start) > timeout+20*beat {
+			t.Fatalf("the hung observer is still streamed to %v after joining (timeout %v)", time.Since(start), timeout)
+		}
+		time.Sleep(beat)
+	}
+	t.Logf("the hung observer was dropped %v after joining (timeout %v)", time.Since(start).Round(time.Millisecond), timeout)
 }

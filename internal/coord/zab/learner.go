@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"slices"
 	"time"
+
+	"repro/internal/coord/zab/core"
 )
 
 // Observers on the wire. An observer finds the leader by asking a voter
@@ -16,7 +18,8 @@ import (
 // ever reads.
 
 // observerFeedTimeoutFactor × ElectionTimeout is how long an observer's
-// heartbeats may fail before the leader drops its stream.
+// heartbeats may fail or go unanswered before the leader drops its
+// stream.
 const observerFeedTimeoutFactor = 4
 
 // ObserverLag is one observer's replication state as the leader's
@@ -82,32 +85,29 @@ func (n *Node) observerLagTxnsLocked(acked uint64) uint64 {
 	return lag
 }
 
-// beatLearnersLocked is the leader's once-a-heartbeat turn around its
-// observer streams: it drops those whose observer has been unreachable
-// too long, heartbeats the rest and republishes the zab.observer.*
+// beatLearnersLocked is the leader's once-a-round turn around its
+// observer streams: it drops those whose observer has not answered a
+// beat for too long, beats the rest and republishes the zab.observer.*
 // gauges. Observers are beaten because that is how an idle one hears
 // the horizon and knows the leader lives; the reply only says whether
 // the observer does, and is counted nowhere.
-func (n *Node) beatLearnersLocked(req heartbeatReq) {
+func (n *Node) beatLearnersLocked(req []byte) {
 	if len(n.learners) == 0 {
 		return
 	}
-	now, payload := n.now(), req.encode()
+	now := n.now()
 	for id, s := range n.learners {
-		if !s.downSince.IsZero() && now.Sub(s.downSince) > observerFeedTimeoutFactor*n.cfg.ElectionTimeout {
+		if s.downSince.IsZero() {
+			s.downSince = now // until this beat is answered
+		} else if now.Sub(s.downSince) > observerFeedTimeoutFactor*n.cfg.ElectionTimeout {
 			n.dropLearnerLocked(id)
 			continue
 		}
-		go func() {
-			_, err := n.callPeer(id, payload)
-			n.mu.Lock()
+		n.callLocked(id, req, func(_ []byte, err error) {
 			if err == nil {
 				s.downSince = time.Time{}
-			} else if s.downSince.IsZero() {
-				s.downSince = now
 			}
-			n.mu.Unlock()
-		}()
+		})
 	}
 	var maxLag, maxMS uint64
 	for _, l := range n.observerLagsLocked() {
@@ -141,8 +141,8 @@ func (n *Node) handleJoin(m joinReq) ([]byte, error) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.role != roleLeader {
-		return joinResp{Epoch: n.epoch, LeaderID: n.leaderID}.encode(), nil
+	if n.el.Role() != core.Leader {
+		return joinResp{Epoch: n.el.Epoch(), LeaderID: n.el.Leader()}.encode(), nil
 	}
 	n.connMu.Lock()
 	moved := n.learnerAddrs[m.ID] != m.Addr
@@ -162,17 +162,16 @@ func (n *Node) handleJoin(m joinReq) ([]byte, error) {
 		n.wg.Add(1)
 		go n.senderLoop(n.leaderGen, m.ID, s)
 	}
-	return joinResp{Joined: true, Epoch: n.epoch, LeaderID: n.cfg.ID}.encode(), nil
+	return joinResp{Joined: true, Epoch: n.el.Epoch(), LeaderID: n.cfg.ID}.encode(), nil
 }
 
-// joinLeader is what an observer does where a voter would campaign: it
-// asks the member it believes leads — or, knowing none, any voter (map
-// order is random, and a non-leader answers with a redirect) — for a
-// stream. Only a successful join resets the contact timer, so a failure
-// or a redirect is followed up on the next tick.
-func (n *Node) joinLeader() {
-	n.mu.Lock()
-	target := n.leaderID
+// joinLeaderLocked is what an observer does where a voter would
+// campaign: it asks the member it believes leads — or, knowing none, any
+// voter (map order is random, and a non-leader answers with a redirect)
+// — for a stream. Only a successful join resets the contact timer, so a
+// failure or a redirect is followed up on the next tick.
+func (n *Node) joinLeaderLocked() {
+	target := n.el.Leader()
 	if target == 0 {
 		for id := range n.cfg.Peers {
 			if id != n.cfg.ID {
@@ -181,21 +180,11 @@ func (n *Node) joinLeader() {
 			}
 		}
 	}
-	n.mu.Unlock()
-
-	var resp joinResp
-	respB, err := n.callPeer(target, joinReq{ID: n.cfg.ID, Addr: n.cfg.Peers[n.cfg.ID]}.encode())
-	if err == nil {
-		resp, err = decodeJoinResp(respB)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	switch {
-	case err != nil || resp.Epoch < n.epoch:
-		n.leaderID = 0
-	case !resp.Joined:
-		n.leaderID = resp.LeaderID
-	default:
-		n.adoptEpochLocked(resp.Epoch, resp.LeaderID)
-	}
+	n.callLocked(target, joinReq{ID: n.cfg.ID, Addr: n.cfg.Peers[n.cfg.ID]}.encode(), func(b []byte, err error) {
+		resp, bad := decodeJoinResp(b)
+		if err != nil || bad != nil {
+			resp = joinResp{} // no answer: forget the leader
+		}
+		n.stepLocked(func() core.Ready { return n.el.JoinReply(n.now(), resp.Joined, resp.Epoch, resp.LeaderID) })
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/coord/zab/core"
 	"repro/internal/transport"
 )
 
@@ -221,7 +222,7 @@ func (p *parkedStore) LastDurableZxid() uint64 { return p.durable.Load() }
 func leaseLive(n *Node) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.role == roleLeader && n.now().Before(leaseDeadline(n.leaseRound, n.cfg.ElectionTimeout, n.cfg.MaxClockSkew))
+	return n.el.Role() == core.Leader && n.now().Before(leaseDeadline(n.leaseRound, n.cfg.ElectionTimeout, n.cfg.MaxClockSkew))
 }
 
 // TestNoVouchBeforeEpochBarrier: heartbeat acks need no fsync, so a new

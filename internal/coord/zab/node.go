@@ -62,11 +62,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/coord/zab/core"
 	"repro/internal/metrics"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -226,13 +226,6 @@ type Config struct {
 	Storage StreamStorage
 }
 
-// Roles of an ensemble member.
-const (
-	roleFollower = iota
-	roleCandidate
-	roleLeader
-)
-
 // Errors returned by Propose.
 var (
 	ErrStopped  = errors.New("zab: node stopped")
@@ -245,26 +238,19 @@ type Node struct {
 	cfg Config
 	sm  machine
 	st  StreamStorage
-	rng *rand.Rand
 
-	mu           sync.Mutex
-	role         int
-	epoch        uint64
-	grantedEpoch uint64 // highest epoch we granted a vote for
-	leaderID     uint64 // 0 when unknown
-	log          []Frame
-	snapZxid     uint64 // zxid covered by the latest state snapshot
-	commitZxid   uint64
-	lastApplied  uint64
+	mu          sync.Mutex
+	el          core.Election // role, epoch, vote, leader, timers (election.go)
+	log         []Frame
+	snapZxid    uint64 // zxid covered by the latest state snapshot
+	commitZxid  uint64
+	lastApplied uint64
 	// applied mirrors lastApplied (setAppliedLocked is its only writer) for
 	// readers that must not queue on mu: every stamped client read loads it.
-	applied     atomic.Uint64
-	nextSeq     uint32 // per-epoch proposal counter (leader only)
-	lastContact time.Time
-	electionDue time.Duration
-	syncing     bool
-	asking      bool // a horizon request is in flight (askLocked)
-	stopped     bool
+	applied atomic.Uint64
+	nextSeq uint32 // per-epoch proposal counter (leader only)
+	syncing bool
+	stopped bool
 	// waiting reports waiters the node cannot see itself (SetWaiting).
 	waiting func() bool
 
@@ -290,14 +276,13 @@ type Node struct {
 	appendScratch [1]Frame
 	waiters       map[uint64]*pendingTxn     // txn zxid -> waiter (leader only)
 	streams       map[uint64]*followerStream // peer -> its log stream (leader only)
-	stallSince    time.Time                  // commit horizon stuck since
 	tipsScratch   []uint64                   // quorum-sort scratch, under mu
 
 	// Follower-side commit discipline: verified is the highest zxid up
 	// to which this log is known to equal the log of the current epoch's
 	// leader, leaderCommit the highest commit horizon heard in this
 	// epoch; a follower commits min(leaderCommit, verified), never its
-	// bare tip (followCommitLocked). setEpochLocked resets both.
+	// bare tip (followCommitLocked). An epoch change resets both.
 	verified     uint64
 	leaderCommit uint64
 	// tipMoved, when non-nil, is closed the next time the log tip
@@ -343,12 +328,10 @@ type Node struct {
 	snapInFlight    bool
 
 	// Leader reads (lease.go): the start of the last heartbeat round a
-	// quorum acked (zero: none), what a parked ReadBarrier waits on, and
-	// whether one has asked for a round that has not begun yet.
+	// quorum acked (zero: none), and what a parked ReadBarrier waits on.
 	now        func() time.Time
 	leaseRound time.Time
 	readWake   chan struct{}
-	roundDue   bool
 	// commitWake, when non-nil, is closed the next time the leader's
 	// commit horizon moves or its leadership ends: what a parked horizon
 	// request waits on (answerAsk).
@@ -372,6 +355,7 @@ type Node struct {
 	connMu       sync.Mutex
 	conns        map[uint64]transport.Conn
 	learnerAddrs map[uint64]string // where the joined observers listen
+	calls        map[peerCall]bool // in flight through callLocked, under mu
 
 	listener io.Closer
 	stopCh   chan struct{}
@@ -415,8 +399,8 @@ func NewNode(cfg Config, sm StateMachine) (*Node, error) {
 		cfg:          cfg,
 		sm:           liftMachine(sm),
 		st:           cfg.Storage,
-		rng:          rand.New(rand.NewSource(int64(cfg.ID))),
 		conns:        make(map[uint64]transport.Conn),
+		calls:        make(map[peerCall]bool),
 		stopCh:       make(chan struct{}),
 		waiters:      make(map[uint64]*pendingTxn),
 		applyWaiters: make(map[uint64][]chan struct{}),
@@ -443,36 +427,49 @@ func NewNode(cfg Config, sm StateMachine) (*Node, error) {
 	if err := n.recoverFromStorage(); err != nil {
 		return nil, err
 	}
-	// A voter waits out a full timeout before its first campaign (it may
-	// be inside a lease its pre-crash ack funded), unless its store is
-	// fresh (freshElectionTimer); an observer's timer is left expired, so
-	// it looks for the leader at once.
-	if !cfg.Observer {
-		n.resetElectionTimer()
-		if n.epoch == 0 && n.grantedEpoch == 0 && n.lastZxidLocked() == 0 {
-			n.freshElectionTimer()
-		}
-	}
+	epoch, granted := n.st.HardState()
+	n.el = core.New(core.Config{ID: cfg.ID, Voters: cfg.Peers, Observer: cfg.Observer, HeartbeatInterval: cfg.HeartbeatInterval,
+		ElectionTimeout: cfg.ElectionTimeout}, epoch, granted, n.lastZxidLocked(), n.now())
 	return n, nil
 }
 
 func makeZxid(epoch uint64, seq uint32) uint64 { return epoch<<32 | uint64(seq) }
 func epochOf(zxid uint64) uint64               { return zxid >> 32 }
 
-// Start begins listening for peer traffic and starts the election and
-// heartbeat loops.
+// Start begins listening for peer traffic and starts the tick, apply
+// and snapshot loops.
 func (n *Node) Start() error {
 	ln, err := n.cfg.Net.Listen(n.cfg.Peers[n.cfg.ID], transport.HandlerFunc(n.handle))
 	if err != nil {
 		return fmt.Errorf("zab: node %d: %w", n.cfg.ID, err)
 	}
 	n.listener = ln
-	n.wg.Add(4)
-	go n.electionLoop()
-	go n.heartbeatLoop()
+	n.wg.Add(3)
+	go n.tickLoop()
 	go n.applyLoop()
 	go n.snapshotLoop()
 	return nil
+}
+
+// tickLoop is the node's one clock: every HeartbeatInterval/2 it hands
+// the election core a tick (campaigns, rounds, joins, the watchdog).
+func (n *Node) tickLoop() {
+	defer n.wg.Done()
+	ticker := time.NewTicker(n.cfg.HeartbeatInterval / 2)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-n.stopCh:
+			return
+		case <-ticker.C:
+		}
+		n.mu.Lock()
+		if n.cfg.Observer {
+			n.gObsLagTxns.Set(int64(n.leaderCommit - min(n.leaderCommit, n.lastApplied)))
+		}
+		n.stepLocked(func() core.Ready { return n.el.Tick(n.now(), n.lastZxidLocked(), n.commitZxid) })
+		n.mu.Unlock()
+	}
 }
 
 // Stop shuts the node down and waits for its goroutines.
@@ -483,11 +480,7 @@ func (n *Node) Stop() {
 		return
 	}
 	n.stopped = true
-	if n.role == roleLeader {
-		n.failLeaderLocked(ErrStopped)
-	}
-	n.role = roleFollower // a stopped node must not report leadership
-	n.leaderID = 0
+	n.resignLocked(ErrStopped) // a stopped node must not report leadership
 	n.applyCond.Broadcast()
 	n.mu.Unlock()
 	close(n.stopCh)
@@ -526,30 +519,27 @@ func (n *Node) ID() uint64 { return n.cfg.ID }
 func (n *Node) IsLeader() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.role == roleLeader
+	return n.el.Role() == core.Leader
 }
 
 // LeaderID returns the known leader's ID, or 0.
 func (n *Node) LeaderID() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.role == roleLeader {
-		return n.cfg.ID
-	}
-	return n.leaderID
+	return n.el.Leader()
 }
 
 // LeaderContact returns where clients reach the leader: this node's own
 // Config.Contact while it leads, the Contact the current epoch's leader
-// sent on its heartbeat while it follows (it lapses wherever leaderID or
+// sent on its heartbeat while it follows (it lapses wherever the leader or
 // the epoch changes), and "" when neither is known.
 func (n *Node) LeaderContact() string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	switch {
-	case n.role == roleLeader:
+	switch leader := n.el.Leader(); {
+	case leader == n.cfg.ID:
 		return n.cfg.Contact
-	case n.leaderID != 0 && n.heardID == n.leaderID && n.heardEpoch == n.epoch:
+	case leader != 0 && n.heardID == leader && n.heardEpoch == n.el.Epoch():
 		return n.heardContact
 	}
 	return ""
@@ -559,7 +549,7 @@ func (n *Node) LeaderContact() string {
 func (n *Node) Epoch() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.epoch
+	return n.el.Epoch()
 }
 
 // LastZxid returns the zxid of the last log entry (or snapshot).
@@ -592,18 +582,13 @@ func (n *Node) setAppliedLocked(zxid uint64) {
 func (n *Node) DebugString() string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	role := "follower"
-	switch n.role {
-	case roleCandidate:
-		role = "candidate"
-	case roleLeader:
-		role = "leader"
-	}
-	return fmt.Sprintf("id=%d role=%s epoch=%d granted=%d leader=%d last=%x commit=%x applied=%x log=%d queue=%d inflight=%d syncing=%v stopped=%v sinceContact=%s due=%s",
-		n.cfg.ID, role, n.epoch, n.grantedEpoch, n.leaderID,
+	role := [...]string{core.Follower: "follower", core.Candidate: "candidate", core.Leader: "leader"}[n.el.Role()]
+	contact, due := n.el.Timer()
+	return fmt.Sprintf("id=%d role=%s epoch=%d granted=%d leader=%d last=%x commit=%x applied=%x log=%d queue=%d inflight=%d syncing=%v stopped=%v sinceContact=%s due=%s stalled=%v",
+		n.cfg.ID, role, n.el.Epoch(), n.el.Granted(), n.el.Leader(),
 		n.lastZxidLocked(), n.commitZxid, n.lastApplied, len(n.log),
 		len(n.propQ), n.uncommittedFramesLocked(),
-		n.syncing, n.stopped, n.now().Sub(n.lastContact).Round(time.Millisecond), n.electionDue)
+		n.syncing, n.stopped, n.now().Sub(contact).Round(time.Millisecond), due, !n.el.Stall(n.commitZxid).IsZero())
 }
 
 func (n *Node) lastZxidLocked() uint64 {
@@ -671,6 +656,33 @@ func (n *Node) callPeer(id uint64, req []byte) ([]byte, error) {
 	return resp, nil
 }
 
+// peerCall names the one call of a kind that may be in flight to a peer.
+type peerCall struct {
+	id   uint64
+	kind uint8 // the request's message kind
+}
+
+// callLocked sends req to peer id on a goroutine of its own and hands
+// done the reply or the error under n.mu, unless the node stopped. While
+// a call of the same kind to that peer is in flight it sends nothing: a
+// peer that never answers holds one goroutine, not one per round.
+func (n *Node) callLocked(id uint64, req []byte, done func([]byte, error)) {
+	key := peerCall{id, req[0]}
+	if n.calls[key] {
+		return
+	}
+	n.calls[key] = true
+	go func() {
+		resp, err := n.callPeer(id, req)
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		delete(n.calls, key)
+		if !n.stopped {
+			done(resp, err)
+		}
+	}()
+}
+
 // callPeerAsync submits one RPC to a peer without waiting for the
 // reply; the caller drops the connection if the result is an error.
 func (n *Node) callPeerAsync(id uint64, req []byte) <-chan transport.CallResult {
@@ -685,48 +697,38 @@ func (n *Node) callPeerAsync(id uint64, req []byte) <-chan transport.CallResult 
 
 // --- request dispatch -------------------------------------------------
 
+// handle decodes one peer request and answers it; a request that does
+// not decode is answered with the decoder's error.
 func (n *Node) handle(req []byte) ([]byte, error) {
 	r := wire.NewReader(req)
-	kind := r.Uint8()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	switch kind {
-	case msgPropose:
-		m := decodeProposeReq(r)
-		if err := r.Err(); err != nil {
-			return nil, err
+	switch kind := r.Uint8(); {
+	case r.Err() != nil:
+	case kind == msgPropose:
+		if m := decodeProposeReq(r); r.Err() == nil {
+			return n.handlePropose(m).encode(), nil
 		}
-		return n.handlePropose(m).encode(), nil
-	case msgHeartbeat:
-		m := decodeHeartbeatReq(r)
-		if err := r.Err(); err != nil {
-			return nil, err
+	case kind == msgHeartbeat:
+		if m := decodeHeartbeatReq(r); r.Err() == nil {
+			return n.handleHeartbeat(m).encode(), nil
 		}
-		return n.handleHeartbeat(m).encode(), nil
-	case msgRequestVote:
-		m := requestVoteReq{Epoch: r.Uint64(), CandidateID: r.Uint64(), LastZxid: r.Uint64()}
-		if err := r.Err(); err != nil {
-			return nil, err
+	case kind == msgRequestVote:
+		if m := (requestVoteReq{Epoch: r.Uint64(), CandidateID: r.Uint64(), LastZxid: r.Uint64()}); r.Err() == nil {
+			return n.handleRequestVote(m).encode(), nil
 		}
-		return n.handleRequestVote(m).encode(), nil
-	case msgSync:
-		m := decodeSyncReq(r)
-		if err := r.Err(); err != nil {
-			return nil, err
+	case kind == msgSync:
+		if m := decodeSyncReq(r); r.Err() == nil {
+			resp, err := n.handleSync(m)
+			if err != nil {
+				return nil, err
+			}
+			return resp.encode(), nil
 		}
-		resp, err := n.handleSync(m)
-		if err != nil {
-			return nil, err
+	case kind == msgJoin:
+		if m := (joinReq{ID: r.Uint64(), Addr: r.String()}); r.Err() == nil {
+			return n.handleJoin(m)
 		}
-		return resp.encode(), nil
-	case msgJoin:
-		m := joinReq{ID: r.Uint64(), Addr: r.String()}
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		return n.handleJoin(m)
 	default:
 		return nil, fmt.Errorf("zab: unknown message kind %d", kind)
 	}
+	return nil, r.Err()
 }

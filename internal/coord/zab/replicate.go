@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/coord/zab/core"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -122,8 +123,8 @@ func (n *Node) acceptWindow(m proposeReq) (resp proposeResp, appended bool) {
 	defer n.mu.Unlock()
 	var patience *time.Timer // armed when the window first parks
 	for {
-		if m.Epoch < n.epoch || !n.adoptEpochLocked(m.Epoch, m.LeaderID) {
-			return proposeResp{Epoch: n.epoch, LastZxid: n.lastZxidLocked()}, false
+		if !n.adoptEpochLocked(m.Epoch, m.LeaderID) {
+			return proposeResp{Epoch: n.el.Epoch(), LastZxid: n.lastZxidLocked()}, false
 		}
 		if m.PrevZxid <= n.lastZxidLocked() {
 			break
@@ -148,7 +149,7 @@ func (n *Node) acceptWindow(m proposeReq) (resp proposeResp, appended bool) {
 		case <-n.stopCh:
 		}
 		n.mu.Lock()
-		return proposeResp{Epoch: n.epoch, LastZxid: n.lastZxidLocked()}, false
+		return proposeResp{Epoch: n.el.Epoch(), LastZxid: n.lastZxidLocked()}, false
 	}
 	if !n.holdsLocked(m.PrevZxid) {
 		return n.needSyncLocked(), false
@@ -179,21 +180,21 @@ func (n *Node) acceptWindow(m proposeReq) (resp proposeResp, appended bool) {
 		// node exposes (acks, votes) never exceeds what a restart could
 		// reconstruct once the trailing Sync lands.
 		if err := n.st.Append(novel); err != nil {
-			return proposeResp{Epoch: n.epoch, LastZxid: n.lastZxidLocked()}, false
+			return proposeResp{Epoch: n.el.Epoch(), LastZxid: n.lastZxidLocked()}, false
 		}
 		n.log = append(n.log, novel...)
 		n.tipAdvancedLocked()
 	}
 	n.verified = max(n.verified, prev)
 	n.followCommitLocked(m.Commit)
-	return proposeResp{Ack: true, Epoch: n.epoch, LastZxid: n.verified}, len(novel) > 0
+	return proposeResp{Ack: true, Epoch: n.el.Epoch(), LastZxid: n.verified}, len(novel) > 0
 }
 
 // needSyncLocked answers a window this log cannot take and starts the
 // pull that repairs it.
 func (n *Node) needSyncLocked() proposeResp {
 	n.triggerSyncLocked()
-	return proposeResp{NeedSync: true, Epoch: n.epoch, LastZxid: n.lastZxidLocked()}
+	return proposeResp{NeedSync: true, Epoch: n.el.Epoch(), LastZxid: n.lastZxidLocked()}
 }
 
 // holdsLocked reports whether z, a frame end in the leader's log, is
@@ -243,9 +244,12 @@ func (n *Node) followCommitLocked(commit uint64) {
 // for its zxid, or an armed watch (SetWaiting, or armed), which waits for
 // all of verified — it asks the leader for the horizon up to the lowest
 // such zxid, and the leader answers once it has committed it (answerAsk).
-// One request is in flight at a time, beside any catch-up pull.
+// One request is in flight at a time (callLocked), beside any catch-up
+// pull. The horizon it brings back runs the rule again; a failed request
+// leaves it to the next change of the horizon, verified or the waiters.
 func (n *Node) askLocked(armed bool) {
-	if n.asking || n.verified <= n.commitZxid || n.stopped || n.leaderID == 0 || n.leaderID == n.cfg.ID {
+	leader := n.el.Leader()
+	if n.calls[peerCall{leader, msgSync}] || n.verified <= n.commitZxid || n.stopped || leader == 0 || leader == n.cfg.ID {
 		return
 	}
 	var until uint64
@@ -260,28 +264,15 @@ func (n *Node) askLocked(armed bool) {
 	if until == 0 {
 		return
 	}
-	n.asking = true
-	n.wg.Add(1)
-	go n.ask(n.leaderID, until)
-}
-
-// ask sends one horizon request and follows the horizon it brings back,
-// which runs the rule again; a failed request leaves it to the next
-// change of the horizon, verified or the waiters.
-func (n *Node) ask(leader, until uint64) {
-	defer n.wg.Done()
-	respB, err := n.callPeer(leader, syncReq{Until: until}.encode())
-	var resp syncResp
-	if err == nil {
-		resp, err = decodeSyncResp(respB)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.asking = false
-	if err != nil || resp.Epoch < n.epoch || n.stopped || !n.adoptEpochLocked(resp.Epoch, resp.LeaderID) {
-		return
-	}
-	n.followCommitLocked(resp.Commit)
+	n.callLocked(leader, syncReq{Until: until}.encode(), func(b []byte, err error) {
+		var resp syncResp
+		if err == nil {
+			resp, err = decodeSyncResp(b)
+		}
+		if err == nil && n.adoptEpochLocked(resp.Epoch, resp.LeaderID) {
+			n.followCommitLocked(resp.Commit)
+		}
+	})
 }
 
 // advanceCommitLocked raises the commit horizon (bounded by what we
@@ -296,7 +287,6 @@ func (n *Node) advanceCommitLocked(commit uint64) bool {
 		return false
 	}
 	n.commitZxid = commit
-	n.stallSince = time.Time{}
 	// The streams carry the new horizon on their next windows; the
 	// horizon requests parked here, and a proposer gated on the
 	// pipelining window, may be released.
@@ -318,11 +308,11 @@ func (n *Node) wakeAsksLocked() {
 
 // triggerSyncLocked schedules a pull-based catch-up from the leader.
 func (n *Node) triggerSyncLocked() {
-	if n.syncing || n.stopped || n.leaderID == 0 || n.leaderID == n.cfg.ID {
+	if n.syncing || n.stopped || n.el.Leader() == 0 || n.el.Leader() == n.cfg.ID {
 		return
 	}
 	n.syncing = true
-	leader := n.leaderID
+	leader := n.el.Leader()
 	from := n.lastZxidLocked()
 	n.wg.Add(1)
 	go func() {
@@ -354,7 +344,7 @@ func (n *Node) syncFromLeader(leader, from uint64) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if resp.Epoch < n.epoch || n.stopped || !n.adoptEpochLocked(resp.Epoch, resp.LeaderID) {
+	if n.stopped || !n.adoptEpochLocked(resp.Epoch, resp.LeaderID) {
 		return
 	}
 	if resp.HasSnapshot {
@@ -371,7 +361,8 @@ func (n *Node) syncFromLeader(leader, from uint64) {
 		n.log = nil
 		n.cSnapInstalls.Inc()
 	} else if n.lastZxidLocked() != from {
-		// Our log moved while the sync was in flight; retry later.
+		// The log moved during the pull: follow the horizon (verified caps it).
+		n.followCommitLocked(resp.Commit)
 		return
 	}
 	var novel []Frame
@@ -412,11 +403,11 @@ func (n *Node) handleSync(m syncReq) (syncResp, error) {
 		return n.answerAsk(m.Until)
 	}
 	n.mu.Lock()
-	if n.role != roleLeader {
+	if n.el.Role() != core.Leader {
 		n.mu.Unlock()
 		return syncResp{}, fmt.Errorf("zab: node %d is not the leader", n.cfg.ID)
 	}
-	resp := syncResp{Commit: n.commitZxid, Epoch: n.epoch, LeaderID: n.cfg.ID}
+	resp := syncResp{Commit: n.commitZxid, Epoch: n.el.Epoch(), LeaderID: n.cfg.ID}
 	start := n.indexAfterLocked(m.FromZxid)
 	var body io.ReadCloser
 	if start < 0 {
@@ -459,7 +450,7 @@ func (n *Node) answerAsk(until uint64) (syncResp, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	var timer *time.Timer
-	for n.role == roleLeader && n.commitZxid < until {
+	for n.el.Role() == core.Leader && n.commitZxid < until {
 		if timer == nil {
 			timer = getProposeTimer(n.cfg.HeartbeatInterval)
 			defer putProposeTimer(timer)
@@ -476,10 +467,10 @@ func (n *Node) answerAsk(until uint64) (syncResp, error) {
 		}
 		n.mu.Lock()
 	}
-	if n.role != roleLeader {
+	if n.el.Role() != core.Leader {
 		return syncResp{}, fmt.Errorf("zab: node %d is not the leader", n.cfg.ID)
 	}
-	return syncResp{Commit: n.commitZxid, Epoch: n.epoch, LeaderID: n.cfg.ID}, nil
+	return syncResp{Commit: n.commitZxid, Epoch: n.el.Epoch(), LeaderID: n.cfg.ID}, nil
 }
 
 // --- leader side ------------------------------------------------------
@@ -518,7 +509,7 @@ func (n *Node) propose(txn []byte) (proposeOutcome, error) {
 		n.mu.Unlock()
 		return proposeOutcome{}, ErrStopped
 	}
-	if n.role != roleLeader {
+	if n.el.Role() != core.Leader {
 		n.mu.Unlock()
 		return proposeOutcome{}, ErrNoLeader
 	}
@@ -627,7 +618,7 @@ func (n *Node) proposerLoop(gen uint64) {
 		n.dBatch.Observe(int64(len(batch)))
 
 		first := n.nextSeq + 1
-		e := Frame{Zxid: makeZxid(n.epoch, first), Noop: batch[0].noop}
+		e := Frame{Zxid: makeZxid(n.el.Epoch(), first), Noop: batch[0].noop}
 		if !e.Noop {
 			e.Txns = make([][]byte, len(batch))
 			for i, p := range batch {
@@ -643,10 +634,7 @@ func (n *Node) proposerLoop(gen uint64) {
 			for _, p := range batch {
 				p.ch <- proposeOutcome{err: err}
 			}
-			n.failLeaderLocked(err)
-			n.role = roleFollower
-			n.leaderID = 0
-			n.resetElectionTimer()
+			n.resignLocked(err)
 			n.mu.Unlock()
 			return
 		}
@@ -720,7 +708,7 @@ func (n *Node) drainBatchLocked() []*pendingTxn {
 // is running that would take them anyway. The caller applies them
 // itself (applyCommitted) or signals applyLoop.
 func (n *Node) advanceLeaderCommitLocked() bool {
-	if n.role != roleLeader {
+	if n.el.Role() != core.Leader {
 		return false
 	}
 	tips := append(n.tipsScratch[:0], n.selfTipLocked())
@@ -739,7 +727,7 @@ func (n *Node) advanceLeaderCommitLocked() bool {
 		if e.Last() > q {
 			continue
 		}
-		if epochOf(e.Zxid) == n.epoch {
+		if epochOf(e.Zxid) == n.el.Epoch() {
 			target = e.Last()
 		}
 		break
@@ -781,10 +769,7 @@ func (n *Node) leaderSyncLoop(gen uint64) {
 		if err := n.st.Sync(); err != nil {
 			n.mu.Lock()
 			if n.leaderGenLocked(gen) {
-				n.failLeaderLocked(err)
-				n.role = roleFollower
-				n.leaderID = 0
-				n.resetElectionTimer()
+				n.resignLocked(err)
 			}
 			n.mu.Unlock()
 			return
@@ -911,7 +896,7 @@ func (n *Node) wantsFramesLocked(s *followerStream) bool {
 // nextWindowLocked builds the next window for a stream and books it as
 // in flight; ok is false when there is nothing to send.
 func (n *Node) nextWindowLocked(s *followerStream) (req proposeReq, w window, ok bool) {
-	req = proposeReq{Epoch: n.epoch, LeaderID: n.cfg.ID, Commit: n.commitZxid}
+	req = proposeReq{Epoch: n.el.Epoch(), LeaderID: n.cfg.ID, Commit: n.commitZxid}
 	probe := false
 	switch {
 	case s.attach:
@@ -991,9 +976,7 @@ func (n *Node) foldWindow(gen uint64, s *followerStream, w window, resp proposeR
 	case err != nil:
 		s.failed = true
 	case resp.Epoch > w.epoch:
-		if resp.Epoch > n.epoch && n.adoptEpochLocked(resp.Epoch, 0) {
-			n.leaderID = 0
-		}
+		n.adoptEpochLocked(resp.Epoch, 0)
 	case resp.Ack:
 		s.base = max(s.base, resp.LastZxid)
 		if w.probe {

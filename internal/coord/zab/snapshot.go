@@ -7,12 +7,11 @@ import (
 	"sort"
 )
 
-// recoverFromStorage primes the node from its store: persisted vote, log
-// tail and newest snapshot. A store without one gets the genesis
+// recoverFromStorage primes the node from its store's log tail and newest
+// snapshot (NewNode hands the saved vote to the election core). A store without one gets the genesis
 // snapshot, cut at zxid 0 like any other (ZooKeeper's snapshot.0), so a
 // catch-up pull always has a stored snapshot to ship.
 func (n *Node) recoverFromStorage() error {
-	n.epoch, n.grantedEpoch = n.st.HardState()
 	// The recovered tail sits uncommitted until a quorum re-forms — an
 	// elected leader's epoch barrier commits it transitively, exactly as
 	// an inherited in-memory tail would.
@@ -24,7 +23,7 @@ func (n *Node) recoverFromStorage() error {
 	if err != nil {
 		return fmt.Errorf("zab: recovering the snapshot: %w", err)
 	}
-	n.setEpochLocked(max(n.epoch, epochOf(n.lastZxidLocked())))
+	n.verified, n.leaderCommit = n.commitZxid, n.commitZxid
 	return nil
 }
 

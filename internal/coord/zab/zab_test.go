@@ -454,7 +454,7 @@ func TestQuorumLossWatchdogReadsTheClock(t *testing.T) {
 	}()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		leader.mu.Lock()
-		stalled := !leader.stallSince.IsZero()
+		stalled := !leader.el.Stall(leader.commitZxid).IsZero()
 		leader.mu.Unlock()
 		if stalled {
 			break
