@@ -10,7 +10,7 @@ import (
 )
 
 // Observers on the wire. An observer finds the leader by asking a voter
-// and following its redirect (joinLeader); the leader answers a joinReq
+// and following its redirect (joinLeaderLocked); the leader answers a joinReq
 // by opening an ordinary log stream to the address it names
 // (handleJoin). From then on the observer is driven like a follower —
 // windows, heartbeats, its own sync pulls — and the leader only keeps

@@ -42,8 +42,8 @@ func (n *Node) wakeReadersLocked() {
 // applied its epoch's barrier, and its lease is live or a quorum acked a
 // heartbeat round that began after the call. A call that has to wait
 // begins that round itself rather than wait for the scheduled one. A
-// non-leader gets ErrNoLeader; a leader that cannot vouch
-// within bound, an error.
+// non-leader gets ErrNoLeader; a leader that cannot vouch within bound,
+// an error.
 func (n *Node) ReadBarrier(bound time.Duration) (applied uint64, err error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -662,10 +662,11 @@ type peerCall struct {
 	kind uint8 // the request's message kind
 }
 
-// callLocked sends req to peer id on a goroutine of its own and hands
-// done the reply or the error under n.mu, unless the node stopped. While
-// a call of the same kind to that peer is in flight it sends nothing: a
-// peer that never answers holds one goroutine, not one per round.
+// callLocked sends req to peer id on a goroutine of its own (Stop ends it
+// by closing the connection) and hands done the reply or error under n.mu
+// unless the node stopped. While a call of the same kind to that peer is
+// in flight it sends nothing: a silent peer holds one goroutine, not one
+// per round.
 func (n *Node) callLocked(id uint64, req []byte, done func([]byte, error)) {
 	key := peerCall{id, req[0]}
 	if n.calls[key] {

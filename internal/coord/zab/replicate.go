@@ -800,7 +800,7 @@ type followerStream struct {
 	// Observer streams only (learner.go).
 	attach      bool      // opened mid-term: the first window probes our tip
 	dropped     bool      // the leader gave the observer up; the sender exits
-	downSince   time.Time // heartbeats have failed since; zero while they land
+	downSince   time.Time // the oldest beat not answered went out then; zero while they land
 	behindSince time.Time // match has trailed the commit horizon since
 }
 
