@@ -99,9 +99,8 @@ func New(cfg Config, epoch, granted, tip uint64, now time.Time) Election {
 	return c
 }
 
-// The hard state, the role, the leader (0: unknown), since when the
-// watchdog has seen the horizon stand at commit (zero: it has not), and
-// the election timer.
+// The hard state, the role, the leader (0: unknown), the watchdog's stall
+// start while the horizon stands at commit (zero: none), the timer.
 func (c *Election) Role() Role      { return c.role }
 func (c *Election) Epoch() uint64   { return c.epoch }
 func (c *Election) Granted() uint64 { return c.granted }

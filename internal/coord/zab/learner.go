@@ -18,8 +18,7 @@ import (
 // ever reads.
 
 // observerFeedTimeoutFactor × ElectionTimeout is how long an observer's
-// heartbeats may fail or go unanswered before the leader drops its
-// stream.
+// beats may fail or go unanswered before the leader drops its stream.
 const observerFeedTimeoutFactor = 4
 
 // ObserverLag is one observer's replication state as the leader's

@@ -488,10 +488,10 @@ func (n *Node) Stop() {
 		n.listener.Close()
 	}
 	n.connMu.Lock()
-	for id, c := range n.conns {
+	for _, c := range n.conns {
 		c.Close()
-		delete(n.conns, id)
 	}
+	n.conns = nil // a dial still in flight closes what it opens (getConn)
 	n.connMu.Unlock()
 	n.wg.Wait()
 }
@@ -624,8 +624,11 @@ func (n *Node) getConn(id uint64) (transport.Conn, error) {
 	}
 	n.connMu.Lock()
 	defer n.connMu.Unlock()
-	if won, ok := n.conns[id]; ok {
-		c.Close() // a concurrent dial got there first
+	if won, ok := n.conns[id]; ok || n.conns == nil {
+		c.Close() // a concurrent dial got there first, or the node stopped
+		if !ok {
+			return nil, ErrStopped
+		}
 		return won, nil
 	}
 	n.conns[id] = c
