@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"path/filepath"
+	"reflect"
 	"time"
 
 	"repro/internal/coord/zab"
@@ -112,18 +113,21 @@ func StartEnsemble(cfg EnsembleConfig) (*Ensemble, error) {
 	return e, nil
 }
 
-// WaitLeader blocks until a leader is elected or the timeout expires.
+// WaitLeader blocks until a member is elected or the timeout expires; it
+// wakes as the election ends.
 func (e *Ensemble) WaitLeader(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		for _, s := range e.Servers {
-			if s != nil && s.IsLeader() {
-				return nil
-			}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	cases := []reflect.SelectCase{{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(timer.C)}}
+	for _, s := range e.Servers {
+		if s != nil {
+			cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(s.node.Elected())})
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
-	return fmt.Errorf("coord: no leader within %v", timeout)
+	if i, _, _ := reflect.Select(cases); i == 0 {
+		return fmt.Errorf("coord: no leader within %v", timeout)
+	}
+	return nil
 }
 
 // Leader returns the current leader server, or nil.

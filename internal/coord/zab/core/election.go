@@ -58,6 +58,7 @@ type Election struct {
 	role    Role
 	epoch   uint64
 	granted uint64 // the highest epoch this member voted in
+	asked   uint64 // the highest epoch a candidate asked it for, granted or not
 	leader  uint64 // the leader of epoch; 0 when unknown
 
 	lastContact time.Time     // the election timer's start
@@ -73,19 +74,17 @@ type Election struct {
 }
 
 // New builds the core of a member whose store holds hard state (epoch,
-// granted) and a log ending at tip, at now. A voter waits a full timeout
-// before it grants or campaigns: its last ack may fund a live lease. One
-// on a fresh store never acked (Heard): its timer starts aged by that
-// much, due one HeartbeatInterval per higher voter ID later, so the
-// highest ID campaigns first and the others grant at once (ZooKeeper's
-// tie-break). An observer's timer starts run out.
+// granted) and a log ending at tip, at now. A voter's first campaign is
+// due a full timeout after its timer starts, plus one HeartbeatInterval
+// per higher voter ID, so the highest ID campaigns first and the others
+// grant it (ZooKeeper's tie-break); a failed campaign falls back to the
+// randomized timer. A restarted voter's timer starts now, and it grants
+// nothing for as long: its last ack may fund a live lease. One on a fresh
+// store never acked (Heard): its timer starts aged by a full timeout. An
+// observer's timer starts run out.
 func New(cfg Config, epoch, granted, tip uint64, now time.Time) Election {
 	c := Election{cfg: cfg, quorum: len(cfg.Voters)/2 + 1, rng: rand.New(rand.NewSource(int64(cfg.ID))), epoch: max(epoch, tip>>32), granted: granted}
 	if cfg.Observer {
-		return c
-	}
-	if c.resetTimer(now); c.epoch != 0 || granted != 0 || tip != 0 {
-		c.quiet = now.Add(cfg.ElectionTimeout)
 		return c
 	}
 	rank := 0
@@ -94,8 +93,12 @@ func New(cfg Config, epoch, granted, tip uint64, now time.Time) Election {
 			rank++
 		}
 	}
-	c.lastContact = now.Add(-cfg.ElectionTimeout)
-	c.due = cfg.ElectionTimeout + time.Duration(rank)*cfg.HeartbeatInterval
+	c.lastContact, c.due = now, cfg.ElectionTimeout+time.Duration(rank)*cfg.HeartbeatInterval
+	if c.epoch != 0 || granted != 0 || tip != 0 {
+		c.quiet = now.Add(cfg.ElectionTimeout)
+	} else {
+		c.lastContact = now.Add(-cfg.ElectionTimeout)
+	}
 	return c
 }
 
@@ -139,7 +142,7 @@ func (c *Election) Tick(now time.Time, tip, commit uint64) (rd Ready) {
 	case c.cfg.Observer:
 		rd.Join = true
 	default:
-		c.epoch = max(c.epoch, c.granted) + 1
+		c.epoch = max(c.epoch, c.granted, c.asked) + 1
 		c.granted = c.epoch
 		c.role, c.leader = Candidate, 0
 		c.resetTimer(now)
@@ -155,8 +158,11 @@ func (c *Election) Tick(now time.Time, tip, commit uint64) (rd Ready) {
 // vote twice in an epoch. A follower whose timer has not aged a full
 // ElectionTimeout refuses to replace its leader and adopts nothing, and a
 // restarted one refuses all: the stickiness that makes the read lease
-// sound (DESIGN §13.3).
+// sound (DESIGN §13.3). The member's own next campaign asks for a later
+// epoch than any it was asked for: candidates on the rank schedule then do
+// not each spend their epoch's votes on themselves.
 func (c *Election) Vote(now time.Time, epoch, candidate, lastZxid, tip uint64) (rd Ready) {
+	c.asked = max(c.asked, epoch)
 	if c.cfg.Observer || epoch <= c.granted || epoch <= c.epoch || lastZxid < tip || now.Before(c.quiet) ||
 		c.role == Follower && candidate != c.leader && now.Sub(c.lastContact) < c.cfg.ElectionTimeout {
 		return rd

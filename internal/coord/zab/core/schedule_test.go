@@ -9,8 +9,9 @@ import (
 
 // The schedule test drives three voter cores the way zab.Node hosts them,
 // with no goroutine, socket or clock: one seeded schedule owns time,
-// delivery order, drops, failed saves and crash/restart on the retained
-// hard state, and the invariants are checked at every step.
+// delivery order, drops, failed saves, crash/restart on the retained
+// hard state and, on some seeds, a cold restart of the whole ensemble,
+// and the invariants are checked at every step.
 
 const (
 	schedBeat    = 10 * time.Millisecond
@@ -65,10 +66,33 @@ type schedule struct {
 	queue   []msg
 	step    int
 	leaders map[uint64]uint64 // epoch -> the member elected in it
-	stats   struct{ elections, funded, grants, failedSaves, crashes int }
+	// coldAt is the step at which every member crashes, one restarts at
+	// once and the others a step later (0: none); coldEnd is the last of
+	// those restarts.
+	coldAt  int
+	coldEnd time.Time
+	stats   tally
 }
 
-func newSchedule(seed int64) *schedule {
+// tally is what the schedules exercised: coldLed counts the cold restarts
+// led within ElectionTimeout + 2×HeartbeatInterval of their last restart.
+type tally struct {
+	elections, funded, grants, failedSaves, crashes, colds, coldLed int
+}
+
+func (t *tally) add(o tally) {
+	t.elections += o.elections
+	t.funded += o.funded
+	t.grants += o.grants
+	t.failedSaves += o.failedSaves
+	t.crashes += o.crashes
+	t.colds += o.colds
+	t.coldLed += o.coldLed
+}
+
+// newSchedule builds seed's schedule; with cold set, it crashes the whole
+// ensemble at a seeded step.
+func newSchedule(seed int64, cold bool) *schedule {
 	s := &schedule{
 		rng:     rand.New(rand.NewSource(seed)),
 		now:     time.Unix(1_000_000, 0),
@@ -79,15 +103,17 @@ func newSchedule(seed int64) *schedule {
 		s.cfg.Voters[id] = fmt.Sprint(id)
 	}
 	for id := uint64(1); id <= schedVoters; id++ {
-		mb := &member{id: id}
-		s.m = append(s.m, mb)
-		s.start(mb)
+		s.m = append(s.m, &member{id: id})
+	}
+	if cold {
+		s.coldAt = 50 + s.rng.Intn(300)
 	}
 	return s
 }
 
-// start builds a member's core from what it retained, as NewNode does.
-func (s *schedule) start(mb *member) {
+// start builds a member's core from what it retained, as NewNode does,
+// and ticks it at once, as Start does.
+func (s *schedule) start(mb *member) error {
 	cfg := s.cfg
 	cfg.ID = mb.id
 	mb.c, mb.up, mb.valid = New(cfg, mb.epoch, mb.granted, mb.tip, s.now), true, nil
@@ -95,12 +121,51 @@ func (s *schedule) start(mb *member) {
 	if mb.epoch != 0 || mb.granted != 0 || mb.tip != 0 {
 		mb.restarted = s.now
 	}
+	prev := mb.c
+	_, err := s.apply(mb, prev, mb.c.Tick(s.now, mb.tip, mb.commit))
+	return err
+}
+
+// coldRestart crashes every member at coldAt and restarts them in a
+// seeded order: the first at once, the others one step later. Nothing in
+// flight survives: every connection died with its process.
+func (s *schedule) coldRestart() error {
+	var order []int
+	switch {
+	case s.coldAt == 0:
+	case s.step == s.coldAt:
+		for _, mb := range s.m {
+			if mb.up {
+				mb.up = false
+				s.stats.crashes++
+			}
+		}
+		s.queue = s.queue[:0]
+		s.stats.colds++
+		order = s.rng.Perm(len(s.m))[:1]
+	case s.step == s.coldAt+1:
+		for i, mb := range s.m {
+			if !mb.up {
+				order = append(order, i)
+			}
+		}
+		s.coldEnd = s.now
+	}
+	for _, i := range order {
+		if err := s.start(s.m[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // apply carries out one step of mb's core, as zab.Node.stepLocked does:
 // the save first (it may fail, and then the step is undone and asks
 // nothing), then the messages, checking the invariants on the way.
 func (s *schedule) apply(mb *member, prev Election, rd Ready) (bool, error) {
+	if rd.Campaign && !mb.restarted.IsZero() && s.now.Sub(mb.restarted) < schedTimeout {
+		return true, fmt.Errorf("member %d campaigns for epoch %d %v after its restart", mb.id, mb.c.Epoch(), s.now.Sub(mb.restarted))
+	}
 	if rd.Save {
 		if s.rng.Intn(20) == 0 {
 			mb.c = prev
@@ -116,6 +181,10 @@ func (s *schedule) apply(mb *member, prev Election, rd Ready) (bool, error) {
 		}
 		s.leaders[epoch] = mb.id
 		s.stats.elections++
+		if !s.coldEnd.IsZero() && s.now.Sub(s.coldEnd) <= schedTimeout+2*schedBeat {
+			s.stats.coldLed++
+		}
+		s.coldEnd = time.Time{}
 		mb.tip, mb.valid = epoch<<32|1, map[uint64]time.Time{} // the epoch's barrier
 	}
 	if rd.Campaign {
@@ -228,7 +297,15 @@ func (s *schedule) tick() error {
 }
 
 func (s *schedule) run(steps int) error {
+	for _, mb := range s.m {
+		if err := s.start(mb); err != nil {
+			return fmt.Errorf("boot: %w", err)
+		}
+	}
 	for s.step = 1; s.step <= steps; s.step++ {
+		if err := s.coldRestart(); err != nil {
+			return fmt.Errorf("step %d: %w", s.step, err)
+		}
 		var err error
 		switch r := s.rng.Intn(100); {
 		case len(s.queue) == 0 && r < 46:
@@ -247,7 +324,7 @@ func (s *schedule) run(steps int) error {
 			}
 		case r < 53:
 			if mb := s.m[s.rng.Intn(len(s.m))]; !mb.up {
-				s.start(mb)
+				err = s.start(mb)
 			}
 		default:
 			err = s.tick()
@@ -260,29 +337,25 @@ func (s *schedule) run(steps int) error {
 }
 
 // TestSeededSchedule runs 2000 seeded schedules of three voter cores,
-// 400 steps each, and checks at every step: at most one leader per
-// epoch; no vote request, vote or heartbeat answer is sent before the
-// hard state it shows is saved; a voter restarted on a store that was
-// not fresh grants nothing within ElectionTimeout of its restart; and a
-// round is funded only by acks given under its own epoch.
+// and 500 more that cold-restart the whole ensemble once, 400 steps
+// each, and checks at every step: at most one leader per epoch; no vote
+// request, vote or heartbeat answer is sent before the hard state it
+// shows is saved; a voter restarted on a store that was not fresh grants
+// nothing and campaigns for nothing within ElectionTimeout of its
+// restart; and a round is funded only by acks given under its own epoch.
 func TestSeededSchedule(t *testing.T) {
-	const seeds, steps = 2000, 400
-	var elections, funded, grants, failedSaves, crashes int
-	for seed := int64(1); seed <= seeds; seed++ {
-		s := newSchedule(seed)
+	const seeds, colds, steps = 2000, 500, 400
+	var sum tally
+	for seed := int64(1); seed <= seeds+colds; seed++ {
+		s := newSchedule(seed, seed > seeds)
 		if err := s.run(steps); err != nil {
 			t.Fatalf("seed %d, %v", seed, err)
 		}
-		elections += s.stats.elections
-		funded += s.stats.funded
-		grants += s.stats.grants
-		failedSaves += s.stats.failedSaves
-		crashes += s.stats.crashes
+		sum.add(s.stats)
 	}
-	t.Logf("%d seeds x %d steps: %d elections, %d grants, %d rounds funded, %d crashes, %d failed saves",
-		seeds, steps, elections, grants, funded, crashes, failedSaves)
-	if elections < seeds || funded < seeds || crashes < seeds || failedSaves == 0 {
-		t.Fatalf("the schedules exercised too little: %d elections, %d funded rounds, %d crashes, %d failed saves over %d seeds",
-			elections, funded, crashes, failedSaves, seeds)
+	t.Logf("%d seeds x %d steps: %d elections, %d grants, %d rounds funded, %d crashes, %d failed saves; %d cold restarts, %d led within ET+2×HB",
+		seeds+colds, steps, sum.elections, sum.grants, sum.funded, sum.crashes, sum.failedSaves, sum.colds, sum.coldLed)
+	if sum.elections < seeds || sum.funded < seeds || sum.crashes < seeds || sum.failedSaves == 0 || sum.colds != colds || sum.coldLed == 0 {
+		t.Fatalf("the schedules exercised too little: %+v over %d seeds", sum, seeds+colds)
 	}
 }

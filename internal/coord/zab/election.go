@@ -195,4 +195,5 @@ func (n *Node) becomeLeaderLocked() {
 	for id, s := range n.streams {
 		go n.senderLoop(gen, id, s)
 	}
+	n.wakeElectedLocked()
 }

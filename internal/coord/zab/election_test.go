@@ -15,60 +15,106 @@ import (
 	"repro/internal/wire"
 )
 
-// TestFreshEnsembleElectsAtOnce: voters on fresh stores owe no lease
-// anything, so the first election does not wait out a timeout. With a
-// 1 s election timeout, the highest ID campaigns at its first tick and
-// leads, with a quorum agreeing, within four heartbeats of the start.
-func TestFreshEnsembleElectsAtOnce(t *testing.T) {
-	const beat = 50 * time.Millisecond
-	e := &ensemble{nodes: make(map[uint64]*Node), peers: make(map[uint64]string)}
+// The boot tests run bench/'s heartbeat with a timeout long enough that no
+// randomized timer fires inside them: only the rank schedule elects.
+const bootBeat, bootTimeout = 50 * time.Millisecond, 500 * time.Millisecond
+
+// newBootEnsemble names three voters on one in-process network and starts
+// none of them.
+func newBootEnsemble(t *testing.T, name string) *ensemble {
+	e := &ensemble{nodes: make(map[uint64]*Node), sms: make(map[uint64]*kvSM), net: transport.NewInProc(), peers: make(map[uint64]string)}
 	for id := uint64(1); id <= 3; id++ {
-		e.peers[id] = fmt.Sprintf("fresh-boot-%d", id)
-	}
-	net := transport.NewInProc()
-	for id := range e.peers {
-		n, err := NewNode(Config{
-			ID:                id,
-			Peers:             e.peers,
-			Net:               net,
-			HeartbeatInterval: beat,
-			ElectionTimeout:   time.Second,
-			Storage:           new(MemStorage),
-		}, &kvSM{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.nodes[id] = n
+		e.peers[id] = fmt.Sprintf("%s-%d", name, id)
 	}
 	t.Cleanup(e.stopAll)
-	start := time.Now()
-	for _, n := range e.nodes {
-		if err := n.Start(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	return e
+}
+
+// leaderWithin waits for one leader a quorum agrees on and fails the test
+// if none is agreed on within bound of since.
+func (e *ensemble) leaderWithin(t *testing.T, since time.Time, bound time.Duration) (*Node, time.Duration) {
+	t.Helper()
 	for {
-		agree := 0
 		for _, n := range e.nodes {
-			if n.LeaderID() == 3 {
-				agree++
+			agree := 0
+			for _, m := range e.nodes {
+				if m.LeaderID() == n.ID() {
+					agree++
+				}
+			}
+			if n.IsLeader() && agree >= 2 {
+				return n, time.Since(since)
 			}
 		}
-		if e.nodes[3].IsLeader() && agree >= 2 {
-			break
-		}
-		if time.Since(start) > 4*beat {
+		if time.Since(since) > bound {
 			for _, n := range e.nodes {
 				t.Log(n.DebugString())
 			}
-			t.Fatalf("no leader agreed on within %v of a fresh start", 4*beat)
+			t.Fatalf("no leader agreed on within %v", bound)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if ep := e.nodes[3].Epoch(); ep != 1 {
-		t.Fatalf("node 3 leads epoch %d: the boot took more than one election", ep)
+}
+
+// TestFreshEnsembleElectsAtOnce: voters on fresh stores owe no lease
+// anything, so the first election does not wait out a timeout. Started in
+// ID order, the highest campaigns at its first tick, as it starts, and
+// leads epoch 1, with a quorum agreeing, within one heartbeat of its start.
+func TestFreshEnsembleElectsAtOnce(t *testing.T) {
+	e := newBootEnsemble(t, "fresh-boot")
+	var last time.Time
+	for id := uint64(1); id <= 3; id++ {
+		last = time.Now()
+		e.startTimed(t, id, new(MemStorage), bootBeat, bootTimeout)
 	}
-	t.Logf("node 3 leads %v after the start (heartbeat %v, election timeout 1s)", time.Since(start).Round(time.Millisecond), beat)
+	leader, took := e.leaderWithin(t, last, bootBeat)
+	if leader.ID() != 3 || leader.Epoch() != 1 {
+		t.Fatalf("node %d leads epoch %d, want node 3 in epoch 1: the boot took more than one election", leader.ID(), leader.Epoch())
+	}
+	t.Logf("node 3 leads %v after the last start (heartbeat %v, election timeout %v)", took.Round(time.Millisecond), bootBeat, bootTimeout)
+}
+
+// TestHighestVoterStartsFirst: node 3 starts alone and its first campaign
+// finds no one to vote; it falls back to a randomized timer. Nodes 1 and 2
+// start three heartbeats later, and node 2's rank comes due one heartbeat
+// after its start: a leader within three heartbeats of the last start.
+func TestHighestVoterStartsFirst(t *testing.T) {
+	e := newBootEnsemble(t, "highest-first")
+	e.startTimed(t, 3, new(MemStorage), bootBeat, bootTimeout)
+	time.Sleep(3 * bootBeat)
+	last := time.Now()
+	for id := uint64(1); id <= 2; id++ {
+		e.startTimed(t, id, new(MemStorage), bootBeat, bootTimeout)
+	}
+	leader, took := e.leaderWithin(t, last, 3*bootBeat)
+	t.Logf("node %d leads epoch %d %v after the last start", leader.ID(), leader.Epoch(), took.Round(time.Millisecond))
+}
+
+// TestColdRestartElectsAtQuietEnd: every voter of an ensemble restarted on
+// its store grants nothing, itself included, for one election timeout; its
+// first campaign is due on the rank schedule measured from its restart. So
+// node 3 leads no sooner than one timeout after the restart, and no later
+// than two heartbeats past it.
+func TestColdRestartElectsAtQuietEnd(t *testing.T) {
+	e := newBootEnsemble(t, "cold-restart")
+	for id := uint64(1); id <= 3; id++ {
+		e.startTimed(t, id, new(MemStorage), bootBeat, bootTimeout)
+	}
+	proposeOK(t, e.waitLeader(t), "before")
+	waitConverged(t, e, 1, 1, 2, 3)
+	e.stopAll()
+	start := time.Now()
+	for id := uint64(1); id <= 3; id++ {
+		e.startTimed(t, id, e.stores[id], bootBeat, bootTimeout)
+	}
+	leader, took := e.leaderWithin(t, start, bootTimeout+2*bootBeat)
+	if took < bootTimeout {
+		t.Fatalf("node %d leads %v after the restart, inside the lease its members' acks may fund (%v)", leader.ID(), took, bootTimeout)
+	}
+	if leader.ID() != 3 {
+		t.Fatalf("node %d leads after the restart, want node 3 (rank 0)", leader.ID())
+	}
+	t.Logf("node 3 leads epoch %d %v after the restart (election timeout %v)", leader.Epoch(), took.Round(time.Millisecond), bootTimeout)
 }
 
 // TestRestartedVoterWaitsOutItsLease: a member that acked a leader's
@@ -290,4 +336,97 @@ func TestHungObserverIsDropped(t *testing.T) {
 		time.Sleep(beat)
 	}
 	t.Logf("the hung observer was dropped %v after joining (timeout %v)", time.Since(start).Round(time.Millisecond), timeout)
+}
+
+// stopWithin stops n and fails the test if Stop takes longer than bound.
+func stopWithin(t *testing.T, n *Node, bound time.Duration) {
+	t.Helper()
+	start, done := time.Now(), make(chan struct{})
+	go func() {
+		n.Stop()
+		close(done)
+	}()
+	select {
+	case <-done:
+		t.Logf("node %d stopped in %v", n.ID(), time.Since(start).Round(time.Microsecond))
+	case <-time.After(bound):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("node %d still stopping %v later:\n%s", n.ID(), bound, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// inFlight waits until cond, read under n.mu, holds.
+func inFlight(t *testing.T, n *Node, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		n.mu.Lock()
+		ok := cond()
+		n.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("node %d never had %s in flight: %s", n.ID(), what, n.DebugString())
+		}
+	}
+}
+
+// TestStopReturnsWithCallsToAHungPeer: Stop returns within one election
+// timeout whatever the node has in flight to a peer that accepts
+// connections and never answers. A leader holds a window and a heartbeat
+// to a hung voter; a follower whose leader hangs holds a horizon ask, a
+// catch-up pull and, once its timer runs out, a vote request.
+func TestStopReturnsWithCallsToAHungPeer(t *testing.T) {
+	const beat, timeout = 10 * time.Millisecond, 200 * time.Millisecond
+	cfg := func(id uint64, peers map[uint64]string) Config {
+		return Config{ID: id, Peers: peers, Net: transport.TCP{}, HeartbeatInterval: beat, ElectionTimeout: timeout}
+	}
+	t.Run("leader", func(t *testing.T) {
+		e := &ensemble{nodes: make(map[uint64]*Node), peers: map[uint64]string{1: tcpAddr(t), 2: tcpAddr(t), 3: hungPeer(t)}}
+		for id := uint64(1); id <= 2; id++ {
+			n, err := NewNode(cfg(id, e.peers), &kvSM{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Start(); err != nil {
+				t.Fatal(err)
+			}
+			e.nodes[id] = n
+		}
+		t.Cleanup(e.stopAll)
+		leader := e.waitLeader(t)
+		proposeOK(t, leader, "x")
+		inFlight(t, leader, "a window and a heartbeat to node 3", func() bool {
+			s := leader.streams[3]
+			return s != nil && s.windows > 0 && leader.calls[peerCall{3, msgHeartbeat}]
+		})
+		for _, n := range e.nodes {
+			stopWithin(t, n, timeout)
+		}
+	})
+	t.Run("follower", func(t *testing.T) {
+		n, err := NewNode(cfg(1, map[uint64]string{1: tcpAddr(t), 2: hungPeer(t), 3: hungPeer(t)}), &kvSM{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(n.Stop)
+		f1, f2 := txnFrame(1, 1, "a"), txnFrame(1, 2, "b")
+		if r := n.handlePropose(proposeReq{Epoch: 1, LeaderID: 3, Entries: []Frame{f1, f2}}); !r.Ack {
+			t.Fatalf("the window from node 3 was refused: %+v", r)
+		}
+		waited := make(chan error, 1)
+		go func() { waited <- n.WaitApplied(f1.Zxid, time.Minute) }()
+		inFlight(t, n, "a horizon ask to node 3", func() bool { return n.calls[peerCall{3, msgSync}] })
+		for range gapBeatsBeforeSync {
+			n.handleHeartbeat(heartbeatReq{Epoch: 1, LeaderID: 3, Commit: makeZxid(1, 5)})
+		}
+		inFlight(t, n, "a catch-up pull and a vote request", func() bool {
+			return n.syncing && n.calls[peerCall{3, msgRequestVote}]
+		})
+		stopWithin(t, n, timeout)
+		<-waited // the heartbeats' horizon committed f1 meanwhile
+	})
 }

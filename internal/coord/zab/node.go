@@ -183,7 +183,9 @@ type Config struct {
 	// Defaults to 15ms.
 	HeartbeatInterval time.Duration
 	// ElectionTimeout is the base follower patience before starting an
-	// election; the effective timeout is randomized in [1x, 2x).
+	// election; the effective timeout is randomized in [1x, 2x), except
+	// before a voter's first campaign: 1x plus one HeartbeatInterval per
+	// voter with a higher ID, counted from its start (core.New).
 	// Defaults to 10 * HeartbeatInterval.
 	ElectionTimeout time.Duration
 	// MaxLogEntries bounds the in-memory log; once exceeded, applied
@@ -336,6 +338,9 @@ type Node struct {
 	// commit horizon moves or its leadership ends: what a parked horizon
 	// request waits on (answerAsk).
 	commitWake chan struct{}
+	// electWake, when non-nil, is closed the next time the node becomes
+	// leader: what Elected hands out.
+	electWake chan struct{}
 
 	// learners are the leader's streams to the observers that joined it
 	// (nil while there are none): served like n.streams, read for lag,
@@ -451,24 +456,26 @@ func (n *Node) Start() error {
 	return nil
 }
 
-// tickLoop is the node's one clock: every HeartbeatInterval/2 it hands
-// the election core a tick (campaigns, rounds, joins, the watchdog).
+// tickLoop is the node's one clock: as it starts and every
+// HeartbeatInterval/2 after, it hands the election core a tick
+// (campaigns, rounds, joins, the watchdog), so a campaign already due at
+// the start — a fresh ensemble's highest voter — goes out at once.
 func (n *Node) tickLoop() {
 	defer n.wg.Done()
 	ticker := time.NewTicker(n.cfg.HeartbeatInterval / 2)
 	defer ticker.Stop()
 	for {
-		select {
-		case <-n.stopCh:
-			return
-		case <-ticker.C:
-		}
 		n.mu.Lock()
 		if n.cfg.Observer {
 			n.gObsLagTxns.Set(int64(n.leaderCommit - min(n.leaderCommit, n.lastApplied)))
 		}
 		n.stepLocked(func() core.Ready { return n.el.Tick(n.now(), n.lastZxidLocked(), n.commitZxid) })
 		n.mu.Unlock()
+		select {
+		case <-n.stopCh:
+			return
+		case <-ticker.C:
+		}
 	}
 }
 
@@ -520,6 +527,28 @@ func (n *Node) IsLeader() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.el.Role() == core.Leader
+}
+
+// Elected returns a channel closed once the node leads: at once if it
+// leads now, else when it is next elected.
+func (n *Node) Elected() <-chan struct{} {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.electWake == nil {
+		n.electWake = make(chan struct{})
+	}
+	ch := n.electWake
+	if n.el.Role() == core.Leader {
+		n.wakeElectedLocked()
+	}
+	return ch
+}
+
+func (n *Node) wakeElectedLocked() {
+	if n.electWake != nil {
+		close(n.electWake)
+		n.electWake = nil
+	}
 }
 
 // LeaderID returns the known leader's ID, or 0.

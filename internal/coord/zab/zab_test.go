@@ -105,6 +105,12 @@ func newEnsemble(t *testing.T, n int) *ensemble {
 // its disk, the member's previous store is a restart with it intact.
 func (e *ensemble) startNode(t *testing.T, id uint64, st *MemStorage) {
 	t.Helper()
+	e.startTimed(t, id, st, 5*time.Millisecond, 30*time.Millisecond)
+}
+
+// startTimed is startNode with the given heartbeat and election timeout.
+func (e *ensemble) startTimed(t *testing.T, id uint64, st *MemStorage, beat, timeout time.Duration) {
+	t.Helper()
 	sm := &kvSM{}
 	if e.stores == nil {
 		e.stores = make(map[uint64]*MemStorage)
@@ -114,8 +120,8 @@ func (e *ensemble) startNode(t *testing.T, id uint64, st *MemStorage) {
 		ID:                id,
 		Peers:             e.peers,
 		Net:               e.net,
-		HeartbeatInterval: 5 * time.Millisecond,
-		ElectionTimeout:   30 * time.Millisecond,
+		HeartbeatInterval: beat,
+		ElectionTimeout:   timeout,
 		MaxLogEntries:     128,
 		Storage:           st,
 	}, sm)
