@@ -60,7 +60,19 @@ const (
 	opImportRange  // replicated: graft shipped entries into the namespace
 	opRangeExport  // read: stream in-range entries changed since a zxid
 	opRangeState   // read: fence/moved state of a range
+	// opIdleMulti wraps a multi transaction (the session's stamp, then
+	// the opMulti bytes) sent while none of the session's replicated ops
+	// is in flight. The leader may answer it from its state, with nothing
+	// proposed, when one of the batch's leading checks fails
+	// (Server.answerGuardMiss); otherwise it proposes the wrapped
+	// transaction. A member that does not lead names the leader.
+	// Client-local (never replicated).
+	opIdleMulti
 )
+
+// idleMultiHead is the length of opIdleMulti's own fields, the op byte
+// and the stamp, in front of the multi transaction it wraps.
+const idleMultiHead = 9
 
 // Status codes carried in replies. They replicate deterministically as
 // part of the transaction result, so every replica agrees on the
@@ -284,6 +296,8 @@ const (
 	OpSet OpKind = OpKind(znode.MultiSet)
 	// OpDelete removes a childless znode (like Client.Delete).
 	OpDelete OpKind = OpKind(znode.MultiDelete)
+	// OpMove renames a childless znode (MoveOp); it has no single-op form.
+	OpMove OpKind = OpKind(znode.MultiMove)
 )
 
 // The remaining kinds are meaningful to Do (and so to Begin) only, which
@@ -313,6 +327,7 @@ type Op struct {
 	Data    []byte
 	Mode    znode.CreateMode // create
 	Version int32            // check, set, delete (-1 disables the check)
+	To      string           // move: the destination path
 	Ops     []Op             // multi: the batch
 
 	// Watch and Lease modify the read kinds; the write kinds ignore
@@ -358,7 +373,7 @@ func CheckBatch(ops []Op) error {
 	}
 	for _, op := range ops {
 		switch op.Kind {
-		case OpCheck, OpCreate, OpSet, OpDelete:
+		case OpCheck, OpCreate, OpSet, OpDelete, OpMove:
 		default:
 			return fmt.Errorf("coord: a multi batch cannot carry op kind %d", op.Kind)
 		}
@@ -391,6 +406,19 @@ func DeleteOp(path string, version int32) Op {
 	return Op{Kind: OpDelete, Path: path, Version: version}
 }
 
+// MoveOp renames the childless znode at src to dst as part of a Multi
+// batch: dst is created holding src's data, as a persistent node with a
+// fresh stat, and src is deleted; the watch events are those of a create
+// of dst and a delete of src. A node already at dst is replaced — its
+// delete's events fire first — when it has no children and its data
+// begins with guard; otherwise the move fails with ErrNotEmpty or
+// ErrBadVersion. Either way the op's OpResult carries that node's stat
+// and data, and a zero Stat when dst was free. An ephemeral src is
+// refused. On a shard.Router both names must route to one shard.
+func MoveOp(src, dst string, guard []byte) Op {
+	return Op{Kind: OpMove, Path: src, To: dst, Data: guard, Version: -1}
+}
+
 // OpResult is the per-op outcome of a Multi batch. On a committed
 // batch every Err is nil; on an aborted batch the failing op carries
 // its error and every other op carries ErrRolledBack. A failing check
@@ -398,8 +426,8 @@ func DeleteOp(path string, version int32) Op {
 type OpResult struct {
 	Err     error
 	Created string     // create: the created path
-	Stat    znode.Stat // set: the stat after the write; check: the node's stat
-	Data    []byte     // check: the node's data
+	Stat    znode.Stat // set: the stat after the write; check: the node's stat; move: the replaced node's
+	Data    []byte     // check: the node's data; move: the replaced node's
 }
 
 // ChildEntry is one entry of a ChildrenData listing: a znode's name
@@ -413,8 +441,8 @@ type ChildEntry struct {
 	Stat znode.Stat
 }
 
-// encodeOps appends a Multi batch to w (count-prefixed, every field
-// encoded for every op so the layout is kind-independent).
+// encodeOps appends a Multi batch to w (count-prefixed, the same fields
+// for every op; a move adds its destination behind them).
 func encodeOps(w *wire.Writer, ops []Op) {
 	w.Uint32(uint32(len(ops)))
 	for _, op := range ops {
@@ -423,15 +451,19 @@ func encodeOps(w *wire.Writer, ops []Op) {
 		w.Bytes32(op.Data)
 		w.Uint8(uint8(op.Mode))
 		w.Int32(op.Version)
+		if op.Kind == OpMove {
+			w.String(op.To)
+		}
 	}
 }
 
-// decodeOps reads a Multi batch into the state machine's op type. A
-// frame whose op count disagrees with its payload is an error, never
-// a silently-empty batch: the state machine replicates whatever a
-// client sends, so a truncated or hostile frame must be refused, not
-// committed as a vacuous success.
-func decodeOps(r *wire.Reader) ([]znode.MultiOp, error) {
+// decodeOps reads a Multi batch into the state machine's op type,
+// appended to ops (nil, or a scratch slice the caller reuses). A frame
+// whose op count disagrees with its payload is an error, never a
+// silently-empty batch: the state machine replicates whatever a client
+// sends, so a truncated or hostile frame must be refused, not committed
+// as a vacuous success.
+func decodeOps(r *wire.Reader, ops []znode.MultiOp) ([]znode.MultiOp, error) {
 	n := r.Uint32()
 	if err := r.Err(); err != nil {
 		return nil, err
@@ -442,24 +474,32 @@ func decodeOps(r *wire.Reader) ([]znode.MultiOp, error) {
 	if int(n) > r.Remaining() {
 		return nil, fmt.Errorf("coord: multi op count %d exceeds payload", n)
 	}
-	ops := make([]znode.MultiOp, 0, n)
 	for i := uint32(0); i < n; i++ {
-		op := znode.MultiOp{
-			Kind: znode.MultiKind(r.Uint8()),
-			Path: r.String(),
-			// Borrowed from the transaction buffer: the tree copies data
-			// into any node it creates or sets, and the ops slice does
-			// not outlive the apply call.
-			Data:    r.BorrowBytes(),
-			Mode:    znode.CreateMode(r.Uint8()),
-			Version: r.Int32(),
-		}
+		op := decodeOp(r)
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
 		ops = append(ops, op)
 	}
 	return ops, nil
+}
+
+// decodeOp reads one op of a Multi batch.
+func decodeOp(r *wire.Reader) znode.MultiOp {
+	op := znode.MultiOp{
+		Kind: znode.MultiKind(r.Uint8()),
+		Path: r.String(),
+		// Borrowed from the transaction buffer: the tree copies data
+		// into any node it creates or sets, and no op is read after the
+		// call that decoded it returns.
+		Data:    r.BorrowBytes(),
+		Mode:    znode.CreateMode(r.Uint8()),
+		Version: r.Int32(),
+	}
+	if op.Kind == znode.MultiMove {
+		op.To = r.String()
+	}
+	return op
 }
 
 // encodeMultiResults appends the replicated outcome of a Multi batch:

@@ -298,7 +298,7 @@ func (s *Session) requestCtxOwned(ctx context.Context, msg []byte) (payload []by
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline, callerDeadline = d, true
 	}
-	toLeader := len(msg) > 0 && (proposes(msg[0]) || msg[0] == opLeaseRead || msg[0] == opSync)
+	toLeader := len(msg) > 0 && (proposes(msg[0]) || msg[0] == opLeaseRead || msg[0] == opSync || msg[0] == opIdleMulti)
 	var lastErr error
 	var refusals int // in a row, by the home connection of generation refusedBy
 	var refusedBy uint64
@@ -352,6 +352,11 @@ func (s *Session) requestCtxOwned(ctx context.Context, msg []byte) (payload []by
 			return nil, 0, retained, ctx.Err()
 		}
 		lastErr = err
+		if msg[0] == opIdleMulti {
+			// This attempt may have been proposed, and only the dedup
+			// window answers its retry rightly: the next goes to the log.
+			msg = msg[idleMultiHead:]
+		}
 		if direct {
 			s.dropLead(gen)
 			continue // through home, at once
@@ -508,6 +513,12 @@ func (s *Session) encode(w *wire.Writer, op Op) (write bool, err error) {
 		}
 		if err := CheckBatch(ops); err != nil {
 			return false, err
+		}
+		if ops[0].Kind == OpCheck && len(s.window) == 0 {
+			// None of the session's writes is in flight, so the leader may
+			// answer a failing leading check from its state (opIdleMulti).
+			w.Uint8(opIdleMulti)
+			w.Uint64(max(op.Zxid, s.seen.Load()))
 		}
 		appendMultiTxn(w, ops, s.id, s.seq.Add(1), time.Now().UnixNano())
 		return true, nil

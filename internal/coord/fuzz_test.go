@@ -98,6 +98,7 @@ func writeRequests(session uint64) map[string][]byte {
 		"set":        encodeSetTxn("/d/a", []byte("w"), -1, session, 1002, 2),
 		"delete":     txn(opDelete, 1003, func(w *wire.Writer) { w.String("/d/b"); w.Int32(-1) }),
 		"multi":      encodeMultiTxn([]Op{CheckDataOp("/d", -1, nil), CreateOp("/d/m", nil, znode.ModePersistent)}, session, 1004, 3),
+		"move":       encodeMultiTxn([]Op{CheckDataOp("/d/b", -1, []byte("v")), MoveOp("/d/b", "/d/y", []byte("v"))}, session, 1011, 4),
 		"newSession": encodeNewSessionTxn(),
 		"fence":      txn(opFenceRange, 1006, func(w *wire.Writer) { rng(w); w.Uint32(1); w.Uint64(9) }),
 		"unfence":    txn(opUnfenceRange, 1007, rng),
@@ -110,6 +111,21 @@ func writeRequests(session uint64) map[string][]byte {
 			encodeManifest(w, nil)
 		}),
 		"closeSession": encodeCloseSessionTxn(session+1000, 1),
+	}
+}
+
+// idleMultis returns the multi transactions a session sends while none
+// of its writes is in flight, wrapped as the idle multi they travel as
+// (the stamp, then the transaction): one the leader answers from its
+// state, one whose check holds, and a move.
+func idleMultis(session uint64) map[string][]byte {
+	idle := func(txn []byte) []byte {
+		return append(binary.BigEndian.AppendUint64([]byte{opIdleMulti}, fuzzStamp), txn...)
+	}
+	return map[string][]byte{
+		"guard miss": idle(encodeMultiTxn([]Op{CheckDataOp("/d", -1, []byte("nope")), SetOp("/d", []byte("x"), -1)}, session, 1101, 5)),
+		"guard held": idle(encodeMultiTxn([]Op{CheckDataOp("/d/b", -1, []byte("v")), SetOp("/d/b", []byte("v"), -1)}, session, 1102, 6)),
+		"move":       idle(writeRequests(session)["move"]),
 	}
 }
 
@@ -206,10 +222,11 @@ func startFuzzFollower(tb testing.TB) *Server {
 // FuzzHandleClient feeds the server's request decoder, a leader's or a
 // follower's. The corpus is every op of the protocol on the leader: the
 // non-replicated ones without a stamp, with one, and with one truncated
-// at each byte; the replicated ones as the transactions they are; a sync
-// in its old transaction layout — and a replicated op, a lease read and a
-// sync on the follower, which must name the leader instead of proposing
-// or reading anything.
+// at each byte; the replicated ones as the transactions they are; the
+// idle multis whole and truncated at each byte; a sync in its old
+// transaction layout — and a replicated op, an idle multi, a lease read
+// and a sync on the follower, which must name the leader instead of
+// proposing or reading anything.
 func FuzzHandleClient(f *testing.F) {
 	srv, s := startFuzzServer(f)
 	follower := startFuzzFollower(f)
@@ -224,10 +241,16 @@ func FuzzHandleClient(f *testing.F) {
 		f.Add(req, false)
 		f.Add(req[:len(req)/2], false)
 	}
+	for _, req := range idleMultis(s.ID()) {
+		for cut := 1; cut <= len(req); cut++ {
+			f.Add(req[:cut], false)
+		}
+	}
 	f.Add([]byte{}, false)
 	f.Add([]byte{0xff}, false)
 	f.Add(legacySyncTxn(s.ID()), false)
 	f.Add(writeRequests(s.ID())["create"], true)
+	f.Add(idleMultis(s.ID())["guard miss"], true)
 	f.Add(localRequests(s.ID())["lease-get"], true)
 	f.Add(localRequests(s.ID())["sync"], true)
 	f.Add(withStamp(localRequests(s.ID())["sync"], fuzzStamp), true)
@@ -236,7 +259,7 @@ func FuzzHandleClient(f *testing.F) {
 		if len(req) > 0 && req[0] == opWaitEvents && len(req) >= 13 {
 			binary.BigEndian.PutUint32(req[9:13], 1) // park for a millisecond, not a minute
 		}
-		if len(req) >= 8 && !proposes(req[0]) {
+		if len(req) >= 8 && !proposes(req[0]) && req[0] != opIdleMulti {
 			// Whatever sits where a stamp would names epoch zero: a stamp
 			// ahead of the replica is a stampWait hold per input, and
 			// TestRequestStamp has that case.
@@ -254,7 +277,7 @@ func FuzzHandleClient(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reply to %x does not end with a zxid: %v", req, err)
 		}
-		if toFollower && (proposes(req[0]) || req[0] == opLeaseRead || req[0] == opSync) {
+		if toFollower && (proposes(req[0]) || req[0] == opLeaseRead || req[0] == opSync || req[0] == opIdleMulti) {
 			if _, ok := status.(notLeader); !ok || status == notLeader("") {
 				t.Fatalf("a follower answered the leader-only op %x with %v; want it to name the leader", req, status)
 			}
@@ -285,6 +308,7 @@ func FuzzDecodeReply(f *testing.F) {
 	}
 	add(localRequests(s.ID()))
 	add(writeRequests(s.ID()))
+	add(idleMultis(s.ID()))
 	var missing wire.Writer
 	missing.Uint8(opGet)
 	missing.String("/nowhere")

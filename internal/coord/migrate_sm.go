@@ -74,6 +74,22 @@ func (s *stateMachine) bounceWrite(path string) error {
 	return nil
 }
 
+// bounceBatch bounces a multi transaction when any path it writes —
+// each op's, and a move's destination — bounces.
+func (s *stateMachine) bounceBatch(ops []znode.MultiOp) error {
+	for _, op := range ops {
+		if err := s.bounceWrite(op.Path); err != nil {
+			return err
+		}
+		if op.Kind == znode.MultiMove {
+			if err := s.bounceWrite(op.To); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // bounceRead decides whether a local read addressing path must bounce.
 // Only moved ranges bounce reads — a fenced range still serves them
 // (the data has not left yet). childKeyed selects the children-listing

@@ -212,6 +212,19 @@ func (s *Server) handleClient(req []byte) ([]byte, error) {
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
+	if op == opIdleMulti {
+		stamp := r.Uint64()
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		if req = req[idleMultiHead:]; len(req) == 0 || req[0] != opMulti {
+			return nil, fmt.Errorf("coord: an idle multi wraps no multi transaction")
+		}
+		if reply, ok := s.answerGuardMiss(stamp, req); ok {
+			return reply, nil
+		}
+		op = opMulti
+	}
 	if proposes(op) {
 		// The request is already in transaction layout; propose it whole.
 		// Propose retains the transaction bytes (replication log, WAL),
@@ -260,6 +273,63 @@ func (s *Server) handleClient(req []byte) ([]byte, error) {
 		return nil, err
 	}
 	return stamped(reply, applied), nil
+}
+
+// answerGuardMiss answers a multi transaction whose leading checks
+// already fail without proposing it: the reply is the one applying it
+// would give, the abort that names the first failing check. That answer
+// is a lease read of the checked nodes, so it is given only where a
+// lease read may be — this member leads and ReadBarrier vouches for its
+// state — and only when that state covers the session's stamp and no
+// path of the batch bounces for a migration. ok is false when any of it
+// fails or every leading check holds: then the transaction is proposed.
+// The checks are evaluated once before the barrier, so a batch whose
+// checks hold goes to the log without waiting on it.
+//
+// The session sends the batch this way only while none of its
+// replicated ops is in flight, and only on its first attempt (a retry
+// may follow an attempt that was proposed, and only the dedup window
+// answers that one rightly), so no write the session issued before it
+// can still be ordered ahead of it.
+func (s *Server) answerGuardMiss(stamp uint64, txn []byte) (reply []byte, ok bool) {
+	var r wire.Reader
+	body := txn[1:]
+	r.Reset(body)
+	r.Uint64() // session
+	r.Uint64() // seq
+	r.Int64()  // nowNano
+	batch := body[len(body)-r.Remaining():]
+	n := int(r.Uint32())
+	// Only the leading checks are decoded for the first look: most
+	// batches pass it and go to the log, where the apply decodes them.
+	var buf [4]znode.MultiOp
+	checks := buf[:0]
+	for len(checks) < min(n, len(buf)) {
+		op := decodeOp(&r)
+		if r.Err() != nil || op.Kind != znode.MultiCheck {
+			break
+		}
+		checks = append(checks, op)
+	}
+	if _, miss := s.sm.treeRef().FailedCheck(checks, len(checks)); !miss {
+		return nil, false
+	}
+	r.Reset(batch)
+	ops, err := decodeOps(&r, buf[:0])
+	if err != nil {
+		return nil, false // the apply refuses it
+	}
+	applied, err := s.node.ReadBarrier(stampWait)
+	if err != nil || applied < stamp || s.sm.bounceBatch(ops) != nil {
+		return nil, false
+	}
+	results, miss := s.sm.treeRef().FailedCheck(ops, len(ops))
+	if !miss {
+		return nil, false
+	}
+	s.reg.Counter("guard_misses").Inc()
+	reply = okResult(func(w *wire.Writer) { encodeMultiResults(w, results, false) })
+	return stamped(reply, applied), true
 }
 
 // localReq is a non-replicated request's own fields; each op uses the

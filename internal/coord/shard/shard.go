@@ -537,12 +537,14 @@ func (r *Router) multi(ctx context.Context, ops []coord.Op) ([]coord.OpResult, e
 // sub-transactions otherwise. depth counts migration-induced
 // re-dispatches (see multiOnShard).
 func (r *Router) dispatchMulti(ctx context.Context, ops []coord.Op, depth int) ([]coord.OpResult, error) {
-	shard := r.ShardFor(ops[0].Path)
+	shard := r.opShard(ops[0])
 	split := false
-	for _, op := range ops[1:] {
-		if r.ShardFor(op.Path) != shard {
+	for _, op := range ops {
+		switch s := r.opShard(op); {
+		case s < 0:
+			return nil, fmt.Errorf("shard: a move from %s to %s spans shards", op.Path, op.To)
+		case s != shard:
 			split = true
-			break
 		}
 	}
 	if !split {
@@ -559,7 +561,7 @@ func (r *Router) dispatchMulti(ctx context.Context, ops []coord.Op, depth int) (
 	var groups []group
 	byShard := make(map[int]int)
 	for i, op := range ops {
-		s := r.ShardFor(op.Path)
+		s := r.opShard(op)
 		gi, ok := byShard[s]
 		if !ok {
 			gi = len(groups)
@@ -597,9 +599,9 @@ func (r *Router) dispatchMulti(ctx context.Context, ops []coord.Op, depth int) (
 func (r *Router) multiOnShard(ctx context.Context, shard int, ops []coord.Op, depth int) ([]coord.OpResult, error) {
 	var results []coord.OpResult
 	err := r.chase(ctx, func() error {
-		cur := r.ShardFor(ops[0].Path)
+		cur := r.opShard(ops[0])
 		for _, op := range ops[1:] {
-			if r.ShardFor(op.Path) != cur {
+			if r.opShard(op) != cur {
 				cur = -1
 				break
 			}
@@ -618,18 +620,31 @@ func (r *Router) multiOnShard(ctx context.Context, shard int, ops []coord.Op, de
 	return results, err
 }
 
+// opShard returns the shard a batch op runs on: its path's, or -1 for a
+// move whose two names route to different shards, which no
+// sub-transaction can hold — the router never splits a move.
+func (r *Router) opShard(op coord.Op) int {
+	s := r.ShardFor(op.Path)
+	if op.Kind == coord.OpMove && r.ShardFor(op.To) != s {
+		return -1
+	}
+	return s
+}
+
 // execMultiOnShard runs one atomic sub-transaction on a single shard.
 // It carries over every per-op responsibility the router's single-op
 // methods have: missing ancestor stubs are materialised for create
-// ops (the ErrNoParent recovery Create performs), and delete ops get
-// Router.delete's cross-shard treatment — a node whose children live
-// on a DIFFERENT shard is checked for children there first (the
-// executing shard's state machine cannot see them), and its stub on
-// the children shard is removed after commit so a deleted directory
-// does not stay listable as an empty ghost.
+// ops and a move's destination (the ErrNoParent recovery Create
+// performs), and delete ops get Router.delete's cross-shard treatment —
+// a node whose children live on a DIFFERENT shard is checked for
+// children there first (the executing shard's state machine cannot see
+// them), and its stub on the children shard is removed after commit so
+// a deleted directory does not stay listable as an empty ghost. A move
+// deletes both its names' nodes, the source and any node it replaces,
+// so both get that treatment.
 func (r *Router) execMultiOnShard(ctx context.Context, shard int, ops []coord.Op) ([]coord.OpResult, error) {
-	// stubbed marks delete ops whose pre-check found a node on their
-	// children shard — only those need post-commit stub removal; a
+	// stubbed names the deleted paths whose pre-check found a node on
+	// their children shard — only those need post-commit stub removal; a
 	// pre-check that came back ErrNoNode (every file delete, and most
 	// directory deletes) costs no second RPC. The pre-checks are
 	// independent reads on foreign shards, so they fan out in parallel
@@ -637,15 +652,24 @@ func (r *Router) execMultiOnShard(ctx context.Context, shard int, ops []coord.Op
 	// the batch deterministically, exactly as the sequential walk did).
 	type precheck struct {
 		op   int
+		path string
 		kids []string
 		err  error
 	}
 	var checks []*precheck
 	for i, op := range ops {
-		if op.Kind != coord.OpDelete || r.shardForChildren(op.Path) == shard {
-			continue
+		var deleted []string
+		switch op.Kind {
+		case coord.OpDelete:
+			deleted = []string{op.Path}
+		case coord.OpMove:
+			deleted = []string{op.Path, op.To}
 		}
-		checks = append(checks, &precheck{op: i})
+		for _, p := range deleted {
+			if r.shardForChildren(p) != shard {
+				checks = append(checks, &precheck{op: i, path: p})
+			}
+		}
 	}
 	if len(checks) > 0 {
 		var wg sync.WaitGroup
@@ -653,13 +677,12 @@ func (r *Router) execMultiOnShard(ctx context.Context, shard int, ops []coord.Op
 			wg.Add(1)
 			go func(c *precheck) {
 				defer wg.Done()
-				op := ops[c.op]
-				c.kids, c.err = r.sessions[r.shardForChildren(op.Path)].ChildrenCtx(ctx, op.Path)
+				c.kids, c.err = r.sessions[r.shardForChildren(c.path)].ChildrenCtx(ctx, c.path)
 			}(c)
 		}
 		wg.Wait()
 	}
-	var stubbed []int
+	var stubbed []string
 	for _, c := range checks {
 		if c.err != nil && !errors.Is(c.err, coord.ErrNoNode) {
 			return abortedResults(len(ops), c.op, c.err), c.err
@@ -670,15 +693,22 @@ func (r *Router) execMultiOnShard(ctx context.Context, shard int, ops []coord.Op
 				// §7.3); the batch is refused before anything executes.
 				return abortedResults(len(ops), c.op, coord.ErrNotEmpty), coord.ErrNotEmpty
 			}
-			stubbed = append(stubbed, c.op)
+			stubbed = append(stubbed, c.path)
 		}
 	}
 	s := r.sessions[shard]
 	results, err := s.MultiCtx(ctx, ops)
 	if errors.Is(err, coord.ErrNoParent) {
 		for _, op := range ops {
-			if op.Kind == coord.OpCreate {
-				if serr := r.ensureAncestors(ctx, s, op.Path); serr != nil {
+			created := ""
+			switch op.Kind {
+			case coord.OpCreate:
+				created = op.Path
+			case coord.OpMove:
+				created = op.To
+			}
+			if created != "" {
+				if serr := r.ensureAncestors(ctx, s, created); serr != nil {
 					return results, err
 				}
 			}
@@ -690,9 +720,8 @@ func (r *Router) execMultiOnShard(ctx context.Context, shard int, ops []coord.Op
 		// has committed, so a failed cleanup (shard down) cannot be
 		// surfaced as a batch failure. A leaked stub is the same
 		// accepted window as Router.delete's step 3 (DESIGN.md §7.3).
-		for _, i := range stubbed {
-			op := ops[i]
-			_ = r.sessions[r.shardForChildren(op.Path)].DeleteCtx(ctx, op.Path, -1)
+		for _, p := range stubbed {
+			_ = r.sessions[r.shardForChildren(p)].DeleteCtx(ctx, p, -1)
 		}
 	}
 	return results, err

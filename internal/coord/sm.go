@@ -44,10 +44,12 @@ type stateMachine struct {
 	// handful of live markers.
 	ranges []rangeState
 
-	// batchScratch is ApplyBatch's reusable result container. Frames
-	// apply sequentially from the replication layer's single apply
-	// goroutine, so one scratch per state machine suffices.
+	// batchScratch is ApplyBatch's reusable result container, and
+	// opsScratch the decoded ops of the multi transaction being applied.
+	// Frames apply sequentially from the replication layer's single apply
+	// goroutine, so one scratch each per state machine suffices.
 	batchScratch [][]byte
+	opsScratch   []znode.MultiOp
 
 	// notify, when set, observes every applied mutation on this
 	// replica (op code, affected path, acting session, success) in
@@ -123,7 +125,8 @@ func newStateMachine() *stateMachine {
 //	delete:       session u64, seq u64, path, version i32
 //	set:          session u64, seq u64, path, data, version i32, nowNano i64
 //	multi:        session u64, seq u64, nowNano i64, count u32,
-//	              then per op: kind u8, path, data, mode u8, version i32
+//	              then per op: kind u8, path, data, mode u8, version i32,
+//	              and on a move, to
 //	newSession:   (nothing)
 //	closeSession: session u64, seq u64
 //
@@ -166,7 +169,7 @@ func appendSetTxn(w *wire.Writer, path string, data []byte, version int32, sessi
 func appendMultiTxn(w *wire.Writer, ops []Op, session, seq uint64, nowNano int64) {
 	size := 32
 	for _, op := range ops {
-		size += 16 + len(op.Path) + len(op.Data)
+		size += 20 + len(op.Path) + len(op.Data) + len(op.To)
 	}
 	w.Grow(size)
 	w.Uint8(opMulti)
@@ -345,16 +348,15 @@ func (s *stateMachine) applyWrite(op uint8, session uint64, r *wire.Reader, zxid
 		if err := r.Err(); err != nil {
 			return errResult(err)
 		}
-		ops, derr := decodeOps(r)
+		ops, derr := decodeOps(r, s.opsScratch[:0])
 		if derr != nil {
 			return errResult(derr)
 		}
+		s.opsScratch = ops[:0]
 		// The whole batch bounces before any op applies, so a caller can
 		// re-split and retry the sub-transaction without partial effects.
-		for _, op := range ops {
-			if err := s.bounceWrite(op.Path); err != nil {
-				return errResult(err)
-			}
+		if err := s.bounceBatch(ops); err != nil {
+			return errResult(err)
 		}
 		results, committed := s.tree.Multi(ops, session, zxid, now)
 		if committed && s.notify != nil {
@@ -365,6 +367,14 @@ func (s *stateMachine) applyWrite(op uint8, session uint64, r *wire.Reader, zxid
 				case znode.MultiSet:
 					s.notify(opSet, op.Path, session, true)
 				case znode.MultiDelete:
+					s.notify(opDelete, op.Path, session, true)
+				case znode.MultiMove:
+					// A replaced node has a stat: every zxid the log
+					// orders, and so every node's Czxid, is nonzero.
+					if results[i].Stat.Czxid != 0 {
+						s.notify(opDelete, op.To, session, true)
+					}
+					s.notify(opCreate, op.To, session, true)
 					s.notify(opDelete, op.Path, session, true)
 				}
 			}

@@ -198,10 +198,18 @@ type peerTap struct {
 
 	mu  sync.Mutex
 	rng *rand.Rand
-	// lose, when non-nil, picks windows to hold for loseFor and then
-	// fail without delivering.
+	// lose, when non-nil, picks windows to hold and then fail without
+	// delivering. A lost window is held until a data window that starts
+	// past it has been sent to the same member, so that one arrives
+	// behind the gap and parks there, or until loseFor has passed.
+	// Windows enter Call on goroutines of their own, so the successor
+	// may be sent first; then the lost window fails at once.
 	lose    func(addr string, m proposeReq) bool
 	loseFor time.Duration
+	sentTo  map[string]uint64 // the highest PrevZxid of a data window sent to each member
+	held    chan struct{}     // closed when the held window's successor is sent
+	heldFor string            // the member the held window was on its way to
+	heldEnd uint64            // the held window's last zxid
 
 	dataWindows, emptyWindows, votes       atomic.Int64
 	syncPulls, needSyncs, refusals, others atomic.Int64
@@ -259,9 +267,32 @@ func (c *tapConn) Call(req []byte) ([]byte, error) {
 		replyDelay = time.Duration(p.rng.Int63n(int64(p.maxReplyDelay)))
 	}
 	lost := window != nil && p.lose != nil && p.lose(c.addr, *window)
+	var successor chan struct{}
+	switch {
+	case lost:
+		end := window.Entries[len(window.Entries)-1].Last()
+		if p.sentTo[c.addr] < end {
+			successor = make(chan struct{})
+			p.held, p.heldFor, p.heldEnd = successor, c.addr, end
+		}
+	case window != nil && len(window.Entries) > 0:
+		if p.sentTo == nil {
+			p.sentTo = map[string]uint64{}
+		}
+		p.sentTo[c.addr] = max(p.sentTo[c.addr], window.PrevZxid)
+		if p.held != nil && c.addr == p.heldFor && window.PrevZxid >= p.heldEnd {
+			close(p.held)
+			p.held = nil
+		}
+	}
 	p.mu.Unlock()
 	if lost {
-		time.Sleep(p.loseFor)
+		if successor != nil {
+			select {
+			case <-successor:
+			case <-time.After(p.loseFor):
+			}
+		}
 		return nil, errors.New("tap: window lost")
 	}
 	time.Sleep(delay)
@@ -458,9 +489,10 @@ func TestLostWindowIsRefusedNotSynced(t *testing.T) {
 	hb := 50 * time.Millisecond
 	tap.mu.Lock()
 	lostOnce := false
-	tap.loseFor = hb / 2
+	tap.loseFor = 20 * hb // a deadline: the successor's send releases it
 	tap.lose = func(addr string, m proposeReq) bool {
-		if lostOnce || addr != e.peers[victim] || len(m.Entries) == 0 {
+		if lostOnce || addr != e.peers[victim] || len(m.Entries) == 0 || len(m.Entries[0].Txns) == 0 ||
+			string(m.Entries[0].Txns[0]) != "lost-on-the-way" {
 			return false
 		}
 		lostOnce = true

@@ -238,6 +238,22 @@ func (t *Tree) unlockMask(mask uint32) {
 	}
 }
 
+func (t *Tree) rlockMask(mask uint32) {
+	for i := 0; i < stripeCount; i++ {
+		if mask&(1<<uint(i)) != 0 {
+			t.stripes[i].mu.RLock()
+		}
+	}
+}
+
+func (t *Tree) runlockMask(mask uint32) {
+	for i := 0; i < stripeCount; i++ {
+		if mask&(1<<uint(i)) != 0 {
+			t.stripes[i].mu.RUnlock()
+		}
+	}
+}
+
 // ValidatePath checks that p is a well-formed absolute znode path.
 func ValidatePath(p string) error {
 	if p == "" || p[0] != '/' {
@@ -645,6 +661,8 @@ const (
 	MultiCreate
 	MultiSet
 	MultiDelete
+	// MultiMove renames a childless node: Path becomes To (moveLocked).
+	MultiMove
 )
 
 // MultiOp is one element of an atomic batch.
@@ -652,21 +670,27 @@ type MultiOp struct {
 	Kind MultiKind
 	Path string
 	// Data is the new data of a create or set. On a check it is a guard:
-	// the node's data must begin with these bytes (empty matches any).
+	// the node's data must begin with these bytes (empty matches any); on
+	// a move, the guard a node it replaces at To must pass.
 	Data    []byte
 	Mode    CreateMode // create
 	Version int32      // check, set, delete (-1 disables the check)
+	To      string     // move: the destination path
 }
 
 // MultiResult is the per-op outcome of a Multi batch.
 type MultiResult struct {
 	Err     error
 	Created string // create: the created path (sequential modes differ)
-	Stat    Stat   // set: the node's stat after the write; check: the node's stat
+	// Stat is, on a set, the node's stat after the write; on a check, the
+	// node's stat; on a move, the stat of the node it replaced at To (zero
+	// when To was free) or, when that node failed the guard, of that node.
+	Stat Stat
 	// Data is the node's data as a check saw it, on commit and on an
-	// abort the check itself caused. It is the node's own slice, not a
-	// copy: no write mutates a node's data in place (set replaces it
-	// whole), so it stays valid; callers must not modify it.
+	// abort the check itself caused, and on a move the replaced (or
+	// refused) node's data. It is the node's own slice, not a copy: no
+	// write mutates a node's data in place (set replaces it whole), so it
+	// stays valid; callers must not modify it.
 	Data []byte
 }
 
@@ -676,9 +700,9 @@ type MultiResult struct {
 // earlier create in the same batch). On the first failure every applied
 // operation is undone — restoring exact stats, version counters, and
 // sequential-name counters — and committed reports false; the failing
-// op's result carries its error (a failing check also its stat and
-// data, so the caller learns what it found), every other op gets
-// ErrRolledBack.
+// op's result carries its error (a failing check or move also the stat
+// and data of the node that failed it, so the caller learns what it
+// found), every other op gets ErrRolledBack.
 func (t *Tree) Multi(ops []MultiOp, session, zxid uint64, nowNano int64) (results []MultiResult, committed bool) {
 	// Lock the union of stripes the batch can touch — every stripe if
 	// any op structurally changes the root's child set — in ascending
@@ -722,6 +746,12 @@ func (t *Tree) Multi(ops []MultiOp, session, zxid uint64, nowNano int64) (result
 			if err == nil {
 				undos = append(undos, undo)
 			}
+		case MultiMove:
+			var undo func()
+			results[i].Stat, results[i].Data, undo, err = t.moveLocked(op.Path, op.To, op.Data, session, zxid, nowNano)
+			if err == nil {
+				undos = append(undos, undo)
+			}
 		default:
 			err = fmt.Errorf("znode: unknown multi op kind %d", op.Kind)
 		}
@@ -740,6 +770,39 @@ func (t *Tree) Multi(ops []MultiOp, session, zxid uint64, nowNano int64) (result
 	return results, true
 }
 
+// FailedCheck evaluates the checks a batch of n ops leads with, as Multi
+// would meet them but under read locks and writing nothing: when one
+// fails, it returns the results Multi would return for the whole batch —
+// that check's error, stat and data, ErrRolledBack on every other op —
+// and true. ops is the batch or a prefix of it holding its leading
+// checks; no op behind them is looked at. The checks are evaluated
+// together, under one acquisition of their stripes.
+func (t *Tree) FailedCheck(ops []MultiOp, n int) ([]MultiResult, bool) {
+	lead := 0
+	for lead < len(ops) && ops[lead].Kind == MultiCheck {
+		lead++
+	}
+	if lead == 0 {
+		return nil, false
+	}
+	mask, _ := multiLockSet(ops[:lead]) // a check is never structural
+	t.rlockMask(mask)
+	defer t.runlockMask(mask)
+	for i, op := range ops[:lead] {
+		stat, data, err := t.checkLocked(op.Path, op.Version, op.Data)
+		if err == nil {
+			continue
+		}
+		results := make([]MultiResult, n)
+		for j := range results {
+			results[j].Err = ErrRolledBack
+		}
+		results[i] = MultiResult{Err: err, Stat: stat, Data: data}
+		return results, true
+	}
+	return nil, false
+}
+
 // multiLockSet computes the stripes a Multi batch needs: the union of
 // every op path's stripe, escalating to all stripes when any create or
 // delete has the root as its parent (structural), or when any path
@@ -748,25 +811,97 @@ func (t *Tree) Multi(ops []MultiOp, session, zxid uint64, nowNano int64) (result
 // coverage for whatever it does read).
 func multiLockSet(ops []MultiOp) (mask uint32, all bool) {
 	for _, op := range ops {
-		p := op.Path
-		if len(p) < 2 || p[0] != '/' {
-			// Root or invalid: checkLocked on "/" reads the root's stat,
-			// covered by any stripe; invalid paths touch nothing. Pin
-			// stripe 0 so coverage is never empty.
-			mask |= 1
-			continue
+		structural := op.Kind == MultiCreate || op.Kind == MultiDelete || op.Kind == MultiMove
+		paths := [2]string{op.Path, op.To}
+		n := 1
+		if op.Kind == MultiMove {
+			n = 2 // a move deletes at Path and creates at To
 		}
-		if op.Kind == MultiCreate || op.Kind == MultiDelete {
-			if strings.IndexByte(p[1:], '/') < 0 {
+		for _, p := range paths[:n] {
+			if len(p) < 2 || p[0] != '/' {
+				// Root or invalid: checkLocked on "/" reads the root's
+				// stat, covered by any stripe; invalid paths touch
+				// nothing. Pin stripe 0 so coverage is never empty.
+				mask |= 1
+				continue
+			}
+			if structural && strings.IndexByte(p[1:], '/') < 0 {
 				return 0, true // depth-1: mutates the root's child set
 			}
+			mask |= 1 << uint(stripeFor(p))
 		}
-		mask |= 1 << uint(stripeFor(p))
 	}
 	if mask == 0 {
 		mask = 1 // empty batch: still take one stripe for the error path
 	}
 	return mask, false
+}
+
+// moveLocked renames the childless node at src to dst in one step: dst
+// is created holding src's data, as a persistent node with a fresh stat,
+// and src is deleted. A node already at dst is deleted first, but only
+// when its data begins with guard (else ErrBadVersion) and it has no
+// children (else ErrNotEmpty); its stat and data are returned, the
+// replaced node's or the refused one's. An ephemeral src is refused: the
+// moved node would outlive its session. The undo closure reverses the
+// three steps. Caller holds write coverage for both paths.
+func (t *Tree) moveLocked(src, dst string, guard []byte, session, zxid uint64, nowNano int64) (Stat, []byte, func(), error) {
+	if err := ValidatePath(src); err != nil {
+		return Stat{}, nil, nil, err
+	}
+	if err := ValidatePath(dst); err != nil {
+		return Stat{}, nil, nil, err
+	}
+	if src == dst {
+		return Stat{}, nil, nil, fmt.Errorf("%w: %q cannot be moved onto itself", ErrBadPath, src)
+	}
+	if src == "/" {
+		return Stat{}, nil, nil, ErrRootReadOnly
+	}
+	n, err := t.lookup(src)
+	if err != nil {
+		return Stat{}, nil, nil, err
+	}
+	if len(n.children) > 0 {
+		return Stat{}, nil, nil, ErrNotEmpty
+	}
+	if n.stat.EphemeralOwner != 0 {
+		return Stat{}, nil, nil, fmt.Errorf("znode: %q is ephemeral and cannot be moved", src)
+	}
+	var undos []func()
+	undo := func() {
+		for i := len(undos) - 1; i >= 0; i-- {
+			undos[i]()
+		}
+	}
+	var replaced Stat
+	var replacedData []byte
+	if old, err := t.lookup(dst); err == nil {
+		if !bytes.HasPrefix(old.data, guard) {
+			return old.stat, old.data, nil, ErrBadVersion
+		}
+		if len(old.children) > 0 {
+			return old.stat, old.data, nil, ErrNotEmpty
+		}
+		u, err := t.deleteLocked(dst, -1, zxid)
+		if err != nil {
+			return Stat{}, nil, nil, err
+		}
+		undos = append(undos, u)
+		replaced, replacedData = old.stat, old.data
+	}
+	_, u, err := t.createLocked(dst, n.data, ModePersistent, session, zxid, nowNano, true)
+	if err != nil {
+		undo()
+		return Stat{}, nil, nil, err
+	}
+	undos = append(undos, u)
+	if u, err = t.deleteLocked(src, -1, zxid); err != nil {
+		undo() // src is an ancestor of dst
+		return Stat{}, nil, nil, err
+	}
+	undos = append(undos, u)
+	return replaced, replacedData, undo, nil
 }
 
 // checkLocked verifies the node exists, that its data version matches

@@ -37,13 +37,13 @@ func TestDUFSAllocBudget(t *testing.T) {
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/dir/n%d", i)
 	}
-	var created, unlinked int
+	var created, unlinked, renamed int
 	for _, c := range []struct {
 		name   string
 		budget float64
 		op     func() error
 	}{
-		{"stat-file", 10, func() error {
+		{"stat-file", 9, func() error {
 			_, err := d.Stat("/dir/f07")
 			return err
 		}},
@@ -51,7 +51,7 @@ func TestDUFSAllocBudget(t *testing.T) {
 			_, err := d.Stat("/dir")
 			return err
 		}},
-		{"open-close", 11, func() error {
+		{"open-close", 10, func() error {
 			h, err := d.Open("/dir/f07", vfs.OpenRead)
 			if err != nil {
 				return err
@@ -62,7 +62,7 @@ func TestDUFSAllocBudget(t *testing.T) {
 			_, err := d.Readdir("/dir")
 			return err
 		}},
-		{"create-close", 27, func() error {
+		{"create-close", 26, func() error {
 			h, err := d.Create(paths[created], 0o644)
 			created++
 			if err != nil {
@@ -75,6 +75,12 @@ func TestDUFSAllocBudget(t *testing.T) {
 			unlinked++
 			return err
 		}},
+		{"rename", 40, func() error {
+			renamed++
+			return d.Rename(fmt.Sprintf("/dir/f%02d", 7+renamed%2), fmt.Sprintf("/dir/f%02d", 8-renamed%2))
+		}},
+		{"chmod-dir", 28, func() error { return d.Chmod("/dir", 0o700) }},
+		{"chmod-file", 22, func() error { return d.Chmod("/dir/f09", 0o600) }},
 	} {
 		n := testing.AllocsPerRun(allocRuns, func() {
 			if err := c.op(); err != nil {

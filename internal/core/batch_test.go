@@ -102,11 +102,16 @@ func TestReaddirIsOneRPC(t *testing.T) {
 	}
 }
 
-// TestUnlinkAndRmdirAreOneRPC: the type check rides in the delete's
+// TestUnlinkAndRmdirAreOneRPC: the type check rides in the write's
 // transaction as a data-guarded check, so removing a name is one
 // coordination round trip whatever it turns out to be — a file, a
 // directory refused with ErrIsDir or ErrNotDir, an empty directory —
-// and only a symlink, which the file guard refuses, takes a second.
+// and only a symlink, which the file guard refuses, takes a second. So
+// is a chmod, of a directory (the guarded set) or of a file (the guard
+// misses and the leader answers from its state), and a file rename, to
+// a new name or over a file. The names the guards refuse take no more
+// round trips than their lookups did: a symlink's chmod 2, a rename of
+// or over a symlink 3, a leaf directory's rename 4.
 func TestUnlinkAndRmdirAreOneRPC(t *testing.T) {
 	env := newEnv(t, 1, 2)
 	d, cc := mountCounting(t, env)
@@ -116,13 +121,18 @@ func TestUnlinkAndRmdirAreOneRPC(t *testing.T) {
 	if err := d.Mkdir("/o/full", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{"/o/f", "/o/g", "/o/full/kid"} {
-		if err := vfs.WriteFile(d, f, []byte("body")); err != nil {
+	if err := d.Mkdir("/o/leaf", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{"/o/f", "/o/g", "/o/h", "/o/i", "/o/full/kid"} {
+		if err := vfs.WriteFile(d, f, []byte("body "+f)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Symlink("/o/g", "/o/ln"); err != nil {
-		t.Fatal(err)
+	for _, ln := range []string{"/o/ln", "/o/ln2"} {
+		if err := d.Symlink("/o/g", ln); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, c := range []struct {
 		name string
@@ -130,6 +140,17 @@ func TestUnlinkAndRmdirAreOneRPC(t *testing.T) {
 		want error
 		rpcs int64
 	}{
+		{"chmod dir", func() error { return d.Chmod("/o", 0o750) }, nil, 1},
+		{"chmod file", func() error { return d.Chmod("/o/h", 0o600) }, nil, 1},
+		{"chmod symlink", func() error { return d.Chmod("/o/ln2", 0o700) }, nil, 2},
+		{"chmod missing", func() error { return d.Chmod("/o/none", 0o700) }, vfs.ErrNotExist, 1},
+		{"rename file", func() error { return d.Rename("/o/h", "/o/h2") }, nil, 1},
+		{"rename over file", func() error { return d.Rename("/o/h2", "/o/i") }, nil, 1},
+		{"rename missing", func() error { return d.Rename("/o/h", "/o/h3") }, vfs.ErrNotExist, 1},
+		{"rename over dir", func() error { return d.Rename("/o/i", "/o/leaf") }, vfs.ErrIsDir, 1},
+		{"rename symlink", func() error { return d.Rename("/o/ln2", "/o/ln3") }, nil, 3},
+		{"rename over symlink", func() error { return d.Rename("/o/i", "/o/ln3") }, nil, 3},
+		{"rename leaf dir", func() error { return d.Rename("/o/leaf", "/o/leaf2") }, nil, 4},
 		{"unlink file", func() error { return d.Unlink("/o/f") }, nil, 1},
 		{"unlink dir", func() error { return d.Unlink("/o/full") }, vfs.ErrIsDir, 1},
 		{"unlink missing", func() error { return d.Unlink("/o/f") }, vfs.ErrNotExist, 1},
@@ -148,7 +169,25 @@ func TestUnlinkAndRmdirAreOneRPC(t *testing.T) {
 			t.Fatalf("%s issued %d coordination RPCs, want %d", c.name, got, c.rpcs)
 		}
 	}
-	// The symlink's target kept its body; the unlinked files' went.
+	// The chmods landed where each kind keeps its mode, the renamed file
+	// kept its body, and the symlink's target kept its own; the bodies
+	// of the unlinked and the renamed-over files went.
+	for _, p := range []string{"/o/h2", "/o/i", "/o/ln2", "/o/leaf"} {
+		if _, err := d.Stat(p); !errors.Is(err, vfs.ErrNotExist) {
+			t.Fatalf("%s was renamed away, but stats as %v", p, err)
+		}
+	}
+	for p, want := range map[string]uint32{"/o": 0o750, "/o/leaf2": 0o755} {
+		if fi, err := d.Stat(p); err != nil || fi.Mode&vfs.PermMask != want {
+			t.Fatalf("%s = %+v, %v; want mode %o", p, fi, err, want)
+		}
+	}
+	if data, err := vfs.ReadFile(d, "/o/ln3"); err != nil || string(data) != "body /o/h" {
+		t.Fatalf("the file renamed twice reads %q, %v", data, err)
+	}
+	if fi, err := d.Stat("/o/ln3"); err != nil || fi.IsSymlink() || fi.Mode&vfs.PermMask != 0o600 {
+		t.Fatalf("/o/ln3 = %+v, %v; want the file chmodded to 0600", fi, err)
+	}
 	if _, err := vfs.ReadFile(d, "/o/g"); err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +195,8 @@ func TestUnlinkAndRmdirAreOneRPC(t *testing.T) {
 }
 
 // TestSameShardRenameIsOneTransaction verifies a single-ensemble file
-// rename runs as Get + dest-probe + one Multi (3 RPCs, no intent
-// znodes), and that the intent log stays empty.
+// rename is one Multi — a guarded check and a move, with no lookup in
+// front (1 RPC, no intent znodes) — and that the intent log stays empty.
 func TestSameShardRenameIsOneTransaction(t *testing.T) {
 	env := newEnv(t, 1, 2)
 	d, cc := mountCounting(t, env)
@@ -172,8 +211,8 @@ func TestSameShardRenameIsOneTransaction(t *testing.T) {
 	if err := d.Rename("/r/src", "/r/dst"); err != nil {
 		t.Fatal(err)
 	}
-	if got := cc.calls.Load(); got != 3 {
-		t.Fatalf("same-shard rename issued %d RPCs, want 3 (get, dest probe, multi)", got)
+	if got := cc.calls.Load(); got != 1 {
+		t.Fatalf("same-shard rename issued %d RPCs, want 1 (one multi)", got)
 	}
 	if data, err := vfs.ReadFile(d, "/r/dst"); err != nil || string(data) != "payload" {
 		t.Fatalf("dst = %q, %v", data, err)
@@ -257,7 +296,8 @@ func TestRenameDirBatchesLeafChildren(t *testing.T) {
 
 // interposer is a Do decorator that runs a rival's move once, right
 // before the first write naming victim (a set, a delete, or a Multi
-// with an op on it) leaves this client: the window between a lookup
+// with an op on it, a move's destination included) leaves this client:
+// the window between a lookup, or the caller's last look at the name,
 // and the write it was made for. A create of victim does not trigger it.
 type interposer struct {
 	coord.Doer
@@ -281,7 +321,7 @@ func writes(op coord.Op, path string) bool {
 		return op.Path == path
 	case coord.OpMulti:
 		for _, o := range op.Ops {
-			if o.Path == path {
+			if o.Path == path || o.Kind == coord.OpMove && o.To == path {
 				return true
 			}
 		}

@@ -120,6 +120,59 @@ func TestCachedListingInvalidatedByRemoteCreate(t *testing.T) {
 	}
 }
 
+// TestCachedCoherentAcrossOneTransactionRename: a file rename is one
+// move now, and the cached listing of its directory still follows it —
+// another client's rename to a new name and over a file through the
+// watch on the directory, the mount's own at once.
+func TestCachedCoherentAcrossOneTransactionRename(t *testing.T) {
+	env := newEnv(t, 3, 2)
+	a := newCached(t, env, "/cmv")
+	b := env.newDUFS(t, "/cmv")
+	if err := a.Mkdir("/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{"/d/f", "/d/g"} {
+		if err := vfs.WriteFile(a, f, []byte(f)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names := func() string {
+		es, err := a.Readdir("/d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s string
+		for _, e := range es {
+			s += e.Name + " "
+		}
+		return s
+	}
+	for _, step := range []struct {
+		by       vfs.FileSystem
+		from, to string
+		want     string
+	}{
+		{b, "/d/f", "/d/h", "g h "},
+		{b, "/d/h", "/d/g", "g "},
+		{a, "/d/g", "/d/k", "k "},
+	} {
+		names() // warm the listing
+		if err := step.by.Rename(step.from, step.to); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for got := names(); got != step.want; got = names() {
+			if step.by == vfs.FileSystem(a) || time.Now().After(deadline) {
+				t.Fatalf("after renaming %s to %s the cached listing reads %q, want %q", step.from, step.to, got, step.want)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	if data, err := vfs.ReadFile(a, "/d/k"); err != nil || string(data) != "/d/f" {
+		t.Fatalf("/d/k = %q, %v; want the body first written as /d/f", data, err)
+	}
+}
+
 func TestCachedOwnWritesVisibleImmediately(t *testing.T) {
 	// Local invalidation must not wait for the poller.
 	env := newEnv(t, 1, 1)

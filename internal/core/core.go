@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"repro/internal/coord"
+	"repro/internal/coord/znode"
 	"repro/internal/fid"
 	"repro/internal/metrics"
 	"repro/internal/placement"
@@ -251,7 +252,7 @@ type coordStat struct {
 // coordination).
 func (d *DUFS) locate(f fid.FID) (vfs.FileSystem, string) {
 	idx := d.mapper.Locate(f)
-	return d.backends[idx], "/" + f.PhysicalPath()
+	return d.backends[idx], f.PhysicalPath()
 }
 
 // Mkdir implements vfs.FileSystem — the paper's Fig 5 algorithm: the
@@ -581,12 +582,17 @@ func entriesWithoutSelf(entries []coord.ChildEntry) []coord.ChildEntry {
 // file re-binds the FID to a new name in the coordination service.
 // Directory renames move the znode subtree.
 //
-// When source and destination live on the same coordination shard the
-// rename is ONE atomic Multi — check(src)+create(dst)+delete(src) in a
-// single ZAB proposal, with no intermediate state for a crash to
-// expose and no intent znode to write and reap (2 round trips total
-// against the old protocol's 5). Only when the two names hash to
-// different shards does the durable-intent protocol (rename.go) run.
+// When source and destination live on the same coordination shard a
+// file rename is ONE round trip: a check guarded on the file kind and a
+// move of the name, replacing a file at the destination, ride in one
+// Multi — one ZAB proposal, with no lookup in front of it, no
+// intermediate state for a crash to expose and no intent znode to write
+// and reap. The move reports the file it replaced, whose body is
+// unlinked after commit. A guard that misses says what the name is
+// instead, and the rename goes on from what it said: a directory source
+// to renameDir, a symlink at either name to the lookup-guarded batch.
+// Only when the two names hash to different shards does the
+// durable-intent protocol (rename.go) run.
 func (d *DUFS) Rename(oldPath, newPath string) error {
 	d.count("rename")
 	ctx := opCtx()
@@ -607,11 +613,70 @@ func (d *DUFS) Rename(oldPath, newPath string) error {
 	if len(np) > len(op) && np[:len(op)] == op && np[len(op)] == '/' {
 		return vfs.ErrInvalid
 	}
+	zop, znp := d.zpath(op), d.zpath(np)
+	if !d.sess.Atomic(zop, znp) {
+		return d.renameLooked(ctx, op, np, nil, nil)
+	}
+	guard := []byte{kindFile}
+	res, err := d.sess.MultiCtx(ctx, []coord.Op{
+		coord.CheckDataOp(zop, -1, guard),
+		coord.MoveOp(zop, znp, guard),
+	})
+	if len(res) != 2 && (err == nil || errors.Is(err, coord.ErrBadVersion)) {
+		return fmt.Errorf("dufs: a rename batch of 2 ops returned %d results", len(res))
+	}
+	switch {
+	case err == nil:
+		d.reclaim(res[1].Data)
+		return nil
+	case errors.Is(err, coord.ErrNotEmpty):
+		// A shard.Router found children of one of the names on another
+		// shard before it sent the batch: a directory.
+		return d.renameLooked(ctx, op, np, nil, nil)
+	case !errors.Is(err, coord.ErrBadVersion):
+		return mapError(err)
+	case errors.Is(res[0].Err, coord.ErrBadVersion):
+		return d.renameLooked(ctx, op, np, &res[0], nil) // the source is no file
+	}
+	// The source is a file; the destination is not.
+	if nd, err := decodeNodeData(res[1].Data); err == nil && nd.Kind == kindDir {
+		return vfs.ErrIsDir
+	}
+	return d.renameLooked(ctx, op, np, nil, &res[1])
+}
+
+// reclaim unlinks the body of a file the namespace no longer names,
+// given the znode data it had. Best-effort: a failed physical unlink
+// orphans a body that is unreachable by any name (its FID left the
+// namespace with the transaction that replaced it).
+func (d *DUFS) reclaim(replaced []byte) {
+	if len(replaced) == 0 {
+		return // nothing was replaced; decoding would build an error
+	}
+	if nd, err := decodeNodeData(replaced); err == nil && nd.Kind == kindFile {
+		backend, phys := d.locate(nd.FID)
+		_ = backend.Unlink(phys)
+	}
+}
+
+// renameLooked is the rename of names the one-transaction form cannot
+// move: a directory, a symlink at either name, or names on two shards.
+// It looks both names up — src and dst, when non-nil, are what a failed
+// guard already reported for them, and stand in for the first lookup —
+// and moves the file with a batch guarded on the bytes read, retrying
+// from the lookups when a concurrent writer got in between.
+func (d *DUFS) renameLooked(ctx context.Context, op, np string, src, dst *coord.OpResult) error {
+	zop, znp := d.zpath(op), d.zpath(np)
 	for {
-		zop, znp := d.zpath(op), d.zpath(np)
-		raw, stat, gerr := d.sess.GetCtx(ctx, zop)
-		if gerr != nil {
-			return mapError(gerr)
+		var raw []byte
+		var stat znode.Stat
+		if src != nil {
+			raw, stat, src = src.Data, src.Stat, nil
+		} else {
+			var gerr error
+			if raw, stat, gerr = d.sess.GetCtx(ctx, zop); gerr != nil {
+				return mapError(gerr)
+			}
 		}
 		nd, derr := decodeNodeData(raw)
 		if derr != nil {
@@ -622,7 +687,14 @@ func (d *DUFS) Rename(oldPath, newPath string) error {
 		}
 		// Replace semantics: an existing destination file is superseded.
 		var existing nodeData
-		existingRaw, existingStat, exErr := d.sess.GetCtx(ctx, znp)
+		var existingRaw []byte
+		var existingStat znode.Stat
+		var exErr error
+		if dst != nil {
+			existingRaw, existingStat, dst = dst.Data, dst.Stat, nil
+		} else {
+			existingRaw, existingStat, exErr = d.sess.GetCtx(ctx, znp)
+		}
 		if exErr == nil {
 			existing, derr = decodeNodeData(existingRaw)
 			if derr != nil {
@@ -665,12 +737,8 @@ func (d *DUFS) Rename(oldPath, newPath string) error {
 		_, err := d.sess.MultiCtx(ctx, ops)
 		switch {
 		case err == nil:
-			if exErr == nil && existing.Kind == kindFile {
-				// Best-effort: a failed physical unlink orphans a body
-				// that is unreachable by any name (its FID left the
-				// namespace with the transaction above).
-				backend, phys := d.locate(existing.FID)
-				_ = backend.Unlink(phys)
+			if exErr == nil {
+				d.reclaim(existingRaw)
 			}
 			return nil
 		case errors.Is(err, coord.ErrBadVersion), errors.Is(err, coord.ErrNodeExists),
@@ -997,10 +1065,16 @@ func (d *DUFS) Truncate(path string, size int64) error {
 // the znode; file modes live with the physical file, matching the
 // paper's split of metadata ownership (§IV-D).
 //
-// The znode write is guarded on the bytes the lookup read, so a name
-// renamed over in between is never overwritten with the data of what it
-// used to be (a file would lose its FID to directory data); the lookup
-// is retried instead.
+// A directory's data is its kind and mode alone, so its chmod is one
+// round trip with no lookup: a check guarded on the directory kind and
+// the set of the new data ride in one Multi. A guard that misses says
+// what the name is: a file is chmodded on its back-end — the leader
+// answers the miss from its state, with nothing proposed
+// (coord.Session's idle multi), so a file's chmod costs the one read it
+// always did — and a symlink's znode is set by a batch guarded on
+// exactly the bytes returned, looping while a concurrent writer gets in
+// between. No name is ever overwritten with the data of what it used to
+// be (a file would lose its FID to directory data).
 func (d *DUFS) Chmod(path string, perm uint32) error {
 	d.count("chmod")
 	ctx := opCtx()
@@ -1009,12 +1083,17 @@ func (d *DUFS) Chmod(path string, perm uint32) error {
 		return err
 	}
 	zp := d.zpath(p)
+	guard := []byte{kindDir}
+	data := encodeNodeData(nodeData{Kind: kindDir, Mode: perm & vfs.PermMask})
 	for {
-		raw, _, err := d.sess.GetCtx(ctx, zp)
-		if err != nil {
+		res, err := d.sess.MultiCtx(ctx, []coord.Op{
+			coord.CheckDataOp(zp, -1, guard),
+			coord.SetOp(zp, data, -1),
+		})
+		if !errors.Is(err, coord.ErrBadVersion) {
 			return mapError(err)
 		}
-		nd, err := decodeNodeData(raw)
+		nd, err := checkedNode(res)
 		if err != nil {
 			return err
 		}
@@ -1023,13 +1102,7 @@ func (d *DUFS) Chmod(path string, perm uint32) error {
 			return backend.Chmod(phys, perm)
 		}
 		nd.Mode = perm & vfs.PermMask
-		_, err = d.sess.MultiCtx(ctx, []coord.Op{
-			coord.CheckDataOp(zp, -1, raw),
-			coord.SetOp(zp, encodeNodeData(nd), -1),
-		})
-		if !errors.Is(err, coord.ErrBadVersion) {
-			return mapError(err)
-		}
+		guard, data = res[0].Data, encodeNodeData(nd)
 	}
 }
 

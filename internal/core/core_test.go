@@ -147,7 +147,7 @@ func TestPhysicalPathIsFIDDerived(t *testing.T) {
 	// directory, the client ID and the counter's other digits the file.
 	g, _ := fid.NewGenerator(d.ClientID())
 	f := g.Next() // the first FID this client minted
-	phys := "/" + f.PhysicalPath()
+	phys := f.PhysicalPath()
 	got, err := vfs.ReadFile(env.mems[0], phys)
 	if err != nil {
 		t.Fatalf("physical file not at %s: %v", phys, err)

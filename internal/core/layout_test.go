@@ -56,7 +56,7 @@ func TestCreateMakesOneBackendDirectory(t *testing.T) {
 			t.Fatal(err)
 		}
 		h.Close()
-		top, _, _ := strings.Cut(g.Next().PhysicalPath(), "/")
+		top, _, _ := strings.Cut(g.Next().PhysicalPath()[1:], "/")
 		tops[top] = true
 	}
 	if got := back.mkdirs.Load(); got != n {

@@ -215,7 +215,14 @@ func voters(t *testing.T) (*stack, []row) {
 		rows = append(rows, row{op: "lease get", at: at, in: "§13.4", do: func(int) error {
 			_, err := sess.Do(context.Background(), coord.Op{Kind: coord.OpGet, Path: dir, Lease: true})
 			return err
-		}}, row{op: "sync", at: at, in: "§13.4", do: func(int) error { return sess.Sync() }})
+		}}, row{op: "sync", at: at, in: "§13.4", do: func(int) error { return sess.Sync() }},
+			row{op: "guard miss", at: at, in: "§13.4", do: func(int) error {
+				_, err := sess.Multi([]coord.Op{coord.CheckDataOp(dir, -1, []byte("not its data")), coord.DeleteOp(dir, -1)})
+				if !errors.Is(err, coord.ErrBadVersion) {
+					return fmt.Errorf("a batch behind a failing check returned %v, want ErrBadVersion", err)
+				}
+				return nil
+			}})
 	}
 	for i := range rows {
 		rows[i].n, rows[i].delay = 5, true
@@ -258,10 +265,12 @@ func dufs(t *testing.T) (*stack, []row) {
 	s := newStack(transport.NewInProc())
 	sess := connect(t, s.net, s.ensemble(t, coord.EnsembleConfig{Servers: 1}).ClientAddrs[0])
 	d := must(core.New(core.Config{Session: sess, Backends: []vfs.FileSystem{backend{memfs.New(), &s.backend}, backend{memfs.New(), &s.backend}}}))
-	for _, dir := range []string{"/dir", "/m", "/cd"} {
+	for _, dir := range []string{"/dir", "/m", "/cd", "/r"} {
 		noErr(d.Mkdir(dir, 0o755))
 	}
-	noErr(vfs.WriteFile(d, "/dir/f", []byte("x")))
+	for _, f := range []string{"/dir/f", "/r/a", "/r/b"} {
+		noErr(vfs.WriteFile(d, f, []byte("x")))
+	}
 	// once runs a vfs op once, which must return want.
 	once := func(op, at string, want error, do func() error) row {
 		return row{op: op, at: at, n: 1, do: func(int) error {
@@ -284,6 +293,9 @@ func dufs(t *testing.T) (*stack, []row) {
 		once("readdir", "a file: ErrNotDir", vfs.ErrNotDir, func() error { _, err := d.Readdir("/dir/f"); return err }),
 		{op: "mkdir", at: "a new name", n: 10, do: func(i int) error { return d.Mkdir(fmt.Sprintf("/m/d%d", i), 0o755) }},
 		once("chmod", "a directory", nil, func() error { return d.Chmod("/cd", 0o700) }),
+		once("chmod", "a file", nil, func() error { return d.Chmod("/dir/f", 0o600) }),
+		once("rename", "a file, to a new name", nil, func() error { return d.Rename("/r/a", "/r/x") }),
+		once("rename", "a file, over a file", nil, func() error { return d.Rename("/r/x", "/r/b") }),
 	}
 	for i := range rows {
 		rows[i].in = "§8.5"

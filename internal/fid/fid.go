@@ -22,7 +22,7 @@
 // directory and the other 28 digits, most significant first, as the
 // file name:
 //
-//	FID 0000000000000000 0123456789abcdef  ->  cdef/00000000000000000123456789ab
+//	FID 0000000000000000 0123456789abcdef  ->  /cdef/00000000000000000123456789ab
 //
 // The hierarchy is static and bounded: at most 65 536 directories per
 // back-end, each created by the first file that needs it.
@@ -91,17 +91,18 @@ func Parse(s string) (FID, error) {
 // least significant group, as in the paper's first component.
 const dirLen = 4
 
-// PhysicalPath derives the back-end relative path for the FID: the
-// least significant dirLen hex digits as the directory, then '/', then
-// the remaining digits, most significant first, as the file name. See
-// the package comment for the paper example.
+// PhysicalPath derives the FID's path on its back-end mount: under the
+// mount's root, the least significant dirLen hex digits as the
+// directory, then '/', then the remaining digits, most significant
+// first, as the file name. See the package comment for the paper
+// example. The string is the one allocation.
 func (f FID) PhysicalPath() string {
 	// The digits land behind room for the directory, whose digits are
 	// then copied from the tail to the front.
-	var b [dirLen + 1 + 32]byte
-	f.putHex(b[dirLen+1:])
-	copy(b[:dirLen], b[len(b)-dirLen:])
-	b[dirLen] = '/'
+	var b [1 + dirLen + 1 + 32]byte
+	f.putHex(b[1+dirLen+1:])
+	copy(b[1:1+dirLen], b[len(b)-dirLen:])
+	b[0], b[1+dirLen] = '/', '/'
 	return string(b[:len(b)-dirLen])
 }
 

@@ -58,7 +58,7 @@ func TestPhysicalPathPaperExample(t *testing.T) {
 	// directory, and the other 28 digits, in order, are the file name.
 	f := FID{Hi: 0, Lo: 0x0123456789abcdef}
 	p := f.PhysicalPath()
-	want := "cdef/00000000000000000123456789ab"
+	want := "/cdef/00000000000000000123456789ab"
 	if p != want {
 		t.Fatalf("PhysicalPath() = %q, want %q", p, want)
 	}
@@ -67,9 +67,11 @@ func TestPhysicalPathPaperExample(t *testing.T) {
 func TestPhysicalPathRoundTrip(t *testing.T) {
 	if err := quick.Check(func(hi, lo uint64) bool {
 		f := FID{Hi: hi, Lo: lo}
-		// Two components: the low group, then the rest of the digits.
-		parts := strings.Split(f.PhysicalPath(), "/")
-		if len(parts) != 2 || len(parts[0]) != 4 || len(parts[1]) != 28 {
+		// Two components under the root: the low group, then the rest
+		// of the digits.
+		rel, rooted := strings.CutPrefix(f.PhysicalPath(), "/")
+		parts := strings.Split(rel, "/")
+		if !rooted || len(parts) != 2 || len(parts[0]) != 4 || len(parts[1]) != 28 {
 			return false
 		}
 		got, err := Parse(parts[1] + parts[0])
@@ -93,8 +95,8 @@ func TestPhysicalDirs(t *testing.T) {
 		{FID{Hi: 9, Lo: 0x20000}, "0000"},
 	} {
 		p := c.f.PhysicalPath()
-		dir, name, ok := strings.Cut(p, "/")
-		if !ok || strings.Contains(name, "/") {
+		dir, name, ok := strings.Cut(strings.TrimPrefix(p, "/"), "/")
+		if !ok || p[0] != '/' || strings.Contains(name, "/") {
 			t.Fatalf("PhysicalPath() = %q, want exactly one directory", p)
 		}
 		if dir != c.dir {
