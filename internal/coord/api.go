@@ -475,31 +475,25 @@ func decodeOps(r *wire.Reader, ops []znode.MultiOp) ([]znode.MultiOp, error) {
 		return nil, fmt.Errorf("coord: multi op count %d exceeds payload", n)
 	}
 	for i := uint32(0); i < n; i++ {
-		op := decodeOp(r)
+		op := znode.MultiOp{
+			Kind: znode.MultiKind(r.Uint8()),
+			Path: r.String(),
+			// Borrowed from the transaction buffer: the tree copies data
+			// into any node it creates or sets, and no op is read after
+			// the call that decoded it returns.
+			Data:    r.BorrowBytes(),
+			Mode:    znode.CreateMode(r.Uint8()),
+			Version: r.Int32(),
+		}
+		if op.Kind == znode.MultiMove {
+			op.To = r.String()
+		}
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
 		ops = append(ops, op)
 	}
 	return ops, nil
-}
-
-// decodeOp reads one op of a Multi batch.
-func decodeOp(r *wire.Reader) znode.MultiOp {
-	op := znode.MultiOp{
-		Kind: znode.MultiKind(r.Uint8()),
-		Path: r.String(),
-		// Borrowed from the transaction buffer: the tree copies data
-		// into any node it creates or sets, and no op is read after the
-		// call that decoded it returns.
-		Data:    r.BorrowBytes(),
-		Mode:    znode.CreateMode(r.Uint8()),
-		Version: r.Int32(),
-	}
-	if op.Kind == znode.MultiMove {
-		op.To = r.String()
-	}
-	return op
 }
 
 // encodeMultiResults appends the replicated outcome of a Multi batch:

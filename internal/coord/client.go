@@ -53,6 +53,14 @@ type Session struct {
 	// reconnect replay can always be recognised.
 	window chan struct{}
 
+	// unsettled counts the replicated writes the session stopped waiting
+	// for before a server answered them: one may still be in a leader's
+	// pipeline. A call abandoned to its context is settled when its
+	// answer arrives after all; a write whose retries ran out, never.
+	// While any is unsettled a check-led batch goes to the log (see
+	// encode).
+	unsettled atomic.Int64
+
 	// seen is the session's stamp: the highest zxid a reply has carried.
 	seen atomic.Uint64
 
@@ -292,13 +300,29 @@ func (s *Session) exchange(ctx context.Context, w *wire.Writer) (payload []byte,
 // back-off). Whatever goes wrong on the leader connection, the same
 // bytes go home next, to be served or redirected again. The dedup window
 // makes the attempts of a write one write.
+//
+// A write that ends without a server's answer is unsettled (see
+// Session.unsettled).
 func (s *Session) requestCtxOwned(ctx context.Context, msg []byte) (payload []byte, zxid uint64, retained bool, err error) {
 	deadline := time.Now().Add(DialTimeout)
 	callerDeadline := false
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline, callerDeadline = d, true
 	}
-	toLeader := len(msg) > 0 && (proposes(msg[0]) || msg[0] == opLeaseRead || msg[0] == opSync || msg[0] == opIdleMulti)
+	write := len(msg) > 0 && (proposes(msg[0]) || msg[0] == opIdleMulti)
+	toLeader := write || len(msg) > 0 && (msg[0] == opLeaseRead || msg[0] == opSync)
+	answered := false                    // a server answered the write
+	var late <-chan transport.CallResult // where an abandoned attempt's result arrives
+	if write {
+		defer func() {
+			if !answered {
+				s.unsettled.Add(1)
+				if late != nil {
+					go s.settleLate(late)
+				}
+			}
+		}()
+	}
 	var lastErr error
 	var refusals int // in a row, by the home connection of generation refusedBy
 	var refusedBy uint64
@@ -326,8 +350,15 @@ func (s *Session) requestCtxOwned(ctx context.Context, msg []byte) (payload []by
 			}
 			continue
 		}
-		resp, abandoned, err := s.call(ctx, c, msg)
-		retained = retained || abandoned
+		resp, pending, abandoned, err := s.call(ctx, c, msg)
+		retained, late = retained || abandoned, pending
+		if msg[0] == opIdleMulti {
+			// Any attempt may have been proposed — a leader that steps
+			// down redirects the txns it had enqueued, and one may still
+			// commit — and only the dedup window answers its retry
+			// rightly: every retry goes to the log.
+			msg = msg[idleMultiHead:]
+		}
 		if err == nil {
 			var malformed error
 			if payload, zxid, err, malformed = splitReply(resp); malformed != nil {
@@ -345,6 +376,7 @@ func (s *Session) requestCtxOwned(ctx context.Context, msg []byte) (payload []by
 				continue
 			}
 			if err != errBehind {
+				answered = true
 				return payload, zxid, retained, err
 			}
 		}
@@ -352,11 +384,6 @@ func (s *Session) requestCtxOwned(ctx context.Context, msg []byte) (payload []by
 			return nil, 0, retained, ctx.Err()
 		}
 		lastErr = err
-		if msg[0] == opIdleMulti {
-			// This attempt may have been proposed, and only the dedup
-			// window answers its retry rightly: the next goes to the log.
-			msg = msg[idleMultiHead:]
-		}
 		if direct {
 			s.dropLead(gen)
 			continue // through home, at once
@@ -403,22 +430,40 @@ func splitReply(resp []byte) (body []byte, zxid uint64, status, err error) {
 // call performs one transport round trip. Uncancellable contexts take
 // the direct path (no goroutine, no channel — the hot path is exactly
 // the old synchronous one); cancellable contexts go through the
-// transport's async submission so the wait can be abandoned. The
-// abandoned flag reports whether msg may still be referenced after
-// return: a natively-pipelining connection has copied msg out before
-// CallAsync returns, but the goroutine fallback around a blocking Call
-// holds msg until the call completes.
-func (s *Session) call(ctx context.Context, c transport.Conn, msg []byte) (payload []byte, abandoned bool, err error) {
+// transport's async submission so the wait can be abandoned. An
+// abandoned call's result still arrives, on late. The abandoned flag
+// reports whether msg may still be referenced after return: a
+// natively-pipelining connection has copied msg out before CallAsync
+// returns, but the goroutine fallback around a blocking Call holds msg
+// until the call completes.
+func (s *Session) call(ctx context.Context, c transport.Conn, msg []byte) (payload []byte, late <-chan transport.CallResult, abandoned bool, err error) {
 	if ctx.Done() == nil {
 		payload, err = c.Call(msg)
-		return payload, false, err
+		return payload, nil, false, err
 	}
 	_, native := c.(transport.AsyncCaller)
+	ch := transport.CallAsync(c, msg)
 	select {
-	case res := <-transport.CallAsync(c, msg):
-		return res.Payload, false, res.Err
+	case res := <-ch:
+		return res.Payload, nil, false, res.Err
 	case <-ctx.Done():
-		return nil, !native, ctx.Err()
+		return nil, ch, !native, ctx.Err()
+	}
+}
+
+// settleLate waits for the result of a write call abandoned to its
+// context and settles the write if a server answered it: applied or
+// aborted, it can no longer be ordered behind a later op. A redirect, a
+// refusal or a failed connection leaves it unsettled.
+func (s *Session) settleLate(late <-chan transport.CallResult) {
+	res := <-late
+	if res.Err != nil {
+		return
+	}
+	if _, _, status, err := splitReply(res.Payload); err == nil {
+		if _, redirect := status.(notLeader); !redirect {
+			s.unsettled.Add(-1)
+		}
 	}
 }
 
@@ -514,9 +559,10 @@ func (s *Session) encode(w *wire.Writer, op Op) (write bool, err error) {
 		if err := CheckBatch(ops); err != nil {
 			return false, err
 		}
-		if ops[0].Kind == OpCheck && len(s.window) == 0 {
-			// None of the session's writes is in flight, so the leader may
-			// answer a failing leading check from its state (opIdleMulti).
+		if ops[0].Kind == OpCheck && len(s.window) == 0 && s.unsettled.Load() == 0 {
+			// None of the session's writes is in flight or unsettled, so
+			// the leader may answer a failing leading check from its state
+			// (opIdleMulti).
 			w.Uint8(opIdleMulti)
 			w.Uint64(max(op.Zxid, s.seen.Load()))
 		}
@@ -712,7 +758,7 @@ func (s *Session) WaitEvents(ctx context.Context, maxWait time.Duration) ([]Even
 		w.Uint64(s.id)
 		w.Uint32(uint32(remaining / time.Millisecond))
 		w.Uint64(s.seen.Load())
-		resp, abandoned, err := s.call(ctx, c, w.Bytes())
+		resp, _, abandoned, err := s.call(ctx, c, w.Bytes())
 		if !abandoned {
 			wire.PutWriter(w)
 		}

@@ -1,10 +1,12 @@
 package coord
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/coord/zab"
 	"repro/internal/coord/znode"
@@ -138,53 +140,182 @@ func TestGuardMissFallsBackToTheLog(t *testing.T) {
 // TestRetryOfAnIdleMultiGoesToTheLog: an attempt that may have been
 // proposed is never followed by one the leader answers from its state,
 // since only the dedup window answers a retry of a proposed batch
-// rightly. The first attempt's reply is lost after the leader applied
-// it; the retry must return that commit, not the failed check the
-// commit left behind.
+// rightly. The first attempt is applied, and then its reply is lost, or
+// replaced by the redirect a leader that steps down gives the txns it
+// had enqueued (one of which may still commit under the next leader,
+// as this one did). The retry must return that commit, not the failed
+// check the commit left behind.
 func TestRetryOfAnIdleMultiGoesToTheLog(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		fault func(addr string) ([]byte, error)
+	}{
+		{"a lost reply", func(string) ([]byte, error) { return nil, errors.New("the reply was lost") }},
+		{"a redirect after the proposal", func(addr string) ([]byte, error) { return stamped(errResult(notLeader(addr)), 0), nil }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := startTestEnsemble(t, 1)
+			net := &idleReplyFault{Network: e.net, fault: func() ([]byte, error) { return c.fault(e.ClientAddrs[0]) }}
+			s, err := Connect(net, e.ClientAddrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			if _, err := s.Create("/r", []byte("file"), znode.ModePersistent); err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Multi([]Op{CheckDataOp("/r", -1, []byte("file")), DeleteOp("/r", -1)})
+			if !net.fired.Load() {
+				t.Fatal("no reply was replaced; the test is vacuous")
+			}
+			if err != nil || len(res) != 2 || string(res[0].Data) != "file" {
+				t.Fatalf("the retried batch returned %+v, %v; want the first attempt's commit", res, err)
+			}
+		})
+	}
+}
+
+// idleReplyFault replaces the reply to the first idle multi, after the
+// server has handled it, with what fault returns.
+type idleReplyFault struct {
+	transport.Network
+	fault func() ([]byte, error)
+	fired atomic.Bool
+}
+
+func (n *idleReplyFault) Dial(addr string) (transport.Conn, error) {
+	c, err := n.Network.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &idleReplyConn{Conn: c, n: n}, nil
+}
+
+type idleReplyConn struct {
+	transport.Conn
+	n *idleReplyFault
+}
+
+func (c *idleReplyConn) Call(req []byte) ([]byte, error) {
+	resp, err := c.Conn.Call(req)
+	if err == nil && req[0] == opIdleMulti && c.n.fired.CompareAndSwap(false, true) {
+		return c.n.fault()
+	}
+	return resp, err
+}
+
+// TestUnsettledWriteSendsBatchesToTheLog: a write the session stopped
+// waiting for may still be in the leader's pipeline, where ReadBarrier
+// would not wait for it, so until a server answers it, a batch whose
+// leading check fails is proposed — ordered behind it — rather than
+// answered from the leader's state. A write held on its way to the
+// server past its caller's deadline is settled when its answer arrives
+// after all; one whose late result is a failed connection, or whose
+// every attempt failed before the deadline, never is.
+func TestUnsettledWriteSendsBatchesToTheLog(t *testing.T) {
 	e := startTestEnsemble(t, 1)
-	net := &loseIdleReply{Network: e.net}
+	leader := e.Servers[0]
+	net := &faultSets{Network: e.net}
 	s, err := Connect(net, e.ClientAddrs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	if _, err := s.Create("/r", []byte("file"), znode.ModePersistent); err != nil {
+	if _, err := s.Create("/g", []byte("data"), znode.ModePersistent); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Multi([]Op{CheckDataOp("/r", -1, []byte("file")), DeleteOp("/r", -1)})
-	if !net.lost.Load() {
-		t.Fatal("no reply was lost; the test is vacuous")
+	missed := func(want bool, when string) {
+		t.Helper()
+		writes, misses := counter(leader, "writes"), counter(leader, "guard_misses")
+		if _, err := s.Multi(missBatch("/g")); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("%s: the batch returned %v, want ErrBadVersion", when, err)
+		}
+		got := counter(leader, "guard_misses") == misses+1 && counter(leader, "writes") == writes
+		if got != want {
+			t.Fatalf("%s: answered at the leader = %v, want %v (writes %d → %d)",
+				when, got, want, writes, counter(leader, "writes"))
+		}
 	}
-	if err != nil || len(res) != 2 || string(res[0].Data) != "file" {
-		t.Fatalf("the retried batch returned %+v, %v; want the first attempt's commit", res, err)
+	// set sends a set with a 20 ms deadline, held on its way until gate
+	// closes (nil: not held), and wants the deadline back.
+	set := func(gate chan struct{}, fail bool) {
+		t.Helper()
+		net.gate.Store(&gate)
+		net.fail.Store(fail)
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		if _, err := s.SetCtx(ctx, "/g", []byte("later"), -1); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("the set returned %v, want the context's deadline", err)
+		}
 	}
+	missed(true, "before any write was abandoned")
+
+	held := make(chan struct{})
+	set(held, false)
+	missed(false, "with the abandoned write held")
+	if _, err := s.Create("/after", nil, znode.ModePersistent); err != nil {
+		t.Fatal(err)
+	}
+	missed(false, "with the abandoned write held and a later one answered")
+	close(held)
+	for deadline := time.Now().Add(5 * time.Second); s.unsettled.Load() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the abandoned write's answer never settled it")
+		}
+	}
+	if data, _, err := s.Get("/g"); err != nil || string(data) != "later" {
+		t.Fatalf("/g = %q, %v after the abandoned write was answered", data, err)
+	}
+	missed(true, "once the abandoned write was answered")
+
+	held = make(chan struct{})
+	set(held, true)
+	close(held)
+	for deadline := time.Now().Add(50 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if s.unsettled.Load() == 0 {
+			t.Fatal("a write whose late result is a failed connection was settled")
+		}
+	}
+	set(nil, true)
+	if s.unsettled.Load() != 2 {
+		t.Fatalf("%d writes unsettled, want 2", s.unsettled.Load())
+	}
+	net.fail.Store(false)
+	if _, err := s.Set("/g", []byte("data"), -1); err != nil {
+		t.Fatal(err)
+	}
+	missed(false, "after writes that never reached the server")
 }
 
-// loseIdleReply fails the first idle multi after the server has answered
-// it, as a connection that dies with the reply on the way would.
-type loseIdleReply struct {
+// faultSets holds every set request on its way to the server until the
+// gate closes, then fails it there while fail is set.
+type faultSets struct {
 	transport.Network
-	lost atomic.Bool
+	gate atomic.Pointer[chan struct{}]
+	fail atomic.Bool
 }
 
-func (n *loseIdleReply) Dial(addr string) (transport.Conn, error) {
+func (n *faultSets) Dial(addr string) (transport.Conn, error) {
 	c, err := n.Network.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	return &loseIdleConn{Conn: c, n: n}, nil
+	return &faultSetsConn{Conn: c, n: n}, nil
 }
 
-type loseIdleConn struct {
+type faultSetsConn struct {
 	transport.Conn
-	n *loseIdleReply
+	n *faultSets
 }
 
-func (c *loseIdleConn) Call(req []byte) ([]byte, error) {
-	resp, err := c.Conn.Call(req)
-	if err == nil && req[0] == opIdleMulti && c.n.lost.CompareAndSwap(false, true) {
-		return nil, errors.New("the reply was lost")
+func (c *faultSetsConn) Call(req []byte) ([]byte, error) {
+	if req[0] == opSet {
+		if gate := c.n.gate.Load(); gate != nil && *gate != nil {
+			<-*gate
+		}
+		if c.n.fail.Load() {
+			return nil, errors.New("the connection failed")
+		}
 	}
-	return resp, err
+	return c.Conn.Call(req)
 }

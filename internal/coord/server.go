@@ -287,43 +287,29 @@ func (s *Server) handleClient(req []byte) ([]byte, error) {
 // checks hold goes to the log without waiting on it.
 //
 // The session sends the batch this way only while none of its
-// replicated ops is in flight, and only on its first attempt (a retry
-// may follow an attempt that was proposed, and only the dedup window
-// answers that one rightly), so no write the session issued before it
-// can still be ordered ahead of it.
+// replicated ops is in flight or unsettled, and only on its first
+// attempt (a retry may follow an attempt that was proposed, and only the
+// dedup window answers that one rightly), so no write the session issued
+// before it can still be ordered ahead of it.
 func (s *Server) answerGuardMiss(stamp uint64, txn []byte) (reply []byte, ok bool) {
 	var r wire.Reader
-	body := txn[1:]
-	r.Reset(body)
+	r.Reset(txn[1:])
 	r.Uint64() // session
 	r.Uint64() // seq
 	r.Int64()  // nowNano
-	batch := body[len(body)-r.Remaining():]
-	n := int(r.Uint32())
-	// Only the leading checks are decoded for the first look: most
-	// batches pass it and go to the log, where the apply decodes them.
 	var buf [4]znode.MultiOp
-	checks := buf[:0]
-	for len(checks) < min(n, len(buf)) {
-		op := decodeOp(&r)
-		if r.Err() != nil || op.Kind != znode.MultiCheck {
-			break
-		}
-		checks = append(checks, op)
-	}
-	if _, miss := s.sm.treeRef().FailedCheck(checks, len(checks)); !miss {
-		return nil, false
-	}
-	r.Reset(batch)
 	ops, err := decodeOps(&r, buf[:0])
 	if err != nil {
 		return nil, false // the apply refuses it
+	}
+	if _, miss := s.sm.treeRef().FailedCheck(ops); !miss {
+		return nil, false
 	}
 	applied, err := s.node.ReadBarrier(stampWait)
 	if err != nil || applied < stamp || s.sm.bounceBatch(ops) != nil {
 		return nil, false
 	}
-	results, miss := s.sm.treeRef().FailedCheck(ops, len(ops))
+	results, miss := s.sm.treeRef().FailedCheck(ops)
 	if !miss {
 		return nil, false
 	}

@@ -242,7 +242,7 @@ func TestFailedCheckIsMultisAbort(t *testing.T) {
 		{"a check behind a held check and a write", []MultiOp{check("/d", "dir"), set, check("/d/none", "")}, false},
 	} {
 		before := stateOf(tr)
-		got, miss := tr.FailedCheck(c.ops, len(c.ops))
+		got, miss := tr.FailedCheck(c.ops)
 		if miss != c.miss {
 			t.Fatalf("%s: miss = %v, want %v", c.name, miss, c.miss)
 		}

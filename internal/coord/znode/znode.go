@@ -770,14 +770,13 @@ func (t *Tree) Multi(ops []MultiOp, session, zxid uint64, nowNano int64) (result
 	return results, true
 }
 
-// FailedCheck evaluates the checks a batch of n ops leads with, as Multi
-// would meet them but under read locks and writing nothing: when one
-// fails, it returns the results Multi would return for the whole batch —
-// that check's error, stat and data, ErrRolledBack on every other op —
-// and true. ops is the batch or a prefix of it holding its leading
-// checks; no op behind them is looked at. The checks are evaluated
+// FailedCheck evaluates the checks a batch leads with, as Multi would
+// meet them but under read locks and writing nothing: when one fails, it
+// returns the results Multi would return for the batch — that check's
+// error, stat and data, ErrRolledBack on every other op — and true. No
+// op behind the leading checks is looked at. The checks are evaluated
 // together, under one acquisition of their stripes.
-func (t *Tree) FailedCheck(ops []MultiOp, n int) ([]MultiResult, bool) {
+func (t *Tree) FailedCheck(ops []MultiOp) ([]MultiResult, bool) {
 	lead := 0
 	for lead < len(ops) && ops[lead].Kind == MultiCheck {
 		lead++
@@ -793,7 +792,7 @@ func (t *Tree) FailedCheck(ops []MultiOp, n int) ([]MultiResult, bool) {
 		if err == nil {
 			continue
 		}
-		results := make([]MultiResult, n)
+		results := make([]MultiResult, len(ops))
 		for j := range results {
 			results[j].Err = ErrRolledBack
 		}

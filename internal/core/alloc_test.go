@@ -80,7 +80,7 @@ func TestDUFSAllocBudget(t *testing.T) {
 			return d.Rename(fmt.Sprintf("/dir/f%02d", 7+renamed%2), fmt.Sprintf("/dir/f%02d", 8-renamed%2))
 		}},
 		{"chmod-dir", 28, func() error { return d.Chmod("/dir", 0o700) }},
-		{"chmod-file", 22, func() error { return d.Chmod("/dir/f09", 0o600) }},
+		{"chmod-file", 20, func() error { return d.Chmod("/dir/f09", 0o600) }},
 	} {
 		n := testing.AllocsPerRun(allocRuns, func() {
 			if err := c.op(); err != nil {
