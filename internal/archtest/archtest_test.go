@@ -164,6 +164,15 @@ var guards = []guard{
 		},
 	},
 	{
+		name:   "One tree lock",
+		design: "§14.2",
+		msg: "the znode tree is guarded by lock stripes or a second mutex again; " +
+			"every op takes Tree.mu, which also covers the ephemeral index",
+		dirs:  []string{"internal/coord/znode"},
+		names: regexp.MustCompile(`^(stripes?|stripeFor|stripeCount|(un)?lockAll|r(un)?lockAll|(un)?lockMask|r(un)?lockMask|multiLockSet|(un)?lockWrite|r(un)?lockPath|emu)$`),
+		text:  regexp.MustCompile(`(?i)stripe`),
+	},
+	{
 		name:   "One wake-up per waiter",
 		design: "§9.5",
 		msg: "zab has a condition shared by every leader goroutine again, or a targeted Signal is a Broadcast again; " +

@@ -11,11 +11,11 @@ import (
 	"repro/internal/coord/znode"
 )
 
-// TestWatchSemanticsUnderConcurrentReads pins that the striped read
-// path did not change watch-fire semantics: while reader goroutines
-// hammer the same server's Get/Children/Exists (read locks on the very
-// stripes the watched paths hash to), every registered one-shot watch
-// still fires exactly once for the write that follows it.
+// TestWatchSemanticsUnderConcurrentReads pins that concurrent reads do
+// not change watch-fire semantics: while reader goroutines hammer the
+// same server's Get/Children/Exists (read locks on the tree the writes
+// take in write mode), every registered one-shot watch still fires
+// exactly once for the write that follows it.
 func TestWatchSemanticsUnderConcurrentReads(t *testing.T) {
 	_, a, b := watchEnv(t)
 	const paths = 6
@@ -49,7 +49,7 @@ func TestWatchSemanticsUnderConcurrentReads(t *testing.T) {
 
 	// Register a data watch per path, then write each path once. Every
 	// watch must deliver exactly one EventDataChanged despite the read
-	// storm on the same stripes.
+	// storm on the same paths.
 	for i := 0; i < paths; i++ {
 		if _, _, err := a.GetW(fmt.Sprintf("/cw%d", i)); err != nil {
 			t.Fatal(err)

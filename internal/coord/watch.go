@@ -269,8 +269,8 @@ func (w *watchTable) dropSession(session uint64) {
 // delivered: dropping it releases its parked WaitEvents, watched or
 // not. Any other mutation returns at once while no watch is armed
 // here. That misses no event: the state machine notifies after its
-// mutation released the znode stripe lock, and a watched read
-// registers its watch before it takes that stripe lock to read (GetW,
+// mutation released the znode tree lock, and a watched read
+// registers its watch before it takes that tree lock to read (GetW,
 // ExistsW, ChildrenW). If the read's lock came first, the registration
 // happens-before the mutation and so before this load, which sees the
 // watch; if this load sees zero, the read's lock came after the

@@ -174,10 +174,10 @@ func TestMultiMoveReplacesAnEphemeral(t *testing.T) {
 	}
 }
 
-// TestMultiMoveAcrossStripesUnderReads moves nodes back and forth between
-// two top-level subtrees while readers walk both: run under -race, it
-// fails if a move does not hold both names' stripes.
-func TestMultiMoveAcrossStripesUnderReads(t *testing.T) {
+// TestMultiMoveAcrossSubtreesUnderReads moves nodes back and forth
+// between two top-level subtrees while readers walk both: run under
+// -race, it fails if a move does not hold the tree lock over both names.
+func TestMultiMoveAcrossSubtreesUnderReads(t *testing.T) {
 	tr := New()
 	for _, p := range []string{"/p", "/q"} {
 		mustCreate(t, tr, p, nil)
@@ -236,7 +236,7 @@ func TestFailedCheckIsMultisAbort(t *testing.T) {
 		{"the first check fails", []MultiOp{check("/d/f", "dir"), set}, true},
 		{"the second check fails", []MultiOp{check("/d", "dir"), check("/e", "file"), set}, true},
 		{"a missing node", []MultiOp{check("/d/none", ""), set}, true},
-		{"across stripes", []MultiOp{check("/e", "dir"), check("/d/f", "file"), check("/d", "file"), set}, true},
+		{"across subtrees", []MultiOp{check("/e", "dir"), check("/d/f", "file"), check("/d", "file"), set}, true},
 		{"the checks hold", []MultiOp{check("/d", "dir"), check("/d/f", "file"), set}, false},
 		{"a check behind a write", []MultiOp{set, check("/d/f", "dir")}, false},
 		{"a check behind a held check and a write", []MultiOp{check("/d", "dir"), set, check("/d/none", "")}, false},

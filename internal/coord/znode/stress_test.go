@@ -7,13 +7,13 @@ import (
 	"testing"
 )
 
-// TestConcurrentReadersSingleWriter is the striped-lock stress test:
+// TestConcurrentReadersSingleWriter is the tree lock's stress test:
 // many readers hammer Get/Exists/Children/ChildrenData on subtrees the
 // writer is mutating (overlapping), on subtrees it never touches
 // (disjoint — these must never observe contention artifacts), and on
-// "/" (which crosses every stripe), while one writer runs a
+// "/" (whose listing spans every subtree), while one writer runs a
 // deterministic Create/Set/Delete/Multi script, rollbacks included.
-// Run with -race this is the data-race proof for the striping scheme;
+// Run with -race this is the data-race proof for the locking scheme;
 // the assertions pin the semantics:
 //
 //   - per-path Mzxid never goes backwards under a reader's feet
@@ -23,8 +23,8 @@ import (
 //     one of the pair of nodes it creates together... (checked via the
 //     paired-node invariant below),
 //   - the final tree fingerprint equals the same script applied
-//     serially to a private tree — striping changed locking, not
-//     outcomes.
+//     serially to a private tree — concurrent readers change nothing
+//     the writer does.
 func TestConcurrentReadersSingleWriter(t *testing.T) {
 	const (
 		readers  = 8
@@ -128,7 +128,7 @@ func TestConcurrentReadersSingleWriter(t *testing.T) {
 					errs <- fmt.Errorf("reader %d: ChildrenData(/static): %v", id, err)
 					return
 				}
-				// Cross-stripe: the root listing touches every stripe.
+				// The root listing spans every top-level subtree.
 				if kids, err := live.Children("/"); err != nil || len(kids) != 3 {
 					errs <- fmt.Errorf("reader %d: Children(/) = %v (%v)", id, kids, err)
 					return
@@ -154,10 +154,10 @@ func TestConcurrentReadersSingleWriter(t *testing.T) {
 	}
 }
 
-// TestConcurrentStructuralRootOps races depth-1 creates/deletes (which
-// take every stripe) against readers walking through the root — the
-// all-stripes escalation path that keeps a root walk safe for
-// single-stripe holders.
+// TestConcurrentStructuralRootOps races depth-1 creates/deletes, which
+// change the root's child map, against readers walking through the
+// root: run under -race, it fails if a root walk can see that map
+// mid-write.
 func TestConcurrentStructuralRootOps(t *testing.T) {
 	tr := New()
 	if _, err := tr.Create("/base", nil, ModePersistent, 0, 1, 1); err != nil {
@@ -189,4 +189,52 @@ func TestConcurrentStructuralRootOps(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
+}
+
+// TestExpireSessionIsOneStep expires a session that owns 500 ephemerals
+// under /s while two readers poll the child count of /s: the expiry is
+// one committed transaction, so a reader must see all 500 or none, never
+// a state between them.
+func TestExpireSessionIsOneStep(t *testing.T) {
+	const n = 500
+	tr := New()
+	mustCreate(t, tr, "/s", nil)
+	for i := 0; i < n; i++ {
+		if _, err := tr.Create(fmt.Sprintf("/s/e%d", i), nil, ModeEphemeral, 7, uint64(2+i), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stop atomic.Bool
+	var started, wg sync.WaitGroup
+	torn := make([]int, 2)
+	for r := range torn {
+		started.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			first := true
+			for !stop.Load() {
+				st, _ := tr.Exists("/s")
+				if c := st.NumChildren; c != 0 && c != n {
+					torn[r]++
+				}
+				if first {
+					started.Done()
+					first = false
+				}
+			}
+		}()
+	}
+	started.Wait()
+	if deleted := tr.ExpireSession(7, n+2); len(deleted) != n {
+		t.Fatalf("expiry deleted %d nodes, want %d", len(deleted), n)
+	}
+	stop.Store(true)
+	wg.Wait()
+	if torn[0]+torn[1] > 0 {
+		t.Fatalf("readers saw %d reads with part of the session's ephemerals gone", torn[0]+torn[1])
+	}
+	if st, _ := tr.Exists("/s"); st.NumChildren != 0 {
+		t.Fatalf("/s has %d children after the expiry", st.NumChildren)
+	}
 }

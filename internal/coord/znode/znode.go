@@ -86,38 +86,17 @@ type node struct {
 	nextSeq  int64 // per-parent sequence counter for sequential children
 }
 
-// stripeCount is the number of lock stripes guarding the tree. Each
-// top-level subtree (first path component) hashes to one stripe, so
-// reads and writes on disjoint subtrees never touch the same mutex.
-// Power of two, sized well past the core counts this repo targets.
-const stripeCount = 32
-
-// stripe is one padded lock so neighbouring stripes do not share a
-// cache line (an RWMutex is 24 bytes; pad to 64).
-type stripe struct {
-	mu sync.RWMutex
-	_  [40]byte
-}
-
 // Tree is the znode namespace. The zero value is not usable; call New.
 //
-// Concurrency scheme: the single tree RWMutex is replaced by
-// stripeCount reader/writer stripes keyed by the first path component.
-// Every operation on a path under "/x/..." takes exactly the stripe of
-// "x", so operations on disjoint top-level subtrees proceed fully in
-// parallel. Structural changes to the root itself — create or delete
-// of a depth-1 node, which mutate the root's child map and stat — take
-// every stripe in write mode; conversely, any operation that walks
-// through the root holds at least one stripe, so it can never observe
-// the root's child map mid-write. Multi-stripe acquisition (Multi
-// batches, whole-tree reads) is always in ascending stripe order,
-// which makes deadlock impossible. The ephemeral-session index has its
-// own mutex, ordered strictly after stripe locks.
+// One reader/writer lock, mu, guards the whole tree and the ephemeral
+// index: every mutation (Create, Set, Delete, a Multi batch, a session
+// expiry, a restore or import) holds it in write mode, every read in
+// read mode. Mutations arrive one at a time from zab's serial apply, so
+// the lock orders them only against concurrent reads, and a read never
+// sees an op half done (DESIGN §14.2).
 type Tree struct {
-	stripes [stripeCount]stripe
-	root    *node
-	// emu guards ephemerals. Lock order: stripe locks first, emu last.
-	emu sync.Mutex
+	mu   sync.RWMutex
+	root *node
 	// ephemerals indexes ephemeral node paths by owning session so a
 	// session expiry can delete them in one sweep.
 	ephemerals map[uint64]map[string]bool
@@ -130,127 +109,6 @@ func New() *Tree {
 	return &Tree{
 		root:       &node{name: "/", children: make(map[string]*node)},
 		ephemerals: make(map[uint64]map[string]bool),
-	}
-}
-
-// stripeFor maps a path to the index of the stripe guarding its
-// top-level subtree, or -1 when the operation must hold every stripe
-// (the root itself). The caller has validated that path is absolute.
-func stripeFor(path string) int {
-	if len(path) <= 1 {
-		return -1
-	}
-	seg := path[1:]
-	if end := strings.IndexByte(seg, '/'); end >= 0 {
-		seg = seg[:end]
-	}
-	h := uint32(2166136261)
-	for i := 0; i < len(seg); i++ {
-		h = (h ^ uint32(seg[i])) * 16777619
-	}
-	return int(h % stripeCount)
-}
-
-func (t *Tree) lockAll() {
-	for i := range t.stripes {
-		t.stripes[i].mu.Lock()
-	}
-}
-
-func (t *Tree) unlockAll() {
-	for i := range t.stripes {
-		t.stripes[i].mu.Unlock()
-	}
-}
-
-func (t *Tree) rlockAll() {
-	for i := range t.stripes {
-		t.stripes[i].mu.RLock()
-	}
-}
-
-func (t *Tree) runlockAll() {
-	for i := range t.stripes {
-		t.stripes[i].mu.RUnlock()
-	}
-}
-
-// lockWrite acquires write coverage for a mutation at path: every
-// stripe when the mutation is structural at the root (rootStructural,
-// or path is the root itself), else the single stripe of path's
-// subtree. It returns the stripe index to hand back to unlockWrite.
-func (t *Tree) lockWrite(path string, rootStructural bool) int {
-	s := -1
-	if !rootStructural {
-		s = stripeFor(path)
-	}
-	if s < 0 {
-		t.lockAll()
-	} else {
-		t.stripes[s].mu.Lock()
-	}
-	return s
-}
-
-func (t *Tree) unlockWrite(s int) {
-	if s < 0 {
-		t.unlockAll()
-	} else {
-		t.stripes[s].mu.Unlock()
-	}
-}
-
-// rlockPath acquires read coverage for path (all stripes for the root,
-// whose child listing spans every subtree).
-func (t *Tree) rlockPath(path string) int {
-	s := stripeFor(path)
-	if s < 0 {
-		t.rlockAll()
-	} else {
-		t.stripes[s].mu.RLock()
-	}
-	return s
-}
-
-func (t *Tree) runlockPath(s int) {
-	if s < 0 {
-		t.runlockAll()
-	} else {
-		t.stripes[s].mu.RUnlock()
-	}
-}
-
-// lockMask acquires the write locks named by mask in ascending stripe
-// order — the same order lockAll uses, so the two can never deadlock.
-func (t *Tree) lockMask(mask uint32) {
-	for i := 0; i < stripeCount; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			t.stripes[i].mu.Lock()
-		}
-	}
-}
-
-func (t *Tree) unlockMask(mask uint32) {
-	for i := 0; i < stripeCount; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			t.stripes[i].mu.Unlock()
-		}
-	}
-}
-
-func (t *Tree) rlockMask(mask uint32) {
-	for i := 0; i < stripeCount; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			t.stripes[i].mu.RLock()
-		}
-	}
-}
-
-func (t *Tree) runlockMask(mask uint32) {
-	for i := 0; i < stripeCount; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			t.stripes[i].mu.RUnlock()
-		}
 	}
 }
 
@@ -296,9 +154,7 @@ func SplitPath(p string) (parent, name string) {
 	return p[:i], p[i+1:]
 }
 
-// lookup walks to the node at path. Caller holds stripe locks covering
-// path (any stripe suffices for the walk through the root, because
-// root-structural changes hold every stripe).
+// lookup walks to the node at path. Caller holds t.mu.
 func (t *Tree) lookup(path string) (*node, error) {
 	if path == "/" {
 		return t.root, nil
@@ -331,16 +187,8 @@ func (t *Tree) lookup(path string) (*node, error) {
 // replicas agree. session is the creator's session ID (used only for
 // ephemeral modes).
 func (t *Tree) Create(path string, data []byte, mode CreateMode, session, zxid uint64, nowNano int64) (string, error) {
-	if err := ValidatePath(path); err != nil {
-		return "", err
-	}
-	// A depth-1 create mutates the root's child set: structural.
-	parentPath := "/"
-	if path != "/" {
-		parentPath, _ = SplitPath(path)
-	}
-	s := t.lockWrite(path, parentPath == "/")
-	defer t.unlockWrite(s)
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	created, _, err := t.createLocked(path, data, mode, session, zxid, nowNano, false)
 	return created, err
 }
@@ -349,9 +197,8 @@ func (t *Tree) Create(path string, data []byte, mode CreateMode, session, zxid u
 // returns an undo closure that restores the exact prior state
 // (including stat counters and the sequential-name counter) for
 // Multi's rollback; plain Create passes false and skips the closure —
-// one less allocation on the hottest write. Caller holds write
-// coverage for path (the path's stripe; every stripe when the parent
-// is the root).
+// one less allocation on the hottest write. Caller holds t.mu in write
+// mode.
 func (t *Tree) createLocked(path string, data []byte, mode CreateMode, session, zxid uint64, nowNano int64, wantUndo bool) (string, func(), error) {
 	if err := ValidatePath(path); err != nil {
 		return "", nil, err
@@ -406,14 +253,7 @@ func (t *Tree) createLocked(path string, data []byte, mode CreateMode, session, 
 		created = "/" + name
 	}
 	if mode.IsEphemeral() {
-		t.emu.Lock()
-		m := t.ephemerals[session]
-		if m == nil {
-			m = make(map[string]bool)
-			t.ephemerals[session] = m
-		}
-		m[created] = true
-		t.emu.Unlock()
+		t.addEphemeral(session, created)
 	}
 	if !wantUndo {
 		return created, nil, nil
@@ -425,17 +265,30 @@ func (t *Tree) createLocked(path string, data []byte, mode CreateMode, session, 
 		t.nodes.Add(-1)
 		t.dataBytes.Add(-int64(len(data)))
 		if mode.IsEphemeral() {
-			t.emu.Lock()
-			if m := t.ephemerals[session]; m != nil {
-				delete(m, created)
-				if len(m) == 0 {
-					delete(t.ephemerals, session)
-				}
-			}
-			t.emu.Unlock()
+			t.dropEphemeral(session, created)
 		}
 	}
 	return created, undo, nil
+}
+
+// addEphemeral and dropEphemeral keep the session index in step with the
+// tree. Caller holds t.mu in write mode.
+func (t *Tree) addEphemeral(session uint64, path string) {
+	m := t.ephemerals[session]
+	if m == nil {
+		m = make(map[string]bool)
+		t.ephemerals[session] = m
+	}
+	m[path] = true
+}
+
+func (t *Tree) dropEphemeral(session uint64, path string) {
+	if m := t.ephemerals[session]; m != nil {
+		delete(m, path)
+		if len(m) == 0 {
+			delete(t.ephemerals, session)
+		}
+	}
 }
 
 // Get returns the node's data and its stat. The data is the node's own
@@ -445,8 +298,8 @@ func (t *Tree) Get(path string) ([]byte, Stat, error) {
 	if err := ValidatePath(path); err != nil {
 		return nil, Stat{}, err
 	}
-	s := t.rlockPath(path)
-	defer t.runlockPath(s)
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	n, err := t.lookup(path)
 	if err != nil {
 		return nil, Stat{}, err
@@ -459,8 +312,8 @@ func (t *Tree) Exists(path string) (Stat, bool) {
 	if err := ValidatePath(path); err != nil {
 		return Stat{}, false
 	}
-	s := t.rlockPath(path)
-	defer t.runlockPath(s)
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	n, err := t.lookup(path)
 	if err != nil {
 		return Stat{}, false
@@ -471,17 +324,14 @@ func (t *Tree) Exists(path string) (Stat, bool) {
 // Set replaces the node's data. version -1 skips the optimistic check,
 // matching ZooKeeper semantics.
 func (t *Tree) Set(path string, data []byte, version int32, zxid uint64, nowNano int64) (Stat, error) {
-	if err := ValidatePath(path); err != nil {
-		return Stat{}, err
-	}
-	s := t.lockWrite(path, false) // Set never alters the root's child set
-	defer t.unlockWrite(s)
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	stat, _, err := t.setLocked(path, data, version, zxid, nowNano)
 	return stat, err
 }
 
 // setLocked is Set without the lock, returning an undo closure for
-// Multi's rollback. Caller holds write coverage for path.
+// Multi's rollback. Caller holds t.mu in write mode.
 func (t *Tree) setLocked(path string, data []byte, version int32, zxid uint64, nowNano int64) (Stat, func(), error) {
 	if err := ValidatePath(path); err != nil {
 		return Stat{}, nil, err
@@ -513,23 +363,14 @@ func (t *Tree) setLocked(path string, data []byte, version int32, zxid uint64, n
 
 // Delete removes a childless node. version -1 skips the check.
 func (t *Tree) Delete(path string, version int32, zxid uint64) error {
-	if err := ValidatePath(path); err != nil {
-		return err
-	}
-	// A depth-1 delete mutates the root's child set: structural.
-	parentPath := "/"
-	if path != "/" {
-		parentPath, _ = SplitPath(path)
-	}
-	s := t.lockWrite(path, parentPath == "/")
-	defer t.unlockWrite(s)
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	_, err := t.deleteLocked(path, version, zxid)
 	return err
 }
 
 // deleteLocked is Delete without the lock, returning an undo closure
-// for Multi's rollback. Caller holds write coverage for path (the
-// path's stripe; every stripe when the parent is the root).
+// for Multi's rollback. Caller holds t.mu in write mode.
 func (t *Tree) deleteLocked(path string, version int32, zxid uint64) (func(), error) {
 	if err := ValidatePath(path); err != nil {
 		return nil, err
@@ -561,14 +402,7 @@ func (t *Tree) deleteLocked(path string, version int32, zxid uint64) (func(), er
 	t.dataBytes.Add(-int64(len(n.data)))
 	owner := n.stat.EphemeralOwner
 	if owner != 0 {
-		t.emu.Lock()
-		if m := t.ephemerals[owner]; m != nil {
-			delete(m, path)
-			if len(m) == 0 {
-				delete(t.ephemerals, owner)
-			}
-		}
-		t.emu.Unlock()
+		t.dropEphemeral(owner, path)
 	}
 	undo := func() {
 		parent.children[n.name] = n
@@ -576,14 +410,7 @@ func (t *Tree) deleteLocked(path string, version int32, zxid uint64) (func(), er
 		t.nodes.Add(1)
 		t.dataBytes.Add(int64(len(n.data)))
 		if owner != 0 {
-			t.emu.Lock()
-			m := t.ephemerals[owner]
-			if m == nil {
-				m = make(map[string]bool)
-				t.ephemerals[owner] = m
-			}
-			m[path] = true
-			t.emu.Unlock()
+			t.addEphemeral(owner, path)
 		}
 	}
 	return undo, nil
@@ -594,8 +421,8 @@ func (t *Tree) Children(path string) ([]string, error) {
 	if err := ValidatePath(path); err != nil {
 		return nil, err
 	}
-	s := t.rlockPath(path)
-	defer t.runlockPath(s)
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	n, err := t.lookup(path)
 	if err != nil {
 		return nil, err
@@ -626,10 +453,8 @@ func (t *Tree) ChildrenData(path string) (self DirEntry, children []DirEntry, er
 	if err := ValidatePath(path); err != nil {
 		return DirEntry{}, nil, err
 	}
-	// Listing the root reads every top-level child's data and stat, so
-	// rlockPath's all-stripes coverage for "/" is load-bearing here.
-	s := t.rlockPath(path)
-	defer t.runlockPath(s)
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	n, err := t.lookup(path)
 	if err != nil {
 		return DirEntry{}, nil, err
@@ -704,19 +529,10 @@ type MultiResult struct {
 // and data of the node that failed it, so the caller learns what it
 // found), every other op gets ErrRolledBack.
 func (t *Tree) Multi(ops []MultiOp, session, zxid uint64, nowNano int64) (results []MultiResult, committed bool) {
-	// Lock the union of stripes the batch can touch — every stripe if
-	// any op structurally changes the root's child set — in ascending
-	// order, and hold them for the whole batch. The undo closures run
-	// under the same coverage, so rollback is atomic exactly as it was
-	// under the single tree mutex.
-	mask, all := multiLockSet(ops)
-	if all {
-		t.lockAll()
-		defer t.unlockAll()
-	} else {
-		t.lockMask(mask)
-		defer t.unlockMask(mask)
-	}
+	// The undo closures run under the same lock, so no reader sees a
+	// batch half applied or half rolled back.
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	results = make([]MultiResult, len(ops))
 	undos := make([]func(), 0, len(ops))
 	for i, op := range ops {
@@ -775,7 +591,7 @@ func (t *Tree) Multi(ops []MultiOp, session, zxid uint64, nowNano int64) (result
 // returns the results Multi would return for the batch — that check's
 // error, stat and data, ErrRolledBack on every other op — and true. No
 // op behind the leading checks is looked at. The checks are evaluated
-// together, under one acquisition of their stripes.
+// together, under one read acquisition of the tree lock.
 func (t *Tree) FailedCheck(ops []MultiOp) ([]MultiResult, bool) {
 	lead := 0
 	for lead < len(ops) && ops[lead].Kind == MultiCheck {
@@ -784,9 +600,8 @@ func (t *Tree) FailedCheck(ops []MultiOp) ([]MultiResult, bool) {
 	if lead == 0 {
 		return nil, false
 	}
-	mask, _ := multiLockSet(ops[:lead]) // a check is never structural
-	t.rlockMask(mask)
-	defer t.runlockMask(mask)
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	for i, op := range ops[:lead] {
 		stat, data, err := t.checkLocked(op.Path, op.Version, op.Data)
 		if err == nil {
@@ -802,40 +617,6 @@ func (t *Tree) FailedCheck(ops []MultiOp) ([]MultiResult, bool) {
 	return nil, false
 }
 
-// multiLockSet computes the stripes a Multi batch needs: the union of
-// every op path's stripe, escalating to all stripes when any create or
-// delete has the root as its parent (structural), or when any path
-// names the root or is malformed in a way that defeats stripe mapping
-// (it will fail validation under the lock, but must fail while holding
-// coverage for whatever it does read).
-func multiLockSet(ops []MultiOp) (mask uint32, all bool) {
-	for _, op := range ops {
-		structural := op.Kind == MultiCreate || op.Kind == MultiDelete || op.Kind == MultiMove
-		paths := [2]string{op.Path, op.To}
-		n := 1
-		if op.Kind == MultiMove {
-			n = 2 // a move deletes at Path and creates at To
-		}
-		for _, p := range paths[:n] {
-			if len(p) < 2 || p[0] != '/' {
-				// Root or invalid: checkLocked on "/" reads the root's
-				// stat, covered by any stripe; invalid paths touch
-				// nothing. Pin stripe 0 so coverage is never empty.
-				mask |= 1
-				continue
-			}
-			if structural && strings.IndexByte(p[1:], '/') < 0 {
-				return 0, true // depth-1: mutates the root's child set
-			}
-			mask |= 1 << uint(stripeFor(p))
-		}
-	}
-	if mask == 0 {
-		mask = 1 // empty batch: still take one stripe for the error path
-	}
-	return mask, false
-}
-
 // moveLocked renames the childless node at src to dst in one step: dst
 // is created holding src's data, as a persistent node with a fresh stat,
 // and src is deleted. A node already at dst is deleted first, but only
@@ -843,7 +624,7 @@ func multiLockSet(ops []MultiOp) (mask uint32, all bool) {
 // children (else ErrNotEmpty); its stat and data are returned, the
 // replaced node's or the refused one's. An ephemeral src is refused: the
 // moved node would outlive its session. The undo closure reverses the
-// three steps. Caller holds write coverage for both paths.
+// three steps. Caller holds t.mu in write mode.
 func (t *Tree) moveLocked(src, dst string, guard []byte, session, zxid uint64, nowNano int64) (Stat, []byte, func(), error) {
 	if err := ValidatePath(src); err != nil {
 		return Stat{}, nil, nil, err
@@ -907,7 +688,7 @@ func (t *Tree) moveLocked(src, dst string, guard []byte, session, zxid uint64, n
 // unless version is -1, and that its data begins with guard. A guard
 // mismatch is ErrBadVersion: "not the node you expect", the same answer
 // a stale version gets. The node's stat and data are returned whether
-// the check held or not. Caller holds the stripe covering path.
+// the check held or not. Caller holds t.mu.
 func (t *Tree) checkLocked(path string, version int32, guard []byte) (Stat, []byte, error) {
 	if err := ValidatePath(path); err != nil {
 		return Stat{}, nil, err
@@ -923,14 +704,16 @@ func (t *Tree) checkLocked(path string, version int32, guard []byte) (Stat, []by
 }
 
 // ExpireSession deletes every ephemeral node owned by the session and
-// returns the deleted paths (deepest first so parents never block).
+// returns the deleted paths (deepest first so parents never block). The
+// whole sweep holds the tree lock once, so a reader sees the session's
+// ephemerals either all present or all gone.
 func (t *Tree) ExpireSession(session, zxid uint64) []string {
-	t.emu.Lock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	paths := make([]string, 0, len(t.ephemerals[session]))
 	for p := range t.ephemerals[session] {
 		paths = append(paths, p)
 	}
-	t.emu.Unlock()
 	// Deeper paths first; ephemeral nodes cannot have children, but a
 	// deterministic order keeps replicas identical.
 	sort.Slice(paths, func(i, j int) bool {
@@ -941,7 +724,7 @@ func (t *Tree) ExpireSession(session, zxid uint64) []string {
 	})
 	deleted := paths[:0]
 	for _, p := range paths {
-		if err := t.Delete(p, -1, zxid); err == nil {
+		if _, err := t.deleteLocked(p, -1, zxid); err == nil {
 			deleted = append(deleted, p)
 		}
 	}
@@ -961,11 +744,11 @@ type WalkEntry struct {
 
 // Walk visits every node (excluding the root) in depth-first,
 // lexicographic order and calls fn. fn must not mutate the tree. The
-// whole walk runs under read coverage of every stripe, so it observes
-// one consistent cut of the namespace.
+// whole walk holds the tree lock in read mode, so it observes one
+// consistent cut of the namespace.
 func (t *Tree) Walk(fn func(e WalkEntry)) {
-	t.rlockAll()
-	defer t.runlockAll()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	t.walk(t.root, "", fn)
 }
 
@@ -987,10 +770,8 @@ func (t *Tree) walk(n *node, prefix string, fn func(e WalkEntry)) {
 // snapshot. Entries must arrive parents-first.
 func (t *Tree) RestoreEntry(e WalkEntry) error {
 	parentPath, name := SplitPath(e.Path)
-	// Restore runs on a tree no reader has seen yet; all-stripe
-	// coverage keeps it trivially correct without a fast path.
-	t.lockAll()
-	defer t.unlockAll()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	parent, err := t.lookup(parentPath)
 	if err != nil {
 		return ErrNoParent
@@ -1017,14 +798,7 @@ func (t *Tree) RestoreEntry(e WalkEntry) error {
 	t.nodes.Add(1)
 	t.dataBytes.Add(int64(len(e.Data)))
 	if owner := e.Stat.EphemeralOwner; owner != 0 {
-		t.emu.Lock()
-		m := t.ephemerals[owner]
-		if m == nil {
-			m = make(map[string]bool)
-			t.ephemerals[owner] = m
-		}
-		m[e.Path] = true
-		t.emu.Unlock()
+		t.addEphemeral(owner, e.Path)
 	}
 	return nil
 }
@@ -1047,10 +821,8 @@ func (t *Tree) PutEntry(e WalkEntry, overwrite bool) error {
 		return ErrRootReadOnly
 	}
 	parentPath, name := SplitPath(e.Path)
-	// Imports are cold-path (migration traffic), so all-stripe coverage
-	// keeps this trivially correct.
-	t.lockAll()
-	defer t.unlockAll()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	parent, err := t.lookup(parentPath)
 	if err != nil {
 		return ErrNoParent
@@ -1061,14 +833,7 @@ func (t *Tree) PutEntry(e WalkEntry, overwrite bool) error {
 		}
 		t.dataBytes.Add(int64(len(e.Data)) - int64(len(n.data)))
 		if owner := n.stat.EphemeralOwner; owner != 0 && owner != e.Stat.EphemeralOwner {
-			t.emu.Lock()
-			if m := t.ephemerals[owner]; m != nil {
-				delete(m, e.Path)
-				if len(m) == 0 {
-					delete(t.ephemerals, owner)
-				}
-			}
-			t.emu.Unlock()
+			t.dropEphemeral(owner, e.Path)
 		}
 		prevOwner := n.stat.EphemeralOwner
 		localChildren := n.stat.NumChildren
@@ -1079,14 +844,7 @@ func (t *Tree) PutEntry(e WalkEntry, overwrite bool) error {
 			n.nextSeq = e.Seq
 		}
 		if owner := e.Stat.EphemeralOwner; owner != 0 && owner != prevOwner {
-			t.emu.Lock()
-			m := t.ephemerals[owner]
-			if m == nil {
-				m = make(map[string]bool)
-				t.ephemerals[owner] = m
-			}
-			m[e.Path] = true
-			t.emu.Unlock()
+			t.addEphemeral(owner, e.Path)
 		}
 		return nil
 	}
@@ -1105,14 +863,7 @@ func (t *Tree) PutEntry(e WalkEntry, overwrite bool) error {
 	t.nodes.Add(1)
 	t.dataBytes.Add(int64(len(e.Data)))
 	if owner := e.Stat.EphemeralOwner; owner != 0 {
-		t.emu.Lock()
-		m := t.ephemerals[owner]
-		if m == nil {
-			m = make(map[string]bool)
-			t.ephemerals[owner] = m
-		}
-		m[e.Path] = true
-		t.emu.Unlock()
+		t.addEphemeral(owner, e.Path)
 	}
 	return nil
 }
@@ -1121,8 +872,8 @@ func (t *Tree) PutEntry(e WalkEntry, overwrite bool) error {
 // bytes, XOR of path hashes and mzxids) used by tests to compare
 // replica states without serializing whole trees.
 func (t *Tree) Fingerprint() uint64 {
-	t.rlockAll()
-	defer t.runlockAll()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	var fp uint64
 	var visit func(n *node, depth uint64)
 	visit = func(n *node, depth uint64) {
